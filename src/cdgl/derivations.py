@@ -22,9 +22,9 @@ from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
 from .dgl import (DGLMorphism, DGLPresentation, GeneratorFiltration,
                   ad_values, apply_operator, exp_derivation_values,
                   log_morphism)
-from .exactlin import (ChainMap, GradedChainComplex, IncrementalSpan,
-                       SparseMat, SparseVec, homology_at, les_of_ses,
-                       solve_linear)
+from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
+                       IncrementalSpan, SparseMat, SparseVec, homology_at,
+                       les_of_ses, solve_linear)
 from .freelie import LieElement, bracket
 
 
@@ -1019,8 +1019,8 @@ class DerH0Group:
             if picker.add(z):
                 self.reps.append(_element_of(dercx, cx, 0, z))
         self._space0 = space0
-        self._rep_matrix = SparseMat.from_columns(
-            len(space0), [self.reduction.reduce(space0.coords(r)) for r in self.reps])
+        self._rep_coords = FactoredBasis(
+            [self.reduction.reduce(space0.coords(r)) for r in self.reps], len(space0))
         self.abelian = True
         self.structure = {}
         n = len(self.reps)
@@ -1047,11 +1047,7 @@ class DerH0Group:
         return Derivation(L, L, 0, log_morphism(comp))
 
     def class_of(self, th: Derivation) -> SparseVec:
-        vec = self.reduction.reduce(self._space0.coords(th))
-        x = solve_linear(self._rep_matrix, vec)
-        if x is None:
-            raise exactlin.NotInSpanError("derivation class outside H0 span")
-        return x
+        return self._rep_coords.coords(self.reduction.reduce(self._space0.coords(th)))
 
     def power(self, th: Derivation, lam) -> Derivation:
         return th.scale(Fraction(lam))

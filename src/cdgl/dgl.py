@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactlin
-from .exactlin import (GradedChainComplex, IncrementalSpan, SparseMat,
-                       SparseVec, solve_linear)
+from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
+                       SparseMat, SparseVec, solve_linear)
 from .freelie import (DegreeError, Generator, LieElement, LieMembershipError,
-                      Truncation, bracket, exp_terms, is_lie, lie_basis,
-                      log_terms, word_degree)
+                      Truncation, _mul_terms, bracket, exp_terms, is_lie,
+                      lie_basis, log_terms, word_degree)
 
 
 class IllFormedDifferentialError(ValueError):
@@ -65,19 +65,19 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
             for j in range(i):
                 g = w[j]
                 img = {(g,): Fraction(1)} if phi is None else phi[g].terms
-                terms = _mul_dict(terms, img, trunc)
+                terms = _mul_terms(terms, img, trunc)
                 if not terms:
                     ok = False
                     break
             if not ok:
                 continue
-            terms = _mul_dict(terms, val.terms, trunc)
+            terms = _mul_terms(terms, val.terms, trunc)
             for j in range(i + 1, n):
                 if not terms:
                     break
                 g = w[j]
                 img = {(g,): Fraction(1)} if phi2 is None else phi2[g].terms
-                terms = _mul_dict(terms, img, trunc)
+                terms = _mul_terms(terms, img, trunc)
             for ww, cc in terms.items():
                 if not ww:
                     continue
@@ -89,21 +89,6 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
     return out
 
 
-def _mul_dict(a, b, trunc):
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            if w and not trunc.admits(w):
-                continue
-            s = out.get(w, Fraction(0)) + ca * cb
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
-
-
 def apply_morphism(images, e: LieElement, trunc=None) -> LieElement:
     """Apply the multiplicative extension of generator images to e."""
     trunc = trunc or e.trunc
@@ -111,7 +96,7 @@ def apply_morphism(images, e: LieElement, trunc=None) -> LieElement:
     for w, c in e.terms.items():
         terms = {(): c}
         for g in w:
-            terms = _mul_dict(terms, images[g].terms, trunc)
+            terms = _mul_terms(terms, images[g].terms, trunc)
             if not terms:
                 break
         for ww, cc in terms.items():
@@ -359,24 +344,10 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     for e in (x, y):
         if not e.is_zero() and e.degree() != 0:
             raise DegreeError("BCH arguments must be degree 0")
-    prod = _mul_dict(exp_terms(x), exp_terms(y), x.trunc)
+    prod = _mul_terms(exp_terms(x), exp_terms(y), x.trunc)
     out = log_terms(prod, x.trunc)
     if not is_lie(out):
         raise LieMembershipError("BCH result fails Lie membership (internal error)")
-    return out
-
-
-def _nilpotent_iterates(apply_once, seed: LieElement, max_iter):
-    """[seed, T seed, T^2 seed, ...] until zero; DivergenceError if too long."""
-    out = []
-    cur = seed
-    count = 0
-    while not cur.is_zero():
-        out.append(cur)
-        cur = apply_once(cur)
-        count += 1
-        if count > max_iter:
-            raise DivergenceError("series does not terminate at this truncation")
     return out
 
 
@@ -584,7 +555,7 @@ class H0Group:
     abelian: bool = True
     truncation_level: int = 0
     labels: list = field(default_factory=list)
-    _rep_matrix: SparseMat | None = None
+    _rep_coords: FactoredBasis | None = None
 
     @property
     def dimension(self):
@@ -593,15 +564,11 @@ class H0Group:
     def class_of(self, e: LieElement) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
         vec = self.owner.coords(e, 0) if not e.is_zero() else SparseVec()
-        reduced = self.boundary_span.reduce(vec)
-        if self._rep_matrix is None:
-            cols = [self.boundary_span.reduce(self.owner.coords(r, 0))
-                    for r in self.reps]
-            self._rep_matrix = SparseMat.from_columns(len(self.basis0), cols)
-        x = solve_linear(self._rep_matrix, reduced)
-        if x is None:
-            raise exactlin.NotInSpanError("not a class in this H0")
-        return x
+        if self._rep_coords is None:
+            self._rep_coords = FactoredBasis(
+                [self.boundary_span.reduce(self.owner.coords(r, 0)) for r in self.reps],
+                len(self.basis0))
+        return self._rep_coords.coords(self.boundary_span.reduce(vec))
 
     def element(self, coords: SparseVec) -> LieElement:
         out = self.owner.zero()
@@ -655,33 +622,30 @@ def h0_group(L: DGLPresentation, extra_quotient=()) -> H0Group:
                     basis0=basis0,
                     truncation_level=L.trunc.max_bracket_length,
                     labels=["h%d" % i for i in range(len(reps))])
-    # BCH structure constants and induced Lie brackets
+    # BCH structure constants
     n = len(reps)
-    abelian = True
     for i in range(n):
         for j in range(n):
-            prod = group.class_of(bch(reps[i], reps[j]))
-            group.structure[(i, j)] = prod
-    # nilpotency class of the induced Lie algebra on H0
-    layer = [group.class_of(bracket(reps[i], reps[j]))
-             for i in range(n) for j in range(n)]
-    layer = [v for v in layer if not v.is_zero()]
-    abelian = not layer
-    cls = 1 if reps else 0
-    seen = 0
-    while layer and seen < n + 2:
-        cls += 1
-        seen += 1
+            group.structure[(i, j)] = group.class_of(bch(reps[i], reps[j]))
+    # nilpotency class of the induced Lie algebra on H0: each lower central
+    # series layer is carried as a spanning list, starting from H0 itself
+    layer = [SparseVec.unit(i) for i in range(n)]
+    while layer:
+        group.nilpotency_class += 1
+        span = IncrementalSpan()
         nxt = []
         for v in layer:
             ev = group.element(v)
-            for i in range(n):
-                w = group.class_of(bracket(reps[i], ev))
-                if not w.is_zero():
+            for r in reps:
+                w = group.class_of(bracket(r, ev))
+                if span.add(w):
                     nxt.append(w)
+        if len(nxt) >= len(layer):
+            raise LieMembershipError("lower central series of H0 does not descend "
+                                     "(internal error)")
+        if group.nilpotency_class == 1:
+            group.abelian = not nxt
         layer = nxt
-    group.abelian = abelian
-    group.nilpotency_class = cls
     return group
 
 
@@ -693,10 +657,6 @@ def act_on_morphism(y: LieElement, phi: DGLMorphism) -> DGLMorphism:
         raise MCViolationError("action requires a degree-0 cycle")
     e = exp_ad(L, y)
     return e.compose(phi).validate()
-
-
-def postnikov_truncate(C: GradedChainComplex, n: int) -> GradedChainComplex:
-    return exactlin.postnikov_truncate(C, n)
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,32 @@ class IncrementalSpan:
         return True
 
 
+class FactoredBasis:
+    """Coordinates against fixed independent vectors, eliminated once.
+
+    The rows (v_k | e_k), with e_k in column n_cols + k, go into one
+    IncrementalSpan; reducing (v | 0) then leaves (0 | -x) exactly when
+    v = sum_k x_k v_k, and a residual in the first n_cols columns otherwise.
+    """
+
+    def __init__(self, vecs, n_cols):
+        self.n_cols = n_cols
+        self.span = IncrementalSpan()
+        for k, v in enumerate(vecs):
+            row = SparseVec()
+            row.entries = dict(v.entries)
+            row.entries[n_cols + k] = Fraction(1)
+            self.span.add(row)
+
+    def coords(self, vec: SparseVec) -> SparseVec:
+        res = self.span.reduce(vec)
+        if any(i < self.n_cols for i in res.entries):
+            raise NotInSpanError("vector outside the factored span")
+        out = SparseVec()
+        out.entries = {i - self.n_cols: -v for i, v in res.entries.items()}
+        return out
+
+
 def echelon_of_matrix(mat: SparseMat) -> Echelon:
     vecs = []
     for row in mat.rows():

@@ -270,33 +270,39 @@ def log_terms(u, trunc) -> LieElement:
     return res
 
 
+def _dynkin_terms(terms):
+    """Right-nested bracketing of a word dictionary, by linearity in the
+    leading letter: D(g) = g and D(g.u) = [g, D(u)]."""
+    out = {}
+    tails = {}
+    for w, c in terms.items():
+        if len(w) == 1:
+            out[w] = c
+        else:
+            tails.setdefault(w[0], {})[w[1:]] = c
+    for g, tail in tails.items():
+        # [g, w] = g.w - (-1)^{|g||w|} w.g keeps the input's lengths and
+        # degrees, so nothing leaves the truncation
+        for w, c in _dynkin_terms(tail).items():
+            out[(g,) + w] = out.get((g,) + w, 0) + c
+            sign = -1 if g.degree % 2 and word_degree(w) % 2 else 1
+            out[w + (g,)] = out.get(w + (g,), 0) - sign * c
+    return {w: c for w, c in out.items() if c}
+
+
 def dynkin(e: LieElement) -> LieElement:
     """Right-nested bracketing map w = x1...xn -> [x1,[x2,[...,xn]]].
 
     On the length-n Lie component it acts as multiplication by n (graded
     Dynkin-Specht-Wever), which certifies Lie-subspace membership.
     """
-    trunc = e.trunc
-    total = LieElement.zero(trunc)
-    for w, c in e.terms.items():
-        cur = LieElement({(w[-1],): Fraction(1)}, trunc)
-        for g in reversed(w[:-1]):
-            cur = bracket(LieElement.gen(g, trunc), cur)
-        total = total + cur.scale(c)
-    return total
+    return LieElement(_dynkin_terms(e.terms), e.trunc)
 
 
 def is_lie(e: LieElement) -> bool:
-    """Exact Lie-subspace membership via the Dynkin idempotent."""
-    by_len = {}
-    for w, c in e.terms.items():
-        by_len.setdefault(len(w), {})[w] = c
-    for n, terms in by_len.items():
-        comp = LieElement.zero(e.trunc)
-        comp.terms = dict(terms)
-        if dynkin(comp) != comp.scale(n):
-            return False
-    return True
+    """Exact Lie-subspace membership via the Dynkin idempotent, all lengths
+    in one pass: D(e) must equal the sum of len(w) * c_w * w."""
+    return _dynkin_terms(e.terms) == {w: len(w) * c for w, c in e.terms.items()}
 
 
 def gen_sequences(gens, degree, length):

@@ -145,3 +145,23 @@ def w_log(u, cap):
 def w_bch(x, y, cap):
     """Independent BCH oracle: log(exp(x) exp(y)) in the word algebra."""
     return w_log(w_mul(w_exp(x, cap), w_exp(y, cap), cap), cap)
+
+
+def w_dynkin(a, cap):
+    """Right-nested bracketing, word by word: x1...xn -> [x1,[x2,[...,xn]]]."""
+    out = {}
+    for w, c in a.items():
+        cur = {w[-1:]: Fraction(1)}
+        for letter in reversed(w[:-1]):
+            cur = w_bracket({(letter,): Fraction(1)}, cur, cap)
+        out = w_add(out, w_scale(cur, c))
+    return out
+
+
+def w_is_lie(a, cap):
+    """Dynkin-Specht-Wever: a is Lie iff D(a_n) = n a_n for every length n."""
+    for n in {len(w) for w in a}:
+        comp = {w: c for w, c in a.items() if len(w) == n}
+        if w_dynkin(comp, cap) != w_scale(comp, n):
+            return False
+    return True

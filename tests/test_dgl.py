@@ -9,12 +9,13 @@ from cdgl.dgl import (DGLMorphism, DivergenceError,
                       component_complex, exp_ad, exp_derivation_values,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
                       perturbed)
-from cdgl.exactlin import homology_at
-from cdgl.freelie import Generator, LieElement, Truncation, bracket, left_normed
+from cdgl.exactlin import NotInSpanError, homology_at
+from cdgl.freelie import (Generator, LieElement, LieMembershipError, Truncation,
+                          bracket, left_normed)
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
 
-from oracles import w_bch
+from oracles import dense_solve, w_bch
 
 
 def T(n):
@@ -389,6 +390,76 @@ def test_h0_wedge_two_circles_cap2():
     assert G.dimension == 3
     assert not G.abelian
     assert G.nilpotency_class == 2
+
+
+@pytest.mark.parametrize("cap,dim", [(1, 2), (2, 3), (3, 5), (4, 8), (5, 14)])
+def test_h0_wedge_two_circles_lower_central_series(cap, dim):
+    # H0 is the free Lie algebra on two letters cut at length cap: Witt
+    # dimensions 2, 1, 2, 3, 6 summed, nilpotent of class exactly cap
+    G = h0_group(wedge_model((1, 1), T(cap)))
+    assert G.dimension == dim
+    assert G.nilpotency_class == cap
+    assert G.abelian == (cap == 1)
+
+
+def _boundary_model(cap):
+    # d s = [u, v]: the degree-0 boundaries are the ideal generated by [u, v]
+    u, v, w = (Generator(n, 0) for n in "uvw")
+    s = Generator("s", 1)
+    trunc = T(cap)
+    return build_dgl((u, v, w, s), {s: bracket(LieElement.gen(u, trunc),
+                                               LieElement.gen(v, trunc))}, trunc)
+
+
+def _oracle_class(G, boundaries, e):
+    """Rep part of any solution of e = sum a_k rep_k + sum b_j bnd_j, solved
+    densely over tensor words."""
+    cols = list(G.reps) + boundaries
+    words = sorted({w for c in cols + [e] for w in c.terms},
+                   key=lambda w: (len(w), [g.name for g in w]))
+    A = [[c.terms.get(w, Fraction(0)) for c in cols] for w in words]
+    x = dense_solve(A, [e.terms.get(w, Fraction(0)) for w in words])
+    assert x is not None
+    return {k: x[k] for k in range(len(G.reps)) if x[k]}
+
+
+@pytest.mark.parametrize("model,cap", [("wedge", 2), ("wedge", 3), ("wedge", 4),
+                                       ("wedge", 5), ("boundary", 4)])
+def test_h0_class_of_matches_dense_oracle(model, cap):
+    rng = random.Random(cap)
+    L = wedge_model((1, 1), T(cap)) if model == "wedge" else _boundary_model(cap)
+    G = h0_group(L)
+    boundaries = [L.d(e) for e in L.basis(1) if not L.d(e).is_zero()]
+    assert G.dimension
+    assert bool(boundaries) == (model == "boundary")
+    for _ in range(6):
+        coeffs = {k: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  for k in range(G.dimension)}
+        e = L.zero()
+        for k, c in coeffs.items():
+            e = e + G.reps[k].scale(c)
+        for bnd in boundaries:
+            e = e + bnd.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        got = G.class_of(e)
+        assert got.entries == _oracle_class(G, boundaries, e)
+        assert got.entries == {k: c for k, c in coeffs.items() if c}
+
+
+def test_h0_class_of_outside_span_raises():
+    # x is not a cycle of the unperturbed circle model, whose H0 is 0
+    L = circle_model(T(4))
+    G = h0_group(L)
+    with pytest.raises(NotInSpanError):
+        G.class_of(L.gen("x"))
+
+
+def test_h0_non_descending_series_is_internal_error(monkeypatch):
+    # a broken bracket ([a, b] = a) makes [H, H] = H; the nilpotency loop must
+    # fail loudly instead of returning a class
+    import cdgl.dgl
+    monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: a)
+    with pytest.raises(LieMembershipError, match="internal error"):
+        h0_group(wedge_model((1, 1), T(2)))
 
 
 def test_h0_divisibility_law():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cdgl.exactlin import (ChainMap, ExactnessError, GradedChainComplex,
-                           IllFormedComplexError, SparseMat, SparseVec,
+from cdgl.exactlin import (ChainMap, ExactnessError, FactoredBasis,
+                           GradedChainComplex, IllFormedComplexError,
+                           NotInSpanError, SparseMat, SparseVec,
                            connected_cover, homology_at, kernel_basis,
                            les_of_ses, postnikov_truncate, rank, solve_linear)
 
@@ -24,6 +25,28 @@ def mat(rows):
 
 def vec(vals):
     return SparseVec({i: Fraction(v) for i, v in enumerate(vals) if v})
+
+
+def test_factored_basis_coords_match_dense_solve():
+    rng = random.Random(12)
+    for _ in range(30):
+        n_cols, k = rng.randint(1, 6), rng.randint(0, 4)
+        vecs = [vec([rng.randint(-3, 3) for _ in range(n_cols)]) for _ in range(k)]
+        if rank(SparseMat.from_columns(n_cols, vecs)) < k:
+            continue
+        fb = FactoredBasis(vecs, n_cols)
+        A = [[v.get(i) for v in vecs] for i in range(n_cols)]
+        for _ in range(4):
+            target = vec([rng.randint(-4, 4) for _ in range(n_cols)])
+            if rng.random() < 0.5:
+                target = sum((v.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                              for v in vecs), SparseVec())
+            x = dense_solve(A, [target.get(i) for i in range(n_cols)])
+            if x is None:
+                with pytest.raises(NotInSpanError):
+                    fb.coords(target)
+            else:
+                assert fb.coords(target) == vec(x)
 
 
 def test_solve_zero_case():

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgl.exactlin import NotInSpanError
 from cdgl.freelie import (Generator, LieElement, Truncation, bracket,
                           coordinates, dynkin, exp_terms, gen_sequences,
-                          is_lie, left_normed, lie_basis, log_terms)
+                          is_lie, left_normed, lie_basis, log_terms, mul)
 
-from oracles import w_bracket
+from oracles import w_bracket, w_dynkin, w_is_lie
 
 
 def T(n, deg=None):
@@ -196,6 +197,38 @@ def test_dynkin_certifies_lie_membership():
     u, v = gens[:2]
     prod = LieElement({(u, v): Fraction(1)}, trunc)
     assert not is_lie(prod)
+
+
+CAP = 5
+GENS = (Generator("u", 0), Generator("v", 1), Generator("w", 2), Generator("z", -1))
+_seq = st.lists(st.sampled_from(GENS), min_size=1, max_size=3)
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# a term is a left-normed bracket (Lie), a product of two of them, or a bare
+# word (mostly not Lie)
+_term = st.tuples(st.sampled_from(("lie", "prod", "word")), _seq, _seq, _coeff)
+
+
+def _element(terms):
+    trunc = T(CAP)
+    out = LieElement.zero(trunc)
+    for kind, s1, s2, c in terms:
+        if kind == "lie":
+            e = left_normed(s1 + s2, trunc)
+        elif kind == "prod":
+            e = mul(left_normed(s1, trunc), left_normed(s2, trunc))
+        else:
+            e = LieElement({tuple(s1 + s2): 1}, trunc)
+        out = out + e.scale(c)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_term, max_size=4))
+def test_one_pass_dynkin_agrees_with_per_word_oracle(terms):
+    e = _element(terms)
+    words = to_word_dict(e)
+    assert to_word_dict(dynkin(e)) == w_dynkin(words, CAP)
+    assert is_lie(e) == w_is_lie(words, CAP)
 
 
 def test_dynkin_scales_by_length():
