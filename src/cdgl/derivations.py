@@ -19,12 +19,12 @@ from fractions import Fraction
 from . import exactlin
 from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
                         chains_functor, lie_functor)
-from .dgl import (DGLMorphism, DGLPresentation, GeneratorFiltration,
-                  ad_values, apply_operator, exp_derivation_values,
-                  log_morphism)
+from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
+                  GeneratorFiltration, ad_values, apply_operator,
+                  exp_derivation_values, log_morphism)
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
                        IncrementalSpan, SparseMat, SparseVec, homology_at,
-                       les_of_ses, solve_linear)
+                       les_of_ses)
 from .freelie import LieElement, bracket
 
 
@@ -143,7 +143,7 @@ class DerSpace:
             self._offsets[g] = off
             off += dim
         self.total_slots = off
-        self._matrix = None
+        self._factored = None
 
     def flatten(self, theta: Derivation) -> SparseVec:
         out = {}
@@ -155,15 +155,17 @@ class DerSpace:
         return SparseVec(out)
 
     def coords(self, theta: Derivation) -> SparseVec:
-        if self._matrix is None:
-            cols = [self.flatten(e) for e in self.elements]
-            self._matrix = SparseMat.from_columns(self.total_slots, cols)
+        """Coordinates in the elements, which may be dependent: the
+        free-variables-zero solution, as solve_linear would give."""
+        if self._factored is None:
+            self._factored = FactoredBasis(
+                [self.flatten(e) for e in self.elements], self.total_slots)
         vec = self.flatten(theta)
-        x = solve_linear(self._matrix, vec)
-        if x is None:
+        try:
+            return self._factored.coords(vec)
+        except exactlin.NotInSpanError:
             raise exactlin.NotInSpanError(
-                "derivation outside the stored degree-%d space" % self.degree)
-        return x
+                "derivation outside the stored degree-%d space" % self.degree) from None
 
     def __len__(self):
         return len(self.elements)
@@ -571,8 +573,12 @@ def der_g_zero(spec: GSpec) -> DerGZeroReport:
         try:
             er = exp_derivation_values(L, r.values, check_cycle=False)
             er_inv = exp_derivation_values(L, r.scale(-1).values, check_cycle=False)
-        except Exception:
-            continue
+        except DivergenceError:
+            # the conjugation cannot be checked, so saturation is not certified
+            saturated = False
+            notes.append("exp(%s) diverges at this truncation; saturation "
+                         "not checked" % (r.label or "r0"))
+            break
         for th in basis:
             conj = {}
             for g in L.gens:
@@ -804,8 +810,8 @@ def _boundary_spans(cx: GradedChainComplex, degrees):
     spans = {}
     for n in degrees:
         sp = IncrementalSpan()
-        for j in range(cx.dim(n + 1)):
-            sp.add(cx.d(n + 1).column(j))
+        for col in cx.d(n + 1).columns():
+            sp.add(col)
         spans[n] = sp
     return spans
 
@@ -990,37 +996,21 @@ class DerH0Group:
         cx = dercx.complex()
         space0 = dercx.space(0)
         cycles = exactlin.kernel_basis(cx.d(0)) if cx.dim(0) else []
-
-        def reduction_span():
-            span = IncrementalSpan()
-            for th in dercx.space(1).elements:
-                D = derivation_differential(th)
-                if not D.is_zero():
-                    span.add(space0.coords(D))
-            if quotient_by_ad:
-                for e in L.basis(0):
-                    adx = ad_derivation(L, e)
-                    if not adx.is_zero():
-                        span.add(space0.coords(adx))
-            return span
-
-        self.ad_image_rank = 0
-        if quotient_by_ad:
-            adspan = IncrementalSpan()
-            for e in L.basis(0):
-                adx = ad_derivation(L, e)
-                if not adx.is_zero():
-                    adspan.add(space0.coords(adx))
-            self.ad_image_rank = adspan.rank
-        self.reduction = reduction_span()
-        picker = reduction_span()
-        self.reps = []
-        for z in cycles:
-            if picker.add(z):
-                self.reps.append(_element_of(dercx, cx, 0, z))
+        boundaries = [space0.coords(derivation_differential(th))
+                      for th in dercx.space(1).elements]
+        ads = ([space0.coords(ad_derivation(L, e)) for e in L.basis(0)]
+               if quotient_by_ad else [])
+        adspan = IncrementalSpan()
+        for v in ads:
+            adspan.add(v)
+        self.ad_image_rank = adspan.rank
+        picker = IncrementalSpan()
+        for v in boundaries + ads:
+            picker.add(v)
+        self.reps = [_element_of(dercx, cx, 0, z) for z in cycles if picker.add(z)]
         self._space0 = space0
-        self._rep_coords = FactoredBasis(
-            [self.reduction.reduce(space0.coords(r)) for r in self.reps], len(space0))
+        self._classes = FactoredBasis([space0.coords(r) for r in self.reps],
+                                      len(space0), modulo=boundaries + ads)
         self.abelian = True
         self.structure = {}
         n = len(self.reps)
@@ -1047,7 +1037,7 @@ class DerH0Group:
         return Derivation(L, L, 0, log_morphism(comp))
 
     def class_of(self, th: Derivation) -> SparseVec:
-        return self._rep_coords.coords(self.reduction.reduce(self._space0.coords(th)))
+        return self._classes.coords(self._space0.coords(th))
 
     def power(self, th: Derivation, lam) -> Derivation:
         return th.scale(Fraction(lam))

@@ -16,9 +16,9 @@ from fractions import Fraction
 from . import exactlin
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
                        SparseMat, SparseVec, solve_linear)
-from .freelie import (DegreeError, Generator, LieElement, LieMembershipError,
-                      Truncation, _mul_terms, bracket, exp_terms, is_lie,
-                      lie_basis, log_terms, word_degree)
+from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
+                      LieMembershipError, Truncation, _mul_terms, bracket,
+                      exp_terms, is_lie, lie_basis, log_terms, word_degree)
 
 
 class IllFormedDifferentialError(ValueError):
@@ -178,7 +178,6 @@ class DGLPresentation:
             return SparseVec()
         coordizer = self._coordizer_cache.get(degree)
         if coordizer is None:
-            from .freelie import Coordinatizer
             coordizer = Coordinatizer(self.basis(degree))
             self._coordizer_cache[degree] = coordizer
         return coordizer.coords(e)
@@ -548,14 +547,12 @@ class H0Group:
 
     owner: DGLPresentation
     reps: list                     # cycle LieElements representing the basis
-    boundary_span: IncrementalSpan  # span of boundaries (+ any extra quotient)
-    basis0: list
+    classes: FactoredBasis         # rep coordinates modulo the boundaries
     structure: dict = field(default_factory=dict)
     nilpotency_class: int = 0
     abelian: bool = True
     truncation_level: int = 0
     labels: list = field(default_factory=list)
-    _rep_coords: FactoredBasis | None = None
 
     @property
     def dimension(self):
@@ -563,12 +560,7 @@ class H0Group:
 
     def class_of(self, e: LieElement) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
-        vec = self.owner.coords(e, 0) if not e.is_zero() else SparseVec()
-        if self._rep_coords is None:
-            self._rep_coords = FactoredBasis(
-                [self.boundary_span.reduce(self.owner.coords(r, 0)) for r in self.reps],
-                len(self.basis0))
-        return self._rep_coords.coords(self.boundary_span.reduce(vec))
+        return self.classes.coords(self.owner.coords(e, 0))
 
     def element(self, coords: SparseVec) -> LieElement:
         out = self.owner.zero()
@@ -593,33 +585,21 @@ def h0_group(L: DGLPresentation, extra_quotient=()) -> H0Group:
     extra_quotient: additional degree-0 cycles to quotient by (used for
     H_0(Der^G)/Im H_0(ad) style groups)."""
     basis0 = L.basis(0)
-    basis_p1 = L.basis(1)
     if basis0:
         cols = [L.coords(L.d(e), -1) for e in basis0]
         dmat = SparseMat.from_columns(len(L.basis(-1)), cols)
         cycles = exactlin.kernel_basis(dmat)
     else:
         cycles = []
-
-    def reduction_span():
-        span = IncrementalSpan()
-        for e in basis_p1:
-            img = L.d(e)
-            if not img.is_zero():
-                span.add(L.coords(img, 0))
-        for e in extra_quotient:
-            if not e.is_zero():
-                span.add(L.coords(e, 0))
-        return span
-
-    span = reduction_span()
-    reps = []
-    for z in cycles:
-        if span.add(z):
-            reps.append(L.from_coords(z, 0))
-    # reduction span without the reps (span.add mutated it above)
-    group = H0Group(owner=L, reps=reps, boundary_span=reduction_span(),
-                    basis0=basis0,
+    quotient = ([L.coords(L.d(e), 0) for e in L.basis(1)]
+                + [L.coords(e, 0) for e in extra_quotient])
+    span = IncrementalSpan()
+    for v in quotient:
+        span.add(v)
+    picked = [z for z in cycles if span.add(z)]
+    reps = [L.from_coords(z, 0) for z in picked]
+    group = H0Group(owner=L, reps=reps,
+                    classes=FactoredBasis(picked, len(basis0), modulo=quotient),
                     truncation_level=L.trunc.max_bracket_length,
                     labels=["h%d" % i for i in range(len(reps))])
     # BCH structure constants

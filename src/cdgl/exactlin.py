@@ -2,10 +2,11 @@
 long exact sequences.
 
 Everything here is over Q (stdlib Fraction); there is no floating point
-anywhere.  Matrices and vectors are sparse (dict based).  The elimination
-core clears denominators and runs a fraction-free (Bareiss-style) forward
-pass on integer rows, then reduces back to rationals, so intermediate
-blow-up stays polynomial.
+anywhere.  Matrices and vectors are sparse (dict based).  There is one
+elimination engine, IncrementalSpan, which keeps the reduced row echelon
+form of a growing span; rank, kernels and solves read its pivots and rows,
+and FactoredBasis puts a matrix through it once so that each further solve
+against that matrix is a single reduction.
 
 Basis labels are opaque strings; all semantics live upstream.  Pivot and
 representative choices are deterministic (first-column, first-row order),
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 
 class ShapeError(ValueError):
@@ -41,6 +41,13 @@ class ResourceLimitError(RuntimeError):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _vec(entries) -> "SparseVec":
+    """Wrap a dict of nonzero Fractions as a SparseVec, without copying."""
+    v = SparseVec()
+    v.entries = entries
+    return v
 
 
 class SparseVec:
@@ -86,9 +93,7 @@ class SparseVec:
                 out[i] = w
             else:
                 out.pop(i, None)
-        res = SparseVec()
-        res.entries = out
-        return res
+        return _vec(out)
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
         return self + other.scale(-1)
@@ -137,8 +142,11 @@ class SparseMat:
     def zero(cls, n_rows, n_cols):
         return cls(n_rows, n_cols)
 
-    def column(self, j) -> SparseVec:
-        return SparseVec({r: v for (r, c), v in self.entries.items() if c == j})
+    def columns(self):
+        cols = [SparseVec() for _ in range(self.n_cols)]
+        for (r, c), v in self.entries.items():
+            cols[c].entries[r] = v
+        return cols
 
     def rows(self):
         rows = [dict() for _ in range(self.n_rows)]
@@ -159,9 +167,7 @@ class SparseMat:
                     out[r] = w
                 else:
                     out.pop(r, None)
-        res = SparseVec()
-        res.entries = out
-        return res
+        return _vec(out)
 
     def compose(self, other: "SparseMat") -> "SparseMat":
         """self . other (apply other first)."""
@@ -211,130 +217,13 @@ class SparseMat:
         return "SparseMat(%dx%d, %d nz)" % (self.n_rows, self.n_cols, len(self.entries))
 
 
-def _integer_rows(rows):
-    """Scale each rational row to a primitive integer row."""
-    out = []
-    for row in rows:
-        if not row:
-            out.append({})
-            continue
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ints = {c: int(v * denom) for c, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
-    return out
-
-
-def _bareiss_echelon(rows, n_cols):
-    """Fraction-free forward elimination on integer dict-rows.
-
-    Returns (pivots, rows) where pivots is a list of (row_index, col) in
-    processing order and rows are the eliminated integer rows.  Pivot choice
-    is deterministic: columns in increasing order, first live row.
-    """
-    rows = [dict(r) for r in rows]
-    order = list(range(len(rows)))
-    pivots = []
-    prev = 1
-    top = 0
-    for col in range(n_cols):
-        sel = None
-        for k in range(top, len(order)):
-            if rows[order[k]].get(col):
-                sel = k
-                break
-        if sel is None:
-            continue
-        order[top], order[sel] = order[sel], order[top]
-        pr = rows[order[top]]
-        p = pr[col]
-        for k in range(top + 1, len(order)):
-            r = rows[order[k]]
-            rc = r.pop(col, 0)
-            if not rc and p == prev:
-                # still must rescale in true Bareiss; with exact division the
-                # no-op case r*p/prev == r is safe to skip
-                continue
-            new = {}
-            for c in set(r) | set(pr):
-                if c <= col:
-                    continue
-                val = r.get(c, 0) * p - pr.get(c, 0) * rc
-                if val:
-                    val //= prev
-                    new[c] = val
-            rows[order[k]] = new
-        pivots.append((order[top], col))
-        prev = p
-        top += 1
-    return pivots, rows, order
-
-
-@dataclass
-class Echelon:
-    """Reduced row echelon form with bookkeeping."""
-
-    n_cols: int
-    pivots: list          # list of pivot column indices, increasing
-    rows: list            # list of dict col -> Fraction, monic at pivot, reduced
-    rank: int
-
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        """Residual of vec after elimination against the echelon rows."""
-        cur = dict(vec.entries)
-        for pc, row in zip(self.pivots, self.rows):
-            c = cur.get(pc)
-            if c:
-                for j, v in row.items():
-                    w = cur.get(j, Fraction(0)) - c * v
-                    if w:
-                        cur[j] = w
-                    else:
-                        cur.pop(j, None)
-        res = SparseVec()
-        res.entries = cur
-        return res
-
-    def contains(self, vec: SparseVec) -> bool:
-        return self.reduce(vec).is_zero()
-
-
-def echelon_of_rows(vecs, n_cols) -> Echelon:
-    """RREF of the span of the given SparseVec rows (deterministic)."""
-    rows = _integer_rows([dict(v.entries) for v in vecs])
-    pivots, erows, order = _bareiss_echelon(rows, n_cols)
-    out_rows = []
-    out_cols = []
-    for ridx, col in pivots:
-        r = erows[ridx]
-        p = Fraction(r[col])
-        out_rows.append({c: Fraction(v) / p for c, v in r.items()})
-        out_cols.append(col)
-    # back-substitute to full reduction
-    for i in range(len(out_rows) - 1, -1, -1):
-        for k in range(i):
-            c = out_rows[k].get(out_cols[i])
-            if c:
-                for j, v in out_rows[i].items():
-                    w = out_rows[k].get(j, Fraction(0)) - c * v
-                    if w:
-                        out_rows[k][j] = w
-                    else:
-                        out_rows[k].pop(j, None)
-    return Echelon(n_cols=n_cols, pivots=out_cols, rows=out_rows, rank=len(out_cols))
-
-
 class IncrementalSpan:
     """Growing row span with exact incremental reduction.
 
-    Rows are kept monic and fully reduced, keyed by pivot column; adding a
-    vector returns True when the span grew.
+    This is the one elimination engine: rows are kept monic and fully
+    reduced, keyed by pivot column, so at every moment they are the reduced
+    row echelon form of the span (which is unique).  Adding a vector returns
+    True when the span grew.
     """
 
     def __init__(self):
@@ -346,19 +235,18 @@ class IncrementalSpan:
 
     def reduce(self, vec: SparseVec) -> SparseVec:
         cur = dict(vec.entries)
-        for piv in sorted(self.rows):
-            c = cur.get(piv)
-            if not c:
-                continue
-            for j, v in self.rows[piv].items():
+        rows = self.rows
+        # a fully reduced row has no entry in another pivot column, so the
+        # pivots met are exactly those in the support of vec
+        for piv in sorted(j for j in cur if j in rows):
+            c = cur[piv]
+            for j, v in rows[piv].items():
                 w = cur.get(j, Fraction(0)) - c * v
                 if w:
                     cur[j] = w
                 else:
                     cur.pop(j, None)
-        res = SparseVec()
-        res.entries = cur
-        return res
+        return _vec(cur)
 
     def contains(self, vec: SparseVec) -> bool:
         return self.reduce(vec).is_zero()
@@ -384,42 +272,44 @@ class IncrementalSpan:
 
 
 class FactoredBasis:
-    """Coordinates against fixed independent vectors, eliminated once.
+    """Coordinates against fixed vectors v_0..v_{m-1}, eliminated once.
 
-    The rows (v_k | e_k), with e_k in column n_cols + k, go into one
-    IncrementalSpan; reducing (v | 0) then leaves (0 | -x) exactly when
-    v = sum_k x_k v_k, and a residual in the first n_cols columns otherwise.
+    The rows (b | 0) of the vectors to work modulo, then the rows
+    (v_k | e_{n_cols+m-1-k}), go into one IncrementalSpan.  Reducing (v | 0)
+    leaves (0 | -x) exactly when v = sum_k x_k v_k modulo the b's, and a
+    residual in the first n_cols columns otherwise.  The tail columns run in
+    reverse order, so a relation row takes its pivot at the last v_k it
+    involves: x is zero on every v_k in the span of the b's and v_<k, which
+    is the free-variables-zero solution that solve_linear gives.
     """
 
-    def __init__(self, vecs, n_cols):
+    def __init__(self, vecs, n_cols, modulo=()):
         self.n_cols = n_cols
+        self.last = n_cols + len(vecs) - 1
         self.span = IncrementalSpan()
+        for b in modulo:
+            self.span.add(b)
         for k, v in enumerate(vecs):
-            row = SparseVec()
-            row.entries = dict(v.entries)
-            row.entries[n_cols + k] = Fraction(1)
-            self.span.add(row)
+            row = dict(v.entries)
+            row[self.last - k] = Fraction(1)
+            self.span.add(_vec(row))
 
     def coords(self, vec: SparseVec) -> SparseVec:
         res = self.span.reduce(vec)
         if any(i < self.n_cols for i in res.entries):
             raise NotInSpanError("vector outside the factored span")
-        out = SparseVec()
-        out.entries = {i - self.n_cols: -v for i, v in res.entries.items()}
-        return out
+        return _vec({self.last - i: -v for i, v in res.entries.items()})
 
 
-def echelon_of_matrix(mat: SparseMat) -> Echelon:
-    vecs = []
+def _row_span(mat: SparseMat) -> IncrementalSpan:
+    span = IncrementalSpan()
     for row in mat.rows():
-        v = SparseVec()
-        v.entries = {c: val for c, val in row.items()}
-        vecs.append(v)
-    return echelon_of_rows(vecs, mat.n_cols)
+        span.add(_vec(row))
+    return span
 
 
 def rank(mat: SparseMat) -> int:
-    return echelon_of_matrix(mat).rank
+    return _row_span(mat).rank
 
 
 def solve_linear(A: SparseMat, b: SparseVec):
@@ -430,52 +320,29 @@ def solve_linear(A: SparseMat, b: SparseVec):
     for i in b.entries:
         if not 0 <= i < A.n_rows:
             raise ShapeError("rhs index %d outside %d rows" % (i, A.n_rows))
-    aug_cols = A.n_cols + 1
-    rows = []
-    by_row = {}
-    for (r, c), v in A.entries.items():
-        by_row.setdefault(r, {})[c] = v
-    for r in range(A.n_rows):
-        row = dict(by_row.get(r, {}))
-        bv = b.entries.get(r)
-        if bv:
-            row[A.n_cols] = bv
-        v = SparseVec()
-        v.entries = row
-        rows.append(v)
-    ech = echelon_of_rows(rows, aug_cols)
-    if A.n_cols in ech.pivots:
+    aug = SparseMat(A.n_rows, A.n_cols + 1)
+    aug.entries = dict(A.entries)
+    for i, v in b.entries.items():
+        aug.entries[(i, A.n_cols)] = v
+    rows = _row_span(aug).rows
+    if A.n_cols in rows:
         return None
-    x = {}
-    for pc, row in zip(ech.pivots, ech.rows):
-        rhs = row.get(A.n_cols, Fraction(0))
-        # free variables are zero, so x[pc] = rhs
-        if rhs:
-            x[pc] = rhs
-    res = SparseVec()
-    res.entries = x
-    return res
+    # free variables are zero, so x[pc] is the right-hand side of row pc
+    return _vec({pc: row[A.n_cols] for pc, row in sorted(rows.items())
+                 if A.n_cols in row})
 
 
 def kernel_basis(A: SparseMat):
     """Deterministic basis of ker A: one vector per free column, in column
     order, with unit free coordinate (lexicographically-first pivot-free
     combinations)."""
-    ech = echelon_of_matrix(A)
-    pivset = set(ech.pivots)
-    basis = []
-    for j in range(A.n_cols):
-        if j in pivset:
-            continue
-        vec = {j: Fraction(1)}
-        for pc, row in zip(ech.pivots, ech.rows):
-            c = row.get(j)
-            if c:
-                vec[pc] = -c
-        v = SparseVec()
-        v.entries = vec
-        basis.append(v)
-    return basis
+    rows = _row_span(A).rows
+    free = {j: {j: Fraction(1)} for j in range(A.n_cols) if j not in rows}
+    for pc in sorted(rows):
+        for j, c in rows[pc].items():
+            if j != pc:
+                free[j][pc] = -c
+    return [_vec(v) for v in free.values()]
 
 
 class GradedChainComplex:
@@ -552,9 +419,8 @@ def homology_at(C: GradedChainComplex, n: int, check=True) -> HomologyReport:
         if not C.d(n - 1).compose(dn).is_zero() or not dn.compose(dn1).is_zero():
             raise IllFormedComplexError("dd != 0 near degree %d" % n)
     cycles = kernel_basis(C.d(n)) if C.dim(n) else []
-    bnd_cols = [C.d(n + 1).column(j) for j in range(C.dim(n + 1))]
     span = IncrementalSpan()
-    for col in bnd_cols:
+    for col in C.d(n + 1).columns():
         span.add(col)
     bnd_rank = span.rank
     reps = []
@@ -591,16 +457,11 @@ class ChainMap:
         return self
 
 
-def _class_coords(vec: SparseVec, reps, bnd_cols, dim):
-    """Coordinates of a cycle's class in the given homology basis."""
-    cols = list(reps) + list(bnd_cols)
-    A = SparseMat.from_columns(dim, cols)
-    x = solve_linear(A, vec)
-    if x is None:
-        raise NotInSpanError("cycle does not lie in cycles-plus-boundaries span")
-    out = SparseVec()
-    out.entries = {i: v for i, v in x.entries.items() if i < len(reps)}
-    return out
+def _class_basis(X: GradedChainComplex, h: HomologyReport) -> FactoredBasis:
+    """Coordinates of a cycle's class in the homology basis h, which are
+    unique because the representatives are independent modulo boundaries."""
+    return FactoredBasis(h.cycle_reps, X.dim(h.degree),
+                         modulo=X.d(h.degree + 1).columns())
 
 
 @dataclass
@@ -648,28 +509,32 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees) -> LongExactSeq
     hA = {n: homology_at(A, n) for n in degrees + [degrees[0] - 1]}
     hB = {n: homology_at(B, n) for n in degrees}
     hC = {n: homology_at(C, n) for n in degrees}
-    bndA = {n: [A.d(n + 1).column(j) for j in range(A.dim(n + 1))] for n in hA}
-    bndB = {n: [B.d(n + 1).column(j) for j in range(B.dim(n + 1))] for n in hB}
-    bndC = {n: [C.d(n + 1).column(j) for j in range(C.dim(n + 1))] for n in hC}
 
     maps_i, maps_p, conn = {}, {}, {}
     for n in degrees:
-        cols = [_class_coords(incl.block(n).apply(z), hB[n].cycle_reps, bndB[n], B.dim(n))
-                for z in hA[n].cycle_reps]
-        maps_i[n] = SparseMat.from_columns(hB[n].dimension, cols)
-        cols = [_class_coords(proj.block(n).apply(z), hC[n].cycle_reps, bndC[n], C.dim(n))
-                for z in hB[n].cycle_reps]
-        maps_p[n] = SparseMat.from_columns(hC[n].dimension, cols)
+        to_b = _class_basis(B, hB[n])
+        maps_i[n] = SparseMat.from_columns(hB[n].dimension, [
+            to_b.coords(incl.block(n).apply(z)) for z in hA[n].cycle_reps])
+        to_c = _class_basis(C, hC[n])
+        maps_p[n] = SparseMat.from_columns(hC[n].dimension, [
+            to_c.coords(proj.block(n).apply(z)) for z in hB[n].cycle_reps])
+        # zig-zag: lift through proj (free variables zero), push through d,
+        # pull back through the injective incl
+        to_a = _class_basis(A, hA[n - 1])
+        lift = FactoredBasis(proj.block(n).columns(), C.dim(n))
+        pull = FactoredBasis(incl.block(n - 1).columns(), B.dim(n - 1))
         cols = []
         for z in hC[n].cycle_reps:
-            b = solve_linear(proj.block(n), z)
-            if b is None:
-                raise ExactnessError("cannot lift cycle at degree %d" % n)
-            db = B.d(n).apply(b)
-            a = solve_linear(incl.block(n - 1), db)
-            if a is None:
-                raise ExactnessError("boundary of lift not in subcomplex at degree %d" % n)
-            cols.append(_class_coords(a, hA[n - 1].cycle_reps, bndA[n - 1], A.dim(n - 1)))
+            try:
+                b = lift.coords(z)
+            except NotInSpanError:
+                raise ExactnessError("cannot lift cycle at degree %d" % n) from None
+            try:
+                a = pull.coords(B.d(n).apply(b))
+            except NotInSpanError:
+                raise ExactnessError("boundary of lift not in subcomplex at "
+                                     "degree %d" % n) from None
+            cols.append(to_a.coords(a))
         conn[n] = SparseMat.from_columns(hA[n - 1].dimension, cols)
 
     # exactness at every interior slot: image = kernel by rank arithmetic
@@ -677,8 +542,7 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees) -> LongExactSeq
     def _exact(fin: SparseMat, fout: SparseMat, slot):
         if not fout.compose(fin).is_zero():
             raise ExactnessError("composite nonzero at %s" % slot)
-        img = echelon_of_rows([fin.column(j) for j in range(fin.n_cols)], fin.n_rows)
-        if img.rank + rank(fout) != fin.n_rows:
+        if rank(fin) + rank(fout) != fin.n_rows:
             raise ExactnessError("image != kernel at %s" % slot)
 
     for n in degrees:
@@ -707,13 +571,12 @@ def connected_cover(C: GradedChainComplex, n: int) -> GradedChainComplex:
         if m <= n:
             continue
         if m == n + 1:
-            K = SparseMat.from_columns(C.dim(n), kb)
-            cols = []
-            for j in range(C.dim(m)):
-                x = solve_linear(K, C.d(m).column(j))
-                if x is None:
-                    raise IllFormedComplexError("boundary does not land in cycles at %d" % m)
-                cols.append(x)
+            cycles = FactoredBasis(kb, C.dim(n))
+            try:
+                cols = [cycles.coords(col) for col in C.d(m).columns()]
+            except NotInSpanError:
+                raise IllFormedComplexError(
+                    "boundary does not land in cycles at %d" % m) from None
             boundary[m] = SparseMat.from_columns(len(kb), cols)
         else:
             boundary[m] = C.d(m)
@@ -731,12 +594,11 @@ def postnikov_truncate(C: GradedChainComplex, n: int) -> GradedChainComplex:
     """
     basis = {m: list(C.basis[m]) for m in C.degrees() if m < n}
     boundary = {m: C.d(m) for m in basis if C.d(m).entries}
-    ech = echelon_of_matrix(C.d(n)) if C.dim(n) else None
-    piv_cols = list(ech.pivots) if ech else []
+    piv_cols = sorted(_row_span(C.d(n)).rows)
     if piv_cols:
         basis[n] = ["Q%d_%d" % (n, j) for j in piv_cols]
-        cols = [C.d(n).column(j) for j in piv_cols]
-        boundary[n] = SparseMat.from_columns(C.dim(n - 1), cols)
+        cols = C.d(n).columns()
+        boundary[n] = SparseMat.from_columns(C.dim(n - 1), [cols[j] for j in piv_cols])
     meta = dict(C.meta)
     meta["postnikov"] = n
     return GradedChainComplex(basis, boundary, meta).validate()

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import (IncrementalSpan, NotInSpanError, ResourceLimitError,
-                       SparseMat, SparseVec, solve_linear)
+from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
+                       ResourceLimitError, SparseVec)
 
 
 class DegreeError(ValueError):
@@ -400,99 +400,27 @@ def lie_basis(gens, degree, length, trunc: Truncation, resource_limit=None):
 
 
 class Coordinatizer:
-    """Repeated exact coordinate extraction against a fixed basis.
+    """Exact coordinates against a fixed basis of Lie elements.
 
-    A pivot set of words is chosen once and the corresponding square system
-    is inverted; each query is then a small matrix-vector product plus a
-    full verification pass (so not-in-span inputs are still caught).
+    The basis words are indexed once and the basis is factored once
+    (exactlin.FactoredBasis); an element with a word outside the index, or a
+    residual in the word columns, is outside the span.
     """
 
     def __init__(self, basis):
-        self.basis = list(basis)
         self.word_index = {}
-        for be in self.basis:
+        for be in basis:
             for w in be.terms:
                 self.word_index.setdefault(w, len(self.word_index))
-        n = len(self.basis)
-        # find pivot words via incremental elimination on the transpose
-        span = IncrementalSpan()
-        piv_words = []
-        cols = [{self.word_index[w]: c for w, c in be.terms.items()} for be in self.basis]
-        for widx in range(len(self.word_index)):
-            row = SparseVec({j: cols[j].get(widx, Fraction(0)) for j in range(n)
-                             if cols[j].get(widx)})
-            if span.add(row):
-                piv_words.append(widx)
-            if len(piv_words) == n:
-                break
-        if len(piv_words) != n:
-            raise NotInSpanError("basis is linearly dependent")
-        self.piv_words = piv_words
-        # dense inverse of the n x n pivot submatrix (rows = pivot words)
-        M = [[cols[j].get(w, Fraction(0)) for j in range(n)] for w in piv_words]
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next(r for r in range(c, n) if M[r][c])
-            M[c], M[piv] = M[piv], M[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-            pv = M[c][c]
-            M[c] = [v / pv for v in M[c]]
-            inv[c] = [v / pv for v in inv[c]]
-            for r in range(n):
-                if r != c and M[r][c]:
-                    f = M[r][c]
-                    M[r] = [v - f * w2 for v, w2 in zip(M[r], M[c])]
-                    inv[r] = [v - f * w2 for v, w2 in zip(inv[r], inv[c])]
-        self.inv = inv
-        self.piv_pos = {w: i for i, w in enumerate(piv_words)}
+        self.factored = FactoredBasis(
+            [SparseVec({self.word_index[w]: c for w, c in be.terms.items()})
+             for be in basis], len(self.word_index))
 
     def coords(self, e: LieElement) -> SparseVec:
-        if e.is_zero():
-            return SparseVec()
-        n = len(self.basis)
-        rhs = [Fraction(0)] * n
+        vec = SparseVec()
         for w, c in e.terms.items():
             widx = self.word_index.get(w)
             if widx is None:
                 raise NotInSpanError("word %s outside basis span" % (w,))
-            pos = self.piv_pos.get(widx)
-            if pos is not None:
-                rhs[pos] = c
-        x = [sum((self.inv[i][j] * rhs[j] for j in range(n) if rhs[j]), Fraction(0))
-             for i in range(n)]
-        # verify on all words
-        recon = {}
-        for j, be in enumerate(self.basis):
-            if not x[j]:
-                continue
-            for w, c in be.terms.items():
-                s = recon.get(w, Fraction(0)) + x[j] * c
-                if s:
-                    recon[w] = s
-                else:
-                    recon.pop(w, None)
-        if recon != e.terms:
-            raise NotInSpanError("element outside basis span")
-        return SparseVec({i: v for i, v in enumerate(x) if v})
-
-
-def coordinates(e: LieElement, basis) -> SparseVec:
-    """Exact coordinates of e in the given basis (error if not in span)."""
-    if e.is_zero():
-        return SparseVec()
-    word_index = {}
-    for be in basis:
-        for w in be.terms:
-            word_index.setdefault(w, len(word_index))
-    for w in e.terms:
-        if w not in word_index:
-            raise NotInSpanError("word %s outside basis span" % (w,))
-    cols = []
-    for be in basis:
-        cols.append(SparseVec({word_index[w]: c for w, c in be.terms.items()}))
-    A = SparseMat.from_columns(len(word_index), cols)
-    b = SparseVec({word_index[w]: c for w, c in e.terms.items()})
-    x = solve_linear(A, b)
-    if x is None:
-        raise NotInSpanError("element outside basis span")
-    return x
+            vec.entries[widx] = c
+        return self.factored.coords(vec)

@@ -59,10 +59,16 @@ class Task:
 
 def _resource_limit():
     raw = os.environ.get("CDGL_RESOURCE_LIMIT", "")
-    try:
-        return int(raw) if raw else DEFAULT_RESOURCE_LIMIT
-    except ValueError:
+    if not raw:
         return DEFAULT_RESOURCE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError("CDGL_RESOURCE_LIMIT must be a positive integer, "
+                         "got %r" % raw)
+    return limit
 
 
 def _load(task: Task, trunc_override=None):
@@ -113,10 +119,19 @@ def _cap_of(L):
     return L.trunc.max_bracket_length
 
 
+def _stability(task: Task, report: Report, L, run, key, answer) -> Report:
+    """The cap + 1 re-run: run(cap) returns (L, result), and the report is
+    green when key(result) is the same at cap N as at cap N + 1."""
+    if task.check_stability:
+        again = run(_cap_of(L) + 1)[1]
+        report.stability = "green" if key(answer) == key(again) else "red"
+    return report
+
+
 def run_task(task: Task) -> Report:
     t0 = time.time()
-    set_resource_limit(_resource_limit())
     try:
+        set_resource_limit(_resource_limit())
         report = _dispatch(task)
     except ResourceLimitError as exc:
         report = Report(command=task.echo(), status="resource-limit",
@@ -185,16 +200,13 @@ def cmd_homology(task: Task) -> Report:
             reps[n] = [" + ".join("%s*%s" % (c, C.basis[n][i])
                                   for i, c in sorted(z.entries.items()))
                        for z in h.cycle_reps]
-        return L, out, reps
+        return L, (out, reps)
 
-    L, dims, reps = dims_at(None)
+    L, (dims, reps) = dims_at(None)
     report.caps["truncation"] = _cap_of(L)
     report.tables["homology"] = {("H_%d" % n): d for n, d in dims.items()}
     report.tables["representatives"] = {("H_%d" % n): reps[n] for n in reps if reps[n]}
-    if task.check_stability:
-        _, dims2, _ = dims_at(_cap_of(L) + 1)
-        report.stability = "green" if dims == dims2 else "red"
-    return report
+    return _stability(task, report, L, dims_at, lambda r: r[0], (dims, reps))
 
 
 def cmd_bch(task: Task) -> Report:
@@ -289,12 +301,9 @@ def cmd_h0(task: Task) -> Report:
     report.tables["representatives"] = {
         "h%d" % i: pretty_element(L, r) for i, r in enumerate(G.reps)}
     if task.check_stability:
-        _, G2 = group_at(_cap_of(L) + 1)
-        report.stability = "green" if (G.dimension == G2.dimension
-                                       and G.abelian == G2.abelian) else "red"
         report.notes.append("structure constants are the stage-%d Malcev "
                             "approximation" % G.truncation_level)
-    return report
+    return _stability(task, report, L, group_at, lambda g: (g.dimension, g.abelian), G)
 
 
 def _resolve_morphism(task, ws, L):
@@ -327,11 +336,7 @@ def cmd_pi_map(task: Task) -> Report:
     report.tables["fiber_components_h0"] = {"dimension": rep.fiber_components_h0}
     report.notes.append("LES exactness verified at degrees %s"
                         % (rep.les.degrees,))
-    if task.check_stability:
-        _, rep2 = run(_cap_of(L) + 1)
-        report.stability = ("green" if (rep.pointed, rep.free) ==
-                            (rep2.pointed, rep2.free) else "red")
-    return report
+    return _stability(task, report, L, run, lambda r: (r.pointed, r.free), rep)
 
 
 def _resolve_gspec(task, ws, L) -> GSpec:
@@ -391,13 +396,8 @@ def _classifying(task: Task, mode) -> Report:
         "homotopy_nilpotency": rep.nilpotency,
         "saturation": rep.saturation_flag,
     }
-    if task.check_stability:
-        _, rep2 = run(_cap_of(L) + 1)
-        same = (rep.pi_base == rep2.pi_base
-                and rep.h0_quotient.dimension == rep2.h0_quotient.dimension
-                and rep.total_homology == rep2.total_homology)
-        report.stability = "green" if same else "red"
-    return report
+    return _stability(task, report, L, run, lambda r: (
+        r.pi_base, r.h0_quotient.dimension, r.total_homology), rep)
 
 
 def cmd_baut(task: Task) -> Report:

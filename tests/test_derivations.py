@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cdgl.derivations as derivations
 from cdgl.coalgebra import ConvolutionDGL, chains_functor
 from cdgl.derivations import (DerComplex, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
@@ -12,7 +13,7 @@ from cdgl.derivations import (DerComplex, Derivation, GSpec,
                               hom_der_bracket, mapping_space_pi, r0_basis,
                               twisted_der_sl, twisted_hom_der,
                               unit_derivations)
-from cdgl.dgl import DGLMorphism, GeneratorFiltration
+from cdgl.dgl import DGLMorphism, DivergenceError, GeneratorFiltration
 from cdgl.exactlin import homology_at, les_of_ses, connected_cover
 from cdgl.freelie import Truncation, bracket, left_normed
 from cdgl.models import circle_model, sphere_model, wedge_model
@@ -200,6 +201,32 @@ def test_span_closed_accepted():
     tx = Derivation(L, L, 0, {L.generator("x"): L.gen("y")})
     rep = der_g_zero(GSpec("span", L, span=[tx]))
     assert len(rep.basis) == 1 and rep.saturation_flag
+
+
+def test_saturation_divergence_reports_unsaturated(monkeypatch):
+    # wedge(1,1) has degree-0 generators, so R_0 = ad L_0 is nonzero and the
+    # saturation loop runs; a divergent exp must not read as saturated
+    L = wedge_model((1, 1), T(2))
+    assert der_g_zero(GSpec("span", L, span=[])).saturation_flag
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError("exp of non-filtration-increasing derivation")
+
+    monkeypatch.setattr(derivations, "exp_derivation_values", diverge)
+    rep = der_g_zero(GSpec("span", L, span=[]))
+    assert rep.saturation_flag is False
+    assert len(rep.notes) == 1 and "diverges" in rep.notes[0]
+
+
+def test_saturation_other_errors_propagate(monkeypatch):
+    L = wedge_model((1, 1), T(2))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(derivations, "exp_derivation_values", broken)
+    with pytest.raises(RuntimeError, match="engine bug"):
+        der_g_zero(GSpec("span", L, span=[]))
 
 
 def test_non_connected_model_rejected():

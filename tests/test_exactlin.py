@@ -28,12 +28,17 @@ def vec(vals):
 
 
 def test_factored_basis_coords_match_dense_solve():
+    # dependent vector sets included: FactoredBasis must give the
+    # free-variables-zero solution, which is what dense_solve returns
     rng = random.Random(12)
-    for _ in range(30):
-        n_cols, k = rng.randint(1, 6), rng.randint(0, 4)
+    dependent = 0
+    for _ in range(60):
+        n_cols, k = rng.randint(1, 6), rng.randint(0, 5)
         vecs = [vec([rng.randint(-3, 3) for _ in range(n_cols)]) for _ in range(k)]
-        if rank(SparseMat.from_columns(n_cols, vecs)) < k:
-            continue
+        if vecs and rng.random() < 0.5:
+            combo = sum((v.scale(rng.randint(-2, 2)) for v in vecs), SparseVec())
+            vecs.insert(rng.randint(0, len(vecs)), combo)
+        dependent += rank(SparseMat.from_columns(n_cols, vecs)) < len(vecs)
         fb = FactoredBasis(vecs, n_cols)
         A = [[v.get(i) for v in vecs] for i in range(n_cols)]
         for _ in range(4):
@@ -47,6 +52,7 @@ def test_factored_basis_coords_match_dense_solve():
                     fb.coords(target)
             else:
                 assert fb.coords(target) == vec(x)
+    assert dependent >= 15
 
 
 def test_solve_zero_case():
@@ -76,6 +82,7 @@ def test_solve_matches_consistency_rank_criterion():
         assert (x is None) == (ox is None)
         if x is not None:
             assert A.apply(x) == b
+            assert x == vec(ox)   # free variables zero, as in the oracle
 
 
 def test_rank_against_dense_oracle():

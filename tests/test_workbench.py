@@ -213,3 +213,15 @@ def test_resource_limit_exit_code(monkeypatch):
                         degree_range=(0, 1), check_stability=False))
     assert rep.exit_code() == 2
     monkeypatch.delenv("CDGL_RESOURCE_LIMIT")
+
+
+def test_malformed_resource_limit_is_a_diagnostic(monkeypatch):
+    for raw in ("lots", "0", "-3", "2.5"):
+        monkeypatch.setenv("CDGL_RESOURCE_LIMIT", raw)
+        rep = run_task(Task("homology", model_ref="wedge(1,1)", trunc=2,
+                            degree_range=(0, 1), check_stability=False))
+        assert rep.status == "diagnostics" and rep.exit_code() == 1
+        (diag,) = rep.diagnostics
+        assert (diag.line, diag.col, diag.severity) == (0, 0, "error")
+        assert "CDGL_RESOURCE_LIMIT" in diag.message and repr(raw) in diag.message
+    monkeypatch.delenv("CDGL_RESOURCE_LIMIT")
