@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
-from .exactlin import (GradedChainComplex, ResourceLimitError, SparseMat,
-                       SparseVec)
-from .freelie import Generator, LieElement, Truncation, bracket
+from .exactlin import GradedChainComplex, SparseMat, SparseVec
+from .freelie import (Generator, LieElement, Truncation, bracket,
+                      check_resource_limit)
 
 
 class CoalgebraError(ValueError):
@@ -204,13 +204,13 @@ class LBasisInfo:
     index_by_degree: dict     # degree -> list of global indices
 
     @classmethod
-    def of(cls, L: DGLPresentation, resource_limit=None):
+    def of(cls, L: DGLPresentation):
         lo, hi = L.degree_bounds()
         elements = []
         degrees = []
         index_by_degree = {}
         for n in range(lo, hi + 1):
-            b = L.basis(n, resource_limit=resource_limit)
+            b = L.basis(n)
             if not b:
                 continue
             index_by_degree[n] = []
@@ -229,10 +229,10 @@ class LBasisInfo:
         return [(idxs[i], c) for i, c in vec.entries.items()]
 
 
-def chains_functor(L: DGLPresentation, word_cap: int,
-                   resource_limit=None) -> CDGC:
-    """Word-capped chains coalgebra on the suspension of L's full basis."""
-    info = LBasisInfo.of(L, resource_limit=resource_limit)
+def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
+    """Word-capped chains coalgebra on the suspension of L's full basis; the
+    word count is held to the run's resource limit."""
+    info = LBasisInfo.of(L)
     sdeg = [d + 1 for d in info.degrees]
     n_s = len(info.elements)
 
@@ -247,10 +247,10 @@ def chains_functor(L: DGLPresentation, word_cap: int,
                 if w and i == w[-1] and sdeg[i] % 2:
                     continue
                 nxt.append(w + (i,))
+            # checked per frontier word, so a runaway length stops early
+            check_resource_limit(len(words) + len(nxt), "chains basis size")
         words.extend(nxt)
         frontier = nxt
-        if resource_limit is not None and len(words) > resource_limit:
-            raise ResourceLimitError("chains basis exceeds resource limit")
 
     label_of_word = {}
     labels = []
@@ -483,11 +483,7 @@ def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
                 if norm is None:
                     continue
                 nw, sgn = norm
-                j = None
-                # find the label index of the normalized word in CLC
-                j = CLC._word_index.get(nw) if hasattr(CLC, "_word_index") else None
-                if j is None:
-                    j = _find_word_index(CLC, nw)
+                j = CLC._word_index.get(nw)
                 if j is None:
                     continue
                 table[j] = table.get(j, Fraction(0)) + c * sgn / fact
@@ -495,12 +491,6 @@ def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
     beta = CoalgebraMap(C, CLC, values)
     beta.lie_image = LC
     return beta.validate()
-
-
-def _find_word_index(C: CDGC, word):
-    if not hasattr(C, "_word_index"):
-        raise CoalgebraError("target coalgebra lacks word data")
-    return C._word_index.get(word)
 
 
 class HomElement:
@@ -711,13 +701,10 @@ class ConvolutionDGL:
                 cols.append(self._coords(img, bases[n - 1], index[n - 1]))
             boundary[n] = SparseMat.from_columns(len(bases[n - 1]), cols)
         labels = {n: [self._label(f) for f in b] for n, b in bases.items() if b}
-        basis_map = {n: b for n, b in bases.items()}
         meta = {"hom_of": self.C.meta.get("chains_of", ""),
                 "word_cap": self.C.word_cap,
                 "truncation": self.L.trunc.max_bracket_length}
-        cx = GradedChainComplex(labels, boundary, meta)
-        cx.hom_basis = basis_map
-        return cx
+        return GradedChainComplex(labels, boundary, meta)
 
     def _key(self, f: HomElement):
         # basis tables carry exactly one (label, basis element) pair

@@ -203,6 +203,7 @@ class DerComplex:
             else:
                 elems = unit_derivations(source, target, n, base)
             self.spaces[n] = DerSpace(source, target, n, elems)
+        self._complex = None
 
     def space(self, n) -> DerSpace:
         sp = self.spaces.get(n)
@@ -210,7 +211,17 @@ class DerComplex:
             sp = DerSpace(self.source, self.target, n, [])
         return sp
 
+    def element(self, n, vec: SparseVec) -> Derivation:
+        """The degree-n derivation with coordinates vec in the stored elements."""
+        out = Derivation(self.source, self.target, n, {}, self.phi)
+        for i, c in vec.entries.items():
+            out = out + self.space(n).elements[i].scale(c)
+        return out
+
     def complex(self) -> GradedChainComplex:
+        """The chain complex, built on the first call and kept."""
+        if self._complex is not None:
+            return self._complex
         basis = {}
         boundary = {}
         for n in self.spaces:
@@ -229,19 +240,8 @@ class DerComplex:
             boundary[n] = SparseMat.from_columns(len(tgt), cols)
         meta = {"truncation": self.target.trunc.max_bracket_length,
                 "der_of": self.target.name or ""}
-        return GradedChainComplex(basis, boundary, meta)
-
-    def ad_chain_map(self, Lcx: GradedChainComplex, dercx: GradedChainComplex,
-                     degrees) -> ChainMap:
-        """ad: L -> Der L as per-degree matrices against stored bases."""
-        blocks = {}
-        for n in degrees:
-            cols = []
-            for e in self.target.basis(n):
-                theta = ad_derivation(self.target, e)
-                cols.append(self.space(n).coords(theta))
-            blocks[n] = SparseMat.from_columns(len(self.space(n)), cols)
-        return ChainMap(Lcx, dercx, blocks)
+        self._complex = GradedChainComplex(basis, boundary, meta)
+        return self._complex
 
 
 # -- twisted complexes -------------------------------------------------------
@@ -260,27 +260,51 @@ class TwistedComplex:
     quotient: GradedChainComplex
     incl: ChainMap
     proj: ChainMap
-    parts: dict = field(default_factory=dict)
 
     def ses(self):
         return self.sub, self.total, self.quotient, self.incl, self.proj
 
 
-def _shifted_l_complex(L: DGLPresentation, degrees, phi=None) -> GradedChainComplex:
-    """sL as a complex: (sL)_n = L_{n-1}, boundary -s d."""
-    basis = {}
+def _twisted_product(variant, sub: GradedChainComplex, quot: GradedChainComplex,
+                     degrees, cross=None) -> TwistedComplex:
+    """The twisted product of sub and quot on a degree window: each degree
+    has the sub basis first, then the quot basis, and the boundary is the
+    upper block-triangular [[d_sub, cross(n)], [0, d_quot]], where cross(n)
+    maps quot_n to sub_{n-1} (zero when cross is None)."""
+    degrees = sorted(degrees)
+    window = degrees + [degrees[0] - 1]
+    basis = {n: sub.basis.get(n, []) + quot.basis.get(n, []) for n in window}
     boundary = {}
-    for n in sorted(degrees) + [sorted(degrees)[0] - 1]:
-        b = L.basis(n - 1)
-        if b:
-            basis[n] = ["s(%s)" % (e.label or "?") for e in b]
-    for n in sorted(degrees):
-        b = L.basis(n - 1)
-        if not b or not L.basis(n - 2):
-            continue
-        cols = [L.coords(L.d(e), n - 2).scale(-1) if not L.d(e).is_zero()
-                else SparseVec() for e in b]
-        boundary[n] = SparseMat.from_columns(len(L.basis(n - 2)), cols)
+    for n in degrees:
+        a, a1 = sub.dim(n), sub.dim(n - 1)
+        entries = dict(sub.d(n).entries)
+        for (r, c), v in quot.d(n).entries.items():
+            entries[(a1 + r, a + c)] = v
+        if cross is not None:
+            for (r, c), v in cross(n).entries.items():
+                entries[(r, a + c)] = v
+        boundary[n] = SparseMat(a1 + quot.dim(n - 1), a + quot.dim(n), entries)
+    total = GradedChainComplex(basis, boundary,
+                               {**quot.meta, **sub.meta}).validate()
+    incl = ChainMap(sub, total, {
+        n: SparseMat(total.dim(n), sub.dim(n),
+                     {(i, i): 1 for i in range(sub.dim(n))})
+        for n in window})
+    proj = ChainMap(total, quot, {
+        n: SparseMat(quot.dim(n), total.dim(n),
+                     {(j, sub.dim(n) + j): 1 for j in range(quot.dim(n))})
+        for n in window})
+    return TwistedComplex(variant, total, sub, quot, incl, proj)
+
+
+def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
+    """sL as a complex: (sL)_n = L_{n-1}, boundary -s d."""
+    degrees = sorted(degrees)
+    basis = {n: ["s(%s)" % (e.label or "?") for e in L.basis(n - 1)]
+             for n in degrees + [degrees[0] - 1]}
+    boundary = {n: SparseMat.from_columns(len(L.basis(n - 2)), [
+        L.coords(L.d(e), n - 2).scale(-1) for e in L.basis(n - 1)])
+        for n in degrees}
     return GradedChainComplex(basis, boundary,
                               {"truncation": L.trunc.max_bracket_length})
 
@@ -289,142 +313,41 @@ def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
                    phi: DGLMorphism | None = None,
                    variant=DER_SL) -> TwistedComplex:
     """Der (x~) sL with D sx = -s dx + ad_x (or ad_x . phi for FDER_SL)."""
-    degrees = sorted(degrees)
-    sub = dercx.complex()
-    quot = _shifted_l_complex(L, degrees)
-    src = phi.source if phi is not None else L
+    src = L if phi is None else phi.source
+    images = {g: L.gen(g) for g in L.gens} if phi is None else phi.images
 
-    basis = {}
-    boundary = {}
-    dims_der = {}
-    dims_sl = {}
-    for n in degrees + [degrees[0] - 1]:
-        der_labels = [e.label or "?" for e in dercx.space(n).elements]
-        sl_labels = ["s(%s)" % (e.label or "?") for e in L.basis(n - 1)]
-        dims_der[n] = len(der_labels)
-        dims_sl[n] = len(sl_labels)
-        if der_labels or sl_labels:
-            basis[n] = der_labels + sl_labels
-    for n in degrees:
-        entries = {}
-        dsub = sub.d(n) if dims_der[n] else None
-        if dsub is not None:
-            for (r, c), v in dsub.entries.items():
-                entries[(r, c)] = v
-        # sL columns: -s dx into the sL block, ad_x (. phi) into the Der block
-        for j, e in enumerate(L.basis(n - 1)):
-            col = dims_der[n] + j
-            dx = L.d(e)
-            if not dx.is_zero():
-                for i, v in L.coords(dx, n - 2).entries.items():
-                    entries[(dims_der[n - 1] + i, col)] = -v
-            if phi is None:
-                theta = ad_derivation(L, e)
-            else:
-                theta = Derivation(src, L, e.degree(),
-                                   {g: bracket(e, phi.images[g]) for g in src.gens},
-                                   base=phi)
-            if not theta.is_zero():
-                for i, v in dercx.space(n - 1).coords(theta).entries.items():
-                    entries[(i, col)] = entries.get((i, col), Fraction(0)) + v
-        boundary[n] = SparseMat(dims_der[n - 1] + dims_sl[n - 1],
-                                dims_der[n] + dims_sl[n], entries)
-    total = GradedChainComplex(basis, boundary, dict(sub.meta)).validate()
-    incl = ChainMap(sub, total, {
-        n: SparseMat(total.dim(n), sub.dim(n),
-                     {(i, i): 1 for i in range(dims_der[n])})
-        for n in degrees + [degrees[0] - 1]})
-    proj = ChainMap(total, quot, {
-        n: SparseMat(quot.dim(n), total.dim(n),
-                     {(j, dims_der[n] + j): 1 for j in range(dims_sl[n])})
-        for n in degrees + [degrees[0] - 1]})
-    return TwistedComplex(variant, total, sub, quot, incl, proj,
-                          parts={"der": dercx, "L": L, "dims_der": dims_der,
-                                 "dims_sl": dims_sl})
+    def ad_column(n):
+        # ad_x (. phi) for each x in L_{n-1}, in the stored Der_{n-1} basis
+        cols = []
+        for e in L.basis(n - 1):
+            theta = Derivation(src, L, e.degree(),
+                               {g: bracket(e, images[g]) for g in src.gens},
+                               base=phi)
+            cols.append(dercx.space(n - 1).coords(theta)
+                        if not theta.is_zero() else SparseVec())
+        return SparseMat.from_columns(len(dercx.space(n - 1)), cols)
+
+    return _twisted_product(variant, dercx.complex(),
+                            _shifted_l_complex(L, degrees), degrees, ad_column)
 
 
 def twisted_l_der(L: DGLPresentation, dercx: DerComplex, degrees) -> TwistedComplex:
     """L (x~) Der with block-diagonal differential; [theta, x] = theta(x)."""
-    degrees = sorted(degrees)
-    Lcx = L.complex(range(degrees[0] - 1, degrees[-1] + 1))
-    dcx = dercx.complex()
-    basis = {}
-    boundary = {}
-    dims_l = {}
-    dims_d = {}
-    for n in degrees + [degrees[0] - 1]:
-        llabels = list(Lcx.basis.get(n, []))
-        dlabels = list(dcx.basis.get(n, []))
-        dims_l[n], dims_d[n] = len(llabels), len(dlabels)
-        if llabels or dlabels:
-            basis[n] = llabels + dlabels
-    for n in degrees:
-        entries = {}
-        for (r, c), v in Lcx.d(n).entries.items():
-            entries[(r, c)] = v
-        for (r, c), v in dcx.d(n).entries.items():
-            entries[(dims_l[n - 1] + r, dims_l[n] + c)] = v
-        boundary[n] = SparseMat(dims_l[n - 1] + dims_d[n - 1],
-                                dims_l[n] + dims_d[n], entries)
-    total = GradedChainComplex(basis, boundary, dict(dcx.meta)).validate()
-    incl = ChainMap(Lcx, total, {
-        n: SparseMat(total.dim(n), Lcx.dim(n), {(i, i): 1 for i in range(dims_l[n])})
-        for n in degrees + [degrees[0] - 1]})
-    proj = ChainMap(total, dcx, {
-        n: SparseMat(dcx.dim(n), total.dim(n),
-                     {(j, dims_l[n] + j): 1 for j in range(dims_d[n])})
-        for n in degrees + [degrees[0] - 1]})
-    return TwistedComplex(L_DER, total, Lcx, dcx, incl, proj,
-                          parts={"der": dercx, "L": L})
+    lo, hi = min(degrees), max(degrees)
+    return _twisted_product(L_DER, L.complex(range(lo - 1, hi + 1)),
+                            dercx.complex(), degrees)
 
 
 def twisted_hom_der(H: ConvolutionDGL, dercx: DerComplex, degrees) -> TwistedComplex:
     """Hom(C, L) (x~) Der L with [theta, f] = theta . f."""
-    degrees = sorted(degrees)
-    hcx = H.complex(degrees)
-    dcx = dercx.complex()
-    basis = {}
-    boundary = {}
-    dims_h = {}
-    dims_d = {}
-    for n in degrees + [degrees[0] - 1]:
-        hl = list(hcx.basis.get(n, []))
-        dl = list(dcx.basis.get(n, []))
-        dims_h[n], dims_d[n] = len(hl), len(dl)
-        if hl or dl:
-            basis[n] = hl + dl
-    for n in degrees:
-        entries = {}
-        for (r, c), v in hcx.d(n).entries.items():
-            entries[(r, c)] = v
-        for (r, c), v in dcx.d(n).entries.items():
-            entries[(dims_h[n - 1] + r, dims_h[n] + c)] = v
-        boundary[n] = SparseMat(dims_h[n - 1] + dims_d[n - 1],
-                                dims_h[n] + dims_d[n], entries)
-    total = GradedChainComplex(basis, boundary, dict(hcx.meta)).validate()
-    incl = ChainMap(hcx, total, {
-        n: SparseMat(total.dim(n), hcx.dim(n), {(i, i): 1 for i in range(dims_h[n])})
-        for n in degrees + [degrees[0] - 1]})
-    proj = ChainMap(total, dcx, {
-        n: SparseMat(dcx.dim(n), total.dim(n),
-                     {(j, dims_h[n] + j): 1 for j in range(dims_d[n])})
-        for n in degrees + [degrees[0] - 1]})
-    tc = TwistedComplex(HOM_DER, total, hcx, dcx, incl, proj,
-                        parts={"H": H, "der": dercx})
-    return tc
+    return _twisted_product(HOM_DER, H.complex(sorted(degrees)),
+                            dercx.complex(), degrees)
 
 
 def hom_der_bracket(H: ConvolutionDGL, theta: Derivation, f: HomElement) -> HomElement:
     """[theta, f] = theta . f in the Hom (x~) Der twisted dgl."""
     return HomElement(H, theta.degree + f.degree,
                       {i: theta.apply(v) for i, v in f.values.items()})
-
-
-def der_sl_bracket(theta: Derivation, x: LieElement) -> LieElement:
-    """[theta, sx] = (-1)^{|theta|} s theta(x); returns theta(x) (the
-    desuspended value), the caller tracks the suspension."""
-    sgn = Fraction(-1) if theta.degree % 2 else Fraction(1)
-    return theta.apply(x).scale(sgn)
 
 
 # -- distinguished degree-0 subalgebras ---------------------------------------
@@ -458,9 +381,11 @@ def require_connected_minimal(L: DGLPresentation):
                           "is not minimal" % g.name)
 
 
-def r0_basis(L: DGLPresentation):
-    """R_0 = D(Der_1 L) + ad L_0 inside Der_0, as an independent list."""
-    space0 = DerSpace(L, L, 0, unit_derivations(L, L, 0))
+def r0_basis(L: DGLPresentation, space0: DerSpace | None = None):
+    """R_0 = D(Der_1 L) + ad L_0 inside Der_0, as an independent list;
+    space0 is the degree-0 flattening to use, made here when not given."""
+    if space0 is None:
+        space0 = DerSpace(L, L, 0, [])
     span = IncrementalSpan()
     picked = []
     for th in unit_derivations(L, L, 1):
@@ -483,7 +408,6 @@ def r0_basis(L: DGLPresentation):
 def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
     """Degree-0 D-cycles theta with theta(V^i) in V^{i+1} + brackets."""
     units = unit_derivations(L, L, 0)
-    space0 = DerSpace(L, L, 0, units)
     # admissible unit tables: length-1 values must raise the filtration level
     admissible = []
     for th in units:
@@ -523,12 +447,14 @@ class DerGZeroReport:
     notes: list = field(default_factory=list)
 
 
-def der_g_zero(spec: GSpec) -> DerGZeroReport:
-    """Degree-0 part of Der^G (or Der^Pi) for the three decidable spec kinds."""
+def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
+    """Degree-0 part of Der^G (or Der^Pi) for the three decidable spec kinds;
+    space0 is the degree-0 flattening to use, made here when not given."""
     L = spec.target
     require_connected_minimal(L)
-    r0 = r0_basis(L)
-    space0 = DerSpace(L, L, 0, unit_derivations(L, L, 0))
+    if space0 is None:
+        space0 = DerSpace(L, L, 0, [])
+    r0 = r0_basis(L, space0)
     notes = []
 
     if spec.kind == "identity":
@@ -593,9 +519,8 @@ def der_g_zero(spec: GSpec) -> DerGZeroReport:
     return DerGZeroReport(basis, True, True, saturated, notes)
 
 
-def pointed_stability_check(L: DGLPresentation, basis):
+def pointed_stability_check(L: DGLPresentation, basis, space0: DerSpace):
     """Pointed pipelines need the span preserved by bracketing with ad L_0."""
-    space0 = DerSpace(L, L, 0, unit_derivations(L, L, 0))
     full = IncrementalSpan()
     for th in basis:
         full.add(space0.flatten(th))
@@ -621,16 +546,11 @@ class GammaReport:
     caps: dict = field(default_factory=dict)
 
 
-def _gamma_image(H: ConvolutionDGL, LC: DGLPresentation, gen_of_label,
-                 theta: Derivation) -> HomElement:
+def _gamma_image(H: ConvolutionDGL, label_of_gen, theta: Derivation) -> HomElement:
     """Gamma(s^{-1} theta)(c) = (-1)^{|theta|} theta(s^{-1} c) on reduced labels."""
     sgn = Fraction(-1) if theta.degree % 2 else Fraction(1)
-    values = {}
-    for i, g in gen_of_label.items():
-        v = theta.value(g)
-        if not v.is_zero():
-            values[i] = v.scale(sgn)
-    return HomElement(H, theta.degree - 1, values)
+    return HomElement(H, theta.degree - 1, {label_of_gen[g]: v.scale(sgn)
+                                            for g, v in theta.values.items()})
 
 
 def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
@@ -650,8 +570,8 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     H = ConvolutionDGL(C, Ltgt)
     phibar = H.mc_of_morphism(phi)
 
-    # generator of LC for each reduced label
-    gen_of_label = {i: g for i, g in zip(C.reduced_indices(), LC.gens)}
+    # generator of LC for each reduced label, and back
+    gen_of_label = dict(zip(C.reduced_indices(), LC.gens))
     label_of_gen = {g: i for i, g in gen_of_label.items()}
 
     if degrees is None:
@@ -663,14 +583,8 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     basis_checked = 0
     pairs = 0
 
-    def der_basis(n):
-        return unit_derivations(LC, Ltgt, n, base=phi_tilde)
-
     def gamma(theta):
-        return _gamma_image(H, LC, gen_of_label, theta)
-
-    def d_lc(theta):
-        return derivation_differential(theta)
+        return _gamma_image(H, label_of_gen, theta)
 
     def hom_d_perturbed(f):
         return H.differential(f) + H.bracket(phibar, f)
@@ -687,13 +601,9 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
         for i, g in gen_of_label.items():
             acc = Ltgt.zero()
             for l, r, c in C.reduced_comul(i):
-                gl = gen_of_label.get(l)
-                gr = gen_of_label.get(r)
-                if gl is None or gr is None:
-                    continue
-                gv = gam.value(gl)
-                ev = eta.value(gr)
-                if gv.is_zero() or ev.is_zero():
+                gv = gam.values.get(gen_of_label.get(l))
+                ev = eta.values.get(gen_of_label.get(r))
+                if gv is None or ev is None:
                     continue
                 sgn = Fraction(-1) if ((eta.degree - 1) * C.degrees[l]) % 2 \
                     else Fraction(1)
@@ -704,26 +614,25 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
                           base=phi_tilde)
 
     for n in degrees:
-        basis = der_basis(n)
+        basis = unit_derivations(LC, Ltgt, n, base=phi_tilde)
+        images = [gamma(th) for th in basis]
         # bijectivity: Gamma maps the unit-table basis bijectively onto the
         # reduced Hom basis (label-for-label, up to sign)
-        for th in basis:
+        for th, img in zip(basis, images):
             basis_checked += 1
-            img = gamma(th)
             if len(img.values) != len(th.values):
                 failures.append(("bijectivity", th.label))
             # chain map: Gamma(-s^{-1} D theta) = D_{phibar} Gamma(theta).
             # with |s^{-1}theta| = |theta| - 1.
-            lhs = gamma(d_lc(th)).scale(-1)
-            rhs = hom_d_perturbed(gamma(th))
-            if lhs != rhs:
+            lhs = gamma(derivation_differential(th)).scale(-1)
+            if lhs != hom_d_perturbed(img):
                 failures.append(("chain", th.label))
         # bracket compatibility on pairs
-        for th in basis:
-            for et in der_basis(n):
+        for th, img in zip(basis, images):
+            for et, img2 in zip(basis, images):
                 pairs += 1
                 lhs = gamma(der_bracket_desusp(th, et))
-                rhs = conv_bracket_reduced(gamma(th), gamma(et))
+                rhs = conv_bracket_reduced(img, img2)
                 if lhs != rhs:
                     failures.append(("bracket", th.label, et.label))
     return GammaReport(ok=not failures, basis_checked=basis_checked,
@@ -764,24 +673,14 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
     base = None if _is_identity(phi) else phi
     dercx = DerComplex(Lsrc, Ltgt, base, window)
     tw = twisted_der_sl(dercx, Ltgt, window, phi=base, variant=FDER_SL)
-    les = les_of_ses(tw.sub, tw.total, tw.quotient, tw.incl, tw.proj,
-                     degrees=[n for n in degrees if n >= 0])
-    pointed = {}
-    free = {}
-    preps = {}
-    freps = {}
-    for n in degrees:
-        if n < 1:
-            continue
-        hp = homology_at(tw.sub, n)
-        hf = homology_at(tw.total, n)
-        pointed[n] = hp.dimension
-        free[n] = hf.dimension
-        preps[n] = hp
-        freps[n] = hf
-    h0 = homology_at(tw.total, 0)
-    return MappingSpaceReport(pointed=pointed, free=free,
-                              fiber_components_h0=h0.dimension, les=les,
+    les = les_of_ses(*tw.ses(), degrees=[n for n in degrees if n >= 0])
+    # the sequence holds the homology of the pointed (sub) and free (total)
+    # complexes in every degree >= 0
+    preps = {n: les.hA[n] for n in degrees if n >= 1}
+    freps = {n: les.hB[n] for n in degrees if n >= 1}
+    return MappingSpaceReport(pointed={n: h.dimension for n, h in preps.items()},
+                              free={n: h.dimension for n, h in freps.items()},
+                              fiber_components_h0=les.hB[0].dimension, les=les,
                               pointed_reps=preps, free_reps=freps,
                               caps={"truncation": Ltgt.trunc.max_bracket_length},
                               minimal_warning=minimal_warning)
@@ -800,52 +699,6 @@ class ClassifyingReport:
     saturation_flag: bool
     caps: dict
     der_g0: DerGZeroReport | None = None
-
-
-def _der_g_complex(L: DGLPresentation, g0_basis, degrees) -> DerComplex:
-    return DerComplex(L, L, None, degrees, deg0_subspace=g0_basis)
-
-
-def _boundary_spans(cx: GradedChainComplex, degrees):
-    spans = {}
-    for n in degrees:
-        sp = IncrementalSpan()
-        for col in cx.d(n + 1).columns():
-            sp.add(col)
-        spans[n] = sp
-    return spans
-
-
-def _homology_nilpotency(dercx: DerComplex, cx: GradedChainComplex, degrees):
-    """Windowed nilpotency index of the homology Lie algebra of a derivation
-    complex: iterated brackets of homology classes, reduced mod boundaries;
-    brackets landing outside the window are not seen."""
-    degrees = sorted(degrees)
-    spans = _boundary_spans(cx, degrees)
-
-    def class_nonzero(th: Derivation):
-        n = th.degree
-        if n not in spans:
-            return False
-        return not spans[n].contains(dercx.space(n).coords(th))
-
-    flat = []
-    for n in degrees:
-        for z in homology_at(cx, n).cycle_reps:
-            flat.append(_element_of(dercx, cx, n, z))
-    if not flat:
-        return 0
-    level = flat
-    nil = 1
-    for _ in range(12):
-        nxt = [br for a in level for b in flat
-               for br in [derivation_bracket(a, b)]
-               if not br.is_zero() and class_nonzero(br)]
-        if not nxt:
-            return nil
-        nil += 1
-        level = nxt
-    return nil
 
 
 class DerSLElement:
@@ -872,64 +725,75 @@ def der_sl_full_bracket(a: DerSLElement, b: DerSLElement) -> DerSLElement:
     return DerSLElement(der, sl, a.degree + b.degree)
 
 
-def _twisted_nilpotency(tw: TwistedComplex, dercx: DerComplex,
-                        L: DGLPresentation, degrees):
-    """Windowed nilpotency of H(Der^G x~ sL) with the twisted bracket."""
-    degrees = sorted(degrees)
-    dims_der = tw.parts["dims_der"]
-    spans = _boundary_spans(tw.total, degrees)
+def _der_sl_element(dercx: DerComplex, L: DGLPresentation, n, z: SparseVec):
+    """The element of Der (x~) sL with coordinates z in twisted_der_sl's
+    degree-n basis: the stored Der_n elements, then s of L_{n-1}."""
+    nd = len(dercx.space(n))
+    x = L.zero()
+    for i, c in z.entries.items():
+        if i >= nd:
+            x = x + L.basis(n - 1)[i - nd].scale(c)
+    theta = dercx.element(n, SparseVec({i: c for i, c in z.entries.items()
+                                        if i < nd}))
+    return DerSLElement(theta, x, n)
 
-    def unpack(n, vec: SparseVec) -> DerSLElement:
-        th = Derivation(dercx.source, dercx.target, n, {})
-        x = L.zero()
-        nd = dims_der[n]
-        for i, c in vec.entries.items():
-            if i < nd:
-                th = th + dercx.space(n).elements[i].scale(c)
-            else:
-                x = x + L.basis(n - 1)[i - nd].scale(c)
-        return DerSLElement(th, x, n)
 
-    def pack(el: DerSLElement) -> SparseVec:
-        n = el.degree
-        out = {}
-        if not el.theta.is_zero():
-            for i, c in dercx.space(n).coords(el.theta).entries.items():
-                out[i] = c
-        if not el.x.is_zero():
-            for i, c in L.coords(el.x, n - 1).entries.items():
-                out[dims_der[n] + i] = c
-        return SparseVec(out)
+def _der_sl_coords(dercx: DerComplex, L: DGLPresentation,
+                   el: DerSLElement) -> SparseVec:
+    n = el.degree
+    out = dict(dercx.space(n).coords(el.theta).entries)
+    nd = len(dercx.space(n))
+    for i, c in L.coords(el.x, n - 1).entries.items():
+        out[nd + i] = c
+    return SparseVec(out)
 
-    def class_nonzero(el: DerSLElement):
-        if el.degree not in spans:
-            return False
-        return not spans[el.degree].contains(pack(el))
 
-    flat = []
-    for n in degrees:
-        for z in homology_at(tw.total, n).cycle_reps:
-            flat.append(unpack(n, z))
+def _nilpotency(cx: GradedChainComplex, homology, element, coords, bracket) -> int:
+    """Windowed nilpotency index of the homology Lie algebra of cx.
+
+    homology maps each degree of the window to its HomologyReport;
+    element(n, z) is the element with coordinates z in degree n, coords is
+    its inverse and bracket the Lie bracket of elements.  Layer 1 is the
+    homology basis; layer k + 1 is a basis, modulo the boundaries of each
+    degree, of the brackets of layer k with layer 1.  A bracket whose degree
+    lies outside the window is not computed, since the window does not see
+    its class.  The index is the number of nonzero layers, found in at most
+    12 bracketing steps.
+    """
+    flat = [element(n, z) for n, h in sorted(homology.items())
+            for z in h.cycle_reps]
     if not flat:
         return 0
-    level = flat
-    nil = 1
+    boundaries = {}
+
+    def modulo_boundaries(n):
+        if n not in boundaries:
+            boundaries[n] = IncrementalSpan()
+            for col in cx.d(n + 1).columns():
+                boundaries[n].add(col)
+        return boundaries[n].copy()
+
+    layer, nil = flat, 1
     for _ in range(12):
-        nxt = [br for a in level for b in flat
-               for br in [der_sl_full_bracket(a, b)]
-               if not br.is_zero() and class_nonzero(br)]
+        spans = {}
+        nxt = []
+        for a in layer:
+            for b in flat:
+                n = a.degree + b.degree
+                if n not in homology:
+                    continue
+                br = bracket(a, b)
+                if br.is_zero():
+                    continue
+                if n not in spans:
+                    spans[n] = modulo_boundaries(n)
+                if spans[n].add(coords(br)):
+                    nxt.append(br)
         if not nxt:
             return nil
         nil += 1
-        level = nxt
+        layer = nxt
     return nil
-
-
-def _element_of(dercx: DerComplex, cx: GradedChainComplex, n, vec: SparseVec):
-    out = Derivation(dercx.source, dercx.target, n, {})
-    for i, c in vec.entries.items():
-        out = out + dercx.space(n).elements[i].scale(c)
-    return out
 
 
 def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
@@ -947,37 +811,36 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     require_connected_minimal(L)
     degrees = sorted(set(d for d in degrees if d >= 0) | {0, 1})
     window = range(0, max(degrees) + 2)
-    report_g0 = der_g_zero(spec)
+    space0 = DerSpace(L, L, 0, [])
+    report_g0 = der_g_zero(spec, space0)
     g0 = report_g0.basis
     if mode == "POINTED":
-        pointed_stability_check(L, g0)
-    dercx = _der_g_complex(L, g0, window)
+        pointed_stability_check(L, g0, space0)
+    dercx = DerComplex(L, L, None, window, deg0_subspace=g0)
+    # H0(Der^G)/Im H0(ad) (FREE) or H0(Der^Pi) as a BCH group
+    quotient = DerH0Group(L, dercx, quotient_by_ad=mode == "FREE")
 
     if mode == "FREE":
         tw = twisted_der_sl(dercx, L, window)
-        pi = {}
-        for n in degrees:
-            if n >= 1:
-                pi[n] = homology_at(tw.total, n).dimension
-        # H0(Der^G)/Im H0(ad) as a BCH group on derivation classes
-        quotient = _der_h0_quotient(L, dercx, window, quotient_by_ad=True)
-        nil = _twisted_nilpotency(tw, dercx, L, degrees)
+        homology = {n: homology_at(tw.total, n) for n in degrees}
+        pi = {n: h.dimension for n, h in homology.items() if n >= 1}
+        total_h = {}
+        nil = _nilpotency(tw.total, homology,
+                          lambda n, z: _der_sl_element(dercx, L, n, z),
+                          lambda el: _der_sl_coords(dercx, L, el),
+                          der_sl_full_bracket)
         post = exactlin.postnikov_truncate(tw.total, 1)
-        return ClassifyingReport(mode=mode, spec_kind=spec.kind, pi_base=pi,
-                                 h0_quotient=quotient,
-                                 der0_dimension=len(g0),
-                                 nilpotency=nil, postnikov=post,
-                                 total_homology={},
-                                 saturation_flag=report_g0.saturation_flag,
-                                 caps={"truncation": L.trunc.max_bracket_length},
-                                 der_g0=report_g0)
-
-    tw = twisted_l_der(L, dercx, window)
-    total_h = {n: homology_at(tw.total, n).dimension for n in degrees}
-    quotient = _der_h0_quotient(L, dercx, window, quotient_by_ad=False)
-    nil = _homology_nilpotency(dercx, dercx.complex(), degrees)
-    post = exactlin.postnikov_truncate(dercx.complex(), 1)
-    return ClassifyingReport(mode=mode, spec_kind=spec.kind, pi_base={},
+    else:
+        cx = dercx.complex()
+        tw = twisted_l_der(L, dercx, window)
+        pi = {}
+        total_h = {n: homology_at(tw.total, n).dimension for n in degrees}
+        nil = _nilpotency(cx, {n: homology_at(cx, n) for n in degrees},
+                          dercx.element,
+                          lambda th: dercx.space(th.degree).coords(th),
+                          derivation_bracket)
+        post = exactlin.postnikov_truncate(cx, 1)
+    return ClassifyingReport(mode=mode, spec_kind=spec.kind, pi_base=pi,
                              h0_quotient=quotient, der0_dimension=len(g0),
                              nilpotency=nil, postnikov=post,
                              total_homology=total_h,
@@ -996,8 +859,7 @@ class DerH0Group:
         cx = dercx.complex()
         space0 = dercx.space(0)
         cycles = exactlin.kernel_basis(cx.d(0)) if cx.dim(0) else []
-        boundaries = [space0.coords(derivation_differential(th))
-                      for th in dercx.space(1).elements]
+        boundaries = cx.d(1).columns()
         ads = ([space0.coords(ad_derivation(L, e)) for e in L.basis(0)]
                if quotient_by_ad else [])
         adspan = IncrementalSpan()
@@ -1007,7 +869,7 @@ class DerH0Group:
         picker = IncrementalSpan()
         for v in boundaries + ads:
             picker.add(v)
-        self.reps = [_element_of(dercx, cx, 0, z) for z in cycles if picker.add(z)]
+        self.reps = [dercx.element(0, z) for z in cycles if picker.add(z)]
         self._space0 = space0
         self._classes = FactoredBasis([space0.coords(r) for r in self.reps],
                                       len(space0), modulo=boundaries + ads)
@@ -1038,10 +900,3 @@ class DerH0Group:
 
     def class_of(self, th: Derivation) -> SparseVec:
         return self._classes.coords(self._space0.coords(th))
-
-    def power(self, th: Derivation, lam) -> Derivation:
-        return th.scale(Fraction(lam))
-
-
-def _der_h0_quotient(L, dercx, window, quotient_by_ad) -> DerH0Group:
-    return DerH0Group(L, dercx, quotient_by_ad)

@@ -151,14 +151,13 @@ class DGLPresentation:
 
     # -- bases and complexes ----------------------------------------------
 
-    def basis(self, degree, resource_limit=None):
+    def basis(self, degree):
         """Ordered basis of the degree-homogeneous part, all lengths <= cap."""
         cached = self._basis_cache.get(degree)
         if cached is None:
             cached = []
             for ln in range(1, self.trunc.max_bracket_length + 1):
-                cached.extend(lie_basis(self.gens, degree, ln, self.trunc,
-                                        resource_limit=resource_limit))
+                cached.extend(lie_basis(self.gens, degree, ln, self.trunc))
             self._basis_cache[degree] = cached
         return cached
 
@@ -328,12 +327,6 @@ def component_complex(L: DGLPresentation, a, degrees, connective=0) -> GradedCha
     degrees = [n for n in degrees if n >= connective]
     C = La.complex(degrees)
     return exactlin.connected_cover(C, connective)
-
-
-def perturb_and_component(L: DGLPresentation, a, degrees, connective=0):
-    """(L, d_a) together with the complex of its connected cover L^a."""
-    La = perturbed(L, a)
-    return La, component_complex(L, a, degrees, connective=connective)
 
 
 # -- BCH, exp/log, gauge --------------------------------------------------

@@ -251,6 +251,11 @@ class IncrementalSpan:
     def contains(self, vec: SparseVec) -> bool:
         return self.reduce(vec).is_zero()
 
+    def copy(self) -> "IncrementalSpan":
+        out = IncrementalSpan()
+        out.rows = {piv: dict(row) for piv, row in self.rows.items()}
+        return out
+
     def add(self, vec: SparseVec) -> bool:
         res = self.reduce(vec)
         if res.is_zero():
@@ -397,15 +402,6 @@ class HomologyReport:
     dimension: int
     cycle_reps: list
     truncation_meta: dict = field(default_factory=dict)
-
-    def to_canonical(self, labels=None):
-        reps = []
-        for v in self.cycle_reps:
-            if labels is None:
-                reps.append(" + ".join("%s*e%d" % (c, i) for i, c in sorted(v.entries.items())))
-            else:
-                reps.append(" + ".join("%s*%s" % (c, labels[i]) for i, c in sorted(v.entries.items())))
-        return {"degree": self.degree, "dimension": self.dimension, "representatives": reps}
 
 
 def homology_at(C: GradedChainComplex, n: int, check=True) -> HomologyReport:

@@ -57,9 +57,6 @@ class Truncation:
             return False
         return True
 
-    def bumped(self, by=1) -> "Truncation":
-        return Truncation(self.max_bracket_length + by, self.max_degree)
-
 
 # A word is a tuple of Generators; the empty tuple is the algebra unit and
 # never appears inside a LieElement.
@@ -350,12 +347,20 @@ _RESOURCE_LIMIT = None
 
 
 def set_resource_limit(n):
-    """Global per-degree basis-size guard (workbench wires the env var)."""
+    """Global guard on per-degree basis sizes and chains word counts (the
+    workbench wires the env var); None turns it off."""
     global _RESOURCE_LIMIT
     _RESOURCE_LIMIT = n
 
 
-def lie_basis(gens, degree, length, trunc: Truncation, resource_limit=None):
+def check_resource_limit(size, what):
+    """Raise ResourceLimitError when size is over the run's limit."""
+    if _RESOURCE_LIMIT is not None and size > _RESOURCE_LIMIT:
+        raise ResourceLimitError("%s exceeds resource limit %d"
+                                 % (what, _RESOURCE_LIMIT))
+
+
+def lie_basis(gens, degree, length, trunc: Truncation):
     """Ordered basis of the (degree, length)-homogeneous component.
 
     Deterministic: left-normed spanning brackets are enumerated in
@@ -364,14 +369,10 @@ def lie_basis(gens, degree, length, trunc: Truncation, resource_limit=None):
     """
     if length > trunc.max_bracket_length:
         raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
-    if resource_limit is None:
-        resource_limit = _RESOURCE_LIMIT
     key = (tuple(gens), degree, length)
     cached = _basis_cache.get(key)
     if cached is not None:
-        if resource_limit is not None and len(cached) > resource_limit:
-            raise ResourceLimitError(
-                "basis size exceeds resource limit %d" % resource_limit)
+        check_resource_limit(len(cached), "basis size")
         return [LieElement(e.terms, trunc, label=e.label) for e in cached]
 
     seqs = gen_sequences(gens, degree, length)
@@ -392,9 +393,7 @@ def lie_basis(gens, degree, length, trunc: Truncation, resource_limit=None):
         if span.add(v):
             e.label = bracket_label(seq)
             picked.append(e)
-            if resource_limit is not None and len(picked) > resource_limit:
-                raise ResourceLimitError(
-                    "basis size exceeds resource limit %d" % resource_limit)
+            check_resource_limit(len(picked), "basis size")
     _basis_cache[key] = picked
     return [LieElement(e.terms, trunc, label=e.label) for e in picked]
 

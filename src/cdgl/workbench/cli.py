@@ -131,8 +131,21 @@ def task_from_args(args) -> Task:
                 check_stability=not args.no_stability)
 
 
+def _join_negative_range(argv):
+    """argparse reads a value that starts with '-' as a flag, so a range with
+    a negative lower end is joined to its flag: --range -1..3 -> --range=-1..3."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--range" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = "--range=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_range(argv))
     task = task_from_args(args)
     report = run_task(task)
     sys.stdout.write(render(report, args.format))

@@ -179,10 +179,6 @@ def cmd_check(task: Task) -> Report:
     return report
 
 
-def _range_or(task, default):
-    return task.degree_range or default
-
-
 def cmd_homology(task: Task) -> Report:
     if task.degree_range is None:
         raise ValueError("homology needs an explicit --range a..b")

@@ -225,3 +225,48 @@ def test_malformed_resource_limit_is_a_diagnostic(monkeypatch):
         assert (diag.line, diag.col, diag.severity) == (0, 0, "error")
         assert "CDGL_RESOURCE_LIMIT" in diag.message and repr(raw) in diag.message
     monkeypatch.delenv("CDGL_RESOURCE_LIMIT")
+
+
+def test_chains_word_count_is_held_to_the_resource_limit(monkeypatch, capsys):
+    # wedge(2,2) at cap 2 has 18 chain words at word cap 2, while its largest
+    # Lie basis has 3 elements, so only the chains guard can trip
+    from cdgl.workbench.cli import main
+    monkeypatch.setenv("CDGL_RESOURCE_LIMIT", "5")
+    code = main(["gamma", "--model", "wedge(2,2)", "--word-cap", "2",
+                 "--truncate", "2", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "status = resource-limit" in out and "chains" in out
+
+
+# -- CLI ------------------------------------------------------------------------
+
+def test_negative_range_lower_bound_both_forms(capsys):
+    from cdgl.workbench.cli import main
+    outs = []
+    for argv in (["--range", "-1..3"], ["--range=-1..3"]):
+        assert main(["homology", "--model", "S1", "--format", "canonical"]
+                    + argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "homology.H_-1 = 1" in outs[0]
+
+
+def readme_cli_examples():
+    import shlex
+    root = os.path.dirname(os.path.dirname(__file__))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return root, [shlex.split(line, comments=True)
+                  for line in block.splitlines() if line.startswith("cdgl ")]
+
+
+def test_readme_cli_examples_run(monkeypatch, capsys):
+    from cdgl.workbench.cli import main
+    root, examples = readme_cli_examples()
+    assert len(examples) == 13
+    monkeypatch.chdir(root)
+    for argv in examples:
+        assert main(argv[1:]) == 0, " ".join(argv)
+        capsys.readouterr()
