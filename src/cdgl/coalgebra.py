@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
-from .exactlin import GradedChainComplex, SparseMat, SparseVec
+from .exactlin import GradedChainComplex, SparseMat, SparseVec, build_complex
 from .freelie import (Generator, LieElement, Truncation, bracket,
                       check_resource_limit)
 
@@ -67,15 +67,14 @@ class CDGC:
     diff: index -> list of (index, coeff).
     """
 
-    def __init__(self, labels, degrees, counit, comul, diff, word_len=None,
-                 word_cap=None, meta=None):
+    def __init__(self, labels, degrees, counit, comul, diff, word_cap=None,
+                 meta=None):
         self.labels = list(labels)
         self.degrees = list(degrees)
         self.counit = counit
         self.comul = {i: list(comul.get(i, ())) for i in range(len(self.labels))}
         self.diff = {i: [(j, Fraction(c)) for j, c in diff.get(i, ()) if c]
                      for i in range(len(self.labels))}
-        self.word_len = list(word_len) if word_len is not None else None
         self.word_cap = word_cap
         self.meta = dict(meta or {})
 
@@ -191,7 +190,7 @@ class CDGC:
                 for j, c in self.d_of(i):
                     entries[(order[j], col)] = c
             boundary[n] = SparseMat(len(by_deg[n - 1]), len(idxs), entries)
-        return GradedChainComplex(basis, boundary, dict(self.meta))
+        return GradedChainComplex(basis, boundary)
 
 
 @dataclass
@@ -255,7 +254,6 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
     label_of_word = {}
     labels = []
     degrees = []
-    word_lens = []
     for w in words:
         if not w:
             lbl = "1"
@@ -264,7 +262,6 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
         label_of_word[w] = len(labels)
         labels.append(lbl)
         degrees.append(sum(sdeg[i] for i in w))
-        word_lens.append(len(w))
 
     comul = {}
     diff = {}
@@ -327,7 +324,7 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
         diff[i] = [(j, c) for j, c in dtable.items() if c]
 
     C = CDGC(labels, degrees, label_of_word[()], comul, diff,
-             word_len=word_lens, word_cap=word_cap,
+             word_cap=word_cap,
              meta={"chains_of": L.name or "", "word_cap": word_cap,
                    "truncation": L.trunc.max_bracket_length})
     C._l_info = info
@@ -361,7 +358,7 @@ def lie_functor(C: CDGC, trunc: Truncation, name=None) -> DGLPresentation:
     try:
         return build_dgl(tuple(gens[i] for i in order), d_on, trunc,
                          name=name or ("L(%s)" % C.meta.get("chains_of", "C")))
-    except Exception as exc:
+    except ValueError as exc:
         raise CoalgebraError("ill-formed coalgebra: %s" % exc) from exc
 
 
@@ -681,51 +678,35 @@ class ConvolutionDGL:
                 reduced=False) -> GradedChainComplex:
         """Chain complex of Hom(C, L) (or Hom(C-bar, L)) on the degrees,
         optionally with the differential perturbed by an MC element."""
-        degrees = sorted(degrees)
-        bases = {}
-        for n in degrees + [degrees[0] - 1]:
-            b = self.basis(n)
-            if reduced:
-                b = [f for f in b if self.C.counit not in f.values]
-            bases[n] = b
-        index = {}
-        for n, b in bases.items():
-            index[n] = {self._key(f): k for k, f in enumerate(b)}
-        boundary = {}
-        for n in degrees:
-            cols = []
-            for f in bases[n]:
-                img = self.differential(f)
-                if perturb_by is not None:
-                    img = img + self.bracket(perturb_by, f)
-                cols.append(self._coords(img, bases[n - 1], index[n - 1]))
-            boundary[n] = SparseMat.from_columns(len(bases[n - 1]), cols)
-        labels = {n: [self._label(f) for f in b] for n, b in bases.items() if b}
-        meta = {"hom_of": self.C.meta.get("chains_of", ""),
-                "word_cap": self.C.word_cap,
-                "truncation": self.L.trunc.max_bracket_length}
-        return GradedChainComplex(labels, boundary, meta)
+        indices = self.C.reduced_indices() if reduced else range(self.C.dim())
+        offsets = {}
 
-    def _key(self, f: HomElement):
-        # basis tables carry exactly one (label, basis element) pair
-        ((i, v),) = f.values.items()
-        return (i, frozenset(v.terms.items()))
+        def basis(n):
+            return [f for f in self.basis(n)
+                    if not (reduced and self.C.counit in f.values)]
 
-    def _label(self, f: HomElement):
-        ((i, v),) = f.values.items()
-        return "%s->%s" % (self.C.labels[i], v.label or repr(v))
+        def differential(f):
+            img = self.differential(f)
+            return img if perturb_by is None else img + self.bracket(perturb_by, f)
 
-    def _coords(self, f: HomElement, basis_list, index) -> SparseVec:
-        out = {}
-        for i, v in f.values.items():
-            deg = v.degree()
-            coords = self.L.coords(v, deg)
-            lbasis = self.L.basis(deg)
-            for bi, c in coords.entries.items():
-                key = (i, frozenset(lbasis[bi].terms.items()))
-                pos = index.get(key)
-                if pos is None:
+        def coords(f, n):
+            if n not in offsets:
+                # the tables of label i start at offsets[n][i] in basis(n)
+                offsets[n], off = {}, 0
+                for i in indices:
+                    offsets[n][i] = off
+                    off += len(self.L.basis(self.C.degrees[i] + n))
+            out = {}
+            for i, v in f.values.items():
+                off = offsets[n].get(i)
+                if off is None:
                     raise CoalgebraError("hom element outside the stored window")
-                out[pos] = out.get(pos, Fraction(0)) + c
-        return SparseVec(out)
+                for bi, c in self.L.coords(v, self.C.degrees[i] + n).entries.items():
+                    out[off + bi] = c
+            return SparseVec(out)
 
+        def label(n, k, f):
+            ((i, v),) = f.values.items()
+            return "%s->%s" % (self.C.labels[i], v.label or repr(v))
+
+        return build_complex(degrees, basis, differential, coords, label)

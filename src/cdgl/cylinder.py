@@ -206,10 +206,9 @@ class Cylinder:
         return PolyForm(self.L, {m: LieElement(ws, self.L.trunc)
                                  for m, ws in total.items()}, self.poly_cap)
 
-    def exp_ad(self, E: PolyForm, F: PolyForm, max_iter=None) -> PolyForm:
+    def exp_ad(self, E: PolyForm, F: PolyForm) -> PolyForm:
         """e^{ad_E}(F) for a degree-0 form E; terminates at the caps."""
-        if max_iter is None:
-            max_iter = (self.L.trunc.max_bracket_length + 1) * (self.poly_cap + 2)
+        max_iter = (self.L.trunc.max_bracket_length + 1) * (self.poly_cap + 2)
         total = F
         term = F
         k = 0
@@ -256,14 +255,14 @@ class HomotopyVerdict:
     ok: bool
     certificate: dict
     caps: dict
-    stable: bool | None = None
+    stable: bool
 
     def __bool__(self):
         return self.ok
 
 
-def check_homotopy(witness: Witness, phi: DGLMorphism, psi: DGLMorphism,
-                   check_stability=True) -> HomotopyVerdict:
+def check_homotopy(witness: Witness, phi: DGLMorphism,
+                   psi: DGLMorphism) -> HomotopyVerdict:
     """Is the witness a dgl morphism into the cylinder with endpoints phi
     (at t=0) and psi (at t=1)?  Exact verdict at the caps; a failure carries
     the offending generator and residual."""
@@ -287,17 +286,13 @@ def check_homotopy(witness: Witness, phi: DGLMorphism, psi: DGLMorphism,
             if e1 != psi.images[g]:
                 cert["endpoint1"] = {"generator": g.name}
                 break
-    ok = not cert
-    stable = None
-    if check_stability:
-        # cap soundness: all stored polynomial degrees sit strictly below the
-        # cap, so raising the cap cannot change the verdict
-        top = 0
-        for f in witness.forms.values():
-            for (k, _), _v in f.terms.items():
-                top = max(top, k)
-        stable = top < witness.poly_cap
-    return HomotopyVerdict(ok=ok, certificate=cert,
+    # cap soundness: all stored polynomial degrees sit strictly below the
+    # cap, so raising the cap cannot change the verdict
+    top = 0
+    for f in witness.forms.values():
+        for (k, _), _v in f.terms.items():
+            top = max(top, k)
+    return HomotopyVerdict(ok=not cert, certificate=cert,
                            caps={"poly_cap": witness.poly_cap,
                                  "truncation": witness.target.trunc.max_bracket_length},
-                           stable=stable)
+                           stable=top < witness.poly_cap)

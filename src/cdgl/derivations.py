@@ -15,16 +15,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import exactlin
 from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
                         chains_functor, lie_functor)
 from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
-                  GeneratorFiltration, ad_values, apply_operator,
-                  exp_derivation_values, log_morphism)
+                  GeneratorFiltration, H0Group, ad_values, apply_operator,
+                  exp_derivation_values, log_morphism, nilpotency)
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
-                       IncrementalSpan, SparseMat, SparseVec, homology_at,
-                       les_of_ses)
+                       IncrementalSpan, SparseMat, SparseVec, build_complex,
+                       homology_at, les_of_ses)
 from .freelie import LieElement, bracket
 
 
@@ -220,27 +221,11 @@ class DerComplex:
 
     def complex(self) -> GradedChainComplex:
         """The chain complex, built on the first call and kept."""
-        if self._complex is not None:
-            return self._complex
-        basis = {}
-        boundary = {}
-        for n in self.spaces:
-            if self.spaces[n].elements:
-                basis[n] = [e.label or ("th%d_%d" % (n, i))
-                            for i, e in enumerate(self.spaces[n].elements)]
-        for n in self.degrees:
-            src = self.space(n)
-            tgt = self.space(n - 1)
-            if not src.elements:
-                continue
-            cols = []
-            for th in src.elements:
-                D = derivation_differential(th)
-                cols.append(tgt.coords(D) if not D.is_zero() else SparseVec())
-            boundary[n] = SparseMat.from_columns(len(tgt), cols)
-        meta = {"truncation": self.target.trunc.max_bracket_length,
-                "der_of": self.target.name or ""}
-        self._complex = GradedChainComplex(basis, boundary, meta)
+        if self._complex is None:
+            self._complex = build_complex(
+                self.degrees, lambda n: self.space(n).elements,
+                derivation_differential, lambda th, n: self.space(n).coords(th),
+                lambda n, i, th: th.label or ("th%d_%d" % (n, i)))
         return self._complex
 
 
@@ -284,8 +269,7 @@ def _twisted_product(variant, sub: GradedChainComplex, quot: GradedChainComplex,
             for (r, c), v in cross(n).entries.items():
                 entries[(r, a + c)] = v
         boundary[n] = SparseMat(a1 + quot.dim(n - 1), a + quot.dim(n), entries)
-    total = GradedChainComplex(basis, boundary,
-                               {**quot.meta, **sub.meta}).validate()
+    total = GradedChainComplex(basis, boundary).validate()
     incl = ChainMap(sub, total, {
         n: SparseMat(total.dim(n), sub.dim(n),
                      {(i, i): 1 for i in range(sub.dim(n))})
@@ -299,14 +283,10 @@ def _twisted_product(variant, sub: GradedChainComplex, quot: GradedChainComplex,
 
 def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
     """sL as a complex: (sL)_n = L_{n-1}, boundary -s d."""
-    degrees = sorted(degrees)
-    basis = {n: ["s(%s)" % (e.label or "?") for e in L.basis(n - 1)]
-             for n in degrees + [degrees[0] - 1]}
-    boundary = {n: SparseMat.from_columns(len(L.basis(n - 2)), [
-        L.coords(L.d(e), n - 2).scale(-1) for e in L.basis(n - 1)])
-        for n in degrees}
-    return GradedChainComplex(basis, boundary,
-                              {"truncation": L.trunc.max_bracket_length})
+    return build_complex(degrees, lambda n: L.basis(n - 1),
+                         lambda e: L.d(e).scale(-1),
+                         lambda x, n: L.coords(x, n - 1),
+                         lambda n, i, e: "s(%s)" % (e.label or "?"))
 
 
 def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
@@ -441,8 +421,6 @@ def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
 @dataclass
 class DerGZeroReport:
     basis: list
-    contains_r0: bool
-    closure_verified: bool
     saturation_flag: bool       # True = saturated under exp(R0) conjugation
     notes: list = field(default_factory=list)
 
@@ -458,7 +436,7 @@ def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
     notes = []
 
     if spec.kind == "identity":
-        return DerGZeroReport(list(r0), True, True, True, notes)
+        return DerGZeroReport(list(r0), True, notes)
 
     if spec.kind == "stabilizer":
         basis = stabilizer_der0(L, spec.filtration)
@@ -469,7 +447,7 @@ def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
         if not contains:
             raise InvalidSubgroupError("stabilizer subspace does not contain R0 "
                                        "(is the differential decomposable?)")
-        return DerGZeroReport(basis, True, True, True, notes)
+        return DerGZeroReport(basis, True, notes)
 
     # SPAN: user span closed under bracket together with R0, D-cycles
     span_list = list(spec.span)
@@ -516,7 +494,7 @@ def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
                 break
         if not saturated:
             break
-    return DerGZeroReport(basis, True, True, saturated, notes)
+    return DerGZeroReport(basis, saturated, notes)
 
 
 def pointed_stability_check(L: DGLPresentation, basis, space0: DerSpace):
@@ -649,9 +627,6 @@ class MappingSpaceReport:
     free: dict             # n -> dimension of H_n(Der_phi x~ sL), n >= 1
     fiber_components_h0: int
     les: object
-    pointed_reps: dict
-    free_reps: dict
-    caps: dict
     minimal_warning: bool = False
 
 
@@ -676,29 +651,24 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
     les = les_of_ses(*tw.ses(), degrees=[n for n in degrees if n >= 0])
     # the sequence holds the homology of the pointed (sub) and free (total)
     # complexes in every degree >= 0
-    preps = {n: les.hA[n] for n in degrees if n >= 1}
-    freps = {n: les.hB[n] for n in degrees if n >= 1}
-    return MappingSpaceReport(pointed={n: h.dimension for n, h in preps.items()},
-                              free={n: h.dimension for n, h in freps.items()},
-                              fiber_components_h0=les.hB[0].dimension, les=les,
-                              pointed_reps=preps, free_reps=freps,
-                              caps={"truncation": Ltgt.trunc.max_bracket_length},
-                              minimal_warning=minimal_warning)
+    return MappingSpaceReport(
+        pointed={n: les.hA[n].dimension for n in degrees if n >= 1},
+        free={n: les.hB[n].dimension for n in degrees if n >= 1},
+        fiber_components_h0=les.hB[0].dimension, les=les,
+        minimal_warning=minimal_warning)
 
 
 @dataclass
 class ClassifyingReport:
     mode: str
-    spec_kind: str
     pi_base: dict            # FREE: n -> dim H_n(Der^G x~ sL), n >= 1
-    h0_quotient: object      # DerH0Group
+    h0_quotient: H0Group     # H_0(Der^G)/Im H_0(ad) or H_0(Der^Pi)
+    ad_image_rank: int       # FREE: rank of Im H_0(ad); 0 when POINTED
     der0_dimension: int
     nilpotency: int
     postnikov: GradedChainComplex
     total_homology: dict     # POINTED: H_*(L x~ Der^Pi)
     saturation_flag: bool
-    caps: dict
-    der_g0: DerGZeroReport | None = None
 
 
 class DerSLElement:
@@ -748,54 +718,6 @@ def _der_sl_coords(dercx: DerComplex, L: DGLPresentation,
     return SparseVec(out)
 
 
-def _nilpotency(cx: GradedChainComplex, homology, element, coords, bracket) -> int:
-    """Windowed nilpotency index of the homology Lie algebra of cx.
-
-    homology maps each degree of the window to its HomologyReport;
-    element(n, z) is the element with coordinates z in degree n, coords is
-    its inverse and bracket the Lie bracket of elements.  Layer 1 is the
-    homology basis; layer k + 1 is a basis, modulo the boundaries of each
-    degree, of the brackets of layer k with layer 1.  A bracket whose degree
-    lies outside the window is not computed, since the window does not see
-    its class.  The index is the number of nonzero layers, found in at most
-    12 bracketing steps.
-    """
-    flat = [element(n, z) for n, h in sorted(homology.items())
-            for z in h.cycle_reps]
-    if not flat:
-        return 0
-    boundaries = {}
-
-    def modulo_boundaries(n):
-        if n not in boundaries:
-            boundaries[n] = IncrementalSpan()
-            for col in cx.d(n + 1).columns():
-                boundaries[n].add(col)
-        return boundaries[n].copy()
-
-    layer, nil = flat, 1
-    for _ in range(12):
-        spans = {}
-        nxt = []
-        for a in layer:
-            for b in flat:
-                n = a.degree + b.degree
-                if n not in homology:
-                    continue
-                br = bracket(a, b)
-                if br.is_zero():
-                    continue
-                if n not in spans:
-                    spans[n] = modulo_boundaries(n)
-                if spans[n].add(coords(br)):
-                    nxt.append(br)
-        if not nxt:
-            return nil
-        nil += 1
-        layer = nxt
-    return nil
-
-
 def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
                            degrees) -> ClassifyingReport:
     """Invariants of the classifying fibrations for a subgroup spec.
@@ -818,85 +740,59 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
         pointed_stability_check(L, g0, space0)
     dercx = DerComplex(L, L, None, window, deg0_subspace=g0)
     # H0(Der^G)/Im H0(ad) (FREE) or H0(Der^Pi) as a BCH group
-    quotient = DerH0Group(L, dercx, quotient_by_ad=mode == "FREE")
+    ads = ([dercx.space(0).coords(ad_derivation(L, e)) for e in L.basis(0)]
+           if mode == "FREE" else [])
+    adspan = IncrementalSpan()
+    for v in ads:
+        adspan.add(v)
+    quotient = H0Group(dercx.complex(), lambda z: dercx.element(0, z),
+                       dercx.space(0).coords, bch_der, derivation_bracket,
+                       extra=ads)
 
     if mode == "FREE":
         tw = twisted_der_sl(dercx, L, window)
-        homology = {n: homology_at(tw.total, n) for n in degrees}
+        cx = tw.total
+        homology = {n: homology_at(cx, n) for n in degrees}
         pi = {n: h.dimension for n, h in homology.items() if n >= 1}
         total_h = {}
-        nil = _nilpotency(tw.total, homology,
-                          lambda n, z: _der_sl_element(dercx, L, n, z),
-                          lambda el: _der_sl_coords(dercx, L, el),
-                          der_sl_full_bracket)
-        post = exactlin.postnikov_truncate(tw.total, 1)
+        element, coords, lie_bracket = (partial(_der_sl_element, dercx, L),
+                                        partial(_der_sl_coords, dercx, L),
+                                        der_sl_full_bracket)
     else:
         cx = dercx.complex()
         tw = twisted_l_der(L, dercx, window)
         pi = {}
         total_h = {n: homology_at(tw.total, n).dimension for n in degrees}
-        nil = _nilpotency(cx, {n: homology_at(cx, n) for n in degrees},
-                          dercx.element,
-                          lambda th: dercx.space(th.degree).coords(th),
-                          derivation_bracket)
-        post = exactlin.postnikov_truncate(cx, 1)
-    return ClassifyingReport(mode=mode, spec_kind=spec.kind, pi_base=pi,
-                             h0_quotient=quotient, der0_dimension=len(g0),
-                             nilpotency=nil, postnikov=post,
+        homology = {n: homology_at(cx, n) for n in degrees}
+        element, coords, lie_bracket = (
+            dercx.element, lambda th: dercx.space(th.degree).coords(th),
+            derivation_bracket)
+    # the homology Lie algebra of the window, modulo the boundaries
+    boundaries = {}
+
+    def modulo(n):
+        if n not in homology:
+            return None
+        if n not in boundaries:
+            boundaries[n] = IncrementalSpan()
+            for col in cx.d(n + 1).columns():
+                boundaries[n].add(col)
+        return boundaries[n].copy()
+
+    nil = nilpotency([(n, element(n, z)) for n, h in sorted(homology.items())
+                      for z in h.cycle_reps], lie_bracket, coords, modulo)
+    return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
+                             ad_image_rank=adspan.rank, der0_dimension=len(g0),
+                             nilpotency=nil,
+                             postnikov=exactlin.postnikov_truncate(cx, 1),
                              total_homology=total_h,
-                             saturation_flag=report_g0.saturation_flag,
-                             caps={"truncation": L.trunc.max_bracket_length},
-                             der_g0=report_g0)
+                             saturation_flag=report_g0.saturation_flag)
 
 
-class DerH0Group:
-    """H_0 of a derivation complex with the BCH (composition) product,
-    optionally quotiented by the image of H_0(ad)."""
-
-    def __init__(self, L, dercx: DerComplex, quotient_by_ad):
-        self.L = L
-        self.dercx = dercx
-        cx = dercx.complex()
-        space0 = dercx.space(0)
-        cycles = exactlin.kernel_basis(cx.d(0)) if cx.dim(0) else []
-        boundaries = cx.d(1).columns()
-        ads = ([space0.coords(ad_derivation(L, e)) for e in L.basis(0)]
-               if quotient_by_ad else [])
-        adspan = IncrementalSpan()
-        for v in ads:
-            adspan.add(v)
-        self.ad_image_rank = adspan.rank
-        picker = IncrementalSpan()
-        for v in boundaries + ads:
-            picker.add(v)
-        self.reps = [dercx.element(0, z) for z in cycles if picker.add(z)]
-        self._space0 = space0
-        self._classes = FactoredBasis([space0.coords(r) for r in self.reps],
-                                      len(space0), modulo=boundaries + ads)
-        self.abelian = True
-        self.structure = {}
-        n = len(self.reps)
-        for i in range(n):
-            for j in range(n):
-                prod = self.class_of(self.bch_der(self.reps[i], self.reps[j]))
-                self.structure[(i, j)] = prod
-        for i in range(n):
-            for j in range(n):
-                br = derivation_bracket(self.reps[i], self.reps[j])
-                if not br.is_zero() and not self.class_of(br).is_zero():
-                    self.abelian = False
-
-    @property
-    def dimension(self):
-        return len(self.reps)
-
-    def bch_der(self, a: Derivation, b: Derivation) -> Derivation:
-        """log(exp a . exp b) via operator composition on the truncated L."""
-        L = self.L
-        ea = exp_derivation_values(L, a.values, check_cycle=False)
-        eb = exp_derivation_values(L, b.values, check_cycle=False)
-        comp = ea.compose(eb)
-        return Derivation(L, L, 0, log_morphism(comp))
-
-    def class_of(self, th: Derivation) -> SparseVec:
-        return self._classes.coords(self._space0.coords(th))
+def bch_der(a: Derivation, b: Derivation) -> Derivation:
+    """log(exp a . exp b) for degree-0 derivations of one L, via operator
+    composition on the truncated L."""
+    L = a.source
+    ea = exp_derivation_values(L, a.values, check_cycle=False)
+    eb = exp_derivation_values(L, b.values, check_cycle=False)
+    return Derivation(L, L, 0, log_morphism(ea.compose(eb)))

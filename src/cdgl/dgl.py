@@ -10,12 +10,12 @@ silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlin
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
-                       SparseMat, SparseVec, solve_linear)
+                       SparseMat, SparseVec, build_complex, solve_linear)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _mul_terms, bracket,
                       exp_terms, is_lie, lie_basis, log_terms, word_degree)
@@ -188,32 +188,10 @@ class DGLPresentation:
             out = out + basis[i].scale(c)
         return out
 
-    def complex(self, degrees, d_values=None) -> GradedChainComplex:
-        """Underlying chain complex on the given degrees.
-
-        d_values overrides the differential's generator values (used for
-        perturbed differentials).
-        """
-        degrees = sorted(degrees)
-        dvals = self.d_on_gens if d_values is None else d_values
-        basis = {}
-        labels = {}
-        for n in degrees + [degrees[0] - 1]:
-            b = self.basis(n)
-            basis[n] = b
-            labels[n] = [be.label or ("e%d_%d" % (n, i)) for i, be in enumerate(b)]
-        boundary = {}
-        for n in degrees:
-            if not basis[n]:
-                continue
-            cols = []
-            for be in basis[n]:
-                img = apply_operator(dvals, -1, be)
-                cols.append(self.coords(img, n - 1) if not img.is_zero()
-                            else SparseVec())
-            boundary[n] = SparseMat.from_columns(len(basis[n - 1]), cols)
-        meta = {"truncation": self.trunc.max_bracket_length, "model": self.name or ""}
-        return GradedChainComplex({n: labels[n] for n in labels}, boundary, meta)
+    def complex(self, degrees) -> GradedChainComplex:
+        """Underlying chain complex on the given degrees."""
+        return build_complex(degrees, self.basis, self.d, self.coords,
+                             lambda n, i, e: e.label or ("e%d_%d" % (n, i)))
 
     # -- validation ---------------------------------------------------------
 
@@ -320,13 +298,11 @@ def perturbed(L: DGLPresentation, a) -> DGLPresentation:
                            name=(L.name or "L") + "^perturbed").validate()
 
 
-def component_complex(L: DGLPresentation, a, degrees, connective=0) -> GradedChainComplex:
-    """Complex of the connected cover (at `connective`) of (L, d_a)."""
+def component_complex(L: DGLPresentation, a, degrees) -> GradedChainComplex:
+    """Complex of the connected cover (at degree 0) of (L, d_a)."""
     La = perturbed(L, a) if a is not None else L
-    degrees = sorted(set(list(degrees) + [connective]))
-    degrees = [n for n in degrees if n >= connective]
-    C = La.complex(degrees)
-    return exactlin.connected_cover(C, connective)
+    degrees = sorted(n for n in set(degrees) | {0} if n >= 0)
+    return exactlin.connected_cover(La.complex(degrees), 0)
 
 
 # -- BCH, exp/log, gauge --------------------------------------------------
@@ -534,35 +510,89 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
 
 # -- H0 as a group ----------------------------------------------------------
 
-@dataclass
-class H0Group:
-    """H_0 with the BCH product, as the cap-N Malcev approximation."""
+def nilpotency(generators, bracket, coords, modulo) -> int:
+    """Nilpotency index of the graded Lie algebra spanned by generators, a
+    list of (degree, element) pairs independent modulo modulo(n) in each
+    degree n.
 
-    owner: DGLPresentation
-    reps: list                     # cycle LieElements representing the basis
-    classes: FactoredBasis         # rep coordinates modulo the boundaries
-    structure: dict = field(default_factory=dict)
-    nilpotency_class: int = 0
-    abelian: bool = True
-    truncation_level: int = 0
-    labels: list = field(default_factory=list)
+    Layer 1 is the generators; layer k + 1 is a basis, modulo the span
+    modulo(n) in each degree n, of the brackets of layer k with layer 1,
+    where coords(x) gives the coordinates that modulo(n) works in for an
+    element x of degree n.  A degree for which modulo returns None is
+    outside the window, and its brackets are not computed.  The index is
+    the number of nonzero layers.  Each layer lies in the one before, so a
+    layer that does not shrink means the bracket is broken.
+    """
+    layer, nil = list(generators), 0
+    while layer:
+        nil += 1
+        spans, nxt = {}, []
+        for n, a in layer:
+            for m, b in generators:
+                k = n + m
+                if k not in spans:
+                    spans[k] = modulo(k)
+                if spans[k] is None:
+                    continue
+                br = bracket(a, b)
+                if not br.is_zero() and spans[k].add(coords(br)):
+                    nxt.append((k, br))
+        if len(nxt) >= len(layer):
+            raise LieMembershipError("lower central series does not descend "
+                                     "(internal error)")
+        layer = nxt
+    return nil
+
+
+class H0Group:
+    """H_0 of a cdgl with the BCH product, as the cap-N Malcev approximation.
+
+    cx is the cdgl's chain complex, of which degrees -1 to 1 are read;
+    element(z) is the degree-0 element with coordinates z in cx's degree-0
+    basis and coords its inverse; law is the group law (BCH) and bracket
+    the Lie bracket of degree-0 elements.  extra lists further degree-0
+    cycles, in coordinates, to divide out along with the boundaries.
+    """
+
+    def __init__(self, cx: GradedChainComplex, element, coords, law, bracket,
+                 extra=()):
+        cycles = exactlin.kernel_basis(cx.d(0)) if cx.dim(0) else []
+        quotient = cx.d(1).columns() + list(extra)
+        span = IncrementalSpan()
+        for v in quotient:
+            span.add(v)
+        self._picked = [z for z in cycles if span.add(z)]
+        self._element = element
+        self._coords = coords
+        self._law = law
+        # cycle elements representing the basis, and their coordinates
+        # modulo the quotient
+        self.reps = [element(z) for z in self._picked]
+        self.classes = FactoredBasis(self._picked, cx.dim(0), modulo=quotient)
+        n = len(self.reps)
+        self.structure = {(i, j): self.class_of(law(self.reps[i], self.reps[j]))
+                          for i in range(n) for j in range(n)}
+        self.nilpotency_class = nilpotency(
+            [(0, r) for r in self.reps], bracket, self.class_of,
+            lambda k: IncrementalSpan() if k == 0 else None)
+        self.abelian = self.nilpotency_class <= 1
 
     @property
     def dimension(self):
         return len(self.reps)
 
-    def class_of(self, e: LieElement) -> SparseVec:
+    def class_of(self, e) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
-        return self.classes.coords(self.owner.coords(e, 0))
+        return self.classes.coords(self._coords(e))
 
-    def element(self, coords: SparseVec) -> LieElement:
-        out = self.owner.zero()
-        for i, c in coords.entries.items():
-            out = out + self.reps[i].scale(c)
-        return out
+    def element(self, u: SparseVec):
+        z = SparseVec()
+        for i, c in u.entries.items():
+            z = z + self._picked[i].scale(c)
+        return self._element(z)
 
     def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return self.class_of(bch(self.element(u), self.element(v)))
+        return self.class_of(self._law(self.element(u), self.element(v)))
 
     def power(self, u: SparseVec, lam) -> SparseVec:
         """Exact Q-power: lambda . [x] = [lambda x]."""
@@ -572,54 +602,10 @@ class H0Group:
         return self.class_of(self.element(u).scale(-1))
 
 
-def h0_group(L: DGLPresentation, extra_quotient=()) -> H0Group:
-    """H_0(L) with BCH structure constants at the truncation.
-
-    extra_quotient: additional degree-0 cycles to quotient by (used for
-    H_0(Der^G)/Im H_0(ad) style groups)."""
-    basis0 = L.basis(0)
-    if basis0:
-        cols = [L.coords(L.d(e), -1) for e in basis0]
-        dmat = SparseMat.from_columns(len(L.basis(-1)), cols)
-        cycles = exactlin.kernel_basis(dmat)
-    else:
-        cycles = []
-    quotient = ([L.coords(L.d(e), 0) for e in L.basis(1)]
-                + [L.coords(e, 0) for e in extra_quotient])
-    span = IncrementalSpan()
-    for v in quotient:
-        span.add(v)
-    picked = [z for z in cycles if span.add(z)]
-    reps = [L.from_coords(z, 0) for z in picked]
-    group = H0Group(owner=L, reps=reps,
-                    classes=FactoredBasis(picked, len(basis0), modulo=quotient),
-                    truncation_level=L.trunc.max_bracket_length,
-                    labels=["h%d" % i for i in range(len(reps))])
-    # BCH structure constants
-    n = len(reps)
-    for i in range(n):
-        for j in range(n):
-            group.structure[(i, j)] = group.class_of(bch(reps[i], reps[j]))
-    # nilpotency class of the induced Lie algebra on H0: each lower central
-    # series layer is carried as a spanning list, starting from H0 itself
-    layer = [SparseVec.unit(i) for i in range(n)]
-    while layer:
-        group.nilpotency_class += 1
-        span = IncrementalSpan()
-        nxt = []
-        for v in layer:
-            ev = group.element(v)
-            for r in reps:
-                w = group.class_of(bracket(r, ev))
-                if span.add(w):
-                    nxt.append(w)
-        if len(nxt) >= len(layer):
-            raise LieMembershipError("lower central series of H0 does not descend "
-                                     "(internal error)")
-        if group.nilpotency_class == 1:
-            group.abelian = not nxt
-        layer = nxt
-    return group
+def h0_group(L: DGLPresentation) -> H0Group:
+    """H_0(L) with BCH structure constants at the truncation."""
+    return H0Group(L.complex([0, 1]), lambda z: L.from_coords(z, 0),
+                   lambda e: L.coords(e, 0), bch, bracket)
 
 
 def act_on_morphism(y: LieElement, phi: DGLMorphism) -> DGLMorphism:

@@ -15,7 +15,7 @@ so downstream golden tests are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -358,10 +358,9 @@ class GradedChainComplex:
     outside the stored range are zero.
     """
 
-    def __init__(self, basis, boundary, meta=None):
+    def __init__(self, basis, boundary):
         self.basis = {n: list(lbls) for n, lbls in basis.items() if lbls}
         self.boundary = {}
-        self.meta = dict(meta or {})
         for n, mat in boundary.items():
             if mat is None or mat.is_zero():
                 continue
@@ -377,11 +376,6 @@ class GradedChainComplex:
     def degrees(self):
         return sorted(self.basis)
 
-    @property
-    def degree_range(self):
-        ds = self.degrees()
-        return (ds[0], ds[-1]) if ds else (0, -1)
-
     def d(self, n) -> SparseMat:
         mat = self.boundary.get(n)
         if mat is None:
@@ -396,24 +390,45 @@ class GradedChainComplex:
         return self
 
 
+def build_complex(degrees, basis, differential, coords, label) -> GradedChainComplex:
+    """The chain complex of a cdgl on a degree window.
+
+    basis(n) lists the degree-n basis elements, for each n in degrees and
+    one degree below; differential(e) is d e, coords(x, n) the coordinates
+    of a degree-n element x in basis(n), and label(n, i, e) names the i-th
+    element of basis(n).  The boundary is stored on the given degrees.
+    """
+    degrees = sorted(degrees)
+    bases = {n: basis(n) for n in [degrees[0] - 1] + degrees}
+    boundary = {}
+    for n in degrees:
+        if not bases[n]:
+            continue
+        cols = []
+        for e in bases[n]:
+            de = differential(e)
+            cols.append(SparseVec() if de.is_zero() else coords(de, n - 1))
+        boundary[n] = SparseMat.from_columns(len(bases[n - 1]), cols)
+    labels = {n: [label(n, i, e) for i, e in enumerate(b)] for n, b in bases.items()}
+    return GradedChainComplex(labels, boundary)
+
+
 @dataclass
 class HomologyReport:
     degree: int
     dimension: int
     cycle_reps: list
-    truncation_meta: dict = field(default_factory=dict)
 
 
-def homology_at(C: GradedChainComplex, n: int, check=True) -> HomologyReport:
-    """H_n(C) with deterministic cycle representatives.
+def homology_at(C: GradedChainComplex, n: int) -> HomologyReport:
+    """H_n(C) with deterministic cycle representatives, after checking
+    dd = 0 around degree n.
 
     Degrees outside the stored range are treated as zero (boundaries clip).
     """
-    if check:
-        dn = C.d(n)
-        dn1 = C.d(n + 1)
-        if not C.d(n - 1).compose(dn).is_zero() or not dn.compose(dn1).is_zero():
-            raise IllFormedComplexError("dd != 0 near degree %d" % n)
+    dn = C.d(n)
+    if not C.d(n - 1).compose(dn).is_zero() or not dn.compose(C.d(n + 1)).is_zero():
+        raise IllFormedComplexError("dd != 0 near degree %d" % n)
     cycles = kernel_basis(C.d(n)) if C.dim(n) else []
     span = IncrementalSpan()
     for col in C.d(n + 1).columns():
@@ -426,8 +441,7 @@ def homology_at(C: GradedChainComplex, n: int, check=True) -> HomologyReport:
     dim = len(cycles) - bnd_rank
     if dim != len(reps):
         raise IllFormedComplexError("homology rank bookkeeping failed at degree %d" % n)
-    return HomologyReport(degree=n, dimension=dim, cycle_reps=reps,
-                          truncation_meta=dict(C.meta))
+    return HomologyReport(degree=n, dimension=dim, cycle_reps=reps)
 
 
 class ChainMap:
@@ -576,9 +590,7 @@ def connected_cover(C: GradedChainComplex, n: int) -> GradedChainComplex:
             boundary[m] = SparseMat.from_columns(len(kb), cols)
         else:
             boundary[m] = C.d(m)
-    meta = dict(C.meta)
-    meta["cover"] = n
-    return GradedChainComplex(basis, boundary, meta)
+    return GradedChainComplex(basis, boundary)
 
 
 def postnikov_truncate(C: GradedChainComplex, n: int) -> GradedChainComplex:
@@ -595,6 +607,4 @@ def postnikov_truncate(C: GradedChainComplex, n: int) -> GradedChainComplex:
         basis[n] = ["Q%d_%d" % (n, j) for j in piv_cols]
         cols = C.d(n).columns()
         boundary[n] = SparseMat.from_columns(C.dim(n - 1), [cols[j] for j in piv_cols])
-    meta = dict(C.meta)
-    meta["postnikov"] = n
-    return GradedChainComplex(basis, boundary, meta).validate()
+    return GradedChainComplex(basis, boundary).validate()

@@ -187,7 +187,7 @@ class Workspace:
         try:
             L = build_dgl(tuple(gens), d_values, trunc, mc_gens=mc_gens,
                           name=node.name)
-        except Exception as exc:
+        except ValueError as exc:
             self._diag(node.pos, "model %s is ill-formed: %s" % (node.name, exc))
             return
         filtrations = {}
@@ -213,7 +213,7 @@ class Workspace:
                     mc_elements[d.name] = MCElement(L, val)
                 except ElaborationError:
                     continue
-                except Exception as exc:
+                except ValueError as exc:
                     self._diag(d.pos, "mc %s: %s" % (d.name, exc))
         self.models[node.name] = ElaboratedModel(node, L, filtrations, mc_elements)
 
@@ -238,7 +238,7 @@ class Workspace:
         try:
             phi = DGLMorphism(src.presentation, tgt.presentation, images,
                               name=node.name).validate()
-        except Exception as exc:
+        except ValueError as exc:
             self._diag(node.pos, "morphism %s: %s" % (node.name, exc))
             return
         self.morphisms[node.name] = phi

@@ -287,7 +287,7 @@ def cmd_h0(task: Task) -> Report:
         "dimension": G.dimension,
         "abelian": G.abelian,
         "nilpotency_class": G.nilpotency_class,
-        "malcev_stage": G.truncation_level,
+        "malcev_stage": _cap_of(L),
     }
     consts = {}
     for (i, j), vec in sorted(G.structure.items()):
@@ -298,7 +298,7 @@ def cmd_h0(task: Task) -> Report:
         "h%d" % i: pretty_element(L, r) for i, r in enumerate(G.reps)}
     if task.check_stability:
         report.notes.append("structure constants are the stage-%d Malcev "
-                            "approximation" % G.truncation_level)
+                            "approximation" % _cap_of(L))
     return _stability(task, report, L, group_at, lambda g: (g.dimension, g.abelian), G)
 
 
@@ -379,7 +379,7 @@ def _classifying(task: Task, mode) -> Report:
                                     for n, d in sorted(rep.pi_base.items())}
         report.tables["group"] = {
             "dimension": rep.h0_quotient.dimension,
-            "ad_image_rank": rep.h0_quotient.ad_image_rank,
+            "ad_image_rank": rep.ad_image_rank,
             "abelian": rep.h0_quotient.abelian,
         }
     else:
@@ -420,7 +420,7 @@ def cmd_witness(task: Task) -> Report:
     report = Report(command=task.echo())
     report.caps.update(verdict.caps)
     report.tables["witness"] = {"accepted": verdict.ok,
-                                "cap_stable": bool(verdict.stable)}
+                                "cap_stable": verdict.stable}
     if verdict.certificate:
         report.tables["certificate"] = {k: str(v)
                                         for k, v in verdict.certificate.items()}

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from cdgl.coalgebra import ConvolutionDGL, chains_functor, lie_functor
 from cdgl.cylinder import Cylinder, Witness, check_homotopy
-from cdgl.derivations import (DerComplex, GSpec, classifying_invariants,
-                              gamma_check, hom_der_bracket, twisted_der_sl,
+from cdgl.derivations import (DerComplex, GSpec, bch_der,
+                              classifying_invariants, gamma_check,
+                              hom_der_bracket, twisted_der_sl,
                               twisted_hom_der, derivation_differential,
                               derivation_bracket, ad_derivation)
 from cdgl.dgl import (DGLMorphism, GeneratorFiltration, MCElement, bch,
@@ -222,9 +223,9 @@ def test_criterion_09_wedge_stabilizer():
     spec = GSpec("stabilizer", L, filtration=filt)
     rep = classifying_invariants(L, spec, "FREE", range(1, 6))
     G = rep.h0_quotient
-    ok = (G.dimension == 1 and G.ad_image_rank == 0 and G.abelian)
+    ok = (G.dimension == 1 and rep.ad_image_rank == 0 and G.abelian)
     a = G.reps[0]
-    lhs = G.class_of(G.bch_der(a.scale(Fraction(3, 7)), a.scale(Fraction(4, 7))))
+    lhs = G.class_of(bch_der(a.scale(Fraction(3, 7)), a.scale(Fraction(4, 7))))
     ok = ok and lhs == G.class_of(a)
     announce(9, ok, "wedge S^3 v S^3 stabilizer: H_0(Der^K) has dimension 1, "
                     "Im H_0(ad) = 0, quotient is (Q, +)")

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cdgl.coalgebra import (CDGC, ConvolutionDGL, adjunction_alpha,
                             adjunction_beta, chains_functor, lie_functor,
                             wedge_normalize)
@@ -124,6 +126,18 @@ def test_lie_functor_handmade_primitive_pair():
     got = L.d_on_gens[g_cp]
     assert got == want or got == want.scale(-1)
     assert not got.is_zero()
+
+
+def test_lie_functor_engine_errors_propagate(monkeypatch):
+    # an ill-formed coalgebra is a CoalgebraError; an engine bug is not
+    import cdgl.coalgebra as coalgebra
+
+    def broken(*args, **kwargs):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr(coalgebra, "build_dgl", broken)
+    with pytest.raises(TypeError, match="engine bug"):
+        lie_functor(chains_functor(sphere_model(3, T(3)), word_cap=2), T(3))
 
 
 # -- adjunctions --------------------------------------------------------------

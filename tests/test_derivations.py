@@ -7,15 +7,16 @@ import cdgl.derivations as derivations
 from cdgl.coalgebra import ConvolutionDGL, chains_functor
 from cdgl.derivations import (DerComplex, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
-                              ad_derivation, classifying_invariants,
+                              ad_derivation, bch_der, classifying_invariants,
                               der_g_zero, derivation_bracket,
                               derivation_differential, gamma_check,
                               hom_der_bracket, mapping_space_pi, r0_basis,
                               twisted_der_sl, twisted_hom_der,
                               twisted_l_der, unit_derivations)
-from cdgl.dgl import DGLMorphism, DivergenceError, GeneratorFiltration
+from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
+                      h0_group)
 from cdgl.exactlin import homology_at, les_of_ses, connected_cover
-from cdgl.freelie import Truncation, bracket, left_normed
+from cdgl.freelie import LieMembershipError, Truncation, bracket, left_normed
 from cdgl.models import circle_model, sphere_model, wedge_model
 
 
@@ -386,11 +387,11 @@ def test_classifying_wedge_stabilizer():
                                  "FREE", range(1, 6))
     G = rep.h0_quotient
     assert G.dimension == 1
-    assert G.ad_image_rank == 0
+    assert rep.ad_image_rank == 0
     assert G.abelian
     # exact Q-powers: mu a * nu a = (mu+nu) a on the single class
     a = G.reps[0]
-    prod = G.bch_der(a.scale(Fraction(2, 3)), a.scale(Fraction(1, 3)))
+    prod = bch_der(a.scale(Fraction(2, 3)), a.scale(Fraction(1, 3)))
     assert G.class_of(prod) == G.class_of(a)
 
 
@@ -433,6 +434,87 @@ def test_nilpotency_layers_are_kept_as_spans(monkeypatch):
     rep = classifying_invariants(L, GSpec("identity", L), "POINTED", range(1, 6))
     assert rep.nilpotency == 5
     assert len(calls) <= 500
+
+
+def test_nilpotency_descent_is_checked(monkeypatch):
+    # a broken bracket ([a, b] = a) makes every layer as large as the first;
+    # the routine must fail loudly instead of returning a capped index
+    monkeypatch.setattr(derivations, "derivation_bracket", lambda a, b: a)
+    L = wedge_model((2, 2), T(4))
+    with pytest.raises(LieMembershipError, match="internal error"):
+        classifying_invariants(L, GSpec("identity", L), "POINTED", range(1, 6))
+
+
+@pytest.mark.parametrize("cap, dim, nilpotency", [(2, 2, 1), (3, 3, 2), (4, 5, 3)])
+def test_der_h0_group_of_wedge_of_circles(cap, dim, nilpotency):
+    # H_0(Der^Pi) is a BCH group with its own lower central series; its
+    # dimension is that of H_0(L) one cap lower, and in FREE mode it is
+    # all of Im H_0(ad)
+    L = wedge_model((1, 1), T(cap))
+    spec = GSpec("identity", L)
+    G = classifying_invariants(L, spec, "POINTED", range(1, 3)).h0_quotient
+    assert G.dimension == dim == h0_group(wedge_model((1, 1), T(cap - 1))).dimension
+    assert G.nilpotency_class == nilpotency
+    assert G.abelian == (cap == 2)
+    free = classifying_invariants(L, spec, "FREE", range(1, 3))
+    assert free.h0_quotient.dimension == 0
+    assert free.ad_image_rank == dim
+
+
+def _complex_and_differential(kind, L):
+    """(complex, degrees, basis(n), d(e), element(n, coordinates)) of one of
+    the complexes made by exactlin.build_complex."""
+    if kind == "L":
+        return (L.complex(range(0, 5)), range(0, 5), L.basis, L.d,
+                lambda n, z: L.from_coords(z, n))
+    if kind == "Der":
+        dc = DerComplex(L, L, None, range(-1, 4))
+        return (dc.complex(), range(-1, 4), lambda n: dc.space(n).elements,
+                derivation_differential, dc.element)
+    if kind == "sL":
+        return (derivations._shifted_l_complex(L, range(1, 6)), range(1, 6),
+                lambda n: L.basis(n - 1), lambda e: L.d(e).scale(-1),
+                lambda n, z: L.from_coords(z, n - 1))
+    H = ConvolutionDGL(chains_functor(L, word_cap=2), L)
+    reduced = kind == "Hom-reduced"
+    q = H.universal_mc() if kind == "Hom-perturbed" else None
+
+    def basis(n):
+        return [f for f in H.basis(n)
+                if not (reduced and H.C.counit in f.values)]
+
+    def d(f):
+        return H.differential(f) if q is None else (H.differential(f)
+                                                    + H.bracket(q, f))
+
+    def element(n, z):
+        out = H.zero(n)
+        for k, c in z.entries.items():
+            out = out + basis(n)[k].scale(c)
+        return out
+
+    return (H.complex(range(-1, 4), perturb_by=q, reduced=reduced),
+            range(-1, 4), basis, d, element)
+
+
+@pytest.mark.parametrize("kind", ["L", "Der", "sL", "Hom", "Hom-reduced",
+                                  "Hom-perturbed"])
+@pytest.mark.parametrize("model", ["sphere2", "wedge22", "S1"])
+def test_boundary_columns_rebuild_the_differential(kind, model):
+    # every boundary entry, not only dd = 0 or homology dimensions: the
+    # element with the coordinates of column e is d e (the sphere and wedge
+    # models have d = 0, so only the circle model gives nonzero columns in
+    # L, Der and sL)
+    L = {"sphere2": sphere_model(2, T(3)), "wedge22": wedge_model((2, 2), T(3)),
+         "S1": circle_model(T(3))}[model]
+    cx, degrees, basis, d, element = _complex_and_differential(kind, L)
+    nonzero = 0
+    for n in degrees:
+        assert cx.dim(n) == len(basis(n))
+        for e, col in zip(basis(n), cx.d(n).columns()):
+            assert element(n - 1, col) == d(e)
+            nonzero += not col.is_zero()
+    assert nonzero or (model != "S1" and not kind.startswith("Hom"))
 
 
 def test_postnikov_stage_in_report():

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from cdgl.freelie import Truncation
 from cdgl.models import builtin_model, circle_model
 from cdgl.workbench import parse_document, run_task, workspace_from_text
@@ -52,6 +54,33 @@ def test_error_corpus_produces_positioned_diagnostics():
         errs = [d for d in ws.diags if d.severity == "error"]
         assert errs, "expected diagnostics for %s" % name
         assert all(d.line >= 1 and d.col >= 1 for d in errs)
+
+
+def test_error_corpus_diagnostic_counts():
+    counts = []
+    for i in range(1, 11):
+        ws, _ = workspace_from_text(read("errors/e%02d.cdgl" % i))
+        counts.append(len(ws.diags))
+    assert counts == [1, 1, 2, 1, 1, 1, 1, 2, 3, 1]
+
+
+@pytest.mark.parametrize("name, source", [
+    ("build_dgl", "s1.cdgl"),
+    ("DGLMorphism", "wedge_spheres.cdgl"),
+    ("MCElement", None),
+])
+def test_engine_errors_in_elaboration_propagate(monkeypatch, name, source):
+    # a model that fails a check becomes a diagnostic (ValueError), but an
+    # engine bug such as a TypeError must not
+    import cdgl.workbench.elaborate as elaborate
+
+    def broken(*args, **kwargs):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr(elaborate, name, broken)
+    text = read(source) if source else "model M {\n  gen b : -1\n  mc a = 0 * b\n}"
+    with pytest.raises(TypeError, match="engine bug"):
+        workspace_from_text(text)
 
 
 def test_parser_never_crashes_on_corpus():
