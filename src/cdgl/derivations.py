@@ -746,8 +746,7 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     for v in ads:
         adspan.add(v)
     quotient = H0Group(dercx.complex(), lambda z: dercx.element(0, z),
-                       dercx.space(0).coords, bch_der, derivation_bracket,
-                       extra=ads)
+                       dercx.space(0).coords, derivation_bracket, extra=ads)
 
     if mode == "FREE":
         tw = twisted_der_sl(dercx, L, window)
@@ -791,7 +790,7 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
 
 def bch_der(a: Derivation, b: Derivation) -> Derivation:
     """log(exp a . exp b) for degree-0 derivations of one L, via operator
-    composition on the truncated L."""
+    composition on the truncated L (the reference for H0Group's law)."""
     L = a.source
     ea = exp_derivation_values(L, a.values, check_cycle=False)
     eb = exp_derivation_values(L, b.values, check_cycle=False)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactlin
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
-                       SparseMat, SparseVec, build_complex, solve_linear)
+                       InternalError, SparseMat, SparseVec, build_complex,
+                       solve_linear)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _mul_terms, bracket,
                       exp_terms, is_lie, lie_basis, log_terms, word_degree)
@@ -48,44 +50,82 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
     left/right of the derivation slot; both default to the identity, giving
     an ordinary derivation.  With phi = phi2 = f this is an f-derivation:
     theta(ab) = theta(a) f(b) + (-1)^{|theta||a|} f(a) theta(b).
+
+    Each word's products of phi images of its prefixes and of phi2 images of
+    its suffixes are built once, as lists of terms; identity images are
+    one-letter words, so those products are concatenations.  A term is kept
+    when every partial product, taken from the left one factor at a time,
+    is admitted by the truncation, as _mul_terms tests it.  Under a degree
+    cap with generators of negative degree that is stricter than admitting
+    the final word, so each suffix term carries the highest degree of its
+    partial products.
     """
     trunc = e.trunc
-    out = LieElement.zero(trunc)
+    cap, max_deg, admits = trunc.max_bracket_length, trunc.max_degree, trunc.admits
+
+    def image(images, g):
+        return (((g,), 1),) if images is None else images[g].terms.items()
+
+    out = {}
     for w, c in e.terms.items():
-        n = len(w)
-        for i in range(n):
-            val = values.get(w[i])
-            if val is None or val.is_zero():
-                continue
-            prefix_deg = word_degree(w[:i])
-            sign = Fraction(-1) if (op_degree * prefix_deg) % 2 else Fraction(1)
-            # left part: phi images of w[:i]; right: phi2 images of w[i+1:]
-            terms = {(): c * sign}
-            ok = True
-            for j in range(i):
-                g = w[j]
-                img = {(g,): Fraction(1)} if phi is None else phi[g].terms
-                terms = _mul_terms(terms, img, trunc)
-                if not terms:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            terms = _mul_terms(terms, val.terms, trunc)
-            for j in range(i + 1, n):
-                if not terms:
-                    break
-                g = w[j]
-                img = {(g,): Fraction(1)} if phi2 is None else phi2[g].terms
-                terms = _mul_terms(terms, img, trunc)
-            for ww, cc in terms.items():
-                if not ww:
-                    continue
-                s = out.terms.get(ww, Fraction(0)) + cc
-                if s:
-                    out.terms[ww] = s
-                else:
-                    out.terms.pop(ww, None)
+        slots = [i for i, g in enumerate(w)
+                 if g in values and not values[g].is_zero()]
+        if not slots:
+            continue
+        # prefixes[i]: the terms of the product of the phi images of w[:i]
+        prefixes = [[((), 1)]]
+        for g in w[:slots[-1]]:
+            prefixes.append(_times(prefixes[-1], image(phi, g), admits))
+        # suffixes[i]: the terms (word, coefficient, highest degree of a
+        # partial product from its left end) of the phi2 images of w[i+1:],
+        # shorter than the cap so that a value word still fits
+        suffixes = {}
+        suffix = [((), 1, 0)]
+        for i in range(len(w) - 1, slots[0] - 1, -1):
+            suffixes[i] = suffix
+            if i > slots[0]:
+                suffix = [(gw + s, cg * cs,
+                           max(0, word_degree(gw) + top) if max_deg is not None else 0)
+                          for gw, cg in image(phi2, w[i]) for s, cs, top in suffix
+                          if len(gw) + len(s) < cap]
+        for i in slots:
+            if not prefixes[i]:
+                break
+            sc = -c if op_degree * word_degree(w[:i]) % 2 else c
+            for vw, cv in values[w[i]].terms.items():
+                scv = None
+                for p, cp in prefixes[i]:
+                    x = p + vw
+                    if not admits(x):
+                        continue
+                    dx = word_degree(x) if max_deg is not None else 0
+                    for s, cs, top in suffixes[i]:
+                        if len(x) + len(s) > cap or (max_deg is not None
+                                                     and dx + top > max_deg):
+                            continue
+                        if scv is None:
+                            scv = sc * cv
+                        # identity images keep unit coefficients as ints
+                        k = cp * cs
+                        ww = x + s
+                        t = out.get(ww, 0) + (scv if k == 1 else k * scv)
+                        if t:
+                            out[ww] = t
+                        else:
+                            out.pop(ww, None)
+    res = LieElement.zero(trunc)
+    res.terms = out
+    return res
+
+
+def _times(terms, factor, admits):
+    """The terms of a product, each word tested by admits."""
+    out = []
+    for p, cp in terms:
+        for fw, cf in factor:
+            w = p + fw
+            if admits(w):
+                out.append((w, cp * cf))
     return out
 
 
@@ -315,7 +355,7 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     prod = _mul_terms(exp_terms(x), exp_terms(y), x.trunc)
     out = log_terms(prod, x.trunc)
     if not is_lie(out):
-        raise LieMembershipError("BCH result fails Lie membership (internal error)")
+        raise InternalError("BCH result fails Lie membership (internal error)")
     return out
 
 
@@ -338,7 +378,7 @@ def exp_derivation_values(L: DGLPresentation, values, check_cycle=True) -> DGLMo
     for g in L.gens:
         total = L.gen(g)
         term = L.gen(g)
-        k = 0
+        k, fact = 0, 1
         while True:
             k += 1
             term = once(term)
@@ -346,9 +386,7 @@ def exp_derivation_values(L: DGLPresentation, values, check_cycle=True) -> DGLMo
                 break
             if k > max_iter:
                 raise DivergenceError("exp of non-filtration-increasing derivation")
-            fact = Fraction(1)
-            for i in range(2, k + 1):
-                fact *= i
+            fact *= k
             total = total + term.scale(Fraction(1, fact))
         images[g] = total
     phi = DGLMorphism(L, L, images, name="exp")
@@ -538,8 +576,8 @@ def nilpotency(generators, bracket, coords, modulo) -> int:
                 if not br.is_zero() and spans[k].add(coords(br)):
                     nxt.append((k, br))
         if len(nxt) >= len(layer):
-            raise LieMembershipError("lower central series does not descend "
-                                     "(internal error)")
+            raise InternalError("lower central series does not descend "
+                                "(internal error)")
         layer = nxt
     return nil
 
@@ -549,63 +587,129 @@ class H0Group:
 
     cx is the cdgl's chain complex, of which degrees -1 to 1 are read;
     element(z) is the degree-0 element with coordinates z in cx's degree-0
-    basis and coords its inverse; law is the group law (BCH) and bracket
-    the Lie bracket of degree-0 elements.  extra lists further degree-0
-    cycles, in coordinates, to divide out along with the boundaries.
+    basis, coords its inverse, and bracket the Lie bracket of degree-0
+    elements.  extra lists further degree-0 cycles, in coordinates, to
+    divide out along with the boundaries; with them they span an ideal.
+
+    The brackets [h_i, h_j] of the representatives are taken once, in class
+    coordinates, and the nilpotency class c and the group law are read off
+    that table.  The law is the two-letter BCH series in right-nested
+    (Dynkin-Specht-Wever) form cut at length c.  The cut is exact: the class
+    map is a Lie morphism on degree-0 cycles, and every bracket of more
+    than c classes is zero.  The structure constants are built on read.
     """
 
-    def __init__(self, cx: GradedChainComplex, element, coords, law, bracket,
+    def __init__(self, cx: GradedChainComplex, element, coords, bracket,
                  extra=()):
         cycles = exactlin.kernel_basis(cx.d(0)) if cx.dim(0) else []
         quotient = cx.d(1).columns() + list(extra)
         span = IncrementalSpan()
         for v in quotient:
             span.add(v)
-        self._picked = [z for z in cycles if span.add(z)]
-        self._element = element
+        picked = [z for z in cycles if span.add(z)]
         self._coords = coords
-        self._law = law
         # cycle elements representing the basis, and their coordinates
         # modulo the quotient
-        self.reps = [element(z) for z in self._picked]
-        self.classes = FactoredBasis(self._picked, cx.dim(0), modulo=quotient)
+        self.reps = [element(z) for z in picked]
+        self.classes = FactoredBasis(picked, cx.dim(0), modulo=quotient)
         n = len(self.reps)
-        self.structure = {(i, j): self.class_of(law(self.reps[i], self.reps[j]))
-                          for i in range(n) for j in range(n)}
+        # degree-0 brackets are antisymmetric, so half the table is taken
+        self._table = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                br = bracket(self.reps[i], self.reps[j])
+                if not br.is_zero():
+                    v = self.class_of(br).entries
+                    self._table[i][j] = v
+                    self._table[j][i] = {k: -c for k, c in v.items()}
         self.nilpotency_class = nilpotency(
-            [(0, r) for r in self.reps], bracket, self.class_of,
-            lambda k: IncrementalSpan() if k == 0 else None)
+            [(0, SparseVec.unit(i)) for i in range(n)], self.bracket,
+            lambda u: u, lambda k: IncrementalSpan() if k == 0 else None)
         self.abelian = self.nilpotency_class <= 1
 
     @property
     def dimension(self):
         return len(self.reps)
 
+    @cached_property
+    def structure(self):
+        """(i, j) -> the class of h_i * h_j."""
+        n = self.dimension
+        return {(i, j): self.mul(SparseVec.unit(i), SparseVec.unit(j))
+                for i in range(n) for j in range(n)}
+
+    @cached_property
+    def _series(self):
+        return bch_series(max(self.nilpotency_class, 1))
+
     def class_of(self, e) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
         return self.classes.coords(self._coords(e))
 
-    def element(self, u: SparseVec):
-        z = SparseVec()
-        for i, c in u.entries.items():
-            z = z + self._picked[i].scale(c)
-        return self._element(z)
+    def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
+        """The Lie bracket of two classes, read off the table."""
+        return SparseVec(self._bracket(u.entries, v.entries))
+
+    def _bracket(self, u, v):
+        out = {}
+        for i, a in u.items():
+            row = self._table[i]
+            for j, b in v.items():
+                ab = a * b
+                for k, t in row[j].items():
+                    out[k] = out.get(k, 0) + ab * t
+        return {k: c for k, c in out.items() if c}
 
     def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return self.class_of(self._law(self.element(u), self.element(v)))
+        """The BCH product of two classes: u + v plus the series' words of
+        length 2 to c, each right-nested bracket built from its suffix."""
+        total = dict((u + v).entries)
+        letters = (u.entries, v.entries)
+        series, c = self._series, self.nilpotency_class
+        frontier = [((0,), u.entries), ((1,), v.entries)] if c > 1 else []
+        while frontier:
+            nxt = []
+            for word, val in frontier:
+                for a in (0, 1):
+                    longer = (a,) + word
+                    br = self._bracket(letters[a], val)
+                    if not br:
+                        continue
+                    coef = series.get(longer)
+                    if coef:
+                        for k, t in br.items():
+                            total[k] = total.get(k, 0) + coef * t
+                    if len(longer) < c:
+                        nxt.append((longer, br))
+            frontier = nxt
+        return SparseVec(total)
 
     def power(self, u: SparseVec, lam) -> SparseVec:
         """Exact Q-power: lambda . [x] = [lambda x]."""
-        return self.class_of(self.element(u).scale(Fraction(lam)))
+        return u.scale(lam)
 
     def inverse(self, u: SparseVec) -> SparseVec:
-        return self.class_of(self.element(u).scale(-1))
+        return u.scale(-1)
+
+
+def bch_series(c):
+    """The two-letter BCH series log(e^X e^Y) up to length c, in right-nested
+    form: word w over the letters 0 = X, 1 = Y -> c_w / len(w), where c_w is
+    the coefficient of w in the tensor algebra, so that the length-n part is
+    (1/n) sum_w c_w [w1,[w2,[...,wn]]] (Dynkin-Specht-Wever)."""
+    trunc = Truncation(c)
+    X, Y = Generator("X", 0), Generator("Y", 0)
+    letter = {X: 0, Y: 1}
+    prod = _mul_terms(exp_terms(LieElement.gen(X, trunc)),
+                      exp_terms(LieElement.gen(Y, trunc)), trunc)
+    return {tuple(letter[g] for g in w): coef / len(w)
+            for w, coef in log_terms(prod, trunc).terms.items()}
 
 
 def h0_group(L: DGLPresentation) -> H0Group:
-    """H_0(L) with BCH structure constants at the truncation."""
+    """H_0(L) with its BCH group law at the truncation."""
     return H0Group(L.complex([0, 1]), lambda z: L.from_coords(z, 0),
-                   lambda e: L.coords(e, 0), bch, bracket)
+                   lambda e: L.coords(e, 0), bracket)
 
 
 def act_on_morphism(y: LieElement, phi: DGLMorphism) -> DGLMorphism:

@@ -39,6 +39,11 @@ class ResourceLimitError(RuntimeError):
     """A per-degree basis grew past the configured resource limit."""
 
 
+class InternalError(Exception):
+    """An engine invariant failed: a fault in the program, not in its input.
+    Kept apart from ValueError so that it never reads as a user diagnostic."""
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 

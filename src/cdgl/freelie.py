@@ -224,15 +224,13 @@ def exp_terms(x: LieElement):
     trunc = x.trunc
     out = {(): Fraction(1)}
     power = {(): Fraction(1)}
-    k = 0
+    k, fact = 0, 1
     while True:
         k += 1
         power = _mul_terms(power, x.terms, trunc)
         if not power:
             break
-        fact = Fraction(1)
-        for i in range(2, k + 1):
-            fact *= i
+        fact *= k
         for w, c in power.items():
             s = out.get(w, Fraction(0)) + c / fact
             if s:

@@ -15,7 +15,7 @@ from fractions import Fraction
 @dataclass
 class Report:
     command: str
-    status: str = "ok"                   # ok | diagnostics | resource-limit
+    status: str = "ok"        # ok | diagnostics | resource-limit | internal-error
     caps: dict = field(default_factory=dict)
     stability: str | None = None         # green | red | None
     tables: dict = field(default_factory=dict)
@@ -24,6 +24,8 @@ class Report:
     timing: float | None = None
 
     def exit_code(self):
+        if self.status == "internal-error":
+            return 3
         if self.status == "resource-limit":
             return 2
         if self.status == "diagnostics" or any(

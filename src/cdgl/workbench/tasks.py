@@ -2,7 +2,8 @@
 
 Homology-bearing tasks recompute their tables at cap + 1 and compare, which
 is what the stability flag certifies.  Resource-limit overruns downgrade
-the report instead of crashing.
+the report instead of crashing, and a failed engine invariant is reported
+as an internal error, apart from the diagnostics for a user's mistakes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ..derivations import (GSpec, classifying_invariants, gamma_check,
                            mapping_space_pi)
 from ..dgl import (DGLMorphism, MCElement, bch, gauge_act, gauge_equivalent,
                    h0_group, log_morphism, exp_derivation_values)
-from ..exactlin import ResourceLimitError, homology_at
+from ..exactlin import InternalError, ResourceLimitError, homology_at
 from ..freelie import set_resource_limit
 from .elaborate import (ElaborationError, eval_expr, load_model,
                         workspace_from_text)
@@ -142,6 +143,9 @@ def run_task(task: Task) -> Report:
     except (ElaborationError, KeyError, ValueError) as exc:
         report = Report(command=task.echo(), status="diagnostics",
                         diagnostics=[Diagnostic(0, 0, "error", str(exc))])
+    except InternalError as exc:
+        report = Report(command=task.echo(), status="internal-error",
+                        notes=[str(exc)])
     finally:
         set_resource_limit(None)
     report.timing = time.time() - t0

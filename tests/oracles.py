@@ -165,3 +165,40 @@ def w_is_lie(a, cap):
         if w_dynkin(comp, cap) != w_scale(comp, n):
             return False
     return True
+
+
+def w_mul_admitted(a, b, admits):
+    """Concatenation product keeping the nonempty words that admits accepts."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wa + wb
+            if w and not admits(w):
+                continue
+            out[w] = out.get(w, Fraction(0)) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def w_apply_operator(values, op_degree, a, admits, phi=None, phi2=None):
+    """Reference (twisted) derivation, one word position at a time: the phi
+    images of the letters before the position, the value at it and the phi2
+    images after it, multiplied from the left one factor at a time with each
+    partial product tested by admits.  values, phi and phi2 map a letter to
+    a word dict; phi = phi2 = None is the identity."""
+    out = {}
+    for w, c in a.items():
+        for i, letter in enumerate(w):
+            val = values.get(letter)
+            if not val:
+                continue
+            sign = -1 if op_degree * sum(d for _, d in w[:i]) % 2 else 1
+            terms = {(): c * sign}
+            for g in w[:i]:
+                img = {(g,): Fraction(1)} if phi is None else phi[g]
+                terms = w_mul_admitted(terms, img, admits)
+            terms = w_mul_admitted(terms, val, admits)
+            for g in w[i + 1:]:
+                img = {(g,): Fraction(1)} if phi2 is None else phi2[g]
+                terms = w_mul_admitted(terms, img, admits)
+            out = w_add(out, {ww: cc for ww, cc in terms.items() if ww})
+    return out

@@ -15,8 +15,8 @@ from cdgl.derivations import (DerComplex, Derivation, GSpec,
                               twisted_l_der, unit_derivations)
 from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
                       h0_group)
-from cdgl.exactlin import homology_at, les_of_ses, connected_cover
-from cdgl.freelie import LieMembershipError, Truncation, bracket, left_normed
+from cdgl.exactlin import InternalError, homology_at, les_of_ses, connected_cover
+from cdgl.freelie import Truncation, bracket, left_normed
 from cdgl.models import circle_model, sphere_model, wedge_model
 
 
@@ -441,7 +441,7 @@ def test_nilpotency_descent_is_checked(monkeypatch):
     # the routine must fail loudly instead of returning a capped index
     monkeypatch.setattr(derivations, "derivation_bracket", lambda a, b: a)
     L = wedge_model((2, 2), T(4))
-    with pytest.raises(LieMembershipError, match="internal error"):
+    with pytest.raises(InternalError, match="internal error"):
         classifying_invariants(L, GSpec("identity", L), "POINTED", range(1, 6))
 
 
@@ -459,6 +459,23 @@ def test_der_h0_group_of_wedge_of_circles(cap, dim, nilpotency):
     free = classifying_invariants(L, spec, "FREE", range(1, 3))
     assert free.h0_quotient.dimension == 0
     assert free.ad_image_rank == dim
+
+
+@pytest.mark.parametrize("case", ["criterion9", "wedge11-cap4-POINTED"])
+def test_der_h0_table_law_matches_bch_der(case):
+    # the Der group's law, read off its bracket table, against the operator
+    # exp/log product bch_der on every pair of representatives
+    if case == "criterion9":
+        L = wedge_model((3, 3), T(3))
+        filt = GeneratorFiltration.from_chain([set(L.gens), {L.generator("y")}])
+        spec, mode = GSpec("stabilizer", L, filtration=filt), "FREE"
+    else:
+        L = wedge_model((1, 1), T(4))
+        spec, mode = GSpec("identity", L), "POINTED"
+    G = classifying_invariants(L, spec, mode, range(1, 3)).h0_quotient
+    assert G.dimension == (1 if case == "criterion9" else 5)
+    for (i, j), prod in G.structure.items():
+        assert prod == G.class_of(bch_der(G.reps[i], G.reps[j]))
 
 
 def _complex_and_differential(kind, L):

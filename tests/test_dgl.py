@@ -2,20 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cdgl.dgl import (DGLMorphism, DivergenceError,
                       IllFormedDifferentialError, MCElement,
-                      act_on_morphism, bch, build_dgl, check_mc,
+                      act_on_morphism, apply_operator, bch, build_dgl, check_mc,
                       component_complex, exp_ad, exp_derivation_values,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
                       perturbed)
-from cdgl.exactlin import NotInSpanError, homology_at
-from cdgl.freelie import (Generator, LieElement, LieMembershipError, Truncation,
-                          bracket, left_normed)
+from cdgl.exactlin import InternalError, NotInSpanError, homology_at
+from cdgl.freelie import Generator, LieElement, Truncation, bracket, left_normed
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
 
-from oracles import dense_solve, w_bch
+from oracles import dense_solve, w_apply_operator, w_bch
 
 
 def T(n):
@@ -445,6 +445,24 @@ def test_h0_class_of_matches_dense_oracle(model, cap):
         assert got.entries == {k: c for k, c in coeffs.items() if c}
 
 
+@pytest.mark.parametrize("model", ["wedge", "boundary"])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_h0_table_law_matches_tensor_bch(model, cap):
+    # the law read off the bracket table, cut at the nilpotency class, gives
+    # the class of the tensor-algebra BCH product of the representatives
+    L = wedge_model((1, 1), T(cap)) if model == "wedge" else _boundary_model(cap)
+    G = h0_group(L)
+    n = G.dimension
+    assert sorted(G.structure) == [(i, j) for i in range(n) for j in range(n)]
+    for (i, j), prod in G.structure.items():
+        assert prod == G.class_of(bch(G.reps[i], G.reps[j]))
+    # every degree-0 element of these models is a cycle
+    rng = random.Random(cap)
+    for _ in range(3):
+        a, b = rand_deg0(rng, L, 3), rand_deg0(rng, L, 3)
+        assert G.mul(G.class_of(a), G.class_of(b)) == G.class_of(bch(a, b))
+
+
 def test_h0_class_of_outside_span_raises():
     # x is not a cycle of the unperturbed circle model, whose H0 is 0
     L = circle_model(T(4))
@@ -458,7 +476,7 @@ def test_h0_non_descending_series_is_internal_error(monkeypatch):
     # fail loudly instead of returning a class
     import cdgl.dgl
     monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: a)
-    with pytest.raises(LieMembershipError, match="internal error"):
+    with pytest.raises(InternalError, match="internal error"):
         h0_group(wedge_model((1, 1), T(2)))
 
 
@@ -540,3 +558,50 @@ def test_action_compatible_with_bch():
         lhs = act_on_morphism(bch(y, z), phi)
         rhs = act_on_morphism(y, act_on_morphism(z, phi))
         assert lhs == rhs
+
+
+# -- apply_operator against the per-position reference ------------------------------
+
+_GENS = (Generator("a", 0), Generator("b", 1), Generator("c", -1), Generator("e", 2))
+_word = st.lists(st.sampled_from(_GENS), min_size=1, max_size=4).map(tuple)
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+_terms = st.dictionaries(_word, _coeff, max_size=3)
+_images = st.one_of(st.none(), st.fixed_dictionaries({g: _terms for g in _GENS}))
+
+
+def _names(terms):
+    return {tuple((g.name, g.degree) for g in w): c for w, c in terms.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.sampled_from((None, 0, 1, 2)), st.integers(-1, 2),
+       _terms, st.dictionaries(st.sampled_from(_GENS), _terms, min_size=1),
+       _images, _images)
+# under degree cap 1 the words e.c and a.e.c are admitted, but their partial
+# products e and a.e are not: the terms at c and at a are dropped
+@example(3, 1, 0, {(_GENS[3], _GENS[2]): Fraction(1)},
+         {_GENS[2]: {(_GENS[2],): Fraction(1)}}, None, None)
+@example(3, 1, 0, {(_GENS[0], _GENS[3], _GENS[2]): Fraction(1)},
+         {_GENS[0]: {(_GENS[0],): Fraction(1)}}, None, None)
+def test_apply_operator_agrees_with_per_position_oracle(cap, max_degree, op_degree,
+                                                        terms, values, phi, phi2):
+    trunc = Truncation(cap, max_degree)
+
+    def admits(w):
+        return len(w) <= cap and (max_degree is None or sum(d for _, d in w) <= max_degree)
+
+    def elements(images):
+        return None if images is None else {
+            g: LieElement(t, trunc) for g, t in images.items()}
+
+    e = LieElement(terms, trunc)
+    vals, left, right = elements(values), elements(phi), elements(phi2)
+    got = apply_operator(vals, op_degree, e, phi=left, phi2=right)
+
+    def word_images(images):
+        return None if images is None else {
+            (g.name, g.degree): _names(v.terms) for g, v in images.items()}
+
+    want = w_apply_operator(word_images(vals), op_degree, _names(e.terms), admits,
+                            phi=word_images(left), phi2=word_images(right))
+    assert _names(got.terms) == want

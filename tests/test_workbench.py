@@ -291,6 +291,21 @@ def readme_cli_examples():
                   for line in block.splitlines() if line.startswith("cdgl ")]
 
 
+def test_internal_error_is_not_a_diagnostic(monkeypatch, capsys):
+    # a broken bracket ([a, b] = a) trips the lower-central-series check; the
+    # run reports an internal error with exit code 3, not a user diagnostic
+    import cdgl.dgl
+    from cdgl.workbench.cli import main
+    monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: a)
+    code = main(["h0", "--model", "wedge(1,1)", "--truncate", "2",
+                 "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "status = internal-error" in out
+    assert "lower central series does not descend (internal error)" in out
+    assert "diagnostic" not in out
+
+
 def test_readme_cli_examples_run(monkeypatch, capsys):
     from cdgl.workbench.cli import main
     root, examples = readme_cli_examples()
