@@ -66,10 +66,11 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
     def image(images, g):
         return (((g,), 1),) if images is None else images[g].terms.items()
 
+    # the generators with a nonzero value; with none the operator is zero
+    active = {g for g, v in values.items() if not v.is_zero()}
     out = {}
-    for w, c in e.terms.items():
-        slots = [i for i, g in enumerate(w)
-                 if g in values and not values[g].is_zero()]
+    for w, c in e.terms.items() if active else ():
+        slots = [i for i, g in enumerate(w) if g in active]
         if not slots:
             continue
         # prefixes[i]: the terms of the product of the phi images of w[:i]
