@@ -590,7 +590,7 @@ class H0Group:
     element(z) is the degree-0 element with coordinates z in cx's degree-0
     basis, coords its inverse, and bracket the Lie bracket of degree-0
     elements.  extra lists further degree-0 cycles, in coordinates, to
-    divide out along with the boundaries; with them they span an ideal.
+    divide out along with the boundaries; together they must span an ideal.
 
     The brackets [h_i, h_j] of the representatives are taken once, in class
     coordinates, and the nilpotency class c and the group law are read off
