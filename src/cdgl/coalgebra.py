@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
 from .exactlin import GradedChainComplex, SparseMat, SparseVec, build_complex
-from .freelie import (Generator, LieElement, Truncation, bracket,
+from .freelie import (Generator, LieElement, LieTable, Truncation, bracket,
                       check_resource_limit)
 
 
@@ -490,47 +490,24 @@ def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
     return beta.validate()
 
 
-class HomElement:
+class HomElement(LieTable):
     """Element of the convolution dgl: a value table on the coalgebra basis."""
 
-    __slots__ = ("owner", "degree", "values")
+    __slots__ = ("owner", "degree")
 
     def __init__(self, owner, degree, values):
+        LieTable.__init__(self, values.items())
         self.owner = owner
         self.degree = degree
-        self.values = {}
-        for i, v in values.items():
-            if v is not None and not v.is_zero():
-                self.values[i] = v
 
-    def value(self, i) -> LieElement:
-        v = self.values.get(i)
-        return v if v is not None else self.owner.L.zero()
+    def _zero(self):
+        return self.owner.L.zero()
 
-    def is_zero(self):
-        return not self.values
-
-    def __add__(self, other):
-        out = dict(self.values)
-        for i, v in other.values.items():
-            s = out.get(i)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return HomElement(self.owner, self.degree, out)
-
-    def scale(self, c):
-        return HomElement(self.owner, self.degree,
-                          {i: v.scale(c) for i, v in self.values.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    def _like(self, values):
+        return HomElement(self.owner, self.degree, values)
 
     def __eq__(self, other):
-        return (isinstance(other, HomElement) and self.degree == other.degree
-                and self.values == other.values)
+        return LieTable.__eq__(self, other) and self.degree == other.degree
 
     def __repr__(self):
         bits = ["%s -> %r" % (self.owner.C.labels[i], v)
@@ -574,9 +551,7 @@ class ConvolutionDGL:
                 v = f.values.get(j)
                 if v is not None:
                     acc = acc + v.scale(c)
-            total = total - acc.scale(sgn)
-            if not total.is_zero():
-                out[i] = total
+            out[i] = total - acc.scale(sgn)
         return HomElement(self, f.degree - 1, out)
 
     def bracket(self, f: HomElement, g: HomElement) -> HomElement:

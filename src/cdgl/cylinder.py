@@ -12,48 +12,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dgl import DGLMorphism, DGLPresentation, DivergenceError
-from .freelie import LieElement, word_degree
+from .dgl import DGLMorphism, DGLPresentation, nilpotent_series
+from .freelie import LieElement, LieTable, _exp_coefficient, word_degree
 
 
 class CapExceededError(ValueError):
     """A form's polynomial degree ran past the declared cap."""
 
 
-class PolyForm:
+class PolyForm(LieTable):
     """Element of L (x) (polynomials in t, dt): monomial -> LieElement.
 
     Monomial keys are (k, has_dt); |t| = 0 and |dt| = -1, so a term
     t^k dt (x) x has degree |x| - 1.
     """
 
-    __slots__ = ("owner", "terms", "poly_cap")
+    __slots__ = ("owner", "poly_cap")
 
     def __init__(self, owner: DGLPresentation, terms, poly_cap: int):
+        LieTable.__init__(self, terms.items())
         self.owner = owner
         self.poly_cap = poly_cap
-        self.terms = {}
-        overflow = False
-        for m, v in terms.items():
-            if v is None or v.is_zero():
-                continue
-            if m[0] > poly_cap:
-                overflow = True
-                continue
-            self.terms[m] = v
-        if overflow:
+        if any(k > poly_cap for k, _ in self.values):
             raise CapExceededError("polynomial degree exceeds cap %d" % poly_cap)
 
-    def is_zero(self):
-        return not self.terms
+    def _zero(self):
+        return self.owner.zero()
 
-    def value(self, m) -> LieElement:
-        v = self.terms.get(m)
-        return v if v is not None else self.owner.zero()
+    def _like(self, values):
+        return PolyForm(self.owner, values, self.poly_cap)
 
     def degree(self):
         degs = set()
-        for (k, has_dt), v in self.terms.items():
+        for (k, has_dt), v in self.values.items():
             degs.add(v.degree() - (1 if has_dt else 0))
         if not degs:
             return None
@@ -61,30 +52,9 @@ class PolyForm:
             raise ValueError("inhomogeneous form")
         return degs.pop()
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            s = out.get(m)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return PolyForm(self.owner, out, self.poly_cap)
-
-    def scale(self, c):
-        return PolyForm(self.owner, {m: v.scale(c) for m, v in self.terms.items()},
-                        self.poly_cap)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyForm) and self.terms == other.terms
-
     def __repr__(self):
         bits = []
-        for (k, has_dt), v in sorted(self.terms.items()):
+        for (k, has_dt), v in sorted(self.values.items()):
             mono = ("t^%d" % k if k else "1") + ("dt" if has_dt else "")
             bits.append("%s(x)%r" % (mono, v))
         return " + ".join(bits) if bits else "0"
@@ -108,26 +78,16 @@ class Cylinder:
 
     def d(self, F: PolyForm) -> PolyForm:
         """d(a (x) x) = da (x) x + (-1)^{|a|} a (x) dx."""
-        out = {}
+        def pieces():
+            for (k, has_dt), v in F.values.items():
+                if has_dt:
+                    yield (k, True), self.L.d(v).scale(-1)
+                else:
+                    if k >= 1:
+                        yield (k - 1, True), v.scale(k)
+                    yield (k, False), self.L.d(v)
 
-        def acc(m, v):
-            if v.is_zero():
-                return
-            s = out.get(m)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-
-        for (k, has_dt), v in F.terms.items():
-            if not has_dt:
-                if k >= 1:
-                    acc((k - 1, True), v.scale(k))
-                acc((k, False), self.L.d(v))
-            else:
-                acc((k, True), self.L.d(v).scale(-1))
-        return PolyForm(self.L, out, self.poly_cap)
+        return self.zero()._plus(pieces())
 
     def bracket(self, F: PolyForm, G: PolyForm) -> PolyForm:
         """[a (x) x, a' (x) x'] = (-1)^{|a'||x|} a a' (x) [x, x'].
@@ -136,30 +96,24 @@ class Cylinder:
         raises when the cap overflows, keeping verdicts sound.
         """
         from .freelie import bracket as lie_bracket
-        out = {}
-        for (k, d1), v in F.terms.items():
-            for (j, d2), w in G.terms.items():
-                if d1 and d2:
-                    continue
-                if d2:
-                    # Koszul sign per homogeneous word of the left value
-                    val = self.L.zero()
-                    for vw, vc in v.terms.items():
-                        sgn = Fraction(-1) if word_degree(vw) % 2 else Fraction(1)
-                        piece = LieElement({vw: vc * sgn}, self.L.trunc)
-                        val = val + lie_bracket(piece, w)
-                else:
-                    val = lie_bracket(v, w)
-                if val.is_zero():
-                    continue
-                m = (k + j, d1 or d2)
-                s = out.get(m)
-                s = val if s is None else s + val
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return PolyForm(self.L, out, self.poly_cap)
+
+        def pieces():
+            for (k, d1), v in F.values.items():
+                for (j, d2), w in G.values.items():
+                    if d1 and d2:
+                        continue
+                    if d2:
+                        # Koszul sign per homogeneous word of the left value
+                        val = self.L.zero()
+                        for vw, vc in v.terms.items():
+                            sgn = Fraction(-1) if word_degree(vw) % 2 else Fraction(1)
+                            piece = LieElement({vw: vc * sgn}, self.L.trunc)
+                            val = val + lie_bracket(piece, w)
+                    else:
+                        val = lie_bracket(v, w)
+                    yield (k + j, d1 or d2), val
+
+        return self.zero()._plus(pieces())
 
     def apply_witness(self, images, e: LieElement) -> PolyForm:
         """Extend generator images (PolyForms) multiplicatively over the
@@ -172,7 +126,7 @@ class Cylinder:
                 img = images[g]
                 nxt = {}
                 for (k, d1), u in cur.items():
-                    for (j, d2), v in img.terms.items():
+                    for (j, d2), v in img.values.items():
                         if d1 and d2:
                             continue
                         # Koszul: (a (x) u)(a' (x) v) = (-1)^{|a'||u|} aa' (x) uv
@@ -208,26 +162,16 @@ class Cylinder:
 
     def exp_ad(self, E: PolyForm, F: PolyForm) -> PolyForm:
         """e^{ad_E}(F) for a degree-0 form E; terminates at the caps."""
-        max_iter = (self.L.trunc.max_bracket_length + 1) * (self.poly_cap + 2)
-        total = F
-        term = F
-        k = 0
-        fact = Fraction(1)
-        while True:
-            k += 1
-            term = self.bracket(E, term)
-            if term.is_zero():
-                break
-            if k > max_iter:
-                raise DivergenceError("exp_ad series did not terminate at caps")
-            fact *= k
-            total = total + term.scale(Fraction(1, fact))
-        return total
+        return nilpotent_series(
+            lambda term: self.bracket(E, term), F,
+            _exp_coefficient,
+            (self.L.trunc.max_bracket_length + 1) * (self.poly_cap + 2),
+            "exp_ad series did not terminate at caps")
 
     def eval_endpoint(self, F: PolyForm, i: int) -> LieElement:
         """Substitute t = i, dt = 0."""
         out = self.L.zero()
-        for (k, has_dt), v in F.terms.items():
+        for (k, has_dt), v in F.values.items():
             if has_dt:
                 continue
             c = Fraction(i) ** k if k else Fraction(1)
@@ -290,7 +234,7 @@ def check_homotopy(witness: Witness, phi: DGLMorphism,
     # cap, so raising the cap cannot change the verdict
     top = 0
     for f in witness.forms.values():
-        for (k, _), _v in f.terms.items():
+        for (k, _), _v in f.values.items():
             top = max(top, k)
     return HomotopyVerdict(ok=not cert, certificate=cert,
                            caps={"poly_cap": witness.poly_cap,

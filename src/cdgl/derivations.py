@@ -26,7 +26,7 @@ from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
                        IncrementalSpan, SparseMat, SparseVec, build_complex,
                        homology_at, les_of_ses)
-from .freelie import LieElement, bracket
+from .freelie import LieElement, LieTable, bracket
 
 
 class InvalidSubgroupError(ValueError):
@@ -37,54 +37,33 @@ class NotConnectedError(ValueError):
     """A pipeline requires a connected (minimal) presentation."""
 
 
-class Derivation:
+class Derivation(LieTable):
     """(f-)derivation given by its values on source generators."""
 
-    __slots__ = ("source", "target", "degree", "values", "base", "label")
+    __slots__ = ("source", "target", "degree", "base", "label")
 
     def __init__(self, source: DGLPresentation, target: DGLPresentation,
                  degree: int, values, base: DGLMorphism | None = None,
                  label=None):
+        LieTable.__init__(self, zip(source.gens, map(values.get, source.gens)))
         self.source = source
         self.target = target
         self.degree = degree
         self.base = base
         self.label = label
-        self.values = {}
-        for g in source.gens:
-            v = values.get(g)
-            if v is not None and not v.is_zero():
-                self.values[g] = v
 
-    def value(self, g) -> LieElement:
-        v = self.values.get(g)
-        return v if v is not None else self.target.zero()
+    def _zero(self):
+        return self.target.zero()
+
+    def _like(self, values):
+        return Derivation(self.source, self.target, self.degree, values, self.base)
 
     def apply(self, e: LieElement) -> LieElement:
         phi = None if self.base is None else self.base.images
         return apply_operator(self.values, self.degree, e, phi=phi, phi2=phi)
 
-    def is_zero(self):
-        return not self.values
-
-    def __add__(self, other):
-        out = {}
-        for g in set(self.values) | set(other.values):
-            s = self.value(g) + other.value(g)
-            if not s.is_zero():
-                out[g] = s
-        return Derivation(self.source, self.target, self.degree, out, self.base)
-
-    def scale(self, c):
-        return Derivation(self.source, self.target, self.degree,
-                          {g: v.scale(c) for g, v in self.values.items()}, self.base)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __eq__(self, other):
-        return (isinstance(other, Derivation) and self.degree == other.degree
-                and self.values == other.values)
+        return LieTable.__eq__(self, other) and self.degree == other.degree
 
     def __repr__(self):
         bits = ["%s->%r" % (g.name, v) for g, v in sorted(self.values.items(),
@@ -96,11 +75,8 @@ def derivation_differential(theta: Derivation) -> Derivation:
     """D theta = d . theta - (-1)^{|theta|} theta . d."""
     src, tgt = theta.source, theta.target
     sgn = Fraction(-1) if theta.degree % 2 else Fraction(1)
-    out = {}
-    for g in src.gens:
-        val = tgt.d(theta.value(g)) - theta.apply(src.d_on_gens[g]).scale(sgn)
-        if not val.is_zero():
-            out[g] = val
+    out = {g: tgt.d(theta.value(g)) - theta.apply(src.d_on_gens[g]).scale(sgn)
+           for g in src.gens}
     return Derivation(src, tgt, theta.degree - 1, out, theta.base)
 
 
@@ -110,11 +86,7 @@ def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
         raise ValueError("bracket is defined for Der L only")
     L = a.source
     sgn = Fraction(-1) if (a.degree * b.degree) % 2 == 0 else Fraction(1)
-    out = {}
-    for g in L.gens:
-        val = a.apply(b.value(g)) + b.apply(a.value(g)).scale(sgn)
-        if not val.is_zero():
-            out[g] = val
+    out = {g: a.apply(b.value(g)) + b.apply(a.value(g)).scale(sgn) for g in L.gens}
     return Derivation(L, L, a.degree + b.degree, out)
 
 

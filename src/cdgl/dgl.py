@@ -13,14 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 
 from . import exactlin
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
                        InternalError, SparseMat, SparseVec, build_complex,
                        solve_linear)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
-                      LieMembershipError, Truncation, _mul_terms, bracket,
-                      exp_terms, is_lie, lie_basis, log_terms, word_degree)
+                      LieMembershipError, Truncation, _exp_coefficient,
+                      _mul_terms, bracket, exp_terms, is_lie, lie_basis,
+                      log_terms, word_degree)
 
 
 class IllFormedDifferentialError(ValueError):
@@ -360,6 +362,23 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     return out
 
 
+def nilpotent_series(op, x, coefficient, bound, what):
+    """sum_{k >= 0} coefficient(k) op^k(x) for an operator op that is
+    nilpotent on x; raises DivergenceError(what) when op^k(x) is still
+    nonzero for some k > bound.  x may be any value with is_zero, scale
+    and + (a LieElement or a cylinder form)."""
+    c = coefficient(0)
+    total, term, k = x if c == 1 else x.scale(c), x, 0
+    while True:
+        k += 1
+        term = op(term)
+        if term.is_zero():
+            return total
+        if k > bound:
+            raise DivergenceError(what)
+        total = total + term.scale(coefficient(k))
+
+
 def _max_iterations(L: DGLPresentation):
     # a filtration-increasing operator on the truncated algebra is nilpotent
     # with index bounded by cap * (number of filtration levels + 1); the cap
@@ -371,25 +390,13 @@ def _max_iterations(L: DGLPresentation):
 def exp_derivation_values(L: DGLPresentation, values, check_cycle=True) -> DGLMorphism:
     """e^theta as an automorphism of L, for a degree-0 derivation theta given
     by generator values; theta must be nilpotent at the truncation."""
-    def once(e):
+    def theta(e):
         return apply_operator(values, 0, e)
 
-    images = {}
     max_iter = _max_iterations(L)
-    for g in L.gens:
-        total = L.gen(g)
-        term = L.gen(g)
-        k, fact = 0, 1
-        while True:
-            k += 1
-            term = once(term)
-            if term.is_zero():
-                break
-            if k > max_iter:
-                raise DivergenceError("exp of non-filtration-increasing derivation")
-            fact *= k
-            total = total + term.scale(Fraction(1, fact))
-        images[g] = total
+    images = {g: nilpotent_series(theta, L.gen(g), _exp_coefficient, max_iter,
+                                  "exp of non-filtration-increasing derivation")
+              for g in L.gens}
     phi = DGLMorphism(L, L, images, name="exp")
     if check_cycle:
         # commuting with d amounts to D(theta) = 0; the morphism identity
@@ -405,25 +412,16 @@ def log_morphism(phi: DGLMorphism):
     if phi.target is not L:
         raise ValueError("log expects an automorphism")
 
-    def fminusid(e):
+    def phi_minus_id(e):
         return phi.apply(e) - e
 
-    values = {}
+    def coefficient(k):
+        return Fraction((-1) ** (k + 1), k) if k else 0
+
     max_iter = _max_iterations(L)
-    for g in L.gens:
-        total = L.zero()
-        term = L.gen(g)
-        k = 0
-        while True:
-            k += 1
-            term = fminusid(term)
-            if term.is_zero():
-                break
-            if k > max_iter:
-                raise DivergenceError("log of non-unipotent automorphism")
-            total = total + term.scale(Fraction((-1) ** (k + 1), k))
-        values[g] = total
-    return values
+    return {g: nilpotent_series(phi_minus_id, L.gen(g), coefficient, max_iter,
+                                "log of non-unipotent automorphism")
+            for g in L.gens}
 
 
 def ad_values(L: DGLPresentation, x: LieElement):
@@ -436,40 +434,19 @@ def exp_ad(L: DGLPresentation, x: LieElement) -> DGLMorphism:
 
 
 def gauge_act(x: LieElement, a) -> MCElement:
-    """Gauge action of a degree-0 element on an MC element."""
+    """Gauge action of a degree-0 element on an MC element:
+    sum_i ad_x^i(a)/i! - sum_i ad_x^i(dx)/(i+1)!."""
     owner = a.owner
-    value = a.value
     if not x.is_zero() and x.degree() != 0:
         raise DegreeError("gauge actor must be degree 0")
     adx = ad_values(owner, x)
 
-    def once(e):
-        return apply_operator(adx, 0, e)
+    def series(e, coefficient):
+        return nilpotent_series(lambda t: apply_operator(adx, 0, t), e, coefficient,
+                                _max_iterations(owner), "gauge series did not terminate")
 
-    max_iter = _max_iterations(owner)
-    # sum_i ad_x^i(a)/i!
-    total = owner.zero()
-    term = value
-    fact = Fraction(1)
-    i = 0
-    while not term.is_zero():
-        total = total + term.scale(Fraction(1, fact))
-        i += 1
-        fact *= i
-        term = once(term)
-        if i > max_iter:
-            raise DivergenceError("gauge series did not terminate")
-    # - sum_i ad_x^i(dx)/(i+1)!
-    term = owner.d(x)
-    i = 0
-    fact = Fraction(1)
-    while not term.is_zero():
-        total = total - term.scale(Fraction(1, fact * (i + 1)))
-        i += 1
-        fact *= i
-        term = once(term)
-        if i > max_iter:
-            raise DivergenceError("gauge series did not terminate")
+    total = (series(a.value, _exp_coefficient)
+             + series(owner.d(x), lambda k: Fraction(-1, factorial(k + 1))))
     try:
         return MCElement(owner, total)
     except MCViolationError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
                        ResourceLimitError, SparseVec)
@@ -169,6 +170,57 @@ class LieElement:
         return " + ".join(bits)
 
 
+class LieTable:
+    """A table key -> nonzero LieElement, with its linear structure.
+
+    Subclasses store the table in ``values`` through this constructor, from
+    (key, value) pairs, and supply ``_zero()``, the zero of the value
+    algebra, and ``_like(values)``, a table of the same kind holding other
+    values.  They call ``LieTable.__init__`` and ``LieTable.__eq__`` by
+    name: tables are built in inner loops, where ``super()`` costs about as
+    much as the rest of the constructor.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, items):
+        self.values = values = {}
+        for k, v in items:
+            if v is not None and not v.is_zero():
+                values[k] = v
+
+    def value(self, key) -> LieElement:
+        v = self.values.get(key)
+        return v if v is not None else self._zero()
+
+    def is_zero(self):
+        return not self.values
+
+    def _plus(self, items):
+        """This table plus the (key, value) pairs of items, in one table."""
+        out = dict(self.values)
+        for k, v in items:
+            s = out.get(k)
+            s = v if s is None else s + v
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._plus(other.values.items())
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return self._like({k: v.scale(c) for k, v in self.values.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.values == other.values
+
+
 def _mul_terms(a, b, trunc):
     """Concatenation product of word dictionaries (allows the empty word)."""
     out = {}
@@ -219,25 +271,32 @@ def mul(a: LieElement, b: LieElement) -> LieElement:
     return res
 
 
-def exp_terms(x: LieElement):
-    """exp(x) in the truncated tensor algebra; includes the empty word."""
-    trunc = x.trunc
-    out = {(): Fraction(1)}
-    power = {(): Fraction(1)}
-    k, fact = 0, 1
+def _power_series(v, coefficient, trunc, out):
+    """Add sum_{k >= 1} coefficient(k) v^k to the word dictionary out, in
+    place, and return it; v has no empty word, so its powers vanish past
+    the cap."""
+    power, k = {(): Fraction(1)}, 0
     while True:
         k += 1
-        power = _mul_terms(power, x.terms, trunc)
+        power = _mul_terms(power, v, trunc)
         if not power:
-            break
-        fact *= k
-        for w, c in power.items():
-            s = out.get(w, Fraction(0)) + c / fact
+            return out
+        c = coefficient(k)
+        for w, t in power.items():
+            s = out.get(w, 0) + c * t
             if s:
                 out[w] = s
             else:
                 out.pop(w, None)
-    return out
+
+
+def _exp_coefficient(k):
+    return Fraction(1, factorial(k))
+
+
+def exp_terms(x: LieElement):
+    """exp(x) in the truncated tensor algebra; includes the empty word."""
+    return _power_series(x.terms, _exp_coefficient, x.trunc, {(): Fraction(1)})
 
 
 def log_terms(u, trunc) -> LieElement:
@@ -245,23 +304,8 @@ def log_terms(u, trunc) -> LieElement:
     if u.get((), Fraction(0)) != 1:
         raise LieMembershipError("log argument must have unit constant term")
     v = {w: c for w, c in u.items() if w}
-    out = {}
-    power = {(): Fraction(1)}
-    n = 0
-    while True:
-        n += 1
-        power = _mul_terms(power, v, trunc)
-        if not power:
-            break
-        sign = Fraction(1, n) if n % 2 == 1 else Fraction(-1, n)
-        for w, c in power.items():
-            s = out.get(w, Fraction(0)) + c * sign
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
     res = LieElement.zero(trunc)
-    res.terms = out
+    res.terms = _power_series(v, lambda k: Fraction((-1) ** (k + 1), k), trunc, {})
     return res
 
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from .dgl import DGLPresentation, build_dgl
+from .dgl import DGLPresentation, build_dgl, nilpotent_series
 from .freelie import Generator, LieElement, Truncation, bracket
 
 
@@ -33,17 +33,9 @@ def interval_model(trunc: Truncation, name="L1") -> DGLPresentation:
     b = Generator("b", -1)
     x = Generator("x", 0)
     ea, eb, ex = (LieElement.gen(g, trunc) for g in (a, b, x))
-    dx = bracket(ex, ea)
-    term = ea - eb
-    fact = Fraction(1)
-    n = 0
-    while not term.is_zero():
-        dx = dx + term.scale(bernoulli(n) / fact)
-        n += 1
-        fact *= n
-        term = bracket(ex, term)
-        if n > trunc.max_bracket_length + 1:
-            break
+    dx = bracket(ex, ea) + nilpotent_series(
+        lambda t: bracket(ex, t), ea - eb, lambda n: bernoulli(n) / factorial(n),
+        trunc.max_bracket_length + 1, "Bernoulli series did not terminate")
     d = {a: bracket(ea, ea).scale(Fraction(-1, 2)),
          b: bracket(eb, eb).scale(Fraction(-1, 2)),
          x: dx}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..cylinder import Cylinder, PolyForm, Witness
 from ..derivations import Derivation
 from ..dgl import (DGLMorphism, DGLPresentation, GeneratorFiltration,
-                   MCElement, build_dgl, exp_derivation_values, ad_values)
+                   MCElement, build_dgl, exp_ad)
 from ..freelie import Generator, LieElement, Truncation, bracket
 from ..models import builtin_model
 from .ast import (Br, DerivationNode, Document, ExpAd, Expr, FiltDecl,
@@ -59,8 +59,7 @@ def eval_expr(expr: Expr, L: DGLPresentation, names=None,
             tgt = lie_value(atom.target)
             if not arg.is_zero() and arg.degree() != 0:
                 fail("exp(ad(...)) needs a degree-0 argument")
-            phi = exp_derivation_values(L, ad_values(L, arg), check_cycle=False)
-            return phi.apply(tgt)
+            return exp_ad(L, arg).apply(tgt)
         fail("unsupported atom %r" % (atom,))
 
     def lie_value(e: Expr) -> LieElement:
@@ -87,7 +86,7 @@ def eval_expr(expr: Expr, L: DGLPresentation, names=None,
             if isinstance(v, LieElement):
                 v = cylinder.constant(v)
             shifted = {}
-            for (k, has_dt), val in v.terms.items():
+            for (k, has_dt), val in v.values.items():
                 if has_dt and t.dt:
                     continue
                 shifted[(k + t.t_power, has_dt or t.dt)] = val.scale(t.coeff)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgl.cylinder import (CapExceededError, Cylinder, Witness, check_homotopy)
 from cdgl.dgl import DGLMorphism, exp_ad
@@ -80,6 +81,26 @@ def test_eval_of_exponential_flow():
     L = wedge_model((1, 1), T(5))
     cyl = Cylinder(L, 6)
     u, v = L.gen("x"), L.gen("y")
+    flow = cyl.exp_ad(cyl.t_power(1, u), cyl.constant(v))
+    assert cyl.eval_endpoint(flow, 1) == exp_ad(L, u).apply(v)
+    assert cyl.eval_endpoint(flow, 0) == v
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.lists(_small, min_size=4, max_size=4),
+       st.lists(_small, min_size=4, max_size=4))
+def test_exp_flow_at_one_is_exp_ad(cap, cu, cv):
+    # u, v: combinations of x, y, [x,y] and [y,[x,y]] of wedge(1,1)
+    L = wedge_model((1, 1), T(cap))
+    x, y = L.gen("x"), L.gen("y")
+    xy = bracket(x, y)
+    words = (x, y, xy, bracket(y, xy))
+    u = sum((w.scale(c) for w, c in zip(words, cu)), L.zero())
+    v = sum((w.scale(c) for w, c in zip(words, cv)), L.zero())
+    cyl = Cylinder(L, cap)
     flow = cyl.exp_ad(cyl.t_power(1, u), cyl.constant(v))
     assert cyl.eval_endpoint(flow, 1) == exp_ad(L, u).apply(v)
     assert cyl.eval_endpoint(flow, 0) == v

@@ -11,7 +11,8 @@ from cdgl.dgl import (DGLMorphism, DivergenceError,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
                       perturbed)
 from cdgl.exactlin import InternalError, NotInSpanError, homology_at
-from cdgl.freelie import Generator, LieElement, Truncation, bracket, left_normed
+from cdgl.freelie import (Generator, LieElement, Truncation, bracket, left_normed,
+                          lie_basis)
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
 
@@ -252,6 +253,49 @@ def test_exp_divergence_error():
         exp_derivation_values(L, {L.generator("x"): x}, check_cycle=False)
 
 
+def test_log_divergence_error():
+    # d = 0, so 2 id is a morphism; phi - id = id is not nilpotent
+    L = wedge_model((1, 1), T(3))
+    phi = DGLMorphism(L, L, {g: L.gen(g).scale(2) for g in L.gens}).validate()
+    with pytest.raises(DivergenceError, match="log of non-unipotent automorphism"):
+        log_morphism(phi)
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _nilpotent_values(draw, L):
+    """Degree-0 derivation values on a wedge of circles: generator i goes to
+    multiples of the later generators plus basis brackets of length >= 2.
+    Such a derivation raises (bracket length, generator position), so it is
+    nilpotent."""
+    gens = L.gens
+    longer = [e for n in range(2, L.trunc.max_bracket_length + 1)
+              for e in lie_basis(gens, 0, n, L.trunc)]
+    values = {}
+    for i, g in enumerate(gens):
+        v = L.zero()
+        for h in gens[i + 1:]:
+            v = v + L.gen(h).scale(draw(_small))
+        for e in draw(st.lists(st.sampled_from(longer), max_size=3)):
+            v = v + e.scale(draw(_small))
+        values[g] = v
+    return values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(((1, 1), (1, 1, 1))), st.integers(2, 4), st.data())
+def test_exp_log_roundtrips_on_nilpotent_derivations(dims, cap, data):
+    L = wedge_model(dims, T(cap))
+    theta = data.draw(_nilpotent_values(L))
+    phi = exp_derivation_values(L, theta, check_cycle=False)
+    assert log_morphism(phi) == theta
+    # id + theta is unipotent, and a morphism because d = 0
+    psi = DGLMorphism(L, L, {g: L.gen(g) + v for g, v in theta.items()}).validate()
+    assert exp_derivation_values(L, log_morphism(psi)) == psi
+
+
 def test_exp_is_group_morphism_via_bch():
     rng = random.Random(36)
     L = wedge_model((1, 1), T(4))
@@ -293,6 +337,17 @@ def test_gauge_composition_law_randomized():
         lhs = gauge_act(bch(x, y), b)
         rhs = gauge_act(x, gauge_act(y, b))
         assert lhs.value == rhs.value
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from("ab"), _small, _small)
+def test_gauge_composition_law_on_interval(mc, s, t):
+    # L_0 of the interval is spanned by x, so both series of gauge_act run:
+    # ad_x^i(a) and ad_x^i(dx)
+    L = interval_model(T(5))
+    a = MCElement(L, L.gen(mc))
+    x, y = L.gen("x").scale(s), L.gen("x").scale(t)
+    assert gauge_act(bch(x, y), a).value == gauge_act(x, gauge_act(y, a)).value
 
 
 def test_interval_gauge_transport_mirrored_and_paper():

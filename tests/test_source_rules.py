@@ -18,23 +18,48 @@ def _caught(node):
     return []
 
 
+def _trees(src):
+    """(path relative to src, syntax tree) of every Python file under src."""
+    for root, dirs, files in os.walk(src):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    yield os.path.relpath(path, src), ast.parse(fh.read(), path)
+
+
 def broad_handlers(src=SRC):
     """file:line of every bare except and every handler of Exception or
     BaseException under src."""
     found = []
-    for root, dirs, files in os.walk(src):
-        dirs.sort()
-        for name in sorted(files):
-            if not name.endswith(".py"):
+    for path, tree in _trees(src):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and (
+                    node.type is None or {"Exception", "BaseException"}
+                    & set(_caught(node.type))):
+                found.append("%s:%d" % (path, node.lineno))
+    return found
+
+
+def raises_of(exc_name, src=SRC):
+    """file:function of every raise of exc_name under src, by the innermost
+    function that holds it."""
+    found = []
+
+    def visit(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
                 continue
-            path = os.path.join(root, name)
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ExceptHandler) and (
-                        node.type is None or {"Exception", "BaseException"}
-                        & set(_caught(node.type))):
-                    found.append("%s:%d" % (os.path.relpath(path, src), node.lineno))
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if exc_name in _caught(exc):
+                    found.append("%s:%s" % (path, func))
+            visit(child, path, func)
+
+    for path, tree in _trees(src):
+        visit(tree, path, None)
     return found
 
 
@@ -43,3 +68,9 @@ def test_no_broad_exception_handlers():
     # turns it into a diagnostic or a flag that reads as success
     assert os.path.isfile(os.path.join(SRC, "dgl.py"))
     assert broad_handlers() == []
+
+
+def test_divergence_raised_only_by_the_series_helper():
+    # every series that sums iterates of a nilpotent operator goes through
+    # dgl.nilpotent_series, which alone decides when one diverges
+    assert raises_of("DivergenceError") == ["dgl.py:nilpotent_series"]
