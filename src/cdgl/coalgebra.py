@@ -522,6 +522,11 @@ class ConvolutionDGL:
         self.C = C
         self.L = L
         self._basis_cache = {}
+        # left factor -> [(row, position in the row, right factor, coeff)]
+        self._comul_by_left = {}
+        for i, row in C.comul.items():
+            for pos, (l, r, c) in enumerate(row):
+                self._comul_by_left.setdefault(l, []).append((i, pos, r, c))
 
     def element(self, degree, values) -> HomElement:
         return HomElement(self, degree, values)
@@ -555,16 +560,20 @@ class ConvolutionDGL:
         return HomElement(self, f.degree - 1, out)
 
     def bracket(self, f: HomElement, g: HomElement) -> HomElement:
-        out = {}
-        for i in range(self.C.dim()):
-            acc = self.L.zero()
-            for l, r, c in self.C.comul[i]:
-                fv = f.values.get(l)
+        # only the coproduct terms whose left factor f takes a value, summed
+        # per row in the row's own order
+        rows = {}
+        for l, fv in f.values.items():
+            odd = (g.degree * self.C.degrees[l]) % 2
+            for i, pos, r, c in self._comul_by_left.get(l, ()):
                 gv = g.values.get(r)
-                if fv is None or gv is None:
-                    continue
-                sgn = Fraction(-1) if (g.degree * self.C.degrees[l]) % 2 else Fraction(1)
-                acc = acc + bracket(fv, gv).scale(sgn * c)
+                if gv is not None:
+                    rows.setdefault(i, []).append((pos, fv, gv, -c if odd else c))
+        out = {}
+        for i in sorted(rows):
+            acc = self.L.zero()
+            for _, fv, gv, c in sorted(rows[i], key=lambda t: t[0]):
+                acc = acc + bracket(fv, gv).scale(c)
             if not acc.is_zero():
                 out[i] = acc
         return HomElement(self, f.degree + g.degree, out)

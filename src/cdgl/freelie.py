@@ -5,8 +5,9 @@ tensor algebra T(V), where [a, b] = ab - (-1)^{|a||b|} ba.  This makes the
 normal form sign-robust for generators of any degree (including odd ones,
 where [x, x] != 0) at the price of wider expansions; desk-scale dimensions
 keep it tractable.  Lie-subspace membership is certified by the graded
-Dynkin bracketing idempotent, and per-(degree, length) bases are obtained
-by exact elimination over left-normed bracket spanning sets.
+Dynkin bracketing idempotent, and each per-(degree, length) basis is
+picked by exact elimination from the brackets [g, b] of the generators
+with the basis one length down.
 
 Completion is modelled by nilpotent quotients: every element carries a
 Truncation and words longer than the cap are silently dropped (the drop is
@@ -240,20 +241,22 @@ def _mul_terms(a, b, trunc):
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Graded bracket [a, b] = ab - (-1)^{|a||b|} ba, computed wordwise."""
     trunc = a.trunc
+    cap = trunc.max_bracket_length
+    max_degree = trunc.max_degree
     out = {}
+    b_terms = [(wb, cb, len(wb), word_degree(wb)) for wb, cb in b.terms.items()]
+    shortest = min((t[2] for t in b_terms), default=0)
     for wa, ca in a.terms.items():
+        la = len(wa)
+        if la + shortest > cap:
+            continue
         da = word_degree(wa)
-        for wb, cb in b.terms.items():
-            if len(wa) + len(wb) > trunc.max_bracket_length:
+        for wb, cb, lb, db in b_terms:
+            if la + lb > cap or (max_degree is not None and da + db > max_degree):
                 continue
-            db = word_degree(wb)
-            w1 = wa + wb
-            w2 = wb + wa
             coeff = ca * cb
             sign = -coeff if (da * db) % 2 == 0 else coeff
-            for w, c in ((w1, coeff), (w2, sign)):
-                if trunc.max_degree is not None and word_degree(w) > trunc.max_degree:
-                    continue
+            for w, c in ((wa + wb, coeff), (wb + wa, sign)):
                 s = out.get(w, Fraction(0)) + c
                 if s:
                     out[w] = s
@@ -344,43 +347,12 @@ def is_lie(e: LieElement) -> bool:
     return _dynkin_terms(e.terms) == {w: len(w) * c for w, c in e.terms.items()}
 
 
-def gen_sequences(gens, degree, length):
-    """All generator sequences of the given length and total degree, in
-    lexicographic order by position in gens."""
-    if not gens:
-        return []
-    out = []
-    degs = [g.degree for g in gens]
-    lo, hi = min(degs), max(degs)
-
-    def rec(prefix, deg_left, slots):
-        if slots == 0:
-            if deg_left == 0:
-                out.append(tuple(prefix))
-            return
-        if deg_left < slots * lo or deg_left > slots * hi:
-            return
-        for g in gens:
-            prefix.append(g)
-            rec(prefix, deg_left - g.degree, slots - 1)
-            prefix.pop()
-
-    rec([], degree, length)
-    return out
-
-
 def left_normed(seq, trunc) -> LieElement:
     """[g1,[g2,[...,[g_{k-1}, g_k]]]] for a generator sequence."""
     cur = LieElement.gen(seq[-1], trunc)
     for g in reversed(seq[:-1]):
         cur = bracket(LieElement.gen(g, trunc), cur)
     return cur
-
-
-def bracket_label(seq) -> str:
-    if len(seq) == 1:
-        return seq[0].name
-    return "[%s,%s]" % (seq[0].name, bracket_label(seq[1:]))
 
 
 _basis_cache = {}
@@ -403,26 +375,52 @@ def check_resource_limit(size, what):
 
 
 def lie_basis(gens, degree, length, trunc: Truncation):
-    """Ordered basis of the (degree, length)-homogeneous component.
-
-    Deterministic: left-normed spanning brackets are enumerated in
-    lexicographic generator order and kept when they add rank.  Returned
-    elements carry a bracket-expression label.
-    """
+    """Ordered basis of the (degree, length)-homogeneous component, as
+    elements of trunc carrying bracket-expression labels (see
+    _left_normed_basis)."""
     if length > trunc.max_bracket_length:
         raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
-    key = (tuple(gens), degree, length)
-    cached = _basis_cache.get(key)
-    if cached is not None:
-        check_resource_limit(len(cached), "basis size")
-        return [LieElement(e.terms, trunc, label=e.label) for e in cached]
+    return [LieElement(e.terms, trunc, label=e.label)
+            for e in _left_normed_basis(tuple(gens), degree, length)]
 
-    seqs = gen_sequences(gens, degree, length)
+
+def _left_normed_basis(gens, degree, length):
+    """The (degree, length) basis, built from the basis one length down.
+
+    The candidates at length 1 are the generators of the degree; at length
+    k they are [g, b] for each g in gens order and each b in the basis at
+    (degree - |g|, k - 1), in its order.  A candidate is kept when it adds
+    rank over the candidates before it, so the result is deterministic.
+
+    This picks the same elements, with the same terms, labels and order, as
+    the greedy pick over the left-normed brackets [g1,[g2,[...,gk]]] of all
+    generator sequences in lexicographic order: if the tail s' of (g, s')
+    was not picked one length down, its bracket lies in the span of the
+    picked tails before it, so [g, s'] lies in the span of the candidates
+    [g, t] before it and the full list would not pick it either (a zero
+    tail gives a zero bracket, which both lists skip).  A component holds
+    about 1/length of the words of its length (Witt), so this list is far
+    shorter.  Results, sub-bases included, are kept in _basis_cache, and
+    every basis, cached or built, is held to the run's resource limit.
+    """
+    key = (gens, degree, length)
+    picked = _basis_cache.get(key)
+    if picked is not None:
+        check_resource_limit(len(picked), "basis size")
+        return picked
+    trunc = Truncation(length)
+    if length == 1:
+        candidates = [(LieElement.gen(g, trunc), g.name)
+                      for g in gens if g.degree == degree]
+    else:
+        candidates = ((bracket(LieElement.gen(g, trunc), b),
+                       "[%s,%s]" % (g.name, b.label))
+                      for g in gens
+                      for b in _left_normed_basis(gens, degree - g.degree, length - 1))
     word_index = {}
     span = IncrementalSpan()
     picked = []
-    for seq in seqs:
-        e = left_normed(seq, Truncation(length))
+    for e, label in candidates:
         if e.is_zero():
             continue
         vec = {}
@@ -433,11 +431,11 @@ def lie_basis(gens, degree, length, trunc: Truncation):
         v = SparseVec()
         v.entries = vec
         if span.add(v):
-            e.label = bracket_label(seq)
+            e.label = label
             picked.append(e)
             check_resource_limit(len(picked), "basis size")
     _basis_cache[key] = picked
-    return [LieElement(e.terms, trunc, label=e.label) for e in picked]
+    return picked
 
 
 class Coordinatizer:

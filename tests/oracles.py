@@ -202,3 +202,68 @@ def w_apply_operator(values, op_degree, a, admits, phi=None, phi2=None):
                 terms = w_mul_admitted(terms, img, admits)
             out = w_add(out, {ww: cc for ww, cc in terms.items() if ww})
     return out
+
+
+# --- reference Lie bases ----------------------------------------------
+
+def gen_sequences(gens, degree, length):
+    """All generator sequences of the given length and total degree, in
+    lexicographic order by position in gens (anything with a .degree)."""
+    if not gens:
+        return []
+    out = []
+    degs = [g.degree for g in gens]
+    lo, hi = min(degs), max(degs)
+
+    def rec(prefix, deg_left, slots):
+        if slots == 0:
+            if deg_left == 0:
+                out.append(tuple(prefix))
+            return
+        if deg_left < slots * lo or deg_left > slots * hi:
+            return
+        for g in gens:
+            prefix.append(g)
+            rec(prefix, deg_left - g.degree, slots - 1)
+            prefix.pop()
+
+    rec([], degree, length)
+    return out
+
+
+def _reduce(rows, vec):
+    """vec minus its projection on the echelon rows (pivot -> row, each
+    row 1 at its pivot and 0 at the other pivots)."""
+    vec = dict(vec)
+    for p, row in rows.items():
+        f = vec.get(p)
+        if f:
+            vec = w_add(vec, w_scale(row, -f))
+    return vec
+
+
+def w_lie_basis(gens, degree, length):
+    """Greedy basis of the (degree, length) component over the left-normed
+    brackets of all generator sequences, in gen_sequences order: a bracket
+    is kept when it adds rank.  gens have .name and .degree; returns
+    (label, word dict) pairs, words as tuples of (name, degree)."""
+    rows = {}
+    out = []
+    for seq in gen_sequences(gens, degree, length):
+        letters = [(g.name, g.degree) for g in seq]
+        cur = {(letters[-1],): Fraction(1)}
+        label = seq[-1].name
+        for letter in reversed(letters[:-1]):
+            cur = w_bracket({(letter,): Fraction(1)}, cur, length)
+            label = "[%s,%s]" % (letter[0], label)
+        rest = _reduce(rows, cur)
+        if not rest:
+            continue
+        p = min(rest)
+        row = w_scale(rest, 1 / rest[p])
+        for q in rows:
+            if rows[q].get(p):
+                rows[q] = w_add(rows[q], w_scale(row, -rows[q][p]))
+        rows[p] = row
+        out.append((label, cur))
+    return out

@@ -1,15 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdgl import freelie
 from cdgl.exactlin import NotInSpanError
 from cdgl.freelie import (Coordinatizer, Generator, LieElement, Truncation,
-                          bracket, dynkin, exp_terms, gen_sequences, is_lie,
-                          left_normed, lie_basis, log_terms, mul)
+                          bracket, dynkin, exp_terms, is_lie, left_normed,
+                          lie_basis, log_terms, mul)
 
-from oracles import w_bracket, w_dynkin, w_is_lie
+from oracles import gen_sequences, w_bracket, w_dynkin, w_is_lie, w_lie_basis
 
 
 def T(n, deg=None):
@@ -300,3 +302,31 @@ def test_gen_sequences_degree_filter():
     seqs = gen_sequences((a, x), -1, 3)
     assert all(sum(g.degree for g in s) == -1 and len(s) == 3 for s in seqs)
     assert len(seqs) == 3
+
+
+_fresh = itertools.count()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3))
+def test_lie_basis_matches_all_sequences_oracle(degrees):
+    # fresh names, so no basis comes from a cache filled earlier
+    n = next(_fresh)
+    gens = tuple(Generator("h%d_%d" % (n, i), d) for i, d in enumerate(degrees))
+    for ln in range(1, 6):
+        for deg in range(ln * min(degrees), ln * max(degrees) + 1):
+            got = [(e.label, to_word_dict(e)) for e in lie_basis(gens, deg, ln, T(5))]
+            assert got == w_lie_basis(gens, deg, ln)
+
+
+def test_lie_basis_tries_one_candidate_per_sub_basis_element(monkeypatch):
+    # at length k the candidates are [g, b] for b in the basis at
+    # (degree - |g|, k - 1), and nothing else is expanded
+    gens = (Generator("cand_x", 1), Generator("cand_y", 0), Generator("cand_z", 2))
+    sub = sum(len(lie_basis(gens, 4 - g.degree, 3, T(4))) for g in gens)
+    calls = []
+    real = freelie.bracket
+    monkeypatch.setattr(freelie, "bracket",
+                        lambda a, b: calls.append(None) or real(a, b))
+    basis = lie_basis(gens, 4, 4, T(4))
+    assert 0 < len(basis) < len(calls) == sub
