@@ -515,6 +515,16 @@ class HomElement(LieTable):
         return "Hom{%s}" % "; ".join(bits[:6])
 
 
+def comul_by_left(rows):
+    """Coproduct rows (index, [(left, right, coeff), ...]) indexed by left
+    factor: left -> [(index, position in the row, right, coeff)]."""
+    out = {}
+    for i, row in rows:
+        for pos, (l, r, c) in enumerate(row):
+            out.setdefault(l, []).append((i, pos, r, c))
+    return out
+
+
 class ConvolutionDGL:
     """Hom(C, L) with the convolution bracket and D f = d f - (-1)^{|f|} f d."""
 
@@ -522,11 +532,7 @@ class ConvolutionDGL:
         self.C = C
         self.L = L
         self._basis_cache = {}
-        # left factor -> [(row, position in the row, right factor, coeff)]
-        self._comul_by_left = {}
-        for i, row in C.comul.items():
-            for pos, (l, r, c) in enumerate(row):
-                self._comul_by_left.setdefault(l, []).append((i, pos, r, c))
+        self._comul_by_left = comul_by_left(C.comul.items())
 
     def element(self, degree, values) -> HomElement:
         return HomElement(self, degree, values)

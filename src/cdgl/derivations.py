@@ -19,7 +19,7 @@ from functools import partial
 
 from . import exactlin
 from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
-                        chains_functor, lie_functor)
+                        chains_functor, comul_by_left, lie_functor)
 from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
                   GeneratorFiltration, H0Group, ad_values, apply_operator,
                   exp_derivation_values, log_morphism, nilpotency)
@@ -544,22 +544,28 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
         out.values.pop(C.counit, None)
         return out
 
+    reduced_by_left = comul_by_left((i, C.reduced_comul(i)) for i in gen_of_label)
+
     def der_bracket_desusp(gam, eta):
         # [s^{-1}gamma, s^{-1}eta] = s^{-1}theta with
         # theta(s^{-1}c) = -sum (-1)^{(|eta|-1)|c_i|}[gamma(s^{-1}c_i), eta(s^{-1}c_i')]
+        # over the rows where gamma and eta both take a value, summed per row
+        # in the row's own order
+        rows = {}
+        for g, gv in gam.values.items():
+            l = label_of_gen[g]
+            odd = ((eta.degree - 1) * C.degrees[l]) % 2
+            for i, pos, r, c in reduced_by_left.get(l, ()):
+                ev = eta.values.get(gen_of_label[r])
+                if ev is not None:
+                    rows.setdefault(i, []).append((pos, gv, ev, -c if odd else c))
         values = {}
-        for i, g in gen_of_label.items():
+        for i in sorted(rows):
             acc = Ltgt.zero()
-            for l, r, c in C.reduced_comul(i):
-                gv = gam.values.get(gen_of_label.get(l))
-                ev = eta.values.get(gen_of_label.get(r))
-                if gv is None or ev is None:
-                    continue
-                sgn = Fraction(-1) if ((eta.degree - 1) * C.degrees[l]) % 2 \
-                    else Fraction(1)
-                acc = acc + bracket(gv, ev).scale(sgn * c)
+            for _, gv, ev, c in sorted(rows[i], key=lambda t: t[0]):
+                acc = acc + bracket(gv, ev).scale(c)
             if not acc.is_zero():
-                values[g] = acc.scale(-1)
+                values[gen_of_label[i]] = acc.scale(-1)
         return Derivation(LC, Ltgt, gam.degree + eta.degree - 1, values,
                           base=phi_tilde)
 

@@ -4,9 +4,10 @@ long exact sequences.
 Everything here is over Q (stdlib Fraction); there is no floating point
 anywhere.  Matrices and vectors are sparse (dict based).  There is one
 elimination engine, IncrementalSpan, which keeps the reduced row echelon
-form of a growing span; rank, kernels and solves read its pivots and rows,
-and FactoredBasis puts a matrix through it once so that each further solve
-against that matrix is a single reduction.
+form of a growing span as integer rows, fraction-free; rank, kernels and
+solves read its pivots and rows, and FactoredBasis puts a matrix through
+it once so that each further solve against that matrix is a single
+reduction.
 
 Basis labels are opaque strings; all semantics live upstream.  Pivot and
 representative choices are deterministic (first-column, first-row order),
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ShapeError(ValueError):
@@ -225,10 +227,14 @@ class SparseMat:
 class IncrementalSpan:
     """Growing row span with exact incremental reduction.
 
-    This is the one elimination engine: rows are kept monic and fully
-    reduced, keyed by pivot column, so at every moment they are the reduced
-    row echelon form of the span (which is unique).  Adding a vector returns
-    True when the span grew.
+    This is the one elimination engine.  Rows are keyed by pivot column and
+    fully reduced (zero in every other pivot column), so at every moment
+    they are the reduced row echelon form of the span (which is unique),
+    each stored as its one primitive integer multiple with a positive pivot
+    entry.  The API stays rational: an input's denominators are cleared
+    once, elimination runs on ints (fraction-free, as in Bareiss), and
+    Fractions are built only for the residual that reduce returns.  Adding
+    a vector returns True when the span grew.
     """
 
     def __init__(self):
@@ -238,23 +244,25 @@ class IncrementalSpan:
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        cur = dict(vec.entries)
+    def _residue(self, vec: SparseVec):
+        """(cur, scale): cur is an integer vector and cur / scale is the
+        unique vector of vec + span with zero pivot entries."""
+        entries = vec.entries
+        scale = lcm(*[v.denominator for v in entries.values()])
+        cur = {j: v.numerator * (scale // v.denominator) for j, v in entries.items()}
         rows = self.rows
         # a fully reduced row has no entry in another pivot column, so the
         # pivots met are exactly those in the support of vec
         for piv in sorted(j for j in cur if j in rows):
-            c = cur[piv]
-            for j, v in rows[piv].items():
-                w = cur.get(j, Fraction(0)) - c * v
-                if w:
-                    cur[j] = w
-                else:
-                    cur.pop(j, None)
-        return _vec(cur)
+            scale *= _eliminate(cur, rows[piv], piv)
+        return cur, scale
+
+    def reduce(self, vec: SparseVec) -> SparseVec:
+        cur, scale = self._residue(vec)
+        return _vec({j: Fraction(v, scale) for j, v in cur.items()})
 
     def contains(self, vec: SparseVec) -> bool:
-        return self.reduce(vec).is_zero()
+        return not self._residue(vec)[0]
 
     def copy(self) -> "IncrementalSpan":
         out = IncrementalSpan()
@@ -262,23 +270,45 @@ class IncrementalSpan:
         return out
 
     def add(self, vec: SparseVec) -> bool:
-        res = self.reduce(vec)
-        if res.is_zero():
+        row = self._residue(vec)[0]
+        if not row:
             return False
-        piv = min(res.entries)
-        p = res.entries[piv]
-        row = {j: v / p for j, v in res.entries.items()}
-        for other in self.rows.values():
-            c = other.get(piv)
-            if c:
-                for j, v in row.items():
-                    w = other.get(j, Fraction(0)) - c * v
-                    if w:
-                        other[j] = w
-                    else:
-                        other.pop(j, None)
+        piv = min(row)
+        _primitive(row, piv)
+        for q, other in self.rows.items():
+            if piv in other:
+                _eliminate(other, row, piv)
+                _primitive(other, q)
         self.rows[piv] = row
         return True
+
+
+def _eliminate(cur, row, piv):
+    """cur := p cur - c row in place, with the least ints p > 0 and c that
+    clear cur at row's pivot column piv; returns p."""
+    g = gcd(row[piv], cur[piv])
+    p, c = row[piv] // g, cur[piv] // g
+    if p != 1:
+        for j in cur:
+            cur[j] *= p
+    for j, v in row.items():
+        w = cur.get(j, 0) - c * v
+        if w:
+            cur[j] = w
+        else:
+            del cur[j]
+    return p
+
+
+def _primitive(row, piv):
+    """Divide the integer row in place by the gcd of its entries, signed so
+    that the entry at piv is positive."""
+    g = gcd(*row.values())
+    if row[piv] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
 
 
 class FactoredBasis:
@@ -301,14 +331,14 @@ class FactoredBasis:
             self.span.add(b)
         for k, v in enumerate(vecs):
             row = dict(v.entries)
-            row[self.last - k] = Fraction(1)
+            row[self.last - k] = 1
             self.span.add(_vec(row))
 
     def coords(self, vec: SparseVec) -> SparseVec:
-        res = self.span.reduce(vec)
-        if any(i < self.n_cols for i in res.entries):
+        res, scale = self.span._residue(vec)
+        if any(i < self.n_cols for i in res):
             raise NotInSpanError("vector outside the factored span")
-        return _vec({self.last - i: -v for i, v in res.entries.items()})
+        return _vec({self.last - i: Fraction(-v, scale) for i, v in res.items()})
 
 
 def _row_span(mat: SparseMat) -> IncrementalSpan:
@@ -338,8 +368,9 @@ def solve_linear(A: SparseMat, b: SparseVec):
     if A.n_cols in rows:
         return None
     # free variables are zero, so x[pc] is the right-hand side of row pc
-    return _vec({pc: row[A.n_cols] for pc, row in sorted(rows.items())
-                 if A.n_cols in row})
+    # over its pivot entry
+    return _vec({pc: Fraction(row[A.n_cols], row[pc])
+                 for pc, row in sorted(rows.items()) if A.n_cols in row})
 
 
 def kernel_basis(A: SparseMat):
@@ -351,7 +382,7 @@ def kernel_basis(A: SparseMat):
     for pc in sorted(rows):
         for j, c in rows[pc].items():
             if j != pc:
-                free[j][pc] = -c
+                free[j][pc] = Fraction(-c, rows[pc][pc])
     return [_vec(v) for v in free.values()]
 
 

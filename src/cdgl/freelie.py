@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
                        ResourceLimitError, SparseVec)
@@ -32,8 +33,10 @@ class LieMembershipError(ValueError):
     """A tensor element that should be a Lie element is not."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
+    """A generator: a name and a degree.  A tuple, so that words (tuples of
+    generators) hash and compare in C; its hash is hash((name, degree))."""
+
     name: str
     degree: int
 

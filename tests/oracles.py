@@ -15,62 +15,41 @@ def dense(mat_entries, n_rows, n_cols):
     return M
 
 
-def dense_rank(M):
-    M = [row[:] for row in M]
-    rank = 0
-    n_rows = len(M)
-    n_cols = len(M[0]) if M else 0
+def dense_rref(M, n_cols):
+    """Reduced row echelon form of the rows M by Gauss-Jordan over
+    Fractions: (pivot columns, rows), row i monic at pivot i and zero at
+    every other pivot column; zero rows are dropped."""
+    R = [[Fraction(v) for v in row] for row in M]
+    pivots = []
     for c in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if M[r][c]:
-                piv = r
-                break
-        if piv is None:
+        r = next((r for r in range(len(pivots), len(R)) if R[r][c]), None)
+        if r is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][c]
-        for r in range(n_rows):
-            if r != rank and M[r][c]:
-                f = M[r][c] / pv
-                for j in range(n_cols):
-                    M[r][j] -= f * M[rank][j]
-        rank += 1
-    return rank
+        k = len(pivots)
+        R[k], R[r] = R[r], R[k]
+        R[k] = [v / R[k][c] for v in R[k]]
+        for i in range(len(R)):
+            if i != k and R[i][c]:
+                f = R[i][c]
+                R[i] = [v - f * w for v, w in zip(R[i], R[k])]
+        pivots.append(c)
+    return pivots, R[:len(pivots)]
+
+
+def dense_rank(M):
+    return len(dense_rref(M, len(M[0]) if M else 0)[0])
 
 
 def dense_solve(A, b):
-    """Any solution of A x = b or None (augmented elimination)."""
-    n_rows = len(A)
+    """The solution of A x = b with free variables zero, or None."""
     n_cols = len(A[0]) if A else 0
-    M = [A[r][:] + [b[r]] for r in range(n_rows)]
-    pivots = []
-    rank = 0
-    for c in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if M[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][c]
-        M[rank] = [v / pv for v in M[rank]]
-        for r in range(n_rows):
-            if r != rank and M[r][c]:
-                f = M[r][c]
-                M[r] = [v - f * w for v, w in zip(M[r], M[rank])]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, n_rows):
-        if M[r][n_cols]:
-            return None
+    pivots, R = dense_rref([row + [v] for row, v in zip(A, b)], n_cols + 1)
+    if n_cols in pivots:
+        return None
     x = [Fraction(0)] * n_cols
-    for i, c in enumerate(pivots):
-        x[c] = M[i][n_cols]
+    for c, row in zip(pivots, R):
+        x[c] = row[n_cols]
     return x
-
 
 # --- standalone graded word algebra -----------------------------------
 

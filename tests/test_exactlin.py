@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgl.exactlin import (ChainMap, ExactnessError, FactoredBasis,
                            GradedChainComplex, IllFormedComplexError,
-                           NotInSpanError, SparseMat, SparseVec,
-                           connected_cover, homology_at, kernel_basis,
-                           les_of_ses, postnikov_truncate, rank, solve_linear)
+                           IncrementalSpan, NotInSpanError, SparseMat,
+                           SparseVec, connected_cover, homology_at,
+                           kernel_basis, les_of_ses, postnikov_truncate, rank,
+                           solve_linear)
 
-from oracles import dense, dense_rank, dense_solve
+from oracles import dense, dense_rank, dense_rref, dense_solve
 
 
 def mat(rows):
@@ -53,6 +56,74 @@ def test_factored_basis_coords_match_dense_solve():
             else:
                 assert fb.coords(target) == vec(x)
     assert dependent >= 15
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def rational_system(draw):
+    """(n_cols, rows, targets): rational rows with non-integer entries,
+    negative leading entries, zero rows and repeated rows (up to a
+    multiple), and target vectors, one of them in the row span."""
+    n_cols = draw(st.integers(1, 6))
+    row = st.lists(rationals, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        src = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else [0] * n_cols
+        c = draw(st.sampled_from([1, -1, Fraction(-3, 2), 0]))
+        rows.insert(draw(st.integers(0, len(rows))), [c * v for v in src])
+    targets = draw(st.lists(row, min_size=1, max_size=3))
+    coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    targets.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                    for j in range(n_cols)])
+    return n_cols, rows, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_system())
+def test_integer_span_matches_fraction_rref(system):
+    n_cols, rows, targets = system
+    pivots, R = dense_rref(rows, n_cols)
+    span = IncrementalSpan()
+    for r in rows:
+        span.add(vec(r))
+    assert span.rank == len(pivots)
+    assert sorted(span.rows) == pivots
+    for p, orow in zip(pivots, R):
+        row = span.rows[p]
+        # the primitive integer multiple of the RREF row, positive at its pivot
+        assert all(type(v) is int for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        assert {j: Fraction(v, row[p]) for j, v in row.items()} == vec(orow).entries
+    for t in targets:
+        res = list(t)
+        for p, orow in zip(pivots, R):
+            res = [a - res[p] * b for a, b in zip(res, orow)]
+        assert span.reduce(vec(t)) == vec(res)
+        assert span.contains(vec(t)) == (not any(res))
+
+    A = SparseMat(len(rows), n_cols, {(i, j): v for i, r in enumerate(rows)
+                                      for j, v in enumerate(r)})
+    kernel = []
+    for j in range(n_cols):
+        if j not in pivots:
+            kernel.append(vec([1 if k == j else 0 for k in range(n_cols)]) +
+                          SparseVec({p: -r[j] for p, r in zip(pivots, R)}))
+    assert kernel_basis(A) == kernel
+
+    # x with sum_k x_k rows[k] = t, through solve_linear and FactoredBasis
+    At = SparseMat(n_cols, len(rows), {(j, i): v for (i, j), v in A.entries.items()})
+    fb = FactoredBasis([vec(r) for r in rows], n_cols)
+    for t in targets:
+        x = dense_solve([[r[j] for r in rows] for j in range(n_cols)], t)
+        x = None if x is None else vec(x)
+        assert solve_linear(At, vec(t)) == x
+        if x is None:
+            with pytest.raises(NotInSpanError):
+                fb.coords(vec(t))
+        else:
+            assert fb.coords(vec(t)) == x
 
 
 def test_solve_zero_case():

@@ -22,6 +22,18 @@ def gens2(d1=0, d2=0):
     return (Generator("u", d1), Generator("v", d2))
 
 
+def test_generator_semantics():
+    x = Generator("x", 2)
+    assert x == Generator("x", 2) and hash(x) == hash(Generator("x", 2))
+    assert hash(x) == hash(("x", 2))
+    assert x != Generator("x", 3) and x != Generator("y", 2)
+    assert repr(x) == "x(2)" and str(x) == "x(2)"
+    with pytest.raises(AttributeError):
+        x.degree = 3
+    with pytest.raises(AttributeError):
+        x.label = "x"
+
+
 def rand_element(rng, gens, trunc, degree=None, n_terms=3):
     """Random Lie element: rational combination of left-normed brackets."""
     out = LieElement.zero(trunc)

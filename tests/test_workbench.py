@@ -1,12 +1,14 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgl.freelie import Truncation
 from cdgl.models import builtin_model, circle_model
 from cdgl.workbench import parse_document, run_task, workspace_from_text
 from cdgl.workbench.ast import print_document
 from cdgl.workbench.elaborate import export_source
+from cdgl.workbench.parser import BLOCK_KEYWORDS, DECL_KEYWORDS, SYMBOLS
 from cdgl.workbench.report import canonical
 from cdgl.workbench.tasks import Task
 
@@ -87,6 +89,24 @@ def test_parser_never_crashes_on_corpus():
     for i in range(1, 11):
         doc, diags = parse_document(read("errors/e%02d.cdgl" % i))
         assert doc is not None
+
+
+KEYWORDS = sorted(BLOCK_KEYWORDS | DECL_KEYWORDS | {"exp", "ad", "t", "dt", "degree"})
+TOKENS = st.one_of(st.sampled_from(SYMBOLS + tuple(KEYWORDS) + ("\n",)),
+                   st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                   st.integers(0, 10 ** 6).map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(TOKENS, st.sampled_from([" ", "", "\n"])), max_size=40))
+def test_parser_is_total_on_token_streams(stream):
+    text = "".join(tok + sep for tok, sep in stream)
+    doc, diags = parse_document(text)
+    assert doc is not None
+    lines = text.split("\n")
+    for d in diags:
+        assert 1 <= d.line <= len(lines), (text, d)
+        assert 1 <= d.col <= len(lines[d.line - 1]) + 1, (text, d)
 
 
 # -- printing -------------------------------------------------------------------
