@@ -242,7 +242,8 @@ def _mul_terms(a, b, trunc):
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Graded bracket [a, b] = ab - (-1)^{|a||b|} ba, computed wordwise."""
+    """Graded bracket [a, b] = ab - (-1)^{|a||b|} ba, computed wordwise (on
+    ints for int coefficients)."""
     trunc = a.trunc
     cap = trunc.max_bracket_length
     max_degree = trunc.max_degree
@@ -260,7 +261,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
             coeff = ca * cb
             sign = -coeff if (da * db) % 2 == 0 else coeff
             for w, c in ((wa + wb, coeff), (wb + wa, sign)):
-                s = out.get(w, Fraction(0)) + c
+                s = out.get(w, 0) + c
                 if s:
                     out[w] = s
                 else:
@@ -379,16 +380,24 @@ def check_resource_limit(size, what):
 
 def lie_basis(gens, degree, length, trunc: Truncation):
     """Ordered basis of the (degree, length)-homogeneous component, as
-    elements of trunc carrying bracket-expression labels (see
-    _left_normed_basis)."""
+    elements of trunc with Fraction coefficients, carrying bracket-expression
+    labels (see _left_normed_basis)."""
     if length > trunc.max_bracket_length:
         raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
-    return [LieElement(e.terms, trunc, label=e.label)
-            for e in _left_normed_basis(tuple(gens), degree, length)]
+    # every word has this length and degree, so trunc admits all or none
+    admitted = trunc.max_degree is None or degree <= trunc.max_degree
+    out = []
+    for e, terms in _left_normed_basis(tuple(gens), degree, length):
+        f = LieElement.zero(trunc)
+        f.terms = dict(terms) if admitted else {}
+        f.label = e.label
+        out.append(f)
+    return out
 
 
 def _left_normed_basis(gens, degree, length):
-    """The (degree, length) basis, built from the basis one length down.
+    """The (degree, length) basis, built from the basis one length down, as
+    pairs of a labelled pick with int coefficients and its Fraction terms.
 
     The candidates at length 1 are the generators of the degree; at length
     k they are [g, b] for each g in gens order and each b in the basis at
@@ -403,8 +412,10 @@ def _left_normed_basis(gens, degree, length):
     [g, t] before it and the full list would not pick it either (a zero
     tail gives a zero bracket, which both lists skip).  A component holds
     about 1/length of the words of its length (Witt), so this list is far
-    shorter.  Results, sub-bases included, are kept in _basis_cache, and
-    every basis, cached or built, is held to the run's resource limit.
+    shorter.  Left-normed brackets of generators have integer coefficients
+    in T(V), so the candidates are built on ints.  Results, sub-bases
+    included, are kept in _basis_cache, and every basis, cached or built, is
+    held to the run's resource limit.
     """
     key = (gens, degree, length)
     picked = _basis_cache.get(key)
@@ -412,14 +423,15 @@ def _left_normed_basis(gens, degree, length):
         check_resource_limit(len(picked), "basis size")
         return picked
     trunc = Truncation(length)
+    unit = {g: LieElement.zero(trunc) for g in gens}
+    for g, e in unit.items():
+        e.terms = {(g,): 1}
     if length == 1:
-        candidates = [(LieElement.gen(g, trunc), g.name)
-                      for g in gens if g.degree == degree]
+        candidates = [(unit[g], g.name) for g in gens if g.degree == degree]
     else:
-        candidates = ((bracket(LieElement.gen(g, trunc), b),
-                       "[%s,%s]" % (g.name, b.label))
+        candidates = ((bracket(unit[g], b), "[%s,%s]" % (g.name, b.label))
                       for g in gens
-                      for b in _left_normed_basis(gens, degree - g.degree, length - 1))
+                      for b, _ in _left_normed_basis(gens, degree - g.degree, length - 1))
     word_index = {}
     span = IncrementalSpan()
     picked = []
@@ -435,7 +447,7 @@ def _left_normed_basis(gens, degree, length):
         v.entries = vec
         if span.add(v):
             e.label = label
-            picked.append(e)
+            picked.append((e, {w: Fraction(c) for w, c in e.terms.items()}))
             check_resource_limit(len(picked), "basis size")
     _basis_cache[key] = picked
     return picked

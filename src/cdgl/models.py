@@ -83,6 +83,9 @@ def wedge_model(dims, trunc: Truncation, name=None) -> DGLPresentation:
                      name=name or ("wedge(%s)" % ",".join(map(str, dims))))
 
 
+BUILTIN_NAMES = ("l0", "l1", "s1", "sphere", "wedge")
+
+
 def builtin_model(name: str, params=(), trunc: Truncation | None = None) -> DGLPresentation:
     """Dispatch for the workbench: L0, L1, S1, sphere(n), wedge(n1,...)."""
     trunc = trunc or Truncation(5)

@@ -17,87 +17,68 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError("range must look like a..b") from None
 
 
-def build_parser():
+_COMMON = (
+    ("file", dict(nargs="?", help="model file (UTF-8, # comments)")),
+    ("--model", dict(help="model name in the file, or a builtin like "
+                          "sphere(3), wedge(1,1), L1, S1, L0")),
+    ("--truncate", dict(type=int, default=None, metavar="N",
+                        help="bracket-length truncation (default 5)")),
+    ("--range", dict(type=_parse_range, default=None, metavar="a..b")),
+    ("--word-cap", dict(type=int, default=3, metavar="w")),
+    ("--poly-cap", dict(type=int, default=6, metavar="p")),
+    ("--format", dict(choices=("table", "canonical"), default="table")),
+    ("--no-stability", dict(action="store_true",
+                            help="skip the cap+1 stability re-run")),
+)
+
+# command -> (help line, the arguments it takes after the common ones)
+COMMANDS = {
+    "check": ("validate a model file or builtin", ()),
+    "homology": ("homology table of a model", ()),
+    "bch": ("Baker-Campbell-Hausdorff product", (
+        ("-x", dict(required=True, help="first degree-0 expression")),
+        ("-y", dict(required=True, help="second degree-0 expression")))),
+    "gauge": ("gauge action of x on an MC element a", (
+        ("-x", dict(required=True)), ("-a", dict(required=True)))),
+    "gauge-equiv": ("decide gauge equivalence of two MC elements", (
+        ("-a", dict(required=True)), ("-b", dict(required=True)))),
+    "exp": ("exponential of a declared derivation", (("--derivation", dict(required=True)),)),
+    "log": ("logarithm of a declared automorphism", (("--morphism", dict(required=True)),)),
+    "h0": ("H_0 with the BCH product", ()),
+    "pi-map": ("mapping-space homotopy groups at a morphism", (
+        ("--morphism", dict(default="id",
+                            help="declared morphism name, or id/zero")),)),
+    "baut": ("free classifying-space invariants", (
+        ("--gspec", dict(default="identity", help="identity | "
+                         "stabilizer:<filt-name> | span:<der-names>")),)),
+    "bautstar": ("pointed classifying-space invariants", (
+        ("--gspec", dict(default="identity")),)),
+    "witness": ("verify a declared homotopy witness", (
+        ("--homotopy", dict(required=True)),
+        ("--from", dict(dest="from_name", required=True)),
+        ("--to", dict(dest="to_name", required=True)))),
+    "gamma": ("verify the suspension-comparison isomorphism for a morphism", (
+        ("--morphism", dict(default="id")),)),
+}
+
+
+def build_parser(argv=()):
+    """The parser for argv: when argv starts with a command, only that
+    command's subparser is built (the usage line still lists them all)."""
     ap = argparse.ArgumentParser(
         prog="cdgl",
         description="Exact computer algebra for complete differential graded "
                     "Lie algebras: models, Maurer-Cartan/gauge calculus, BCH, "
                     "mapping-space and classifying-space invariants.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_range=False):
-        p.add_argument("file", nargs="?", help="model file (UTF-8, # comments)")
-        p.add_argument("--model", help="model name in the file, or a builtin "
-                                       "like sphere(3), wedge(1,1), L1, S1, L0")
-        p.add_argument("--truncate", type=int, default=None, metavar="N",
-                       help="bracket-length truncation (default 5)")
-        p.add_argument("--range", type=_parse_range, default=None, metavar="a..b")
-        p.add_argument("--word-cap", type=int, default=3, metavar="w")
-        p.add_argument("--poly-cap", type=int, default=6, metavar="p")
-        p.add_argument("--format", choices=("table", "canonical"),
-                       default="table")
-        p.add_argument("--no-stability", action="store_true",
-                       help="skip the cap+1 stability re-run")
-
-    p = sub.add_parser("check", help="validate a model file or builtin")
-    common(p)
-
-    p = sub.add_parser("homology", help="homology table of a model")
-    common(p)
-
-    p = sub.add_parser("bch", help="Baker-Campbell-Hausdorff product")
-    common(p)
-    p.add_argument("-x", required=True, help="first degree-0 expression")
-    p.add_argument("-y", required=True, help="second degree-0 expression")
-
-    p = sub.add_parser("gauge", help="gauge action of x on an MC element a")
-    common(p)
-    p.add_argument("-x", required=True)
-    p.add_argument("-a", required=True)
-
-    p = sub.add_parser("gauge-equiv", help="decide gauge equivalence of two "
-                                           "MC elements")
-    common(p)
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-
-    p = sub.add_parser("exp", help="exponential of a declared derivation")
-    common(p)
-    p.add_argument("--derivation", required=True)
-
-    p = sub.add_parser("log", help="logarithm of a declared automorphism")
-    common(p)
-    p.add_argument("--morphism", required=True)
-
-    p = sub.add_parser("h0", help="H_0 with the BCH product")
-    common(p)
-
-    p = sub.add_parser("pi-map", help="mapping-space homotopy groups at a "
-                                      "morphism")
-    common(p)
-    p.add_argument("--morphism", default="id",
-                   help="declared morphism name, or id/zero")
-
-    p = sub.add_parser("baut", help="free classifying-space invariants")
-    common(p)
-    p.add_argument("--gspec", default="identity",
-                   help="identity | stabilizer:<filt-name> | span:<der-names>")
-
-    p = sub.add_parser("bautstar", help="pointed classifying-space invariants")
-    common(p)
-    p.add_argument("--gspec", default="identity")
-
-    p = sub.add_parser("witness", help="verify a declared homotopy witness")
-    common(p)
-    p.add_argument("--homotopy", required=True)
-    p.add_argument("--from", dest="from_name", required=True)
-    p.add_argument("--to", dest="to_name", required=True)
-
-    p = sub.add_parser("gamma", help="verify the suspension-comparison "
-                                     "isomorphism for a morphism")
-    common(p)
-    p.add_argument("--morphism", default="id")
-
+    names, metavar = list(COMMANDS), None
+    if argv and argv[0] in COMMANDS:
+        names, metavar = [argv[0]], "{%s}" % ",".join(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, extra = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in _COMMON + extra:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -144,8 +125,8 @@ def _join_negative_range(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_range(argv))
+    argv = _join_negative_range(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     task = task_from_args(args)
     report = run_task(task)
     sys.stdout.write(render(report, args.format))

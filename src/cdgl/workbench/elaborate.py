@@ -12,7 +12,7 @@ from ..derivations import Derivation
 from ..dgl import (DGLMorphism, DGLPresentation, GeneratorFiltration,
                    MCElement, build_dgl, exp_ad)
 from ..freelie import Generator, LieElement, Truncation, bracket
-from ..models import builtin_model
+from ..models import BUILTIN_NAMES, builtin_model
 from .ast import (Br, DerivationNode, Document, ExpAd, Expr, FiltDecl,
                   GenDecl, DiffDecl, HomotopyNode, McDecl, ModelNode,
                   MorphismNode, Ref, TruncDecl)
@@ -140,12 +140,12 @@ class Workspace:
         self.diags.append(Diagnostic(pos[0], pos[1], severity, msg))
 
     def _elaborate_model(self, node: ModelNode):
-        cap = self.truncation_override or DEFAULT_TRUNCATION
-        max_degree = None
+        cap, max_degree = DEFAULT_TRUNCATION, None
         for d in node.decls:
             if isinstance(d, TruncDecl):
-                cap = self.truncation_override or d.cap
-                max_degree = d.max_degree
+                cap, max_degree = d.cap, d.max_degree
+        if self.truncation_override is not None:
+            cap = self.truncation_override
         trunc = Truncation(cap, max_degree)
         gens = []
         seen = {}
@@ -277,25 +277,29 @@ class Workspace:
     def model(self, name) -> DGLPresentation:
         if name in self.models:
             return self.models[name].presentation
-        raise KeyError("unknown model %r" % name)
+        raise ElaborationError("unknown model %r" % name)
 
     def witness(self, name, poly_cap) -> Witness:
         node = self.homotopies.get(name)
         if node is None:
-            raise KeyError("unknown homotopy %r" % name)
+            raise ElaborationError("unknown homotopy %r" % name)
         src = self.model(node.source)
         tgt = self.model(node.target)
         cyl = Cylinder(tgt, poly_cap)
         forms = {}
         for gname, expr, pos in node.assigns:
-            g = src.generator(gname)
+            try:
+                g = src.generator(gname)
+            except KeyError:
+                raise ElaborationError("unknown generator %s" % gname) from None
             forms[g] = eval_expr(expr, tgt, cylinder=cyl, diags=self.diags,
                                  pos=pos)
         return Witness(src, tgt, forms, poly_cap, name=name)
 
 
 def parse_builtin_ref(text):
-    """sphere(3), wedge(1,1), L1, S1, L0 -> (name, params) or None."""
+    """sphere(3), wedge(1,1), L1, S1, L0 -> (name, params), or None when
+    text does not name a builtin model."""
     text = text.strip()
     if "(" in text and text.endswith(")"):
         name, args = text.split("(", 1)
@@ -304,25 +308,24 @@ def parse_builtin_ref(text):
             params = tuple(int(a) for a in args.split(",")) if args else ()
         except ValueError:
             return None
-        return name.strip(), params
+        name = name.strip()
+        return (name, params) if name.lower() in BUILTIN_NAMES else None
     if text.lower() in ("l0", "l1", "s1"):
         return text, ()
     return None
 
 
 def load_model(ref, truncation=None, workspace=None):
-    """Resolve a model reference: builtin expression or name in a workspace."""
+    """Resolve a model reference: builtin expression or name in a workspace.
+    A builtin's own errors (a bad dimension or cap) propagate as they are."""
     builtin = parse_builtin_ref(ref)
     if builtin is not None:
         name, params = builtin
-        try:
-            trunc = Truncation(truncation) if truncation else None
-            return builtin_model(name, params, trunc)
-        except ValueError:
-            pass
+        trunc = None if truncation is None else Truncation(truncation)
+        return builtin_model(name, params, trunc)
     if workspace is not None:
         return workspace.model(ref)
-    raise KeyError("unknown model reference %r" % ref)
+    raise ElaborationError("unknown model reference %r" % ref)
 
 
 def workspace_from_text(text, truncation_override=None):

@@ -45,7 +45,7 @@ class Task:
         bits = ["cdgl", self.command]
         if self.model_ref:
             bits.append("--model %s" % self.model_ref)
-        if self.trunc:
+        if self.trunc is not None:
             bits.append("--truncate %d" % self.trunc)
         if self.degree_range:
             bits.append("--range %d..%d" % self.degree_range)
@@ -74,7 +74,7 @@ def _resource_limit():
 
 def _load(task: Task, trunc_override=None):
     """Workspace (possibly empty) + resolved model presentation."""
-    cap = trunc_override or task.trunc
+    cap = task.trunc if trunc_override is None else trunc_override
     ws = None
     if task.file_text is not None:
         ws, _doc = workspace_from_text(task.file_text, truncation_override=cap)
@@ -140,7 +140,7 @@ def run_task(task: Task) -> Report:
     except CapExceededError as exc:
         report = Report(command=task.echo(), status="resource-limit",
                         notes=["polynomial cap exceeded: %s" % exc])
-    except (ElaborationError, KeyError, ValueError) as exc:
+    except ValueError as exc:   # ElaborationError and a model's own checks
         report = Report(command=task.echo(), status="diagnostics",
                         diagnostics=[Diagnostic(0, 0, "error", str(exc))])
     except InternalError as exc:
@@ -254,7 +254,7 @@ def cmd_exp(task: Task) -> Report:
     ws, L = _load(task)
     name = task.names.get("derivation")
     if ws is None or name not in ws.derivations:
-        raise KeyError("exp needs a file-declared derivation (--derivation)")
+        raise ElaborationError("exp needs a file-declared derivation (--derivation)")
     theta = ws.derivations[name]
     phi = exp_derivation_values(theta.source, theta.values)
     report = Report(command=task.echo())
@@ -268,7 +268,7 @@ def cmd_log(task: Task) -> Report:
     ws, L = _load(task)
     name = task.names.get("morphism")
     if ws is None or name not in ws.morphisms:
-        raise KeyError("log needs a file-declared morphism (--morphism)")
+        raise ElaborationError("log needs a file-declared morphism (--morphism)")
     phi = ws.morphisms[name]
     values = log_morphism(phi)
     report = Report(command=task.echo())
@@ -313,7 +313,7 @@ def _resolve_morphism(task, ws, L):
     if name == "zero":
         return DGLMorphism.zero_morphism(L, L)
     if ws is None or name not in ws.morphisms:
-        raise KeyError("unknown morphism %r" % name)
+        raise ElaborationError("unknown morphism %r" % name)
     return ws.morphisms[name]
 
 
@@ -346,20 +346,20 @@ def _resolve_gspec(task, ws, L) -> GSpec:
     if spec.startswith("stabilizer:"):
         name = spec.split(":", 1)[1]
         if ws is None:
-            raise KeyError("stabilizer spec needs a model file with "
-                           "filtration %r" % name)
+            raise ElaborationError("stabilizer spec needs a model file with "
+                                   "filtration %r" % name)
         for m in ws.models.values():
             if m.presentation is L and name in m.filtrations:
                 return GSpec("stabilizer", L, filtration=m.filtrations[name])
-        raise KeyError("unknown filtration %r" % name)
+        raise ElaborationError("unknown filtration %r" % name)
     if spec.startswith("span:"):
         names = [n for n in spec.split(":", 1)[1].split(",") if n]
         if ws is None:
-            raise KeyError("span spec needs a model file with derivations")
+            raise ElaborationError("span spec needs a model file with derivations")
         ders = []
         for n in names:
             if n not in ws.derivations:
-                raise KeyError("unknown derivation %r" % n)
+                raise ElaborationError("unknown derivation %r" % n)
             ders.append(ws.derivations[n])
         return GSpec("span", L, span=ders)
     raise ValueError("bad --gspec %r" % spec)
@@ -419,7 +419,7 @@ def cmd_witness(task: Task) -> Report:
     phi = ws.morphisms.get(task.names.get("from", ""))
     psi = ws.morphisms.get(task.names.get("to", ""))
     if phi is None or psi is None:
-        raise KeyError("witness needs --from and --to morphism names")
+        raise ElaborationError("witness needs --from and --to morphism names")
     verdict = check_homotopy(w, phi, psi)
     report = Report(command=task.echo())
     report.caps.update(verdict.caps)

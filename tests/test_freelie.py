@@ -342,3 +342,43 @@ def test_lie_basis_tries_one_candidate_per_sub_basis_element(monkeypatch):
                         lambda a, b: calls.append(None) or real(a, b))
     basis = lie_basis(gens, 4, 4, T(4))
     assert 0 < len(basis) < len(calls) == sub
+
+
+def test_lie_basis_hands_out_fractions():
+    # the basis is built on ints, but every element handed out is rational
+    gens = (Generator("frac_u", 0), Generator("frac_v", 1), Generator("frac_w", 2))
+    coefficients = []
+    for trunc in (T(5), T(6), T(6, 9)):
+        for ln in range(1, 6):
+            for deg in range(0, 2 * ln + 1):
+                for e in lie_basis(gens, deg, ln, trunc):
+                    assert e.trunc == trunc and e.label
+                    coefficients.extend(e.terms.values())
+    assert coefficients and all(type(c) is Fraction for c in coefficients)
+
+
+def _raw(terms, trunc):
+    # an element holding exactly these coefficients, ints included
+    e = LieElement.zero(trunc)
+    e.terms = dict(terms)
+    return e
+
+
+_int_terms = st.dictionaries(
+    st.lists(st.sampled_from(GENS), min_size=1, max_size=3).map(tuple),
+    st.integers(min_value=-5, max_value=5).filter(bool), max_size=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_int_terms, _int_terms, st.sampled_from([None, 2, 4]))
+def test_bracket_on_ints_matches_bracket_on_fractions(a, b, max_degree):
+    # odd and even generators; int inputs give ints, Fraction inputs give
+    # Fractions, with the same values in the same insertion order
+    trunc = T(4, max_degree)
+    on_ints = bracket(_raw(a, trunc), _raw(b, trunc)).terms
+    on_fractions = bracket(
+        _raw({w: Fraction(c) for w, c in a.items()}, trunc),
+        _raw({w: Fraction(c) for w, c in b.items()}, trunc)).terms
+    assert list(on_ints.items()) == list(on_fractions.items())
+    assert all(type(c) is int for c in on_ints.values())
+    assert all(type(c) is Fraction for c in on_fractions.values())

@@ -288,7 +288,134 @@ def test_chains_word_count_is_held_to_the_resource_limit(monkeypatch, capsys):
     assert "status = resource-limit" in out and "chains" in out
 
 
+def test_builtin_errors_are_reported_as_they_are():
+    # a builtin's own ValueError is the diagnostic; only a name that is not
+    # a builtin is looked up as a model reference
+    cases = [(Task("homology", model_ref="sphere(0)", degree_range=(0, 2)),
+              "sphere dimension must be >= 1"),
+             (Task("homology", model_ref="wedge(1,1)", trunc=-1,
+                   degree_range=(0, 2)), "truncation cap must be >= 1"),
+             (Task("check", model_ref="wedge()"),
+              "wedge needs sphere dimensions >= 1"),
+             (Task("check", model_ref="nope(1)"),
+              "unknown model reference 'nope(1)'")]
+    for task, message in cases:
+        rep = run_task(task)
+        assert rep.status == "diagnostics" and rep.exit_code() == 1
+        assert [d.message for d in rep.diagnostics] == [message]
+    rep = run_task(Task("check", file_text=read("wedge_spheres.cdgl"),
+                        model_ref="W3"))
+    assert rep.exit_code() == 0
+
+
+def test_truncate_zero_is_a_diagnostic(capsys):
+    # a cap of 0 is refused, not replaced by the default cap
+    from cdgl.workbench.cli import main
+    code = main(["homology", "--model", "wedge(1,1)", "--truncate", "0",
+                 "--range", "0..2", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "cdgl homology --model wedge(1,1) --truncate 0 --range 0..2" in out
+    assert "status = diagnostics" in out and "truncation cap must be >= 1" in out
+    assert "caps.truncation" not in out
+    rep = run_task(Task("check", file_text=read("s1.cdgl"), trunc=0))
+    assert rep.status == "diagnostics"
+    assert [d.message for d in rep.diagnostics] == ["truncation cap must be >= 1"]
+
+
+def test_no_diagnostic_message_starts_with_a_quote():
+    homotopy = read("wedge_homotopy.cdgl").replace("b -> -1 * dt * u",
+                                                   "z -> -1 * dt * u")
+    tasks = [
+        Task("check", model_ref="nope"),
+        Task("check", file_text=read("s1.cdgl"), model_ref="nope"),
+        Task("exp", model_ref="S1", names={"derivation": "zz"}),
+        Task("log", model_ref="S1", names={"morphism": "zz"}),
+        Task("pi-map", model_ref="S1", degree_range=(1, 2),
+             names={"morphism": "zz"}),
+        Task("gamma", model_ref="S1", names={"morphism": "zz"}),
+        Task("baut", model_ref="S1", degree_range=(1, 2), gspec="stabilizer:F"),
+        Task("baut", model_ref="S1", degree_range=(1, 2), gspec="span:s"),
+        Task("baut", file_text=read("wedge_spheres.cdgl"), degree_range=(1, 2),
+             gspec="stabilizer:G"),
+        Task("baut", file_text=read("wedge_spheres.cdgl"), degree_range=(1, 2),
+             gspec="span:nope"),
+        Task("witness", file_text=read("wedge_homotopy.cdgl"),
+             names={"homotopy": "nope", "from": "f", "to": "g"}),
+        Task("witness", file_text=read("wedge_homotopy.cdgl"),
+             names={"homotopy": "Psi"}),
+        Task("witness", file_text=homotopy,
+             names={"homotopy": "Psi", "from": "f", "to": "g"}),
+    ]
+    for task in tasks:
+        rep = run_task(task)
+        assert rep.status == "diagnostics", task
+        (diag,) = rep.diagnostics
+        assert diag.message[:1] not in ("'", '"'), diag.message
+    assert diag.message == "unknown generator z"
+
+
+def test_engine_key_error_is_not_a_diagnostic(monkeypatch):
+    import cdgl.workbench.tasks as tasks
+
+    def broken(L):
+        raise KeyError("engine bug")
+
+    monkeypatch.setattr(tasks, "h0_group", broken)
+    with pytest.raises(KeyError):
+        run_task(Task("h0", model_ref="wedge(1,1)", trunc=2))
+
+
 # -- CLI ------------------------------------------------------------------------
+
+# the command surface, as argparse prints it: command -> its help line
+CLI_COMMANDS = {
+    "check": "validate a model file or builtin",
+    "homology": "homology table of a model",
+    "bch": "Baker-Campbell-Hausdorff product",
+    "gauge": "gauge action of x on an MC element a",
+    "gauge-equiv": "decide gauge equivalence of two MC elements",
+    "exp": "exponential of a declared derivation",
+    "log": "logarithm of a declared automorphism",
+    "h0": "H_0 with the BCH product",
+    "pi-map": "mapping-space homotopy groups at a morphism",
+    "baut": "free classifying-space invariants",
+    "bautstar": "pointed classifying-space invariants",
+    "witness": "verify a declared homotopy witness",
+    "gamma": "verify the suspension-comparison isomorphism for a morphism",
+}
+
+
+def _exit_of(argv, capsys):
+    from cdgl.workbench.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("command", list(CLI_COMMANDS))
+def test_cli_command_help(command, capsys):
+    code, out, err = _exit_of([command, "--help"], capsys)
+    assert code == 0 and not err
+    assert out.startswith("usage: cdgl %s " % command)
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["homology", "--bogus"]])
+def test_cli_errors_list_every_command(argv, capsys):
+    code, out, err = _exit_of(argv, capsys)
+    assert code == 2 and not out
+    assert err.startswith("usage: cdgl [-h]")
+    assert "{%s}" % ",".join(CLI_COMMANDS) in err
+
+
+def test_cli_help_lists_every_command(capsys):
+    code, out, err = _exit_of(["--help"], capsys)
+    assert code == 0 and not err
+    words = " ".join(out.split())
+    for command, help_line in CLI_COMMANDS.items():
+        assert "%s %s" % (command, help_line) in words
+
 
 def test_negative_range_lower_bound_both_forms(capsys):
     from cdgl.workbench.cli import main
