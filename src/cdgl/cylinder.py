@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, nilpotent_series
-from .freelie import LieElement, LieTable, _exp_coefficient, word_degree
+from .freelie import (LieElement, LieTable, _exp_coefficient, bracket, mul,
+                      word_degree)
 
 
 class CapExceededError(ValueError):
@@ -95,70 +96,25 @@ class Cylinder:
         Polynomial degrees are never silently dropped: the constructor
         raises when the cap overflows, keeping verdicts sound.
         """
-        from .freelie import bracket as lie_bracket
-
-        def pieces():
-            for (k, d1), v in F.values.items():
-                for (j, d2), w in G.values.items():
-                    if d1 and d2:
-                        continue
-                    if d2:
-                        # Koszul sign per homogeneous word of the left value
-                        val = self.L.zero()
-                        for vw, vc in v.terms.items():
-                            sgn = Fraction(-1) if word_degree(vw) % 2 else Fraction(1)
-                            piece = LieElement({vw: vc * sgn}, self.L.trunc)
-                            val = val + lie_bracket(piece, w)
-                    else:
-                        val = lie_bracket(v, w)
-                    yield (k + j, d1 or d2), val
-
-        return self.zero()._plus(pieces())
+        return self.zero()._plus(_products(F.values, G.values, bracket))
 
     def apply_witness(self, images, e: LieElement) -> PolyForm:
         """Extend generator images (PolyForms) multiplicatively over the
         tensor words of e (the unique algebra-map extension)."""
+        # sums stay in plain dicts, so that only the total meets the cap
         total = {}
         for w, c in e.terms.items():
             # fold the word left to right in the poly (x) T(V) algebra
-            cur = {(0, False): {(): Fraction(1)}}
-            for g in w:
-                img = images[g]
+            cur = images[w[0]].values
+            for g in w[1:]:
                 nxt = {}
-                for (k, d1), u in cur.items():
-                    for (j, d2), v in img.values.items():
-                        if d1 and d2:
-                            continue
-                        # Koszul: (a (x) u)(a' (x) v) = (-1)^{|a'||u|} aa' (x) uv
-                        # |a'| = -1 iff d2; the sign is taken per word u
-                        for uw, uc in u.items():
-                            sgn = Fraction(1)
-                            if d2 and word_degree(uw) % 2:
-                                sgn = Fraction(-1)
-                            for vw, vc in v.terms.items():
-                                ww = uw + vw
-                                if ww and not self.L.trunc.admits(ww):
-                                    continue
-                                m = (k + j, d1 or d2)
-                                cur2 = nxt.setdefault(m, {})
-                                s = cur2.get(ww, Fraction(0)) + sgn * uc * vc
-                                if s:
-                                    cur2[ww] = s
-                                else:
-                                    cur2.pop(ww, None)
+                for m, v in _products(cur, images[g].values, mul):
+                    nxt[m] = nxt[m] + v if m in nxt else v
                 cur = nxt
-            for m, words in cur.items():
-                tgt = total.setdefault(m, {})
-                for ww, cc in words.items():
-                    if not ww:
-                        continue
-                    s = tgt.get(ww, Fraction(0)) + c * cc
-                    if s:
-                        tgt[ww] = s
-                    else:
-                        tgt.pop(ww, None)
-        return PolyForm(self.L, {m: LieElement(ws, self.L.trunc)
-                                 for m, ws in total.items()}, self.poly_cap)
+            for m, v in cur.items():
+                v = v.scale(c)
+                total[m] = total[m] + v if m in total else v
+        return PolyForm(self.L, total, self.poly_cap)
 
     def exp_ad(self, E: PolyForm, F: PolyForm) -> PolyForm:
         """e^{ad_E}(F) for a degree-0 form E; terminates at the caps."""
@@ -178,6 +134,24 @@ class Cylinder:
             if c:
                 out = out + v.scale(c)
         return out
+
+
+def _odd_negated(v: LieElement) -> LieElement:
+    """v with its odd-degree words negated: the Koszul sign of moving dt
+    (degree -1) past each word."""
+    res = LieElement.zero(v.trunc)
+    res.terms = {w: -c if word_degree(w) % 2 else c for w, c in v.terms.items()}
+    return res
+
+
+def _products(F, G, product):
+    """(monomial, value) pairs of (a (x) u)(a' (x) v) = (-1)^{|a'||u|} aa' (x)
+    product(u, v) over the monomial pairs of the tables F and G, with
+    dt dt = 0; product is bilinear, so the sign goes onto u."""
+    for (k, d1), u in F.items():
+        for (j, d2), v in G.items():
+            if not (d1 and d2):
+                yield (k + j, d1 or d2), product(_odd_negated(u) if d2 else u, v)
 
 
 @dataclass

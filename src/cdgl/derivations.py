@@ -60,7 +60,7 @@ class Derivation(LieTable):
 
     def apply(self, e: LieElement) -> LieElement:
         phi = None if self.base is None else self.base.images
-        return apply_operator(self.values, self.degree, e, phi=phi, phi2=phi)
+        return apply_operator(self.values, self.degree, e, phi=phi)
 
     def __eq__(self, other):
         return LieTable.__eq__(self, other) and self.degree == other.degree

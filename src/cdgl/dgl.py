@@ -44,29 +44,29 @@ class DivergenceError(ValueError):
     """A series (exp/log) does not terminate at the current truncation."""
 
 
-def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> LieElement:
-    """Extend generator values to a (twisted) derivation and apply it.
+def apply_operator(values, op_degree, e: LieElement, phi=None) -> LieElement:
+    """Extend generator values to a (phi-)derivation and apply it.
 
     values: Generator -> LieElement in the TARGET algebra.
-    phi/phi2: optional morphism images (Generator -> LieElement) used on the
-    left/right of the derivation slot; both default to the identity, giving
-    an ordinary derivation.  With phi = phi2 = f this is an f-derivation:
+    phi: optional morphism images (Generator -> LieElement) used on both
+    sides of the derivation slot; the identity by default, giving an
+    ordinary derivation.  With phi = f this is an f-derivation:
     theta(ab) = theta(a) f(b) + (-1)^{|theta||a|} f(a) theta(b).
 
-    Each word's products of phi images of its prefixes and of phi2 images of
-    its suffixes are built once, as lists of terms; identity images are
-    one-letter words, so those products are concatenations.  A term is kept
-    when every partial product, taken from the left one factor at a time,
-    is admitted by the truncation, as _mul_terms tests it.  Under a degree
-    cap with generators of negative degree that is stricter than admitting
-    the final word, so each suffix term carries the highest degree of its
-    partial products.
+    Each word's products of phi images of its prefixes and of its suffixes
+    are built once, the prefixes by _mul_terms and the suffixes as lists of
+    terms; identity images are one-letter words, so those products are
+    concatenations.  A term is kept when every partial product, taken from
+    the left one factor at a time, is admitted by the truncation, as
+    _mul_terms tests it.  Under a degree cap with generators of negative
+    degree that is stricter than admitting the final word, so each suffix
+    term carries the highest degree of its partial products.
     """
     trunc = e.trunc
     cap, max_deg, admits = trunc.max_bracket_length, trunc.max_degree, trunc.admits
 
-    def image(images, g):
-        return (((g,), 1),) if images is None else images[g].terms.items()
+    def image(g):
+        return {(g,): 1} if phi is None else phi[g].terms
 
     # the generators with a nonzero value; with none the operator is zero
     active = {g for g, v in values.items() if not v.is_zero()}
@@ -76,11 +76,11 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
         if not slots:
             continue
         # prefixes[i]: the terms of the product of the phi images of w[:i]
-        prefixes = [[((), 1)]]
+        prefixes = [{(): 1}]
         for g in w[:slots[-1]]:
-            prefixes.append(_times(prefixes[-1], image(phi, g), admits))
+            prefixes.append(_mul_terms(prefixes[-1], image(g), trunc))
         # suffixes[i]: the terms (word, coefficient, highest degree of a
-        # partial product from its left end) of the phi2 images of w[i+1:],
+        # partial product from its left end) of the phi images of w[i+1:],
         # shorter than the cap so that a value word still fits
         suffixes = {}
         suffix = [((), 1, 0)]
@@ -89,7 +89,7 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
             if i > slots[0]:
                 suffix = [(gw + s, cg * cs,
                            max(0, word_degree(gw) + top) if max_deg is not None else 0)
-                          for gw, cg in image(phi2, w[i]) for s, cs, top in suffix
+                          for gw, cg in image(w[i]).items() for s, cs, top in suffix
                           if len(gw) + len(s) < cap]
         for i in slots:
             if not prefixes[i]:
@@ -97,7 +97,7 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
             sc = -c if op_degree * word_degree(w[:i]) % 2 else c
             for vw, cv in values[w[i]].terms.items():
                 scv = None
-                for p, cp in prefixes[i]:
+                for p, cp in prefixes[i].items():
                     x = p + vw
                     if not admits(x):
                         continue
@@ -119,17 +119,6 @@ def apply_operator(values, op_degree, e: LieElement, phi=None, phi2=None) -> Lie
     res = LieElement.zero(trunc)
     res.terms = out
     return res
-
-
-def _times(terms, factor, admits):
-    """The terms of a product, each word tested by admits."""
-    out = []
-    for p, cp in terms:
-        for fw, cf in factor:
-            w = p + fw
-            if admits(w):
-                out.append((w, cp * cf))
-    return out
 
 
 def apply_morphism(images, e: LieElement, trunc=None) -> LieElement:

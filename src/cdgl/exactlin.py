@@ -83,9 +83,6 @@ class SparseVec:
     def items(self):
         return self.entries.items()
 
-    def support(self):
-        return sorted(self.entries)
-
     def scale(self, c) -> "SparseVec":
         c = _frac(c)
         if not c:
@@ -144,10 +141,6 @@ class SparseMat:
                 if v:
                     m.entries[(i, j)] = _frac(v)
         return m
-
-    @classmethod
-    def zero(cls, n_rows, n_cols):
-        return cls(n_rows, n_cols)
 
     def columns(self):
         cols = [SparseVec() for _ in range(self.n_cols)]

@@ -226,14 +226,16 @@ class LieTable:
 
 
 def _mul_terms(a, b, trunc):
-    """Concatenation product of word dictionaries (allows the empty word)."""
+    """Concatenation product of word dictionaries (allows the empty word),
+    each nonempty word tested by trunc; on ints for int coefficients."""
     out = {}
+    admits = trunc.admits
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
-            if not trunc.admits(w) and w:
+            if w and not admits(w):
                 continue
-            s = out.get(w, Fraction(0)) + ca * cb
+            s = out.get(w, 0) + ca * cb
             if s:
                 out[w] = s
             else:
@@ -381,15 +383,15 @@ def check_resource_limit(size, what):
 def lie_basis(gens, degree, length, trunc: Truncation):
     """Ordered basis of the (degree, length)-homogeneous component, as
     elements of trunc with Fraction coefficients, carrying bracket-expression
-    labels (see _left_normed_basis)."""
+    labels (see _left_normed_basis); empty above trunc's degree cap."""
     if length > trunc.max_bracket_length:
         raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
-    # every word has this length and degree, so trunc admits all or none
-    admitted = trunc.max_degree is None or degree <= trunc.max_degree
+    if trunc.max_degree is not None and degree > trunc.max_degree:
+        return []
     out = []
     for e, terms in _left_normed_basis(tuple(gens), degree, length):
         f = LieElement.zero(trunc)
-        f.terms = dict(terms) if admitted else {}
+        f.terms = dict(terms)
         f.label = e.label
         out.append(f)
     return out

@@ -90,12 +90,11 @@ def builtin_model(name: str, params=(), trunc: Truncation | None = None) -> DGLP
     """Dispatch for the workbench: L0, L1, S1, sphere(n), wedge(n1,...)."""
     trunc = trunc or Truncation(5)
     key = name.lower()
-    if key == "l0":
-        return mc_point_model(trunc)
-    if key == "l1":
-        return interval_model(trunc)
-    if key == "s1":
-        return circle_model(trunc)
+    fixed = {"l0": mc_point_model, "l1": interval_model, "s1": circle_model}
+    if key in fixed:
+        if params:
+            raise ValueError("%s takes no parameters" % name)
+        return fixed[key](trunc)
     if key == "sphere":
         if len(params) != 1:
             raise ValueError("sphere takes exactly one dimension")

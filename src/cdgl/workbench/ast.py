@@ -125,12 +125,6 @@ class Document:
     def models(self):
         return [i for i in self.items if isinstance(i, ModelNode)]
 
-    def find(self, cls, name):
-        for i in self.items:
-            if isinstance(i, cls) and i.name == name:
-                return i
-        return None
-
 
 # -- canonical printer --------------------------------------------------------
 

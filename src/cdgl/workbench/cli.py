@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .report import render
+from .parser import Diagnostic
+from .report import Report, render
 from .tasks import Task, run_task
 
 
@@ -82,11 +83,16 @@ def build_parser(argv=()):
     return ap
 
 
-def task_from_args(args) -> Task:
-    file_text = None
+def task_from_args(args):
+    """The task that args describe, and the message of a model file that
+    cannot be read (None when there is none)."""
+    file_text = unread = None
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            file_text = fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                file_text = fh.read()
+        except OSError as exc:
+            unread = "cannot read model file %s: %s" % (args.file, exc.strerror or exc)
     exprs = {}
     names = {}
     for key in ("x", "y", "a", "b"):
@@ -109,7 +115,7 @@ def task_from_args(args) -> Task:
                 gspec=getattr(args, "gspec", "identity"),
                 exprs=exprs,
                 names=names,
-                check_stability=not args.no_stability)
+                check_stability=not args.no_stability), unread
 
 
 def _join_negative_range(argv):
@@ -127,8 +133,12 @@ def _join_negative_range(argv):
 def main(argv=None):
     argv = _join_negative_range(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
-    task = task_from_args(args)
-    report = run_task(task)
+    task, unread = task_from_args(args)
+    if unread is None:
+        report = run_task(task)
+    else:
+        report = Report(command=task.echo(), status="diagnostics",
+                        diagnostics=[Diagnostic(0, 0, "error", unread)])
     sys.stdout.write(render(report, args.format))
     return report.exit_code()
 

@@ -86,14 +86,14 @@ def _load(task: Task, trunc_override=None):
     return ws, L
 
 
-def _parse_expr_str(text, L, ws=None, names=None):
+def _parse_expr_str(text, L):
     from .parser import Parser
     p = Parser(text)
     expr = p.parse_expr()
     errs = [d for d in p.diags if d.severity == "error"]
     if errs or not p.at("EOF"):
         raise ElaborationError("cannot parse expression %r" % text)
-    return eval_expr(expr, L, names=names or {})
+    return eval_expr(expr, L)
 
 
 def pretty_element(L, e):

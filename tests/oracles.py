@@ -158,12 +158,64 @@ def w_mul_admitted(a, b, admits):
     return {w: c for w, c in out.items() if c}
 
 
-def w_apply_operator(values, op_degree, a, admits, phi=None, phi2=None):
-    """Reference (twisted) derivation, one word position at a time: the phi
-    images of the letters before the position, the value at it and the phi2
-    images after it, multiplied from the left one factor at a time with each
-    partial product tested by admits.  values, phi and phi2 map a letter to
-    a word dict; phi = phi2 = None is the identity."""
+def w_cyl_mul(F, G, admits):
+    """Product in poly(t, dt) (x) T(V) of forms (k, has_dt) -> word dict:
+    (a (x) u)(a' (x) v) = (-1)^{|a'||u|} aa' (x) uv, one word u at a time,
+    with |dt| = -1 and dt dt = 0."""
+    out = {}
+    for (k, d1), u in F.items():
+        for (j, d2), v in G.items():
+            if d1 and d2:
+                continue
+            for wu, cu in u.items():
+                odd = d2 and sum(d for _, d in wu) % 2
+                piece = w_mul_admitted({wu: -cu if odd else cu}, v, admits)
+                m = (k + j, d1 or d2)
+                out[m] = w_add(out.get(m, {}), piece)
+    return {m: t for m, t in out.items() if t}
+
+
+def w_cyl_bracket(F, G, admits):
+    """Graded commutator FG - (-1)^{|F||G|} GF in poly(t, dt) (x) T(V), one
+    pair of single-word monomial terms at a time; a term t^k dt^e (x) w has
+    degree |w| - e."""
+    def pieces(H):
+        for m, terms in H.items():
+            for w, c in terms.items():
+                yield {m: {w: c}}, sum(d for _, d in w) - m[1]
+
+    out = {}
+    for p, dp in pieces(F):
+        for q, dq in pieces(G):
+            sign = -1 if dp * dq % 2 else 1
+            for m, t in w_cyl_mul(p, q, admits).items():
+                out[m] = w_add(out.get(m, {}), t)
+            for m, t in w_cyl_mul(q, p, admits).items():
+                out[m] = w_add(out.get(m, {}), w_scale(t, -sign))
+    return {m: t for m, t in out.items() if t}
+
+
+def w_cyl_apply(images, a, admits):
+    """The algebra map T(V) -> poly(t, dt) (x) T(V) extending the letter
+    images (forms), applied to the word dict a: each word's images are
+    multiplied from the left one factor at a time, each partial product
+    tested by admits."""
+    out = {}
+    for w, c in a.items():
+        cur = {(0, False): {(): c}}
+        for g in w:
+            cur = w_cyl_mul(cur, images[g], admits)
+        for m, t in cur.items():
+            out[m] = w_add(out.get(m, {}), {ww: cc for ww, cc in t.items() if ww})
+    return {m: t for m, t in out.items() if t}
+
+
+def w_apply_operator(values, op_degree, a, admits, phi=None):
+    """Reference phi-derivation, one word position at a time: the phi images
+    of the letters before the position, the value at it and the phi images
+    after it, multiplied from the left one factor at a time with each
+    partial product tested by admits.  values and phi map a letter to a
+    word dict; phi = None is the identity."""
     out = {}
     for w, c in a.items():
         for i, letter in enumerate(w):
@@ -177,7 +229,7 @@ def w_apply_operator(values, op_degree, a, admits, phi=None, phi2=None):
                 terms = w_mul_admitted(terms, img, admits)
             terms = w_mul_admitted(terms, val, admits)
             for g in w[i + 1:]:
-                img = {(g,): Fraction(1)} if phi2 is None else phi2[g]
+                img = {(g,): Fraction(1)} if phi is None else phi[g]
                 terms = w_mul_admitted(terms, img, admits)
             out = w_add(out, {ww: cc for ww, cc in terms.items() if ww})
     return out

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgl.cylinder import (CapExceededError, Cylinder, Witness, check_homotopy)
-from cdgl.dgl import DGLMorphism, exp_ad
-from cdgl.freelie import Truncation, bracket, left_normed
+from cdgl.cylinder import (CapExceededError, Cylinder, PolyForm, Witness,
+                           check_homotopy)
+from cdgl.dgl import DGLMorphism, DGLPresentation, exp_ad
+from cdgl.freelie import Generator, LieElement, Truncation, bracket, left_normed
 from cdgl.models import circle_model, sphere_model, wedge_model
+from oracles import w_cyl_apply, w_cyl_bracket
 
 
 def T(n):
@@ -170,3 +172,83 @@ def test_cap_overflow_raises():
     u, v = L.gen("x"), L.gen("y")
     with pytest.raises(CapExceededError):
         cyl.exp_ad(cyl.t_power(1, u), cyl.constant(v))
+
+
+# -- the cylinder products against the per-word reference ------------------------
+
+_GENS = (Generator("a", 0), Generator("b", 1), Generator("c", -1), Generator("e", 2))
+_word = st.lists(st.sampled_from(_GENS), min_size=1, max_size=2).map(tuple)
+_coeff = st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)])
+
+
+def _summed(triples):
+    """The form (k, has_dt) -> word dict summing (monomial, word, coefficient)
+    triples."""
+    out = {}
+    for m, w, c in triples:
+        terms = out.setdefault(m, {})
+        terms[w] = terms.get(w, 0) + c
+    return out
+
+
+_form = st.lists(st.tuples(st.tuples(st.integers(0, 2), st.booleans()), _word, _coeff),
+                 min_size=1, max_size=3).map(_summed)
+
+
+def _names(terms):
+    return {tuple((g.name, g.degree) for g in w): c for w, c in terms.items()}
+
+
+def _form_names(F):
+    return {m: _names(v.terms) for m, v in F.values.items()}
+
+
+def _cylinder_case(cap, max_degree, poly_cap):
+    trunc = Truncation(cap, max_degree)
+    L = DGLPresentation(_GENS, {}, trunc)
+
+    def admits(w):
+        return len(w) <= cap and (max_degree is None or sum(d for _, d in w) <= max_degree)
+
+    def form(values):
+        return PolyForm(L, {m: LieElement(t, trunc) for m, t in values.items()}, poly_cap)
+
+    return Cylinder(L, poly_cap), admits, form
+
+
+def _agrees(compute, want, poly_cap):
+    # the engine raises exactly when the reference has a monomial over the cap
+    if any(k > poly_cap for k, _ in want):
+        with pytest.raises(CapExceededError):
+            compute()
+    else:
+        assert _form_names(compute()) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.sampled_from((None, 0, 1, 2)), st.integers(2, 5),
+       _form, _form)
+def test_cylinder_bracket_agrees_with_per_word_reference(cap, max_degree, poly_cap, f, g):
+    cyl, admits, form = _cylinder_case(cap, max_degree, poly_cap)
+    F, G = form(f), form(g)
+    want = w_cyl_bracket(_form_names(F), _form_names(G), admits)
+    _agrees(lambda: cyl.bracket(F, G), want, poly_cap)
+
+
+# words of two or three letters, so that each word's images are multiplied
+_long_words = st.dictionaries(
+    st.lists(st.sampled_from(_GENS), min_size=2, max_size=3).map(tuple), _coeff,
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 6), st.sampled_from((None, 0, 1, 2)), st.integers(2, 6),
+       _long_words, st.fixed_dictionaries({g: _form for g in _GENS}))
+def test_cylinder_apply_witness_agrees_with_per_word_reference(cap, max_degree, poly_cap,
+                                                               terms, images):
+    cyl, admits, form = _cylinder_case(cap, max_degree, poly_cap)
+    forms = {g: form(f) for g, f in images.items()}
+    e = LieElement(terms, cyl.L.trunc)
+    want = w_cyl_apply({(g.name, g.degree): _form_names(F) for g, F in forms.items()},
+                       _names(e.terms), admits)
+    _agrees(lambda: cyl.apply_witness(forms, e), want, poly_cap)

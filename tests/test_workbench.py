@@ -308,6 +308,37 @@ def test_builtin_errors_are_reported_as_they_are():
     assert rep.exit_code() == 0
 
 
+def test_degree_cap_drops_the_degrees_over_it():
+    # words of degree 4 are over the cap, so H_4 is zero; the basis used to
+    # hand out zero elements with their labels there and count them
+    text = "model M { truncate 4 degree 3  gen x : 1  gen y : 1 }"
+    rep = run_task(Task("homology", file_text=text, degree_range=(0, 6)))
+    assert rep.status == "ok" and rep.stability == "green"
+    assert [rep.tables["homology"]["H_%d" % n] for n in range(7)] == [0, 2, 3, 2, 0, 0, 0]
+    assert "H_4" not in rep.tables["representatives"]
+    ws, _ = workspace_from_text(text)
+    L = ws.models["M"].presentation
+    assert L.basis(3) and L.basis(4) == []
+
+
+def test_builtin_without_parameters_refuses_them():
+    for ref in ("L0(1)", "L1(3)", "S1(2)"):
+        rep = run_task(Task("check", model_ref=ref))
+        assert rep.status == "diagnostics" and rep.exit_code() == 1
+        assert [d.message for d in rep.diagnostics] == [
+            "%s takes no parameters" % ref.split("(")[0]]
+
+
+def test_missing_model_file_is_a_diagnostic(tmp_path, capsys):
+    from cdgl.workbench.cli import main
+    missing = str(tmp_path / "nosuchfile.cdgl")
+    code = main(["homology", missing, "--range", "0..2", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status = diagnostics" in out
+    assert ("cannot read model file %s: No such file or directory" % missing) in out
+
+
 def test_truncate_zero_is_a_diagnostic(capsys):
     # a cap of 0 is refused, not replaced by the default cap
     from cdgl.workbench.cli import main
