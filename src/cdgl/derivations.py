@@ -203,15 +203,8 @@ class DerComplex:
 
 # -- twisted complexes -------------------------------------------------------
 
-DER_SL = "DER_SL"
-L_DER = "L_DER"
-FDER_SL = "FDER_SL"
-HOM_DER = "HOM_DER"
-
-
 @dataclass
 class TwistedComplex:
-    variant: str
     total: GradedChainComplex
     sub: GradedChainComplex
     quotient: GradedChainComplex
@@ -222,7 +215,7 @@ class TwistedComplex:
         return self.sub, self.total, self.quotient, self.incl, self.proj
 
 
-def _twisted_product(variant, sub: GradedChainComplex, quot: GradedChainComplex,
+def _twisted_product(sub: GradedChainComplex, quot: GradedChainComplex,
                      degrees, cross=None) -> TwistedComplex:
     """The twisted product of sub and quot on a degree window: each degree
     has the sub basis first, then the quot basis, and the boundary is the
@@ -250,7 +243,7 @@ def _twisted_product(variant, sub: GradedChainComplex, quot: GradedChainComplex,
         n: SparseMat(quot.dim(n), total.dim(n),
                      {(j, sub.dim(n) + j): 1 for j in range(quot.dim(n))})
         for n in window})
-    return TwistedComplex(variant, total, sub, quot, incl, proj)
+    return TwistedComplex(total, sub, quot, incl, proj)
 
 
 def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
@@ -262,9 +255,9 @@ def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
 
 
 def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
-                   phi: DGLMorphism | None = None,
-                   variant=DER_SL) -> TwistedComplex:
-    """Der (x~) sL with D sx = -s dx + ad_x (or ad_x . phi for FDER_SL)."""
+                   phi: DGLMorphism | None = None) -> TwistedComplex:
+    """Der (x~) sL with D sx = -s dx + ad_x (or ad_x . phi when phi is
+    given)."""
     src = L if phi is None else phi.source
     images = {g: L.gen(g) for g in L.gens} if phi is None else phi.images
 
@@ -279,20 +272,20 @@ def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
                         if not theta.is_zero() else SparseVec())
         return SparseMat.from_columns(len(dercx.space(n - 1)), cols)
 
-    return _twisted_product(variant, dercx.complex(),
+    return _twisted_product(dercx.complex(),
                             _shifted_l_complex(L, degrees), degrees, ad_column)
 
 
 def twisted_l_der(L: DGLPresentation, dercx: DerComplex, degrees) -> TwistedComplex:
     """L (x~) Der with block-diagonal differential; [theta, x] = theta(x)."""
     lo, hi = min(degrees), max(degrees)
-    return _twisted_product(L_DER, L.complex(range(lo - 1, hi + 1)),
+    return _twisted_product(L.complex(range(lo - 1, hi + 1)),
                             dercx.complex(), degrees)
 
 
 def twisted_hom_der(H: ConvolutionDGL, dercx: DerComplex, degrees) -> TwistedComplex:
     """Hom(C, L) (x~) Der L with [theta, f] = theta . f."""
-    return _twisted_product(HOM_DER, H.complex(sorted(degrees)),
+    return _twisted_product(H.complex(sorted(degrees)),
                             dercx.complex(), degrees)
 
 
@@ -625,7 +618,7 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
     window = range(min(degrees) - 1, max(degrees) + 2)
     base = None if _is_identity(phi) else phi
     dercx = DerComplex(Lsrc, Ltgt, base, window)
-    tw = twisted_der_sl(dercx, Ltgt, window, phi=base, variant=FDER_SL)
+    tw = twisted_der_sl(dercx, Ltgt, window, phi=base)
     les = les_of_ses(*tw.ses(), degrees=[n for n in degrees if n >= 0])
     # the sequence holds the homology of the pointed (sub) and free (total)
     # complexes in every degree >= 0
@@ -723,8 +716,9 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     adspan = IncrementalSpan()
     for v in ads:
         adspan.add(v)
-    quotient = H0Group(dercx.complex(), lambda z: dercx.element(0, z),
-                       dercx.space(0).coords, derivation_bracket, extra=ads)
+    h0 = homology_at(dercx.complex(), 0, extra=ads)
+    quotient = H0Group(h0, lambda z: dercx.element(0, z),
+                       dercx.space(0).coords, derivation_bracket)
 
     if mode == "FREE":
         tw = twisted_der_sl(dercx, L, window)
@@ -740,24 +734,14 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
         tw = twisted_l_der(L, dercx, window)
         pi = {}
         total_h = {n: homology_at(tw.total, n).dimension for n in degrees}
-        homology = {n: homology_at(cx, n) for n in degrees}
+        homology = {n: homology_at(cx, n) if n else h0 for n in degrees}
         element, coords, lie_bracket = (
             dercx.element, lambda th: dercx.space(th.degree).coords(th),
             derivation_bracket)
     # the homology Lie algebra of the window, modulo the boundaries
-    boundaries = {}
-
-    def modulo(n):
-        if n not in homology:
-            return None
-        if n not in boundaries:
-            boundaries[n] = IncrementalSpan()
-            for col in cx.d(n + 1).columns():
-                boundaries[n].add(col)
-        return boundaries[n].copy()
-
     nil = nilpotency([(n, element(n, z)) for n, h in sorted(homology.items())
-                      for z in h.cycle_reps], lie_bracket, coords, modulo)
+                      for z in h.cycle_reps], lie_bracket, coords,
+                     {n: h.boundaries for n, h in homology.items()})
     return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
                              ad_image_rank=adspan.rank, der0_dimension=len(g0),
                              nilpotency=nil,

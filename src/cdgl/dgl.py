@@ -16,9 +16,9 @@ from functools import cached_property
 from math import factorial
 
 from . import exactlin
-from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
+from .exactlin import (GradedChainComplex, HomologyReport, IncrementalSpan,
                        InternalError, SparseMat, SparseVec, build_complex,
-                       solve_linear)
+                       homology_at, solve_linear)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _exp_coefficient,
                       _mul_terms, bracket, exp_terms, is_lie, lie_basis,
@@ -503,10 +503,7 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
         sol = solve_linear(A, rhs)
         if sol is None:
             return GaugeResult(None, N, stage)
-        z = L.zero()
-        for j, c in sol.entries.items():
-            z = z + basis0[j].scale(c)
-        witness = bch(z, witness)
+        witness = bch(L.from_coords(sol, 0), witness)
     final = gauge_act(witness, a).value - b.value
     if not final.is_zero():
         return GaugeResult(None, N, final.min_length())
@@ -517,16 +514,17 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
 
 def nilpotency(generators, bracket, coords, modulo) -> int:
     """Nilpotency index of the graded Lie algebra spanned by generators, a
-    list of (degree, element) pairs independent modulo modulo(n) in each
+    list of (degree, element) pairs independent modulo modulo[n] in each
     degree n.
 
-    Layer 1 is the generators; layer k + 1 is a basis, modulo the span
-    modulo(n) in each degree n, of the brackets of layer k with layer 1,
-    where coords(x) gives the coordinates that modulo(n) works in for an
-    element x of degree n.  A degree for which modulo returns None is
-    outside the window, and its brackets are not computed.  The index is
-    the number of nonzero layers.  Each layer lies in the one before, so a
-    layer that does not shrink means the bracket is broken.
+    modulo maps a degree n to the base span (an IncrementalSpan) to work
+    modulo, in the coordinates coords(x) of an element x of degree n.
+    Layer 1 is the generators; layer k + 1 is a basis, modulo a copy of the
+    base span in each degree, of the brackets of layer k with layer 1.  A
+    degree missing from modulo is outside the window, and its brackets are
+    not computed.  The index is the number of nonzero layers.  Each layer
+    lies in the one before, so a layer that does not shrink means the
+    bracket is broken.
     """
     layer, nil = list(generators), 0
     while layer:
@@ -535,10 +533,10 @@ def nilpotency(generators, bracket, coords, modulo) -> int:
         for n, a in layer:
             for m, b in generators:
                 k = n + m
-                if k not in spans:
-                    spans[k] = modulo(k)
-                if spans[k] is None:
+                if k not in modulo:
                     continue
+                if k not in spans:
+                    spans[k] = modulo[k].copy()
                 br = bracket(a, b)
                 if not br.is_zero() and spans[k].add(coords(br)):
                     nxt.append((k, br))
@@ -552,11 +550,11 @@ def nilpotency(generators, bracket, coords, modulo) -> int:
 class H0Group:
     """H_0 of a cdgl with the BCH product, as the cap-N Malcev approximation.
 
-    cx is the cdgl's chain complex, of which degrees -1 to 1 are read;
-    element(z) is the degree-0 element with coordinates z in cx's degree-0
-    basis, coords its inverse, and bracket the Lie bracket of degree-0
-    elements.  extra lists further degree-0 cycles, in coordinates, to
-    divide out along with the boundaries; together they must span an ideal.
+    h is the degree-0 homology report of the cdgl's chain complex, taken
+    modulo any extra cycles, which must span an ideal together with the
+    boundaries; element(z) is the degree-0 element with coordinates z in
+    the complex's degree-0 basis, coords its inverse, and bracket the Lie
+    bracket of degree-0 elements.
 
     The brackets [h_i, h_j] of the representatives are taken once, in class
     coordinates, and the nilpotency class c and the group law are read off
@@ -566,19 +564,12 @@ class H0Group:
     than c classes is zero.  The structure constants are built on read.
     """
 
-    def __init__(self, cx: GradedChainComplex, element, coords, bracket,
-                 extra=()):
-        cycles = exactlin.kernel_basis(cx.d(0)) if cx.dim(0) else []
-        quotient = cx.d(1).columns() + list(extra)
-        span = IncrementalSpan()
-        for v in quotient:
-            span.add(v)
-        picked = [z for z in cycles if span.add(z)]
+    def __init__(self, h: HomologyReport, element, coords, bracket):
         self._coords = coords
         # cycle elements representing the basis, and their coordinates
         # modulo the quotient
-        self.reps = [element(z) for z in picked]
-        self.classes = FactoredBasis(picked, cx.dim(0), modulo=quotient)
+        self.reps = [element(z) for z in h.cycle_reps]
+        self.classes = h.classes
         n = len(self.reps)
         # degree-0 brackets are antisymmetric, so half the table is taken
         self._table = [[{} for _ in range(n)] for _ in range(n)]
@@ -591,7 +582,7 @@ class H0Group:
                     self._table[j][i] = {k: -c for k, c in v.items()}
         self.nilpotency_class = nilpotency(
             [(0, SparseVec.unit(i)) for i in range(n)], self.bracket,
-            lambda u: u, lambda k: IncrementalSpan() if k == 0 else None)
+            lambda u: u, {0: IncrementalSpan()})
         self.abelian = self.nilpotency_class <= 1
 
     @property
@@ -675,8 +666,9 @@ def bch_series(c):
 
 def h0_group(L: DGLPresentation) -> H0Group:
     """H_0(L) with its BCH group law at the truncation."""
-    return H0Group(L.complex([0, 1]), lambda z: L.from_coords(z, 0),
-                   lambda e: L.coords(e, 0), bracket)
+    return H0Group(homology_at(L.complex([0, 1]), 0),
+                   lambda z: L.from_coords(z, 0), lambda e: L.coords(e, 0),
+                   bracket)
 
 
 def act_on_morphism(y: LieElement, phi: DGLMorphism) -> DGLMorphism:

@@ -16,8 +16,9 @@ so downstream golden tests are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -319,9 +320,7 @@ class FactoredBasis:
     def __init__(self, vecs, n_cols, modulo=()):
         self.n_cols = n_cols
         self.last = n_cols + len(vecs) - 1
-        self.span = IncrementalSpan()
-        for b in modulo:
-            self.span.add(b)
+        self.span = _span(modulo)
         for k, v in enumerate(vecs):
             row = dict(v.entries)
             row[self.last - k] = 1
@@ -334,11 +333,15 @@ class FactoredBasis:
         return _vec({self.last - i: Fraction(-v, scale) for i, v in res.items()})
 
 
-def _row_span(mat: SparseMat) -> IncrementalSpan:
+def _span(vecs) -> IncrementalSpan:
     span = IncrementalSpan()
-    for row in mat.rows():
-        span.add(_vec(row))
+    for v in vecs:
+        span.add(v)
     return span
+
+
+def _row_span(mat: SparseMat) -> IncrementalSpan:
+    return _span(map(_vec, mat.rows()))
 
 
 def rank(mat: SparseMat) -> int:
@@ -444,33 +447,48 @@ def build_complex(degrees, basis, differential, coords, label) -> GradedChainCom
 
 @dataclass
 class HomologyReport:
+    """H_n of a complex modulo its boundaries and any extra cycles.
+
+    cycle_reps are the representatives; quotient lists the vectors divided
+    out (the boundaries, then the extra cycles) in the n_cols coordinates of
+    C_n.  classes (coordinates of a cycle's class in the representatives)
+    and boundaries (the span of the quotient) are built on first read.
+    """
+
     degree: int
     dimension: int
     cycle_reps: list
+    quotient: list = field(repr=False)
+    n_cols: int = field(repr=False)
+
+    @cached_property
+    def classes(self) -> FactoredBasis:
+        # unique: the representatives are independent modulo the quotient
+        return FactoredBasis(self.cycle_reps, self.n_cols, modulo=self.quotient)
+
+    @cached_property
+    def boundaries(self) -> IncrementalSpan:
+        return _span(self.quotient)
 
 
-def homology_at(C: GradedChainComplex, n: int) -> HomologyReport:
-    """H_n(C) with deterministic cycle representatives, after checking
-    dd = 0 around degree n.
+def homology_at(C: GradedChainComplex, n: int, extra=()) -> HomologyReport:
+    """H_n(C), modulo the extra degree-n cycles as well when given, with
+    deterministic cycle representatives, after checking dd = 0 around
+    degree n.
 
     Degrees outside the stored range are treated as zero (boundaries clip).
     """
     dn = C.d(n)
     if not C.d(n - 1).compose(dn).is_zero() or not dn.compose(C.d(n + 1)).is_zero():
         raise IllFormedComplexError("dd != 0 near degree %d" % n)
-    cycles = kernel_basis(C.d(n)) if C.dim(n) else []
-    span = IncrementalSpan()
-    for col in C.d(n + 1).columns():
-        span.add(col)
-    bnd_rank = span.rank
-    reps = []
-    for z in cycles:
-        if span.add(z):
-            reps.append(z)
-    dim = len(cycles) - bnd_rank
+    cycles = kernel_basis(dn) if C.dim(n) else []
+    quotient = C.d(n + 1).columns() + list(extra)
+    span = _span(quotient)
+    dim = len(cycles) - span.rank
+    reps = [z for z in cycles if span.add(z)]
     if dim != len(reps):
         raise IllFormedComplexError("homology rank bookkeeping failed at degree %d" % n)
-    return HomologyReport(degree=n, dimension=dim, cycle_reps=reps)
+    return HomologyReport(n, dim, reps, quotient, C.dim(n))
 
 
 class ChainMap:
@@ -494,13 +512,6 @@ class ChainMap:
             if left != right:
                 raise IllFormedComplexError("not a chain map at degree %d" % n)
         return self
-
-
-def _class_basis(X: GradedChainComplex, h: HomologyReport) -> FactoredBasis:
-    """Coordinates of a cycle's class in the homology basis h, which are
-    unique because the representatives are independent modulo boundaries."""
-    return FactoredBasis(h.cycle_reps, X.dim(h.degree),
-                         modulo=X.d(h.degree + 1).columns())
 
 
 @dataclass
@@ -551,15 +562,12 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees) -> LongExactSeq
 
     maps_i, maps_p, conn = {}, {}, {}
     for n in degrees:
-        to_b = _class_basis(B, hB[n])
         maps_i[n] = SparseMat.from_columns(hB[n].dimension, [
-            to_b.coords(incl.block(n).apply(z)) for z in hA[n].cycle_reps])
-        to_c = _class_basis(C, hC[n])
+            hB[n].classes.coords(incl.block(n).apply(z)) for z in hA[n].cycle_reps])
         maps_p[n] = SparseMat.from_columns(hC[n].dimension, [
-            to_c.coords(proj.block(n).apply(z)) for z in hB[n].cycle_reps])
+            hC[n].classes.coords(proj.block(n).apply(z)) for z in hB[n].cycle_reps])
         # zig-zag: lift through proj (free variables zero), push through d,
         # pull back through the injective incl
-        to_a = _class_basis(A, hA[n - 1])
         lift = FactoredBasis(proj.block(n).columns(), C.dim(n))
         pull = FactoredBasis(incl.block(n - 1).columns(), B.dim(n - 1))
         cols = []
@@ -573,7 +581,7 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees) -> LongExactSeq
             except NotInSpanError:
                 raise ExactnessError("boundary of lift not in subcomplex at "
                                      "degree %d" % n) from None
-            cols.append(to_a.coords(a))
+            cols.append(hA[n - 1].classes.coords(a))
         conn[n] = SparseMat.from_columns(hA[n - 1].dimension, cols)
 
     # exactness at every interior slot: image = kernel by rank arithmetic

@@ -93,6 +93,9 @@ def task_from_args(args):
                 file_text = fh.read()
         except OSError as exc:
             unread = "cannot read model file %s: %s" % (args.file, exc.strerror or exc)
+        except UnicodeDecodeError as exc:
+            unread = "cannot read model file %s: not UTF-8 text (%s)" % (
+                args.file, exc.reason)
     exprs = {}
     names = {}
     for key in ("x", "y", "a", "b"):

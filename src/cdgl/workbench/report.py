@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .ast import print_rational
+
 
 @dataclass
 class Report:
@@ -36,8 +38,7 @@ class Report:
 
 def _fmt_value(v):
     if isinstance(v, Fraction):
-        return "%d/%d" % (v.numerator, v.denominator) if v.denominator != 1 \
-            else str(v.numerator)
+        return print_rational(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (list, tuple)):

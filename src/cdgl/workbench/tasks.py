@@ -19,6 +19,7 @@ from ..dgl import (DGLMorphism, MCElement, bch, gauge_act, gauge_equivalent,
                    h0_group, log_morphism, exp_derivation_values)
 from ..exactlin import InternalError, ResourceLimitError, homology_at
 from ..freelie import set_resource_limit
+from .ast import print_rational
 from .elaborate import (ElaborationError, eval_expr, load_model,
                         workspace_from_text)
 from .parser import Diagnostic
@@ -107,12 +108,7 @@ def pretty_element(L, e):
     for i in sorted(coords.entries):
         c = coords.entries[i]
         label = basis[i].label or ("e%d_%d" % (deg, i))
-        if c == 1:
-            bits.append(label)
-        else:
-            cs = "%d/%d" % (c.numerator, c.denominator) if c.denominator != 1 \
-                else "%d" % c.numerator
-            bits.append("%s * %s" % (cs, label))
+        bits.append(label if c == 1 else "%s * %s" % (print_rational(c), label))
     return " + ".join(bits)
 
 

@@ -40,6 +40,22 @@ def dense_rank(M):
     return len(dense_rref(M, len(M[0]) if M else 0)[0])
 
 
+def dense_kernel(M, n_cols):
+    """Basis of {x : M x = 0}: one vector per free column, 1 there and 0 at
+    the other free columns."""
+    pivots, R = dense_rref(M, n_cols)
+    out = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n_cols
+        x[f] = Fraction(1)
+        for c, row in zip(pivots, R):
+            x[c] = -row[f]
+        out.append(x)
+    return out
+
+
 def dense_solve(A, b):
     """The solution of A x = b with free variables zero, or None."""
     n_cols = len(A[0]) if A else 0

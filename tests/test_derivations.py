@@ -153,11 +153,11 @@ def test_twisted_ses_les_exact():
         L = sphere_model(n, T(4))
         dc = DerComplex(L, L, None, range(-1, 8))
         H = ConvolutionDGL(chains_functor(L, word_cap=3), L)
-        for tw in (twisted_der_sl(dc, L, range(0, 8)),
-                   twisted_l_der(L, dc, range(0, 8)),
-                   twisted_hom_der(H, dc, range(-1, 8))):
+        for k, tw in enumerate((twisted_der_sl(dc, L, range(0, 8)),
+                                twisted_l_der(L, dc, range(0, 8)),
+                                twisted_hom_der(H, dc, range(-1, 8)))):
             les = les_of_ses(*tw.ses(), degrees=range(0, 7))
-            assert les.degrees == list(range(0, 7)), tw.variant
+            assert les.degrees == list(range(0, 7)), "product %d" % k
 
 
 # -- GSpec ----------------------------------------------------------------------

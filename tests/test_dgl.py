@@ -9,8 +9,9 @@ from cdgl.dgl import (DGLMorphism, DivergenceError,
                       act_on_morphism, apply_operator, bch, build_dgl, check_mc,
                       component_complex, exp_ad, exp_derivation_values,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
-                      perturbed)
-from cdgl.exactlin import InternalError, NotInSpanError, homology_at
+                      nilpotency, perturbed)
+from cdgl.exactlin import (IncrementalSpan, InternalError, NotInSpanError,
+                           SparseVec, homology_at)
 from cdgl.freelie import (Generator, LieElement, Truncation, bracket, left_normed,
                           lie_basis)
 from cdgl.models import (bernoulli, circle_model, interval_model,
@@ -524,6 +525,30 @@ def test_h0_class_of_outside_span_raises():
     G = h0_group(L)
     with pytest.raises(NotInSpanError):
         G.class_of(L.gen("x"))
+
+
+def test_nilpotency_skips_degrees_outside_modulo():
+    # two degree-1 generators e0, e1 with [e0, e1] = -[e1, e0] = f in degree 2
+    # and every other bracket zero; brackets landing in a degree missing
+    # from modulo are not taken
+    calls = []
+
+    def br(u, v):
+        calls.append(1)
+        return SparseVec({2: u.get(0) * v.get(1) - u.get(1) * v.get(0)})
+
+    gens = [(1, SparseVec.unit(0)), (1, SparseVec.unit(1))]
+    assert nilpotency(gens, br, lambda u: u,
+                      {1: IncrementalSpan(), 2: IncrementalSpan()}) == 2
+    assert len(calls) == 4      # none for layer 2, whose brackets land in degree 3
+    calls.clear()
+    assert nilpotency(gens, br, lambda u: u, {1: IncrementalSpan()}) == 1
+    assert calls == []
+    # a base span holding f divides it out, and is left as it was
+    base = IncrementalSpan()
+    base.add(SparseVec.unit(2))
+    assert nilpotency(gens, br, lambda u: u, {1: IncrementalSpan(), 2: base}) == 1
+    assert base.rank == 1
 
 
 def test_h0_non_descending_series_is_internal_error(monkeypatch):

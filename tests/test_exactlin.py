@@ -12,7 +12,7 @@ from cdgl.exactlin import (ChainMap, ExactnessError, FactoredBasis,
                            kernel_basis, les_of_ses, postnikov_truncate, rank,
                            solve_linear)
 
-from oracles import dense, dense_rank, dense_rref, dense_solve
+from oracles import dense, dense_kernel, dense_rank, dense_rref, dense_solve
 
 
 def mat(rows):
@@ -224,6 +224,54 @@ def test_homology_rank_nullity_consistency():
             assert rep.dimension == C.dim(n) - rank(C.d(n)) - rank(C.d(n + 1))
             for z in rep.cycle_reps:
                 assert C.d(n).apply(z).is_zero()
+
+
+@st.composite
+def complex_with_extra(draw):
+    """(C, extra, cycle): a random integer complex on degrees 0..2, extra
+    degree-1 cycles and one more degree-1 cycle, all built from a kernel
+    basis of d_1 taken by the dense oracle."""
+    small = st.integers(-2, 2)
+    dims = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
+    d1 = [draw(st.lists(small, min_size=dims[1], max_size=dims[1]))
+          for _ in range(dims[0])]
+    Z = dense_kernel(d1, dims[1])
+
+    def cycle():
+        coeffs = draw(st.lists(small, min_size=len(Z), max_size=len(Z)))
+        return vec([sum((c * z[i] for c, z in zip(coeffs, Z)), Fraction(0))
+                    for i in range(dims[1])])
+
+    d2 = [cycle() for _ in range(dims[2])]
+    extra = [cycle() for _ in range(draw(st.integers(0, 2)))]
+    C = GradedChainComplex({n: ["e%d_%d" % (n, i) for i in range(dims[n])]
+                            for n in range(3)},
+                           {1: mat(d1) if dims[0] else None,
+                            2: SparseMat.from_columns(dims[1], d2)})
+    return C, extra, cycle()
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_with_extra())
+def test_homology_modulo_extra_matches_dense_rank(case):
+    # dim H = dim Z_1 - rank(B_1 + extra), and a cycle minus its class
+    # coordinates times the representatives lies in the quotient
+    C, extra, z = case
+    n_cols = C.dim(1)
+
+    def dense_vecs(vs):
+        return [[v.get(i) for i in range(n_cols)] for v in vs]
+
+    quotient = dense_vecs(C.d(2).columns() + extra)
+    q_rank = dense_rank(quotient)
+    z_dim = len(dense_kernel(dense(C.d(1).entries, C.dim(0), n_cols), n_cols))
+    h = homology_at(C, 1, extra)
+    assert h.dimension == z_dim - q_rank
+    assert h.boundaries.rank == q_rank
+    x = h.classes.coords(z)
+    rest = z - sum((r.scale(x.get(k)) for k, r in enumerate(h.cycle_reps)),
+                   SparseVec())
+    assert dense_rank(quotient + dense_vecs([rest])) == q_rank
 
 
 def test_ill_formed_complex_rejected():

@@ -339,6 +339,17 @@ def test_missing_model_file_is_a_diagnostic(tmp_path, capsys):
     assert ("cannot read model file %s: No such file or directory" % missing) in out
 
 
+def test_non_utf8_model_file_is_a_diagnostic(tmp_path, capsys):
+    from cdgl.workbench.cli import main
+    path = tmp_path / "bin.cdgl"
+    path.write_bytes(b"\xff\xfe")
+    code = main(["homology", str(path), "--range", "0..2", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status = diagnostics" in out
+    assert ("cannot read model file %s: not UTF-8 text" % path) in out
+
+
 def test_truncate_zero_is_a_diagnostic(capsys):
     # a cap of 0 is refused, not replaced by the default cap
     from cdgl.workbench.cli import main
