@@ -689,6 +689,21 @@ def _der_sl_coords(dercx: DerComplex, L: DGLPresentation,
     return SparseVec(out)
 
 
+class _Boundaries:
+    """Degree -> the boundary span of a dict of homology reports, read only;
+    a span is built on first read, so a degree that no bracket reaches
+    builds none."""
+
+    def __init__(self, homology):
+        self.homology = homology
+
+    def __contains__(self, n):
+        return n in self.homology
+
+    def __getitem__(self, n):
+        return self.homology[n].boundaries
+
+
 def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
                            degrees) -> ClassifyingReport:
     """Invariants of the classifying fibrations for a subgroup spec.
@@ -741,7 +756,7 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     # the homology Lie algebra of the window, modulo the boundaries
     nil = nilpotency([(n, element(n, z)) for n, h in sorted(homology.items())
                       for z in h.cycle_reps], lie_bracket, coords,
-                     {n: h.boundaries for n, h in homology.items()})
+                     _Boundaries(homology))
     return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
                              ad_image_rank=adspan.rank, der0_dimension=len(g0),
                              nilpotency=nil,

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from . import exactlin
 from .exactlin import (GradedChainComplex, HomologyReport, IncrementalSpan,
                        InternalError, SparseMat, SparseVec, build_complex,
                        homology_at, solve_linear)
@@ -328,13 +327,6 @@ def perturbed(L: DGLPresentation, a) -> DGLPresentation:
     d_new = {g: L.d_on_gens[g] + bracket(value, L.gen(g)) for g in L.gens}
     return DGLPresentation(L.gens, d_new, L.trunc,
                            name=(L.name or "L") + "^perturbed").validate()
-
-
-def component_complex(L: DGLPresentation, a, degrees) -> GradedChainComplex:
-    """Complex of the connected cover (at degree 0) of (L, d_a)."""
-    La = perturbed(L, a) if a is not None else L
-    degrees = sorted(n for n in set(degrees) | {0} if n >= 0)
-    return exactlin.connected_cover(La.complex(degrees), 0)
 
 
 # -- BCH, exp/log, gauge --------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
@@ -227,13 +227,17 @@ class LieTable:
 
 def _mul_terms(a, b, trunc):
     """Concatenation product of word dictionaries (allows the empty word),
-    each nonempty word tested by trunc; on ints for int coefficients."""
+    each nonempty word tested by trunc, the length by the room that the left
+    word leaves under the cap; on ints for int coefficients."""
     out = {}
-    admits = trunc.admits
+    cap, max_degree = trunc.max_bracket_length, trunc.max_degree
     for wa, ca in a.items():
+        room = cap - len(wa)
         for wb, cb in b.items():
+            if len(wb) > room:
+                continue
             w = wa + wb
-            if w and not admits(w):
+            if max_degree is not None and w and word_degree(w) > max_degree:
                 continue
             s = out.get(w, 0) + ca * cb
             if s:
@@ -249,9 +253,13 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     trunc = a.trunc
     cap = trunc.max_bracket_length
     max_degree = trunc.max_degree
+    res = LieElement.zero(trunc)
+    # with no pair of words under the cap the bracket is zero
+    shortest = min(map(len, b.terms), default=cap)
+    if min(map(len, a.terms), default=cap) + shortest > cap:
+        return res
     out = {}
     b_terms = [(wb, cb, len(wb), word_degree(wb)) for wb, cb in b.terms.items()]
-    shortest = min((t[2] for t in b_terms), default=0)
     for wa, ca in a.terms.items():
         la = len(wa)
         if la + shortest > cap:
@@ -268,7 +276,6 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
                     out[w] = s
                 else:
                     out.pop(w, None)
-    res = LieElement.zero(trunc)
     res.terms = out
     return res
 
@@ -280,23 +287,39 @@ def mul(a: LieElement, b: LieElement) -> LieElement:
     return res
 
 
-def _power_series(v, coefficient, trunc, out):
-    """Add sum_{k >= 1} coefficient(k) v^k to the word dictionary out, in
-    place, and return it; v has no empty word, so its powers vanish past
-    the cap."""
-    power, k = {(): Fraction(1)}, 0
-    while True:
-        k += 1
+def _clear_denominators(terms):
+    """(D, the word dictionary D * terms on ints), D the lcm of the
+    denominators of the coefficients (ints or Fractions)."""
+    D = lcm(*(c.denominator for c in terms.values()))
+    return D, {w: c.numerator * (D // c.denominator) for w, c in terms.items()}
+
+
+def _power_series(v, coefficient, trunc):
+    """sum_{k >= 1} coefficient(k) v^k, with Fraction coefficients; v has no
+    empty word, so its powers vanish past the cap N.  The powers are taken
+    on the ints D v, D the lcm of v's denominators, and summed over one
+    denominator Q = D^N M, M the lcm of the denominators of coefficient(1..N).
+    Each partial sum is Q times the sum on Fractions, so words cancel, leave
+    and re-enter the sum at the same points."""
+    cap = trunc.max_bracket_length
+    D, v = _clear_denominators(v)
+    coefficients = [coefficient(k) for k in range(1, cap + 1)]
+    M = lcm(*(c.denominator for c in coefficients))
+    out = {}
+    power = {(): 1}
+    for k, c in enumerate(coefficients, 1):
         power = _mul_terms(power, v, trunc)
         if not power:
-            return out
-        c = coefficient(k)
+            break
+        m = c.numerator * (M // c.denominator) * D ** (cap - k)
         for w, t in power.items():
-            s = out.get(w, 0) + c * t
+            s = out.get(w, 0) + m * t
             if s:
                 out[w] = s
             else:
                 out.pop(w, None)
+    Q = D ** cap * M
+    return {w: Fraction(s, Q) for w, s in out.items()}
 
 
 def _exp_coefficient(k):
@@ -305,7 +328,7 @@ def _exp_coefficient(k):
 
 def exp_terms(x: LieElement):
     """exp(x) in the truncated tensor algebra; includes the empty word."""
-    return _power_series(x.terms, _exp_coefficient, x.trunc, {(): Fraction(1)})
+    return {(): Fraction(1), **_power_series(x.terms, _exp_coefficient, x.trunc)}
 
 
 def log_terms(u, trunc) -> LieElement:
@@ -314,7 +337,7 @@ def log_terms(u, trunc) -> LieElement:
         raise LieMembershipError("log argument must have unit constant term")
     v = {w: c for w, c in u.items() if w}
     res = LieElement.zero(trunc)
-    res.terms = _power_series(v, lambda k: Fraction((-1) ** (k + 1), k), trunc, {})
+    res.terms = _power_series(v, lambda k: Fraction((-1) ** (k + 1), k), trunc)
     return res
 
 
@@ -338,27 +361,13 @@ def _dynkin_terms(terms):
     return {w: c for w, c in out.items() if c}
 
 
-def dynkin(e: LieElement) -> LieElement:
-    """Right-nested bracketing map w = x1...xn -> [x1,[x2,[...,xn]]].
-
-    On the length-n Lie component it acts as multiplication by n (graded
-    Dynkin-Specht-Wever), which certifies Lie-subspace membership.
-    """
-    return LieElement(_dynkin_terms(e.terms), e.trunc)
-
-
 def is_lie(e: LieElement) -> bool:
     """Exact Lie-subspace membership via the Dynkin idempotent, all lengths
-    in one pass: D(e) must equal the sum of len(w) * c_w * w."""
-    return _dynkin_terms(e.terms) == {w: len(w) * c for w, c in e.terms.items()}
-
-
-def left_normed(seq, trunc) -> LieElement:
-    """[g1,[g2,[...,[g_{k-1}, g_k]]]] for a generator sequence."""
-    cur = LieElement.gen(seq[-1], trunc)
-    for g in reversed(seq[:-1]):
-        cur = bracket(LieElement.gen(g, trunc), cur)
-    return cur
+    in one pass: D(e) must equal the sum of len(w) * c_w * w.  D is linear
+    over Z, so the test runs on the ints of e with its denominators cleared.
+    """
+    _, terms = _clear_denominators(e.terms)
+    return _dynkin_terms(terms) == {w: len(w) * c for w, c in terms.items()}
 
 
 _basis_cache = {}

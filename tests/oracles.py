@@ -1,11 +1,21 @@
 """Independent brute-force oracles used by the test suite.
 
-Nothing here imports the engine's elimination or tensor-algebra code: dense
+No oracle calls the engine's elimination or tensor-algebra code: dense
 Fraction matrices and a standalone word algebra keep the oracles on a
-separate path from the implementations they check.
+separate path from the implementations they check.  The word product and
+the exp/log series sum pair by pair and power by power on Fractions, as the
+engine's did before it moved to integers, so that they also pin the order of
+the engine's output.  The last section holds test helpers that build engine
+values (left-normed brackets, the Dynkin map, components); no oracle uses
+them.
 """
 
 from fractions import Fraction
+from math import factorial
+
+from cdgl.dgl import perturbed
+from cdgl.exactlin import connected_cover
+from cdgl.freelie import LieElement, _dynkin_terms, bracket
 
 
 def dense(mat_entries, n_rows, n_cols):
@@ -69,16 +79,23 @@ def dense_solve(A, b):
 
 # --- standalone graded word algebra -----------------------------------
 
-def w_mul(a, b, cap):
-    """Concatenation product of dicts word(tuple of (name, deg)) -> Fraction."""
+def w_mul_admitted(a, b, admits):
+    """Concatenation product of dicts word(tuple of (name, deg)) -> Fraction
+    (the empty word allowed), pair by pair in the order of a then b, keeping
+    the nonempty words that admits accepts; a word whose sum reaches zero
+    leaves the dict and re-enters at the end, as in the engine's product."""
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
-            if len(w) > cap:
+            if w and not admits(w):
                 continue
-            out[w] = out.get(w, Fraction(0)) + ca * cb
-    return {w: c for w, c in out.items() if c}
+            s = out.get(w, Fraction(0)) + ca * cb
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
 
 
 def w_add(a, b):
@@ -112,34 +129,32 @@ def w_bracket(a, b, cap):
     return {w: c for w, c in out.items() if c}
 
 
-def w_exp(x, cap):
-    out = {(): Fraction(1)}
-    power = {(): Fraction(1)}
-    fact = 1
-    for k in range(1, cap + 1):
-        power = w_mul(power, x, cap)
-        fact *= k
-        out = w_add(out, w_scale(power, Fraction(1, fact)))
-        if not power:
-            break
+def _w_series(v, coefficient, admits, out):
+    """out plus sum_{k >= 1} coefficient(k) v^k, one power at a time; v has
+    no empty word and admits bounds the length, so the powers vanish."""
+    power, k = {(): Fraction(1)}, 0
+    while power:
+        k += 1
+        power = w_mul_admitted(power, v, admits)
+        out = w_add(out, w_scale(power, coefficient(k)))
     return out
 
 
-def w_log(u, cap):
+def w_exp(x, admits):
+    return _w_series(x, lambda k: Fraction(1, factorial(k)), admits,
+                     {(): Fraction(1)})
+
+
+def w_log(u, admits):
     v = {w: c for w, c in u.items() if w}
-    out = {}
-    power = {(): Fraction(1)}
-    for n in range(1, cap + 1):
-        power = w_mul(power, v, cap)
-        out = w_add(out, w_scale(power, Fraction((-1) ** (n + 1), n)))
-        if not power:
-            break
-    return out
+    return _w_series(v, lambda k: Fraction((-1) ** (k + 1), k), admits, {})
 
 
 def w_bch(x, y, cap):
     """Independent BCH oracle: log(exp(x) exp(y)) in the word algebra."""
-    return w_log(w_mul(w_exp(x, cap), w_exp(y, cap), cap), cap)
+    def admits(w):
+        return len(w) <= cap
+    return w_log(w_mul_admitted(w_exp(x, admits), w_exp(y, admits), admits), admits)
 
 
 def w_dynkin(a, cap):
@@ -160,18 +175,6 @@ def w_is_lie(a, cap):
         if w_dynkin(comp, cap) != w_scale(comp, n):
             return False
     return True
-
-
-def w_mul_admitted(a, b, admits):
-    """Concatenation product keeping the nonempty words that admits accepts."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            if w and not admits(w):
-                continue
-            out[w] = out.get(w, Fraction(0)) + ca * cb
-    return {w: c for w, c in out.items() if c}
 
 
 def w_cyl_mul(F, G, admits):
@@ -314,3 +317,26 @@ def w_lie_basis(gens, degree, length):
         rows[p] = row
         out.append((label, cur))
     return out
+
+
+# --- engine helpers for tests (not oracles) -----------------------------
+
+def left_normed(seq, trunc) -> LieElement:
+    """[g1,[g2,[...,[g_{k-1}, g_k]]]] for a generator sequence."""
+    cur = LieElement.gen(seq[-1], trunc)
+    for g in reversed(seq[:-1]):
+        cur = bracket(LieElement.gen(g, trunc), cur)
+    return cur
+
+
+def dynkin(e: LieElement) -> LieElement:
+    """The engine's right-nested bracketing map x1...xn -> [x1,[x2,[...,xn]]];
+    on the length-n Lie component it is multiplication by n."""
+    return LieElement(_dynkin_terms(e.terms), e.trunc)
+
+
+def component_complex(L, a, degrees):
+    """Complex of the connected cover (at degree 0) of (L, d_a)."""
+    La = perturbed(L, a) if a is not None else L
+    degrees = sorted(n for n in set(degrees) | {0} if n >= 0)
+    return connected_cover(La.complex(degrees), 0)

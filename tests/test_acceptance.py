@@ -22,14 +22,13 @@ from cdgl.dgl import (DGLMorphism, GeneratorFiltration, MCElement, bch,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, h0_group, log_morphism, perturbed)
 from cdgl.exactlin import connected_cover, homology_at, les_of_ses
-from cdgl.freelie import (Generator, LieElement, Truncation, bracket,
-                          left_normed, lie_basis)
+from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import parse_document, workspace_from_text
 from cdgl.workbench.ast import print_document
 from cdgl.workbench.elaborate import export_source
 
-from oracles import w_bch
+from oracles import left_normed, w_bch
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

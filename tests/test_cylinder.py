@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cdgl.cylinder import (CapExceededError, Cylinder, PolyForm, Witness,
                            check_homotopy)
 from cdgl.dgl import DGLMorphism, DGLPresentation, exp_ad
-from cdgl.freelie import Generator, LieElement, Truncation, bracket, left_normed
+from cdgl.freelie import Generator, LieElement, Truncation, bracket
 from cdgl.models import circle_model, sphere_model, wedge_model
-from oracles import w_cyl_apply, w_cyl_bracket
+from oracles import left_normed, w_cyl_apply, w_cyl_bracket
 
 
 def T(n):

@@ -16,8 +16,10 @@ from cdgl.derivations import (DerComplex, Derivation, GSpec,
 from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
                       h0_group)
 from cdgl.exactlin import InternalError, homology_at, les_of_ses, connected_cover
-from cdgl.freelie import Truncation, bracket, left_normed
+from cdgl.freelie import Truncation, bracket
 from cdgl.models import circle_model, sphere_model, wedge_model
+
+from oracles import left_normed
 
 
 def T(n):

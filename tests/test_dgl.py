@@ -6,18 +6,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdgl.dgl import (DGLMorphism, DivergenceError,
                       IllFormedDifferentialError, MCElement,
-                      act_on_morphism, apply_operator, bch, build_dgl, check_mc,
-                      component_complex, exp_ad, exp_derivation_values,
+                      act_on_morphism, apply_operator, bch, bch_series,
+                      build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
                       nilpotency, perturbed)
 from cdgl.exactlin import (IncrementalSpan, InternalError, NotInSpanError,
                            SparseVec, homology_at)
-from cdgl.freelie import (Generator, LieElement, Truncation, bracket, left_normed,
-                          lie_basis)
+from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
 
-from oracles import dense_solve, w_apply_operator, w_bch
+from oracles import (component_complex, dense_solve, left_normed,
+                     w_apply_operator, w_bch)
 
 
 def T(n):
@@ -685,3 +685,14 @@ def test_apply_operator_agrees_with_per_position_oracle(cap, max_degree, op_degr
     want = w_apply_operator(word_images(vals), op_degree, _names(e.terms), admits,
                             phi=word_images(phi_images))
     assert _names(got.terms) == want
+
+
+def test_bch_series_hands_out_fractions():
+    # c_w / len(w) from the word oracle's log(e^X e^Y), as Fractions
+    X, Y = ("X", 0), ("Y", 0)
+    for c in range(1, 7):
+        series = bch_series(c)
+        want = w_bch({(X,): Fraction(1)}, {(Y,): Fraction(1)}, c)
+        assert series == {tuple(int(g == Y) for g in w): v / len(w)
+                          for w, v in want.items()}
+        assert all(type(v) is Fraction for v in series.values())

@@ -3,15 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdgl import freelie
 from cdgl.exactlin import NotInSpanError
 from cdgl.freelie import (Coordinatizer, Generator, LieElement, Truncation,
-                          bracket, dynkin, exp_terms, is_lie, left_normed,
-                          lie_basis, log_terms, mul)
+                          _mul_terms, bracket, exp_terms, is_lie, lie_basis,
+                          log_terms, mul)
 
-from oracles import gen_sequences, w_bracket, w_dynkin, w_is_lie, w_lie_basis
+from oracles import (dynkin, gen_sequences, left_normed, w_bracket, w_dynkin,
+                     w_exp, w_is_lie, w_lie_basis, w_log, w_mul_admitted)
 
 
 def T(n, deg=None):
@@ -216,7 +217,7 @@ def test_dynkin_certifies_lie_membership():
 CAP = 5
 GENS = (Generator("u", 0), Generator("v", 1), Generator("w", 2), Generator("z", -1))
 _seq = st.lists(st.sampled_from(GENS), min_size=1, max_size=3)
-_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 # a term is a left-normed bracket (Lie), a product of two of them, or a bare
 # word (mostly not Lie)
 _term = st.tuples(st.sampled_from(("lie", "prod", "word")), _seq, _seq, _coeff)
@@ -238,6 +239,10 @@ def _element(terms):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.lists(_term, max_size=4))
+# x.y is not Lie; in the second, lcm(2, 3) is the denominator to clear
+@example([("prod", [GENS[0]], [GENS[1]], Fraction(1))])
+@example([("lie", [GENS[0]], [GENS[0], GENS[1]], Fraction(1, 2)),
+          ("lie", [GENS[1]], [GENS[2]], Fraction(1, 3))])
 def test_one_pass_dynkin_agrees_with_per_word_oracle(terms):
     e = _element(terms)
     words = to_word_dict(e)
@@ -382,3 +387,47 @@ def test_bracket_on_ints_matches_bracket_on_fractions(a, b, max_degree):
     assert list(on_ints.items()) == list(on_fractions.items())
     assert all(type(c) is int for c in on_ints.values())
     assert all(type(c) is Fraction for c in on_fractions.values())
+
+
+# words over two odd generators, one of negative degree, so that products
+# of different pairs meet on one word and cancel; some words are longer
+# than the caps, and coefficients have denominators up to 6 or are ints
+_ODD = (GENS[1], GENS[3])
+_series_coeff = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(min_value=-3, max_value=3)).filter(bool)
+_series_terms = st.dictionaries(
+    st.lists(st.sampled_from(_ODD), min_size=1, max_size=6).map(tuple),
+    _series_coeff, max_size=5)
+_any_terms = st.dictionaries(
+    st.lists(st.sampled_from(_ODD), max_size=6).map(tuple),
+    _series_coeff, max_size=5)
+_caps = st.builds(Truncation, st.integers(min_value=1, max_value=5),
+                  st.sampled_from([None, -2, 0, 1, 3]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_any_terms, _any_terms, _caps)
+# v.vv and vv.v cancel, and ().vvv puts vvv back at the end
+@example({(GENS[1],): 1, (GENS[1],) * 2: 1, (): 1},
+         {(GENS[1],) * 2: -1, (GENS[1],): 1, (GENS[1],) * 3: 1}, T(3))
+def test_mul_terms_matches_per_pair_reference(a, b, trunc):
+    # same items in the same order as the per-pair product filtered by
+    # Truncation.admits, the empty word and cancelled words included
+    got = _mul_terms(a, b, trunc)
+    assert list(got.items()) == list(w_mul_admitted(a, b, trunc.admits).items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_series_terms, _caps)
+def test_exp_log_match_fraction_series(x, trunc):
+    # the series on one denominator give the items, the order and the
+    # Fraction coefficients of the power series summed on Fractions
+    got = exp_terms(_raw(x, trunc))
+    assert list(got.items()) == list(w_exp(x, trunc.admits).items())
+    assert all(type(c) is Fraction for c in got.values())
+    u = {(): Fraction(1), **x}
+    got = log_terms(u, trunc).terms
+    assert list(got.items()) == list(w_log(u, trunc.admits).items())
+    assert all(type(c) is Fraction for c in got.values())
+
