@@ -19,9 +19,9 @@ from .exactlin import (GradedChainComplex, HomologyReport, IncrementalSpan,
                        InternalError, SparseMat, SparseVec, build_complex,
                        homology_at, solve_linear)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
-                      LieMembershipError, Truncation, _exp_coefficient,
-                      _mul_terms, bracket, exp_terms, is_lie, lie_basis,
-                      log_terms, word_degree)
+                      LieMembershipError, Truncation, _clear_denominators,
+                      _exp_coefficient, _mul_terms, bracket, exp_terms, is_lie,
+                      lie_basis, log_terms, word_degree)
 
 
 class IllFormedDifferentialError(ValueError):
@@ -115,8 +115,13 @@ def apply_operator(values, op_degree, e: LieElement, phi=None) -> LieElement:
                             out[ww] = t
                         else:
                             out.pop(ww, None)
+    return _on_ints(out, trunc)
+
+
+def _on_ints(terms, trunc) -> LieElement:
+    """The element with the word dictionary terms as it is (ints allowed)."""
     res = LieElement.zero(trunc)
-    res.terms = out
+    res.terms = terms
     return res
 
 
@@ -230,16 +235,22 @@ class DGLPresentation:
         for g in self.gens:
             if g.degree < -1:
                 raise DegreeError("generator %s has degree < -1" % g.name)
+            if g.degree < 0 and self.trunc.max_degree is not None:
+                # else the words over the cap form no ideal
+                raise DegreeError("a degree cap needs generators of degree >= 0, "
+                                  "but %s has degree %d" % (g.name, g.degree))
         for g, val in self.d_on_gens.items():
             if not val.is_zero() and val.degree() != g.degree - 1:
                 raise DegreeError("d(%s) must be homogeneous of degree %d"
                                   % (g.name, g.degree - 1))
             if not is_lie(val):
                 raise LieMembershipError("d(%s) is not a Lie element" % g.name)
+        # d^2 = 0 on ints: D^2 d^2(g) for D the lcm of d's denominators
+        _, *cleared = _clear_denominators(*(v.terms for v in self.d_on_gens.values()))
+        d_ints = {g: _on_ints(t, self.trunc) for g, t in zip(self.d_on_gens, cleared)}
         for g in self.gens:
-            res = self.d(self.d_on_gens[g])
-            if not res.is_zero():
-                raise IllFormedDifferentialError(g, res)
+            if not apply_operator(d_ints, -1, d_ints[g]).is_zero():
+                raise IllFormedDifferentialError(g, self.d(self.d_on_gens[g]))
         for g in self.mc_gens:
             ok, res = check_mc(self, self.gen(g))
             if not ok:
@@ -347,17 +358,20 @@ def nilpotent_series(op, x, coefficient, bound, what):
     """sum_{k >= 0} coefficient(k) op^k(x) for an operator op that is
     nilpotent on x; raises DivergenceError(what) when op^k(x) is still
     nonzero for some k > bound.  x may be any value with is_zero, scale
-    and + (a LieElement or a cylinder form)."""
-    c = coefficient(0)
-    total, term, k = x if c == 1 else x.scale(c), x, 0
-    while True:
-        k += 1
-        term = op(term)
-        if term.is_zero():
-            return total
-        if k > bound:
+    and + (a LieElement or a cylinder form).  With coefficient None the
+    iterates x, op(x), ... up to the last nonzero one are returned, for a
+    caller that sums them itself."""
+    iterates = [x]
+    while not (term := op(iterates[-1])).is_zero():
+        if len(iterates) > bound:
             raise DivergenceError(what)
+        iterates.append(term)
+    if coefficient is None:
+        return iterates
+    total = x if coefficient(0) == 1 else x.scale(coefficient(0))
+    for k, term in enumerate(iterates[1:], 1):
         total = total + term.scale(coefficient(k))
+    return total
 
 
 def _max_iterations(L: DGLPresentation):
@@ -416,18 +430,29 @@ def exp_ad(L: DGLPresentation, x: LieElement) -> DGLMorphism:
 
 def gauge_act(x: LieElement, a) -> MCElement:
     """Gauge action of a degree-0 element on an MC element:
-    sum_i ad_x^i(a)/i! - sum_i ad_x^i(dx)/(i+1)!."""
+    sum_i ad_x^i(a)/i! - sum_i ad_x^i(dx)/(i+1)!, summed on ints.  With
+    X = Dx x, ad_x^i = ad_X^i / Dx^i, and ad_X = bracket(X, .) is the
+    telescoped derivation (a degree cap comes only with generators of
+    degree >= 0, see validate).  a and dx are cleared by one D, and the sum
+    is over D M, M = N! Dx^(N-1) for the cap N: ad_X^i vanishes for i >= N."""
     owner = a.owner
     if not x.is_zero() and x.degree() != 0:
         raise DegreeError("gauge actor must be degree 0")
-    adx = ad_values(owner, x)
-
-    def series(e, coefficient):
-        return nilpotent_series(lambda t: apply_operator(adx, 0, t), e, coefficient,
-                                _max_iterations(owner), "gauge series did not terminate")
-
-    total = (series(a.value, _exp_coefficient)
-             + series(owner.d(x), lambda k: Fraction(-1, factorial(k + 1))))
+    trunc, N = owner.trunc, owner.trunc.max_bracket_length
+    Dx, X = _clear_denominators(x.terms)
+    X = _on_ints(X, trunc)
+    D, A, dX = _clear_denominators(a.value.terms, owner.d(x).terms)
+    M = factorial(N) * Dx ** (N - 1)
+    out = {}
+    for e, sign, shift in ((A, 1, 0), (dX, -1, 1)):
+        iterates = nilpotent_series(lambda t: bracket(X, t), _on_ints(e, trunc), None,
+                                    _max_iterations(owner),
+                                    "gauge series did not terminate")
+        for k, t in enumerate(iterates):
+            m = sign * M // (factorial(k + shift) * Dx ** k)
+            for w, c in t.terms.items():
+                out[w] = out.get(w, 0) + m * c
+    total = _on_ints({w: Fraction(s, D * M) for w, s in out.items() if s}, trunc)
     try:
         return MCElement(owner, total)
     except MCViolationError as exc:

@@ -287,11 +287,12 @@ def mul(a: LieElement, b: LieElement) -> LieElement:
     return res
 
 
-def _clear_denominators(terms):
-    """(D, the word dictionary D * terms on ints), D the lcm of the
-    denominators of the coefficients (ints or Fractions)."""
-    D = lcm(*(c.denominator for c in terms.values()))
-    return D, {w: c.numerator * (D // c.denominator) for w, c in terms.items()}
+def _clear_denominators(*dicts):
+    """(D, then D * t on ints for each word dictionary t), D the lcm of the
+    denominators of all their coefficients (ints or Fractions)."""
+    D = lcm(*(c.denominator for t in dicts for c in t.values()))
+    return (D, *({w: c.numerator * (D // c.denominator) for w, c in t.items()}
+                 for t in dicts))
 
 
 def _power_series(v, coefficient, trunc):

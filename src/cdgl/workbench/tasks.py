@@ -73,8 +73,9 @@ def _resource_limit():
     return limit
 
 
-def _load(task: Task, trunc_override=None):
-    """Workspace (possibly empty) + resolved model presentation."""
+def _load(task: Task, trunc_override=None, need_model=True):
+    """Workspace (possibly empty) + resolved model presentation; when a file
+    with errors resolves none and need_model is true, its first error."""
     cap = task.trunc if trunc_override is None else trunc_override
     ws = None
     if task.file_text is not None:
@@ -84,6 +85,9 @@ def _load(task: Task, trunc_override=None):
         L = load_model(task.model_ref, truncation=cap, workspace=ws)
     elif ws is not None and len(ws.models) == 1:
         L = next(iter(ws.models.values())).presentation
+    errors = [d.message for d in (ws.diags if ws else ()) if d.severity == "error"]
+    if L is None and need_model and errors:
+        raise ValueError(errors[0])
     return ws, L
 
 
@@ -162,7 +166,7 @@ def cmd_check(task: Task) -> Report:
     if task.file_text is None and task.model_ref is None:
         raise ValueError("check needs a file or a model reference")
     if task.file_text is not None:
-        ws, _ = _load(task)
+        ws, _ = _load(task, need_model=False)
         report.diagnostics = list(ws.diags)
         report.tables["models"] = {name: "valid" for name in sorted(ws.models)}
         report.tables["morphisms"] = {n: "valid" for n in sorted(ws.morphisms)}

@@ -6,16 +6,17 @@ separate path from the implementations they check.  The word product and
 the exp/log series sum pair by pair and power by power on Fractions, as the
 engine's did before it moved to integers, so that they also pin the order of
 the engine's output.  The last section holds test helpers that build engine
-values (left-normed brackets, the Dynkin map, components); no oracle uses
-them.
+values (left-normed brackets, the Dynkin map, components, the Fraction gauge
+series); no oracle uses them.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from cdgl.dgl import perturbed
+from cdgl.dgl import (_max_iterations, ad_values, apply_operator, nilpotent_series,
+                      perturbed)
 from cdgl.exactlin import connected_cover
-from cdgl.freelie import LieElement, _dynkin_terms, bracket
+from cdgl.freelie import LieElement, _dynkin_terms, _exp_coefficient, bracket
 
 
 def dense(mat_entries, n_rows, n_cols):
@@ -340,3 +341,18 @@ def component_complex(L, a, degrees):
     La = perturbed(L, a) if a is not None else L
     degrees = sorted(n for n in set(degrees) | {0} if n >= 0)
     return connected_cover(La.complex(degrees), 0)
+
+
+def fraction_gauge_series(x, a) -> LieElement:
+    """x gauge a = sum_i ad_x^i(a)/i! - sum_i ad_x^i(dx)/(i+1)! on Fractions,
+    with ad_x the derivation extension of its generator values, summed
+    power by power as the engine's gauge_act did before it moved to ints."""
+    owner = a.owner
+    adx = ad_values(owner, x)
+
+    def series(e, coefficient):
+        return nilpotent_series(lambda t: apply_operator(adx, 0, t), e, coefficient,
+                                _max_iterations(owner), "gauge series did not terminate")
+
+    return (series(a.value, _exp_coefficient)
+            + series(owner.d(x), lambda k: Fraction(-1, factorial(k + 1))))

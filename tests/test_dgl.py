@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdgl.dgl import (DGLMorphism, DivergenceError,
+from cdgl.dgl import (DGLMorphism, DGLPresentation, DivergenceError,
                       IllFormedDifferentialError, MCElement,
                       act_on_morphism, apply_operator, bch, bch_series,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
@@ -16,8 +16,8 @@ from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
 
-from oracles import (component_complex, dense_solve, left_normed,
-                     w_apply_operator, w_bch)
+from oracles import (component_complex, dense_solve, fraction_gauge_series,
+                     left_normed, w_apply_operator, w_bch)
 
 
 def T(n):
@@ -55,6 +55,25 @@ def test_build_interval_model_cap8_d_squared_zero():
     L = interval_model(T(8))
     for g in L.gens:
         assert L.d(L.d_on_gens[g]).is_zero()
+
+
+def test_d_squared_certificate_names_generator_and_fraction_residue():
+    # the check runs on d with its denominators cleared; a failure still
+    # carries the residue d(d(u)) on Fractions
+    u, v, w = Generator("u", 2), Generator("v", 1), Generator("w", 0)
+    trunc = T(3)
+    d = {u: LieElement.gen(v, trunc).scale(Fraction(1, 2)),
+         v: LieElement.gen(w, trunc).scale(Fraction(1, 3))}
+    L = DGLPresentation((u, v, w), d, trunc)
+    with pytest.raises(IllFormedDifferentialError) as err:
+        L.validate()
+    assert err.value.gen == u
+    assert err.value.residue == L.d(L.d_on_gens[u])
+    assert err.value.residue.terms == {(w,): Fraction(1, 6)}
+    assert all(type(c) is Fraction for c in err.value.residue.terms.values())
+    # the interval's dx has Bernoulli denominators; d^2 = 0 holds at each cap
+    for cap in range(1, 10):
+        assert interval_model(T(cap)).validate()
 
 
 def test_bernoulli_convention_pinned_by_d_squared():
@@ -340,15 +359,60 @@ def test_gauge_composition_law_randomized():
         assert lhs.value == rhs.value
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from("ab"), _small, _small)
-def test_gauge_composition_law_on_interval(mc, s, t):
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8), st.sampled_from("ab"), _small, _small)
+def test_gauge_composition_law_on_interval(cap, mc, s, t):
     # L_0 of the interval is spanned by x, so both series of gauge_act run:
-    # ad_x^i(a) and ad_x^i(dx)
-    L = interval_model(T(5))
+    # ad_x^i(a) and ad_x^i(dx); with the unit and the orbit laws
+    L = interval_model(T(cap))
     a = MCElement(L, L.gen(mc))
     x, y = L.gen("x").scale(s), L.gen("x").scale(t)
+    assert gauge_act(L.zero(), a).value == a.value
     assert gauge_act(bch(x, y), a).value == gauge_act(x, gauge_act(y, a)).value
+    res = gauge_equivalent(a, gauge_act(x, a))
+    assert res.equivalent and gauge_act(res.witness, a).value == gauge_act(x, a).value
+
+
+_frac6 = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _gauge_case(draw):
+    """(x, MC element) in a validated presentation: m of degree -1 with
+    dm = -[m,m]/2, generators of degrees -1..2 with a linear differential
+    d g = q h (dh = 0) and coefficients with denominators up to 6, and
+    optionally the presentation perturbed at m."""
+    trunc = T(draw(st.integers(2, 4)))
+    m = Generator("m", -1)
+    degs = draw(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=1, max_size=3))
+    gens = (m,) + tuple(Generator("g%d" % i, n) for i, n in enumerate(degs))
+    em = LieElement.gen(m, trunc)
+    d, sinks = {m: bracket(em, em).scale(Fraction(-1, 2))}, set()
+    for i, g in enumerate(gens[1:], 1):
+        targets = [h for h in gens[i + 1:] if h.degree == g.degree - 1]
+        if g in sinks or not targets or not draw(st.booleans()):
+            continue
+        h = draw(st.sampled_from(targets))
+        sinks.add(h)
+        d[g] = LieElement.gen(h, trunc).scale(draw(_frac6.filter(bool)))
+    L = build_dgl(gens, d, trunc, mc_gens=(m,))
+    if draw(st.booleans()):
+        L, mcs = perturbed(L, L.gen(m)), (L.zero(), -L.gen(m))
+    else:
+        mcs = (L.zero(), L.gen(m))
+    x = L.zero()
+    for e in L.basis(0):
+        x = x + e.scale(draw(_frac6))
+    return x, MCElement(L, draw(st.sampled_from(mcs)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_gauge_case())
+def test_gauge_act_matches_fraction_series(case):
+    x, a = case
+    got = gauge_act(x, a).value
+    assert got.terms == fraction_gauge_series(x, a).terms
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_interval_gauge_transport_mirrored_and_paper():

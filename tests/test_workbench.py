@@ -321,6 +321,26 @@ def test_degree_cap_drops_the_degrees_over_it():
     assert L.basis(3) and L.basis(4) == []
 
 
+def test_degree_cap_with_negative_generator_is_refused():
+    # without generators of degree >= 0 the words over a degree cap form no
+    # ideal: homology reported [b,[y,y]] as a class and dropped [y,y], and the
+    # twisted model below passed check, then failed inside the engine
+    message = ("model M is ill-formed: a degree cap needs generators of "
+               "degree >= 0, but b has degree -1")
+    bare = "model M { truncate 4 degree 1  gen b : -1  gen y : 1 }"
+    twisted = ("model M { truncate 4 degree 1  gen b : -1  gen y : 1  gen x : 0"
+               "  d b = -1/2 * [b, b]  d y = -1 * [y, b]  d x = [x, b]  mc b }")
+    for text in (bare, twisted):
+        tasks = [Task("check", file_text=text),
+                 Task("homology", file_text=text, degree_range=(-2, 2)),
+                 Task("h0", file_text=text),
+                 Task("gauge-equiv", file_text=text, exprs={"a": "b", "b": "b"})]
+        for task in tasks:
+            rep = run_task(task)
+            assert rep.status == "diagnostics" and rep.exit_code() == 1, task
+            assert [d.message for d in rep.diagnostics] == [message]
+
+
 def test_builtin_without_parameters_refuses_them():
     for ref in ("L0(1)", "L1(3)", "S1(2)"):
         rep = run_task(Task("check", model_ref=ref))
