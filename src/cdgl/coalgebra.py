@@ -11,7 +11,6 @@ basis, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
@@ -193,14 +192,19 @@ class CDGC:
         return GradedChainComplex(basis, boundary)
 
 
-@dataclass
 class LBasisInfo:
-    """Full basis data of a truncated presentation, shared by the functors."""
+    """Full basis data of a truncated presentation, shared by the functors:
+    its LieElements of all degrees, the degree of each, and per degree the
+    list of their global indices."""
 
-    L: DGLPresentation
-    elements: list            # LieElements, all degrees
-    degrees: list
-    index_by_degree: dict     # degree -> list of global indices
+    __slots__ = ("L", "elements", "degrees", "index_by_degree")
+
+    def __init__(self, L: DGLPresentation, elements: list, degrees: list,
+                 index_by_degree: dict):
+        self.L = L
+        self.elements = elements
+        self.degrees = degrees
+        self.index_by_degree = index_by_degree
 
     @classmethod
     def of(cls, L: DGLPresentation):
@@ -375,13 +379,14 @@ def adjunction_alpha(L: DGLPresentation, C: CDGC, LC: DGLPresentation) -> DGLMor
     return DGLMorphism(LC, L, images, name="alpha").validate()
 
 
-@dataclass
 class CoalgebraMap:
-    """Map of cdgc's given by a matrix on basis labels."""
+    """Map of cdgc's given by a matrix on basis labels: values maps a source
+    index to a list of (target index, coeff)."""
 
-    source: CDGC
-    target: CDGC
-    values: dict  # source index -> list of (target index, coeff)
+    def __init__(self, source: CDGC, target: CDGC, values: dict):
+        self.source = source
+        self.target = target
+        self.values = values
 
     def apply_index(self, i):
         return self.values.get(i, [])

@@ -9,7 +9,6 @@ verifies before trusting a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, nilpotent_series
@@ -154,26 +153,32 @@ def _products(F, G, product):
                 yield (k + j, d1 or d2), product(_odd_negated(u) if d2 else u, v)
 
 
-@dataclass
 class Witness:
-    """Candidate homotopy: generator images in the cylinder of the target."""
+    """Candidate homotopy: generator images in the cylinder of the target,
+    as a dict Generator -> PolyForm."""
 
-    source: DGLPresentation
-    target: DGLPresentation
-    forms: dict            # Generator -> PolyForm
-    poly_cap: int
-    name: str = ""
+    __slots__ = ("source", "target", "forms", "poly_cap", "name")
+
+    def __init__(self, source: DGLPresentation, target: DGLPresentation,
+                 forms: dict, poly_cap: int, name: str = ""):
+        self.source = source
+        self.target = target
+        self.forms = forms
+        self.poly_cap = poly_cap
+        self.name = name
 
     def cylinder(self) -> Cylinder:
         return Cylinder(self.target, self.poly_cap)
 
 
-@dataclass
 class HomotopyVerdict:
-    ok: bool
-    certificate: dict
-    caps: dict
-    stable: bool
+    __slots__ = ("ok", "certificate", "caps", "stable")
+
+    def __init__(self, ok: bool, certificate: dict, caps: dict, stable: bool):
+        self.ok = ok
+        self.certificate = certificate
+        self.caps = caps
+        self.stable = stable
 
     def __bool__(self):
         return self.ok

@@ -13,7 +13,6 @@ adjoint derivations are cycles.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -203,13 +202,16 @@ class DerComplex:
 
 # -- twisted complexes -------------------------------------------------------
 
-@dataclass
 class TwistedComplex:
-    total: GradedChainComplex
-    sub: GradedChainComplex
-    quotient: GradedChainComplex
-    incl: ChainMap
-    proj: ChainMap
+    __slots__ = ("total", "sub", "quotient", "incl", "proj")
+
+    def __init__(self, total: GradedChainComplex, sub: GradedChainComplex,
+                 quotient: GradedChainComplex, incl: ChainMap, proj: ChainMap):
+        self.total = total
+        self.sub = sub
+        self.quotient = quotient
+        self.incl = incl
+        self.proj = proj
 
     def ses(self):
         return self.sub, self.total, self.quotient, self.incl, self.proj
@@ -297,21 +299,24 @@ def hom_der_bracket(H: ConvolutionDGL, theta: Derivation, f: HomElement) -> HomE
 
 # -- distinguished degree-0 subalgebras ---------------------------------------
 
-@dataclass
 class GSpec:
-    """Subgroup specification for the classifying pipelines."""
+    """Subgroup specification for the classifying pipelines: kind is
+    "identity", "stabilizer" or "span", and span a list of Derivations."""
 
-    kind: str                    # "identity" | "stabilizer" | "span"
-    target: DGLPresentation
-    filtration: GeneratorFiltration | None = None
-    span: list = field(default_factory=list)   # list of Derivation
-    name: str = ""
+    __slots__ = ("kind", "target", "filtration", "span", "name")
 
-    def __post_init__(self):
-        if self.kind not in ("identity", "stabilizer", "span"):
-            raise ValueError("unknown GSpec kind %r" % self.kind)
-        if self.kind == "stabilizer" and self.filtration is None:
+    def __init__(self, kind: str, target: DGLPresentation,
+                 filtration: GeneratorFiltration | None = None,
+                 span: list | None = None, name: str = ""):
+        if kind not in ("identity", "stabilizer", "span"):
+            raise ValueError("unknown GSpec kind %r" % kind)
+        if kind == "stabilizer" and filtration is None:
             raise ValueError("stabilizer spec needs a filtration")
+        self.kind = kind
+        self.target = target
+        self.filtration = filtration
+        self.span = [] if span is None else span
+        self.name = name
 
 
 def require_connected_minimal(L: DGLPresentation):
@@ -383,11 +388,14 @@ def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
     return out
 
 
-@dataclass
 class DerGZeroReport:
-    basis: list
-    saturation_flag: bool       # True = saturated under exp(R0) conjugation
-    notes: list = field(default_factory=list)
+    __slots__ = ("basis", "saturation_flag", "notes")
+
+    def __init__(self, basis: list, saturation_flag: bool,
+                 notes: list | None = None):
+        self.basis = basis
+        self.saturation_flag = saturation_flag   # saturated under exp(R0) conjugation
+        self.notes = [] if notes is None else notes
 
 
 def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
@@ -480,13 +488,16 @@ def pointed_stability_check(L: DGLPresentation, basis, space0: DerSpace):
 
 # -- suspension comparison (Gamma) ---------------------------------------------
 
-@dataclass
 class GammaReport:
-    ok: bool
-    basis_checked: int
-    pairs_checked: int
-    failures: list = field(default_factory=list)
-    caps: dict = field(default_factory=dict)
+    __slots__ = ("ok", "basis_checked", "pairs_checked", "failures", "caps")
+
+    def __init__(self, ok: bool, basis_checked: int, pairs_checked: int,
+                 failures: list | None = None, caps: dict | None = None):
+        self.ok = ok
+        self.basis_checked = basis_checked
+        self.pairs_checked = pairs_checked
+        self.failures = [] if failures is None else failures
+        self.caps = {} if caps is None else caps
 
 
 def _gamma_image(H: ConvolutionDGL, label_of_gen, theta: Derivation) -> HomElement:
@@ -592,13 +603,17 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
 
 # -- pipelines -------------------------------------------------------------------
 
-@dataclass
 class MappingSpaceReport:
-    pointed: dict          # n -> dimension of H_n(Der_phi), n >= 1
-    free: dict             # n -> dimension of H_n(Der_phi x~ sL), n >= 1
-    fiber_components_h0: int
-    les: object
-    minimal_warning: bool = False
+    __slots__ = ("pointed", "free", "fiber_components_h0", "les",
+                 "minimal_warning")
+
+    def __init__(self, pointed: dict, free: dict, fiber_components_h0: int,
+                 les: object, minimal_warning: bool = False):
+        self.pointed = pointed     # n -> dimension of H_n(Der_phi), n >= 1
+        self.free = free           # n -> dimension of H_n(Der_phi x~ sL), n >= 1
+        self.fiber_components_h0 = fiber_components_h0
+        self.les = les
+        self.minimal_warning = minimal_warning
 
 
 def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
@@ -629,17 +644,24 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
         minimal_warning=minimal_warning)
 
 
-@dataclass
 class ClassifyingReport:
-    mode: str
-    pi_base: dict            # FREE: n -> dim H_n(Der^G x~ sL), n >= 1
-    h0_quotient: H0Group     # H_0(Der^G)/Im H_0(ad) or H_0(Der^Pi)
-    ad_image_rank: int       # FREE: rank of Im H_0(ad); 0 when POINTED
-    der0_dimension: int
-    nilpotency: int
-    postnikov: GradedChainComplex
-    total_homology: dict     # POINTED: H_*(L x~ Der^Pi)
-    saturation_flag: bool
+    __slots__ = ("mode", "pi_base", "h0_quotient", "ad_image_rank",
+                 "der0_dimension", "nilpotency", "postnikov",
+                 "total_homology", "saturation_flag")
+
+    def __init__(self, mode: str, pi_base: dict, h0_quotient: H0Group,
+                 ad_image_rank: int, der0_dimension: int, nilpotency: int,
+                 postnikov: GradedChainComplex, total_homology: dict,
+                 saturation_flag: bool):
+        self.mode = mode
+        self.pi_base = pi_base              # FREE: n -> dim H_n(Der^G x~ sL), n >= 1
+        self.h0_quotient = h0_quotient      # H_0(Der^G)/Im H_0(ad) or H_0(Der^Pi)
+        self.ad_image_rank = ad_image_rank  # FREE: rank of Im H_0(ad); 0 when POINTED
+        self.der0_dimension = der0_dimension
+        self.nilpotency = nilpotency
+        self.postnikov = postnikov
+        self.total_homology = total_homology  # POINTED: H_*(L x~ Der^Pi)
+        self.saturation_flag = saturation_flag
 
 
 class DerSLElement:

@@ -10,7 +10,6 @@ silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -22,6 +21,7 @@ from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _clear_denominators,
                       _exp_coefficient, _mul_terms, bracket, exp_terms, is_lie,
                       lie_basis, log_terms, word_degree)
+from .record import FrozenRecord
 
 
 class IllFormedDifferentialError(ValueError):
@@ -310,15 +310,15 @@ class DGLMorphism:
                 and self.target is other.target and self.images == other.images)
 
 
-@dataclass
 class MCElement:
-    owner: DGLPresentation
-    value: LieElement
+    __slots__ = ("owner", "value")
 
-    def __post_init__(self):
-        ok, res = check_mc(self.owner, self.value)
+    def __init__(self, owner: DGLPresentation, value: LieElement):
+        ok, res = check_mc(owner, value)
         if not ok:
             raise MCViolationError("MC residue %r" % res)
+        self.owner = owner
+        self.value = value
 
 
 def check_mc(L: DGLPresentation, a: LieElement):
@@ -460,11 +460,14 @@ def gauge_act(x: LieElement, a) -> MCElement:
                                % exc) from exc
 
 
-@dataclass
 class GaugeResult:
-    witness: LieElement | None
-    level: int
-    failed_stage: int | None = None
+    __slots__ = ("witness", "level", "failed_stage")
+
+    def __init__(self, witness: LieElement | None, level: int,
+                 failed_stage: int | None = None):
+        self.witness = witness
+        self.level = level
+        self.failed_stage = failed_stage
 
     @property
     def equivalent(self):
@@ -698,20 +701,20 @@ def act_on_morphism(y: LieElement, phi: DGLMorphism) -> DGLMorphism:
     return e.compose(phi).validate()
 
 
-@dataclass(frozen=True)
-class GeneratorFiltration:
+class GeneratorFiltration(FrozenRecord):
     """Descending chain V = V^0 > V^1 > ... > V^q = 0 of generator subsets."""
 
-    levels: tuple  # tuple of frozensets of Generator, starting at V^0
+    __slots__ = ("levels",)   # tuple of frozensets of Generator, from V^0
 
-    def __post_init__(self):
+    def __init__(self, levels: tuple):
         prev = None
-        for lv in self.levels:
+        for lv in levels:
             if prev is not None and not lv < prev:
                 raise ValueError("filtration must strictly descend")
             prev = lv
-        if self.levels and self.levels[-1]:
+        if levels and levels[-1]:
             raise ValueError("filtration must end at 0")
+        self._set(levels)
 
     @classmethod
     def from_chain(cls, chain):

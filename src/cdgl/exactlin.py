@@ -16,7 +16,6 @@ so downstream golden tests are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -445,7 +444,6 @@ def build_complex(degrees, basis, differential, coords, label) -> GradedChainCom
     return GradedChainComplex(labels, boundary)
 
 
-@dataclass
 class HomologyReport:
     """H_n of a complex modulo its boundaries and any extra cycles.
 
@@ -455,11 +453,13 @@ class HomologyReport:
     and boundaries (the span of the quotient) are built on first read.
     """
 
-    degree: int
-    dimension: int
-    cycle_reps: list
-    quotient: list = field(repr=False)
-    n_cols: int = field(repr=False)
+    def __init__(self, degree: int, dimension: int, cycle_reps: list,
+                 quotient: list, n_cols: int):
+        self.degree = degree
+        self.dimension = dimension
+        self.cycle_reps = cycle_reps
+        self.quotient = quotient
+        self.n_cols = n_cols
 
     @cached_property
     def classes(self) -> FactoredBasis:
@@ -487,7 +487,8 @@ def homology_at(C: GradedChainComplex, n: int, extra=()) -> HomologyReport:
     dim = len(cycles) - span.rank
     reps = [z for z in cycles if span.add(z)]
     if dim != len(reps):
-        raise IllFormedComplexError("homology rank bookkeeping failed at degree %d" % n)
+        raise InternalError("homology rank bookkeeping failed at degree %d "
+                            "(internal error)" % n)
     return HomologyReport(n, dim, reps, quotient, C.dim(n))
 
 
@@ -514,18 +515,25 @@ class ChainMap:
         return self
 
 
-@dataclass
 class LongExactSequence:
-    """H_n(A) -> H_n(B) -> H_n(C) -> H_{n-1}(A), per degree, as matrices."""
+    """H_n(A) -> H_n(B) -> H_n(C) -> H_{n-1}(A), per degree, as matrices:
+    maps_i H_n(A) -> H_n(B), maps_p H_n(B) -> H_n(C) and connecting
+    H_n(C) -> H_{n-1}(A), each a dict degree -> SparseMat."""
 
-    degrees: list
-    hA: dict
-    hB: dict
-    hC: dict
-    maps_i: dict       # degree -> SparseMat H_n(A) -> H_n(B)
-    maps_p: dict       # degree -> SparseMat H_n(B) -> H_n(C)
-    connecting: dict   # degree -> SparseMat H_n(C) -> H_{n-1}(A)
-    exact: bool = True
+    __slots__ = ("degrees", "hA", "hB", "hC", "maps_i", "maps_p",
+                 "connecting", "exact")
+
+    def __init__(self, degrees: list, hA: dict, hB: dict, hC: dict,
+                 maps_i: dict, maps_p: dict, connecting: dict,
+                 exact: bool = True):
+        self.degrees = degrees
+        self.hA = hA
+        self.hB = hB
+        self.hC = hC
+        self.maps_i = maps_i
+        self.maps_p = maps_p
+        self.connecting = connecting
+        self.exact = exact
 
 
 def _check_ses(A, B, C, incl, proj, degrees):

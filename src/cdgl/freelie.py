@@ -16,13 +16,13 @@ visible in truncation metadata upstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
                        ResourceLimitError, SparseVec)
+from .record import FrozenRecord
 
 
 class DegreeError(ValueError):
@@ -44,16 +44,15 @@ class Generator(NamedTuple):
         return "%s(%d)" % (self.name, self.degree)
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(FrozenRecord):
     """Bracket-length cap N >= 1, with an optional degree cap."""
 
-    max_bracket_length: int
-    max_degree: int | None = None
+    __slots__ = ("max_bracket_length", "max_degree")
 
-    def __post_init__(self):
-        if self.max_bracket_length < 1:
+    def __init__(self, max_bracket_length: int, max_degree: int | None = None):
+        if max_bracket_length < 1:
             raise ValueError("truncation cap must be >= 1")
+        self._set(max_bracket_length, max_degree)
 
     def admits(self, word) -> bool:
         if len(word) > self.max_bracket_length:

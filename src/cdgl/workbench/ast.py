@@ -8,38 +8,47 @@ is idempotent on arbitrary input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-
-@dataclass(frozen=True)
-class Ref:
-    name: str
+from ..record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Br:
-    left: "Expr"
-    right: "Expr"
+class Ref(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._set(name)
 
 
-@dataclass(frozen=True)
-class ExpAd:
-    inner: "Expr"      # degree-0 argument of ad
-    target: "Expr"
+class Br(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._set(left, right)
 
 
-@dataclass(frozen=True)
-class Term:
-    coeff: Fraction
-    t_power: int = 0
-    dt: bool = False
-    atom: object = None    # Ref | Br | ExpAd | None (pure scalar/monomial)
+class ExpAd(FrozenRecord):
+    __slots__ = ("inner", "target")   # inner: the degree-0 argument of ad
+
+    def __init__(self, inner: Expr, target: Expr):
+        self._set(inner, target)
 
 
-@dataclass(frozen=True)
-class Expr:
-    terms: tuple            # tuple of Term
+class Term(FrozenRecord):
+    """atom is a Ref, Br or ExpAd, or None for a pure scalar/monomial."""
+
+    __slots__ = ("coeff", "t_power", "dt", "atom")
+
+    def __init__(self, coeff: Fraction, t_power: int = 0, dt: bool = False,
+                 atom: object = None):
+        self._set(coeff, t_power, dt, atom)
+
+
+class Expr(FrozenRecord):
+    __slots__ = ("terms",)   # tuple of Term
+
+    def __init__(self, terms: tuple):
+        self._set(terms)
 
     def __iter__(self):
         return iter(self.terms)
@@ -49,78 +58,103 @@ def expr_of(terms):
     return Expr(tuple(t for t in terms if t.coeff))
 
 
-@dataclass
 class GenDecl:
-    name: str
-    degree: int
-    pos: tuple = (0, 0)
+    __slots__ = ("name", "degree", "pos")
+
+    def __init__(self, name: str, degree: int, pos: tuple = (0, 0)):
+        self.name = name
+        self.degree = degree
+        self.pos = pos
 
 
-@dataclass
 class DiffDecl:
-    gen: str
-    expr: Expr
-    pos: tuple = (0, 0)
+    __slots__ = ("gen", "expr", "pos")
+
+    def __init__(self, gen: str, expr: Expr, pos: tuple = (0, 0)):
+        self.gen = gen
+        self.expr = expr
+        self.pos = pos
 
 
-@dataclass
 class McDecl:
-    name: str
-    expr: Expr | None = None
-    pos: tuple = (0, 0)
+    __slots__ = ("name", "expr", "pos")
+
+    def __init__(self, name: str, expr: Expr | None = None, pos: tuple = (0, 0)):
+        self.name = name
+        self.expr = expr
+        self.pos = pos
 
 
-@dataclass
 class FiltDecl:
-    name: str
-    levels: tuple = ()       # tuple of tuples of generator names
-    pos: tuple = (0, 0)
+    __slots__ = ("name", "levels", "pos")
+
+    def __init__(self, name: str, levels: tuple = (), pos: tuple = (0, 0)):
+        self.name = name
+        self.levels = levels     # tuple of tuples of generator names
+        self.pos = pos
 
 
-@dataclass
 class TruncDecl:
-    cap: int
-    max_degree: int | None = None
-    pos: tuple = (0, 0)
+    __slots__ = ("cap", "max_degree", "pos")
+
+    def __init__(self, cap: int, max_degree: int | None = None,
+                 pos: tuple = (0, 0)):
+        self.cap = cap
+        self.max_degree = max_degree
+        self.pos = pos
 
 
-@dataclass
 class ModelNode:
-    name: str
-    decls: list = field(default_factory=list)
-    pos: tuple = (0, 0)
+    __slots__ = ("name", "decls", "pos")
+
+    def __init__(self, name: str, decls: list | None = None,
+                 pos: tuple = (0, 0)):
+        self.name = name
+        self.decls = [] if decls is None else decls
+        self.pos = pos
 
 
-@dataclass
 class MorphismNode:
-    name: str
-    source: str
-    target: str
-    assigns: list = field(default_factory=list)   # (gen name, Expr, pos)
-    pos: tuple = (0, 0)
+    __slots__ = ("name", "source", "target", "assigns", "pos")
+
+    def __init__(self, name: str, source: str, target: str,
+                 assigns: list | None = None, pos: tuple = (0, 0)):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.assigns = [] if assigns is None else assigns   # (gen name, Expr, pos)
+        self.pos = pos
 
 
-@dataclass
 class DerivationNode:
-    name: str
-    model: str
-    degree: int | None = None
-    assigns: list = field(default_factory=list)
-    pos: tuple = (0, 0)
+    __slots__ = ("name", "model", "degree", "assigns", "pos")
+
+    def __init__(self, name: str, model: str, degree: int | None = None,
+                 assigns: list | None = None, pos: tuple = (0, 0)):
+        self.name = name
+        self.model = model
+        self.degree = degree
+        self.assigns = [] if assigns is None else assigns
+        self.pos = pos
 
 
-@dataclass
 class HomotopyNode:
-    name: str
-    source: str
-    target: str
-    assigns: list = field(default_factory=list)
-    pos: tuple = (0, 0)
+    __slots__ = ("name", "source", "target", "assigns", "pos")
+
+    def __init__(self, name: str, source: str, target: str,
+                 assigns: list | None = None, pos: tuple = (0, 0)):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.assigns = [] if assigns is None else assigns
+        self.pos = pos
 
 
-@dataclass
 class Document:
-    items: list = field(default_factory=list)
+    __slots__ = ("items",)
+
+    def __init__(self, items: list | None = None):
+        self.items = [] if items is None else items
 
     def models(self):
         return [i for i in self.items if isinstance(i, ModelNode)]

@@ -7,7 +7,6 @@ keyword or closing brace, so one pass collects multiple errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ast import (Br, DerivationNode, DiffDecl, Document, ExpAd, Expr,
@@ -20,23 +19,27 @@ SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ":", "=", "+", "-", "*",
            "/", "^", "|")
 
 
-@dataclass
 class Diagnostic:
-    line: int
-    col: int
-    severity: str
-    message: str
+    __slots__ = ("line", "col", "severity", "message")
+
+    def __init__(self, line: int, col: int, severity: str, message: str):
+        self.line = line
+        self.col = col
+        self.severity = severity
+        self.message = message
 
     def __str__(self):
         return "%d:%d: %s: %s" % (self.line, self.col, self.severity, self.message)
 
 
-@dataclass
 class Token:
-    kind: str       # IDENT, INT, SYM, EOF
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind      # IDENT, INT, SYM, EOF
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def lex(text):

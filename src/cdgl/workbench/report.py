@@ -8,22 +8,27 @@ tests can diff it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ast import print_rational
 
 
-@dataclass
 class Report:
-    command: str
-    status: str = "ok"        # ok | diagnostics | resource-limit | internal-error
-    caps: dict = field(default_factory=dict)
-    stability: str | None = None         # green | red | None
-    tables: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-    timing: float | None = None
+    __slots__ = ("command", "status", "caps", "stability", "tables", "notes",
+                 "diagnostics", "timing")
+
+    def __init__(self, command: str, status: str = "ok",
+                 caps: dict | None = None, stability: str | None = None,
+                 tables: dict | None = None, notes: list | None = None,
+                 diagnostics: list | None = None, timing: float | None = None):
+        self.command = command
+        self.status = status        # ok | diagnostics | resource-limit | internal-error
+        self.caps = {} if caps is None else caps
+        self.stability = stability  # green | red | None
+        self.tables = {} if tables is None else tables
+        self.notes = [] if notes is None else notes
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.timing = timing
 
     def exit_code(self):
         if self.status == "internal-error":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 
 from ..cylinder import CapExceededError, check_homotopy
 from ..derivations import (GSpec, classifying_invariants, gamma_check,
@@ -28,19 +27,30 @@ from .report import Report
 DEFAULT_RESOURCE_LIMIT = 20000
 
 
-@dataclass
 class Task:
-    command: str
-    model_ref: str | None = None
-    file_text: str | None = None
-    trunc: int | None = None
-    word_cap: int = 3
-    poly_cap: int = 6
-    degree_range: tuple | None = None
-    gspec: str = "identity"
-    exprs: dict = field(default_factory=dict)    # named expression strings
-    names: dict = field(default_factory=dict)    # named object references
-    check_stability: bool = True
+    """exprs holds named expression strings, names named object references."""
+
+    __slots__ = ("command", "model_ref", "file_text", "trunc", "word_cap",
+                 "poly_cap", "degree_range", "gspec", "exprs", "names",
+                 "check_stability")
+
+    def __init__(self, command: str, model_ref: str | None = None,
+                 file_text: str | None = None, trunc: int | None = None,
+                 word_cap: int = 3, poly_cap: int = 6,
+                 degree_range: tuple | None = None, gspec: str = "identity",
+                 exprs: dict | None = None, names: dict | None = None,
+                 check_stability: bool = True):
+        self.command = command
+        self.model_ref = model_ref
+        self.file_text = file_text
+        self.trunc = trunc
+        self.word_cap = word_cap
+        self.poly_cap = poly_cap
+        self.degree_range = degree_range
+        self.gspec = gspec
+        self.exprs = {} if exprs is None else exprs
+        self.names = {} if names is None else names
+        self.check_stability = check_stability
 
     def echo(self):
         bits = ["cdgl", self.command]
@@ -73,9 +83,12 @@ def _resource_limit():
     return limit
 
 
-def _load(task: Task, trunc_override=None, need_model=True):
-    """Workspace (possibly empty) + resolved model presentation; when a file
-    with errors resolves none and need_model is true, its first error."""
+def _load(task: Task, trunc_override=None, need_model=True,
+          from_workspace=False):
+    """Workspace (possibly empty) + resolved model presentation.  When none
+    resolves and need_model is true, a diagnostic: the file's first error,
+    else, unless the command reads only named objects of the file
+    (from_workspace), a request for --model or a model file."""
     cap = task.trunc if trunc_override is None else trunc_override
     ws = None
     if task.file_text is not None:
@@ -86,8 +99,15 @@ def _load(task: Task, trunc_override=None, need_model=True):
     elif ws is not None and len(ws.models) == 1:
         L = next(iter(ws.models.values())).presentation
     errors = [d.message for d in (ws.diags if ws else ()) if d.severity == "error"]
-    if L is None and need_model and errors:
-        raise ValueError(errors[0])
+    if L is None and need_model:
+        if errors:
+            raise ValueError(errors[0])
+        if from_workspace:
+            return ws, L
+        if ws is not None and ws.models:
+            raise ElaborationError("the file declares models %s; choose one "
+                                   "with --model" % ", ".join(ws.models))
+        raise ElaborationError("%s needs a model file or --model" % task.command)
     return ws, L
 
 
@@ -251,7 +271,7 @@ def cmd_gauge_equiv(task: Task) -> Report:
 
 
 def cmd_exp(task: Task) -> Report:
-    ws, L = _load(task)
+    ws, _ = _load(task, from_workspace=True)
     name = task.names.get("derivation")
     if ws is None or name not in ws.derivations:
         raise ElaborationError("exp needs a file-declared derivation (--derivation)")
@@ -265,7 +285,7 @@ def cmd_exp(task: Task) -> Report:
 
 
 def cmd_log(task: Task) -> Report:
-    ws, L = _load(task)
+    ws, _ = _load(task, from_workspace=True)
     name = task.names.get("morphism")
     if ws is None or name not in ws.morphisms:
         raise ElaborationError("log needs a file-declared morphism (--morphism)")
@@ -409,7 +429,7 @@ def cmd_bautstar(task: Task) -> Report:
 
 
 def cmd_witness(task: Task) -> Report:
-    ws, L = _load(task)
+    ws, _ = _load(task, from_workspace=True)
     if ws is None:
         raise ValueError("witness checking needs a model file")
     hname = task.names.get("homotopy")
@@ -432,7 +452,8 @@ def cmd_witness(task: Task) -> Report:
 
 
 def cmd_gamma(task: Task) -> Report:
-    ws, L = _load(task)
+    ws, L = _load(task, from_workspace=task.names.get("morphism", "id")
+                  not in ("id", "zero"))
     phi = _resolve_morphism(task, ws, L)
     rep = gamma_check(phi, task.word_cap)
     report = Report(command=task.echo())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cdgl.dgl import (DGLMorphism, DGLPresentation, DivergenceError,
-                      IllFormedDifferentialError, MCElement,
+                      GeneratorFiltration, IllFormedDifferentialError, MCElement,
                       act_on_morphism, apply_operator, bch, bch_series,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
@@ -760,3 +760,20 @@ def test_bch_series_hands_out_fractions():
         assert series == {tuple(int(g == Y) for g in w): v / len(w)
                           for w, v in want.items()}
         assert all(type(v) is Fraction for v in series.values())
+
+
+def test_generator_filtration_is_a_read_only_value():
+    x, y = Generator("x", 1), Generator("y", 2)
+    f = GeneratorFiltration.from_chain([{x, y}, {y}])
+    g = GeneratorFiltration((frozenset({x, y}), frozenset({y}), frozenset()))
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert f != GeneratorFiltration.from_chain([{x, y}, {x}])
+    assert f != GeneratorFiltration.from_chain([{x, y}])
+    assert len({f, g}) == 1
+    assert (f.level_of(x), f.level_of(y)) == (0, 1)
+    with pytest.raises(AttributeError):
+        f.levels = ()
+    with pytest.raises(AttributeError):
+        del f.levels
+    with pytest.raises(ValueError, match="strictly descend"):
+        GeneratorFiltration((frozenset({x}), frozenset({x}), frozenset()))

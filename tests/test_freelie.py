@@ -35,6 +35,21 @@ def test_generator_semantics():
         x.label = "x"
 
 
+def test_truncation_is_a_read_only_value():
+    a = Truncation(3, 2)
+    assert a == Truncation(3, 2) and hash(a) == hash(Truncation(3, 2))
+    assert a != Truncation(3) and a != Truncation(4, 2) and a != (3, 2)
+    assert len({a, Truncation(3, 2), Truncation(3)}) == 2
+    assert Truncation(5) == Truncation(5, None)
+    with pytest.raises(AttributeError):
+        a.max_bracket_length = 4
+    with pytest.raises(AttributeError):
+        del a.max_degree
+    assert (a.max_bracket_length, a.max_degree) == (3, 2)
+    with pytest.raises(ValueError, match="truncation cap must be >= 1"):
+        Truncation(0)
+
+
 def rand_element(rng, gens, trunc, degree=None, n_terms=3):
     """Random Lie element: rational combination of left-normed brackets."""
     out = LieElement.zero(trunc)

@@ -63,6 +63,22 @@ def raises_of(exc_name, src=SRC):
     return found
 
 
+def imports_of(module, src=SRC):
+    """file:line of every import of module, or of a submodule, under src."""
+    found = []
+    for path, tree in _trees(src):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n == module or n.startswith(module + ".") for n in names):
+                found.append("%s:%d" % (path, node.lineno))
+    return found
+
+
 def test_no_broad_exception_handlers():
     # an engine bug must fail loudly; a handler that catches everything
     # turns it into a diagnostic or a flag that reads as success
@@ -74,3 +90,11 @@ def test_divergence_raised_only_by_the_series_helper():
     # every series that sums iterates of a nilpotent operator goes through
     # dgl.nilpotent_series, which alone decides when one diverges
     assert raises_of("DivergenceError") == ["dgl.py:nilpotent_series"]
+
+
+def test_no_dataclasses_import():
+    # every command starts a fresh interpreter: the dataclasses module pulls
+    # in inspect, and each decorated class execs its generated methods, so the
+    # engine's records are plain classes (FrozenRecord for the value types)
+    assert imports_of("fractions") != []
+    assert imports_of("dataclasses") == []

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from cdgl.freelie import Truncation
 from cdgl.models import builtin_model, circle_model
 from cdgl.workbench import parse_document, run_task, workspace_from_text
-from cdgl.workbench.ast import print_document
+from cdgl.workbench.ast import (Br, DerivationNode, DiffDecl, Document, ExpAd,
+                                Expr, FiltDecl, GenDecl, HomotopyNode, McDecl,
+                                ModelNode, MorphismNode, Ref, Term, TruncDecl,
+                                print_document)
 from cdgl.workbench.elaborate import export_source
 from cdgl.workbench.parser import BLOCK_KEYWORDS, DECL_KEYWORDS, SYMBOLS
 from cdgl.workbench.report import canonical
@@ -134,6 +140,75 @@ def test_print_is_idempotent_on_builtin_exports():
         printed = print_document(doc)
         doc2, _ = parse_document(printed)
         assert print_document(doc2) == printed
+
+
+def test_ast_value_nodes_compare_by_class_and_fields():
+    x = Expr((Term(Fraction(1), atom=Ref("x")),))
+    y = Expr((Term(Fraction(-1, 2), 1, True, Ref("y")),))
+    assert Br(x, y) == Br(x, y) and hash(Br(x, y)) == hash(Br(x, y))
+    assert Br(x, y) != ExpAd(x, y) and ExpAd(x, y) != Br(x, y)
+    assert Br(x, y) != Br(y, x)
+    assert len({Br(x, y), Br(x, y), ExpAd(x, y), Ref("x")}) == 3
+    assert Term(Fraction(1)) == Term(Fraction(1), 0, False, None)
+    assert Term(Fraction(1), dt=True) != Term(Fraction(1))
+    assert Ref("x") != Ref("y") and Ref("x") != "x"
+    assert Expr(()) == Expr(()) and Expr(()) != ()
+    for node, name in ((Ref("x"), "name"), (Br(x, y), "left"),
+                       (ExpAd(x, y), "target"), (Term(Fraction(1)), "coeff"),
+                       (x, "terms")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+
+
+# random documents in the printer's normal form: nonzero coefficients, and
+# names that the lexer reads as one identifier and no keyword claims (some
+# start like a keyword)
+_RESERVED = BLOCK_KEYWORDS | DECL_KEYWORDS | {"t", "dt", "exp", "ad", "degree"}
+_NAMES = ["x", "y1", "_u", "W", "t2", "dt_", "expo", "ad0", "gen2", "d_x",
+          "mcb", "model1", "degrees"]
+_names = st.sampled_from(_NAMES)
+_coeffs = st.fractions(-20, 20, max_denominator=12).filter(bool)
+
+
+def _exprs(atoms):
+    terms = st.builds(Term, _coeffs, st.integers(0, 3), st.booleans(),
+                      st.none() | atoms)
+    return st.lists(terms, max_size=3).map(lambda ts: Expr(tuple(ts)))
+
+
+_atoms = st.recursive(
+    st.builds(Ref, _names),
+    lambda inner: st.builds(Br, _exprs(inner), _exprs(inner))
+    | st.builds(ExpAd, _exprs(inner), _exprs(inner)),
+    max_leaves=4)
+_expr = _exprs(_atoms)
+_decls = st.one_of(
+    st.builds(GenDecl, _names, st.integers(-3, 5)),
+    st.builds(DiffDecl, _names, _expr),
+    st.builds(McDecl, _names, st.none() | _expr),
+    st.builds(FiltDecl, _names,
+              st.lists(st.lists(_names, max_size=3).map(tuple), max_size=3).map(tuple)),
+    st.builds(TruncDecl, st.integers(0, 9), st.none() | st.integers(-3, 9)))
+_assigns = st.lists(st.tuples(_names, _expr, st.just((0, 0))), max_size=3)
+_documents = st.lists(st.one_of(
+    st.builds(ModelNode, _names, st.lists(_decls, max_size=4)),
+    st.builds(MorphismNode, _names, _names, _names, _assigns),
+    st.builds(DerivationNode, _names, _names, st.none() | st.integers(-2, 3),
+              _assigns),
+    st.builds(HomotopyNode, _names, _names, _names, _assigns)),
+    max_size=4).map(Document)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_documents)
+def test_print_parse_print_on_random_documents(doc):
+    assert not _RESERVED & set(_NAMES)
+    printed = print_document(doc)
+    doc2, diags = parse_document(printed)
+    assert not diags, (printed, [str(d) for d in diags])
+    assert print_document(doc2) == printed
 
 
 def test_builtin_export_elaborates_to_equal_presentation():
@@ -417,6 +492,33 @@ def test_no_diagnostic_message_starts_with_a_quote():
     assert diag.message == "unknown generator z"
 
 
+def test_file_with_several_models_and_no_model_choice_is_a_diagnostic(capsys):
+    from cdgl.workbench.cli import main
+    code = main(["homology", os.path.join(DATA, "wedge_homotopy.cdgl"),
+                 "--range", "0..2", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status = diagnostics" in out
+    assert "the file declares models S1, W; choose one with --model" in out
+    # commands that read named objects of the file still run on it
+    rep = run_task(Task("witness", file_text=read("wedge_homotopy.cdgl"),
+                        names={"homotopy": "Psi", "from": "f", "to": "g"},
+                        check_stability=False))
+    assert rep.status == "ok" and rep.tables["witness"]["accepted"] is True
+    rep = run_task(Task("log", file_text=read("wedge_homotopy.cdgl"),
+                        names={"morphism": "f"}))
+    assert [d.message for d in rep.diagnostics] == ["log expects an automorphism"]
+
+
+def test_no_model_file_and_no_model_is_a_diagnostic(capsys):
+    from cdgl.workbench.cli import main
+    code = main(["homology", "--range", "0..2", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status = diagnostics" in out
+    assert "homology needs a model file or --model" in out
+
+
 def test_engine_key_error_is_not_a_diagnostic(monkeypatch):
     import cdgl.workbench.tasks as tasks
 
@@ -513,6 +615,46 @@ def test_internal_error_is_not_a_diagnostic(monkeypatch, capsys):
     assert "status = internal-error" in out
     assert "lower central series does not descend (internal error)" in out
     assert "diagnostic" not in out
+
+
+def test_homology_rank_bookkeeping_is_an_internal_error(monkeypatch, capsys):
+    # a span whose add reports every vector as new makes the representatives
+    # outnumber the dimension: an engine fault, exit code 3
+    from cdgl import exactlin
+    from cdgl.workbench.cli import main
+
+    class Miscounting(exactlin.IncrementalSpan):
+        def add(self, v):
+            super().add(v)
+            return True
+
+    def miscounting_span(vecs):
+        span = Miscounting()
+        for v in vecs:
+            span.add(v)
+        return span
+
+    monkeypatch.setattr(exactlin, "_span", miscounting_span)
+    code = main(["homology", "--model", "L1", "--range", "-1..1",
+                 "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "status = internal-error" in out
+    assert "homology rank bookkeeping failed at degree -1 (internal error)" in out
+    assert "diagnostic" not in out
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the engine's records are plain classes; dataclasses would pull in
+    # inspect, dis and tokenize on every start of the CLI
+    src = os.path.abspath(os.path.join(os.path.dirname(DATA), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; names = {'dataclasses', 'inspect', 'dis', 'tokenize'}; "
+            "before = names & set(sys.modules); import cdgl.workbench.cli; "
+            "print(sorted(names & set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_cli_examples_run(monkeypatch, capsys):
