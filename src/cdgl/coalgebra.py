@@ -538,6 +538,11 @@ class ConvolutionDGL:
         self.L = L
         self._basis_cache = {}
         self._comul_by_left = comul_by_left(C.comul.items())
+        # label j -> the labels i whose d_of(i) holds j
+        self._d_users = {}
+        for i, row in C.diff.items():
+            for j, _ in row:
+                self._d_users.setdefault(j, set()).add(i)
 
     def element(self, degree, values) -> HomElement:
         return HomElement(self, degree, values)
@@ -558,9 +563,13 @@ class ConvolutionDGL:
         return cached
 
     def differential(self, f: HomElement) -> HomElement:
+        """D f, taken only on the labels where f or a term of their d has a
+        value."""
         out = {}
         sgn = Fraction(-1) if f.degree % 2 else Fraction(1)
-        for i in range(self.C.dim()):
+        users = self._d_users
+        labels = set(f.values).union(*(users.get(j, ()) for j in f.values))
+        for i in sorted(labels):
             total = self.L.d(f.value(i)) if i in f.values else self.L.zero()
             acc = self.L.zero()
             for j, c in self.C.d_of(i):

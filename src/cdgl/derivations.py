@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from . import exactlin
 from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
@@ -23,8 +23,8 @@ from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
                   GeneratorFiltration, H0Group, ad_values, apply_operator,
                   exp_derivation_values, log_morphism, nilpotency)
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
-                       IncrementalSpan, SparseMat, SparseVec, build_complex,
-                       homology_at, les_of_ses)
+                       IncrementalSpan, LongExactSequence, SparseMat, SparseVec,
+                       build_complex, homology_at, homology_reports, les_of_ses)
 from .freelie import LieElement, LieTable, bracket
 
 
@@ -71,11 +71,14 @@ class Derivation(LieTable):
 
 
 def derivation_differential(theta: Derivation) -> Derivation:
-    """D theta = d . theta - (-1)^{|theta|} theta . d."""
+    """D theta = d . theta - (-1)^{|theta|} theta . d, taken only on the
+    generators where theta or a letter of their d has a value."""
     src, tgt = theta.source, theta.target
     sgn = Fraction(-1) if theta.degree % 2 else Fraction(1)
+    users = src.d_users
+    support = set(theta.values).union(*(users.get(h, ()) for h in theta.values))
     out = {g: tgt.d(theta.value(g)) - theta.apply(src.d_on_gens[g]).scale(sgn)
-           for g in src.gens}
+           for g in support}
     return Derivation(src, tgt, theta.degree - 1, out, theta.base)
 
 
@@ -99,14 +102,18 @@ class DerSpace:
     """Basis bookkeeping for one degree of a derivation complex.
 
     A derivation of degree n is coordinatized by flattening its values over
-    the slots (generator g, basis of target degree |g| + n).
+    the slots (generator g, basis of target degree |g| + n).  By default the
+    elements are the unit tables in slot order, whose coordinates are the
+    flattening; other elements go through a FactoredBasis.
     """
 
-    def __init__(self, source, target, degree, elements):
+    def __init__(self, source, target, degree, elements=None, base=None):
         self.source = source
         self.target = target
         self.degree = degree
-        self.elements = list(elements)
+        self.units = elements is None
+        self.elements = (unit_derivations(source, target, degree, base)
+                         if self.units else list(elements))
         self._offsets = {}
         off = 0
         for g in source.gens:
@@ -129,6 +136,8 @@ class DerSpace:
     def coords(self, theta: Derivation) -> SparseVec:
         """Coordinates in the elements, which may be dependent: the
         free-variables-zero solution, as solve_linear would give."""
+        if self.units:
+            return self.flatten(theta)
         if self._factored is None:
             self._factored = FactoredBasis(
                 [self.flatten(e) for e in self.elements], self.total_slots)
@@ -168,13 +177,9 @@ class DerComplex:
         self.phi = None if (phi is None or _is_identity(phi)) else phi
         base = self.phi
         self.degrees = sorted(degrees)
-        self.spaces = {}
-        for n in self.degrees + [self.degrees[0] - 1]:
-            if deg0_subspace is not None and n == 0:
-                elems = deg0_subspace
-            else:
-                elems = unit_derivations(source, target, n, base)
-            self.spaces[n] = DerSpace(source, target, n, elems)
+        self.spaces = {n: DerSpace(source, target, n,
+                                   deg0_subspace if n == 0 else None, base)
+                       for n in self.degrees + [self.degrees[0] - 1]}
         self._complex = None
 
     def space(self, n) -> DerSpace:
@@ -371,7 +376,7 @@ def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
         admissible.append(th)
     if not admissible:
         return []
-    spacem1 = DerSpace(L, L, -1, unit_derivations(L, L, -1))
+    spacem1 = DerSpace(L, L, -1)
     cols = []
     for th in admissible:
         D = derivation_differential(th)
@@ -604,16 +609,21 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
 # -- pipelines -------------------------------------------------------------------
 
 class MappingSpaceReport:
-    __slots__ = ("pointed", "free", "fiber_components_h0", "les",
-                 "minimal_warning")
+    """les is built (and checked exact) by build_les on first read; the
+    builder, which holds the complexes, is dropped then."""
 
     def __init__(self, pointed: dict, free: dict, fiber_components_h0: int,
-                 les: object, minimal_warning: bool = False):
+                 build_les, minimal_warning: bool = False):
         self.pointed = pointed     # n -> dimension of H_n(Der_phi), n >= 1
         self.free = free           # n -> dimension of H_n(Der_phi x~ sL), n >= 1
         self.fiber_components_h0 = fiber_components_h0
-        self.les = les
+        self._build_les = build_les
         self.minimal_warning = minimal_warning
+
+    @cached_property
+    def les(self) -> LongExactSequence:
+        les, self._build_les = self._build_les(), None
+        return les
 
 
 def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
@@ -634,23 +644,25 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
     base = None if _is_identity(phi) else phi
     dercx = DerComplex(Lsrc, Ltgt, base, window)
     tw = twisted_der_sl(dercx, Ltgt, window, phi=base)
-    les = les_of_ses(*tw.ses(), degrees=[n for n in degrees if n >= 0])
-    # the sequence holds the homology of the pointed (sub) and free (total)
-    # complexes in every degree >= 0
+    # pointed (sub) and free (total) homology, reused by the sequence
+    les_degrees = [n for n in degrees if n >= 0]
+    hA = homology_reports(tw.sub, [n for n in degrees if n >= 1])
+    hB = homology_reports(tw.total, les_degrees)
     return MappingSpaceReport(
-        pointed={n: les.hA[n].dimension for n in degrees if n >= 1},
-        free={n: les.hB[n].dimension for n in degrees if n >= 1},
-        fiber_components_h0=les.hB[0].dimension, les=les,
+        pointed={n: h.dimension for n, h in hA.items()},
+        free={n: hB[n].dimension for n in degrees if n >= 1},
+        fiber_components_h0=hB[0].dimension,
+        build_les=lambda: les_of_ses(*tw.ses(), degrees=les_degrees,
+                                     hA=hA, hB=hB),
         minimal_warning=minimal_warning)
 
 
 class ClassifyingReport:
-    __slots__ = ("mode", "pi_base", "h0_quotient", "ad_image_rank",
-                 "der0_dimension", "nilpotency", "postnikov",
-                 "total_homology", "saturation_flag")
+    """nilpotency is built by build_nilpotency on first read; the builder,
+    which holds the complexes, is dropped then."""
 
     def __init__(self, mode: str, pi_base: dict, h0_quotient: H0Group,
-                 ad_image_rank: int, der0_dimension: int, nilpotency: int,
+                 ad_image_rank: int, der0_dimension: int, build_nilpotency,
                  postnikov: GradedChainComplex, total_homology: dict,
                  saturation_flag: bool):
         self.mode = mode
@@ -658,10 +670,15 @@ class ClassifyingReport:
         self.h0_quotient = h0_quotient      # H_0(Der^G)/Im H_0(ad) or H_0(Der^Pi)
         self.ad_image_rank = ad_image_rank  # FREE: rank of Im H_0(ad); 0 when POINTED
         self.der0_dimension = der0_dimension
-        self.nilpotency = nilpotency
+        self._build_nilpotency = build_nilpotency
         self.postnikov = postnikov
         self.total_homology = total_homology  # POINTED: H_*(L x~ Der^Pi)
         self.saturation_flag = saturation_flag
+
+    @cached_property
+    def nilpotency(self) -> int:
+        nil, self._build_nilpotency = self._build_nilpotency(), None
+        return nil
 
 
 class DerSLElement:
@@ -760,8 +777,8 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     if mode == "FREE":
         tw = twisted_der_sl(dercx, L, window)
         cx = tw.total
-        homology = {n: homology_at(cx, n) for n in degrees}
-        pi = {n: h.dimension for n, h in homology.items() if n >= 1}
+        known = homology_reports(cx, [n for n in degrees if n >= 1])
+        pi = {n: h.dimension for n, h in known.items()}
         total_h = {}
         element, coords, lie_bracket = (partial(_der_sl_element, dercx, L),
                                         partial(_der_sl_coords, dercx, L),
@@ -771,17 +788,21 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
         tw = twisted_l_der(L, dercx, window)
         pi = {}
         total_h = {n: homology_at(tw.total, n).dimension for n in degrees}
-        homology = {n: homology_at(cx, n) if n else h0 for n in degrees}
+        known = {0: h0}
         element, coords, lie_bracket = (
             dercx.element, lambda th: dercx.space(th.degree).coords(th),
             derivation_bracket)
-    # the homology Lie algebra of the window, modulo the boundaries
-    nil = nilpotency([(n, element(n, z)) for n, h in sorted(homology.items())
-                      for z in h.cycle_reps], lie_bracket, coords,
-                     _Boundaries(homology))
+
+    def build_nilpotency():
+        # the homology Lie algebra of the window, modulo the boundaries
+        homology = homology_reports(cx, degrees, known)
+        return nilpotency([(n, element(n, z)) for n, h in homology.items()
+                           for z in h.cycle_reps], lie_bracket, coords,
+                          _Boundaries(homology))
+
     return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
                              ad_image_rank=adspan.rank, der0_dimension=len(g0),
-                             nilpotency=nil,
+                             build_nilpotency=build_nilpotency,
                              postnikov=exactlin.postnikov_truncate(cx, 1),
                              total_homology=total_h,
                              saturation_flag=report_g0.saturation_flag)

@@ -185,6 +185,15 @@ class DGLPresentation:
     def bracket(self, a, b):
         return bracket(a, b)
 
+    @cached_property
+    def d_users(self):
+        """Letter -> the generators whose d holds it."""
+        users = {}
+        for g, v in self.d_on_gens.items():
+            for h in {h for w in v.terms for h in w}:
+                users.setdefault(h, set()).add(g)
+        return users
+
     # -- bases and complexes ----------------------------------------------
 
     def basis(self, degree):
@@ -581,33 +590,44 @@ class H0Group:
     that table.  The law is the two-letter BCH series in right-nested
     (Dynkin-Specht-Wever) form cut at length c.  The cut is exact: the class
     map is a Lie morphism on degree-0 cycles, and every bracket of more
-    than c classes is zero.  The structure constants are built on read.
+    than c classes is zero.  The table, c and the structure constants are
+    built on first read, and abelian reads the table only.
     """
 
     def __init__(self, h: HomologyReport, element, coords, bracket):
         self._coords = coords
-        # cycle elements representing the basis, and their coordinates
-        # modulo the quotient
+        self._lie_bracket = bracket
+        # cycle elements representing the basis; h gives the coordinates
+        # of a class modulo the quotient
         self.reps = [element(z) for z in h.cycle_reps]
-        self.classes = h.classes
-        n = len(self.reps)
-        # degree-0 brackets are antisymmetric, so half the table is taken
-        self._table = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = bracket(self.reps[i], self.reps[j])
-                if not br.is_zero():
-                    v = self.class_of(br).entries
-                    self._table[i][j] = v
-                    self._table[j][i] = {k: -c for k, c in v.items()}
-        self.nilpotency_class = nilpotency(
-            [(0, SparseVec.unit(i)) for i in range(n)], self.bracket,
-            lambda u: u, {0: IncrementalSpan()})
-        self.abelian = self.nilpotency_class <= 1
+        self._h = h
 
     @property
     def dimension(self):
         return len(self.reps)
+
+    @cached_property
+    def _table(self):
+        n = len(self.reps)
+        # degree-0 brackets are antisymmetric, so half the table is taken
+        table = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                br = self._lie_bracket(self.reps[i], self.reps[j])
+                if not br.is_zero():
+                    v = self.class_of(br).entries
+                    table[i][j] = v
+                    table[j][i] = {k: -c for k, c in v.items()}
+        return table
+
+    @property
+    def abelian(self):
+        return not any(any(row) for row in self._table)
+
+    @cached_property
+    def nilpotency_class(self):
+        return nilpotency([(0, SparseVec.unit(i)) for i in range(self.dimension)],
+                          self.bracket, lambda u: u, {0: IncrementalSpan()})
 
     @cached_property
     def structure(self):
@@ -622,7 +642,7 @@ class H0Group:
 
     def class_of(self, e) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
-        return self.classes.coords(self._coords(e))
+        return self._h.classes.coords(self._coords(e))
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """The Lie bracket of two classes, read off the table."""

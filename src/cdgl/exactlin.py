@@ -551,12 +551,20 @@ def _check_ses(A, B, C, incl, proj, degrees):
             raise ExactnessError("middle dimension mismatch at degree %d" % n)
 
 
-def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees) -> LongExactSequence:
+def homology_reports(C: GradedChainComplex, degrees, known=None) -> dict:
+    """Degree -> homology_at(C, n), or the report known holds for n."""
+    known = known or {}
+    return {n: known[n] if n in known else homology_at(C, n) for n in degrees}
+
+
+def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees,
+               hA=None, hB=None) -> LongExactSequence:
     """Long exact homology sequence of a degreewise short exact sequence.
 
     Verifies the SES (chain maps, injectivity, surjectivity, rank balance),
     computes the induced maps and the zig-zag connecting maps, and checks
-    exactness at every slot before returning.
+    exactness at every slot before returning.  hA and hB may hold homology
+    reports of A and B already taken, by degree; the others are taken here.
     """
     degrees = sorted(degrees)
     probe = degrees + [degrees[-1] + 1]
@@ -564,9 +572,9 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees) -> LongExactSeq
     proj.validate(probe)
     _check_ses(A, B, C, incl, proj, sorted(set(probe + [degrees[0] - 1])))
 
-    hA = {n: homology_at(A, n) for n in degrees + [degrees[0] - 1]}
-    hB = {n: homology_at(B, n) for n in degrees}
-    hC = {n: homology_at(C, n) for n in degrees}
+    hA = homology_reports(A, degrees + [degrees[0] - 1], hA)
+    hB = homology_reports(B, degrees, hB)
+    hC = homology_reports(C, degrees)
 
     maps_i, maps_p, conn = {}, {}, {}
     for n in degrees:

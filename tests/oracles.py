@@ -5,9 +5,11 @@ Fraction matrices and a standalone word algebra keep the oracles on a
 separate path from the implementations they check.  The word product and
 the exp/log series sum pair by pair and power by power on Fractions, as the
 engine's did before it moved to integers, so that they also pin the order of
-the engine's output.  The last section holds test helpers that build engine
-values (left-normed brackets, the Dynkin map, components, the Fraction gauge
-series); no oracle uses them.
+the engine's output.  The differentials of derivations and of convolution
+elements visit every generator or label of a table, where the engine visits
+only those a table can reach.  The last section holds test helpers that
+build engine values (left-normed brackets, the Dynkin map, components, the
+Fraction gauge series); no oracle uses them.
 """
 
 from fractions import Fraction
@@ -255,6 +257,72 @@ def w_apply_operator(values, op_degree, a, admits, phi=None):
     return out
 
 
+# --- dense differentials on tables ---------------------------------------
+
+def w_derivation_differential(values, degree, source_d, target_d, admits,
+                              phi=None):
+    """D theta = d theta - (-1)^{|theta|} theta d, taken on every letter of
+    the source: values maps a source letter to the word dict of theta's
+    value, source_d and target_d map a letter to the word dict of its d,
+    and phi is as in w_apply_operator.  Letters where D theta is zero are
+    left out."""
+    sgn = -1 if degree % 2 else 1
+    out = {}
+    for g, dg in source_d.items():
+        v = w_add(w_apply_operator(target_d, -1, values.get(g, {}), admits),
+                  w_scale(w_apply_operator(values, degree, dg, admits, phi), -sgn))
+        if v:
+            out[g] = v
+    return out
+
+
+def w_convolution_differential(values, degree, c_diff, n_labels, target_d,
+                               admits):
+    """D f = d f - (-1)^{|f|} f d on Hom(C, L), taken on every label
+    0..n_labels-1 of C: values maps a label to the word dict of f's value,
+    c_diff a label i to the (label, coefficient) pairs of d i in C, and
+    target_d a letter to the word dict of its d in L.  Labels where D f is
+    zero are left out."""
+    sgn = -1 if degree % 2 else 1
+    out = {}
+    for i in range(n_labels):
+        f_d = {}
+        for j, c in c_diff.get(i, ()):
+            f_d = w_add(f_d, w_scale(values.get(j, {}), c))
+        v = w_add(w_apply_operator(target_d, -1, values.get(i, {}), admits),
+                  w_scale(f_d, -sgn))
+        if v:
+            out[i] = v
+    return out
+
+
+# --- dense nilpotency class -----------------------------------------------
+
+def dense_nilpotency_class(table):
+    """Nilpotency class of the Lie algebra Q^n in which the bracket of unit
+    vectors i and j is table[i][j] (a dict index -> Fraction): the number of
+    nonzero terms of the lower central series, g_1 = Q^n and g_{k+1} the
+    span of the brackets of a basis of g_k with the unit vectors, each
+    basis taken by dense_rref."""
+    n = len(table)
+
+    def br(u, j):
+        out = [Fraction(0)] * n
+        for i, a in enumerate(u):
+            for k, t in table[i][j].items():
+                out[k] += a * t
+        return out
+
+    layer = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    c = 0
+    while layer:
+        c += 1
+        if c > n + 1:
+            raise AssertionError("lower central series does not descend")
+        layer = dense_rref([br(u, j) for u in layer for j in range(n)], n)[1]
+    return c
+
+
 # --- reference Lie bases ----------------------------------------------
 
 def gen_sequences(gens, degree, length):
@@ -328,6 +396,14 @@ def left_normed(seq, trunc) -> LieElement:
     for g in reversed(seq[:-1]):
         cur = bracket(LieElement.gen(g, trunc), cur)
     return cur
+
+
+def eager_h0_table(G, bracket):
+    """table[i][j]: the class (index -> Fraction) of the bracket of the
+    representatives h_i and h_j of the H_0 group G, put through class_of
+    for every pair, as H0Group took its table before building it on read."""
+    reps = G.reps
+    return [[G.class_of(bracket(a, b)).entries for b in reps] for a in reps]
 
 
 def dynkin(e: LieElement) -> LieElement:

@@ -1,11 +1,13 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import cdgl.derivations as derivations
-from cdgl.coalgebra import ConvolutionDGL, chains_functor
-from cdgl.derivations import (DerComplex, Derivation, GSpec,
+from cdgl.coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
+                            lie_functor)
+from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
                               ad_derivation, bch_der, classifying_invariants,
                               der_g_zero, derivation_bracket,
@@ -17,9 +19,18 @@ from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
                       h0_group)
 from cdgl.exactlin import InternalError, homology_at, les_of_ses, connected_cover
 from cdgl.freelie import Truncation, bracket
-from cdgl.models import circle_model, sphere_model, wedge_model
+from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
+from cdgl.workbench import workspace_from_text
 
-from oracles import left_normed
+from oracles import (dense_nilpotency_class, eager_h0_table, left_normed,
+                     w_convolution_differential, w_derivation_differential)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def read_data(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def T(n):
@@ -440,11 +451,13 @@ def test_nilpotency_layers_are_kept_as_spans(monkeypatch):
 
 def test_nilpotency_descent_is_checked(monkeypatch):
     # a broken bracket ([a, b] = a) makes every layer as large as the first;
-    # the routine must fail loudly instead of returning a capped index
+    # the routine must fail loudly, when the index is read, instead of
+    # returning a capped index
     monkeypatch.setattr(derivations, "derivation_bracket", lambda a, b: a)
     L = wedge_model((2, 2), T(4))
     with pytest.raises(InternalError, match="internal error"):
-        classifying_invariants(L, GSpec("identity", L), "POINTED", range(1, 6))
+        classifying_invariants(L, GSpec("identity", L), "POINTED",
+                               range(1, 6)).nilpotency
 
 
 @pytest.mark.parametrize("cap, dim, nilpotency", [(2, 2, 1), (3, 3, 2), (4, 5, 3)])
@@ -463,14 +476,34 @@ def test_der_h0_group_of_wedge_of_circles(cap, dim, nilpotency):
     assert free.ad_image_rank == dim
 
 
+def _criterion9():
+    L = wedge_model((3, 3), T(3))
+    filt = GeneratorFiltration.from_chain([set(L.gens), {L.generator("y")}])
+    return L, GSpec("stabilizer", L, filtration=filt), "FREE"
+
+
+@pytest.mark.parametrize("case", ["wedge11-cap2", "wedge11-cap3",
+                                  "wedge11-cap4", "criterion9"])
+def test_der_h0_class_and_abelian_on_read_match_the_eager_table(case):
+    if case == "criterion9":
+        L, spec, mode = _criterion9()
+    else:
+        L = wedge_model((1, 1), T(int(case[-1])))
+        spec, mode = GSpec("identity", L), "POINTED"
+    G = classifying_invariants(L, spec, mode, range(1, 3)).h0_quotient
+    assert not {"_table", "nilpotency_class"} & set(vars(G))
+    eager = dense_nilpotency_class(eager_h0_table(G, derivation_bracket))
+    assert G.abelian == (eager <= 1)
+    assert "nilpotency_class" not in vars(G)
+    assert G.nilpotency_class == eager
+
+
 @pytest.mark.parametrize("case", ["criterion9", "wedge11-cap4-POINTED"])
 def test_der_h0_table_law_matches_bch_der(case):
     # the Der group's law, read off its bracket table, against the operator
     # exp/log product bch_der on every pair of representatives
     if case == "criterion9":
-        L = wedge_model((3, 3), T(3))
-        filt = GeneratorFiltration.from_chain([set(L.gens), {L.generator("y")}])
-        spec, mode = GSpec("stabilizer", L, filtration=filt), "FREE"
+        L, spec, mode = _criterion9()
     else:
         L = wedge_model((1, 1), T(4))
         spec, mode = GSpec("identity", L), "POINTED"
@@ -556,3 +589,104 @@ def test_postnikov_of_stabilizer_twisted_product():
     assert homology_at(post, 0).dimension == 1
     for k in range(1, 8):
         assert homology_at(post, k).dimension == 0
+
+
+# -- sparse differentials and unit-table coordinates against dense oracles -------
+
+def _words(e):
+    return {tuple((g.name, g.degree) for g in w): c for w, c in e.terms.items()}
+
+
+def _letters(table):
+    return {(g.name, g.degree): _words(v) for g, v in table.items()}
+
+
+def _with_random_sums(rng, tables, count=6):
+    """The tables, then random sums of a few of them with small coefficients."""
+    out = list(tables)
+    for _ in range(count if tables else 0):
+        acc = tables[0].scale(0)
+        for t in rng.sample(tables, min(3, len(tables))):
+            acc = acc + t.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        out.append(acc)
+    return out
+
+
+def _gamma_chains():
+    # the chains, the Lie functor and the morphism that gamma wedge(2,2)
+    # --word-cap 2 --truncate 2 builds
+    L = wedge_model((2, 2), T(2))
+    C = chains_functor(L, word_cap=2)
+    LC = lie_functor(C, L.trunc)
+    return L, C, LC, DGLMorphism.identity(L).compose(adjunction_alpha(L, C, LC))
+
+
+def _derivation_cases():
+    """(source, target, base, degrees): ordinary derivations of L1 and S1,
+    f-derivations of the morphism f of wedge_homotopy.cdgl, and the
+    f-derivations of Lie(Chains) into wedge(2,2) that gamma checks."""
+    ws, _ = workspace_from_text(read_data("wedge_homotopy.cdgl"))
+    f = ws.morphisms["f"]
+    L, _, LC, phi_tilde = _gamma_chains()
+    lo, hi = L.degree_bounds()
+    gdegs = [g.degree for g in LC.gens]
+    L1, S1 = interval_model(T(3)), circle_model(T(4))
+    return [(L1, L1, None, range(-1, 3)), (S1, S1, None, range(-1, 3)),
+            (f.source, f.target, f, range(-1, 3)),
+            (LC, L, phi_tilde, range(lo - max(gdegs), hi - min(gdegs) + 1))]
+
+
+def test_sparse_derivation_differential_matches_dense_oracle():
+    rng = random.Random(16)
+    checked = nonzero = 0
+    for src, tgt, base, degrees in _derivation_cases():
+        cap = tgt.trunc.max_bracket_length
+        phi = None if base is None else _letters(base.images)
+        for n in degrees:
+            for th in _with_random_sums(rng, unit_derivations(src, tgt, n, base)):
+                D = derivation_differential(th)
+                want = w_derivation_differential(
+                    _letters(th.values), n, _letters(src.d_on_gens),
+                    _letters(tgt.d_on_gens), lambda w: len(w) <= cap, phi)
+                assert _letters(D.values) == want
+                assert D.degree == n - 1 and D.base is th.base
+                checked += 1
+                nonzero += bool(want)
+    assert checked > 200 and nonzero > 80
+
+
+def test_sparse_convolution_differential_matches_dense_oracle():
+    rng = random.Random(17)
+    S1 = circle_model(T(3))
+    L, C, _, _ = _gamma_chains()
+    checked = nonzero = 0
+    for H in (ConvolutionDGL(C, L), ConvolutionDGL(chains_functor(S1, 2), S1)):
+        cap = H.L.trunc.max_bracket_length
+        lo, hi = H.L.degree_bounds()
+        for n in range(lo - max(H.C.degrees), hi - min(H.C.degrees) + 1):
+            for f in _with_random_sums(rng, H.basis(n)):
+                Df = H.differential(f)
+                want = w_convolution_differential(
+                    {i: _words(v) for i, v in f.values.items()}, n, H.C.diff,
+                    H.C.dim(), _letters(H.L.d_on_gens), lambda w: len(w) <= cap)
+                assert {i: _words(v) for i, v in Df.values.items()} == want
+                assert Df.degree == n - 1
+                checked += 1
+                nonzero += bool(want)
+    assert checked > 300 and nonzero > 100
+
+
+def test_unit_table_coords_are_the_factored_coords():
+    # a DerSpace of unit tables reads coordinates off the flattening; the
+    # same tables passed as elements go through a FactoredBasis
+    rng = random.Random(18)
+    for src, tgt, base, degrees in _derivation_cases():
+        for n in degrees:
+            units = DerSpace(src, tgt, n, base=base)
+            factored = DerSpace(src, tgt, n, unit_derivations(src, tgt, n, base))
+            assert units.units and not factored.units
+            assert [th.values for th in units.elements] == [
+                th.values for th in factored.elements]
+            for th in _with_random_sums(rng, units.elements):
+                assert units.coords(th) == factored.coords(th)
+            assert units._factored is None

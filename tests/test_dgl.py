@@ -16,8 +16,9 @@ from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
 
-from oracles import (component_complex, dense_solve, fraction_gauge_series,
-                     left_normed, w_apply_operator, w_bch)
+from oracles import (component_complex, dense_nilpotency_class, dense_solve,
+                     eager_h0_table, fraction_gauge_series, left_normed,
+                     w_apply_operator, w_bch)
 
 
 def T(n):
@@ -522,6 +523,22 @@ def test_h0_wedge_two_circles_lower_central_series(cap, dim):
     assert G.abelian == (cap == 1)
 
 
+@pytest.mark.parametrize("make", [
+    *[lambda cap=cap: wedge_model((1, 1), T(cap)) for cap in range(2, 6)],
+    lambda: wedge_model((1, 1, 1), T(4)), lambda: interval_model(T(5))],
+    ids=["wedge11-cap%d" % cap for cap in range(2, 6)] + ["wedge111-cap4", "L1"])
+def test_h0_class_and_abelian_on_read_match_the_eager_table(make):
+    # the table is built when abelian is read, the class only when it is
+    # read; both agree with the class of the eagerly taken table
+    G = h0_group(make())
+    assert not {"_table", "nilpotency_class"} & set(vars(G))
+    eager = dense_nilpotency_class(eager_h0_table(G, bracket))
+    abelian = G.abelian
+    assert "_table" in vars(G) and "nilpotency_class" not in vars(G)
+    assert abelian == (eager <= 1)
+    assert G.nilpotency_class == eager
+
+
 def _boundary_model(cap):
     # d s = [u, v]: the degree-0 boundaries are the ideal generated by [u, v]
     u, v, w = (Generator(n, 0) for n in "uvw")
@@ -617,11 +634,11 @@ def test_nilpotency_skips_degrees_outside_modulo():
 
 def test_h0_non_descending_series_is_internal_error(monkeypatch):
     # a broken bracket ([a, b] = a) makes [H, H] = H; the nilpotency loop must
-    # fail loudly instead of returning a class
+    # fail loudly, when the class is read, instead of returning a class
     import cdgl.dgl
     monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: a)
     with pytest.raises(InternalError, match="internal error"):
-        h0_group(wedge_model((1, 1), T(2)))
+        h0_group(wedge_model((1, 1), T(2))).nilpotency_class
 
 
 def test_h0_divisibility_law():

@@ -299,6 +299,47 @@ def test_pi_map_task():
     assert rep.stability == "green"
 
 
+def test_pi_map_takes_model_and_cap_from_a_file_morphism():
+    # the file declares two models; the morphism names its source, so no
+    # --model is needed, and the report is the one --model S1 gives
+    text = read("wedge_homotopy.cdgl")
+    by_morphism = run_task(Task("pi-map", file_text=text, degree_range=(1, 2),
+                                names={"morphism": "f"}))
+    by_model = run_task(Task("pi-map", file_text=text, model_ref="S1",
+                             degree_range=(1, 2), names={"morphism": "f"}))
+    assert by_morphism.status == "ok" and by_morphism.caps["truncation"] == 5
+    assert (canonical(by_morphism).splitlines()[1:]
+            == canonical(by_model).splitlines()[1:])
+    capped = run_task(Task("pi-map", file_text=text, trunc=3, degree_range=(1, 2),
+                           names={"morphism": "f"}))
+    assert capped.status == "ok" and capped.caps["truncation"] == 3
+
+
+@pytest.mark.parametrize("command, degree_range, built", [
+    ("pi-map", (1, 4), {"les_of_ses": 1, "nilpotency": 0}),
+    ("baut", (1, 4), {"les_of_ses": 0, "nilpotency": 1}),
+    ("bautstar", (1, 3), {"les_of_ses": 0, "nilpotency": 1})])
+def test_certified_run_builds_les_and_nilpotency_once(monkeypatch, command,
+                                                      degree_range, built):
+    # the answer run reads the sequence and the index; the cap + 1 re-run
+    # computes only what its stability key compares
+    import cdgl.derivations as derivations
+    calls = {name: 0 for name in built}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in built:
+        monkeypatch.setattr(derivations, name, counted(name, getattr(derivations, name)))
+    rep = run_task(Task(command, model_ref="wedge(2,2)", trunc=3,
+                        degree_range=degree_range))
+    assert rep.status == "ok" and rep.stability in ("green", "red")
+    assert calls == built
+
+
 def test_baut_task_sphere2():
     rep = run_task(Task("baut", model_ref="sphere(2)", trunc=4,
                         degree_range=(1, 6)))
