@@ -25,7 +25,7 @@ from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
                        IncrementalSpan, LongExactSequence, SparseMat, SparseVec,
                        build_complex, homology_at, homology_reports, les_of_ses)
-from .freelie import LieElement, LieTable, bracket
+from .freelie import DegreeError, LieElement, LieTable, bracket
 
 
 class InvalidSubgroupError(ValueError):
@@ -519,9 +519,15 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
 
     Checks, on every stored basis element: bijectivity, the chain-map
     identity against D perturbed by the morphism's MC element, and bracket
-    compatibility.
+    compatibility.  The chains of a source with a generator of negative
+    degree would hold generators of degree < -1, so such a source is
+    refused with a DegreeError naming its generator.
     """
     Lsrc, Ltgt = phi.source, phi.target
+    for g in Lsrc.gens:
+        if g.degree < 0:
+            raise DegreeError("gamma needs a source with generators of degree "
+                              ">= 0, but %s has degree %d" % (g.name, g.degree))
     C = chains_functor(Lsrc, word_cap)
     LC = lie_functor(C, Ltgt.trunc)
     alpha = adjunction_alpha(Lsrc, C, LC)
@@ -738,6 +744,9 @@ class _Boundaries:
 
     def __contains__(self, n):
         return n in self.homology
+
+    def __iter__(self):
+        return iter(self.homology)
 
     def __getitem__(self, n):
         return self.homology[n].boundaries

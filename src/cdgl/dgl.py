@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .exactlin import (GradedChainComplex, HomologyReport, IncrementalSpan,
-                       InternalError, SparseMat, SparseVec, build_complex,
+                       InternalError, SparseMat, SparseVec, _vec, build_complex,
                        homology_at, solve_linear)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _clear_denominators,
@@ -542,38 +542,93 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
 # -- H0 as a group ----------------------------------------------------------
 
 def nilpotency(generators, bracket, coords, modulo) -> int:
-    """Nilpotency index of the graded Lie algebra spanned by generators, a
+    """Nilpotency index of the graded Lie algebra H spanned by generators, a
     list of (degree, element) pairs independent modulo modulo[n] in each
     degree n.
 
     modulo maps a degree n to the base span (an IncrementalSpan) to work
-    modulo, in the coordinates coords(x) of an element x of degree n.
-    Layer 1 is the generators; layer k + 1 is a basis, modulo a copy of the
-    base span in each degree, of the brackets of layer k with layer 1.  A
-    degree missing from modulo is outside the window, and its brackets are
-    not computed.  The index is the number of nonzero layers.  Each layer
-    lies in the one before, so a layer that does not shrink means the
-    bracket is broken.
+    modulo, in the coordinates coords(x) of an element x of degree n;
+    iterating it gives the degrees of the window.  A degree missing from
+    modulo is outside the window, and its brackets are not computed.  The
+    index is the number of nonzero terms of the lower central series
+    gamma_1 = H, gamma_{k+1} = [H, gamma_k], each kept as a basis modulo a
+    copy of the base span in each degree.  Only spans are read, so a
+    bracket may come back scaled.
+
+    gamma_2 is taken from all pairs of generators.  Each later term is
+    gamma_{k+1} = [X, gamma_k] for X the generators independent modulo
+    gamma_2.  Proof: H = span X + gamma_2, and by Jacobi [gamma_i, gamma_j]
+    lies in gamma_{i+j}, so
+        gamma_{k+1} = [X, gamma_k] + [gamma_2, gamma_k]
+                    = [X, gamma_k] + gamma_{k+2}.
+    The same identity one step on, with [X, gamma_{k+1}] inside
+    [X, gamma_k], gives gamma_{k+2} inside [X, gamma_k] + gamma_{k+3}, so
+    gamma_{k+1} = [X, gamma_k] + gamma_{k+m} for every m >= 2; H is
+    nilpotent, so gamma_{k+m} = 0 for m large.  The graded argument needs
+    the bracket cut to the window to be a Lie bracket, that is, the dropped
+    degrees to form an ideal.  That holds when every degree of the window
+    is >= 0 and the window has no gap, since a bracket then never lowers a
+    degree.  A window with a negative degree is refused with a ValueError
+    (no caller builds one: H0Group works in degree 0 and
+    classifying_invariants in degrees >= 0).  A window with a gap, as
+    classifying_invariants builds from --range 3..5, keeps X = all
+    generators, the definition itself.
+
+    Each term lies in the one before, so a term that does not shrink means
+    the bracket is broken: InternalError.
     """
-    layer, nil = list(generators), 0
+    window = sorted(modulo)
+    if window and window[0] < 0:
+        raise ValueError("nilpotency needs a window of degrees >= 0, not %d"
+                         % window[0])
+    gens = list(generators)
+
+    def term(pairs):
+        """(spans, basis): a basis of the brackets of pairs modulo a copy of
+        the base span in each degree, and those spans."""
+        spans, out = {}, []
+        for (n, a), (m, b) in pairs:
+            k = n + m
+            if k not in modulo:
+                continue
+            if k not in spans:
+                spans[k] = modulo[k].copy()
+            br = bracket(a, b)
+            if not br.is_zero() and spans[k].add(coords(br)):
+                out.append((k, br))
+        return spans, out
+
+    # [a, b] and [b, a] agree up to sign, so each unordered pair is taken once
+    spans, layer = term((a, b) for i, a in enumerate(gens) for b in gens[i:])
+    if window and window[-1] - window[0] + 1 == len(window):
+        X = []
+        for n, a in gens:
+            if n not in spans:
+                spans[n] = modulo[n].copy()
+            if spans[n].add(coords(a)):
+                X.append((n, a))
+    else:
+        X = gens
+    nil, prev = (1 if gens else 0), gens
     while layer:
         nil += 1
-        spans, nxt = {}, []
-        for n, a in layer:
-            for m, b in generators:
-                k = n + m
-                if k not in modulo:
-                    continue
-                if k not in spans:
-                    spans[k] = modulo[k].copy()
-                br = bracket(a, b)
-                if not br.is_zero() and spans[k].add(coords(br)):
-                    nxt.append((k, br))
-        if len(nxt) >= len(layer):
+        if len(layer) >= len(prev):
             raise InternalError("lower central series does not descend "
                                 "(internal error)")
-        layer = nxt
+        prev, layer = layer, term((x, b) for x in X for b in layer)[1]
     return nil
+
+
+def _table_bracket(table, u, v):
+    """sum_{i, j} u_i v_j table[i][j] for index -> coefficient dicts."""
+    out = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            ab = a * b
+            for k, t in row[j].items():
+                out[k] = out.get(k, 0) + ab * t
+    return {k: c for k, c in out.items() if c}
 
 
 class H0Group:
@@ -585,13 +640,20 @@ class H0Group:
     the complex's degree-0 basis, coords its inverse, and bracket the Lie
     bracket of degree-0 elements.
 
-    The brackets [h_i, h_j] of the representatives are taken once, in class
-    coordinates, and the nilpotency class c and the group law are read off
-    that table.  The law is the two-letter BCH series in right-nested
-    (Dynkin-Specht-Wever) form cut at length c.  The cut is exact: the class
-    map is a Lie morphism on degree-0 cycles, and every bracket of more
-    than c classes is zero.  The table, c and the structure constants are
-    built on first read, and abelian reads the table only.
+    The brackets [h_i, h_j] of the representatives are taken once, for
+    i < j, and put through class_of.  The table holds them on ints over one
+    denominator D, the lcm of the denominators of their class coordinates:
+    [h_i, h_j] = (1/D) sum_k T[i][j][k] h_k.  The nilpotency class c and
+    the group law are read off T alone.  The law is the two-letter BCH
+    series in right-nested (Dynkin-Specht-Wever) form cut at length c.  The
+    cut is exact: the class map is a Lie morphism on degree-0 cycles, and
+    every bracket of more than c classes is zero.  With u, v = U/E, V/E, a
+    right-nested word of length l in u and v is T_w(U, V) / (E^l D^(l-1)),
+    T_w its bracket on ints; the series is summed on ints over
+    Q = M (D E)^(c-1) E, M the lcm of the series' denominators, and one
+    Fraction per coordinate is built at the end.  The table, c and the
+    structure constants are built on first read; abelian reads the table
+    when it is built, and otherwise stops at the first nonzero bracket.
     """
 
     def __init__(self, h: HomologyReport, element, coords, bracket):
@@ -606,39 +668,65 @@ class H0Group:
     def dimension(self):
         return len(self.reps)
 
-    @cached_property
-    def _table(self):
+    def _pairs(self):
+        """(i, j, class of [h_i, h_j] as index -> Fraction) for i < j, in
+        order, each bracket taken when it is reached."""
         n = len(self.reps)
-        # degree-0 brackets are antisymmetric, so half the table is taken
-        table = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 br = self._lie_bracket(self.reps[i], self.reps[j])
-                if not br.is_zero():
-                    v = self.class_of(br).entries
-                    table[i][j] = v
-                    table[j][i] = {k: -c for k, c in v.items()}
-        return table
+                yield i, j, {} if br.is_zero() else self.class_of(br).entries
+
+    @cached_property
+    def _table(self):
+        """(D, T) as in the class docstring; degree-0 brackets are
+        antisymmetric, so T[j][i] = -T[i][j]."""
+        pairs = list(self._pairs())
+        D = lcm(*(c.denominator for _, _, v in pairs for c in v.values()))
+        n = len(self.reps)
+        table = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j, v in pairs:
+            if v:
+                table[i][j] = {k: c.numerator * (D // c.denominator)
+                               for k, c in v.items()}
+                table[j][i] = {k: -c for k, c in table[i][j].items()}
+        return D, table
 
     @property
     def abelian(self):
-        return not any(any(row) for row in self._table)
+        if "_table" in vars(self):
+            return not any(any(row) for row in self._table[1])
+        return not any(v for _, _, v in self._pairs())
 
     @cached_property
     def nilpotency_class(self):
-        return nilpotency([(0, SparseVec.unit(i)) for i in range(self.dimension)],
-                          self.bracket, lambda u: u, {0: IncrementalSpan()})
+        table = self._table[1]
+
+        def bracket(u, v):
+            # only spans are read: drop 1/D and the content
+            out = _table_bracket(table, u.entries, v.entries)
+            g = gcd(*out.values()) or 1
+            return _vec({k: c // g for k, c in out.items()})
+
+        return nilpotency([(0, _vec({i: 1})) for i in range(self.dimension)],
+                          bracket, lambda u: u, {0: IncrementalSpan()})
 
     @cached_property
     def structure(self):
         """(i, j) -> the class of h_i * h_j."""
         n = self.dimension
-        return {(i, j): self.mul(SparseVec.unit(i), SparseVec.unit(j))
-                for i in range(n) for j in range(n)}
+        prods = {}
+        for i in range(n):
+            for j in range(i, n):
+                prods[i, j], prods[j, i] = self._bch({i: 1}, {j: 1})
+        return {(i, j): prods[i, j] for i in range(n) for j in range(n)}
 
     @cached_property
     def _series(self):
-        return bch_series(max(self.nilpotency_class, 1))
+        """(M, word -> M times its coefficient in bch_series), on ints."""
+        series = bch_series(max(self.nilpotency_class, 1))
+        M = lcm(*(q.denominator for q in series.values()))
+        return M, {w: q.numerator * (M // q.denominator) for w, q in series.items()}
 
     def class_of(self, e) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
@@ -646,41 +734,53 @@ class H0Group:
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """The Lie bracket of two classes, read off the table."""
-        return SparseVec(self._bracket(u.entries, v.entries))
-
-    def _bracket(self, u, v):
-        out = {}
-        for i, a in u.items():
-            row = self._table[i]
-            for j, b in v.items():
-                ab = a * b
-                for k, t in row[j].items():
-                    out[k] = out.get(k, 0) + ab * t
-        return {k: c for k, c in out.items() if c}
+        D, table = self._table
+        return SparseVec(_table_bracket(table, u.entries, v.entries)).scale(
+            Fraction(1, D))
 
     def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        """The BCH product of two classes: u + v plus the series' words of
-        length 2 to c, each right-nested bracket built from its suffix."""
-        total = dict((u + v).entries)
-        letters = (u.entries, v.entries)
-        series, c = self._series, self.nilpotency_class
-        frontier = [((0,), u.entries), ((1,), v.entries)] if c > 1 else []
+        """The BCH product of two classes."""
+        return self._bch(u.entries, v.entries)[0]
+
+    def _bch(self, u, v):
+        """(u * v, v * u) for class coordinates u, v (index -> coefficient):
+        u + v plus the series' words of length 2 to c, each right-nested
+        bracket built on ints from its suffix, summed over Q as in the class
+        docstring.  v * u = log(e^v e^u) = -log(e^-u e^-v) takes the same
+        words, the word of length l with sign (-1)^(l+1)."""
+        D, table = self._table
+        M, series = self._series
+        c = max(self.nilpotency_class, 1)
+        E, U, V = _clear_denominators(u, v)
+        DE = D * E
+        m1 = M * DE ** (c - 1)
+        letters = (U, V)
+        uv = {k: m1 * t for k, t in U.items()}
+        for k, t in V.items():
+            uv[k] = uv.get(k, 0) + m1 * t
+        vu = dict(uv)
+        frontier = [((0,), U), ((1,), V)] if c > 1 else []
         while frontier:
             nxt = []
             for word, val in frontier:
                 for a in (0, 1):
                     longer = (a,) + word
-                    br = self._bracket(letters[a], val)
+                    br = _table_bracket(table, letters[a], val)
                     if not br:
                         continue
-                    coef = series.get(longer)
-                    if coef:
+                    m = series.get(longer)
+                    if m:
+                        m *= DE ** (c - len(longer))
+                        sm = m if len(longer) % 2 else -m
                         for k, t in br.items():
-                            total[k] = total.get(k, 0) + coef * t
+                            uv[k] = uv.get(k, 0) + m * t
+                            vu[k] = vu.get(k, 0) + sm * t
                     if len(longer) < c:
                         nxt.append((longer, br))
             frontier = nxt
-        return SparseVec(total)
+        Q = m1 * E
+        return tuple(_vec({k: Fraction(s, Q) for k, s in total.items() if s})
+                     for total in (uv, vu))
 
     def power(self, u: SparseVec, lam) -> SparseVec:
         """Exact Q-power: lambda . [x] = [lambda x]."""

@@ -147,7 +147,7 @@ def _stability(task: Task, report: Report, L, run, key, answer) -> Report:
     builds what no key reads (long exact sequences, nilpotency, structure
     constants) on first read, so each re-run computes only its key: the
     homology dimensions (homology, pi-map, baut, bautstar), the group's
-    dimension and, for h0, the bracket table behind abelian."""
+    dimension and, for h0, abelian up to the first nonzero bracket."""
     if task.check_stability:
         again = run(_cap_of(L) + 1)[1]
         report.stability = "green" if key(answer) == key(again) else "red"
@@ -309,10 +309,11 @@ def cmd_h0(task: Task) -> Report:
 
     L, G = group_at(None)
     report.caps["truncation"] = _cap_of(L)
+    nil = G.nilpotency_class    # builds the table, which abelian then reads
     report.tables["h0"] = {
         "dimension": G.dimension,
         "abelian": G.abelian,
-        "nilpotency_class": G.nilpotency_class,
+        "nilpotency_class": nil,
         "malcev_stage": _cap_of(L),
     }
     consts = {}

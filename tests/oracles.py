@@ -388,6 +388,94 @@ def w_lie_basis(gens, degree, length):
     return out
 
 
+# --- homology Lie algebras over tensor words -----------------------------
+
+def _w_matrix(vecs):
+    """(the words of vecs in a fixed order, the dense matrix whose column k
+    holds vecs[k] in those words)."""
+    words = sorted({w for v in vecs for w in v})
+    return words, [[v.get(w, Fraction(0)) for v in vecs] for w in words]
+
+
+def w_combination(vecs, x):
+    out = {}
+    for v, c in zip(vecs, x):
+        if c:
+            out = w_add(out, w_scale(v, c))
+    return out
+
+
+def w_solve_modulo(reps, boundaries, targets):
+    """For each word dict of targets, the coordinates (index -> Fraction) in
+    reps of its class modulo the span of boundaries: one dense_rref of the
+    columns reps, boundaries, targets, read with the free variables zero.
+    Every target must lie in the span of reps and boundaries."""
+    cols = list(reps) + list(boundaries)
+    m = len(cols)
+    pivots, R = dense_rref(_w_matrix(cols + list(targets))[1], m + len(targets))
+    assert all(p < m for p in pivots), "a target is outside the span"
+    out = []
+    for t in range(len(targets)):
+        x = {p: row[m + t] for p, row in zip(pivots, R)}
+        out.append({k: x[k] for k in range(len(reps)) if x.get(k)})
+    return out
+
+
+def w_homology(gens, d, cap, n):
+    """(cycle representatives, boundaries) of H_n of the free Lie algebra on
+    gens cut at length cap, with d the word dict of d(g) for each letter
+    (name, degree): C_n is spanned by w_lie_basis, the cycles are its
+    dense_kernel under d, and the representatives are the cycles that raise
+    the rank of the boundaries and the representatives kept so far: the
+    pivot columns of one dense_rref of the boundaries, then the cycles."""
+    def chains(degree):
+        return [w for ln in range(1, cap + 1)
+                for _, w in w_lie_basis(gens, degree, ln)]
+
+    def admits(w):
+        return len(w) <= cap
+
+    def dee(e):
+        return w_apply_operator(d, -1, e, admits)
+
+    boundaries = [b for b in map(dee, chains(n + 1)) if b]
+    basis = chains(n)
+    images = [dee(e) for e in basis]
+    words, M = _w_matrix(images)
+    cycles = ([w_combination(basis, x) for x in dense_kernel(M, len(basis))]
+              if words else basis)
+    pivots = dense_rref(_w_matrix(boundaries + cycles)[1],
+                        len(boundaries) + len(cycles))[0]
+    reps = [cycles[p - len(boundaries)] for p in pivots if p >= len(boundaries)]
+    return reps, boundaries
+
+
+def w_homology_algebra(gens, d, cap, window):
+    """(reps, table) for the homology Lie algebra of the window: reps is a
+    list of (degree, word dict) over the window's degrees, and table[i][j]
+    the class (index -> Fraction) of [rep_i, rep_j] modulo boundaries, zero
+    when its degree is outside the window."""
+    homology = {n: w_homology(gens, d, cap, n) for n in window}
+    reps = [(n, z) for n in window for z in homology[n][0]]
+    first = {}
+    for i, (n, _) in enumerate(reps):
+        first.setdefault(n, i)
+    # the brackets landing in each degree of the window, solved together
+    targets = {}
+    for i, (n, a) in enumerate(reps):
+        for j, (m, b) in enumerate(reps):
+            br = w_bracket(a, b, cap)
+            if n + m in homology and br:
+                targets.setdefault(n + m, []).append((i, j, br))
+    table = [[{} for _ in reps] for _ in reps]
+    for k, found in targets.items():
+        hr, hb = homology[k]
+        solved = w_solve_modulo(hr, hb, [br for _, _, br in found])
+        for (i, j, _), coords in zip(found, solved):
+            table[i][j] = {first[k] + q: c for q, c in coords.items()}
+    return reps, table
+
+
 # --- engine helpers for tests (not oracles) -----------------------------
 
 def left_normed(seq, trunc) -> LieElement:

@@ -528,15 +528,17 @@ def test_h0_wedge_two_circles_lower_central_series(cap, dim):
     lambda: wedge_model((1, 1, 1), T(4)), lambda: interval_model(T(5))],
     ids=["wedge11-cap%d" % cap for cap in range(2, 6)] + ["wedge111-cap4", "L1"])
 def test_h0_class_and_abelian_on_read_match_the_eager_table(make):
-    # the table is built when abelian is read, the class only when it is
-    # read; both agree with the class of the eagerly taken table
+    # abelian reads the brackets pair by pair and builds no table, the class
+    # builds the table when it is read, and abelian then reads the table;
+    # all agree with the class of the eagerly taken table
     G = h0_group(make())
     assert not {"_table", "nilpotency_class"} & set(vars(G))
     eager = dense_nilpotency_class(eager_h0_table(G, bracket))
     abelian = G.abelian
-    assert "_table" in vars(G) and "nilpotency_class" not in vars(G)
+    assert not {"_table", "nilpotency_class"} & set(vars(G))
     assert abelian == (eager <= 1)
     assert G.nilpotency_class == eager
+    assert "_table" in vars(G) and G.abelian == abelian
 
 
 def _boundary_model(cap):
@@ -621,7 +623,9 @@ def test_nilpotency_skips_degrees_outside_modulo():
     gens = [(1, SparseVec.unit(0)), (1, SparseVec.unit(1))]
     assert nilpotency(gens, br, lambda u: u,
                       {1: IncrementalSpan(), 2: IncrementalSpan()}) == 2
-    assert len(calls) == 4      # none for layer 2, whose brackets land in degree 3
+    # one per unordered pair of generators, none for layer 2, whose brackets
+    # land in degree 3
+    assert len(calls) == 3
     calls.clear()
     assert nilpotency(gens, br, lambda u: u, {1: IncrementalSpan()}) == 1
     assert calls == []

@@ -501,6 +501,28 @@ def test_truncate_zero_is_a_diagnostic(capsys):
     assert [d.message for d in rep.diagnostics] == ["truncation cap must be >= 1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "S1", "--word-cap", "2", "--truncate", "3"],
+    ["--model", "S1", "--word-cap", "1", "--truncate", "3"],
+    [os.path.join(DATA, "wedge_homotopy.cdgl"), "--morphism", "f"]],
+    ids=["S1-word-cap-2", "S1-word-cap-1", "file-morphism-f"])
+def test_gamma_refuses_a_source_of_negative_degree(argv, monkeypatch, capsys):
+    # the chains of such a source would hold generators of degree < -1; the
+    # source is refused before they are built, naming the user's generator
+    import cdgl.derivations
+    from cdgl.workbench.cli import main
+
+    def unreachable(*args):
+        raise AssertionError("chains built")
+
+    monkeypatch.setattr(cdgl.derivations, "chains_functor", unreachable)
+    code = main(["gamma"] + argv + ["--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1 and "status = diagnostics" in out
+    assert ("diagnostic = 0:0 error gamma needs a source with generators of "
+            "degree >= 0, but b has degree -1") in out
+
+
 def test_no_diagnostic_message_starts_with_a_quote():
     homotopy = read("wedge_homotopy.cdgl").replace("b -> -1 * dt * u",
                                                    "z -> -1 * dt * u")
