@@ -521,8 +521,11 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     identity against D perturbed by the morphism's MC element, and bracket
     compatibility.  The chains of a source with a generator of negative
     degree would hold generators of degree < -1, so such a source is
-    refused with a DegreeError naming its generator.
+    refused with a DegreeError naming its generator, and a word cap below 1,
+    which leaves the chains no generator, with a ValueError.
     """
+    if word_cap < 1:
+        raise ValueError("word cap must be >= 1")
     Lsrc, Ltgt = phi.source, phi.target
     for g in Lsrc.gens:
         if g.degree < 0:

@@ -62,7 +62,7 @@ def apply_operator(values, op_degree, e: LieElement, phi=None) -> LieElement:
     term carries the highest degree of its partial products.
     """
     trunc = e.trunc
-    cap, max_deg, admits = trunc.max_bracket_length, trunc.max_degree, trunc.admits
+    cap, max_deg = trunc.max_bracket_length, trunc.max_degree
 
     def image(g):
         return {(g,): 1} if phi is None else phi[g].terms
@@ -98,9 +98,9 @@ def apply_operator(values, op_degree, e: LieElement, phi=None) -> LieElement:
                 scv = None
                 for p, cp in prefixes[i].items():
                     x = p + vw
-                    if not admits(x):
-                        continue
                     dx = word_degree(x) if max_deg is not None else 0
+                    if len(x) > cap or (max_deg is not None and dx > max_deg):
+                        continue
                     for s, cs, top in suffixes[i]:
                         if len(x) + len(s) > cap or (max_deg is not None
                                                      and dx + top > max_deg):
@@ -809,16 +809,6 @@ def h0_group(L: DGLPresentation) -> H0Group:
     return H0Group(homology_at(L.complex([0, 1]), 0),
                    lambda z: L.from_coords(z, 0), lambda e: L.coords(e, 0),
                    bracket)
-
-
-def act_on_morphism(y: LieElement, phi: DGLMorphism) -> DGLMorphism:
-    """[y] . [phi] = e^{ad_y} after phi; y must be a degree-0 cycle of the
-    target."""
-    L = phi.target
-    if not L.d(y).is_zero():
-        raise MCViolationError("action requires a degree-0 cycle")
-    e = exp_ad(L, y)
-    return e.compose(phi).validate()
 
 
 class GeneratorFiltration(FrozenRecord):

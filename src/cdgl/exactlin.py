@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 
 class ShapeError(ValueError):
@@ -227,11 +227,14 @@ class IncrementalSpan:
     entry.  The API stays rational: an input's denominators are cleared
     once, elimination runs on ints (fraction-free, as in Bareiss), and
     Fractions are built only for the residual that reduce returns.  Adding
-    a vector returns True when the span grew.
+    a vector returns True when the span grew.  low..high bounds the columns
+    that the rows hold: no row holds a new pivot outside it, so adding such
+    a row needs no back-substitution.
     """
 
     def __init__(self):
         self.rows = {}
+        self.low, self.high = inf, -inf
 
     @property
     def rank(self):
@@ -260,6 +263,7 @@ class IncrementalSpan:
     def copy(self) -> "IncrementalSpan":
         out = IncrementalSpan()
         out.rows = {piv: dict(row) for piv, row in self.rows.items()}
+        out.low, out.high = self.low, self.high
         return out
 
     def add(self, vec: SparseVec) -> bool:
@@ -268,10 +272,13 @@ class IncrementalSpan:
             return False
         piv = min(row)
         _primitive(row, piv)
-        for q, other in self.rows.items():
-            if piv in other:
-                _eliminate(other, row, piv)
-                _primitive(other, q)
+        if self.low <= piv <= self.high:
+            for q, other in self.rows.items():
+                if piv in other:
+                    _eliminate(other, row, piv)
+                    _primitive(other, q)
+        self.low = min(self.low, piv)
+        self.high = max(self.high, max(row))
         self.rows[piv] = row
         return True
 

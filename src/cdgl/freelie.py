@@ -398,17 +398,31 @@ def lie_basis(gens, degree, length, trunc: Truncation):
     if trunc.max_degree is not None and degree > trunc.max_degree:
         return []
     out = []
-    for e, terms in _left_normed_basis(tuple(gens), degree, length):
+    for label, _, terms in _left_normed_basis(tuple(gens), degree, length):
         f = LieElement.zero(trunc)
         f.terms = dict(terms)
-        f.label = e.label
+        f.label = label
         out.append(f)
+    return out
+
+
+def _bracket_with_generator(g, terms, even):
+    """[g, b] on the word dictionary terms of a homogeneous b:
+    g.b - (-1)^{|g||b|} b.g, even telling whether |g||b| is even."""
+    out = {(g,) + w: c for w, c in terms.items()}
+    for w, c in terms.items():
+        w += (g,)
+        s = out.get(w, 0) + (-c if even else c)
+        if s:
+            out[w] = s
+        else:
+            del out[w]
     return out
 
 
 def _left_normed_basis(gens, degree, length):
     """The (degree, length) basis, built from the basis one length down, as
-    pairs of a labelled pick with int coefficients and its Fraction terms.
+    triples of a pick's label, its int terms and its Fraction terms.
 
     The candidates at length 1 are the generators of the degree; at length
     k they are [g, b] for each g in gens order and each b in the basis at
@@ -424,41 +438,44 @@ def _left_normed_basis(gens, degree, length):
     tail gives a zero bracket, which both lists skip).  A component holds
     about 1/length of the words of its length (Witt), so this list is far
     shorter.  Left-normed brackets of generators have integer coefficients
-    in T(V), so the candidates are built on ints.  Results, sub-bases
-    included, are kept in _basis_cache, and every basis, cached or built, is
-    held to the run's resource limit.
+    in T(V), so the candidates are built on ints, and the Fraction terms
+    share one Fraction per distinct coefficient.  The pick reads only
+    whether the rank grows, so a word seen first gets a column below every
+    earlier one: a candidate holding one pivots on it, outside the columns
+    of the kept rows, and IncrementalSpan.add does no back-substitution.
+    Results, sub-bases included, are kept in _basis_cache, and every basis,
+    cached or built, is held to the run's resource limit.
     """
     key = (gens, degree, length)
     picked = _basis_cache.get(key)
     if picked is not None:
         check_resource_limit(len(picked), "basis size")
         return picked
-    trunc = Truncation(length)
-    unit = {g: LieElement.zero(trunc) for g in gens}
-    for g, e in unit.items():
-        e.terms = {(g,): 1}
     if length == 1:
-        candidates = [(unit[g], g.name) for g in gens if g.degree == degree]
+        candidates = [(g.name, {(g,): 1}) for g in gens if g.degree == degree]
     else:
-        candidates = ((bracket(unit[g], b), "[%s,%s]" % (g.name, b.label))
+        candidates = (("[%s,%s]" % (g.name, label),
+                       _bracket_with_generator(g, terms,
+                                               g.degree * (degree - g.degree) % 2 == 0))
                       for g in gens
-                      for b, _ in _left_normed_basis(gens, degree - g.degree, length - 1))
+                      for label, terms, _ in _left_normed_basis(
+                          gens, degree - g.degree, length - 1))
     word_index = {}
     span = IncrementalSpan()
+    fractions = {}
     picked = []
-    for e, label in candidates:
-        if e.is_zero():
+    for label, terms in candidates:
+        if not terms:
             continue
-        vec = {}
-        for w, c in e.terms.items():
-            if w not in word_index:
-                word_index[w] = len(word_index)
-            vec[word_index[w]] = c
         v = SparseVec()
-        v.entries = vec
+        v.entries = {word_index.setdefault(w, ~len(word_index)): c
+                     for w, c in terms.items()}
         if span.add(v):
-            e.label = label
-            picked.append((e, {w: Fraction(c) for w, c in e.terms.items()}))
+            for c in terms.values():
+                if c not in fractions:
+                    fractions[c] = Fraction(c)
+            picked.append((label, terms,
+                           {w: fractions[c] for w, c in terms.items()}))
             check_resource_limit(len(picked), "basis size")
     _basis_cache[key] = picked
     return picked
@@ -473,10 +490,10 @@ class Coordinatizer:
     """
 
     def __init__(self, basis):
-        self.word_index = {}
-        for be in basis:
-            for w in be.terms:
-                self.word_index.setdefault(w, len(self.word_index))
+        # words in descending first-seen order, so that each basis row
+        # pivots on a word that no earlier row holds (see _left_normed_basis)
+        seen = dict.fromkeys(w for be in basis for w in be.terms)
+        self.word_index = {w: i for i, w in enumerate(reversed(seen))}
         self.factored = FactoredBasis(
             [SparseVec({self.word_index[w]: c for w, c in be.terms.items()})
              for be in basis], len(self.word_index))

@@ -334,22 +334,3 @@ def workspace_from_text(text, truncation_override=None):
     ws.diags.extend(diags)
     ws.add_document(doc)
     return ws, doc
-
-
-def export_source(L: DGLPresentation, name=None) -> str:
-    """Model file text that elaborates back to an equal presentation."""
-    from .tasks import pretty_element
-    lines = ["model %s {" % (name or L.name or "M").replace("(", "_").replace(
-        ")", "_").replace(",", "_")]
-    lines.append("  truncate %d" % L.trunc.max_bracket_length)
-    for g in L.gens:
-        lines.append("  gen %s : %d" % (g.name, g.degree))
-    for g in L.gens:
-        val = L.d_on_gens[g]
-        if not val.is_zero():
-            lines.append("  d %s = %s" % (g.name, pretty_element(L, val)))
-    for g in L.mc_gens:
-        gname = g.name if hasattr(g, "name") else str(g)
-        lines.append("  mc %s" % gname)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

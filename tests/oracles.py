@@ -9,16 +9,18 @@ the engine's output.  The differentials of derivations and of convolution
 elements visit every generator or label of a table, where the engine visits
 only those a table can reach.  The last section holds test helpers that
 build engine values (left-normed brackets, the Dynkin map, components, the
-Fraction gauge series); no oracle uses them.
+Fraction gauge series, the action on morphisms, model file text); no oracle
+uses them.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from cdgl.dgl import (_max_iterations, ad_values, apply_operator, nilpotent_series,
-                      perturbed)
+from cdgl.dgl import (MCViolationError, _max_iterations, ad_values, apply_operator,
+                      exp_ad, nilpotent_series, perturbed)
 from cdgl.exactlin import connected_cover
 from cdgl.freelie import LieElement, _dynkin_terms, _exp_coefficient, bracket
+from cdgl.workbench.tasks import pretty_element
 
 
 def dense(mat_entries, n_rows, n_cols):
@@ -520,3 +522,30 @@ def fraction_gauge_series(x, a) -> LieElement:
 
     return (series(a.value, _exp_coefficient)
             + series(owner.d(x), lambda k: Fraction(-1, factorial(k + 1))))
+
+
+def act_on_morphism(y: LieElement, phi):
+    """[y] . [phi] = e^{ad_y} after phi; y must be a degree-0 cycle of the
+    target."""
+    L = phi.target
+    if not L.d(y).is_zero():
+        raise MCViolationError("action requires a degree-0 cycle")
+    return exp_ad(L, y).compose(phi).validate()
+
+
+def export_source(L, name=None) -> str:
+    """Model file text that elaborates back to an equal presentation."""
+    lines = ["model %s {" % (name or L.name or "M").replace("(", "_").replace(
+        ")", "_").replace(",", "_")]
+    lines.append("  truncate %d" % L.trunc.max_bracket_length)
+    for g in L.gens:
+        lines.append("  gen %s : %d" % (g.name, g.degree))
+    for g in L.gens:
+        val = L.d_on_gens[g]
+        if not val.is_zero():
+            lines.append("  d %s = %s" % (g.name, pretty_element(L, val)))
+    for g in L.mc_gens:
+        gname = g.name if hasattr(g, "name") else str(g)
+        lines.append("  mc %s" % gname)
+    lines.append("}")
+    return "\n".join(lines) + "\n"

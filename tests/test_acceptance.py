@@ -26,9 +26,8 @@ from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import parse_document, workspace_from_text
 from cdgl.workbench.ast import print_document
-from cdgl.workbench.elaborate import export_source
 
-from oracles import left_normed, w_bch
+from oracles import export_source, left_normed, w_bch
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -9,7 +9,7 @@ from cdgl.cylinder import (CapExceededError, Cylinder, PolyForm, Witness,
 from cdgl.dgl import DGLMorphism, DGLPresentation, exp_ad
 from cdgl.freelie import Generator, LieElement, Truncation, bracket
 from cdgl.models import circle_model, sphere_model, wedge_model
-from oracles import left_normed, w_cyl_apply, w_cyl_bracket
+from oracles import act_on_morphism, left_normed, w_cyl_apply, w_cyl_bracket
 
 
 def T(n):
@@ -161,7 +161,6 @@ def test_endpoint_mismatch_rejected():
 def test_exp_witness_consistent_with_action():
     # a verified exponential witness certifies psi = e^{ad_u} . phi
     w, f, g = _paper_witness()
-    from cdgl.dgl import act_on_morphism
     W = w.target
     assert act_on_morphism(W.gen("x"), f) == g
 

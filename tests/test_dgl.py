@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdgl.dgl import (DGLMorphism, DGLPresentation, DivergenceError,
                       GeneratorFiltration, IllFormedDifferentialError, MCElement,
-                      act_on_morphism, apply_operator, bch, bch_series,
+                      apply_operator, bch, bch_series,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
                       nilpotency, perturbed)
@@ -16,9 +16,9 @@ from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
 
-from oracles import (component_complex, dense_nilpotency_class, dense_solve,
-                     eager_h0_table, fraction_gauge_series, left_normed,
-                     w_apply_operator, w_bch)
+from oracles import (act_on_morphism, component_complex, dense_nilpotency_class,
+                     dense_solve, eager_h0_table, fraction_gauge_series,
+                     left_normed, w_apply_operator, w_bch)
 
 
 def T(n):

@@ -126,6 +126,71 @@ def test_integer_span_matches_fraction_rref(system):
             assert fb.coords(vec(t)) == x
 
 
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def placed_rows(draw):
+    """Rational rows over integer columns, negative ones included, each
+    placed against the columns that the rows before it use: on a fresh
+    column below all of them (the order in which lie bases number their
+    words), inside their range, on fresh columns above it, or as a
+    combination of the rows before (which adds nothing)."""
+    rows, used = [], [0]
+    places = st.sampled_from(("below", "inside", "above", "combination"))
+    for place in draw(st.lists(places, min_size=1, max_size=8)):
+        lo, hi = min(used), max(used)
+        if place == "combination" and rows:
+            coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+            row = {}
+            for c, r in zip(coeffs, rows):
+                for j, v in r.items():
+                    row[j] = row.get(j, 0) + c * v
+            rows.append({j: v for j, v in row.items() if v})
+            continue
+        if place == "below":
+            cols = [lo - draw(st.integers(1, 2))]
+            cols += draw(st.lists(st.integers(lo, hi), max_size=3))
+        elif place == "above":
+            cols = draw(st.lists(st.integers(hi + 1, hi + 3), min_size=1, max_size=3))
+        else:
+            cols = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4))
+        row = {j: draw(nonzero_rationals) for j in cols}
+        rows.append(row)
+        used.extend(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(placed_rows())
+def test_span_with_placed_pivots_matches_fraction_rref(rows):
+    # the range guard skips back-substitution only where no row can hold
+    # the new pivot, so the rows stay the RREF whatever the column order
+    cols = sorted({j for r in rows for j in r})
+    pos = {j: k for k, j in enumerate(cols)}
+    dense_rows = []
+    for r in rows:
+        d = [Fraction(0)] * len(cols)
+        for j, v in r.items():
+            d[pos[j]] = Fraction(v)
+        dense_rows.append(d)
+    span = IncrementalSpan()
+    for k, r in enumerate(rows):
+        grew = span.add(SparseVec(r))
+        assert grew == (dense_rank(dense_rows[:k + 1]) > dense_rank(dense_rows[:k]))
+        held = [j for row in span.rows.values() for j in row]
+        assert not held or span.low <= min(held) and max(held) <= span.high
+    pivots, R = dense_rref(dense_rows, len(cols))
+    assert sorted(span.rows) == [cols[p] for p in pivots]
+    for p, orow in zip(pivots, R):
+        row = span.rows[cols[p]]
+        assert row[cols[p]] > 0 and gcd(*row.values()) == 1
+        assert {j: Fraction(v, row[cols[p]]) for j, v in row.items()} == {
+            cols[k]: v for k, v in enumerate(orow) if v}
+    copy = span.copy()
+    assert (copy.rows, copy.low, copy.high) == (span.rows, span.low, span.high)
+
+
 def test_solve_zero_case():
     assert solve_linear(mat([[1]]), vec([0])) == SparseVec()
 

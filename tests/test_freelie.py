@@ -11,8 +11,8 @@ from cdgl.freelie import (Coordinatizer, Generator, LieElement, Truncation,
                           _mul_terms, bracket, exp_terms, is_lie, lie_basis,
                           log_terms, mul)
 
-from oracles import (dynkin, gen_sequences, left_normed, w_bracket, w_dynkin,
-                     w_exp, w_is_lie, w_lie_basis, w_log, w_mul_admitted)
+from oracles import (dense_solve, dynkin, gen_sequences, left_normed, w_bracket,
+                     w_dynkin, w_exp, w_is_lie, w_lie_basis, w_log, w_mul_admitted)
 
 
 def T(n, deg=None):
@@ -357,11 +357,58 @@ def test_lie_basis_tries_one_candidate_per_sub_basis_element(monkeypatch):
     gens = (Generator("cand_x", 1), Generator("cand_y", 0), Generator("cand_z", 2))
     sub = sum(len(lie_basis(gens, 4 - g.degree, 3, T(4))) for g in gens)
     calls = []
-    real = freelie.bracket
-    monkeypatch.setattr(freelie, "bracket",
-                        lambda a, b: calls.append(None) or real(a, b))
+    real = freelie._bracket_with_generator
+    monkeypatch.setattr(freelie, "_bracket_with_generator",
+                        lambda *args: calls.append(None) or real(*args))
     basis = lie_basis(gens, 4, 4, T(4))
     assert 0 < len(basis) < len(calls) == sub
+
+
+_small_rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3),
+       st.integers(2, 5), st.data())
+def test_coordinates_match_oracles(degrees, cap, data):
+    # random presentations with odd and even generators: the coordinates of
+    # a combination of the oracle's basis are its coefficients, and those in
+    # the engine's basis are the dense solution over tensor words; an element
+    # off the span is refused exactly when the dense system has no solution
+    n = next(_fresh)
+    gens = tuple(Generator("k%d_%d" % (n, i), d) for i, d in enumerate(degrees))
+    by_name = {(g.name, g.degree): g for g in gens}
+    trunc = T(cap)
+    degree = data.draw(st.integers(min(min(degrees), cap * min(degrees)),
+                                   max(max(degrees), cap * max(degrees))))
+    engine = [e for ln in range(1, cap + 1) for e in lie_basis(gens, degree, ln, trunc)]
+    oracle = [LieElement({tuple(by_name[l] for l in w): c for w, c in terms.items()},
+                         trunc)
+              for ln in range(1, cap + 1) for _, terms in w_lie_basis(gens, degree, ln)]
+    assert len(engine) == len(oracle)
+    coeffs = data.draw(st.lists(_small_rationals, min_size=len(oracle),
+                                max_size=len(oracle)))
+    x = LieElement.zero(trunc)
+    for c, e in zip(coeffs, oracle):
+        x = x + e.scale(c)
+    assert Coordinatizer(oracle).coords(x).entries == {
+        k: c for k, c in enumerate(coeffs) if c}
+    if data.draw(st.booleans()):
+        # a bare word of the degree, mostly not in the Lie span
+        seq = data.draw(st.sampled_from(gen_sequences(gens, degree, data.draw(
+            st.integers(1, cap))) or [()]))
+        if seq:
+            x = x + LieElement({seq: Fraction(1)}, trunc)
+    words = sorted({w for e in engine + [x] for w in e.terms},
+                   key=lambda w: tuple((g.name, g.degree) for g in w))
+    A = [[e.terms.get(w, Fraction(0)) for e in engine] for w in words]
+    want = dense_solve(A, [x.terms.get(w, Fraction(0)) for w in words])
+    if want is None:
+        with pytest.raises(NotInSpanError):
+            Coordinatizer(engine).coords(x)
+    else:
+        assert Coordinatizer(engine).coords(x).entries == {
+            k: c for k, c in enumerate(want) if c}
 
 
 def test_lie_basis_hands_out_fractions():

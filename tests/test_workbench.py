@@ -13,10 +13,11 @@ from cdgl.workbench.ast import (Br, DerivationNode, DiffDecl, Document, ExpAd,
                                 Expr, FiltDecl, GenDecl, HomotopyNode, McDecl,
                                 ModelNode, MorphismNode, Ref, Term, TruncDecl,
                                 print_document)
-from cdgl.workbench.elaborate import export_source
 from cdgl.workbench.parser import BLOCK_KEYWORDS, DECL_KEYWORDS, SYMBOLS
 from cdgl.workbench.report import canonical
 from cdgl.workbench.tasks import Task
+
+from oracles import export_source
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -521,6 +522,19 @@ def test_gamma_refuses_a_source_of_negative_degree(argv, monkeypatch, capsys):
     assert code == 1 and "status = diagnostics" in out
     assert ("diagnostic = 0:0 error gamma needs a source with generators of "
             "degree >= 0, but b has degree -1") in out
+
+
+@pytest.mark.parametrize("word_cap", ["0", "-1"])
+def test_gamma_refuses_a_word_cap_below_one(word_cap, capsys):
+    # such a cap leaves the chains no generator; it is refused as an
+    # argument, as a truncation cap of 0 is, not met as an engine error
+    from cdgl.workbench.cli import main
+    code = main(["gamma", "--model", "wedge(2,2)", "--word-cap", word_cap,
+                 "--truncate", "2", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1 and "status = diagnostics" in out
+    assert "diagnostic = 0:0 error word cap must be >= 1" in out
+    assert "caps.word_cap" not in out
 
 
 def test_no_diagnostic_message_starts_with_a_quote():
