@@ -135,7 +135,7 @@ class DerSpace:
 
     def coords(self, theta: Derivation) -> SparseVec:
         """Coordinates in the elements, which may be dependent: the
-        free-variables-zero solution, as solve_linear would give."""
+        free-variables-zero solution that FactoredBasis gives."""
         if self.units:
             return self.flatten(theta)
         if self._factored is None:

@@ -10,13 +10,14 @@ silently truncated.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 
-from .exactlin import (GradedChainComplex, HomologyReport, IncrementalSpan,
-                       InternalError, SparseMat, SparseVec, _vec, build_complex,
-                       homology_at, solve_linear)
+from .exactlin import (FactoredBasis, GradedChainComplex, HomologyReport,
+                       IncrementalSpan, InternalError, NotInSpanError, SparseVec,
+                       _vec, build_complex, homology_at)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _clear_denominators,
                       _exp_coefficient, _mul_terms, bracket, exp_terms, is_lie,
@@ -125,27 +126,6 @@ def _on_ints(terms, trunc) -> LieElement:
     return res
 
 
-def apply_morphism(images, e: LieElement, trunc=None) -> LieElement:
-    """Apply the multiplicative extension of generator images to e."""
-    trunc = trunc or e.trunc
-    out = LieElement.zero(trunc)
-    for w, c in e.terms.items():
-        terms = {(): c}
-        for g in w:
-            terms = _mul_terms(terms, images[g].terms, trunc)
-            if not terms:
-                break
-        for ww, cc in terms.items():
-            if not ww:
-                continue
-            s = out.terms.get(ww, Fraction(0)) + cc
-            if s:
-                out.terms[ww] = s
-            else:
-                out.terms.pop(ww, None)
-    return out
-
-
 class DGLPresentation:
     """Free truncated dgl (L = hat-L(V)/length > N, d) given on generators."""
 
@@ -181,9 +161,6 @@ class DGLPresentation:
 
     def d(self, e: LieElement) -> LieElement:
         return apply_operator(self.d_on_gens, -1, e)
-
-    def bracket(self, a, b):
-        return bracket(a, b)
 
     @cached_property
     def d_users(self):
@@ -293,7 +270,24 @@ class DGLMorphism:
         return cls(source, target, {}, name="0")
 
     def apply(self, e: LieElement) -> LieElement:
-        return apply_morphism(self.images, e, self.target.trunc)
+        """The multiplicative extension of the generator images, applied to e."""
+        trunc = self.target.trunc
+        out = LieElement.zero(trunc)
+        for w, c in e.terms.items():
+            terms = {(): c}
+            for g in w:
+                terms = _mul_terms(terms, self.images[g].terms, trunc)
+                if not terms:
+                    break
+            for ww, cc in terms.items():
+                if not ww:
+                    continue
+                s = out.terms.get(ww, Fraction(0)) + cc
+                if s:
+                    out.terms[ww] = s
+                else:
+                    out.terms.pop(ww, None)
+        return out
 
     def compose(self, other: "DGLMorphism") -> "DGLMorphism":
         """self after other."""
@@ -491,12 +485,15 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
     [d_b z]_n = R_n, using the exact displacement identity
     z gauge b - b = -((e^{ad_z}-1)/ad_z)(d_b z).  Unsolvable stage = certified
     NO at this truncation level.
+
+    d_b = d + ad_b is applied as it is: d_b^2 = 0 follows from d^2 = 0 and
+    the MC equation of b, so there is no presentation to validate.  The
+    degree -1 basis runs by bracket length, so the rows of stage n (lengths
+    <= n) are a prefix of it, and FactoredBasis on that prefix gives the
+    stage's free-variables-zero solution.
     """
     L = a.owner
     N = L.trunc.max_bracket_length
-    Lb = perturbed(L, b)
-
-    basis0 = L.basis(0)
     basis_m1 = L.basis(-1)
     if not basis_m1:
         # no degree -1 at all: only a = b possible
@@ -504,38 +501,33 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
         return GaugeResult(L.zero() if same else None, N, None if same else 1)
 
     # columns: d_b of each degree-0 basis element, in degree -1 coordinates
-    cols = [L.coords(Lb.d(e), -1) for e in basis0]
-    # row index layout: group degree -1 basis by bracket length for staging
-    len_of = {i: be.min_length() for i, be in enumerate(basis_m1)}
+    cols = [L.coords(L.d(e) + bracket(b.value, e), -1) for e in L.basis(0)]
+    lengths = [e.min_length() for e in basis_m1]
 
     witness = L.zero()
+    res = gauge_act(witness, a).value - b.value
     for stage in range(1, N + 1):
-        res = gauge_act(witness, a).value - b.value
         if res.is_zero():
             break
         rn = res.component(length=stage)
         if rn.is_zero():
             continue
+        rows = bisect_right(lengths, stage)
         target = L.coords(rn, -1)
-        # linear system: [d_b z]_k = 0 for k < stage, = R_n at k = stage
-        rows = [i for i, ln in len_of.items() if ln is not None and ln <= stage]
-        row_map = {i: k for k, i in enumerate(sorted(rows))}
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in col.entries.items():
-                k = row_map.get(i)
-                if k is not None:
-                    entries[(k, j)] = v
-        A = SparseMat(len(row_map), len(basis0), entries)
-        rhs = SparseVec({row_map[i]: v for i, v in target.entries.items()
-                         if i in row_map})
-        sol = solve_linear(A, rhs)
-        if sol is None:
+        if max(target.entries) >= rows:
+            raise InternalError("gauge stage %d target outside its rows "
+                                "(internal error)" % stage)
+        # [d_b z]_k = 0 for k < stage, = R_n at k = stage
+        prefix = [_vec({i: v for i, v in col.entries.items() if i < rows})
+                  for col in cols]
+        try:
+            z = FactoredBasis(prefix, rows).coords(target)
+        except NotInSpanError:
             return GaugeResult(None, N, stage)
-        witness = bch(L.from_coords(sol, 0), witness)
-    final = gauge_act(witness, a).value - b.value
-    if not final.is_zero():
-        return GaugeResult(None, N, final.min_length())
+        witness = bch(L.from_coords(z, 0), witness)
+        res = gauge_act(witness, a).value - b.value
+    if not res.is_zero():
+        return GaugeResult(None, N, res.min_length())
     return GaugeResult(witness, N)
 
 
@@ -651,30 +643,43 @@ class H0Group:
     right-nested word of length l in u and v is T_w(U, V) / (E^l D^(l-1)),
     T_w its bracket on ints; the series is summed on ints over
     Q = M (D E)^(c-1) E, M the lcm of the series' denominators, and one
-    Fraction per coordinate is built at the end.  The table, c and the
-    structure constants are built on first read; abelian reads the table
-    when it is built, and otherwise stops at the first nonzero bracket.
+    Fraction per coordinate is built at the end.  The representatives, the
+    table, c and the structure constants are built on first read; abelian
+    reads the table when it is built, and otherwise stops at the first
+    nonzero bracket.
     """
 
     def __init__(self, h: HomologyReport, element, coords, bracket):
         self._coords = coords
         self._lie_bracket = bracket
-        # cycle elements representing the basis; h gives the coordinates
-        # of a class modulo the quotient
-        self.reps = [element(z) for z in h.cycle_reps]
+        self._element = element
+        # h gives the representatives' coordinates and the coordinates of
+        # a class modulo the quotient
         self._h = h
+        self._reps = [None] * len(h.cycle_reps)
 
     @property
     def dimension(self):
-        return len(self.reps)
+        return len(self._h.cycle_reps)
+
+    def _rep(self, i):
+        """The cycle element h_i, built on first read."""
+        if self._reps[i] is None:
+            self._reps[i] = self._element(self._h.cycle_reps[i])
+        return self._reps[i]
+
+    @property
+    def reps(self):
+        """The cycle elements representing the basis."""
+        return [self._rep(i) for i in range(self.dimension)]
 
     def _pairs(self):
         """(i, j, class of [h_i, h_j] as index -> Fraction) for i < j, in
-        order, each bracket taken when it is reached."""
-        n = len(self.reps)
+        order, each bracket (and representative) taken when it is reached."""
+        n = self.dimension
         for i in range(n):
             for j in range(i + 1, n):
-                br = self._lie_bracket(self.reps[i], self.reps[j])
+                br = self._lie_bracket(self._rep(i), self._rep(j))
                 yield i, j, {} if br.is_zero() else self.class_of(br).entries
 
     @cached_property
@@ -683,7 +688,7 @@ class H0Group:
         antisymmetric, so T[j][i] = -T[i][j]."""
         pairs = list(self._pairs())
         D = lcm(*(c.denominator for _, _, v in pairs for c in v.values()))
-        n = len(self.reps)
+        n = self.dimension
         table = [[{} for _ in range(n)] for _ in range(n)]
         for i, j, v in pairs:
             if v:

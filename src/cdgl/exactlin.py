@@ -319,8 +319,9 @@ class FactoredBasis:
     leaves (0 | -x) exactly when v = sum_k x_k v_k modulo the b's, and a
     residual in the first n_cols columns otherwise.  The tail columns run in
     reverse order, so a relation row takes its pivot at the last v_k it
-    involves: x is zero on every v_k in the span of the b's and v_<k, which
-    is the free-variables-zero solution that solve_linear gives.
+    involves: x is zero on every v_k in the span of the b's and v_<k.  That
+    is the free-variables-zero solution of the system with columns v_k, and
+    this is the engine's one solve.
     """
 
     def __init__(self, vecs, n_cols, modulo=()):
@@ -352,27 +353,6 @@ def _row_span(mat: SparseMat) -> IncrementalSpan:
 
 def rank(mat: SparseMat) -> int:
     return _row_span(mat).rank
-
-
-def solve_linear(A: SparseMat, b: SparseVec):
-    """Exact solution of A x = b, or None when no solution exists.
-
-    Free variables are set to zero, so the solution is deterministic.
-    """
-    for i in b.entries:
-        if not 0 <= i < A.n_rows:
-            raise ShapeError("rhs index %d outside %d rows" % (i, A.n_rows))
-    aug = SparseMat(A.n_rows, A.n_cols + 1)
-    aug.entries = dict(A.entries)
-    for i, v in b.entries.items():
-        aug.entries[(i, A.n_cols)] = v
-    rows = _row_span(aug).rows
-    if A.n_cols in rows:
-        return None
-    # free variables are zero, so x[pc] is the right-hand side of row pc
-    # over its pivot entry
-    return _vec({pc: Fraction(row[A.n_cols], row[pc])
-                 for pc, row in sorted(rows.items()) if A.n_cols in row})
 
 
 def kernel_basis(A: SparseMat):

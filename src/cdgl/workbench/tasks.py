@@ -141,6 +141,17 @@ def _cap_of(L):
     return L.trunc.max_bracket_length
 
 
+def _degree_range(task: Task):
+    """(a, b) of the task's --range a..b, which must be given, with a <= b."""
+    if task.degree_range is None:
+        raise ValueError("%s needs an explicit --range a..b" % task.command)
+    lo, hi = task.degree_range
+    if lo > hi:
+        raise ValueError("%s needs a range a..b with a <= b, got %d..%d"
+                         % (task.command, lo, hi))
+    return lo, hi
+
+
 def _stability(task: Task, report: Report, L, run, key, answer) -> Report:
     """The cap + 1 re-run: run(cap) returns (L, result), and the report is
     green when key(result) is the same at cap N as at cap N + 1.  The engine
@@ -209,9 +220,7 @@ def cmd_check(task: Task) -> Report:
 
 
 def cmd_homology(task: Task) -> Report:
-    if task.degree_range is None:
-        raise ValueError("homology needs an explicit --range a..b")
-    lo, hi = task.degree_range
+    lo, hi = _degree_range(task)
     report = Report(command=task.echo())
 
     def homology_of(trunc_override):
@@ -341,9 +350,7 @@ def _resolve_morphism(task, ws, L):
 
 
 def cmd_pi_map(task: Task) -> Report:
-    if task.degree_range is None:
-        raise ValueError("pi-map needs an explicit --range a..b")
-    lo, hi = task.degree_range
+    lo, hi = _degree_range(task)
     lo = max(lo, 1)
     report = Report(command=task.echo())
 
@@ -390,9 +397,7 @@ def _resolve_gspec(task, ws, L) -> GSpec:
 
 
 def _classifying(task: Task, mode) -> Report:
-    if task.degree_range is None:
-        raise ValueError("%s needs an explicit --range a..b" % task.command)
-    lo, hi = task.degree_range
+    lo, hi = _degree_range(task)
     report = Report(command=task.echo())
 
     def run(trunc_override):

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cdgl.dgl import (DGLMorphism, DGLPresentation, DivergenceError,
-                      GeneratorFiltration, IllFormedDifferentialError, MCElement,
-                      apply_operator, bch, bch_series,
+                      GeneratorFiltration, H0Group, IllFormedDifferentialError,
+                      MCElement, apply_operator, bch, bch_series,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, gauge_equivalent, h0_group, log_morphism,
                       nilpotency, perturbed)
@@ -15,6 +16,8 @@ from cdgl.exactlin import (IncrementalSpan, InternalError, NotInSpanError,
 from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
+from cdgl.workbench import workspace_from_text
+from cdgl.workbench.tasks import pretty_element
 
 from oracles import (act_on_morphism, component_complex, dense_nilpotency_class,
                      dense_solve, eager_h0_table, fraction_gauge_series,
@@ -497,6 +500,70 @@ def test_gauge_equivalent_randomized_orbit():
         assert gauge_act(res.witness, a).value == target.value
 
 
+
+def _two_intervals():
+    """Model W of tests/data/two_intervals.cdgl: intervals from a to b and
+    from a to c, so L_0 = span{x, y} and a stage solves for many columns,
+    some of them free."""
+    path = os.path.join(os.path.dirname(__file__), "data", "two_intervals.cdgl")
+    with open(path, encoding="utf-8") as fh:
+        ws, _ = workspace_from_text(fh.read())
+    return ws.models["W"].presentation
+
+
+_ACTORS = {"x + y": lambda x, y: x + y,
+           "[x, y]": bracket,
+           "3x - y": lambda x, y: x.scale(3) - y}
+
+
+@pytest.mark.parametrize("source, target, witness", [
+    ("b", "c", "-1 * x + y + 1/2 * [x,y] + 1/12 * [x,[x,y]] + 1/12 * [y,[x,y]] "
+               "+ 1/24 * [x,[y,[x,y]]]"),
+    ("a", "c", "y"),
+    ("a", "x + y", "x + y"),
+    ("b", "x + y", "y + 1/2 * [x,y] + 1/6 * [x,[x,y]] + 1/12 * [y,[x,y]] "
+                   "+ 1/24 * [x,[x,[x,y]]] + 1/24 * [x,[y,[x,y]]]"),
+    ("a", "[x, y]", "[x,y]"),
+    ("b", "[x, y]", "-1 * x + [x,y] + 1/2 * [x,[x,y]] + 1/12 * [x,[x,[x,y]]]"),
+    ("a", "3x - y", "3 * x + -1 * y"),
+    ("b", "3x - y", "2 * x + -1 * y + -1/2 * [x,y] + -1/3 * [x,[x,y]] "
+                    "+ 1/12 * [y,[x,y]] + -1/8 * [x,[x,[x,y]]] + 1/24 * [x,[y,[x,y]]]"),
+])
+def test_gauge_equivalent_with_free_columns(source, target, witness):
+    # the target is an MC generator or gauge_act(z, a) for the named z; the
+    # witnesses are the free-variables-zero stage solutions, pinned
+    L = _two_intervals()
+    a = MCElement(L, L.gen(source))
+    if target in _ACTORS:
+        z = _ACTORS[target](L.gen("x"), L.gen("y"))
+        t = gauge_act(z, MCElement(L, L.gen("a")))
+    else:
+        t = MCElement(L, L.gen(target))
+    res = gauge_equivalent(a, t)
+    assert res.equivalent and pretty_element(L, res.witness) == witness
+    assert gauge_act(res.witness, a).value == t.value
+    # d_t^2 = 0 holds, as gauge_equivalent assumes of d + ad_t
+    perturbed(L, t).validate()
+
+
+
+def test_gauge_stage_target_outside_its_rows_is_internal(monkeypatch):
+    # a stage's target has coordinates only on the rows of its length; one
+    # elsewhere means a broken basis order, and it is not dropped
+    L = interval_model(T(3))
+    a, b = MCElement(L, L.gen("a")), MCElement(L, L.gen("b"))
+    coords, last = L.coords, len(L.basis(-1)) - 1
+
+    def shifted(e, degree):
+        if e == a.value - b.value:
+            return SparseVec({last: Fraction(1)})
+        return coords(e, degree)
+
+    monkeypatch.setattr(L, "coords", shifted)
+    with pytest.raises(InternalError, match="gauge stage 1 target outside its rows"):
+        gauge_equivalent(a, b)
+
+
 # -- H0 group -------------------------------------------------------------------
 
 def test_h0_single_generator_abelian():
@@ -539,6 +606,24 @@ def test_h0_class_and_abelian_on_read_match_the_eager_table(make):
     assert abelian == (eager <= 1)
     assert G.nilpotency_class == eager
     assert "_table" in vars(G) and G.abelian == abelian
+
+
+def test_h0_representatives_are_built_on_read():
+    # the dimension builds none, an unbuilt abelian stops at the first
+    # nonzero bracket [h_0, h_1], and each representative is built once
+    L = wedge_model((1, 1), T(5))
+    built = []
+
+    def element(z):
+        built.append(z)
+        return L.from_coords(z, 0)
+
+    G = H0Group(homology_at(L.complex([0, 1]), 0), element,
+                lambda e: L.coords(e, 0), bracket)
+    assert G.dimension == 14 and not built
+    assert G.abelian is False and len(built) == 2
+    assert G.reps == G.reps and len(built) == 14
+    assert G.reps == h0_group(L).reps
 
 
 def _boundary_model(cap):

@@ -9,8 +9,7 @@ from cdgl.exactlin import (ChainMap, ExactnessError, FactoredBasis,
                            GradedChainComplex, IllFormedComplexError,
                            IncrementalSpan, NotInSpanError, SparseMat,
                            SparseVec, connected_cover, homology_at,
-                           kernel_basis, les_of_ses, postnikov_truncate, rank,
-                           solve_linear)
+                           kernel_basis, les_of_ses, postnikov_truncate, rank)
 
 from oracles import dense, dense_kernel, dense_rank, dense_rref, dense_solve
 
@@ -112,13 +111,11 @@ def test_integer_span_matches_fraction_rref(system):
                           SparseVec({p: -r[j] for p, r in zip(pivots, R)}))
     assert kernel_basis(A) == kernel
 
-    # x with sum_k x_k rows[k] = t, through solve_linear and FactoredBasis
-    At = SparseMat(n_cols, len(rows), {(j, i): v for (i, j), v in A.entries.items()})
+    # x with sum_k x_k rows[k] = t, through FactoredBasis
     fb = FactoredBasis([vec(r) for r in rows], n_cols)
     for t in targets:
         x = dense_solve([[r[j] for r in rows] for j in range(n_cols)], t)
         x = None if x is None else vec(x)
-        assert solve_linear(At, vec(t)) == x
         if x is None:
             with pytest.raises(NotInSpanError):
                 fb.coords(vec(t))
@@ -191,17 +188,24 @@ def test_span_with_placed_pivots_matches_fraction_rref(rows):
     assert (copy.rows, copy.low, copy.high) == (span.rows, span.low, span.high)
 
 
+def solve(rows, b):
+    """x with A x = b for the dense matrix rows = A, free variables zero,
+    through FactoredBasis on the columns of A."""
+    cols = [vec([r[j] for r in rows]) for j in range(len(rows[0]))]
+    return FactoredBasis(cols, len(rows)).coords(vec(b))
+
+
 def test_solve_zero_case():
-    assert solve_linear(mat([[1]]), vec([0])) == SparseVec()
+    assert solve([[1]], [0]) == SparseVec()
 
 
 def test_solve_scalar_inverse():
-    x = solve_linear(mat([[2]]), vec([1]))
-    assert x == vec([Fraction(1, 2)])
+    assert solve([[2]], [1]) == vec([Fraction(1, 2)])
 
 
 def test_solve_inconsistent():
-    assert solve_linear(mat([[1, 1], [0, 0]]), vec([0, 1])) is None
+    with pytest.raises(NotInSpanError):
+        solve([[1, 1], [0, 0]], [0, 1])
 
 
 def test_solve_matches_consistency_rank_criterion():
@@ -209,16 +213,16 @@ def test_solve_matches_consistency_rank_criterion():
     for _ in range(60):
         n = rng.randint(1, 5)
         m = rng.randint(1, 5)
-        A = mat([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)])
-        b = vec([rng.randint(-3, 3) for _ in range(n)])
-        x = solve_linear(A, b)
-        DA = dense(A.entries, n, m)
-        db = [b.get(i) for i in range(n)]
-        ox = dense_solve(DA, db)
-        assert (x is None) == (ox is None)
-        if x is not None:
-            assert A.apply(x) == b
-            assert x == vec(ox)   # free variables zero, as in the oracle
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        b = [rng.randint(-3, 3) for _ in range(n)]
+        ox = dense_solve([[Fraction(v) for v in r] for r in rows], b)
+        if ox is None:
+            with pytest.raises(NotInSpanError):
+                solve(rows, b)
+            continue
+        x = solve(rows, b)
+        assert mat(rows).apply(x) == vec(b)
+        assert x == vec(ox)   # free variables zero, as in the oracle
 
 
 def test_rank_against_dense_oracle():

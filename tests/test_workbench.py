@@ -249,6 +249,23 @@ def test_homology_requires_range():
     assert rep.exit_code() == 1
 
 
+@pytest.mark.parametrize("command", ["homology", "pi-map", "baut", "bautstar"])
+def test_missing_or_reversed_range_is_a_diagnostic(command, capsys):
+    # a reversed range is refused, not run as an empty or one-degree window
+    from cdgl.workbench.cli import main
+    argv = [command, "--model", "wedge(2,3)", "--truncate", "3", "--format",
+            "canonical"]
+    for extra, message in [
+            ([], "%s needs an explicit --range a..b" % command),
+            (["--range", "5..2"],
+             "%s needs a range a..b with a <= b, got 5..2" % command)]:
+        code = main(argv + extra)
+        out, err = capsys.readouterr()
+        assert code == 1 and "status = diagnostics" in out
+        assert "diagnostic = 0:0 error %s\n" % message in out
+        assert "Traceback" not in out + err
+
+
 def test_homology_sphere_report():
     rep = run_task(Task("homology", model_ref="sphere(3)",
                         degree_range=(0, 4)))
