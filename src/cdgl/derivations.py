@@ -37,14 +37,19 @@ class NotConnectedError(ValueError):
 
 
 class Derivation(LieTable):
-    """(f-)derivation given by its values on source generators."""
+    """(f-)derivation given by its values on source generators; keys that
+    are not source generators are dropped, and the table is kept in the
+    order of source.gens."""
 
     __slots__ = ("source", "target", "degree", "base", "label")
 
     def __init__(self, source: DGLPresentation, target: DGLPresentation,
                  degree: int, values, base: DGLMorphism | None = None,
                  label=None):
-        LieTable.__init__(self, zip(source.gens, map(values.get, source.gens)))
+        index = source.gen_index
+        LieTable.__init__(self, sorted(
+            ((g, v) for g, v in values.items() if g in index),
+            key=lambda gv: index[gv[0]]))
         self.source = source
         self.target = target
         self.degree = degree
@@ -519,10 +524,21 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
 
     Checks, on every stored basis element: bijectivity, the chain-map
     identity against D perturbed by the morphism's MC element, and bracket
-    compatibility.  The chains of a source with a generator of negative
-    degree would hold generators of degree < -1, so such a source is
-    refused with a DegreeError naming its generator, and a word cap below 1,
-    which leaves the chains no generator, with a ValueError.
+    compatibility on every ordered pair of unit tables.
+
+    Bracket compatibility is computed only on the pairs whose generator
+    labels (l, r) meet a coproduct row.  Each side of a pair takes terms
+    only from the rows of its own table that hold (l, r): the reduced
+    coproduct for the derivation side, the full one for the convolution
+    side.  A pair that no row of either table holds is therefore the empty
+    table on both sides, and is counted as checked.  The rows met are those
+    of both tables, since a term present in only one of them makes the two
+    sides differ.
+
+    The chains of a source with a generator of negative degree would hold
+    generators of degree < -1, so such a source is refused with a
+    DegreeError naming its generator, and a word cap below 1, which leaves
+    the chains no generator, with a ValueError.
     """
     if word_cap < 1:
         raise ValueError("word cap must be >= 1")
@@ -563,6 +579,12 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
         return out
 
     reduced_by_left = comul_by_left((i, C.reduced_comul(i)) for i in gen_of_label)
+    # left label -> the sorted right labels it meets in a row of either table
+    partners = {}
+    for by_left in (reduced_by_left, H._comul_by_left):
+        for l, terms in by_left.items():
+            partners.setdefault(l, set()).update(r for _, _, r, _ in terms)
+    partners = {l: sorted(rs) for l, rs in partners.items()}
 
     def der_bracket_desusp(gam, eta):
         # [s^{-1}gamma, s^{-1}eta] = s^{-1}theta with
@@ -601,14 +623,21 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
             lhs = gamma(derivation_differential(th)).scale(-1)
             if lhs != hom_d_perturbed(img):
                 failures.append(("chain", th.label))
-        # bracket compatibility on pairs
+        # bracket compatibility on the pairs whose labels meet a row; label
+        # order is basis order, since LC.gens follows the reduced labels
+        by_label = {}
         for th, img in zip(basis, images):
-            for et, img2 in zip(basis, images):
-                pairs += 1
-                lhs = gamma(der_bracket_desusp(th, et))
-                rhs = conv_bracket_reduced(img, img2)
-                if lhs != rhs:
-                    failures.append(("bracket", th.label, et.label))
+            (g,) = th.values
+            by_label.setdefault(label_of_gen[g], []).append((th, img))
+        pairs += len(basis) ** 2
+        for l, left in by_label.items():
+            right = [p for r in partners.get(l, ()) for p in by_label.get(r, ())]
+            for th, img in left:
+                for et, img2 in right:
+                    lhs = gamma(der_bracket_desusp(th, et))
+                    rhs = conv_bracket_reduced(img, img2)
+                    if lhs != rhs:
+                        failures.append(("bracket", th.label, et.label))
     return GammaReport(ok=not failures, basis_checked=basis_checked,
                        pairs_checked=pairs, failures=failures,
                        caps={"word_cap": word_cap,

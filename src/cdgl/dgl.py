@@ -139,6 +139,7 @@ class DGLPresentation:
         self._basis_cache = {}
         self._coordizer_cache = {}
         self._gen_elements = {g: LieElement.gen(g, trunc) for g in self.gens}
+        self.gen_index = {g: i for i, g in enumerate(self.gens)}
 
     # -- element plumbing -------------------------------------------------
 

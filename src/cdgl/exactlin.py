@@ -559,7 +559,8 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees,
     proj.validate(probe)
     _check_ses(A, B, C, incl, proj, sorted(set(probe + [degrees[0] - 1])))
 
-    hA = homology_reports(A, degrees + [degrees[0] - 1], hA)
+    # the connecting map at n lands in H_{n-1}(A), also across a gap
+    hA = homology_reports(A, sorted(set(degrees) | {n - 1 for n in degrees}), hA)
     hB = homology_reports(B, degrees, hB)
     hC = homology_reports(C, degrees)
 

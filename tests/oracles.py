@@ -7,10 +7,12 @@ the exp/log series sum pair by pair and power by power on Fractions, as the
 engine's did before it moved to integers, so that they also pin the order of
 the engine's output.  The differentials of derivations and of convolution
 elements visit every generator or label of a table, where the engine visits
-only those a table can reach.  The last section holds test helpers that
-build engine values (left-normed brackets, the Dynkin map, components, the
-Fraction gauge series, the action on morphisms, model file text); no oracle
-uses them.
+only those a table can reach; the bracket compatibility of gamma compares
+both sides on every pair of unit tables and every coproduct row, where the
+engine visits only the pairs that a row reaches.  The last section holds
+test helpers that build engine values (left-normed brackets, the Dynkin map,
+components, the Fraction gauge series, the action on morphisms, model file
+text); no oracle uses them.
 """
 
 from fractions import Fraction
@@ -296,6 +298,56 @@ def w_convolution_differential(values, degree, c_diff, n_labels, target_d,
         if v:
             out[i] = v
     return out
+
+
+# --- gamma's bracket compatibility on every pair --------------------------
+
+def _w_row_bracket(row, left, right, a, b, sign_degree, label_degrees, cap):
+    """sum of (-1)^{sign_degree |l|} c [a, b] over the terms (l, r, c) of a
+    coproduct row with l == left and r == right."""
+    out = {}
+    for l, r, c in row:
+        if l == left and r == right:
+            sgn = -1 if sign_degree * label_degrees[l] % 2 else 1
+            out = w_add(out, w_scale(w_bracket(a, b, cap), sgn * c))
+    return out
+
+
+def w_gamma_bracket_failures(tables, degree, label_degrees, comul, reduced,
+                             counit, cap):
+    """The ("bracket", name, name) failures of gamma's bracket compatibility,
+    on every ordered pair of the degree-`degree` unit tables.
+
+    tables lists (name, label, word dict): the table's one value, on the
+    generator that desuspends the coalgebra label.  comul and reduced map a
+    row label to its full and reduced coproduct terms (left, right, coeff);
+    the derivation side reads reduced, the convolution side comul, each over
+    every row.  Derivation side: Gamma of the desuspended bracket, theta(i) =
+    -sum (-1)^{(n-1)|l|} c [a, b] with |theta| = 2n - 1, times
+    (-1)^{|theta|}.  Convolution side: the bracket of the images (-1)^n a
+    and (-1)^n b, of degree n - 1, without the counit row."""
+    n = degree
+    sgn_img = -1 if n % 2 else 1
+    sgn_theta = -1 if (2 * n - 1) % 2 else 1
+    failures = []
+    for name_a, la, a in tables:
+        for name_b, lb, b in tables:
+            lhs = {}
+            for i, row in reduced.items():
+                v = _w_row_bracket(row, la, lb, a, b, n - 1, label_degrees, cap)
+                if v:
+                    lhs[i] = w_scale(v, -sgn_theta)
+            rhs = {}
+            for i, row in comul.items():
+                if i == counit:
+                    continue
+                v = _w_row_bracket(row, la, lb, w_scale(a, sgn_img),
+                                   w_scale(b, sgn_img), n - 1, label_degrees, cap)
+                if v:
+                    rhs[i] = v
+            if lhs != rhs:
+                failures.append(("bracket", name_a, name_b))
+    return failures
 
 
 # --- dense nilpotency class -----------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import cdgl.derivations as derivations
 from cdgl.coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
-                            lie_functor)
+                            comul_by_left, lie_functor)
 from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
                               ad_derivation, bch_der, classifying_invariants,
@@ -23,7 +23,8 @@ from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import workspace_from_text
 
 from oracles import (dense_nilpotency_class, eager_h0_table, left_normed,
-                     w_convolution_differential, w_derivation_differential)
+                     w_convolution_differential, w_derivation_differential,
+                     w_gamma_bracket_failures)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -690,3 +691,87 @@ def test_unit_table_coords_are_the_factored_coords():
             for th in _with_random_sums(rng, units.elements):
                 assert units.coords(th) == factored.coords(th)
             assert units._factored is None
+
+
+def test_derivation_table_follows_source_gens():
+    L = wedge_model((2, 2, 3), T(3))
+    x, y, z = L.gens
+    th = Derivation(L, L, 1, {z: L.gen("x"), "w": L.gen("y"), y: L.zero(),
+                              x: bracket(L.gen("x"), L.gen("y"))})
+    # out-of-order values come back in gens order; a key that is not a
+    # source generator, and a zero value, are dropped
+    assert list(th.values) == [x, z]
+    assert th.value(y).is_zero()
+    assert th.values[z] == L.gen("x")
+    assert Derivation(L, L, 1, {z: L.gen("x"), x: L.gen("y")}) == Derivation(
+        L, L, 1, {x: L.gen("y"), z: L.gen("x")})
+
+
+def _gamma_reference(L, C, reduced):
+    """The all-pairs reference's failures for gamma_check on the identity
+    of L, whose chains are C, with reduced as the reduced coproduct rows."""
+    LC = lie_functor(C, L.trunc)
+    label_of_gen = dict(zip(LC.gens, C.reduced_indices()))
+    lo, hi = L.degree_bounds()
+    gdegs = [g.degree for g in LC.gens]
+    failures = []
+    for n in range(lo - max(gdegs), hi - min(gdegs) + 1):
+        tables = [("%s->%s" % (g.name, e.label), label_of_gen[g], _words(e))
+                  for g in LC.gens for e in L.basis(g.degree + n)]
+        failures += w_gamma_bracket_failures(
+            tables, n, C.degrees, C.comul, reduced, C.counit,
+            L.trunc.max_bracket_length)
+    return failures
+
+
+def _row_pairs(rows):
+    return {(l, r) for row in rows for l, r, _ in row}
+
+
+def _mutated_rows(rows, drop=None, add=None):
+    """Coproduct rows (index, terms) without the term drop = (index, term),
+    or with the term add = (index, term) put at the end of its row."""
+    return {i: [t for t in row if (i, t) != drop]
+            + ([add[1]] if add is not None and add[0] == i else [])
+            for i, row in rows}
+
+
+def test_gamma_bracket_pairs_match_the_all_pairs_reference():
+    L, C, _, _ = _gamma_chains()
+    reduced = {i: C.reduced_comul(i) for i in C.reduced_indices()}
+    rep = gamma_check(DGLMorphism.identity(L), word_cap=2)
+    assert rep.ok and rep.failures == [] == _gamma_reference(L, C, reduced)
+    assert rep.pairs_checked == 1483
+
+
+@pytest.mark.parametrize("mutant", ["drop", "add"])
+def test_gamma_bracket_pairs_see_a_term_of_one_table(monkeypatch, mutant):
+    # the mutant is made in the reduced coproduct table that gamma_check
+    # indexes for the derivation side (the chains' Lie model, which also
+    # reads the reduced coproduct, keeps its differential).  A term dropped
+    # there is left only in the full coproduct, which the convolution side
+    # reads; a term added there, on labels that no full row holds, is read
+    # only by the derivation side.  Either way the pair must be visited.
+    L, C, _, _ = _gamma_chains()
+    full = [row for i, row in C.comul.items() if i != C.counit]
+    reduced = {i: C.reduced_comul(i) for i in C.reduced_indices()}
+    if mutant == "drop":
+        seen = [(l, r) for row in reduced.values() for l, r, _ in row]
+        i, term = next((i, t) for i, row in reduced.items() for t in row
+                       if seen.count(t[:2]) == 1)
+        change = {"drop": (i, term)}
+    else:
+        held = _row_pairs(full)
+        l = next(l for l in C.reduced_indices() if (l, l) not in held)
+        i = next(i for i in C.reduced_indices()
+                 if C.degrees[i] == 2 * C.degrees[l])
+        term = (l, l, Fraction(1))
+        change = {"add": (i, term)}
+    mutated = _mutated_rows(reduced.items(), **change)
+    assert (term[:2] in _row_pairs(full)) == (mutant == "drop")
+    assert (term[:2] in _row_pairs(mutated.values())) == (mutant == "add")
+    monkeypatch.setattr(derivations, "comul_by_left", lambda rows: comul_by_left(
+        _mutated_rows(rows, **change).items()))
+    rep = gamma_check(DGLMorphism.identity(L), word_cap=2)
+    want = _gamma_reference(L, C, mutated)
+    assert want and rep.failures == want

@@ -317,6 +317,18 @@ def test_pi_map_task():
     assert rep.stability == "green"
 
 
+def test_pi_map_over_a_range_with_a_gap(capsys):
+    # --range 3..4 runs the degrees [0, 1, 3, 4]; the connecting map at 3
+    # lands in H_2 of the pointed complex, which is taken too
+    from cdgl.workbench.cli import main
+    code = main(["pi-map", "--model", "wedge(2,3)", "--range", "3..4",
+                 "--truncate", "3", "--format", "canonical"])
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in out + err
+    assert "note.0 = LES exactness verified at degrees [0, 1, 3, 4]\n" in out
+    assert "pi_pointed.pi_3 = 2\n" in out and "pi_free.pi_3 = 1\n" in out
+
+
 def test_pi_map_takes_model_and_cap_from_a_file_morphism():
     # the file declares two models; the morphism names its source, so no
     # --model is needed, and the report is the one --model S1 gives
