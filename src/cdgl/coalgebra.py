@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
-from .exactlin import GradedChainComplex, SparseMat, SparseVec, build_complex
+from .exactlin import (GradedChainComplex, SparseMat, SparseVec, accumulate,
+                       build_complex, exact)
 from .freelie import (Generator, LieElement, LieTable, Truncation, bracket,
                       check_resource_limit)
 
@@ -72,7 +73,7 @@ class CDGC:
         self.degrees = list(degrees)
         self.counit = counit
         self.comul = {i: list(comul.get(i, ())) for i in range(len(self.labels))}
-        self.diff = {i: [(j, Fraction(c)) for j, c in diff.get(i, ()) if c]
+        self.diff = {i: [(j, exact(c)) for j, c in diff.get(i, ()) if c]
                      for i in range(len(self.labels))}
         self.word_cap = word_cap
         self.meta = dict(meta or {})
@@ -101,26 +102,18 @@ class CDGC:
         u = self.counit
         if self.degrees[u] != 0:
             raise CoalgebraError("counit element must have degree 0")
-        if self.comul[u] != [(u, u, Fraction(1))]:
+        if self.comul[u] != [(u, u, 1)]:
             raise CoalgebraError("coaugmentation is not grouplike")
         for i in range(self.dim()):
             # counit law: (eps (x) id) Delta = id
-            acc = {}
-            for l, r, c in self.comul[i]:
-                if l == u:
-                    acc[r] = acc.get(r, Fraction(0)) + c
-            acc = {k: v for k, v in acc.items() if v}
-            if acc != {i: Fraction(1)}:
+            row = self.comul[i]
+            if accumulate({}, ((r, c) for l, r, c in row if l == u)) != {i: 1}:
                 raise CoalgebraError("counit law fails on %s" % self.labels[i])
             # graded cocommutativity
-            flipped = {}
-            for l, r, c in self.comul[i]:
-                s = -c if (self.degrees[l] * self.degrees[r]) % 2 else c
-                flipped[(r, l)] = flipped.get((r, l), Fraction(0)) + s
-            plain = {}
-            for l, r, c in self.comul[i]:
-                plain[(l, r)] = plain.get((l, r), Fraction(0)) + c
-            if {k: v for k, v in flipped.items() if v} != {k: v for k, v in plain.items() if v}:
+            flipped = accumulate({}, (
+                ((r, l), -c if (self.degrees[l] * self.degrees[r]) % 2 else c)
+                for l, r, c in row))
+            if flipped != accumulate({}, (((l, r), c) for l, r, c in row)):
                 raise CoalgebraError("cocommutativity fails on %s" % self.labels[i])
             # degrees additive under Delta
             for l, r, _ in self.comul[i]:
@@ -129,44 +122,30 @@ class CDGC:
                                          % self.labels[i])
         # coassociativity
         for i in range(self.dim()):
-            left = {}
-            for l, r, c in self.comul[i]:
-                for l2, r2, c2 in self.comul[l]:
-                    k = (l2, r2, r)
-                    left[k] = left.get(k, Fraction(0)) + c * c2
-            right = {}
-            for l, r, c in self.comul[i]:
-                for l2, r2, c2 in self.comul[r]:
-                    k = (l, l2, r2)
-                    right[k] = right.get(k, Fraction(0)) + c * c2
-            if ({k: v for k, v in left.items() if v}
-                    != {k: v for k, v in right.items() if v}):
+            row = self.comul[i]
+            left = accumulate({}, (((l2, r2, r), c * c2) for l, r, c in row
+                                   for l2, r2, c2 in self.comul[l]))
+            right = accumulate({}, (((l, l2, r2), c * c2) for l, r, c in row
+                                    for l2, r2, c2 in self.comul[r]))
+            if left != right:
                 raise CoalgebraError("coassociativity fails on %s" % self.labels[i])
         # d^2 = 0 and coderivation rule
         for i in range(self.dim()):
-            acc = {}
-            for j, c in self.d_of(i):
-                if self.degrees[j] != self.degrees[i] - 1:
-                    raise CoalgebraError("differential not degree -1 on %s"
-                                         % self.labels[i])
-                for k, c2 in self.d_of(j):
-                    acc[k] = acc.get(k, Fraction(0)) + c * c2
-            if any(v for v in acc.values()):
+            if any(self.degrees[j] != self.degrees[i] - 1 for j, _ in self.d_of(i)):
+                raise CoalgebraError("differential not degree -1 on %s"
+                                     % self.labels[i])
+            if accumulate({}, ((k, c * c2) for j, c in self.d_of(i)
+                               for k, c2 in self.d_of(j))):
                 raise CoalgebraError("dd != 0 on %s" % self.labels[i])
         for i in range(self.dim()):
-            lhs = {}
-            for j, c in self.d_of(i):
-                for l, r, c2 in self.comul[j]:
-                    lhs[(l, r)] = lhs.get((l, r), Fraction(0)) + c * c2
+            lhs = accumulate({}, (((l, r), c * c2) for j, c in self.d_of(i)
+                                  for l, r, c2 in self.comul[j]))
             rhs = {}
             for l, r, c in self.comul[i]:
-                for l2, c2 in self.d_of(l):
-                    rhs[(l2, r)] = rhs.get((l2, r), Fraction(0)) + c * c2
                 sgn = -1 if self.degrees[l] % 2 else 1
-                for r2, c2 in self.d_of(r):
-                    rhs[(l, r2)] = rhs.get((l, r2), Fraction(0)) + sgn * c * c2
-            if ({k: v for k, v in lhs.items() if v}
-                    != {k: v for k, v in rhs.items() if v}):
+                accumulate(rhs, (((l2, r), c * c2) for l2, c2 in self.d_of(l)))
+                accumulate(rhs, (((l, r2), sgn * c * c2) for r2, c2 in self.d_of(r)))
+            if lhs != rhs:
                 raise CoalgebraError("d is not a coderivation on %s" % self.labels[i])
         return self
 
@@ -281,7 +260,7 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
             lw = tuple(w[k] for k in subset)
             rw = tuple(w[k] for k in rest)
             key = (label_of_word[lw], label_of_word[rw])
-            table[key] = table.get(key, Fraction(0)) + sgn
+            table[key] = table.get(key, 0) + sgn
         comul[i] = [(l, r, c) for (l, r), c in table.items() if c]
 
         # d1: replace one factor by s(dv), with sign -(-1)^{n_i}
@@ -292,7 +271,7 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
             if dv.is_zero():
                 continue
             n_i = sum(wd[:pos])
-            base_sign = Fraction(-1) if n_i % 2 == 0 else Fraction(1)
+            base_sign = -1 if n_i % 2 == 0 else 1
             for (tgt, coeff) in info.coords_as_indices(dv, info.degrees[w[pos]] - 1):
                 new = w[:pos] + (tgt,) + w[pos + 1:]
                 norm = wedge_normalize(new, sdeg)
@@ -302,7 +281,7 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
                 key = label_of_word.get(nw)
                 if key is None:
                     continue
-                dtable[key] = dtable.get(key, Fraction(0)) + base_sign * coeff * s2
+                dtable[key] = dtable.get(key, 0) + base_sign * coeff * s2
         # d2: contract a pair to s[v_i, v_j]
         for pi in range(len(w)):
             for pj in range(pi + 1, len(w)):
@@ -312,7 +291,7 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
                     continue
                 # Koszul sign of moving positions (pi, pj) to the front
                 rho = _unshuffle_sign(wd, {pi, pj})
-                lead = Fraction(-1) if wd[pi] % 2 else Fraction(1)
+                lead = -1 if wd[pi] % 2 else 1
                 deg_br = info.degrees[w[pi]] + info.degrees[w[pj]]
                 rest = tuple(w[k] for k in range(len(w)) if k not in (pi, pj))
                 for (tgt, coeff) in info.coords_as_indices(br, deg_br):
@@ -324,7 +303,7 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
                     key = label_of_word.get(nw)
                     if key is None:
                         continue
-                    dtable[key] = dtable.get(key, Fraction(0)) + lead * rho * coeff * s2
+                    dtable[key] = dtable.get(key, 0) + lead * rho * coeff * s2
         diff[i] = [(j, c) for j, c in dtable.items() if c]
 
     C = CDGC(labels, degrees, label_of_word[()], comul, diff,
@@ -354,7 +333,7 @@ def lie_functor(C: CDGC, trunc: Truncation, name=None) -> DGLPresentation:
                 continue
             total = total + LieElement.gen(gens[j], trunc).scale(-c)
         for l, r, c in C.reduced_comul(i):
-            sgn = Fraction(-1) if C.degrees[l] % 2 else Fraction(1)
+            sgn = -1 if C.degrees[l] % 2 else 1
             term = bracket(LieElement.gen(gens[l], trunc),
                            LieElement.gen(gens[r], trunc))
             total = total + term.scale(sgn * c * Fraction(1, 2))
@@ -395,37 +374,25 @@ class CoalgebraMap:
         S, T = self.source, self.target
         # counit compatibility: eps(beta(c)) = eps(c)
         for i in range(S.dim()):
-            acc = Fraction(0)
-            for j, c in self.apply_index(i):
-                if j == T.counit:
-                    acc += c
-            want = Fraction(1) if i == S.counit else Fraction(0)
-            if acc != want:
+            acc = sum(c for j, c in self.apply_index(i) if j == T.counit)
+            if acc != (1 if i == S.counit else 0):
                 raise CoalgebraError("counit not preserved on %s" % S.labels[i])
         # chain map: d_T beta = beta d_S
         for i in range(S.dim()):
-            lhs = {}
-            for j, c in self.apply_index(i):
-                for k, c2 in T.d_of(j):
-                    lhs[k] = lhs.get(k, Fraction(0)) + c * c2
-            rhs = {}
-            for j, c in S.d_of(i):
-                for k, c2 in self.apply_index(j):
-                    rhs[k] = rhs.get(k, Fraction(0)) + c * c2
-            if ({k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}):
+            lhs = accumulate({}, ((k, c * c2) for j, c in self.apply_index(i)
+                                  for k, c2 in T.d_of(j)))
+            rhs = accumulate({}, ((k, c * c2) for j, c in S.d_of(i)
+                                  for k, c2 in self.apply_index(j)))
+            if lhs != rhs:
                 raise CoalgebraError("not a chain map on %s" % S.labels[i])
         # coalgebra map: Delta_T beta = (beta (x) beta) Delta_S
         for i in range(S.dim()):
-            lhs = {}
-            for j, c in self.apply_index(i):
-                for l, r, c2 in T.comul[j]:
-                    lhs[(l, r)] = lhs.get((l, r), Fraction(0)) + c * c2
-            rhs = {}
-            for l, r, c in S.comul[i]:
-                for l2, c2 in self.apply_index(l):
-                    for r2, c3 in self.apply_index(r):
-                        rhs[(l2, r2)] = rhs.get((l2, r2), Fraction(0)) + c * c2 * c3
-            if ({k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}):
+            lhs = accumulate({}, (((l, r), c * c2) for j, c in self.apply_index(i)
+                                  for l, r, c2 in T.comul[j]))
+            rhs = accumulate({}, (((l2, r2), c * c2 * c3) for l, r, c in S.comul[i]
+                                  for l2, c2 in self.apply_index(l)
+                                  for r2, c3 in self.apply_index(r)))
+            if lhs != rhs:
                 raise CoalgebraError("not a coalgebra map on %s" % S.labels[i])
         return self
 
@@ -448,9 +415,9 @@ def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
             if len(w) == 1 and c == 1:
                 s_index[w[0]] = k
     # iterated reduced coproducts: lists of (tuple of source indices, coeff)
-    values = {C.counit: [(CLC.counit, Fraction(1))]}
+    values = {C.counit: [(CLC.counit, 1)]}
     for i in C.reduced_indices():
-        layers = [[((i,), Fraction(1))]]
+        layers = [[((i,), 1)]]
         while True:
             prev = layers[-1]
             nxt = {}
@@ -458,7 +425,7 @@ def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
                 # expand the last slot by Delta-bar
                 for l, r, c2 in C.reduced_comul(tup[-1]):
                     key = tup[:-1] + (l, r)
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * c2
+                    nxt[key] = nxt.get(key, 0) + c * c2
             nxt = [(k, v) for k, v in nxt.items() if v]
             if not nxt:
                 break
@@ -466,7 +433,7 @@ def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
             if len(layers) > word_cap:
                 break
         table = {}
-        fact = Fraction(1)
+        fact = 1
         for k, layer in enumerate(layers, start=1):
             if k > 1:
                 fact *= k
@@ -488,8 +455,8 @@ def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
                 j = CLC._word_index.get(nw)
                 if j is None:
                     continue
-                table[j] = table.get(j, Fraction(0)) + c * sgn / fact
-        values[i] = [(j, c) for j, c in table.items() if c]
+                table[j] = table.get(j, 0) + Fraction(c * sgn, fact)
+        values[i] = [(j, exact(c)) for j, c in table.items() if c]
     beta = CoalgebraMap(C, CLC, values)
     beta.lie_image = LC
     return beta.validate()
@@ -566,7 +533,7 @@ class ConvolutionDGL:
         """D f, taken only on the labels where f or a term of their d has a
         value."""
         out = {}
-        sgn = Fraction(-1) if f.degree % 2 else Fraction(1)
+        sgn = -1 if f.degree % 2 else 1
         users = self._d_users
         labels = set(f.values).union(*(users.get(j, ()) for j in f.values))
         for i in sorted(labels):

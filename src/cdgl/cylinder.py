@@ -9,8 +9,6 @@ verifies before trusting a verdict.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dgl import DGLMorphism, DGLPresentation, nilpotent_series
 from .freelie import (LieElement, LieTable, _exp_coefficient, bracket, mul,
                       word_degree)
@@ -129,7 +127,7 @@ class Cylinder:
         for (k, has_dt), v in F.values.items():
             if has_dt:
                 continue
-            c = Fraction(i) ** k if k else Fraction(1)
+            c = i ** k if k else 1
             if c:
                 out = out + v.scale(c)
         return out

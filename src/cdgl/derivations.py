@@ -13,7 +13,6 @@ adjoint derivations are cycles.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from functools import cached_property, partial
 
 from . import exactlin
@@ -79,7 +78,7 @@ def derivation_differential(theta: Derivation) -> Derivation:
     """D theta = d . theta - (-1)^{|theta|} theta . d, taken only on the
     generators where theta or a letter of their d has a value."""
     src, tgt = theta.source, theta.target
-    sgn = Fraction(-1) if theta.degree % 2 else Fraction(1)
+    sgn = -1 if theta.degree % 2 else 1
     users = src.d_users
     support = set(theta.values).union(*(users.get(h, ()) for h in theta.values))
     out = {g: tgt.d(theta.value(g)) - theta.apply(src.d_on_gens[g]).scale(sgn)
@@ -92,7 +91,7 @@ def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
     if a.base is not None or b.base is not None:
         raise ValueError("bracket is defined for Der L only")
     L = a.source
-    sgn = Fraction(-1) if (a.degree * b.degree) % 2 == 0 else Fraction(1)
+    sgn = -1 if (a.degree * b.degree) % 2 == 0 else 1
     out = {g: a.apply(b.value(g)) + b.apply(a.value(g)).scale(sgn) for g in L.gens}
     return Derivation(L, L, a.degree + b.degree, out)
 
@@ -512,7 +511,7 @@ class GammaReport:
 
 def _gamma_image(H: ConvolutionDGL, label_of_gen, theta: Derivation) -> HomElement:
     """Gamma(s^{-1} theta)(c) = (-1)^{|theta|} theta(s^{-1} c) on reduced labels."""
-    sgn = Fraction(-1) if theta.degree % 2 else Fraction(1)
+    sgn = -1 if theta.degree % 2 else 1
     return HomElement(H, theta.degree - 1, {label_of_gen[g]: v.scale(sgn)
                                             for g, v in theta.values.items()})
 
@@ -736,9 +735,9 @@ def der_sl_full_bracket(a: DerSLElement, b: DerSLElement) -> DerSLElement:
     (-1)^{|theta|} s theta(y) - (-1)^{|x||eta|} s eta(x)); sL is abelian."""
     theta, eta = a.theta, b.theta
     der = derivation_bracket(theta, eta)
-    sl = theta.apply(b.x).scale(Fraction(-1) if theta.degree % 2 else Fraction(1))
+    sl = theta.apply(b.x).scale(-1 if theta.degree % 2 else 1)
     if not a.x.is_zero():
-        sgn = Fraction(-1) if (a.x.degree() * eta.degree) % 2 == 0 else Fraction(1)
+        sgn = -1 if (a.x.degree() * eta.degree) % 2 == 0 else 1
         sl = sl + eta.apply(a.x).scale(sgn)
     return DerSLElement(der, sl, a.degree + b.degree)
 

@@ -17,7 +17,7 @@ from math import factorial, gcd, lcm
 
 from .exactlin import (FactoredBasis, GradedChainComplex, HomologyReport,
                        IncrementalSpan, InternalError, NotInSpanError, SparseVec,
-                       _vec, build_complex, homology_at)
+                       _vec, build_complex, exact, homology_at, ratio, settled)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _clear_denominators,
                       _exp_coefficient, _mul_terms, bracket, exp_terms, is_lie,
@@ -116,11 +116,11 @@ def apply_operator(values, op_degree, e: LieElement, phi=None) -> LieElement:
                             out[ww] = t
                         else:
                             out.pop(ww, None)
-    return _on_ints(out, trunc)
+    return _on_ints(settled(out), trunc)
 
 
 def _on_ints(terms, trunc) -> LieElement:
-    """The element with the word dictionary terms as it is (ints allowed)."""
+    """The element with the word dictionary terms, in the normal form, as it is."""
     res = LieElement.zero(trunc)
     res.terms = terms
     return res
@@ -283,11 +283,12 @@ class DGLMorphism:
             for ww, cc in terms.items():
                 if not ww:
                     continue
-                s = out.terms.get(ww, Fraction(0)) + cc
+                s = out.terms.get(ww, 0) + cc
                 if s:
                     out.terms[ww] = s
                 else:
                     out.terms.pop(ww, None)
+        settled(out.terms)
         return out
 
     def compose(self, other: "DGLMorphism") -> "DGLMorphism":
@@ -456,7 +457,7 @@ def gauge_act(x: LieElement, a) -> MCElement:
             m = sign * M // (factorial(k + shift) * Dx ** k)
             for w, c in t.terms.items():
                 out[w] = out.get(w, 0) + m * c
-    total = _on_ints({w: Fraction(s, D * M) for w, s in out.items() if s}, trunc)
+    total = _on_ints({w: ratio(s, D * M) for w, s in out.items() if s}, trunc)
     try:
         return MCElement(owner, total)
     except MCViolationError as exc:
@@ -643,8 +644,8 @@ class H0Group:
     every bracket of more than c classes is zero.  With u, v = U/E, V/E, a
     right-nested word of length l in u and v is T_w(U, V) / (E^l D^(l-1)),
     T_w its bracket on ints; the series is summed on ints over
-    Q = M (D E)^(c-1) E, M the lcm of the series' denominators, and one
-    Fraction per coordinate is built at the end.  The representatives, the
+    Q = M (D E)^(c-1) E, M the lcm of the series' denominators, and each
+    coordinate is divided by Q once, at the end.  The representatives, the
     table, c and the structure constants are built on first read; abelian
     reads the table when it is built, and otherwise stops at the first
     nonzero bracket.
@@ -675,7 +676,7 @@ class H0Group:
         return [self._rep(i) for i in range(self.dimension)]
 
     def _pairs(self):
-        """(i, j, class of [h_i, h_j] as index -> Fraction) for i < j, in
+        """(i, j, class of [h_i, h_j] as index -> coefficient) for i < j, in
         order, each bracket (and representative) taken when it is reached."""
         n = self.dimension
         for i in range(n):
@@ -785,7 +786,7 @@ class H0Group:
                         nxt.append((longer, br))
             frontier = nxt
         Q = m1 * E
-        return tuple(_vec({k: Fraction(s, Q) for k, s in total.items() if s})
+        return tuple(_vec({k: ratio(s, Q) for k, s in total.items() if s})
                      for total in (uv, vu))
 
     def power(self, u: SparseVec, lam) -> SparseVec:
@@ -800,13 +801,13 @@ def bch_series(c):
     """The two-letter BCH series log(e^X e^Y) up to length c, in right-nested
     form: word w over the letters 0 = X, 1 = Y -> c_w / len(w), where c_w is
     the coefficient of w in the tensor algebra, so that the length-n part is
-    (1/n) sum_w c_w [w1,[w2,[...,wn]]] (Dynkin-Specht-Wever)."""
+    (1/n) sum_w c_w [w1,[w2,[...,wn]]] (Dynkin-Specht-Wever), in normal form."""
     trunc = Truncation(c)
     X, Y = Generator("X", 0), Generator("Y", 0)
     letter = {X: 0, Y: 1}
     prod = _mul_terms(exp_terms(LieElement.gen(X, trunc)),
                       exp_terms(LieElement.gen(Y, trunc)), trunc)
-    return {tuple(letter[g] for g in w): coef / len(w)
+    return {tuple(letter[g] for g in w): exact(Fraction(coef, len(w)))
             for w, coef in log_terms(prod, trunc).terms.items()}
 
 

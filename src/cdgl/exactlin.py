@@ -1,13 +1,15 @@
 """Exact rational sparse linear algebra, chain complexes, homology and
 long exact sequences.
 
-Everything here is over Q (stdlib Fraction); there is no floating point
-anywhere.  Matrices and vectors are sparse (dict based).  There is one
-elimination engine, IncrementalSpan, which keeps the reduced row echelon
-form of a growing span as integer rows, fraction-free; rank, kernels and
-solves read its pivots and rows, and FactoredBasis puts a matrix through
-it once so that each further solve against that matrix is a single
-reduction.
+Everything here is over Q, and every exact scalar the engine stores is
+in one normal form: an int when it is integral, a stdlib Fraction with
+denominator > 1 otherwise, never a float (no `/` is used: a quotient is
+ratio(n, d) or Fraction(n, d)).  Matrices and vectors are sparse (dict
+based).  There is one elimination engine, IncrementalSpan, which keeps
+the reduced row echelon form of a growing span as integer rows,
+fraction-free; rank, kernels and solves read its pivots and rows, and
+FactoredBasis puts a matrix through it once so that each further solve
+against that matrix is a single reduction.
 
 Basis labels are opaque strings; all semantics live upstream.  Pivot and
 representative choices are deterministic (first-column, first-row order),
@@ -46,19 +48,52 @@ class InternalError(Exception):
     Kept apart from ValueError so that it never reads as a user diagnostic."""
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def exact(c):
+    """c in the normal form: an int when c is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def ratio(n: int, d: int):
+    """The quotient n / d of two ints (d != 0), in the normal form."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def settled(values: dict) -> dict:
+    """values with every integral Fraction replaced by its int, in place:
+    sums and products of Fractions may be integral."""
+    for k, c in values.items():
+        if type(c) is not int and c.denominator == 1:
+            values[k] = c.numerator
+    return values
+
+
+def accumulate(out: dict, pairs) -> dict:
+    """out plus the (key, value) pairs, in place and settled: a key whose
+    sum reaches zero leaves out, and re-enters at the end if it comes back."""
+    for k, v in pairs:
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return settled(out)
 
 
 def _vec(entries) -> "SparseVec":
-    """Wrap a dict of nonzero Fractions as a SparseVec, without copying."""
+    """Wrap a dict of nonzero exact scalars in the normal form as a
+    SparseVec, without copying."""
     v = SparseVec()
     v.entries = entries
     return v
 
 
 class SparseVec:
-    """Sparse vector: basis index -> nonzero Fraction."""
+    """Sparse vector: basis index -> nonzero exact scalar, in the normal
+    form (an int when integral, else a Fraction)."""
 
     __slots__ = ("entries",)
 
@@ -66,16 +101,16 @@ class SparseVec:
         self.entries = {}
         if entries:
             for i, v in (entries.items() if isinstance(entries, dict) else entries):
-                v = _frac(v)
+                v = exact(v)
                 if v:
                     self.entries[i] = v
 
     @classmethod
     def unit(cls, i):
-        return cls({i: Fraction(1)})
+        return cls({i: 1})
 
-    def get(self, i) -> Fraction:
-        return self.entries.get(i, Fraction(0))
+    def get(self, i):
+        return self.entries.get(i, 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -84,20 +119,13 @@ class SparseVec:
         return self.entries.items()
 
     def scale(self, c) -> "SparseVec":
-        c = _frac(c)
+        c = exact(c)
         if not c:
             return SparseVec()
         return SparseVec({i: v * c for i, v in self.entries.items()})
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            w = out.get(i, Fraction(0)) + v
-            if w:
-                out[i] = w
-            else:
-                out.pop(i, None)
-        return _vec(out)
+        return _vec(accumulate(dict(self.entries), other.entries.items()))
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
         return self + other.scale(-1)
@@ -116,7 +144,8 @@ class SparseVec:
 
 
 class SparseMat:
-    """Sparse matrix: (row, col) -> nonzero Fraction, with explicit shape."""
+    """Sparse matrix: (row, col) -> nonzero exact scalar in the normal form
+    (as SparseVec), with explicit shape."""
 
     __slots__ = ("n_rows", "n_cols", "entries")
 
@@ -129,7 +158,7 @@ class SparseMat:
             for (r, c), v in items:
                 if not (0 <= r < n_rows and 0 <= c < n_cols):
                     raise ShapeError("entry (%d,%d) outside %dx%d" % (r, c, n_rows, n_cols))
-                v = _frac(v)
+                v = exact(v)
                 if v:
                     self.entries[(r, c)] = v
 
@@ -139,7 +168,7 @@ class SparseMat:
         for j, col in enumerate(cols):
             for i, v in col.items():
                 if v:
-                    m.entries[(i, j)] = _frac(v)
+                    m.entries[(i, j)] = exact(v)
         return m
 
     def columns(self):
@@ -158,16 +187,9 @@ class SparseMat:
         return not self.entries
 
     def apply(self, x: SparseVec) -> SparseVec:
-        out = {}
-        for (r, c), v in self.entries.items():
-            xc = x.entries.get(c)
-            if xc is not None:
-                w = out.get(r, Fraction(0)) + v * xc
-                if w:
-                    out[r] = w
-                else:
-                    out.pop(r, None)
-        return _vec(out)
+        xs = x.entries
+        return _vec(accumulate({}, ((r, v * xs[c])
+                                    for (r, c), v in self.entries.items() if c in xs)))
 
     def compose(self, other: "SparseMat") -> "SparseMat":
         """self . other (apply other first)."""
@@ -177,32 +199,19 @@ class SparseMat:
         by_row = {}
         for (r, k), v in self.entries.items():
             by_row.setdefault(k, []).append((r, v))
-        out = {}
-        for (k, c), w in other.entries.items():
-            for r, v in by_row.get(k, ()):
-                key = (r, c)
-                s = out.get(key, Fraction(0)) + v * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SparseMat(self.n_rows, other.n_cols, out)
+        return SparseMat(self.n_rows, other.n_cols, accumulate({}, (
+            ((r, c), v * w) for (k, c), w in other.entries.items()
+            for r, v in by_row.get(k, ()))))
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ShapeError("adding %dx%d to %dx%d" %
                              (self.n_rows, self.n_cols, other.n_rows, other.n_cols))
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SparseMat(self.n_rows, self.n_cols, out)
+        return SparseMat(self.n_rows, self.n_cols,
+                         accumulate(dict(self.entries), other.entries.items()))
 
     def scale(self, c) -> "SparseMat":
-        c = _frac(c)
+        c = exact(c)
         return SparseMat(self.n_rows, self.n_cols,
                          {k: v * c for k, v in self.entries.items()} if c else {})
 
@@ -224,9 +233,10 @@ class IncrementalSpan:
     fully reduced (zero in every other pivot column), so at every moment
     they are the reduced row echelon form of the span (which is unique),
     each stored as its one primitive integer multiple with a positive pivot
-    entry.  The API stays rational: an input's denominators are cleared
-    once, elimination runs on ints (fraction-free, as in Bareiss), and
-    Fractions are built only for the residual that reduce returns.  Adding
+    entry.  The API stays rational: an all-int input is taken as it is, any
+    other has its denominators cleared once, elimination runs on ints
+    (fraction-free, as in Bareiss), and a Fraction is built only for a
+    residual entry that the elimination's scale does not divide.  Adding
     a vector returns True when the span grew.  low..high bounds the columns
     that the rows hold: no row holds a new pivot outside it, so adding such
     a row needs no back-substitution.
@@ -244,8 +254,12 @@ class IncrementalSpan:
         """(cur, scale): cur is an integer vector and cur / scale is the
         unique vector of vec + span with zero pivot entries."""
         entries = vec.entries
-        scale = lcm(*[v.denominator for v in entries.values()])
-        cur = {j: v.numerator * (scale // v.denominator) for j, v in entries.items()}
+        if all(type(v) is int for v in entries.values()):
+            cur, scale = dict(entries), 1
+        else:
+            scale = lcm(*[v.denominator for v in entries.values()])
+            cur = {j: v.numerator * (scale // v.denominator)
+                   for j, v in entries.items()}
         rows = self.rows
         # a fully reduced row has no entry in another pivot column, so the
         # pivots met are exactly those in the support of vec
@@ -255,7 +269,8 @@ class IncrementalSpan:
 
     def reduce(self, vec: SparseVec) -> SparseVec:
         cur, scale = self._residue(vec)
-        return _vec({j: Fraction(v, scale) for j, v in cur.items()})
+        return _vec(cur if scale == 1 else
+                    {j: ratio(v, scale) for j, v in cur.items()})
 
     def contains(self, vec: SparseVec) -> bool:
         return not self._residue(vec)[0]
@@ -337,7 +352,7 @@ class FactoredBasis:
         res, scale = self.span._residue(vec)
         if any(i < self.n_cols for i in res):
             raise NotInSpanError("vector outside the factored span")
-        return _vec({self.last - i: Fraction(-v, scale) for i, v in res.items()})
+        return _vec({self.last - i: ratio(-v, scale) for i, v in res.items()})
 
 
 def _span(vecs) -> IncrementalSpan:
@@ -360,11 +375,11 @@ def kernel_basis(A: SparseMat):
     order, with unit free coordinate (lexicographically-first pivot-free
     combinations)."""
     rows = _row_span(A).rows
-    free = {j: {j: Fraction(1)} for j in range(A.n_cols) if j not in rows}
+    free = {j: {j: 1} for j in range(A.n_cols) if j not in rows}
     for pc in sorted(rows):
         for j, c in rows[pc].items():
             if j != pc:
-                free[j][pc] = Fraction(-c, rows[pc][pc])
+                free[j][pc] = ratio(-c, rows[pc][pc])
     return [_vec(v) for v in free.values()]
 
 
@@ -550,24 +565,30 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees,
 
     Verifies the SES (chain maps, injectivity, surjectivity, rank balance),
     computes the induced maps and the zig-zag connecting maps, and checks
-    exactness at every slot before returning.  hA and hB may hold homology
-    reports of A and B already taken, by degree; the others are taken here.
+    exactness at every slot before returning.  The connecting map at n lands
+    in H_{n-1}(A), so for a gap degree n - 1 (missing from degrees, with n
+    above the lowest degree) the short exact sequence is also verified
+    there, and H_{n-1}(B) and i_{n-1} are built to check the slot at
+    H_{n-1}(A).  hA and hB may hold homology reports of A and B already
+    taken, by degree; the others are taken here.
     """
     degrees = sorted(degrees)
-    probe = degrees + [degrees[-1] + 1]
+    gaps = sorted({n - 1 for n in degrees[1:]} - set(degrees))
+    both = sorted(degrees + gaps)
+    probe = both + [degrees[-1] + 1]
     incl.validate(probe)
     proj.validate(probe)
     _check_ses(A, B, C, incl, proj, sorted(set(probe + [degrees[0] - 1])))
 
-    # the connecting map at n lands in H_{n-1}(A), also across a gap
-    hA = homology_reports(A, sorted(set(degrees) | {n - 1 for n in degrees}), hA)
-    hB = homology_reports(B, degrees, hB)
+    hA = homology_reports(A, sorted(set(both) | {degrees[0] - 1}), hA)
+    hB = homology_reports(B, both, hB)
     hC = homology_reports(C, degrees)
 
     maps_i, maps_p, conn = {}, {}, {}
-    for n in degrees:
+    for n in both:
         maps_i[n] = SparseMat.from_columns(hB[n].dimension, [
             hB[n].classes.coords(incl.block(n).apply(z)) for z in hA[n].cycle_reps])
+    for n in degrees:
         maps_p[n] = SparseMat.from_columns(hC[n].dimension, [
             hC[n].classes.coords(proj.block(n).apply(z)) for z in hB[n].cycle_reps])
         # zig-zag: lift through proj (free variables zero), push through d,
@@ -588,14 +609,6 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees,
             cols.append(hA[n - 1].classes.coords(a))
         conn[n] = SparseMat.from_columns(hA[n - 1].dimension, cols)
 
-    # exactness at every interior slot: image = kernel by rank arithmetic
-    # plus containment
-    def _exact(fin: SparseMat, fout: SparseMat, slot):
-        if not fout.compose(fin).is_zero():
-            raise ExactnessError("composite nonzero at %s" % slot)
-        if rank(fin) + rank(fout) != fin.n_rows:
-            raise ExactnessError("image != kernel at %s" % slot)
-
     for n in degrees:
         _exact(maps_i[n], maps_p[n], "H_%d(B)" % n)
         _exact(maps_p[n], conn[n], "H_%d(C)" % n)
@@ -604,6 +617,15 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees,
 
     return LongExactSequence(degrees=degrees, hA=hA, hB=hB, hC=hC,
                              maps_i=maps_i, maps_p=maps_p, connecting=conn)
+
+
+def _exact(fin: SparseMat, fout: SparseMat, slot):
+    """Exactness of a sequence at one slot, fin into it and fout out of it:
+    image = kernel, by rank arithmetic plus containment."""
+    if not fout.compose(fin).is_zero():
+        raise ExactnessError("composite nonzero at %s" % slot)
+    if rank(fin) + rank(fout) != fin.n_rows:
+        raise ExactnessError("image != kernel at %s" % slot)
 
 
 def connected_cover(C: GradedChainComplex, n: int) -> GradedChainComplex:

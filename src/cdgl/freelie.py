@@ -21,7 +21,7 @@ from math import factorial, lcm
 from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
-                       ResourceLimitError, SparseVec)
+                       ResourceLimitError, SparseVec, exact, ratio, settled)
 from .record import FrozenRecord
 
 
@@ -76,9 +76,12 @@ def _word_key(word):
 class LieElement:
     """Exact-rational combination of graded tensor words.
 
-    Supports the ambient associative operations needed by the engine; the
-    Lie-subspace invariant is certified separately (is_lie) and enforced at
-    the public construction sites upstream.
+    Each coefficient is in the engine's normal form (see exactlin): an int
+    when it is integral, a Fraction with denominator > 1 otherwise, never a
+    float; the constructor, gen, scale, + and - keep it.  Supports the
+    ambient associative operations needed by the engine; the Lie-subspace
+    invariant is certified separately (is_lie) and enforced at the public
+    construction sites upstream.
     """
 
     __slots__ = ("terms", "trunc", "label")
@@ -88,7 +91,8 @@ class LieElement:
         self.terms = {}
         self.label = label
         for w, c in (terms.items() if isinstance(terms, dict) else terms):
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            if type(c) is not int:
+                c = exact(c)
             if c and trunc.admits(w):
                 self.terms[w] = c
 
@@ -98,7 +102,7 @@ class LieElement:
 
     @classmethod
     def gen(cls, g: Generator, trunc):
-        return cls({(g,): Fraction(1)}, trunc)
+        return cls({(g,): 1}, trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -132,19 +136,19 @@ class LieElement:
         return LieElement(self.terms, trunc)
 
     def scale(self, c) -> "LieElement":
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = exact(c)
         return LieElement({w: v * c for w, v in self.terms.items()}, self.trunc)
 
     def __add__(self, other: "LieElement") -> "LieElement":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
+            s = out.get(w, 0) + c
             if s:
                 out[w] = s
             else:
                 out.pop(w, None)
         res = LieElement.zero(self.trunc)
-        res.terms = {w: c for w, c in out.items() if self.trunc.admits(w)}
+        res.terms = settled({w: c for w, c in out.items() if self.trunc.admits(w)})
         return res
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -227,7 +231,8 @@ class LieTable:
 def _mul_terms(a, b, trunc):
     """Concatenation product of word dictionaries (allows the empty word),
     each nonempty word tested by trunc, the length by the room that the left
-    word leaves under the cap; on ints for int coefficients."""
+    word leaves under the cap; on ints for int coefficients (a caller that
+    hands the product out settles it)."""
     out = {}
     cap, max_degree = trunc.max_bracket_length, trunc.max_degree
     for wa, ca in a.items():
@@ -247,8 +252,8 @@ def _mul_terms(a, b, trunc):
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Graded bracket [a, b] = ab - (-1)^{|a||b|} ba, computed wordwise (on
-    ints for int coefficients)."""
+    """Graded bracket [a, b] = ab - (-1)^{|a||b|} ba, computed wordwise, in
+    the normal form (on ints for int coefficients)."""
     trunc = a.trunc
     cap = trunc.max_bracket_length
     max_degree = trunc.max_degree
@@ -275,14 +280,15 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
                     out[w] = s
                 else:
                     out.pop(w, None)
-    res.terms = out
+    res.terms = settled(out)
     return res
 
 
 def mul(a: LieElement, b: LieElement) -> LieElement:
     """Tensor-algebra product (not a Lie operation; enveloping plumbing)."""
     res = LieElement.zero(a.trunc)
-    res.terms = {w: c for w, c in _mul_terms(a.terms, b.terms, a.trunc).items() if w}
+    res.terms = settled({w: c for w, c in _mul_terms(a.terms, b.terms, a.trunc).items()
+                         if w})
     return res
 
 
@@ -319,7 +325,7 @@ def _power_series(v, coefficient, trunc):
             else:
                 out.pop(w, None)
     Q = D ** cap * M
-    return {w: Fraction(s, Q) for w, s in out.items()}
+    return {w: ratio(s, Q) for w, s in out.items()}
 
 
 def _exp_coefficient(k):
@@ -328,12 +334,12 @@ def _exp_coefficient(k):
 
 def exp_terms(x: LieElement):
     """exp(x) in the truncated tensor algebra; includes the empty word."""
-    return {(): Fraction(1), **_power_series(x.terms, _exp_coefficient, x.trunc)}
+    return {(): 1, **_power_series(x.terms, _exp_coefficient, x.trunc)}
 
 
 def log_terms(u, trunc) -> LieElement:
     """log(u) for u = 1 + (higher words) in the truncated tensor algebra."""
-    if u.get((), Fraction(0)) != 1:
+    if u.get((), 0) != 1:
         raise LieMembershipError("log argument must have unit constant term")
     v = {w: c for w, c in u.items() if w}
     res = LieElement.zero(trunc)
@@ -391,14 +397,14 @@ def check_resource_limit(size, what):
 
 def lie_basis(gens, degree, length, trunc: Truncation):
     """Ordered basis of the (degree, length)-homogeneous component, as
-    elements of trunc with Fraction coefficients, carrying bracket-expression
+    elements of trunc with int coefficients, carrying bracket-expression
     labels (see _left_normed_basis); empty above trunc's degree cap."""
     if length > trunc.max_bracket_length:
         raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
     if trunc.max_degree is not None and degree > trunc.max_degree:
         return []
     out = []
-    for label, _, terms in _left_normed_basis(tuple(gens), degree, length):
+    for label, terms in _left_normed_basis(tuple(gens), degree, length):
         f = LieElement.zero(trunc)
         f.terms = dict(terms)
         f.label = label
@@ -422,7 +428,7 @@ def _bracket_with_generator(g, terms, even):
 
 def _left_normed_basis(gens, degree, length):
     """The (degree, length) basis, built from the basis one length down, as
-    triples of a pick's label, its int terms and its Fraction terms.
+    pairs of a pick's label and its int terms.
 
     The candidates at length 1 are the generators of the degree; at length
     k they are [g, b] for each g in gens order and each b in the basis at
@@ -438,8 +444,7 @@ def _left_normed_basis(gens, degree, length):
     tail gives a zero bracket, which both lists skip).  A component holds
     about 1/length of the words of its length (Witt), so this list is far
     shorter.  Left-normed brackets of generators have integer coefficients
-    in T(V), so the candidates are built on ints, and the Fraction terms
-    share one Fraction per distinct coefficient.  The pick reads only
+    in T(V), so the candidates and picks are ints.  The pick reads only
     whether the rank grows, so a word seen first gets a column below every
     earlier one: a candidate holding one pivots on it, outside the columns
     of the kept rows, and IncrementalSpan.add does no back-substitution.
@@ -458,11 +463,10 @@ def _left_normed_basis(gens, degree, length):
                        _bracket_with_generator(g, terms,
                                                g.degree * (degree - g.degree) % 2 == 0))
                       for g in gens
-                      for label, terms, _ in _left_normed_basis(
+                      for label, terms in _left_normed_basis(
                           gens, degree - g.degree, length - 1))
     word_index = {}
     span = IncrementalSpan()
-    fractions = {}
     picked = []
     for label, terms in candidates:
         if not terms:
@@ -471,11 +475,7 @@ def _left_normed_basis(gens, degree, length):
         v.entries = {word_index.setdefault(w, ~len(word_index)): c
                      for w, c in terms.items()}
         if span.add(v):
-            for c in terms.values():
-                if c not in fractions:
-                    fractions[c] = Fraction(c)
-            picked.append((label, terms,
-                           {w: fractions[c] for w, c in terms.items()}))
+            picked.append((label, terms))
             check_resource_limit(len(picked), "basis size")
     _basis_cache[key] = picked
     return picked

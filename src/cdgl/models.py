@@ -17,7 +17,7 @@ def bernoulli(n: int) -> Fraction:
         acc = Fraction(0)
         for j in range(m):
             acc += comb(m + 1, j) * B[j]
-        B[m] = -acc / (m + 1)
+        B[m] = Fraction(-acc, m + 1)
     return B[n]
 
 
@@ -34,7 +34,8 @@ def interval_model(trunc: Truncation, name="L1") -> DGLPresentation:
     x = Generator("x", 0)
     ea, eb, ex = (LieElement.gen(g, trunc) for g in (a, b, x))
     dx = bracket(ex, ea) + nilpotent_series(
-        lambda t: bracket(ex, t), ea - eb, lambda n: bernoulli(n) / factorial(n),
+        lambda t: bracket(ex, t), ea - eb,
+        lambda n: Fraction(bernoulli(n), factorial(n)),
         trunc.max_bracket_length + 1, "Bernoulli series did not terminate")
     d = {a: bracket(ea, ea).scale(Fraction(-1, 2)),
          b: bracket(eb, eb).scale(Fraction(-1, 2)),

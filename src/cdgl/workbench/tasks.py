@@ -141,14 +141,20 @@ def _cap_of(L):
     return L.trunc.max_bracket_length
 
 
-def _degree_range(task: Task):
-    """(a, b) of the task's --range a..b, which must be given, with a <= b."""
+def _degree_range(task: Task, least=None):
+    """(a, b) of the task's --range a..b, which must be given, with a <= b;
+    with least given, b must reach least and a is raised to it."""
     if task.degree_range is None:
         raise ValueError("%s needs an explicit --range a..b" % task.command)
     lo, hi = task.degree_range
     if lo > hi:
         raise ValueError("%s needs a range a..b with a <= b, got %d..%d"
                          % (task.command, lo, hi))
+    if least is not None:
+        if hi < least:
+            raise ValueError("%s needs a range that reaches degree %d, got %d..%d"
+                             % (task.command, least, lo, hi))
+        lo = max(lo, least)
     return lo, hi
 
 
@@ -350,8 +356,7 @@ def _resolve_morphism(task, ws, L):
 
 
 def cmd_pi_map(task: Task) -> Report:
-    lo, hi = _degree_range(task)
-    lo = max(lo, 1)
+    lo, hi = _degree_range(task, 1)
     report = Report(command=task.echo())
 
     def run(trunc_override):
@@ -397,13 +402,13 @@ def _resolve_gspec(task, ws, L) -> GSpec:
 
 
 def _classifying(task: Task, mode) -> Report:
-    lo, hi = _degree_range(task)
+    lo, hi = _degree_range(task, 1)
     report = Report(command=task.echo())
 
     def run(trunc_override):
         ws, L = _load(task, trunc_override)
         spec = _resolve_gspec(task, ws, L)
-        return L, classifying_invariants(L, spec, mode, range(max(lo, 1), hi + 1))
+        return L, classifying_invariants(L, spec, mode, range(lo, hi + 1))
 
     L, rep = run(None)
     report.caps["truncation"] = _cap_of(L)

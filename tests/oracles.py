@@ -12,7 +12,8 @@ both sides on every pair of unit tables and every coproduct row, where the
 engine visits only the pairs that a row reaches.  The last section holds
 test helpers that build engine values (left-normed brackets, the Dynkin map,
 components, the Fraction gauge series, the action on morphisms, model file
-text); no oracle uses them.
+text) and assert_exact, the check of the engine's scalar normal form; no
+oracle uses them.
 """
 
 from fractions import Fraction
@@ -531,6 +532,15 @@ def w_homology_algebra(gens, d, cap, window):
 
 
 # --- engine helpers for tests (not oracles) -----------------------------
+
+def assert_exact(values):
+    """Hold each value to the engine's normal form for exact scalars: an
+    int (not a bool) when integral, a Fraction with denominator != 1
+    otherwise, and never a float."""
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            "%r is not an exact scalar in normal form" % (c,)
+
 
 def left_normed(seq, trunc) -> LieElement:
     """[g1,[g2,[...,[g_{k-1}, g_k]]]] for a generator sequence."""

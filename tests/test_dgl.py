@@ -19,9 +19,9 @@ from cdgl.models import (bernoulli, circle_model, interval_model,
 from cdgl.workbench import workspace_from_text
 from cdgl.workbench.tasks import pretty_element
 
-from oracles import (act_on_morphism, component_complex, dense_nilpotency_class,
-                     dense_solve, eager_h0_table, fraction_gauge_series,
-                     left_normed, w_apply_operator, w_bch)
+from oracles import (act_on_morphism, assert_exact, component_complex,
+                     dense_nilpotency_class, dense_solve, eager_h0_table,
+                     fraction_gauge_series, left_normed, w_apply_operator, w_bch)
 
 
 def T(n):
@@ -74,7 +74,7 @@ def test_d_squared_certificate_names_generator_and_fraction_residue():
     assert err.value.gen == u
     assert err.value.residue == L.d(L.d_on_gens[u])
     assert err.value.residue.terms == {(w,): Fraction(1, 6)}
-    assert all(type(c) is Fraction for c in err.value.residue.terms.values())
+    assert_exact(err.value.residue.terms.values())
     # the interval's dx has Bernoulli denominators; d^2 = 0 holds at each cap
     for cap in range(1, 10):
         assert interval_model(T(cap)).validate()
@@ -416,7 +416,7 @@ def test_gauge_act_matches_fraction_series(case):
     x, a = case
     got = gauge_act(x, a).value
     assert got.terms == fraction_gauge_series(x, a).terms
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert_exact(got.terms.values())
 
 
 def test_interval_gauge_transport_mirrored_and_paper():
@@ -857,15 +857,15 @@ def test_apply_operator_agrees_with_per_position_oracle(cap, max_degree, op_degr
     assert _names(got.terms) == want
 
 
-def test_bch_series_hands_out_fractions():
-    # c_w / len(w) from the word oracle's log(e^X e^Y), as Fractions
+def test_bch_series_hands_out_exact_scalars():
+    # c_w / len(w) from the word oracle's log(e^X e^Y), in normal form
     X, Y = ("X", 0), ("Y", 0)
     for c in range(1, 7):
         series = bch_series(c)
         want = w_bch({(X,): Fraction(1)}, {(Y,): Fraction(1)}, c)
         assert series == {tuple(int(g == Y) for g in w): v / len(w)
                           for w, v in want.items()}
-        assert all(type(v) is Fraction for v in series.values())
+        assert_exact(series.values())
 
 
 def test_generator_filtration_is_a_read_only_value():

@@ -11,8 +11,9 @@ from cdgl.freelie import (Coordinatizer, Generator, LieElement, Truncation,
                           _mul_terms, bracket, exp_terms, is_lie, lie_basis,
                           log_terms, mul)
 
-from oracles import (dense_solve, dynkin, gen_sequences, left_normed, w_bracket,
-                     w_dynkin, w_exp, w_is_lie, w_lie_basis, w_log, w_mul_admitted)
+from oracles import (assert_exact, dense_solve, dynkin, gen_sequences, left_normed,
+                     w_bracket, w_dynkin, w_exp, w_is_lie, w_lie_basis, w_log,
+                     w_mul_admitted)
 
 
 def T(n, deg=None):
@@ -411,8 +412,9 @@ def test_coordinates_match_oracles(degrees, cap, data):
             k: c for k, c in enumerate(want) if c}
 
 
-def test_lie_basis_hands_out_fractions():
-    # the basis is built on ints, but every element handed out is rational
+def test_lie_basis_hands_out_ints():
+    # left-normed brackets of generators are integral in T(V): every
+    # coefficient of a basis element is handed out as a plain int
     gens = (Generator("frac_u", 0), Generator("frac_v", 1), Generator("frac_w", 2))
     coefficients = []
     for trunc in (T(5), T(6), T(6, 9)):
@@ -421,7 +423,8 @@ def test_lie_basis_hands_out_fractions():
                 for e in lie_basis(gens, deg, ln, trunc):
                     assert e.trunc == trunc and e.label
                     coefficients.extend(e.terms.values())
-    assert coefficients and all(type(c) is Fraction for c in coefficients)
+    assert coefficients and all(type(c) is int for c in coefficients)
+    assert_exact(coefficients)
 
 
 def _raw(terms, trunc):
@@ -440,7 +443,7 @@ _int_terms = st.dictionaries(
 @given(_int_terms, _int_terms, st.sampled_from([None, 2, 4]))
 def test_bracket_on_ints_matches_bracket_on_fractions(a, b, max_degree):
     # odd and even generators; int inputs give ints, Fraction inputs give
-    # Fractions, with the same values in the same insertion order
+    # the normal form, with the same values in the same insertion order
     trunc = T(4, max_degree)
     on_ints = bracket(_raw(a, trunc), _raw(b, trunc)).terms
     on_fractions = bracket(
@@ -448,7 +451,7 @@ def test_bracket_on_ints_matches_bracket_on_fractions(a, b, max_degree):
         _raw({w: Fraction(c) for w, c in b.items()}, trunc)).terms
     assert list(on_ints.items()) == list(on_fractions.items())
     assert all(type(c) is int for c in on_ints.values())
-    assert all(type(c) is Fraction for c in on_fractions.values())
+    assert_exact(on_fractions.values())
 
 
 # words over two odd generators, one of negative degree, so that products
@@ -484,12 +487,12 @@ def test_mul_terms_matches_per_pair_reference(a, b, trunc):
 @given(_series_terms, _caps)
 def test_exp_log_match_fraction_series(x, trunc):
     # the series on one denominator give the items, the order and the
-    # Fraction coefficients of the power series summed on Fractions
+    # coefficients of the power series summed on Fractions, in normal form
     got = exp_terms(_raw(x, trunc))
     assert list(got.items()) == list(w_exp(x, trunc.admits).items())
-    assert all(type(c) is Fraction for c in got.values())
+    assert_exact(got.values())
     u = {(): Fraction(1), **x}
     got = log_terms(u, trunc).terms
     assert list(got.items()) == list(w_log(u, trunc.admits).items())
-    assert all(type(c) is Fraction for c in got.values())
+    assert_exact(got.values())
 

@@ -79,6 +79,17 @@ def imports_of(module, src=SRC):
     return found
 
 
+def true_divisions(src=SRC):
+    """file:line of every true division, / or /=, under src."""
+    found = []
+    for path, tree in _trees(src):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.Div):
+                found.append("%s:%d" % (path, node.lineno))
+    return found
+
+
 def test_no_broad_exception_handlers():
     # an engine bug must fail loudly; a handler that catches everything
     # turns it into a diagnostic or a flag that reads as success
@@ -98,3 +109,11 @@ def test_no_dataclasses_import():
     # engine's records are plain classes (FrozenRecord for the value types)
     assert imports_of("fractions") != []
     assert imports_of("dataclasses") == []
+
+
+def test_no_true_division(tmp_path):
+    # an exact scalar is an int when it is integral, and int / int is a
+    # float: a quotient is exactlin.ratio(n, d) or Fraction(n, d)
+    assert true_divisions() == []
+    (tmp_path / "m.py").write_text("x = a // b\ny = a / b\nz = 1\nz /= 2\n")
+    assert sorted(true_divisions(str(tmp_path))) == ["m.py:2", "m.py:4"]

@@ -266,6 +266,26 @@ def test_missing_or_reversed_range_is_a_diagnostic(command, capsys):
         assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", ["pi-map", "baut", "bautstar"])
+def test_range_with_no_positive_degree_is_a_diagnostic(command, capsys):
+    # these commands answer in degrees >= 1; a range below that is refused,
+    # not answered for degree 1, which the user did not ask for
+    from cdgl.workbench.cli import main
+    argv = [command, "--model", "wedge(2,3)", "--truncate", "3", "--format",
+            "canonical"]
+    for window in ("0..0", "-2..0"):
+        code = main(argv + ["--range=" + window])
+        out, err = capsys.readouterr()
+        assert code == 1 and "status = diagnostics" in out
+        assert ("diagnostic = 0:0 error %s needs a range that reaches degree 1, "
+                "got %s\n" % (command, window)) in out
+        assert "Traceback" not in out + err
+    # a range that reaches degree 1 still answers from degree 1
+    code = main(argv + ["--range=0..1"])
+    out, _ = capsys.readouterr()
+    assert code == 0 and "status = ok" in out
+
+
 def test_homology_sphere_report():
     rep = run_task(Task("homology", model_ref="sphere(3)",
                         degree_range=(0, 4)))
@@ -327,6 +347,30 @@ def test_pi_map_over_a_range_with_a_gap(capsys):
     assert code == 0 and "Traceback" not in out + err
     assert "note.0 = LES exactness verified at degrees [0, 1, 3, 4]\n" in out
     assert "pi_pointed.pi_3 = 2\n" in out and "pi_free.pi_3 = 1\n" in out
+
+
+def test_pi_map_gap_checks_the_slot_where_the_connecting_map_lands(monkeypatch,
+                                                                   capsys):
+    # conn[3] lands in H_2 of the pointed complex: the sequence is checked
+    # at H_2(A) as well, and the note is the same as without the check
+    from cdgl import exactlin
+    from cdgl.workbench.cli import main
+    slots = []
+    check = exactlin._exact
+
+    def record(fin, fout, slot):
+        slots.append(slot)
+        return check(fin, fout, slot)
+
+    monkeypatch.setattr(exactlin, "_exact", record)
+    code = main(["pi-map", "--model", "wedge(2,3)", "--range", "3..4",
+                 "--truncate", "3", "--format", "canonical", "--no-stability"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert "note.0 = LES exactness verified at degrees [0, 1, 3, 4]\n" in out
+    assert "H_2(A)" in slots
+    assert slots == ["H_0(B)", "H_0(C)", "H_1(B)", "H_1(C)", "H_0(A)",
+                     "H_3(B)", "H_3(C)", "H_2(A)", "H_4(B)", "H_4(C)", "H_3(A)"]
 
 
 def test_pi_map_takes_model_and_cap_from_a_file_morphism():
