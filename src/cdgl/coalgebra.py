@@ -116,7 +116,7 @@ class CDGC:
             if flipped != accumulate({}, (((l, r), c) for l, r, c in row)):
                 raise CoalgebraError("cocommutativity fails on %s" % self.labels[i])
             # degrees additive under Delta
-            for l, r, _ in self.comul[i]:
+            for l, r, _ in row:
                 if self.degrees[l] + self.degrees[r] != self.degrees[i]:
                     raise CoalgebraError("coproduct not degree-preserving on %s"
                                          % self.labels[i])

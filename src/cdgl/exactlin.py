@@ -93,7 +93,8 @@ def _vec(entries) -> "SparseVec":
 
 class SparseVec:
     """Sparse vector: basis index -> nonzero exact scalar, in the normal
-    form (an int when integral, else a Fraction)."""
+    form (an int when integral, else a Fraction; never `/`, which would
+    make a float of two ints)."""
 
     __slots__ = ("entries",)
 
@@ -145,7 +146,7 @@ class SparseVec:
 
 class SparseMat:
     """Sparse matrix: (row, col) -> nonzero exact scalar in the normal form
-    (as SparseVec), with explicit shape."""
+    (as SparseVec, with no `/`), with explicit shape."""
 
     __slots__ = ("n_rows", "n_cols", "entries")
 
@@ -236,10 +237,10 @@ class IncrementalSpan:
     entry.  The API stays rational: an all-int input is taken as it is, any
     other has its denominators cleared once, elimination runs on ints
     (fraction-free, as in Bareiss), and a Fraction is built only for a
-    residual entry that the elimination's scale does not divide.  Adding
-    a vector returns True when the span grew.  low..high bounds the columns
-    that the rows hold: no row holds a new pivot outside it, so adding such
-    a row needs no back-substitution.
+    residual entry that the elimination's scale does not divide (ratio,
+    never `/`).  Adding a vector returns True when the span grew.  low..high
+    bounds the columns that the rows hold: no row holds a new pivot outside
+    it, so adding such a row needs no back-substitution.
     """
 
     def __init__(self):

@@ -78,10 +78,10 @@ class LieElement:
 
     Each coefficient is in the engine's normal form (see exactlin): an int
     when it is integral, a Fraction with denominator > 1 otherwise, never a
-    float; the constructor, gen, scale, + and - keep it.  Supports the
-    ambient associative operations needed by the engine; the Lie-subspace
-    invariant is certified separately (is_lie) and enforced at the public
-    construction sites upstream.
+    float (so no `/`); the constructor, gen, scale, + and - keep it.
+    Supports the ambient associative operations needed by the engine; the
+    Lie-subspace invariant is certified separately (is_lie) and enforced at
+    the public construction sites upstream.
     """
 
     __slots__ = ("terms", "trunc", "label")
