@@ -21,7 +21,8 @@ from math import factorial, lcm
 from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
-                       ResourceLimitError, SparseVec, exact, ratio, settled)
+                       ResourceLimitError, SparseVec, accumulate, exact, ratio,
+                       settled)
 from .record import FrozenRecord
 
 
@@ -140,15 +141,9 @@ class LieElement:
         return LieElement({w: v * c for w, v in self.terms.items()}, self.trunc)
 
     def __add__(self, other: "LieElement") -> "LieElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        out = accumulate(dict(self.terms), other.terms.items())
         res = LieElement.zero(self.trunc)
-        res.terms = settled({w: c for w, c in out.items() if self.trunc.admits(w)})
+        res.terms = {w: c for w, c in out.items() if self.trunc.admits(w)}
         return res
 
     def __sub__(self, other: "LieElement") -> "LieElement":
