@@ -6,10 +6,10 @@ in one normal form: an int when it is integral, a stdlib Fraction with
 denominator > 1 otherwise, never a float (no `/` is used: a quotient is
 ratio(n, d) or Fraction(n, d)).  Matrices and vectors are sparse (dict
 based).  There is one elimination engine, IncrementalSpan, which keeps
-the reduced row echelon form of a growing span as integer rows,
-fraction-free; rank, kernels and solves read its pivots and rows, and
-FactoredBasis puts a matrix through it once so that each further solve
-against that matrix is a single reduction.
+a row echelon form of a growing span as integer rows, fraction-free, and
+builds the reduced form only when it is read; rank, kernels and solves
+read its pivots and rows, and FactoredBasis puts a matrix through it once
+so that each further solve against that matrix is a single reduction.
 
 Basis labels are opaque strings; all semantics live upstream.  Pivot and
 representative choices are deterministic (first-column, first-row order),
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, lcm
+from math import gcd, lcm
 
 
 class ShapeError(ValueError):
@@ -230,42 +230,52 @@ class SparseMat:
 class IncrementalSpan:
     """Growing row span with exact incremental reduction.
 
-    This is the one elimination engine.  Rows are keyed by pivot column and
-    fully reduced (zero in every other pivot column), so at every moment
-    they are the reduced row echelon form of the span (which is unique),
-    each stored as its one primitive integer multiple with a positive pivot
-    entry.  The API stays rational: an all-int input is taken as it is, any
-    other has its denominators cleared once, elimination runs on ints
-    (fraction-free, as in Bareiss), and a Fraction is built only for a
-    residual entry that the elimination's scale does not divide (ratio,
-    never `/`).  Adding a vector returns True when the span grew.  low..high
-    bounds the columns that the rows hold: no row holds a new pivot outside
-    it, so adding such a row needs no back-substitution.
+    This is the one elimination engine.  It stores a row echelon form of
+    the span: one row per pivot column, the least column the row holds,
+    each its primitive integer multiple with a positive pivot entry.  add
+    eliminates only while the vector's least column is a pivot (so one
+    with a column below every pivot goes in as it is) and returns True when
+    the span grew; reduce, contains and FactoredBasis.coords reduce fully,
+    in increasing pivot order, as a pivot's row holds no lower column.
+    rows, the reduced row echelon form (unique, as are the pivots), is
+    built by back-substitution when read and kept until the next add.  The
+    API stays rational: an all-int input is taken as it is, any other has
+    its denominators cleared once, elimination runs on ints (fraction-free,
+    as in Bareiss), and a Fraction is built only for a residual entry that
+    the elimination's scale does not divide (ratio, never `/`).
     """
 
     def __init__(self):
-        self.rows = {}
-        self.low, self.high = inf, -inf
+        self.echelon = {}
+        self._reduced = None
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.echelon)
+
+    @property
+    def rows(self):
+        if self._reduced is None:
+            self._reduced = reduced = {}
+            for piv in sorted(self.echelon, reverse=True):
+                row = dict(self.echelon[piv])
+                # a reduced row holds no other pivot, so clearing one
+                # pivot brings in no other
+                for q in [j for j in row if j != piv and j in reduced]:
+                    _eliminate(row, reduced[q], q)
+                _primitive(row, piv)
+                reduced[piv] = row
+        return self._reduced
 
     def _residue(self, vec: SparseVec):
         """(cur, scale): cur is an integer vector and cur / scale is the
         unique vector of vec + span with zero pivot entries."""
-        entries = vec.entries
-        if all(type(v) is int for v in entries.values()):
-            cur, scale = dict(entries), 1
-        else:
-            scale = lcm(*[v.denominator for v in entries.values()])
-            cur = {j: v.numerator * (scale // v.denominator)
-                   for j, v in entries.items()}
-        rows = self.rows
-        # a fully reduced row has no entry in another pivot column, so the
-        # pivots met are exactly those in the support of vec
-        for piv in sorted(j for j in cur if j in rows):
+        cur, scale = _integral(vec)
+        rows = self.echelon
+        piv = min((j for j in cur if j in rows), default=None)
+        while piv is not None:
             scale *= _eliminate(cur, rows[piv], piv)
+            piv = min((j for j in cur if j > piv and j in rows), default=None)
         return cur, scale
 
     def reduce(self, vec: SparseVec) -> SparseVec:
@@ -278,25 +288,34 @@ class IncrementalSpan:
 
     def copy(self) -> "IncrementalSpan":
         out = IncrementalSpan()
-        out.rows = {piv: dict(row) for piv, row in self.rows.items()}
-        out.low, out.high = self.low, self.high
+        out.echelon = {piv: dict(row) for piv, row in self.echelon.items()}
         return out
 
     def add(self, vec: SparseVec) -> bool:
-        row = self._residue(vec)[0]
-        if not row:
+        if not vec.entries:
             return False
+        row, rows = _integral(vec)[0], self.echelon
         piv = min(row)
+        while piv in rows:
+            _eliminate(row, rows[piv], piv)
+            if not row:
+                return False
+            piv = min(row)
         _primitive(row, piv)
-        if self.low <= piv <= self.high:
-            for q, other in self.rows.items():
-                if piv in other:
-                    _eliminate(other, row, piv)
-                    _primitive(other, q)
-        self.low = min(self.low, piv)
-        self.high = max(self.high, max(row))
-        self.rows[piv] = row
+        rows[piv] = row
+        self._reduced = None
         return True
+
+
+def _integral(vec: SparseVec):
+    """(cur, scale): cur = scale * vec as a new dict of ints, scale the lcm
+    of vec's denominators."""
+    entries = vec.entries
+    if all(type(v) is int for v in entries.values()):
+        return dict(entries), 1
+    scale = lcm(*[v.denominator for v in entries.values()])
+    return {j: v.numerator * (scale // v.denominator)
+            for j, v in entries.items()}, scale
 
 
 def _eliminate(cur, row, piv):
@@ -331,13 +350,13 @@ class FactoredBasis:
     """Coordinates against fixed vectors v_0..v_{m-1}, eliminated once.
 
     The rows (b | 0) of the vectors to work modulo, then the rows
-    (v_k | e_{n_cols+m-1-k}), go into one IncrementalSpan.  Reducing (v | 0)
-    leaves (0 | -x) exactly when v = sum_k x_k v_k modulo the b's, and a
-    residual in the first n_cols columns otherwise.  The tail columns run in
-    reverse order, so a relation row takes its pivot at the last v_k it
-    involves: x is zero on every v_k in the span of the b's and v_<k.  That
-    is the free-variables-zero solution of the system with columns v_k, and
-    this is the engine's one solve.
+    (v_k | e_{n_cols+m-1-k}), go into one IncrementalSpan, in echelon form.
+    Reducing (v | 0) fully leaves (0 | -x) exactly when v = sum_k x_k v_k
+    modulo the b's, and a residual in the first n_cols columns otherwise.
+    The tail columns run in reverse order, so a relation row takes its
+    pivot at the last v_k it involves: x is zero on every v_k in the span
+    of the b's and v_<k.  That is the free-variables-zero solution of the
+    system with columns v_k, and this is the engine's one solve.
     """
 
     def __init__(self, vecs, n_cols, modulo=()):
@@ -629,34 +648,6 @@ def _exact(fin: SparseMat, fout: SparseMat, slot):
         raise ExactnessError("image != kernel at %s" % slot)
 
 
-def connected_cover(C: GradedChainComplex, n: int) -> GradedChainComplex:
-    """n-connected cover: degree n becomes ker d_n, degrees < n are dropped.
-
-    The new degree-n basis is the deterministic kernel basis; boundaries from
-    degree n+1 are re-expressed in kernel coordinates.
-    """
-    kb = kernel_basis(C.d(n)) if C.dim(n) else []
-    basis = {n: ["Z%d_%d" % (n, i) for i in range(len(kb))]}
-    boundary = {}
-    for m in C.degrees():
-        if m > n:
-            basis[m] = list(C.basis[m])
-    for m in sorted(basis):
-        if m <= n:
-            continue
-        if m == n + 1:
-            cycles = FactoredBasis(kb, C.dim(n))
-            try:
-                cols = [cycles.coords(col) for col in C.d(m).columns()]
-            except NotInSpanError:
-                raise IllFormedComplexError(
-                    "boundary does not land in cycles at %d" % m) from None
-            boundary[m] = SparseMat.from_columns(len(kb), cols)
-        else:
-            boundary[m] = C.d(m)
-    return GradedChainComplex(basis, boundary)
-
-
 def postnikov_truncate(C: GradedChainComplex, n: int) -> GradedChainComplex:
     """Quotient complex C / (C_{>n} + Z_n).
 
@@ -666,7 +657,7 @@ def postnikov_truncate(C: GradedChainComplex, n: int) -> GradedChainComplex:
     """
     basis = {m: list(C.basis[m]) for m in C.degrees() if m < n}
     boundary = {m: C.d(m) for m in basis if C.d(m).entries}
-    piv_cols = sorted(_row_span(C.d(n)).rows)
+    piv_cols = sorted(_row_span(C.d(n)).echelon)
     if piv_cols:
         basis[n] = ["Q%d_%d" % (n, j) for j in piv_cols]
         cols = C.d(n).columns()

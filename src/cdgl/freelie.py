@@ -137,13 +137,17 @@ class LieElement:
         return LieElement(self.terms, trunc)
 
     def scale(self, c) -> "LieElement":
-        c = exact(c)
-        return LieElement({w: v * c for w, v in self.terms.items()}, self.trunc)
+        c = exact(c)  # a nonzero multiple has self's words, admitted already
+        res = LieElement.zero(self.trunc)
+        res.terms = settled({w: v * c for w, v in self.terms.items()}) if c else {}
+        return res
 
     def __add__(self, other: "LieElement") -> "LieElement":
-        out = accumulate(dict(self.terms), other.terms.items())
-        res = LieElement.zero(self.trunc)
-        res.terms = {w: c for w, c in out.items() if self.trunc.admits(w)}
+        # other's words need the truncation test only under another truncation
+        res, terms = LieElement.zero(self.trunc), other.terms.items()
+        if other.trunc is not res.trunc and other.trunc != res.trunc:
+            terms = [(w, c) for w, c in terms if res.trunc.admits(w)]
+        res.terms = accumulate(dict(self.terms), terms)
         return res
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -441,8 +445,8 @@ def _left_normed_basis(gens, degree, length):
     shorter.  Left-normed brackets of generators have integer coefficients
     in T(V), so the candidates and picks are ints.  The pick reads only
     whether the rank grows, so a word seen first gets a column below every
-    earlier one: a candidate holding one pivots on it, outside the columns
-    of the kept rows, and IncrementalSpan.add does no back-substitution.
+    earlier one: a candidate holding one has its least column below every
+    pivot, and IncrementalSpan.add stores it as it is, with no elimination.
     Results, sub-bases included, are kept in _basis_cache, and every basis,
     cached or built, is held to the run's resource limit.
     """

@@ -11,17 +11,18 @@ only those a table can reach; the bracket compatibility of gamma compares
 both sides on every pair of unit tables and every coproduct row, where the
 engine visits only the pairs that a row reaches.  The last section holds
 test helpers that build engine values (left-normed brackets, the Dynkin map,
-components, the Fraction gauge series, the action on morphisms, model file
-text) and assert_exact, the check of the engine's scalar normal form; no
-oracle uses them.
+connected covers, components, the Fraction gauge series, the action on
+morphisms, model file text) and assert_exact, the check of the engine's
+scalar normal form; no oracle uses them.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from cdgl.dgl import (MCViolationError, _max_iterations, ad_values, apply_operator,
                       exp_ad, nilpotent_series, perturbed)
-from cdgl.exactlin import connected_cover
+from cdgl.exactlin import (FactoredBasis, GradedChainComplex, IllFormedComplexError,
+                           NotInSpanError, SparseMat, kernel_basis)
 from cdgl.freelie import LieElement, _dynkin_terms, _exp_coefficient, bracket
 from cdgl.workbench.tasks import pretty_element
 
@@ -380,6 +381,41 @@ def dense_nilpotency_class(table):
 
 # --- reference Lie bases ----------------------------------------------
 
+def mobius(n):
+    """The Moebius function of n >= 1."""
+    m, sign, p = n, 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def super_witt(degrees, alpha):
+    """dim L_alpha for the free graded Lie algebra on generators of the
+    given degrees, alpha[i] the number of letters of generator i:
+        (1/|alpha|) sum_{d | gcd alpha} mu(d) (-1)^(o + o/d)
+                    (|alpha|/d)! / prod_i (alpha_i/d)!,
+    o the number of odd-degree letters.  Witt's formula for the free Lie
+    superalgebra, with parity the degree mod 2 (Koszul signs); counted with
+    no elimination."""
+    n = sum(alpha)
+    o = sum(a for a, deg in zip(alpha, degrees) if deg % 2)
+    g = gcd(*alpha)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0:
+            words = factorial(n // d)
+            for a in alpha:
+                words //= factorial(a // d)
+            total += mobius(d) * (-1) ** (o + o // d) * words
+    assert total % n == 0
+    return total // n
+
+
 def gen_sequences(gens, degree, length):
     """All generator sequences of the given length and total degree, in
     lexicographic order by position in gens (anything with a .degree)."""
@@ -562,6 +598,34 @@ def dynkin(e: LieElement) -> LieElement:
     """The engine's right-nested bracketing map x1...xn -> [x1,[x2,[...,xn]]];
     on the length-n Lie component it is multiplication by n."""
     return LieElement(_dynkin_terms(e.terms), e.trunc)
+
+
+def connected_cover(C: GradedChainComplex, n: int) -> GradedChainComplex:
+    """n-connected cover: degree n becomes ker d_n, degrees < n are dropped.
+
+    The new degree-n basis is the deterministic kernel basis; boundaries from
+    degree n+1 are re-expressed in kernel coordinates.
+    """
+    kb = kernel_basis(C.d(n)) if C.dim(n) else []
+    basis = {n: ["Z%d_%d" % (n, i) for i in range(len(kb))]}
+    boundary = {}
+    for m in C.degrees():
+        if m > n:
+            basis[m] = list(C.basis[m])
+    for m in sorted(basis):
+        if m <= n:
+            continue
+        if m == n + 1:
+            cycles = FactoredBasis(kb, C.dim(n))
+            try:
+                cols = [cycles.coords(col) for col in C.d(m).columns()]
+            except NotInSpanError:
+                raise IllFormedComplexError(
+                    "boundary does not land in cycles at %d" % m) from None
+            boundary[m] = SparseMat.from_columns(len(kb), cols)
+        else:
+            boundary[m] = C.d(m)
+    return GradedChainComplex(basis, boundary)
 
 
 def component_complex(L, a, degrees):

@@ -21,13 +21,13 @@ from cdgl.derivations import (DerComplex, GSpec, bch_der,
 from cdgl.dgl import (DGLMorphism, GeneratorFiltration, MCElement, bch,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, h0_group, log_morphism, perturbed)
-from cdgl.exactlin import connected_cover, homology_at, les_of_ses
+from cdgl.exactlin import homology_at, les_of_ses
 from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import parse_document, workspace_from_text
 from cdgl.workbench.ast import print_document
 
-from oracles import export_source, left_normed, w_bch
+from oracles import connected_cover, export_source, left_normed, w_bch
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

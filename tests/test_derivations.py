@@ -17,14 +17,14 @@ from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
                               twisted_l_der, unit_derivations)
 from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
                       h0_group)
-from cdgl.exactlin import InternalError, homology_at, les_of_ses, connected_cover
+from cdgl.exactlin import InternalError, homology_at, les_of_ses
 from cdgl.freelie import Truncation, bracket
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import workspace_from_text
 
-from oracles import (dense_nilpotency_class, eager_h0_table, left_normed,
-                     w_convolution_differential, w_derivation_differential,
-                     w_gamma_bracket_failures)
+from oracles import (connected_cover, dense_nilpotency_class, eager_h0_table,
+                     left_normed, w_convolution_differential,
+                     w_derivation_differential, w_gamma_bracket_failures)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from cdgl.exactlin import (ChainMap, ExactnessError, FactoredBasis,
                            GradedChainComplex, IllFormedComplexError,
                            IncrementalSpan, NotInSpanError, SparseMat,
-                           SparseVec, connected_cover, homology_at,
-                           kernel_basis, les_of_ses, postnikov_truncate, rank)
+                           SparseVec, homology_at, kernel_basis, les_of_ses,
+                           postnikov_truncate, rank)
 
-from oracles import dense, dense_kernel, dense_rank, dense_rref, dense_solve
+from oracles import (assert_exact, connected_cover, dense, dense_kernel, dense_rank,
+                     dense_rref, dense_solve)
 
 
 def mat(rows):
@@ -161,8 +162,7 @@ def placed_rows(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(placed_rows())
 def test_span_with_placed_pivots_matches_fraction_rref(rows):
-    # the range guard skips back-substitution only where no row can hold
-    # the new pivot, so the rows stay the RREF whatever the column order
+    # the rows read back as the RREF whatever the column order
     cols = sorted({j for r in rows for j in r})
     pos = {j: k for k, j in enumerate(cols)}
     dense_rows = []
@@ -175,8 +175,6 @@ def test_span_with_placed_pivots_matches_fraction_rref(rows):
     for k, r in enumerate(rows):
         grew = span.add(SparseVec(r))
         assert grew == (dense_rank(dense_rows[:k + 1]) > dense_rank(dense_rows[:k]))
-        held = [j for row in span.rows.values() for j in row]
-        assert not held or span.low <= min(held) and max(held) <= span.high
     pivots, R = dense_rref(dense_rows, len(cols))
     assert sorted(span.rows) == [cols[p] for p in pivots]
     for p, orow in zip(pivots, R):
@@ -185,7 +183,89 @@ def test_span_with_placed_pivots_matches_fraction_rref(rows):
         assert {j: Fraction(v, row[cols[p]]) for j, v in row.items()} == {
             cols[k]: v for k, v in enumerate(orow) if v}
     copy = span.copy()
-    assert (copy.rows, copy.low, copy.high) == (span.rows, span.low, span.high)
+    assert copy.rows == span.rows
+
+
+@st.composite
+def span_sessions(draw):
+    """(columns, operations): a few column labels in a random order, and
+    add, reduce, contains, rows and copy interleaved, on rows over those
+    columns with int or Fraction entries; a row may be a combination of
+    the rows added before it, with one entry changed or not."""
+    cols = draw(st.permutations(range(-3, 5)))[:draw(st.integers(1, 8))]
+    entry = st.one_of(st.integers(-4, 4), rationals)
+    kinds = st.sampled_from(("add", "add", "add", "reduce", "contains", "rows", "copy"))
+    ops, added = [], []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=14)):
+        if kind in ("rows", "copy"):
+            ops.append((kind, None))
+            continue
+        row = {}
+        if added and draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(added), max_size=len(added)))
+            for c, r in zip(coeffs, added):
+                for j, v in r.items():
+                    row[j] = row.get(j, 0) + c * v
+            if draw(st.booleans()):
+                row[draw(st.sampled_from(cols))] = draw(entry)
+        else:
+            for j in draw(st.lists(st.sampled_from(cols), max_size=4, unique=True)):
+                row[j] = draw(entry)
+        row = {j: v for j, v in row.items() if v}
+        if kind == "add":
+            added.append(row)
+        ops.append((kind, row))
+    return cols, ops
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(span_sessions())
+def test_span_session_matches_dense_rref(session):
+    # whatever the order of the operations and of the columns, each answer
+    # is read off the Fraction RREF of the rows added so far; the stored
+    # rows stay in echelon form, and a copy goes its own way
+    cols, ops = session
+    cols = sorted(cols)
+
+    def dense_row(r):
+        return [Fraction(r.get(j, 0)) for j in cols]
+
+    span, added, retired = IncrementalSpan(), [], []
+    for kind, row in ops:
+        pivots, R = dense_rref([dense_row(r) for r in added], len(cols))
+        if kind == "add":
+            added.append(row)
+            grew = dense_rank([dense_row(r) for r in added]) > len(pivots)
+            assert span.add(SparseVec(row)) == grew
+        elif kind in ("reduce", "contains"):
+            res = dense_row(row)
+            for p, orow in zip(pivots, R):
+                res = [a - res[p] * b for a, b in zip(res, orow)]
+            res = SparseVec({j: v for j, v in zip(cols, res) if v})
+            if kind == "reduce":
+                got = span.reduce(SparseVec(row))
+                assert got == res
+                assert_exact(v for _, v in got.items())
+            else:
+                assert span.contains(SparseVec(row)) == res.is_zero()
+        elif kind == "rows":
+            assert sorted(span.rows) == [cols[p] for p in pivots]
+            for p, orow in zip(pivots, R):
+                r = span.rows[cols[p]]
+                assert all(type(v) is int for v in r.values())
+                assert r[cols[p]] > 0 and gcd(*r.values()) == 1
+                assert {j: Fraction(v, r[cols[p]]) for j, v in r.items()} == {
+                    cols[k]: v for k, v in enumerate(orow) if v}
+        else:
+            out = span.copy()
+            assert out.rank == span.rank and out.rows == span.rows
+            retired.append((span, {p: dict(r) for p, r in span.echelon.items()}))
+            span = out
+        assert span.rank == dense_rank([dense_row(r) for r in added])
+        for p, r in span.echelon.items():
+            assert min(r) == p and r[p] > 0
+    for old, echelon in retired:
+        assert old.echelon == echelon
 
 
 def solve(rows, b):

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -12,8 +14,8 @@ from cdgl.freelie import (Coordinatizer, Generator, LieElement, Truncation,
                           log_terms, mul)
 
 from oracles import (assert_exact, dense_solve, dynkin, gen_sequences, left_normed,
-                     w_bracket, w_dynkin, w_exp, w_is_lie, w_lie_basis, w_log,
-                     w_mul_admitted)
+                     mobius, super_witt, w_add, w_bracket, w_dynkin, w_exp,
+                     w_is_lie, w_lie_basis, w_log, w_mul_admitted, w_scale)
 
 
 def T(n, deg=None):
@@ -128,30 +130,13 @@ def test_bracket_matches_independent_word_algebra():
         assert to_word_dict(got) == want
 
 
-def _mobius(n):
-    if n == 1:
-        return 1
-    m, cnt, p = n, 0, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            cnt += 1
-        else:
-            p += 1
-    if m > 1:
-        cnt += 1
-    return (-1) ** cnt
-
-
 def witt(k, n):
     """Dimension of the length-n piece of the free Lie algebra on k
     ungraded (degree-0) generators."""
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += _mobius(d) * k ** (n // d)
+            total += mobius(d) * k ** (n // d)
     return total // n
 
 
@@ -297,6 +282,29 @@ def test_truncation_commutes_with_normalization():
         assert e3 == LieElement(e5.terms, T(3))
 
 
+def test_sum_and_multiple_cut_to_the_left_truncation():
+    # on one truncation every word is admitted already; a summand that
+    # carries another truncation is cut to the left one's, also under a
+    # degree cap
+    rng = random.Random(5)
+    gens = (Generator("u", 0), Generator("v", 1))
+    for left, right in ((T(3), T(3)), (T(3), T(5)), (T(4, 2), T(5))):
+        for _ in range(10):
+            a = rand_element(rng, gens, left, n_terms=4)
+            b = rand_element(rng, gens, right, n_terms=4)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for got, want in ((a + b, w_add(a.terms, b.terms)),
+                              (a - b, w_add(a.terms, w_scale(b.terms, -1))),
+                              (a.scale(c), w_scale(a.terms, c))):
+                assert got.trunc == left
+                assert got.terms == {w: v for w, v in want.items() if left.admits(w)}
+                assert_exact(got.terms.values())
+    u, v = gens
+    a = LieElement.gen(u, T(3))
+    b = left_normed((u, u, v), T(5)) + left_normed((u, u, u, v), T(5))
+    assert (a + b).terms == {(u,): 1, **left_normed((u, u, v), T(5)).terms}
+
+
 def test_exp_log_word_roundtrip():
     rng = random.Random(12)
     gens = (Generator("u", 0), Generator("v", 0))
@@ -350,6 +358,27 @@ def test_lie_basis_matches_all_sequences_oracle(degrees):
         for deg in range(ln * min(degrees), ln * max(degrees) + 1):
             got = [(e.label, to_word_dict(e)) for e in lie_basis(gens, deg, ln, T(5))]
             assert got == w_lie_basis(gens, deg, ln)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3))
+def test_lie_basis_sizes_match_super_witt(degrees):
+    # every pick is multihomogeneous, and the picks of each multidegree
+    # number its dimension by the super Witt formula, which eliminates nothing
+    n = next(_fresh)
+    gens = tuple(Generator("w%d_%d" % (n, i), d) for i, d in enumerate(degrees))
+    for ln in range(1, 7):
+        for deg in range(ln * min(degrees), ln * max(degrees) + 1):
+            counts = collections.Counter()
+            for e in lie_basis(gens, deg, ln, T(6)):
+                alphas = {tuple(map(w.count, gens)) for w in e.terms}
+                assert len(alphas) == 1
+                counts[alphas.pop()] += 1
+            alphas = [a for a in itertools.product(range(ln + 1), repeat=len(gens))
+                      if sum(a) == ln and sum(map(operator.mul, a, degrees)) == deg]
+            assert set(counts) <= set(alphas)
+            for a in alphas:
+                assert counts[a] == super_witt(degrees, a)
 
 
 def test_lie_basis_tries_one_candidate_per_sub_basis_element(monkeypatch):
