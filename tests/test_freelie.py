@@ -1,6 +1,5 @@
 import collections
 import itertools
-import operator
 import random
 from fractions import Fraction
 
@@ -375,7 +374,7 @@ def test_lie_basis_sizes_match_super_witt(degrees):
                 assert len(alphas) == 1
                 counts[alphas.pop()] += 1
             alphas = [a for a in itertools.product(range(ln + 1), repeat=len(gens))
-                      if sum(a) == ln and sum(map(operator.mul, a, degrees)) == deg]
+                      if sum(a) == ln and sum(k * d for k, d in zip(a, degrees)) == deg]
             assert set(counts) <= set(alphas)
             for a in alphas:
                 assert counts[a] == super_witt(degrees, a)
