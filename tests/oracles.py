@@ -13,9 +13,11 @@ engine visits only the pairs that a row reaches.  The last section holds
 test helpers that build engine values (left-normed brackets, the Dynkin map,
 connected covers, components, the Fraction gauge series, the action on
 morphisms, model file text) and assert_exact, the check of the engine's
-scalar normal form; no oracle uses them.
+scalar normal form; no oracle uses them.  argparse_argv reads a command
+line with argparse, the reference for the CLI's own argv reader.
 """
 
+import argparse
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -565,6 +567,21 @@ def w_homology_algebra(gens, d, cap, window):
         for (i, j, _), coords in zip(found, solved):
             table[i][j] = {first[k] + q: c for q, c in coords.items()}
     return reps, table
+
+
+def argparse_argv(argv):
+    """vars() of the namespace that argparse gives argv, on the parser the
+    CLI built before its own reader: one subparser per command of
+    cli.COMMANDS, each taking cli._COMMON and its own flags.  A usage error
+    prints to stderr and exits 2; -h or --help prints the help and exits 0."""
+    from cdgl.workbench import cli
+    ap = argparse.ArgumentParser(prog="cdgl")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, extra) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in cli._COMMON + extra:
+            p.add_argument(flag, **kwargs)
+    return vars(ap.parse_args(argv))
 
 
 # --- engine helpers for tests (not oracles) -----------------------------

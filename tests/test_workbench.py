@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -682,7 +684,7 @@ def test_engine_key_error_is_not_a_diagnostic(monkeypatch):
 
 # -- CLI ------------------------------------------------------------------------
 
-# the command surface, as argparse prints it: command -> its help line
+# the command surface, as `cdgl --help` lists it: command -> its help line
 CLI_COMMANDS = {
     "check": "validate a model file or builtin",
     "homology": "homology table of a model",
@@ -731,15 +733,164 @@ def test_cli_help_lists_every_command(capsys):
         assert "%s %s" % (command, help_line) in words
 
 
+def test_long_flag_prefixes(capsys):
+    from cdgl.workbench.cli import main, read_argv
+    base = ["homology", "--model", "sphere(2)", "--range", "0..2"]
+    assert read_argv(base + ["--trunc", "5"]) == read_argv(base + ["--truncate", "5"])
+    assert read_argv(base + ["--for=canonical", "--no"]) == read_argv(
+        base + ["--format", "canonical", "--no-stability"])
+    # --mo names both --model and --morphism on pi-map
+    code, out, err = _exit_of(["pi-map", "--mo", "id", "--range", "1..2"], capsys)
+    assert code == 2 and not out and err.startswith("usage: cdgl")
+    assert "ambiguous option: --mo could match --model, --morphism" in err
+    assert main(base + ["--trunc", "2", "--form", "canonical"]) == 0
+    assert "caps.truncation = 2" in capsys.readouterr().out
+
+
+# argv values drawn per flag, mostly valid; none starts with "-", where the
+# reader, taking the next argument whatever it is, parts from argparse
+_ARGV_VALUES = {"int": ["3", "2", "12", " 4", "x", "", "2.5"],
+                "range": ["0..4", "1..3", "0..0", "3", "a..b", "2.."],
+                "format": ["table", "canonical", "canonical", "csv"],
+                "str": ["x", "[x,y]", "id", "f", "sphere(2)", "", "a b", "=x"]}
+
+
+def _argv_values(spec):
+    if "choices" in spec:
+        return _ARGV_VALUES["format"]
+    if spec.get("type") is int:
+        return _ARGV_VALUES["int"]
+    return _ARGV_VALUES["range" if "type" in spec else "str"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv built from the CLI's tables: a command (or none, or a wrong
+    one), then flags in any order in every form argparse reads, the file
+    anywhere, unknown flags, odd positionals, and at the end a flag with its
+    value missing or a help flag."""
+    from cdgl.workbench import cli
+    command = draw(st.sampled_from(list(cli.COMMANDS) * 3 + [None, "nope"]))
+    specs = cli._COMMON[1:] + cli.COMMANDS.get(command, ("", ()))[1]
+    picks = [draw(st.sampled_from(specs)) for _ in range(draw(st.integers(0, 5)))]
+    picks += [(f, s) for f, s in specs if s.get("required") and draw(st.integers(0, 9))]
+    items = []
+    for flag, spec in picks:
+        if flag[1] == "-" and draw(st.booleans()):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if "action" in spec:
+            items.append([draw(st.sampled_from([flag, flag, flag, flag + "=1", flag + "="]))])
+            continue
+        value = draw(st.sampled_from(_argv_values(spec)))
+        form = draw(st.sampled_from(["space", "eq"] + ["glued"] * (flag[1] != "-" and value != "")))
+        items.append({"space": [flag, value], "eq": [flag + "=" + value],
+                      "glued": [flag + value]}[form])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["file"] * 4 + ["unknown", "odd"]))
+        items.append([draw(st.sampled_from({
+            "file": [os.path.join(DATA, "s1.cdgl"), os.path.join(DATA, "two_intervals.cdgl"),
+                     "nosuchfile.cdgl"],
+            "unknown": ["--bogus", "-z", "--bogus=1", "---x"],
+            "odd": ["-", "-5.", "--", "a b", "=x"]}[kind]))])
+    argv = [] if command is None else [command]
+    argv += [arg for item in draw(st.permutations(items)) for arg in item]
+    ends = [draw(st.sampled_from(specs))[0], "-h", "--help", "--he", "--help=1"]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(ends)))
+    return argv
+
+
+def _read_with(read, argv):
+    """(exit code, values, stdout, stderr) of read(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return 0, read(argv), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+
+
+def _assert_reads_as_argparse(argv):
+    # either both accept argv with the same task and --format, or both print
+    # the help (exit 0), or both exit 2 with the usage on stderr only
+    from oracles import argparse_argv
+    from cdgl.workbench.cli import read_argv, task_from_args
+    code, values, out, err = _read_with(read_argv, argv)
+    ref_code, ref, ref_out, ref_err = _read_with(argparse_argv, argv)
+    assert code == ref_code, (argv, err, ref_err)
+    if code == 2:
+        assert not out and err.startswith("usage: cdgl") and not ref_out
+    elif values is None:
+        assert code == 0 and out.startswith("usage: cdgl") and not err
+    else:
+        assert values["format"] == ref["format"]
+        task, unread = task_from_args(values)
+        ref_task, ref_unread = task_from_args(ref)
+        assert unread == ref_unread
+        assert {k: getattr(task, k) for k in Task.__slots__} == {
+            k: getattr(ref_task, k) for k in Task.__slots__}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+def test_argv_reader_agrees_with_argparse(argv):
+    _assert_reads_as_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--bogus"], ["--bogus", "--help"], ["--", "homology"], ["-5", "homology"],
+    ["homology", "-5."], ["homology", "-"], ["homology", "--", "-5"],
+    ["homology", "--", "--model"], ["homology", "--", "a", "--"],
+    ["homology", "--model=S1", "--truncate=-3"], ["homology", "--no-stability="],
+    ["bch", "-hz"], ["homology", "-hx"], ["gauge", "-a b", "-x", "c"], ["gauge", "-xy", "-a="],
+    ["pi-map", "--", "--mo"], ["pi-map", "--=x"], ["--help=x"], ["witness", "--h"],
+    ["witness", "--homotopy", "H", "--from", "f", "--to", "g", "--fr", "e"],
+    ["homology", "--help", "--trunc", "x"], ["homology", "--trunc", "x", "--help"],
+])
+def test_argv_reader_agrees_with_argparse_on_odd_argvs(argv):
+    _assert_reads_as_argparse(argv)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # a positional that starts with "-" goes after "--"; argparse took a
+    # negative number, or text with a space, for a positional
+    (["homology", "-5"], 2), (["homology", "-a b"], 2),
+    # -h fused with another short flag is refused; argparse read -hx as -h -x
+    (["bch", "-hx", "a"], 2),
+    # help answers when it is read; argparse first refused an ambiguous
+    # prefix anywhere in argv
+    (["pi-map", "--help", "--mo", "x"], 0),
+])
+def test_argv_reader_parts_from_argparse(argv, code):
+    # argparse read each of these the other way: accepted (0) or refused (2)
+    from oracles import argparse_argv
+    from cdgl.workbench.cli import read_argv
+    assert _read_with(read_argv, argv)[0] == code
+    assert _read_with(argparse_argv, argv)[0] == 2 - code
+
+
+NEGATIVE_VALUES = [
+    ("homology", [("--model", "S1"), ("--range", "-1..3")], "homology.H_-1 = 1"),
+    ("bch", [("--model", "wedge(1,1)"), ("-x", "-1*y"), ("-y", "x"), ("--truncate", "2")],
+     "bch.result = x + -1 * y + 1/2 * [x,y]"),
+    ("bch", [("--model", "wedge(1,1)"), ("-x", "-x"), ("-y", "y"), ("--truncate", "2")],
+     "bch.result = -1 * x + y + -1/2 * [x,y]"),
+    ("gauge", [("--model", "L1"), ("-x", "-x"), ("-a", "a"), ("--truncate", "3")],
+     "gauge.result = 2 * a + -1 * b + [a,x]"),
+]
+
+
 def test_negative_range_lower_bound_both_forms(capsys):
+    # a flag takes the next argument as its value, whatever it starts with:
+    # "--flag value" and "--flag=value" give the same report
     from cdgl.workbench.cli import main
-    outs = []
-    for argv in (["--range", "-1..3"], ["--range=-1..3"]):
-        assert main(["homology", "--model", "S1", "--format", "canonical"]
-                    + argv) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert "homology.H_-1 = 1" in outs[0]
+    for command, pairs, expect in NEGATIVE_VALUES:
+        outs = []
+        for argv in ([a for pair in pairs for a in pair], ["=".join(pair) for pair in pairs]):
+            assert main([command, "--format", "canonical"] + argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert expect in outs[0]
 
 
 def readme_cli_examples():
@@ -796,15 +947,20 @@ def test_homology_rank_bookkeeping_is_an_internal_error(monkeypatch, capsys):
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # the engine's records are plain classes; dataclasses would pull in
-    # inspect, dis and tokenize on every start of the CLI
+    # inspect, dis and tokenize on every start of the CLI, and argparse
+    # gettext and locale, which its own argv reader does without
     src = os.path.abspath(os.path.join(os.path.dirname(DATA), os.pardir, "src"))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys; names = {'dataclasses', 'inspect', 'dis', 'tokenize'}; "
-            "before = names & set(sys.modules); import cdgl.workbench.cli; "
-            "print(sorted(names & set(sys.modules) - before))")
+    argv = ["homology", "--model", "sphere(2)", "--range", "0..4", "--format", "canonical"]
+    code = ("import sys; names = {'dataclasses', 'inspect', 'dis', 'tokenize', "
+            "'argparse', 'gettext', 'locale'}; before = names & set(sys.modules); "
+            "import cdgl.workbench.cli as cli; print(sorted(names & set(sys.modules) - before)); "
+            "code = cli.main(%r); print(sorted(names & set(sys.modules) - before), code)" % argv)
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[] 0"
+    assert "homology.H_1 = 1" in out.stdout
 
 
 def test_readme_cli_examples_run(monkeypatch, capsys):
