@@ -558,11 +558,11 @@ class ConvolutionDGL:
                     rows.setdefault(i, []).append((pos, fv, gv, -c if odd else c))
         out = {}
         for i in sorted(rows):
-            acc = self.L.zero()
+            acc = {}
             for _, fv, gv, c in sorted(rows[i], key=lambda t: t[0]):
-                acc = acc + bracket(fv, gv).scale(c)
-            if not acc.is_zero():
-                out[i] = acc
+                accumulate(acc, ((w, c * t) for w, t in bracket(fv, gv).terms.items()))
+            if acc:
+                out[i] = LieElement(acc, self.L.trunc)
         return HomElement(self, f.degree + g.degree, out)
 
     def check_mc(self, f: HomElement):

@@ -13,6 +13,7 @@ adjoint derivations are cycles.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from functools import cached_property, partial
 
 from . import exactlin
@@ -20,10 +21,11 @@ from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
                         chains_functor, comul_by_left, lie_functor)
 from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
                   GeneratorFiltration, H0Group, ad_values, apply_operator,
-                  exp_derivation_values, log_morphism, nilpotency)
+                  exp_derivation_values, nilpotency)
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
                        IncrementalSpan, LongExactSequence, SparseMat, SparseVec,
-                       build_complex, homology_at, homology_reports, les_of_ses)
+                       _vec, build_complex, homology_at, homology_reports,
+                       les_of_ses)
 from .freelie import DegreeError, LieElement, LieTable, bracket
 
 
@@ -103,57 +105,76 @@ def ad_derivation(L: DGLPresentation, x: LieElement) -> Derivation:
 
 
 class DerSpace:
-    """Basis bookkeeping for one degree of a derivation complex.
+    """One degree n of a derivation complex.
 
-    A derivation of degree n is coordinatized by flattening its values over
-    the slots (generator g, basis of target degree |g| + n).  By default the
-    elements are the unit tables in slot order, whose coordinates are the
-    flattening; other elements go through a FactoredBasis.
+    A derivation of degree n is flattened over the slots (g, e), one block
+    per source generator g, e running over the target basis of degree
+    |g| + n.  A unit space (elements None) has the slots as its basis and
+    holds no derivation; a subspace lists its elements, and coordinates in
+    them go through a FactoredBasis.
     """
 
-    def __init__(self, source, target, degree, elements=None, base=None):
+    def __init__(self, source, target, degree, elements=None):
         self.source = source
         self.target = target
         self.degree = degree
         self.units = elements is None
-        self.elements = (unit_derivations(source, target, degree, base)
-                         if self.units else list(elements))
-        self._offsets = {}
+        self.elements = None if self.units else list(elements)
+        self.blocks = []        # (generator, offset, target basis)
         off = 0
         for g in source.gens:
-            tgt_deg = g.degree + degree
-            dim = len(target.basis(tgt_deg))
-            self._offsets[g] = off
-            off += dim
+            basis = target.basis(g.degree + degree)
+            self.blocks.append((g, off, basis))
+            off += len(basis)
+        self._offsets = {g: o for g, o, _ in self.blocks}
         self.total_slots = off
         self._factored = None
 
-    def flatten(self, theta: Derivation) -> SparseVec:
+    def flatten(self, values) -> SparseVec:
+        """Slot coordinates of the derivation with these generator values."""
         out = {}
-        for g, v in theta.values.items():
-            coords = self.target.coords(v, g.degree + self.degree)
+        for g, v in values.items():
             off = self._offsets[g]
-            for i, c in coords.entries.items():
+            for i, c in self.target.coords(v, g.degree + self.degree).entries.items():
                 out[off + i] = c
-        return SparseVec(out)
+        return _vec(out)
 
-    def coords(self, theta: Derivation) -> SparseVec:
-        """Coordinates in the elements, which may be dependent: the
-        free-variables-zero solution that FactoredBasis gives."""
-        if self.units:
-            return self.flatten(theta)
+    def unflatten(self, vec: SparseVec, base=None) -> Derivation:
+        """The derivation with slot coordinates vec, block by block."""
+        values = {}
+        for g, off, basis in self.blocks:
+            block = {i - off: c for i, c in vec.entries.items()
+                     if off <= i < off + len(basis)}
+            if block:
+                values[g] = self.target.from_coords(_vec(block), g.degree + self.degree)
+        return Derivation(self.source, self.target, self.degree, values, base)
+
+    def in_elements(self, vec: SparseVec) -> SparseVec:
+        """Slot coordinates vec in the elements (the free-variables-zero
+        solution, as FactoredBasis gives it)."""
+        if self.units or not vec.entries:
+            return vec
         if self._factored is None:
             self._factored = FactoredBasis(
-                [self.flatten(e) for e in self.elements], self.total_slots)
-        vec = self.flatten(theta)
+                [self.flatten(e.values) for e in self.elements], self.total_slots)
         try:
             return self._factored.coords(vec)
         except exactlin.NotInSpanError:
             raise exactlin.NotInSpanError(
                 "derivation outside the stored degree-%d space" % self.degree) from None
 
+    def coords(self, theta: Derivation) -> SparseVec:
+        return self.in_elements(self.flatten(theta.values))
+
+    def labels(self):
+        if self.units:
+            return ["%s->%s" % (g.name, e.label or "?")
+                    for g, _, basis in self.blocks for e in basis]
+        return [th.label or ("th%d_%d" % (self.degree, i))
+                for i, th in enumerate(self.elements)]
+
     def __len__(self):
-        return len(self.elements)
+        return self.total_slots if self.units else len(self.elements)
 
 
 def unit_derivations(source, target, degree, base=None):
@@ -166,64 +187,92 @@ def unit_derivations(source, target, degree, base=None):
     return out
 
 
+def unit_columns(space: DerSpace, below: DerSpace, phi=None, dcols=None):
+    """The columns of D: Der_n -> Der_{n-1} on the unit slots of space, in
+    the slot coordinates of below.  The slot (g, e_j) gives the target's
+    boundary column j at degree |g| + n in block g, minus (-1)^n
+    theta(d h) for theta = {g: e_j} in block h, for each h whose d holds
+    g.  dcols caches the boundary columns by degree, to share them; phi is
+    the base morphism of f-derivations (None: the identity)."""
+    src, tgt, n = space.source, space.target, space.degree
+    dcols = {} if dcols is None else dcols
+    images = None if phi is None else phi.images
+    sgn = 1 if n % 2 else -1
+    cols = []
+    for g, _, basis in space.blocks:
+        deg, at = g.degree + n, below._offsets[g]
+        if basis and deg not in dcols:
+            dcols[deg] = [tgt.coords(tgt.d(e), deg - 1) for e in basis]
+        users = sorted(src.d_users.get(g, ()), key=src.gen_index.__getitem__)
+        for e, dcol in zip(basis, dcols.get(deg, ())):
+            col = {at + i: c for i, c in dcol.entries.items()}
+            for h in users:
+                v = apply_operator({g: e}, n, src.d_on_gens[h], phi=images)
+                off = below._offsets[h]
+                exactlin.accumulate(col, ((off + i, sgn * c) for i, c in
+                                          tgt.coords(v, h.degree + n - 1).entries.items()))
+            cols.append(_vec(col))
+    return cols
+
+
 def _is_identity(phi: DGLMorphism) -> bool:
     return (phi.source is phi.target
             and all(phi.images[g] == phi.source.gen(g) for g in phi.source.gens))
 
 
 class DerComplex:
-    """Chain complex of (f-)derivations on a degree window."""
+    """Chain complex of (f-)derivations on a degree window: unit spaces in
+    each degree n of the window and n - 1, or deg0_subspace in degree 0."""
 
     def __init__(self, source, target, phi: DGLMorphism | None, degrees,
                  deg0_subspace=None):
         self.source = source
         self.target = target
         self.phi = None if (phi is None or _is_identity(phi)) else phi
-        base = self.phi
         self.degrees = sorted(degrees)
         self.spaces = {n: DerSpace(source, target, n,
-                                   deg0_subspace if n == 0 else None, base)
-                       for n in self.degrees + [self.degrees[0] - 1]}
+                                   deg0_subspace if n == 0 else None)
+                       for n in sorted({m for n in self.degrees for m in (n - 1, n)})}
         self._complex = None
 
     def space(self, n) -> DerSpace:
-        sp = self.spaces.get(n)
-        if sp is None:
-            sp = DerSpace(self.source, self.target, n, [])
-        return sp
+        return (self.spaces[n] if n in self.spaces
+                else DerSpace(self.source, self.target, n, []))
 
     def element(self, n, vec: SparseVec) -> Derivation:
-        """The degree-n derivation with coordinates vec in the stored elements."""
+        """The degree-n derivation with coordinates vec in the stored basis."""
+        sp = self.space(n)
+        if sp.units:
+            return sp.unflatten(vec, self.phi)
         out = Derivation(self.source, self.target, n, {}, self.phi)
         for i, c in vec.entries.items():
-            out = out + self.space(n).elements[i].scale(c)
+            out = out + sp.elements[i].scale(c)
         return out
 
     def complex(self) -> GradedChainComplex:
         """The chain complex, built on the first call and kept."""
         if self._complex is None:
-            self._complex = build_complex(
-                self.degrees, lambda n: self.space(n).elements,
-                derivation_differential, lambda th, n: self.space(n).coords(th),
-                lambda n, i, th: th.label or ("th%d_%d" % (n, i)))
+            boundary, dcols = {}, {}
+            for n in self.degrees:
+                sp, below = self.spaces[n], self.spaces[n - 1]
+                cols = (unit_columns(sp, below, self.phi, dcols) if sp.units else
+                        [below.flatten(derivation_differential(th).values)
+                         for th in sp.elements])
+                boundary[n] = SparseMat.from_columns(
+                    len(below), [below.in_elements(c) for c in cols])
+            self._complex = GradedChainComplex(
+                {n: sp.labels() for n, sp in self.spaces.items()}, boundary)
         return self._complex
 
 
 # -- twisted complexes -------------------------------------------------------
 
-class TwistedComplex:
-    __slots__ = ("total", "sub", "quotient", "incl", "proj")
-
-    def __init__(self, total: GradedChainComplex, sub: GradedChainComplex,
-                 quotient: GradedChainComplex, incl: ChainMap, proj: ChainMap):
-        self.total = total
-        self.sub = sub
-        self.quotient = quotient
-        self.incl = incl
-        self.proj = proj
+class TwistedComplex(namedtuple("TwistedComplex", "sub total quotient incl proj")):
+    """The short exact sequence sub -> total -> quotient of a twisted
+    product, with its inclusion and projection chain maps."""
 
     def ses(self):
-        return self.sub, self.total, self.quotient, self.incl, self.proj
+        return tuple(self)
 
 
 def _twisted_product(sub: GradedChainComplex, quot: GradedChainComplex,
@@ -254,7 +303,7 @@ def _twisted_product(sub: GradedChainComplex, quot: GradedChainComplex,
         n: SparseMat(quot.dim(n), total.dim(n),
                      {(j, sub.dim(n) + j): 1 for j in range(quot.dim(n))})
         for n in window})
-    return TwistedComplex(total, sub, quot, incl, proj)
+    return TwistedComplex(sub, total, quot, incl, proj)
 
 
 def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
@@ -274,14 +323,10 @@ def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
 
     def ad_column(n):
         # ad_x (. phi) for each x in L_{n-1}, in the stored Der_{n-1} basis
-        cols = []
-        for e in L.basis(n - 1):
-            theta = Derivation(src, L, e.degree(),
-                               {g: bracket(e, images[g]) for g in src.gens},
-                               base=phi)
-            cols.append(dercx.space(n - 1).coords(theta)
-                        if not theta.is_zero() else SparseVec())
-        return SparseMat.from_columns(len(dercx.space(n - 1)), cols)
+        sp = dercx.space(n - 1)
+        return SparseMat.from_columns(len(sp), [
+            sp.in_elements(sp.flatten({g: bracket(e, images[g]) for g in src.gens}))
+            for e in L.basis(n - 1)])
 
     return _twisted_product(dercx.complex(),
                             _shifted_l_complex(L, degrees), degrees, ad_column)
@@ -292,18 +337,6 @@ def twisted_l_der(L: DGLPresentation, dercx: DerComplex, degrees) -> TwistedComp
     lo, hi = min(degrees), max(degrees)
     return _twisted_product(L.complex(range(lo - 1, hi + 1)),
                             dercx.complex(), degrees)
-
-
-def twisted_hom_der(H: ConvolutionDGL, dercx: DerComplex, degrees) -> TwistedComplex:
-    """Hom(C, L) (x~) Der L with [theta, f] = theta . f."""
-    return _twisted_product(H.complex(sorted(degrees)),
-                            dercx.complex(), degrees)
-
-
-def hom_der_bracket(H: ConvolutionDGL, theta: Derivation, f: HomElement) -> HomElement:
-    """[theta, f] = theta . f in the Hom (x~) Der twisted dgl."""
-    return HomElement(H, theta.degree + f.degree,
-                      {i: theta.apply(v) for i, v in f.values.items()})
 
 
 # -- distinguished degree-0 subalgebras ---------------------------------------
@@ -342,69 +375,57 @@ def require_connected_minimal(L: DGLPresentation):
 
 def r0_basis(L: DGLPresentation, space0: DerSpace | None = None):
     """R_0 = D(Der_1 L) + ad L_0 inside Der_0, as an independent list;
-    space0 is the degree-0 flattening to use, made here when not given."""
+    space0 is the degree-0 flattening to use, made here when not given.  A
+    column of D on the Der_1 unit slots becomes a derivation when picked."""
     if space0 is None:
         space0 = DerSpace(L, L, 0, [])
     span = IncrementalSpan()
     picked = []
-    for th in unit_derivations(L, L, 1):
-        D = derivation_differential(th)
-        if D.is_zero():
-            continue
-        if span.add(space0.flatten(D)):
-            D.label = "D(%s)" % (th.label or "?")
+    units = DerSpace(L, L, 1)
+    for label, col in zip(units.labels(), unit_columns(units, space0)):
+        if span.add(col):
+            D = space0.unflatten(col)
+            D.label = "D(%s)" % label
             picked.append(D)
     for e in L.basis(0):
         theta = ad_derivation(L, e)
         if theta.is_zero():
             continue
-        if span.add(space0.flatten(theta)):
+        if span.add(space0.flatten(theta.values)):
             theta.label = "ad(%s)" % (e.label or "?")
             picked.append(theta)
     return picked
 
 
 def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
-    """Degree-0 D-cycles theta with theta(V^i) in V^{i+1} + brackets."""
-    units = unit_derivations(L, L, 0)
-    # admissible unit tables: length-1 values must raise the filtration level
+    """Degree-0 D-cycles theta with theta(V^i) in V^{i+1} + brackets: the
+    kernel of D on the admissible unit slots of Der_0."""
+    units = DerSpace(L, L, 0)
+    # admissible slots: a length-1 value must raise the filtration level
     admissible = []
-    for th in units:
-        ((g, v),) = th.values.items()
-        if v.min_length() == 1:
-            ((word, _),) = v.terms.items()
-            h = word[0]
-            lvl = filtration.level_of(g)
-            if h not in filtration.next_level(lvl):
-                continue
-        admissible.append(th)
+    for g, off, basis in units.blocks:
+        for j, e in enumerate(basis):
+            if e.min_length() == 1:
+                ((word, _),) = e.terms.items()
+                if word[0] not in filtration.next_level(filtration.level_of(g)):
+                    continue
+            admissible.append(off + j)
     if not admissible:
         return []
-    spacem1 = DerSpace(L, L, -1)
-    cols = []
-    for th in admissible:
-        D = derivation_differential(th)
-        cols.append(spacem1.coords(D) if not D.is_zero() else SparseVec())
-    mat = SparseMat.from_columns(len(spacem1), cols)
-    kernel = exactlin.kernel_basis(mat)
+    below = DerSpace(L, L, -1)
+    cols = unit_columns(units, below)
+    kernel = exactlin.kernel_basis(
+        SparseMat.from_columns(len(below), [cols[i] for i in admissible]))
     out = []
     for k, vec in enumerate(kernel):
-        th = Derivation(L, L, 0, {})
-        for i, c in vec.entries.items():
-            th = th + admissible[i].scale(c)
+        th = units.unflatten(_vec({admissible[i]: c for i, c in vec.entries.items()}))
         th.label = "k%d" % k
         out.append(th)
     return out
 
 
-class DerGZeroReport:
-    __slots__ = ("basis", "saturation_flag", "notes")
-
-    def __init__(self, basis: list, saturation_flag: bool,
-                 notes: list | None = None):
-        self.basis = basis
-        self.saturation_flag = saturation_flag   # saturated under exp(R0) conjugation
-        self.notes = [] if notes is None else notes
+# saturation_flag: the basis is saturated under exp(R0) conjugation
+DerGZeroReport = namedtuple("DerGZeroReport", "basis saturation_flag notes")
 
 
 def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
@@ -424,8 +445,8 @@ def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
         basis = stabilizer_der0(L, spec.filtration)
         span = IncrementalSpan()
         for th in basis:
-            span.add(space0.flatten(th))
-        contains = all(not span.add(space0.flatten(th)) for th in r0)
+            span.add(space0.flatten(th.values))
+        contains = all(not span.add(space0.flatten(th.values)) for th in r0)
         if not contains:
             raise InvalidSubgroupError("stabilizer subspace does not contain R0 "
                                        "(is the differential decomposable?)")
@@ -441,15 +462,12 @@ def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
     full = IncrementalSpan()
     basis = []
     for th in span_list + r0:
-        if full.add(space0.flatten(th)):
+        if full.add(space0.flatten(th.values)):
             basis.append(th)
     # bracket closure obligation (Theorem on complete subgroups, shadow)
     for a in basis:
         for b in basis:
-            br = derivation_bracket(a, b)
-            if br.is_zero():
-                continue
-            if not full.contains(space0.flatten(br)):
+            if not full.contains(space0.flatten(derivation_bracket(a, b).values)):
                 raise InvalidSubgroupError(
                     "span + R0 is not closed under the bracket (closure "
                     "obligation from the complete-subgroup theorem)")
@@ -466,11 +484,8 @@ def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
                          "not checked" % (r.label or "r0"))
             break
         for th in basis:
-            conj = {}
-            for g in L.gens:
-                conj[g] = er.apply(th.apply(er_inv.apply(L.gen(g))))
-            conj_th = Derivation(L, L, 0, conj)
-            if not full.contains(space0.flatten(conj_th)):
+            conj = {g: er.apply(th.apply(er_inv.apply(L.gen(g)))) for g in L.gens}
+            if not full.contains(space0.flatten(conj)):
                 saturated = False
                 notes.append("conjugation by exp(%s) leaves the span" % (r.label or "r0"))
                 break
@@ -483,12 +498,12 @@ def pointed_stability_check(L: DGLPresentation, basis, space0: DerSpace):
     """Pointed pipelines need the span preserved by bracketing with ad L_0."""
     full = IncrementalSpan()
     for th in basis:
-        full.add(space0.flatten(th))
+        full.add(space0.flatten(th.values))
     for e in L.basis(0):
         adx = ad_derivation(L, e)
         for th in basis:
             br = derivation_bracket(adx, th)
-            if not br.is_zero() and not full.contains(space0.flatten(br)):
+            if not br.is_zero() and not full.contains(space0.flatten(br.values)):
                 raise InvalidSubgroupError(
                     "span is not preserved by the degree-0 adjoint action "
                     "(pointed pipelines need an action-stable span)")
@@ -497,16 +512,8 @@ def pointed_stability_check(L: DGLPresentation, basis, space0: DerSpace):
 
 # -- suspension comparison (Gamma) ---------------------------------------------
 
-class GammaReport:
-    __slots__ = ("ok", "basis_checked", "pairs_checked", "failures", "caps")
-
-    def __init__(self, ok: bool, basis_checked: int, pairs_checked: int,
-                 failures: list | None = None, caps: dict | None = None):
-        self.ok = ok
-        self.basis_checked = basis_checked
-        self.pairs_checked = pairs_checked
-        self.failures = [] if failures is None else failures
-        self.caps = {} if caps is None else caps
+GammaReport = namedtuple("GammaReport",
+                         "ok basis_checked pairs_checked failures caps")
 
 
 def _gamma_image(H: ConvolutionDGL, label_of_gen, theta: Derivation) -> HomElement:
@@ -600,11 +607,12 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
                     rows.setdefault(i, []).append((pos, gv, ev, -c if odd else c))
         values = {}
         for i in sorted(rows):
-            acc = Ltgt.zero()
+            acc = {}
             for _, gv, ev, c in sorted(rows[i], key=lambda t: t[0]):
-                acc = acc + bracket(gv, ev).scale(c)
-            if not acc.is_zero():
-                values[gen_of_label[i]] = acc.scale(-1)
+                exactlin.accumulate(acc, ((w, -c * t)
+                                          for w, t in bracket(gv, ev).terms.items()))
+            if acc:
+                values[gen_of_label[i]] = LieElement(acc, Ltgt.trunc)
         return Derivation(LC, Ltgt, gam.degree + eta.degree - 1, values,
                           base=phi_tilde)
 
@@ -847,11 +855,3 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
                              total_homology=total_h,
                              saturation_flag=report_g0.saturation_flag)
 
-
-def bch_der(a: Derivation, b: Derivation) -> Derivation:
-    """log(exp a . exp b) for degree-0 derivations of one L, via operator
-    composition on the truncated L (the reference for H0Group's law)."""
-    L = a.source
-    ea = exp_derivation_values(L, a.values, check_cycle=False)
-    eb = exp_derivation_values(L, b.values, check_cycle=False)
-    return Derivation(L, L, 0, log_morphism(ea.compose(eb)))

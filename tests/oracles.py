@@ -9,22 +9,30 @@ the engine's output.  The differentials of derivations and of convolution
 elements visit every generator or label of a table, where the engine visits
 only those a table can reach; the bracket compatibility of gamma compares
 both sides on every pair of unit tables and every coproduct row, where the
-engine visits only the pairs that a row reaches.  The last section holds
-test helpers that build engine values (left-normed brackets, the Dynkin map,
-connected covers, components, the Fraction gauge series, the action on
-morphisms, model file text) and assert_exact, the check of the engine's
-scalar normal form; no oracle uses them.  argparse_argv reads a command
-line with argparse, the reference for the CLI's own argv reader.
+engine visits only the pairs that a row reaches.  w_classifying takes the
+classifying nilpotency index on dense word derivations, where the engine
+reads unit slots and sparse spans.  The last section holds test helpers
+that build engine values (left-normed brackets, the Dynkin map, connected
+covers, components, the Fraction gauge series, the action on morphisms,
+model file text, the derivation complex built element by element, the
+operator BCH of derivations and the Hom (x~) Der product) and
+assert_exact, the check of the engine's scalar normal form; no oracle uses
+them.  argparse_argv reads a command line with argparse, the reference for
+the CLI's own argv reader.
 """
 
 import argparse
 from fractions import Fraction
 from math import factorial, gcd
 
+from cdgl.coalgebra import HomElement
+from cdgl.derivations import (DerSpace, Derivation, _twisted_product,
+                              derivation_differential, unit_derivations)
 from cdgl.dgl import (MCViolationError, _max_iterations, ad_values, apply_operator,
-                      exp_ad, nilpotent_series, perturbed)
+                      exp_ad, exp_derivation_values, log_morphism,
+                      nilpotent_series, perturbed)
 from cdgl.exactlin import (FactoredBasis, GradedChainComplex, IllFormedComplexError,
-                           NotInSpanError, SparseMat, kernel_basis)
+                           NotInSpanError, SparseMat, build_complex, kernel_basis)
 from cdgl.freelie import LieElement, _dynkin_terms, _exp_coefficient, bracket
 from cdgl.workbench.tasks import pretty_element
 
@@ -569,6 +577,131 @@ def w_homology_algebra(gens, d, cap, window):
     return reps, table
 
 
+# --- the classifying nilpotency index over tensor words -------------------
+
+def w_classifying(gens, d, cap, mode, window, kind, raises=None, span=()):
+    """(nilpotency index, {n: dim H_n}, dim Der^G_0) of the classifying
+    pipeline on dense tensor-word derivations of the free Lie algebra on
+    gens cut at length cap, with d the word dict of d(g) for each letter.
+
+    Der_n is spanned by the unit tables {g: e}, e in the w_lie_basis of
+    degree |g| + n, and D by w_derivation_differential.  Der^G_0 is spanned
+    by R_0 = D(Der_1) + ad L_0 (kind "identity"), by the kernel of D on the
+    unit tables of Der_0 whose value, when it is one letter h, has
+    raises(g, h) (kind "stabilizer"), or by span (tables) and R_0 (kind
+    "span").  mode "POINTED" takes the homology of Der^G, mode "FREE" that
+    of Der^G x~ sL, with D(theta, sx) = (D theta + ad_x, -s dx) and the
+    bracket [(theta, sx), (eta, sy)] = ([theta, eta], (-1)^|theta| s theta(y)
+    - (-1)^{|x||eta|} s eta(x)).  The index is dense_nilpotency_class of the
+    homology Lie algebra of the window: the brackets of the representatives
+    modulo boundaries, zero outside the window."""
+    letters = [(g.name, g.degree) for g in gens]
+    d = {g: d.get(g, {}) for g in letters}
+    free = mode == "FREE"
+
+    def admits(w):
+        return len(w) <= cap
+
+    bases = {}
+
+    def chains(degree):
+        if degree not in bases:
+            bases[degree] = [w for ln in range(1, cap + 1)
+                             for _, w in w_lie_basis(gens, degree, ln)]
+        return bases[degree]
+
+    def ad(x):
+        return {g: v for g in letters if (v := w_bracket(x, {(g,): Fraction(1)}, cap))}
+
+    def units(n):
+        return [{g: e} for g in letters for e in chains(g[1] + n)]
+
+    def flat(table, x=None):
+        out = {("D", g, w): c for g, v in table.items() for w, c in v.items()}
+        out.update({("s", w): c for w, c in (x or {}).items()})
+        return out
+
+    def split(vec):
+        table, x = {}, {}
+        for key, c in vec.items():
+            if key[0] == "D":
+                table.setdefault(key[1], {})[key[2]] = c
+            else:
+                x[key[1]] = c
+        return table, x
+
+    def dee(vec, n):
+        table, x = split(vec)
+        D = w_derivation_differential(table, n, d, d, admits)
+        if free:
+            for g, v in ad(x).items():
+                D[g] = w_add(D.get(g, {}), v)
+        return flat({g: v for g, v in D.items() if v},
+                    w_scale(w_apply_operator(d, -1, x, admits), -1))
+
+    r0 = [v for v in (w_derivation_differential(u, 1, d, d, admits) for u in units(1))
+          if v] + [v for v in map(ad, chains(0)) if v]
+    if kind == "identity":
+        g0 = r0
+    elif kind == "span":
+        g0 = list(span) + r0
+    else:
+        # a unit whose value is one letter h needs raises(g, h)
+        admissible = [u for u in units(0) for g, e in u.items()
+                      if min(map(len, e)) > 1 or raises(g, next(iter(e))[0])]
+        words, M = _w_matrix([flat(w_derivation_differential(u, 0, d, d, admits))
+                              for u in admissible])
+        g0 = ([split(w_combination([flat(u) for u in admissible], x))[0]
+               for x in dense_kernel(M, len(admissible))] if words else admissible)
+    der0 = dense_rank(_w_matrix([flat(t) for t in g0])[1]) if g0 else 0
+
+    def space(n):
+        out = [flat(t) for t in (g0 if n == 0 else units(n))]
+        return out + [flat({}, e) for e in chains(n - 1)] if free else out
+
+    def homology(n):
+        basis = space(n)
+        boundaries = [b for b in (dee(c, n + 1) for c in space(n + 1)) if b]
+        words, M = _w_matrix([dee(c, n) for c in basis])
+        cycles = ([w_combination(basis, x) for x in dense_kernel(M, len(basis))]
+                  if words else basis)
+        cycles = [z for z in cycles if z]
+        pivots = dense_rref(_w_matrix(boundaries + cycles)[1],
+                            len(boundaries) + len(cycles))[0]
+        return ([cycles[p - len(boundaries)] for p in pivots if p >= len(boundaries)],
+                boundaries)
+
+    def apply(table, degree, x):
+        return w_apply_operator(table, degree, x, admits)
+
+    def der_bracket(a, n, b, m):
+        sgn = -1 if n * m % 2 == 0 else 1
+        return {g: v for g in letters
+                if (v := w_add(apply(a, n, b.get(g, {})),
+                               w_scale(apply(b, m, a.get(g, {})), sgn)))}
+
+    def lie_bracket(u, n, v, m):
+        (a, x), (b, y) = split(u), split(v)
+        sl = w_add(w_scale(apply(a, n, y), -1 if n % 2 else 1),
+                   w_scale(apply(b, m, x), -1 if (n - 1) * m % 2 == 0 else 1))
+        return flat(der_bracket(a, n, b, m), sl)
+
+    found = {n: homology(n) for n in window}
+    reps = [(n, z) for n in window for z in found[n][0]]
+    first = {}
+    for i, (n, _) in enumerate(reps):
+        first.setdefault(n, i)
+    table = [[{} for _ in reps] for _ in reps]
+    for i, (n, a) in enumerate(reps):
+        for j, (m, b) in enumerate(reps):
+            br = lie_bracket(a, n, b, m)
+            if n + m in found and br:
+                hr, hb = found[n + m]
+                (coords,) = w_solve_modulo(hr, hb, [br])
+                table[i][j] = {first[n + m] + q: c for q, c in coords.items()}
+    dims = {n: len(found[n][0]) for n in window}
+    return (dense_nilpotency_class(table) if reps else 0), dims, der0
+
 def argparse_argv(argv):
     """vars() of the namespace that argparse gives argv, on the parser the
     CLI built before its own reader: one subparser per command of
@@ -692,3 +825,54 @@ def export_source(L, name=None) -> str:
         lines.append("  mc %s" % gname)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
+    """(complex, element(n, vec)): the derivation complex built element by
+    element, as DerComplex was before its block builder: one unit table per
+    slot (unit_derivations), or deg0_subspace in degree 0 when given, D of
+    each by derivation_differential and its coordinates by DerSpace.coords,
+    through exactlin.build_complex one degree at a time, so that a window
+    with a gap holds every degree n - 1 as well; element sums the tables."""
+    window = sorted({m for n in degrees for m in (n - 1, n)})
+
+    def sub(n):
+        return deg0_subspace if n == 0 and deg0_subspace is not None else None
+
+    elements = {n: sub(n) if sub(n) is not None else
+                unit_derivations(source, target, n, phi) for n in window}
+    spaces = {n: DerSpace(source, target, n, sub(n)) for n in window}
+    parts = {n: build_complex([n], elements.__getitem__, derivation_differential,
+                              lambda th, m: spaces[m].coords(th),
+                              lambda m, i, th: th.label or ("th%d_%d" % (m, i)))
+             for n in degrees}
+    cx = GradedChainComplex(
+        {m: lbls for part in parts.values() for m, lbls in part.basis.items()},
+        {n: part.d(n) for n, part in parts.items()})
+
+    def element(n, vec):
+        out = Derivation(source, target, n, {}, phi)
+        for i, c in vec.entries.items():
+            out = out + elements[n][i].scale(c)
+        return out
+    return cx, element
+
+
+def bch_der(a, b):
+    """log(exp a . exp b) for degree-0 derivations of one L, via operator
+    composition on the truncated L (the reference for H0Group's law)."""
+    L = a.source
+    ea = exp_derivation_values(L, a.values, check_cycle=False)
+    eb = exp_derivation_values(L, b.values, check_cycle=False)
+    return Derivation(L, L, 0, log_morphism(ea.compose(eb)))
+
+
+def twisted_hom_der(H, dercx, degrees):
+    """Hom(C, L) (x~) Der L with [theta, f] = theta . f."""
+    return _twisted_product(H.complex(sorted(degrees)), dercx.complex(), degrees)
+
+
+def hom_der_bracket(H, theta, f):
+    """[theta, f] = theta . f in the Hom (x~) Der twisted dgl."""
+    return HomElement(H, theta.degree + f.degree,
+                      {i: theta.apply(v) for i, v in f.values.items()})

@@ -13,21 +13,21 @@ from fractions import Fraction
 
 from cdgl.coalgebra import ConvolutionDGL, chains_functor, lie_functor
 from cdgl.cylinder import Cylinder, Witness, check_homotopy
-from cdgl.derivations import (DerComplex, GSpec, bch_der,
-                              classifying_invariants, gamma_check,
-                              hom_der_bracket, twisted_der_sl,
-                              twisted_hom_der, derivation_differential,
-                              derivation_bracket, ad_derivation)
+from cdgl.derivations import (DerComplex, GSpec, classifying_invariants,
+                              gamma_check, twisted_der_sl,
+                              derivation_differential, derivation_bracket,
+                              ad_derivation)
 from cdgl.dgl import (DGLMorphism, GeneratorFiltration, MCElement, bch,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, h0_group, log_morphism, perturbed)
-from cdgl.exactlin import homology_at, les_of_ses
+from cdgl.exactlin import SparseVec, homology_at, les_of_ses
 from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import parse_document, workspace_from_text
 from cdgl.workbench.ast import print_document
 
-from oracles import connected_cover, export_source, left_normed, w_bch
+from oracles import (bch_der, connected_cover, export_source,
+                     hom_der_bracket, left_normed, twisted_hom_der, w_bch)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -145,7 +145,8 @@ def test_criterion_05_convolution_hom_der_example():
     tw = twisted_hom_der(H, dc, range(-1, 4))
     hom_m1 = H.basis(-1)
     hom_2 = H.basis(2)
-    der_all = [th for n in range(-1, 4) for th in dc.space(n).elements]
+    der_all = [dc.element(n, SparseVec.unit(i)) for n in range(-1, 4)
+               for i in range(len(dc.space(n)))]
     ok = (len(hom_m1) == 1 and len(hom_2) == 1 and len(der_all) == 1
           and der_all[0].degree == 0)
     theta, x_elt, z_elt = der_all[0], hom_2[0], hom_m1[0]

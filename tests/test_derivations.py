@@ -9,22 +9,24 @@ from cdgl.coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
                             comul_by_left, lie_functor)
 from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
-                              ad_derivation, bch_der, classifying_invariants,
+                              ad_derivation, classifying_invariants,
                               der_g_zero, derivation_bracket,
                               derivation_differential, gamma_check,
-                              hom_der_bracket, mapping_space_pi, r0_basis,
-                              twisted_der_sl, twisted_hom_der,
+                              mapping_space_pi, r0_basis, twisted_der_sl,
                               twisted_l_der, unit_derivations)
 from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
                       h0_group)
-from cdgl.exactlin import InternalError, homology_at, les_of_ses
+from cdgl.exactlin import (InternalError, NotInSpanError, SparseVec,
+                           homology_at, les_of_ses)
 from cdgl.freelie import Truncation, bracket
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import workspace_from_text
 
-from oracles import (connected_cover, dense_nilpotency_class, eager_h0_table,
-                     left_normed, w_convolution_differential,
-                     w_derivation_differential, w_gamma_bracket_failures)
+from oracles import (bch_der, connected_cover, dense_nilpotency_class,
+                     eager_h0_table, element_der_complex, hom_der_bracket,
+                     left_normed, twisted_hom_der, w_classifying,
+                     w_convolution_differential, w_derivation_differential,
+                     w_gamma_bracket_failures)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -150,7 +152,7 @@ def test_hom_der_odd_sphere_reproduces_paper_brackets():
     dc = DerComplex(L, L, None, range(-1, 4))
     tw = twisted_hom_der(H, dc, range(-1, 4))
     tw.total.validate()
-    theta = dc.space(0).elements[0]         # id_L
+    theta = dc.element(0, SparseVec.unit(0))   # id_L
     x_elt = H.basis(2)[0]                   # 1 -> x
     z_elt = H.basis(-1)[0]                  # sx -> x
     assert hom_der_bracket(H, theta, x_elt) == x_elt
@@ -433,6 +435,63 @@ def test_classifying_nilpotency(dims, cap, mode, top, nilpotency):
     assert rep.nilpotency == nilpotency
 
 
+def _commutator_model(cap):
+    """x, y of degree 1 and z of degree 3 with d z = [x, y]: connected,
+    minimal, and D nonzero from Der_1 into R_0."""
+    from cdgl.dgl import build_dgl
+    from cdgl.freelie import Generator
+    x, y, z = Generator("x", 1), Generator("y", 1), Generator("z", 3)
+    return build_dgl((x, y, z), {z: left_normed((x, y), T(cap))}, T(cap))
+
+
+def _classifying_cases():
+    """(L, spec, kind, raises, span tables, lo, hi) for the Step 0 oracle."""
+    ws, _ = workspace_from_text(read_data("wedge_spheres.cdgl"))
+    W3 = ws.models["W3"]
+    L, filt = W3.presentation, W3.filtrations["F"]
+    gen = {(g.name, g.degree): g for g in L.gens}
+    slide = ws.derivations["slide"]
+    cases = [(sphere_model(2, T(4)), 1, 3), (sphere_model(3, T(3)), 1, 4),
+             (wedge_model((2, 3), T(3)), 1, 3), (wedge_model((2, 3), T(4)), 1, 3),
+             (wedge_model((2, 3), T(3)), 3, 4), (wedge_model((2, 2, 3), T(3)), 1, 3),
+             (wedge_model((2, 2, 3), T(4)), 1, 2), (_commutator_model(4), 1, 3),
+             (L, 1, 4)]
+    out = [(M, GSpec("identity", M), "identity", None, (), lo, hi)
+           for M, lo, hi in cases]
+    out.append((L, GSpec("stabilizer", L, filtration=filt), "stabilizer",
+                lambda g, h: gen[h] in filt.next_level(filt.level_of(gen[g])),
+                (), 1, 4))
+    out.append((L, GSpec("span", L, span=[slide]), "span", None,
+                [{(g.name, g.degree): _words(v) for g, v in slide.values.items()}],
+                1, 4))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["FREE", "POINTED"])
+def test_classifying_nilpotency_matches_dense_word_oracle(mode):
+    # the homotopy nilpotency index of baut (FREE) and bautstar (POINTED)
+    # against w_classifying, which builds Der^G_0, the homology and its
+    # bracket table from dense tensor-word derivations; also the homotopy
+    # groups (FREE), H_0 (POINTED) and dim Der^G_0, gap windows included
+    indices = set()
+    for L, spec, kind, raises, span, lo, hi in _classifying_cases():
+        rep = classifying_invariants(L, spec, mode, range(lo, hi + 1))
+        window = sorted({n for n in range(lo, hi + 1) if n >= 0} | {0, 1})
+        d = {(g.name, g.degree): _words(v) for g, v in L.d_on_gens.items()
+             if not v.is_zero()}
+        nil, dims, der0 = w_classifying(L.gens, d, L.trunc.max_bracket_length,
+                                        mode, window, kind, raises, span)
+        case = "%s %s %d..%d" % (L.name, kind, lo, hi)
+        assert rep.nilpotency == nil, case
+        assert rep.der0_dimension == der0, case
+        if mode == "FREE":
+            assert rep.pi_base == {n: dims[n] for n in window if n >= 1}, case
+        else:
+            assert rep.h0_quotient.dimension == dims[0], case
+        indices.add(nil)
+    assert indices >= {0, 1, 2, 3} if mode == "POINTED" else indices >= {1, 2, 3}
+
+
 def test_nilpotency_layers_are_kept_as_spans(monkeypatch):
     # each bracketing layer is a basis modulo boundaries, so the number of
     # brackets stays near (layer dimension) x (homology dimension); carrying
@@ -522,7 +581,9 @@ def _complex_and_differential(kind, L):
                 lambda n, z: L.from_coords(z, n))
     if kind == "Der":
         dc = DerComplex(L, L, None, range(-1, 4))
-        return (dc.complex(), range(-1, 4), lambda n: dc.space(n).elements,
+        return (dc.complex(), range(-1, 4),
+                lambda n: [dc.element(n, SparseVec.unit(i))
+                           for i in range(len(dc.space(n)))],
                 derivation_differential, dc.element)
     if kind == "sL":
         return (derivations._shifted_l_complex(L, range(1, 6)), range(1, 6),
@@ -678,20 +739,103 @@ def test_sparse_convolution_differential_matches_dense_oracle():
 
 
 def test_unit_table_coords_are_the_factored_coords():
-    # a DerSpace of unit tables reads coordinates off the flattening; the
-    # same tables passed as elements go through a FactoredBasis
+    # a DerSpace of unit slots reads coordinates off the flattening and
+    # holds no tables; the unit tables passed as elements go through a
+    # FactoredBasis
     rng = random.Random(18)
     for src, tgt, base, degrees in _derivation_cases():
         for n in degrees:
-            units = DerSpace(src, tgt, n, base=base)
-            factored = DerSpace(src, tgt, n, unit_derivations(src, tgt, n, base))
-            assert units.units and not factored.units
-            assert [th.values for th in units.elements] == [
-                th.values for th in factored.elements]
-            for th in _with_random_sums(rng, units.elements):
+            tables = unit_derivations(src, tgt, n, base)
+            units = DerSpace(src, tgt, n)
+            factored = DerSpace(src, tgt, n, tables)
+            assert units.units and not factored.units and units.elements is None
+            assert len(units) == len(factored) == len(tables)
+            assert units.labels() == factored.labels() == [th.label for th in tables]
+            for i, th in enumerate(tables):
+                assert units.unflatten(SparseVec.unit(i), base) == th
+            for th in _with_random_sums(rng, tables):
                 assert units.coords(th) == factored.coords(th)
             assert units._factored is None
 
+
+
+def _block_cases():
+    """(source, target, base, degrees, degree-0 subspace): the derivation
+    cases, windows with a gap, and the Der^G_0 subspaces of
+    wedge_spheres.cdgl and of a model whose D(Der_1) is nonzero."""
+    cases = [(src, tgt, base, list(degrees), None)
+             for src, tgt, base, degrees in _derivation_cases()]
+    (L1, _, _, _, _), (S1, _, _, _, _), (W, V, f, _, _) = cases[:3]
+    cases += [(L1, L1, None, [-1, 1, 2], None), (S1, S1, None, [0, 2], None),
+              (W, V, f, [-1, 2], None)]
+    ws, _ = workspace_from_text(read_data("wedge_spheres.cdgl"))
+    W3 = ws.models["W3"]
+    L = W3.presentation
+    for spec in (GSpec("identity", L),
+                 GSpec("stabilizer", L, filtration=W3.filtrations["F"]),
+                 GSpec("span", L, span=[ws.derivations["slide"]])):
+        g0 = der_g_zero(spec).basis
+        cases += [(L, L, None, [0, 1, 2, 3], g0), (L, L, None, [1, 3], g0)]
+    M = _commutator_model(4)
+    g0 = der_g_zero(GSpec("identity", M)).basis
+    return cases + [(M, M, None, [0, 1, 2, 3], g0), (M, M, None, [1, 2], g0)]
+
+
+def test_der_complex_blocks_match_element_path():
+    # DerComplex's unit blocks against the derivation complex built element
+    # by element: equal boundaries, labels and elements, on every degree of
+    # the window; a unit column that lands in a degree-0 subspace is solved
+    # in it, and one outside it fails as it did
+    rng = random.Random(24)
+    leibniz = subspace = 0
+    for src, tgt, base, degrees, g0 in _block_cases():
+        dc = DerComplex(src, tgt, base, degrees, deg0_subspace=g0)
+        cx = dc.complex()
+        ref, element = element_der_complex(src, tgt, dc.phi, degrees, g0)
+        assert cx.basis == ref.basis
+        for n in degrees:
+            assert cx.d(n) == ref.d(n), n
+            leibniz += not cx.d(n).is_zero() and all(
+                v.is_zero() for v in tgt.d_on_gens.values())
+            subspace += n == 1 and g0 is not None and not cx.d(n).is_zero()
+        for n, sp in dc.spaces.items():
+            assert sp.units == (g0 is None or n != 0)
+            vecs = [SparseVec.unit(i) for i in range(len(sp))]
+            vecs += [SparseVec({i: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                for i in rng.sample(range(len(sp)), min(3, len(sp)))})
+                     for _ in range(3)]
+            for vec in vecs:
+                got, want = dc.element(n, vec), element(n, vec)
+                assert got == want and got.base is want.base and got.degree == n
+    assert leibniz and subspace
+    M = _commutator_model(4)
+    for build in (lambda: DerComplex(M, M, None, [1, 2], deg0_subspace=[]).complex(),
+                  lambda: element_der_complex(M, M, None, [1, 2], [])):
+        with pytest.raises(NotInSpanError,
+                           match="^derivation outside the stored degree-0 space$"):
+            build()
+
+
+def test_pipelines_build_no_table_per_slot(monkeypatch):
+    # unit slots are read as blocks: DerComplex builds no unit table and
+    # goes through neither derivation_differential nor build_complex, and
+    # the pipelines build no unit table, on models with d != 0 as well
+    def unreachable(*args, **kwargs):
+        raise AssertionError("unit slots built element by element")
+
+    for name in ("unit_derivations", "derivation_differential", "build_complex"):
+        monkeypatch.setattr(derivations, name, unreachable)
+    ws, _ = workspace_from_text(read_data("wedge_homotopy.cdgl"))
+    f = ws.morphisms["f"]
+    DerComplex(f.source, f.target, f, range(-1, 4)).complex()
+    monkeypatch.undo()
+    monkeypatch.setattr(derivations, "unit_derivations", unreachable)
+    rep = mapping_space_pi(f, range(1, 4))
+    assert rep.pointed[1] == 7 and rep.free[1] == 21
+    M = _commutator_model(4)
+    for mode in ("FREE", "POINTED"):
+        rep = classifying_invariants(M, GSpec("identity", M), mode, range(1, 4))
+        assert rep.der0_dimension == 2 and rep.nilpotency == 1
 
 def test_derivation_table_follows_source_gens():
     L = wedge_model((2, 2, 3), T(3))
