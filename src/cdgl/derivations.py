@@ -19,7 +19,7 @@ from functools import cached_property, partial
 from . import exactlin
 from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
                         chains_functor, comul_by_left, lie_functor)
-from .dgl import (DGLMorphism, DGLPresentation, DivergenceError,
+from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
                   GeneratorFiltration, H0Group, ad_values, apply_operator,
                   exp_derivation_values, nilpotency)
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
@@ -764,31 +764,12 @@ def _der_sl_element(dercx: DerComplex, L: DGLPresentation, n, z: SparseVec):
 
 
 def _der_sl_coords(dercx: DerComplex, L: DGLPresentation,
-                   el: DerSLElement) -> SparseVec:
-    n = el.degree
+                   el: DerSLElement, n) -> SparseVec:
     out = dict(dercx.space(n).coords(el.theta).entries)
     nd = len(dercx.space(n))
     for i, c in L.coords(el.x, n - 1).entries.items():
         out[nd + i] = c
     return SparseVec(out)
-
-
-class _Boundaries:
-    """Degree -> the boundary span of a dict of homology reports, read only;
-    a span is built on first read, so a degree that no bracket reaches
-    builds none."""
-
-    def __init__(self, homology):
-        self.homology = homology
-
-    def __contains__(self, n):
-        return n in self.homology
-
-    def __iter__(self):
-        return iter(self.homology)
-
-    def __getitem__(self, n):
-        return self.homology[n].boundaries
 
 
 def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
@@ -819,8 +800,11 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     for v in ads:
         adspan.add(v)
     h0 = homology_at(dercx.complex(), 0, extra=ads)
-    quotient = H0Group(h0, lambda z: dercx.element(0, z),
-                       dercx.space(0).coords, derivation_bracket)
+
+    def der_coords(theta, n):
+        return dercx.space(n).coords(theta)
+
+    quotient = H0Group(h0, dercx.element, der_coords, derivation_bracket)
 
     if mode == "FREE":
         tw = twisted_der_sl(dercx, L, window)
@@ -837,16 +821,13 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
         pi = {}
         total_h = {n: homology_at(tw.total, n).dimension for n in degrees}
         known = {0: h0}
-        element, coords, lie_bracket = (
-            dercx.element, lambda th: dercx.space(th.degree).coords(th),
-            derivation_bracket)
+        element, coords, lie_bracket = (dercx.element, der_coords,
+                                        derivation_bracket)
 
     def build_nilpotency():
-        # the homology Lie algebra of the window, modulo the boundaries
-        homology = homology_reports(cx, degrees, known)
-        return nilpotency([(n, element(n, z)) for n, h in homology.items()
-                           for z in h.cycle_reps], lie_bracket, coords,
-                          _Boundaries(homology))
+        # the bracket table of the homology Lie algebra of the window
+        return nilpotency(ClassTable(homology_reports(cx, degrees, known),
+                                     element, coords, lie_bracket))
 
     return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
                              ad_image_rank=adspan.rank, der0_dimension=len(g0),

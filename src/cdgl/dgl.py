@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .exactlin import (FactoredBasis, GradedChainComplex, HomologyReport,
                        IncrementalSpan, InternalError, NotInSpanError, SparseVec,
@@ -535,22 +535,92 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
 
 # -- H0 as a group ----------------------------------------------------------
 
-def nilpotency(generators, bracket, coords, modulo) -> int:
-    """Nilpotency index of the graded Lie algebra H spanned by generators, a
-    list of (degree, element) pairs independent modulo modulo[n] in each
-    degree n.
+class ClassTable:
+    """The bracket table of a graded homology Lie algebra on a window.
 
-    modulo maps a degree n to the base span (an IncrementalSpan) to work
-    modulo, in the coordinates coords(x) of an element x of degree n;
-    iterating it gives the degrees of the window.  A degree missing from
-    modulo is outside the window, and its brackets are not computed.  The
-    index is the number of nonzero terms of the lower central series
-    gamma_1 = H, gamma_{k+1} = [H, gamma_k], each kept as a basis modulo a
-    copy of the base span in each degree.  Only spans are read, so a
-    bracket may come back scaled.
+    reports maps each degree n of the window to its HomologyReport.  The
+    classes are numbered degree by degree, in increasing degree; class i
+    has the representative h_i = element(n, z), z its cycle coordinates,
+    built on first read.  coords(x, n) gives the coordinates of a degree-n
+    element x in the complex's degree-n basis, and bracket is the Lie
+    bracket.
 
-    gamma_2 is taken from all pairs of generators.  Each later term is
-    gamma_{k+1} = [X, gamma_k] for X the generators independent modulo
+    The pairs i <= j whose degree sum lies in the window are bracketed,
+    the diagonal only for odd classes (an even class has [h, h] = 0), and
+    each bracket is put through classes.coords once.  table holds them on
+    ints over one denominator D, the lcm of their denominators:
+    [h_i, h_j] = (1/D) sum_k T[i][j][k] h_k, with
+    [h_j, h_i] = -(-1)^{|i||j|} [h_i, h_j] and T[i] holding only nonzero
+    brackets.  A bracket outside the window, or in a degree of it with no
+    classes, is zero and is never taken.  A bracket with no class (not a
+    cycle of its degree) means the bracket is broken: InternalError.
+    Class coordinates are sound because D is a derivation of the bracket:
+    a cycle bracketed with a boundary is a boundary, so the class of
+    [x, sum_i c_i h_i] is sum_i c_i [x, h_i].
+    """
+
+    def __init__(self, reports: dict, element, coords, bracket):
+        self.reports = reports
+        self.degrees = [n for n in sorted(reports) for _ in reports[n].cycle_reps]
+        self._first = {n: self.degrees.index(n) for n in reports
+                       if reports[n].cycle_reps}
+        self._element = element
+        self._coords = coords
+        self._bracket = bracket
+        self._reps = [None] * len(self.degrees)
+
+    def rep(self, i):
+        """The cycle h_i, built on first read."""
+        if self._reps[i] is None:
+            n = self.degrees[i]
+            self._reps[i] = self._element(
+                n, self.reports[n].cycle_reps[i - self._first[n]])
+        return self._reps[i]
+
+    def pairs(self):
+        """(i, j, class of [h_i, h_j] as index -> coefficient) for the pairs
+        of the class docstring, in order, each bracket (and representative)
+        taken when it is reached."""
+        for i, n in enumerate(self.degrees):
+            for j in range(i + 1 - n % 2, len(self.degrees)):
+                k = n + self.degrees[j]
+                if k not in self._first:
+                    continue
+                br = self._bracket(self.rep(i), self.rep(j))
+                if br.is_zero():
+                    yield i, j, {}
+                    continue
+                try:
+                    v = self.reports[k].classes.coords(self._coords(br, k))
+                except NotInSpanError:
+                    raise InternalError("a bracket of cycles has no class in "
+                                        "degree %d (internal error)" % k) from None
+                yield i, j, {self._first[k] + q: c for q, c in v.items()}
+
+    @cached_property
+    def table(self):
+        """(D, T) as in the class docstring."""
+        pairs = list(self.pairs())
+        D = lcm(*(c.denominator for _, _, v in pairs for c in v.values()))
+        table = [{} for _ in self.degrees]
+        for i, j, v in pairs:
+            if v:
+                table[i][j] = row = {k: c.numerator * (D // c.denominator)
+                                     for k, c in v.items()}
+                if i != j:
+                    s = 1 if self.degrees[i] * self.degrees[j] % 2 else -1
+                    table[j][i] = {k: s * c for k, c in row.items()}
+        return D, table
+
+
+def nilpotency(classes: ClassTable) -> int:
+    """Nilpotency index of the graded Lie algebra H whose bracket table is
+    classes.table, in class coordinates: the number of nonzero terms of the
+    lower central series gamma_1 = H, gamma_{k+1} = [H, gamma_k], each kept
+    as a basis of its span.  The window is the degrees of classes.reports.
+
+    gamma_2 is spanned by the table's entries.  Each later term is
+    gamma_{k+1} = [X, gamma_k] for X the classes independent modulo
     gamma_2.  Proof: H = span X + gamma_2, and by Jacobi [gamma_i, gamma_j]
     lies in gamma_{i+j}, so
         gamma_{k+1} = [X, gamma_k] + [gamma_2, gamma_k]
@@ -566,50 +636,36 @@ def nilpotency(generators, bracket, coords, modulo) -> int:
     (no caller builds one: H0Group works in degree 0 and
     classifying_invariants in degrees >= 0).  A window with a gap, as
     classifying_invariants builds from --range 3..5, keeps X = all
-    generators, the definition itself.
+    classes, the definition itself.
 
     Each term lies in the one before, so a term that does not shrink means
     the bracket is broken: InternalError.
     """
-    window = sorted(modulo)
+    window = sorted(classes.reports)
     if window and window[0] < 0:
         raise ValueError("nilpotency needs a window of degrees >= 0, not %d"
                          % window[0])
-    gens = list(generators)
+    table = classes.table[1]
 
-    def term(pairs):
-        """(spans, basis): a basis of the brackets of pairs modulo a copy of
-        the base span in each degree, and those spans."""
-        spans, out = {}, []
-        for (n, a), (m, b) in pairs:
-            k = n + m
-            if k not in modulo:
-                continue
-            if k not in spans:
-                spans[k] = modulo[k].copy()
-            br = bracket(a, b)
-            if not br.is_zero() and spans[k].add(coords(br)):
-                out.append((k, br))
-        return spans, out
+    def basis(vecs):
+        """(span, a basis of it) of the nonzero int dicts vecs."""
+        span = IncrementalSpan()
+        return span, [v for v in vecs if v and span.add(_vec(v))]
 
-    # [a, b] and [b, a] agree up to sign, so each unordered pair is taken once
-    spans, layer = term((a, b) for i, a in enumerate(gens) for b in gens[i:])
+    span, layer = basis(v for row in table for v in row.values())
+    dim = len(table)
     if window and window[-1] - window[0] + 1 == len(window):
-        X = []
-        for n, a in gens:
-            if n not in spans:
-                spans[n] = modulo[n].copy()
-            if spans[n].add(coords(a)):
-                X.append((n, a))
+        X = [i for i in range(dim) if span.add(SparseVec.unit(i))]
     else:
-        X = gens
-    nil, prev = (1 if gens else 0), gens
+        X = range(dim)
+    nil, prev = (1 if dim else 0), dim
     while layer:
         nil += 1
-        if len(layer) >= len(prev):
+        if len(layer) >= prev:
             raise InternalError("lower central series does not descend "
                                 "(internal error)")
-        prev, layer = layer, term((x, b) for x in X for b in layer)[1]
+        prev, layer = len(layer), basis(_table_bracket(table, {x: 1}, v)
+                                        for x in X for v in layer)[1]
     return nil
 
 
@@ -619,104 +675,55 @@ def _table_bracket(table, u, v):
     for i, a in u.items():
         row = table[i]
         for j, b in v.items():
-            ab = a * b
-            for k, t in row[j].items():
-                out[k] = out.get(k, 0) + ab * t
+            if j in row:
+                ab = a * b
+                for k, t in row[j].items():
+                    out[k] = out.get(k, 0) + ab * t
     return {k: c for k, c in out.items() if c}
 
 
-class H0Group:
-    """H_0 of a cdgl with the BCH product, as the cap-N Malcev approximation.
+class H0Group(ClassTable):
+    """H_0 of a cdgl with the BCH product, as the cap-N Malcev approximation:
+    the degree-0 case of ClassTable.
 
     h is the degree-0 homology report of the cdgl's chain complex, taken
     modulo any extra cycles, which must span an ideal together with the
-    boundaries; element(z) is the degree-0 element with coordinates z in
-    the complex's degree-0 basis, coords its inverse, and bracket the Lie
-    bracket of degree-0 elements.
+    boundaries; element, coords and bracket are as for ClassTable.
 
-    The brackets [h_i, h_j] of the representatives are taken once, for
-    i < j, and put through class_of.  The table holds them on ints over one
-    denominator D, the lcm of the denominators of their class coordinates:
-    [h_i, h_j] = (1/D) sum_k T[i][j][k] h_k.  The nilpotency class c and
-    the group law are read off T alone.  The law is the two-letter BCH
-    series in right-nested (Dynkin-Specht-Wever) form cut at length c.  The
-    cut is exact: the class map is a Lie morphism on degree-0 cycles, and
-    every bracket of more than c classes is zero.  With u, v = U/E, V/E, a
-    right-nested word of length l in u and v is T_w(U, V) / (E^l D^(l-1)),
-    T_w its bracket on ints; the series is summed on ints over
-    Q = M (D E)^(c-1) E, M the lcm of the series' denominators, and each
-    coordinate is divided by Q once, at the end.  The representatives, the
-    table, c and the structure constants are built on first read; abelian
-    reads the table when it is built, and otherwise stops at the first
-    nonzero bracket.
+    The nilpotency class c and the group law are read off the table alone.
+    The law is the two-letter BCH series in right-nested
+    (Dynkin-Specht-Wever) form cut at length c.  The cut is exact: the
+    class map is a Lie morphism on degree-0 cycles, and every bracket of
+    more than c classes is zero.  With u, v = U/E, V/E, a right-nested word
+    of length l in u and v is T_w(U, V) / (E^l D^(l-1)), T_w its bracket on
+    ints; the series is summed on ints over Q = M (D E)^(c-1) E, M the lcm
+    of the series' denominators, and each coordinate is divided by Q once,
+    at the end.  The representatives, the table, c and the structure
+    constants are built on first read; abelian reads the table when it is
+    built, and otherwise stops at the first nonzero bracket.
     """
 
     def __init__(self, h: HomologyReport, element, coords, bracket):
-        self._coords = coords
-        self._lie_bracket = bracket
-        self._element = element
-        # h gives the representatives' coordinates and the coordinates of
-        # a class modulo the quotient
-        self._h = h
-        self._reps = [None] * len(h.cycle_reps)
+        ClassTable.__init__(self, {0: h}, element, coords, bracket)
 
     @property
     def dimension(self):
-        return len(self._h.cycle_reps)
-
-    def _rep(self, i):
-        """The cycle element h_i, built on first read."""
-        if self._reps[i] is None:
-            self._reps[i] = self._element(self._h.cycle_reps[i])
-        return self._reps[i]
+        return len(self.degrees)
 
     @property
     def reps(self):
         """The cycle elements representing the basis."""
-        return [self._rep(i) for i in range(self.dimension)]
-
-    def _pairs(self):
-        """(i, j, class of [h_i, h_j] as index -> coefficient) for i < j, in
-        order, each bracket (and representative) taken when it is reached."""
-        n = self.dimension
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = self._lie_bracket(self._rep(i), self._rep(j))
-                yield i, j, {} if br.is_zero() else self.class_of(br).entries
-
-    @cached_property
-    def _table(self):
-        """(D, T) as in the class docstring; degree-0 brackets are
-        antisymmetric, so T[j][i] = -T[i][j]."""
-        pairs = list(self._pairs())
-        D = lcm(*(c.denominator for _, _, v in pairs for c in v.values()))
-        n = self.dimension
-        table = [[{} for _ in range(n)] for _ in range(n)]
-        for i, j, v in pairs:
-            if v:
-                table[i][j] = {k: c.numerator * (D // c.denominator)
-                               for k, c in v.items()}
-                table[j][i] = {k: -c for k, c in table[i][j].items()}
-        return D, table
+        return [self.rep(i) for i in range(self.dimension)]
 
     @property
     def abelian(self):
-        if "_table" in vars(self):
-            return not any(any(row) for row in self._table[1])
-        return not any(v for _, _, v in self._pairs())
+        if "table" in vars(self):
+            return not any(self.table[1])
+        return not any(v for _, _, v in self.pairs())
 
     @cached_property
     def nilpotency_class(self):
-        table = self._table[1]
-
-        def bracket(u, v):
-            # only spans are read: drop 1/D and the content
-            out = _table_bracket(table, u.entries, v.entries)
-            g = gcd(*out.values()) or 1
-            return _vec({k: c // g for k, c in out.items()})
-
-        return nilpotency([(0, _vec({i: 1})) for i in range(self.dimension)],
-                          bracket, lambda u: u, {0: IncrementalSpan()})
+        return nilpotency(self)
 
     @cached_property
     def structure(self):
@@ -737,11 +744,11 @@ class H0Group:
 
     def class_of(self, e) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
-        return self._h.classes.coords(self._coords(e))
+        return self.reports[0].classes.coords(self._coords(e, 0))
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """The Lie bracket of two classes, read off the table."""
-        D, table = self._table
+        D, table = self.table
         return SparseVec(_table_bracket(table, u.entries, v.entries)).scale(
             Fraction(1, D))
 
@@ -755,7 +762,7 @@ class H0Group:
         bracket built on ints from its suffix, summed over Q as in the class
         docstring.  v * u = log(e^v e^u) = -log(e^-u e^-v) takes the same
         words, the word of length l with sign (-1)^(l+1)."""
-        D, table = self._table
+        D, table = self.table
         M, series = self._series
         c = max(self.nilpotency_class, 1)
         E, U, V = _clear_denominators(u, v)
@@ -814,8 +821,7 @@ def bch_series(c):
 def h0_group(L: DGLPresentation) -> H0Group:
     """H_0(L) with its BCH group law at the truncation."""
     return H0Group(homology_at(L.complex([0, 1]), 0),
-                   lambda z: L.from_coords(z, 0), lambda e: L.coords(e, 0),
-                   bracket)
+                   lambda n, z: L.from_coords(z, n), L.coords, bracket)
 
 
 class GeneratorFiltration(FrozenRecord):

@@ -286,11 +286,6 @@ class IncrementalSpan:
     def contains(self, vec: SparseVec) -> bool:
         return not self._residue(vec)[0]
 
-    def copy(self) -> "IncrementalSpan":
-        out = IncrementalSpan()
-        out.echelon = {piv: dict(row) for piv, row in self.echelon.items()}
-        return out
-
     def add(self, vec: SparseVec) -> bool:
         if not vec.entries:
             return False
@@ -472,7 +467,7 @@ class HomologyReport:
     cycle_reps are the representatives; quotient lists the vectors divided
     out (the boundaries, then the extra cycles) in the n_cols coordinates of
     C_n.  classes (coordinates of a cycle's class in the representatives)
-    and boundaries (the span of the quotient) are built on first read.
+    is built on first read.
     """
 
     def __init__(self, degree: int, dimension: int, cycle_reps: list,
@@ -487,10 +482,6 @@ class HomologyReport:
     def classes(self) -> FactoredBasis:
         # unique: the representatives are independent modulo the quotient
         return FactoredBasis(self.cycle_reps, self.n_cols, modulo=self.quotient)
-
-    @cached_property
-    def boundaries(self) -> IncrementalSpan:
-        return _span(self.quotient)
 
 
 def homology_at(C: GradedChainComplex, n: int, extra=()) -> HomologyReport:

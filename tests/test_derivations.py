@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -174,6 +175,44 @@ def test_twisted_ses_les_exact():
                                 twisted_hom_der(H, dc, range(-1, 8)))):
             les = les_of_ses(*tw.ses(), degrees=range(0, 7))
             assert les.degrees == list(range(0, 7)), "product %d" % k
+
+
+@pytest.mark.parametrize("make", [lambda: wedge_model((2, 3), T(4)),
+                                  lambda: _commutator_model(4)],
+                         ids=["wedge23-cap4", "commutator-cap4"])
+@pytest.mark.parametrize("twisted", [True, False], ids=["der-sl", "der"])
+def test_twisted_differential_is_a_derivation_of_the_bracket(make, twisted):
+    # D[a, b] = [Da, b] + (-1)^{|a|} [a, Db] on random coordinate vectors,
+    # for der_sl_full_bracket on Der (x~) sL and derivation_bracket on Der;
+    # on Der (x~) sL this pins the sign of the (-1)^{|theta|} s theta(y)
+    # term.  It is also why a bracket of classes is well defined.
+    L, window = make(), range(0, 5)
+    dercx = DerComplex(L, L, None, window)
+    if twisted:
+        cx = twisted_der_sl(dercx, L, window).total
+        element = partial(derivations._der_sl_element, dercx, L)
+        coords = partial(derivations._der_sl_coords, dercx, L)
+        br = derivations.der_sl_full_bracket
+    else:
+        cx, element, br = dercx.complex(), dercx.element, derivation_bracket
+
+        def coords(th, n):
+            return dercx.space(n).coords(th)
+
+    rng = random.Random(5)
+
+    def draw(n):
+        return SparseVec({i: rng.randint(-2, 2) for i in range(cx.dim(n))})
+
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        m = rng.randint(0, 4 - n)
+        u, v = draw(n), draw(m)
+        a, b = element(n, u), element(m, v)
+        da, db = element(n - 1, cx.d(n).apply(u)), element(m - 1, cx.d(m).apply(v))
+        k = n + m
+        assert cx.d(k).apply(coords(br(a, b), k)) == (
+            coords(br(da, b), k - 1) + coords(br(a, db), k - 1).scale((-1) ** n)), (n, m)
 
 
 # -- GSpec ----------------------------------------------------------------------
@@ -493,9 +532,11 @@ def test_classifying_nilpotency_matches_dense_word_oracle(mode):
 
 
 def test_nilpotency_layers_are_kept_as_spans(monkeypatch):
-    # each bracketing layer is a basis modulo boundaries, so the number of
-    # brackets stays near (layer dimension) x (homology dimension); carrying
-    # every nonzero bracket instead took 4,427 brackets on this case
+    # the layers are spans in class coordinates, read off the class-bracket
+    # table, so the only derivation brackets are the table's: each pair of
+    # classes landing on a class once, 43 here (82 when each layer was
+    # re-bracketed modulo the boundaries, 4,427 carrying every nonzero
+    # bracket)
     calls = []
 
     def counting(a, b):
@@ -506,13 +547,13 @@ def test_nilpotency_layers_are_kept_as_spans(monkeypatch):
     L = wedge_model((2, 3), T(5))
     rep = classifying_invariants(L, GSpec("identity", L), "POINTED", range(1, 6))
     assert rep.nilpotency == 5
-    assert len(calls) <= 500
+    assert len(calls) == 43
 
 
 def test_nilpotency_descent_is_checked(monkeypatch):
-    # a broken bracket ([a, b] = a) makes every layer as large as the first;
-    # the routine must fail loudly, when the index is read, instead of
-    # returning a capped index
+    # a broken bracket ([a, b] = a) lands in the wrong degree, where it has
+    # no class; the table must fail loudly, when the index is read, instead
+    # of returning an index
     monkeypatch.setattr(derivations, "derivation_bracket", lambda a, b: a)
     L = wedge_model((2, 2), T(4))
     with pytest.raises(InternalError, match="internal error"):
@@ -551,7 +592,7 @@ def test_der_h0_class_and_abelian_on_read_match_the_eager_table(case):
         L = wedge_model((1, 1), T(int(case[-1])))
         spec, mode = GSpec("identity", L), "POINTED"
     G = classifying_invariants(L, spec, mode, range(1, 3)).h0_quotient
-    assert not {"_table", "nilpotency_class"} & set(vars(G))
+    assert not {"table", "nilpotency_class"} & set(vars(G))
     eager = dense_nilpotency_class(eager_h0_table(G, derivation_bracket))
     assert G.abelian == (eager <= 1)
     assert "nilpotency_class" not in vars(G)

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdgl.dgl import (DGLMorphism, DGLPresentation, DivergenceError,
-                      GeneratorFiltration, H0Group, IllFormedDifferentialError,
-                      MCElement, apply_operator, bch, bch_series,
-                      build_dgl, check_mc, exp_ad, exp_derivation_values,
-                      gauge_act, gauge_equivalent, h0_group, log_morphism,
-                      nilpotency, perturbed)
-from cdgl.exactlin import (IncrementalSpan, InternalError, NotInSpanError,
+from cdgl.dgl import (ClassTable, DGLMorphism, DGLPresentation,
+                      DivergenceError, GeneratorFiltration, H0Group,
+                      IllFormedDifferentialError, MCElement, apply_operator,
+                      bch, bch_series, build_dgl, check_mc, exp_ad,
+                      exp_derivation_values, gauge_act, gauge_equivalent,
+                      h0_group, log_morphism, nilpotency, perturbed)
+from cdgl.exactlin import (HomologyReport, InternalError, NotInSpanError,
                            SparseVec, homology_at)
 from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
@@ -599,13 +599,13 @@ def test_h0_class_and_abelian_on_read_match_the_eager_table(make):
     # builds the table when it is read, and abelian then reads the table;
     # all agree with the class of the eagerly taken table
     G = h0_group(make())
-    assert not {"_table", "nilpotency_class"} & set(vars(G))
+    assert not {"table", "nilpotency_class"} & set(vars(G))
     eager = dense_nilpotency_class(eager_h0_table(G, bracket))
     abelian = G.abelian
-    assert not {"_table", "nilpotency_class"} & set(vars(G))
+    assert not {"table", "nilpotency_class"} & set(vars(G))
     assert abelian == (eager <= 1)
     assert G.nilpotency_class == eager
-    assert "_table" in vars(G) and G.abelian == abelian
+    assert "table" in vars(G) and G.abelian == abelian
 
 
 def test_h0_representatives_are_built_on_read():
@@ -614,12 +614,11 @@ def test_h0_representatives_are_built_on_read():
     L = wedge_model((1, 1), T(5))
     built = []
 
-    def element(z):
+    def element(n, z):
         built.append(z)
-        return L.from_coords(z, 0)
+        return L.from_coords(z, n)
 
-    G = H0Group(homology_at(L.complex([0, 1]), 0), element,
-                lambda e: L.coords(e, 0), bracket)
+    G = H0Group(homology_at(L.complex([0, 1]), 0), element, L.coords, bracket)
     assert G.dimension == 14 and not built
     assert G.abelian is False and len(built) == 2
     assert G.reps == G.reps and len(built) == 14
@@ -695,30 +694,47 @@ def test_h0_class_of_outside_span_raises():
         G.class_of(L.gen("x"))
 
 
+def _unit_classes(reports, bracket):
+    """A ClassTable on degree -> (columns, representatives, quotient), whose
+    elements are their coordinate vectors."""
+    return ClassTable({n: HomologyReport(n, len(r), r, q, cols)
+                       for n, (cols, r, q) in reports.items()},
+                      lambda n, z: z, lambda x, n: x, bracket)
+
+
 def test_nilpotency_skips_degrees_outside_modulo():
-    # two degree-1 generators e0, e1 with [e0, e1] = -[e1, e0] = f in degree 2
-    # and every other bracket zero; brackets landing in a degree missing
-    # from modulo are not taken
+    # two degree-1 classes e0, e1 with [e0, e1] = [e1, e0] = f in degree 2
+    # and every other bracket zero; each unordered pair landing on a class
+    # of the window is taken once, the odd squares included, and no other
     calls = []
 
     def br(u, v):
         calls.append(1)
-        return SparseVec({2: u.get(0) * v.get(1) - u.get(1) * v.get(0)})
+        return SparseVec({0: u.get(0) * v.get(1) + u.get(1) * v.get(0)})
 
-    gens = [(1, SparseVec.unit(0)), (1, SparseVec.unit(1))]
-    assert nilpotency(gens, br, lambda u: u,
-                      {1: IncrementalSpan(), 2: IncrementalSpan()}) == 2
-    # one per unordered pair of generators, none for layer 2, whose brackets
-    # land in degree 3
+    e, f = [SparseVec.unit(0), SparseVec.unit(1)], SparseVec.unit(0)
+    classes = _unit_classes({1: (2, e, []), 2: (1, [f], [])}, br)
+    assert nilpotency(classes) == 2
+    # (e0, e0), (e0, e1), (e1, e1); none with f, whose brackets land in
+    # degrees 3 and 4; the table holds [e1, e0] = +[e0, e1], both odd
     assert len(calls) == 3
+    assert classes.table == (1, [{1: {2: 1}}, {0: {2: 1}}, {}])
     calls.clear()
-    assert nilpotency(gens, br, lambda u: u, {1: IncrementalSpan()}) == 1
+    assert nilpotency(_unit_classes({1: (2, e, [])}, br)) == 1
     assert calls == []
-    # a base span holding f divides it out, and is left as it was
-    base = IncrementalSpan()
-    base.add(SparseVec.unit(2))
-    assert nilpotency(gens, br, lambda u: u, {1: IncrementalSpan(), 2: base}) == 1
-    assert base.rank == 1
+    # f in the quotient: degree 2 holds no class, and its brackets are zero
+    assert nilpotency(_unit_classes({1: (2, e, []), 2: (1, [], [f])}, br)) == 1
+    assert calls == []
+
+
+def test_nilpotency_of_a_table_that_does_not_descend_is_internal_error():
+    # a broken bracket ([a, b] = a) on two degree-0 classes gives
+    # gamma_2 = gamma_3 = span e0; the table is read as it is, and the
+    # series that does not shrink fails loudly
+    classes = _unit_classes({0: (2, [SparseVec.unit(0), SparseVec.unit(1)], [])},
+                            lambda a, b: a)
+    with pytest.raises(InternalError, match="does not descend"):
+        nilpotency(classes)
 
 
 def test_h0_non_descending_series_is_internal_error(monkeypatch):

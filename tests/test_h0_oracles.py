@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cdgl.dgl
-from cdgl.dgl import build_dgl, h0_group, nilpotency
-from cdgl.exactlin import IncrementalSpan, SparseVec, homology_reports
+from cdgl.dgl import ClassTable, build_dgl, h0_group, nilpotency
+from cdgl.exactlin import HomologyReport, SparseVec, homology_reports
 from cdgl.freelie import Generator, LieElement, Truncation, bracket
 from cdgl.models import wedge_model
 
@@ -83,7 +83,7 @@ def test_h0_dimension_class_and_abelian_match_dense_oracle(L):
     unbuilt = h0_group(L)
     assert unbuilt.dimension == len(reps)
     assert unbuilt.abelian == (want <= 1)
-    assert "_table" not in vars(unbuilt)
+    assert "table" not in vars(unbuilt)
     built = h0_group(L)
     assert built.nilpotency_class == want
     assert built.abelian == (want <= 1)
@@ -96,20 +96,23 @@ def test_h0_dimension_class_and_abelian_match_dense_oracle(L):
 @example(_model(3, 1, [], 2), (1, 3))
 @example(_model(4, 0, [], 2), (1, 2, 4))
 def test_graded_nilpotency_matches_dense_oracle(L, window):
-    # the homology Lie algebra of a window of degrees >= 0, odd classes
-    # included; a window with a gap keeps all generators: on two odd letters
-    # at cap 4 and the window (1, 2, 4) the series has 3 terms, while the
-    # brackets with X alone would stop after 2
+    # the class-bracket table of a window of degrees >= 0 against the
+    # oracle's, entry by entry, odd squares included, and the index read
+    # off it; a window with a gap keeps all
+    # classes: on two odd letters at cap 4 and the window (1, 2, 4) the
+    # series has 3 terms, while the brackets with X alone would stop after 2
     gens, d = _oracle_inputs(L)
     cap = L.trunc.max_bracket_length
     reps, table = w_homology_algebra(gens, d, cap, window)
-    want = dense_nilpotency_class(table) if reps else 0
-    homology = homology_reports(L.complex(range(0, max(window) + 2)), window)
-    got = nilpotency([(n, L.from_coords(z, n)) for n, h in homology.items()
-                      for z in h.cycle_reps], bracket,
-                     lambda e: L.coords(e, e.degree()),
-                     {n: h.boundaries for n, h in homology.items()})
-    assert got == want
+    classes = ClassTable(
+        homology_reports(L.complex(range(0, max(window) + 2)), window),
+        lambda n, z: L.from_coords(z, n), L.coords, bracket)
+    assert [(n, _words(classes.rep(i)))
+            for i, n in enumerate(classes.degrees)] == reps
+    D, got = classes.table
+    assert [[{k: Fraction(c, D) for k, c in row.get(j, {}).items()}
+             for j in range(len(reps))] for row in got] == table
+    assert nilpotency(classes) == (dense_nilpotency_class(table) if reps else 0)
 
 
 def _random_class(rng, n):
@@ -165,7 +168,7 @@ def test_h0_group_law_matches_word_bch(make):
 def test_h0_denominator_model_has_fractional_brackets():
     # the law tests above see the table's denominator D only when D > 1
     G = h0_group(_model(*_DENOMINATORS))
-    assert G._table[0] > 1
+    assert G.table[0] > 1
 
 
 def test_unbuilt_abelian_takes_one_bracket(monkeypatch):
@@ -181,13 +184,18 @@ def test_unbuilt_abelian_takes_one_bracket(monkeypatch):
     G = h0_group(wedge_model((1, 1), Truncation(5)))
     assert G.dimension == 14
     assert G.abelian is False
-    assert len(calls) == 1 and "_table" not in vars(G)
+    assert len(calls) == 1 and "table" not in vars(G)
 
 
 def test_nilpotency_refuses_a_window_of_negative_degree():
     # the generators X of the lower central series are enough only when the
-    # dropped degrees form an ideal; a negative degree is refused up front
-    gens = [(-1, SparseVec.unit(0))]
+    # dropped degrees form an ideal; a negative degree is refused up front,
+    # before any bracket is taken
+    reports = {n: HomologyReport(n, 1, [SparseVec.unit(0)], [], 1)
+               for n in (-1, 0)}
+
+    def refused(a, b):
+        raise AssertionError("bracket taken")
+
     with pytest.raises(ValueError, match="degrees >= 0"):
-        nilpotency(gens, lambda a, b: SparseVec(), lambda u: u,
-                   {-1: IncrementalSpan(), 0: IncrementalSpan()})
+        nilpotency(ClassTable(reports, lambda n, z: z, lambda x, n: x, refused))
