@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
-from .exactlin import (GradedChainComplex, SparseMat, SparseVec, accumulate,
-                       build_complex, exact)
+from .exactlin import GradedChainComplex, SparseMat, _vec, accumulate, exact
 from .freelie import (Generator, LieElement, LieTable, Truncation, bracket,
                       check_resource_limit)
 
@@ -176,11 +175,9 @@ class LBasisInfo:
     its LieElements of all degrees, the degree of each, and per degree the
     list of their global indices."""
 
-    __slots__ = ("L", "elements", "degrees", "index_by_degree")
+    __slots__ = ("elements", "degrees", "index_by_degree")
 
-    def __init__(self, L: DGLPresentation, elements: list, degrees: list,
-                 index_by_degree: dict):
-        self.L = L
+    def __init__(self, elements: list, degrees: list, index_by_degree: dict):
         self.elements = elements
         self.degrees = degrees
         self.index_by_degree = index_by_degree
@@ -200,15 +197,7 @@ class LBasisInfo:
                 index_by_degree[n].append(len(elements))
                 elements.append(e)
                 degrees.append(n)
-        return cls(L, elements, degrees, index_by_degree)
-
-    def coords_as_indices(self, e: LieElement, degree):
-        """Coordinates of e against the global index set of its degree."""
-        if e.is_zero():
-            return []
-        vec = self.L.coords(e, degree)
-        idxs = self.index_by_degree.get(degree, [])
-        return [(idxs[i], c) for i, c in vec.entries.items()]
+        return cls(elements, degrees, index_by_degree)
 
 
 def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
@@ -246,6 +235,13 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
         labels.append(lbl)
         degrees.append(sum(sdeg[i] for i in w))
 
+    # s(v) -> the terms of s(dv), on the global indices
+    dcols = {}
+    for deg, idxs in info.index_by_degree.items():
+        below = info.index_by_degree.get(deg - 1, ())
+        for k, col in zip(idxs, L.boundary(deg)):
+            dcols[k] = [(below[i], c) for i, c in col.entries.items()]
+
     comul = {}
     diff = {}
     for w in words:
@@ -266,13 +262,9 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
         # d1: replace one factor by s(dv), with sign -(-1)^{n_i}
         dtable = {}
         for pos in range(len(w)):
-            v = info.elements[w[pos]]
-            dv = L.d(v)
-            if dv.is_zero():
-                continue
             n_i = sum(wd[:pos])
             base_sign = -1 if n_i % 2 == 0 else 1
-            for (tgt, coeff) in info.coords_as_indices(dv, info.degrees[w[pos]] - 1):
+            for (tgt, coeff) in dcols[w[pos]]:
                 new = w[:pos] + (tgt,) + w[pos + 1:]
                 norm = wedge_normalize(new, sdeg)
                 if norm is None:
@@ -294,8 +286,9 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
                 lead = -1 if wd[pi] % 2 else 1
                 deg_br = info.degrees[w[pi]] + info.degrees[w[pj]]
                 rest = tuple(w[k] for k in range(len(w)) if k not in (pi, pj))
-                for (tgt, coeff) in info.coords_as_indices(br, deg_br):
-                    new = (tgt,) + rest
+                idxs = info.index_by_degree[deg_br]
+                for b, coeff in L.coords(br, deg_br).entries.items():
+                    new = (idxs[b],) + rest
                     norm = wedge_normalize(new, sdeg)
                     if norm is None:
                         continue
@@ -648,36 +641,43 @@ class ConvolutionDGL:
     def complex(self, degrees, perturb_by: HomElement | None = None,
                 reduced=False) -> GradedChainComplex:
         """Chain complex of Hom(C, L) (or Hom(C-bar, L)) on the degrees,
-        optionally with the differential perturbed by an MC element."""
-        indices = self.C.reduced_indices() if reduced else range(self.C.dim())
-        offsets = {}
+        optionally with the differential perturbed by an MC element p, on
+        the unit slots (i, e_j), one block per label i over L_{|i|+n}.  The
+        column of (c, e_j) is L's boundary column j in block c, -(-1)^n k at
+        slot j of block i for each term k c of d i, and k (-1)^{n|l|}
+        [p(l), e_j] in block i for each coproduct term k (l, c) of i."""
+        C, L = self.C, self.L
+        indices = C.reduced_indices() if reduced else range(C.dim())
+        p = {} if perturb_by is None else perturb_by.values
+        d_terms, by_right = {}, {}
+        for i, row in C.diff.items():
+            for c, k in row:
+                d_terms.setdefault(c, []).append((i, k))
+        for i, row in C.comul.items():
+            for l, c, k in row:
+                if l in p:
+                    by_right.setdefault(c, []).append((i, l, k))
 
-        def basis(n):
-            return [f for f in self.basis(n)
-                    if not (reduced and self.C.counit in f.values)]
+        def blocks(n):
+            return [(i, L.basis(C.degrees[i] + n)) for i in indices]
 
-        def differential(f):
-            img = self.differential(f)
-            return img if perturb_by is None else img + self.bracket(perturb_by, f)
+        def columns(n):
+            below, off, sgn, cols = {}, 0, 1 if n % 2 else -1, []
+            for i, basis in blocks(n - 1):
+                below[i], off = off, off + len(basis)
+            for c, basis in blocks(n):
+                for j, dcol in enumerate(L.boundary(C.degrees[c] + n)):
+                    col = {below[c] + r: v for r, v in dcol.entries.items()}
+                    accumulate(col, ((below[i] + j, sgn * k)
+                                     for i, k in d_terms.get(c, ())))
+                    for i, l, k in by_right.get(c, ()):
+                        br = L.coords(bracket(p[l], basis[j]), C.degrees[i] + n - 1)
+                        sk = -k if (n * C.degrees[l]) % 2 else k
+                        accumulate(col, ((below[i] + r, sk * v)
+                                         for r, v in br.entries.items()))
+                    cols.append(_vec(col))
+            return cols
 
-        def coords(f, n):
-            if n not in offsets:
-                # the tables of label i start at offsets[n][i] in basis(n)
-                offsets[n], off = {}, 0
-                for i in indices:
-                    offsets[n][i] = off
-                    off += len(self.L.basis(self.C.degrees[i] + n))
-            out = {}
-            for i, v in f.values.items():
-                off = offsets[n].get(i)
-                if off is None:
-                    raise CoalgebraError("hom element outside the stored window")
-                for bi, c in self.L.coords(v, self.C.degrees[i] + n).entries.items():
-                    out[off + bi] = c
-            return SparseVec(out)
-
-        def label(n, k, f):
-            ((i, v),) = f.values.items()
-            return "%s->%s" % (self.C.labels[i], v.label or repr(v))
-
-        return build_complex(degrees, basis, differential, coords, label)
+        return GradedChainComplex.from_columns(degrees, lambda n: [
+            "%s->%s" % (C.labels[i], e.label or repr(e))
+            for i, basis in blocks(n) for e in basis], columns)

@@ -24,8 +24,7 @@ from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
                   exp_derivation_values, nilpotency)
 from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
                        IncrementalSpan, LongExactSequence, SparseMat, SparseVec,
-                       _vec, build_complex, homology_at, homology_reports,
-                       les_of_ses)
+                       _vec, homology_at, homology_reports, les_of_ses)
 from .freelie import DegreeError, LieElement, LieTable, bracket
 
 
@@ -177,34 +176,20 @@ class DerSpace:
         return self.total_slots if self.units else len(self.elements)
 
 
-def unit_derivations(source, target, degree, base=None):
-    """The full Der_n basis: one unit table per (generator, target element)."""
-    out = []
-    for g in source.gens:
-        for e in target.basis(g.degree + degree):
-            out.append(Derivation(source, target, degree, {g: e}, base,
-                                  label="%s->%s" % (g.name, e.label or "?")))
-    return out
-
-
-def unit_columns(space: DerSpace, below: DerSpace, phi=None, dcols=None):
+def unit_columns(space: DerSpace, below: DerSpace, phi=None):
     """The columns of D: Der_n -> Der_{n-1} on the unit slots of space, in
     the slot coordinates of below.  The slot (g, e_j) gives the target's
     boundary column j at degree |g| + n in block g, minus (-1)^n
     theta(d h) for theta = {g: e_j} in block h, for each h whose d holds
-    g.  dcols caches the boundary columns by degree, to share them; phi is
-    the base morphism of f-derivations (None: the identity)."""
+    g; phi is the base morphism of f-derivations (None: the identity)."""
     src, tgt, n = space.source, space.target, space.degree
-    dcols = {} if dcols is None else dcols
     images = None if phi is None else phi.images
     sgn = 1 if n % 2 else -1
     cols = []
     for g, _, basis in space.blocks:
-        deg, at = g.degree + n, below._offsets[g]
-        if basis and deg not in dcols:
-            dcols[deg] = [tgt.coords(tgt.d(e), deg - 1) for e in basis]
+        at = below._offsets[g]
         users = sorted(src.d_users.get(g, ()), key=src.gen_index.__getitem__)
-        for e, dcol in zip(basis, dcols.get(deg, ())):
+        for e, dcol in zip(basis, tgt.boundary(g.degree + n)):
             col = {at + i: c for i, c in dcol.entries.items()}
             for h in users:
                 v = apply_operator({g: e}, n, src.d_on_gens[h], phi=images)
@@ -252,17 +237,16 @@ class DerComplex:
     def complex(self) -> GradedChainComplex:
         """The chain complex, built on the first call and kept."""
         if self._complex is None:
-            boundary, dcols = {}, {}
-            for n in self.degrees:
-                sp, below = self.spaces[n], self.spaces[n - 1]
-                cols = (unit_columns(sp, below, self.phi, dcols) if sp.units else
-                        [below.flatten(derivation_differential(th).values)
-                         for th in sp.elements])
-                boundary[n] = SparseMat.from_columns(
-                    len(below), [below.in_elements(c) for c in cols])
-            self._complex = GradedChainComplex(
-                {n: sp.labels() for n, sp in self.spaces.items()}, boundary)
+            self._complex = GradedChainComplex.from_columns(
+                self.degrees, lambda n: self.spaces[n].labels(), self._columns)
         return self._complex
+
+    def _columns(self, n):
+        sp, below = self.spaces[n], self.spaces[n - 1]
+        cols = (unit_columns(sp, below, self.phi) if sp.units else
+                [below.flatten(derivation_differential(th).values)
+                 for th in sp.elements])
+        return [below.in_elements(c) for c in cols]
 
 
 # -- twisted complexes -------------------------------------------------------
@@ -308,10 +292,9 @@ def _twisted_product(sub: GradedChainComplex, quot: GradedChainComplex,
 
 def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
     """sL as a complex: (sL)_n = L_{n-1}, boundary -s d."""
-    return build_complex(degrees, lambda n: L.basis(n - 1),
-                         lambda e: L.d(e).scale(-1),
-                         lambda x, n: L.coords(x, n - 1),
-                         lambda n, i, e: "s(%s)" % (e.label or "?"))
+    return GradedChainComplex.from_columns(
+        degrees, lambda n: ["s(%s)" % (e.label or "?") for e in L.basis(n - 1)],
+        lambda n: [c.scale(-1) for c in L.boundary(n - 1)])
 
 
 def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
@@ -516,21 +499,19 @@ GammaReport = namedtuple("GammaReport",
                          "ok basis_checked pairs_checked failures caps")
 
 
-def _gamma_image(H: ConvolutionDGL, label_of_gen, theta: Derivation) -> HomElement:
-    """Gamma(s^{-1} theta)(c) = (-1)^{|theta|} theta(s^{-1} c) on reduced labels."""
-    sgn = -1 if theta.degree % 2 else 1
-    return HomElement(H, theta.degree - 1, {label_of_gen[g]: v.scale(sgn)
-                                            for g, v in theta.values.items()})
-
-
 def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     """Exact finite verification of the comparison isomorphism between the
     desuspended f-derivations of Lie(Chains(source)) and the perturbed
     convolution complex Hom(reduced Chains(source), target).
 
-    Checks, on every stored basis element: bijectivity, the chain-map
-    identity against D perturbed by the morphism's MC element, and bracket
+    Checks, on every unit slot: bijectivity, the chain-map identity
+    against D perturbed by the morphism's MC element, and bracket
     compatibility on every ordered pair of unit tables.
+
+    LC.gens follows the reduced labels, so Gamma maps the slot (g, e) of
+    Der_n to the slot (label of g, e) of Hom_{n-1} with the sign (-1)^n,
+    which cancels on both sides of the chain-map identity: it holds on a
+    slot when the two complexes' boundary columns there are equal.
 
     Bracket compatibility is computed only on the pairs whose generator
     labels (l, r) meet a coproduct row.  Each side of a pair takes terms
@@ -569,15 +550,19 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
         gdegs = [g.degree for g in LC.gens]
         degrees = range(lo - max(gdegs), hi - min(gdegs) + 1)
 
+    degrees = sorted(degrees)
+    dercx = DerComplex(LC, Ltgt, phi_tilde, degrees)
+    der_cx = dercx.complex()
+    hom_cx = H.complex([n - 1 for n in degrees], perturb_by=phibar, reduced=True)
     failures = []
     basis_checked = 0
     pairs = 0
 
     def gamma(theta):
-        return _gamma_image(H, label_of_gen, theta)
-
-    def hom_d_perturbed(f):
-        return H.differential(f) + H.bracket(phibar, f)
+        # Gamma(s^{-1} theta)(c) = (-1)^{|theta|} theta(s^{-1} c), reduced c
+        sgn = -1 if theta.degree % 2 else 1
+        return HomElement(H, theta.degree - 1, {label_of_gen[g]: v.scale(sgn)
+                                                for g, v in theta.values.items()})
 
     def conv_bracket_reduced(f, g):
         out = H.bracket(f, g)
@@ -617,19 +602,24 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
                           base=phi_tilde)
 
     for n in degrees:
-        basis = unit_derivations(LC, Ltgt, n, base=phi_tilde)
+        space = dercx.space(n)
+        units = [(g, e) for g, _, b in space.blocks for e in b]
+        basis = [Derivation(LC, Ltgt, n, {g: e}, phi_tilde, label)
+                 for (g, e), label in zip(units, space.labels())]
         images = [gamma(th) for th in basis]
-        # bijectivity: Gamma maps the unit-table basis bijectively onto the
-        # reduced Hom basis (label-for-label, up to sign)
-        for th, img in zip(basis, images):
-            basis_checked += 1
-            if len(img.values) != len(th.values):
-                failures.append(("bijectivity", th.label))
-            # chain map: Gamma(-s^{-1} D theta) = D_{phibar} Gamma(theta).
-            # with |s^{-1}theta| = |theta| - 1.
-            lhs = gamma(derivation_differential(th)).scale(-1)
-            if lhs != hom_d_perturbed(img):
-                failures.append(("chain", th.label))
+        # bijectivity: the k-th slot (g, e) of Der_n is the k-th slot (label
+        # of g, e) of the reduced Hom_{n-1}; chain map: Gamma(-s^{-1} D
+        # theta) = D_phibar Gamma(theta), so the two boundary columns agree
+        hom = hom_cx.basis.get(n - 1, [])
+        d, dhom = der_cx.d(n), hom_cx.d(n - 1)
+        differ = {k for (_, k), _ in d.entries.items() ^ dhom.entries.items()}
+        basis_checked += len(basis)
+        for k, (g, e) in enumerate(units):
+            want = "%s->%s" % (C.labels[label_of_gen[g]], e.label or repr(e))
+            if hom[k:k + 1] != [want]:
+                failures.append(("bijectivity", basis[k].label))
+            if k in differ:
+                failures.append(("chain", basis[k].label))
         # bracket compatibility on the pairs whose labels meet a row; label
         # order is basis order, since LC.gens follows the reduced labels
         by_label = {}

@@ -17,7 +17,7 @@ from math import factorial, lcm
 
 from .exactlin import (FactoredBasis, GradedChainComplex, HomologyReport,
                        IncrementalSpan, InternalError, NotInSpanError, SparseVec,
-                       _vec, build_complex, exact, homology_at, ratio, settled)
+                       _vec, exact, homology_at, ratio, settled)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _clear_denominators,
                       _exp_coefficient, _mul_terms, bracket, exp_terms, is_lie,
@@ -138,6 +138,7 @@ class DGLPresentation:
         self.name = name
         self._basis_cache = {}
         self._coordizer_cache = {}
+        self._boundary_cache = {}
         self._gen_elements = {g: LieElement.gen(g, trunc) for g in self.gens}
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
 
@@ -211,10 +212,20 @@ class DGLPresentation:
             out = out + basis[i].scale(c)
         return out
 
+    def boundary(self, n):
+        """The columns of d: L_n -> L_{n-1} in basis coordinates, built once;
+        the one place L's boundary is computed."""
+        cols = self._boundary_cache.get(n)
+        if cols is None:
+            cols = [self.coords(self.d(e), n - 1) for e in self.basis(n)]
+            self._boundary_cache[n] = cols
+        return cols
+
     def complex(self, degrees) -> GradedChainComplex:
         """Underlying chain complex on the given degrees."""
-        return build_complex(degrees, self.basis, self.d, self.coords,
-                             lambda n, i, e: e.label or ("e%d_%d" % (n, i)))
+        return GradedChainComplex.from_columns(degrees, lambda n: [
+            e.label or ("e%d_%d" % (n, i)) for i, e in enumerate(self.basis(n))],
+            self.boundary)
 
     # -- validation ---------------------------------------------------------
 

@@ -364,6 +364,8 @@ class FactoredBasis:
             self.span.add(_vec(row))
 
     def coords(self, vec: SparseVec) -> SparseVec:
+        if any(not 0 <= i < self.n_cols for i in vec.entries):
+            raise NotInSpanError("vector outside the factored columns")
         res, scale = self.span._residue(vec)
         if any(i < self.n_cols for i in res):
             raise NotInSpanError("vector outside the factored span")
@@ -418,6 +420,15 @@ class GradedChainComplex:
                     % (n, mat.n_rows, mat.n_cols, self.dim(n - 1), self.dim(n)))
             self.boundary[n] = mat
 
+    @classmethod
+    def from_columns(cls, degrees, labels, columns) -> "GradedChainComplex":
+        """The complex on degrees and one below each, labels(m) naming the
+        basis of degree m and columns(n) the boundary at each n of degrees,
+        as columns in the basis of degree n - 1."""
+        basis = {m: labels(m) for m in sorted({m for n in degrees for m in (n - 1, n)})}
+        return cls(basis, {n: SparseMat.from_columns(len(basis[n - 1]), columns(n))
+                           for n in degrees})
+
     def dim(self, n) -> int:
         return len(self.basis.get(n, ()))
 
@@ -436,29 +447,6 @@ class GradedChainComplex:
             if not prod.is_zero():
                 raise IllFormedComplexError("dd != 0 from degree %d" % n)
         return self
-
-
-def build_complex(degrees, basis, differential, coords, label) -> GradedChainComplex:
-    """The chain complex of a cdgl on a degree window.
-
-    basis(n) lists the degree-n basis elements, for each n in degrees and
-    one degree below; differential(e) is d e, coords(x, n) the coordinates
-    of a degree-n element x in basis(n), and label(n, i, e) names the i-th
-    element of basis(n).  The boundary is stored on the given degrees.
-    """
-    degrees = sorted(degrees)
-    bases = {n: basis(n) for n in [degrees[0] - 1] + degrees}
-    boundary = {}
-    for n in degrees:
-        if not bases[n]:
-            continue
-        cols = []
-        for e in bases[n]:
-            de = differential(e)
-            cols.append(SparseVec() if de.is_zero() else coords(de, n - 1))
-        boundary[n] = SparseMat.from_columns(len(bases[n - 1]), cols)
-    labels = {n: [label(n, i, e) for i, e in enumerate(b)] for n, b in bases.items()}
-    return GradedChainComplex(labels, boundary)
 
 
 class HomologyReport:

@@ -15,8 +15,6 @@ from .ast import (Br, DerivationNode, DiffDecl, Document, ExpAd, Expr,
 
 BLOCK_KEYWORDS = {"model", "morphism", "derivation", "homotopy"}
 DECL_KEYWORDS = {"gen", "d", "mc", "filtration", "truncate"}
-SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ":", "=", "+", "-", "*",
-           "/", "^", "|")
 
 
 class Diagnostic:

@@ -14,8 +14,9 @@ classifying nilpotency index on dense word derivations, where the engine
 reads unit slots and sparse spans.  The last section holds test helpers
 that build engine values (left-normed brackets, the Dynkin map, connected
 covers, components, the Fraction gauge series, the action on morphisms,
-model file text, the derivation complex built element by element, the
-operator BCH of derivations and the Hom (x~) Der product) and
+model file text, the derivation complex built element by element with
+its unit tables and its element-by-element complex builder, the operator
+BCH of derivations and the Hom (x~) Der product) and
 assert_exact, the check of the engine's scalar normal form; no oracle uses
 them.  argparse_argv reads a command line with argparse, the reference for
 the CLI's own argv reader.
@@ -27,12 +28,12 @@ from math import factorial, gcd
 
 from cdgl.coalgebra import HomElement
 from cdgl.derivations import (DerSpace, Derivation, _twisted_product,
-                              derivation_differential, unit_derivations)
+                              derivation_differential)
 from cdgl.dgl import (MCViolationError, _max_iterations, ad_values, apply_operator,
                       exp_ad, exp_derivation_values, log_morphism,
                       nilpotent_series, perturbed)
 from cdgl.exactlin import (FactoredBasis, GradedChainComplex, IllFormedComplexError,
-                           NotInSpanError, SparseMat, build_complex, kernel_basis)
+                           NotInSpanError, SparseMat, SparseVec, kernel_basis)
 from cdgl.freelie import LieElement, _dynkin_terms, _exp_coefficient, bracket
 from cdgl.workbench.tasks import pretty_element
 
@@ -827,12 +828,42 @@ def export_source(L, name=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def unit_derivations(source, target, degree, base=None):
+    """The full Der_n basis: one unit table per (generator, target element)."""
+    return [Derivation(source, target, degree, {g: e}, base,
+                       label="%s->%s" % (g.name, e.label or "?"))
+            for g in source.gens for e in target.basis(g.degree + degree)]
+
+
+def build_complex(degrees, basis, differential, coords, label) -> GradedChainComplex:
+    """The chain complex of a cdgl on a degree window, element by element.
+
+    basis(n) lists the degree-n basis elements, for each n in degrees and
+    one degree below; differential(e) is d e, coords(x, n) the coordinates
+    of a degree-n element x in basis(n), and label(n, i, e) names the i-th
+    element of basis(n).  The boundary is stored on the given degrees.
+    """
+    degrees = sorted(degrees)
+    bases = {n: basis(n) for n in [degrees[0] - 1] + degrees}
+    boundary = {}
+    for n in degrees:
+        if not bases[n]:
+            continue
+        cols = []
+        for e in bases[n]:
+            de = differential(e)
+            cols.append(SparseVec() if de.is_zero() else coords(de, n - 1))
+        boundary[n] = SparseMat.from_columns(len(bases[n - 1]), cols)
+    labels = {n: [label(n, i, e) for i, e in enumerate(b)] for n, b in bases.items()}
+    return GradedChainComplex(labels, boundary)
+
+
 def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
     """(complex, element(n, vec)): the derivation complex built element by
     element, as DerComplex was before its block builder: one unit table per
     slot (unit_derivations), or deg0_subspace in degree 0 when given, D of
     each by derivation_differential and its coordinates by DerSpace.coords,
-    through exactlin.build_complex one degree at a time, so that a window
+    through build_complex one degree at a time, so that a window
     with a gap holds every degree n - 1 as well; element sums the tables."""
     window = sorted({m for n in degrees for m in (n - 1, n)})
 

@@ -6,15 +6,15 @@ from functools import partial
 import pytest
 
 import cdgl.derivations as derivations
-from cdgl.coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
-                            comul_by_left, lie_functor)
+from cdgl.coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
+                            chains_functor, comul_by_left, lie_functor)
 from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
                               ad_derivation, classifying_invariants,
                               der_g_zero, derivation_bracket,
                               derivation_differential, gamma_check,
                               mapping_space_pi, r0_basis, twisted_der_sl,
-                              twisted_l_der, unit_derivations)
+                              twisted_l_der)
 from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
                       h0_group)
 from cdgl.exactlin import (InternalError, NotInSpanError, SparseVec,
@@ -25,7 +25,7 @@ from cdgl.workbench import workspace_from_text
 
 from oracles import (bch_der, connected_cover, dense_nilpotency_class,
                      eager_h0_table, element_der_complex, hom_der_bracket,
-                     left_normed, twisted_hom_der, w_classifying,
+                     left_normed, twisted_hom_der, unit_derivations, w_classifying,
                      w_convolution_differential, w_derivation_differential,
                      w_gamma_bracket_failures)
 
@@ -616,7 +616,10 @@ def test_der_h0_table_law_matches_bch_der(case):
 
 def _complex_and_differential(kind, L):
     """(complex, degrees, basis(n), d(e), element(n, coordinates)) of one of
-    the complexes made by exactlin.build_complex."""
+    the complexes built from boundary columns: L (its boundary table), Der
+    (unit columns), sL (L's table negated and shifted), and Hom, reduced
+    Hom and perturbed Hom (ConvolutionDGL's unit slots); basis and d are
+    the element path each column is checked against."""
     if kind == "L":
         return (L.complex(range(0, 5)), range(0, 5), L.basis, L.d,
                 lambda n, z: L.from_coords(z, n))
@@ -858,25 +861,43 @@ def test_der_complex_blocks_match_element_path():
 
 
 def test_pipelines_build_no_table_per_slot(monkeypatch):
-    # unit slots are read as blocks: DerComplex builds no unit table and
-    # goes through neither derivation_differential nor build_complex, and
-    # the pipelines build no unit table, on models with d != 0 as well
+    # unit slots are read as blocks: the engine holds no per-slot builder,
+    # DerComplex and mapping_space_pi go through no derivation_differential,
+    # and no pipeline builds a derivation per slot, on models with d != 0
+    # as well
+    import cdgl.exactlin as exactlin
+    assert not hasattr(derivations, "unit_derivations")
+    assert not hasattr(exactlin, "build_complex")
+    built = []
+
+    class Counted(Derivation):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])
+            Derivation.__init__(self, *args, **kwargs)
+
     def unreachable(*args, **kwargs):
         raise AssertionError("unit slots built element by element")
 
-    for name in ("unit_derivations", "derivation_differential", "build_complex"):
-        monkeypatch.setattr(derivations, name, unreachable)
+    monkeypatch.setattr(derivations, "Derivation", Counted)
+    monkeypatch.setattr(derivations, "derivation_differential", unreachable)
     ws, _ = workspace_from_text(read_data("wedge_homotopy.cdgl"))
     f = ws.morphisms["f"]
     DerComplex(f.source, f.target, f, range(-1, 4)).complex()
-    monkeypatch.undo()
-    monkeypatch.setattr(derivations, "unit_derivations", unreachable)
     rep = mapping_space_pi(f, range(1, 4))
     assert rep.pointed[1] == 7 and rep.free[1] == 21
+    assert built == []
+    monkeypatch.setattr(derivations, "derivation_differential",
+                        derivation_differential)
     M = _commutator_model(4)
+    slots = len(DerSpace(M, M, 0)) + len(DerSpace(M, M, 1))
     for mode in ("FREE", "POINTED"):
+        built.clear()
         rep = classifying_invariants(M, GSpec("identity", M), mode, range(1, 4))
         assert rep.der0_dimension == 2 and rep.nilpotency == 1
+        assert 0 < len(built) < slots
+
 
 def test_derivation_table_follows_source_gens():
     L = wedge_model((2, 2, 3), T(3))
@@ -960,3 +981,78 @@ def test_gamma_bracket_pairs_see_a_term_of_one_table(monkeypatch, mutant):
     rep = gamma_check(DGLMorphism.identity(L), word_cap=2)
     want = _gamma_reference(L, C, mutated)
     assert want and rep.failures == want
+
+
+def _gamma_chain_reference(phi, word_cap):
+    """The ("chain", label) failures of gamma_check on phi, found slot by
+    slot on the element path: Gamma(-s^{-1} D theta) against D_phibar
+    Gamma(theta) for each unit table theta, with D by
+    derivation_differential and D_phibar by the convolution differential
+    and bracket."""
+    C = chains_functor(phi.source, word_cap)
+    LC = lie_functor(C, phi.target.trunc)
+    phi_tilde = phi.compose(adjunction_alpha(phi.source, C, LC))
+    H = ConvolutionDGL(C, phi.target)
+    phibar = H.mc_of_morphism(phi)
+    label_of_gen = dict(zip(LC.gens, C.reduced_indices()))
+    lo, hi = phi.target.degree_bounds()
+    gdegs = [g.degree for g in LC.gens]
+
+    def gamma(theta):
+        return HomElement(H, theta.degree - 1, {
+            label_of_gen[g]: v.scale((-1) ** theta.degree)
+            for g, v in theta.values.items()})
+
+    failures = []
+    for n in range(lo - max(gdegs), hi - min(gdegs) + 1):
+        for th in unit_derivations(LC, phi.target, n, phi_tilde):
+            img = gamma(th)
+            lhs = gamma(derivation_differential(th)).scale(-1)
+            if lhs != H.differential(img) + H.bracket(phibar, img):
+                failures.append(("chain", th.label))
+    return failures
+
+
+@pytest.mark.parametrize("term", ["bracket", "leibniz"])
+def test_gamma_chain_check_sees_a_flipped_sign(monkeypatch, term):
+    # the sign of the perturbing bracket [phibar, f] of the Hom side, or of
+    # the Leibniz term theta(d h) of the derivation side, flipped: the
+    # chain check fails on exactly the slots where the element path sees
+    # the two sides differ, and names them
+    L = wedge_model((2, 2), T(2))
+    phi = DGLMorphism.identity(L)
+    assert _gamma_chain_reference(phi, 2) == []
+    if term == "bracket":
+        mc = ConvolutionDGL.mc_of_morphism
+        monkeypatch.setattr(ConvolutionDGL, "mc_of_morphism",
+                            lambda H, f: mc(H, f).scale(-1))
+    else:
+        op = derivations.apply_operator
+        monkeypatch.setattr(derivations, "apply_operator",
+                            lambda *args, **kwargs: op(*args, **kwargs).scale(-1))
+    rep = gamma_check(phi, word_cap=2)
+    want = _gamma_chain_reference(phi, 2)
+    assert not rep.ok and want and rep.failures == want
+    C = chains_functor(L, 2)
+    LC = lie_functor(C, L.trunc)
+    slots = {lbl for n in range(-4, 3) for lbl in DerSpace(LC, L, n).labels()}
+    assert {label for _, label in rep.failures} <= slots
+
+
+@pytest.mark.parametrize("case", ["wedge22", "shear"])
+def test_gamma_check_takes_no_element_differential(monkeypatch, case):
+    # the chain-map check reads the boundary columns of both complexes:
+    # neither the per-table D of derivations nor that of Hom is called
+    def unreachable(*args, **kwargs):
+        raise AssertionError("element differential in gamma_check")
+
+    if case == "wedge22":
+        phi, counts = DGLMorphism.identity(wedge_model((2, 2), T(2))), (None, 1483)
+    else:
+        ws, _ = workspace_from_text(read_data("wedge_spheres.cdgl"))
+        phi, counts = ws.morphisms["shear"], (75, 635)
+    monkeypatch.setattr(derivations, "derivation_differential", unreachable)
+    monkeypatch.setattr(ConvolutionDGL, "differential", unreachable)
+    rep = gamma_check(phi, word_cap=2)
+    assert rep.ok and rep.failures == []
+    assert counts[0] in (None, rep.basis_checked) and rep.pairs_checked == counts[1]

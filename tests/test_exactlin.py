@@ -58,6 +58,22 @@ def test_factored_basis_coords_match_dense_solve():
     assert dependent >= 15
 
 
+@pytest.mark.parametrize("vecs, n_cols, outside", [
+    ([SparseVec({0: 1})], 1, SparseVec({1: 5})),
+    ([], 0, SparseVec({0: 1, 2: 3})),
+    ([SparseVec({0: 1}), SparseVec({1: 2})], 2, SparseVec({0: 1, -1: 4})),
+])
+def test_factored_basis_refuses_a_vector_outside_its_columns(vecs, n_cols, outside):
+    # an index outside 0..n_cols-1 is no coordinate to read as a tail
+    # column: the vector is refused before reduction, and one inside the
+    # span keeps its coordinates
+    fb = FactoredBasis(vecs, n_cols)
+    with pytest.raises(NotInSpanError):
+        fb.coords(outside)
+    inside = sum((v.scale(k + 2) for k, v in enumerate(vecs)), SparseVec())
+    assert fb.coords(inside) == SparseVec({k: k + 2 for k in range(len(vecs))})
+
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
 
 

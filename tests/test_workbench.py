@@ -15,7 +15,7 @@ from cdgl.workbench.ast import (Br, DerivationNode, DiffDecl, Document, ExpAd,
                                 Expr, FiltDecl, GenDecl, HomotopyNode, McDecl,
                                 ModelNode, MorphismNode, Ref, Term, TruncDecl,
                                 print_document)
-from cdgl.workbench.parser import BLOCK_KEYWORDS, DECL_KEYWORDS, SYMBOLS
+from cdgl.workbench.parser import BLOCK_KEYWORDS, DECL_KEYWORDS
 from cdgl.workbench.report import canonical
 from cdgl.workbench.tasks import Task
 
@@ -100,6 +100,9 @@ def test_parser_never_crashes_on_corpus():
         assert doc is not None
 
 
+# the symbols lex reads: "->" and the characters it takes one at a time
+SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ":", "=", "+", "-", "*",
+           "/", "^", "|")
 KEYWORDS = sorted(BLOCK_KEYWORDS | DECL_KEYWORDS | {"exp", "ad", "t", "dt", "degree"})
 TOKENS = st.one_of(st.sampled_from(SYMBOLS + tuple(KEYWORDS) + ("\n",)),
                    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
@@ -961,6 +964,40 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     lines = out.stdout.splitlines()
     assert lines[0] == "[]" and lines[-1] == "[] 0"
     assert "homology.H_1 = 1" in out.stdout
+
+
+def test_canonical_reports_do_not_depend_on_the_hash_seed():
+    # set and dict orders of str keys move with PYTHONHASHSEED; no report
+    # and no exit code may follow them.  Each seed runs the commands in
+    # one fresh interpreter, and the two interpreters run side by side.
+    src = os.path.abspath(os.path.join(os.path.dirname(DATA), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = [
+        ["homology", "--model", "wedge(2,3)", "--range", "0..8", "--truncate", "5"],
+        ["h0", "--model", "wedge(1,1)", "--truncate", "4"],
+        ["bautstar", "--model", "wedge(2,2,3)", "--gspec", "identity",
+         "--range", "1..4", "--truncate", "3"],
+        ["baut", os.path.join(DATA, "wedge_spheres.cdgl"), "--gspec", "stabilizer:F",
+         "--range", "1..4"],
+        ["gamma", "--model", "wedge(2,2)", "--word-cap", "2", "--truncate", "2"],
+        ["pi-map", os.path.join(DATA, "wedge_homotopy.cdgl"), "--morphism", "f",
+         "--range", "1..3", "--truncate", "4"],
+        ["gauge-equiv", "--model", "L1", "-a", "a", "-b", "b", "--truncate", "6"],
+    ]
+    code = ("import contextlib, io; from cdgl.workbench.cli import main\n"
+            "for argv in %r:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv + ['--format', 'canonical'])\n"
+            "    print('exit', code); print(out.getvalue())" % commands)
+    runs = [subprocess.Popen([sys.executable, "-c", code], text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+    (out0, err0), (out1, err1) = (run.communicate(timeout=120) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0], err0 + err1
+    assert out0.count("exit 0") == len(commands) and "status = ok" in out0
+    assert out0 == out1
 
 
 def test_readme_cli_examples_run(monkeypatch, capsys):
