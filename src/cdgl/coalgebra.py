@@ -661,6 +661,8 @@ class ConvolutionDGL:
         def blocks(n):
             return [(i, L.basis(C.degrees[i] + n)) for i in indices]
 
+        brackets = {}   # (l, |c| + n, j) -> the coordinates of [p(l), e_j]
+
         def columns(n):
             below, off, sgn, cols = {}, 0, 1 if n % 2 else -1, []
             for i, basis in blocks(n - 1):
@@ -671,7 +673,11 @@ class ConvolutionDGL:
                     accumulate(col, ((below[i] + j, sgn * k)
                                      for i, k in d_terms.get(c, ())))
                     for i, l, k in by_right.get(c, ()):
-                        br = L.coords(bracket(p[l], basis[j]), C.degrees[i] + n - 1)
+                        key = (l, C.degrees[c] + n, j)
+                        if key not in brackets:
+                            brackets[key] = L.coords(bracket(p[l], basis[j]),
+                                                     C.degrees[i] + n - 1)
+                        br = brackets[key]
                         sk = -k if (n * C.degrees[l]) % 2 else k
                         accumulate(col, ((below[i] + r, sk * v)
                                          for r, v in br.entries.items()))

@@ -22,9 +22,10 @@ from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
 from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
                   GeneratorFiltration, H0Group, ad_values, apply_operator,
                   exp_derivation_values, nilpotency)
-from .exactlin import (ChainMap, FactoredBasis, GradedChainComplex,
-                       IncrementalSpan, LongExactSequence, SparseMat, SparseVec,
-                       _vec, homology_at, homology_reports, les_of_ses)
+from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
+                       LongExactSequence, SparseMat, SparseVec, TwistedComplex,
+                       _vec, homology_at, homology_reports, les_of_ses,
+                       twisted_product)
 from .freelie import DegreeError, LieElement, LieTable, bracket
 
 
@@ -251,45 +252,6 @@ class DerComplex:
 
 # -- twisted complexes -------------------------------------------------------
 
-class TwistedComplex(namedtuple("TwistedComplex", "sub total quotient incl proj")):
-    """The short exact sequence sub -> total -> quotient of a twisted
-    product, with its inclusion and projection chain maps."""
-
-    def ses(self):
-        return tuple(self)
-
-
-def _twisted_product(sub: GradedChainComplex, quot: GradedChainComplex,
-                     degrees, cross=None) -> TwistedComplex:
-    """The twisted product of sub and quot on a degree window: each degree
-    has the sub basis first, then the quot basis, and the boundary is the
-    upper block-triangular [[d_sub, cross(n)], [0, d_quot]], where cross(n)
-    maps quot_n to sub_{n-1} (zero when cross is None)."""
-    degrees = sorted(degrees)
-    window = degrees + [degrees[0] - 1]
-    basis = {n: sub.basis.get(n, []) + quot.basis.get(n, []) for n in window}
-    boundary = {}
-    for n in degrees:
-        a, a1 = sub.dim(n), sub.dim(n - 1)
-        entries = dict(sub.d(n).entries)
-        for (r, c), v in quot.d(n).entries.items():
-            entries[(a1 + r, a + c)] = v
-        if cross is not None:
-            for (r, c), v in cross(n).entries.items():
-                entries[(r, a + c)] = v
-        boundary[n] = SparseMat(a1 + quot.dim(n - 1), a + quot.dim(n), entries)
-    total = GradedChainComplex(basis, boundary).validate()
-    incl = ChainMap(sub, total, {
-        n: SparseMat(total.dim(n), sub.dim(n),
-                     {(i, i): 1 for i in range(sub.dim(n))})
-        for n in window})
-    proj = ChainMap(total, quot, {
-        n: SparseMat(quot.dim(n), total.dim(n),
-                     {(j, sub.dim(n) + j): 1 for j in range(quot.dim(n))})
-        for n in window})
-    return TwistedComplex(sub, total, quot, incl, proj)
-
-
 def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
     """sL as a complex: (sL)_n = L_{n-1}, boundary -s d."""
     return GradedChainComplex.from_columns(
@@ -297,29 +259,50 @@ def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
         lambda n: [c.scale(-1) for c in L.boundary(n - 1)])
 
 
+def ad_cross_columns(space: DerSpace, images) -> list:
+    """The columns of x -> ad_x . phi = [x, phi(-)] for x in L_m, m the
+    degree of space and L its target, in space's stored basis: block g holds
+    [x, phi(g)], images being phi's generator images.  Where phi(g) is a
+    generator h of L, [x, h] = -(-1)^{m|h|} ad_h(x) is read off
+    L.ad_columns(h, m); any other image is bracketed with x and
+    coordinatized."""
+    L, m = space.target, space.degree
+    basis = L.basis(m)
+    cols = [{} for _ in basis]
+    for g, off, _ in space.blocks:
+        terms = images[g].terms
+        word = next(iter(terms)) if len(terms) == 1 else ()
+        if len(word) == 1 and terms[word] == 1:
+            sgn = -1 if m * word[0].degree % 2 == 0 else 1
+            for col, ad in zip(cols, L.ad_columns(word[0], m)):
+                col.update((off + i, sgn * c) for i, c in ad.entries.items())
+        elif terms:
+            for col, x in zip(cols, basis):
+                col.update((off + i, c) for i, c in L.coords(
+                    bracket(x, images[g]), g.degree + m).entries.items())
+    return [space.in_elements(_vec(col)) for col in cols]
+
+
 def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
                    phi: DGLMorphism | None = None) -> TwistedComplex:
     """Der (x~) sL with D sx = -s dx + ad_x (or ad_x . phi when phi is
     given)."""
-    src = L if phi is None else phi.source
     images = {g: L.gen(g) for g in L.gens} if phi is None else phi.images
 
-    def ad_column(n):
+    def cross(n):
         # ad_x (. phi) for each x in L_{n-1}, in the stored Der_{n-1} basis
         sp = dercx.space(n - 1)
-        return SparseMat.from_columns(len(sp), [
-            sp.in_elements(sp.flatten({g: bracket(e, images[g]) for g in src.gens}))
-            for e in L.basis(n - 1)])
+        return SparseMat.from_columns(len(sp), ad_cross_columns(sp, images))
 
-    return _twisted_product(dercx.complex(),
-                            _shifted_l_complex(L, degrees), degrees, ad_column)
+    return twisted_product(dercx.complex(), _shifted_l_complex(L, degrees),
+                           degrees, cross)
 
 
 def twisted_l_der(L: DGLPresentation, dercx: DerComplex, degrees) -> TwistedComplex:
     """L (x~) Der with block-diagonal differential; [theta, x] = theta(x)."""
     lo, hi = min(degrees), max(degrees)
-    return _twisted_product(L.complex(range(lo - 1, hi + 1)),
-                            dercx.complex(), degrees)
+    return twisted_product(L.complex(range(lo - 1, hi + 1)),
+                           dercx.complex(), degrees)
 
 
 # -- distinguished degree-0 subalgebras ---------------------------------------
@@ -687,8 +670,7 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
         pointed={n: h.dimension for n, h in hA.items()},
         free={n: hB[n].dimension for n in degrees if n >= 1},
         fiber_components_h0=hB[0].dimension,
-        build_les=lambda: les_of_ses(*tw.ses(), degrees=les_degrees,
-                                     hA=hA, hB=hB),
+        build_les=lambda: les_of_ses(tw, les_degrees, hA=hA, hB=hB),
         minimal_warning=minimal_warning)
 
 
@@ -784,7 +766,7 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
         pointed_stability_check(L, g0, space0)
     dercx = DerComplex(L, L, None, window, deg0_subspace=g0)
     # H0(Der^G)/Im H0(ad) (FREE) or H0(Der^Pi) as a BCH group
-    ads = ([dercx.space(0).coords(ad_derivation(L, e)) for e in L.basis(0)]
+    ads = (ad_cross_columns(dercx.space(0), {g: L.gen(g) for g in L.gens})
            if mode == "FREE" else [])
     adspan = IncrementalSpan()
     for v in ads:

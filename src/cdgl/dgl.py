@@ -139,6 +139,7 @@ class DGLPresentation:
         self._basis_cache = {}
         self._coordizer_cache = {}
         self._boundary_cache = {}
+        self._ad_cache = {}
         self._gen_elements = {g: LieElement.gen(g, trunc) for g in self.gens}
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
 
@@ -219,6 +220,31 @@ class DGLPresentation:
         if cols is None:
             cols = [self.coords(self.d(e), n - 1) for e in self.basis(n)]
             self._boundary_cache[n] = cols
+        return cols
+
+    def ad_columns(self, g: Generator, m):
+        """The columns of ad_g = [g, -]: L_m -> L_{m+|g|} for a generator g,
+        in basis coordinates, built once.  Column e is the unit column of the
+        pick labelled [g,label(e)] when basis(m + |g|) holds one, since
+        _left_normed_basis names each pick after its candidate [g, b] and
+        keeps the candidate's terms.  It is zero, with no bracket built,
+        when e has the cap's length or basis(m + |g|) is empty (as above a
+        degree cap), and the coordinates of [g, e] otherwise: a candidate
+        that the pick refused."""
+        cols = self._ad_cache.get((g, m))
+        if cols is None:
+            n, cap = m + g.degree, self.trunc.max_bracket_length
+            picks = {e.label: i for i, e in enumerate(self.basis(n))}
+            cols = []
+            for e in self.basis(m):
+                i = picks.get("[%s,%s]" % (g.name, e.label))
+                if i is not None:
+                    cols.append(SparseVec.unit(i))
+                elif not picks or len(next(iter(e.terms))) == cap:
+                    cols.append(SparseVec())
+                else:
+                    cols.append(self.coords(bracket(self.gen(g), e), n))
+            self._ad_cache[(g, m)] = cols
         return cols
 
     def complex(self, degrees) -> GradedChainComplex:
@@ -343,17 +369,6 @@ def check_mc(L: DGLPresentation, a: LieElement):
         raise DegreeError("MC candidates must be homogeneous of degree -1")
     res = L.d(a) + bracket(a, a).scale(Fraction(1, 2))
     return res.is_zero(), res
-
-
-def perturbed(L: DGLPresentation, a) -> DGLPresentation:
-    """(L, d_a) with d_a = d + ad_a for an MC element a."""
-    value = a.value if isinstance(a, MCElement) else a
-    ok, res = check_mc(L, value)
-    if not ok:
-        raise MCViolationError("cannot perturb at non-MC element, residue %r" % res)
-    d_new = {g: L.d_on_gens[g] + bracket(value, L.gen(g)) for g in L.gens}
-    return DGLPresentation(L.gens, d_new, L.trunc,
-                           name=(L.name or "L") + "^perturbed").validate()
 
 
 # -- BCH, exp/log, gauge --------------------------------------------------

@@ -18,6 +18,7 @@ so downstream golden tests are bit-exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -493,63 +494,11 @@ def homology_at(C: GradedChainComplex, n: int, extra=()) -> HomologyReport:
     return HomologyReport(n, dim, reps, quotient, C.dim(n))
 
 
-class ChainMap:
-    """Degree-preserving chain map given by per-degree matrices."""
-
-    def __init__(self, source: GradedChainComplex, target: GradedChainComplex, blocks):
-        self.source = source
-        self.target = target
-        self.blocks = {n: m for n, m in blocks.items() if m is not None}
-
-    def block(self, n) -> SparseMat:
-        mat = self.blocks.get(n)
-        if mat is None:
-            return SparseMat(self.target.dim(n), self.source.dim(n))
-        return mat
-
-    def validate(self, degrees):
-        for n in degrees:
-            left = self.target.d(n).compose(self.block(n))
-            right = self.block(n - 1).compose(self.source.d(n))
-            if left != right:
-                raise IllFormedComplexError("not a chain map at degree %d" % n)
-        return self
-
-
-class LongExactSequence:
+class LongExactSequence(namedtuple("LongExactSequence", "degrees hA hB hC maps_i "
+                                     "maps_p connecting")):
     """H_n(A) -> H_n(B) -> H_n(C) -> H_{n-1}(A), per degree, as matrices:
     maps_i H_n(A) -> H_n(B), maps_p H_n(B) -> H_n(C) and connecting
     H_n(C) -> H_{n-1}(A), each a dict degree -> SparseMat."""
-
-    __slots__ = ("degrees", "hA", "hB", "hC", "maps_i", "maps_p",
-                 "connecting", "exact")
-
-    def __init__(self, degrees: list, hA: dict, hB: dict, hC: dict,
-                 maps_i: dict, maps_p: dict, connecting: dict,
-                 exact: bool = True):
-        self.degrees = degrees
-        self.hA = hA
-        self.hB = hB
-        self.hC = hC
-        self.maps_i = maps_i
-        self.maps_p = maps_p
-        self.connecting = connecting
-        self.exact = exact
-
-
-def _check_ses(A, B, C, incl, proj, degrees):
-    for n in degrees:
-        i_n, p_n = incl.block(n), proj.block(n)
-        if not p_n.compose(i_n).is_zero():
-            raise ExactnessError("composite A->C nonzero at degree %d" % n)
-        ri = rank(i_n)
-        rp = rank(p_n)
-        if ri != A.dim(n):
-            raise ExactnessError("inclusion not injective at degree %d" % n)
-        if rp != C.dim(n):
-            raise ExactnessError("projection not surjective at degree %d" % n)
-        if B.dim(n) != A.dim(n) + C.dim(n):
-            raise ExactnessError("middle dimension mismatch at degree %d" % n)
 
 
 def homology_reports(C: GradedChainComplex, degrees, known=None) -> dict:
@@ -558,26 +507,78 @@ def homology_reports(C: GradedChainComplex, degrees, known=None) -> dict:
     return {n: known[n] if n in known else homology_at(C, n) for n in degrees}
 
 
-def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees,
-               hA=None, hB=None) -> LongExactSequence:
-    """Long exact homology sequence of a degreewise short exact sequence.
+class TwistedComplex(namedtuple("TwistedComplex", "sub total quotient")):
+    """The split short exact sequence sub -> total -> quotient: each degree
+    of total holds the slots of sub first, then those of quotient, and its
+    boundary is the upper block-triangular [[d_sub, cross], [0, d_quot]].
+    The inclusion and the projection are these slot blocks, so they are
+    never stored as matrices."""
 
-    Verifies the SES (chain maps, injectivity, surjectivity, rank balance),
-    computes the induced maps and the zig-zag connecting maps, and checks
-    exactness at every slot before returning.  The connecting map at n lands
-    in H_{n-1}(A), so for a gap degree n - 1 (missing from degrees, with n
-    above the lowest degree) the short exact sequence is also verified
-    there, and H_{n-1}(B) and i_{n-1} are built to check the slot at
-    H_{n-1}(A).  hA and hB may hold homology reports of A and B already
-    taken, by degree; the others are taken here.
+
+def twisted_product(sub: GradedChainComplex, quot: GradedChainComplex,
+                    degrees, cross=None) -> TwistedComplex:
+    """The twisted product of sub and quot on a degree window, one degree
+    below it included: the boundary is [[d_sub, cross(n)], [0, d_quot]],
+    where cross(n) maps quot_n to sub_{n-1} (zero when cross is None)."""
+    degrees = sorted(degrees)
+    window = degrees + [degrees[0] - 1]
+    basis = {n: sub.basis.get(n, []) + quot.basis.get(n, []) for n in window}
+    boundary = {}
+    for n in degrees:
+        a, a1 = sub.dim(n), sub.dim(n - 1)
+        entries = dict(sub.d(n).entries)
+        for (r, c), v in quot.d(n).entries.items():
+            entries[(a1 + r, a + c)] = v
+        if cross is not None:
+            for (r, c), v in cross(n).entries.items():
+                entries[(r, a + c)] = v
+        boundary[n] = SparseMat(a1 + quot.dim(n - 1), a + quot.dim(n), entries)
+    return TwistedComplex(sub, GradedChainComplex(basis, boundary).validate(), quot)
+
+
+def _check_split(tw: TwistedComplex, n):
+    """The boundary of tw.total at degree n has tw's block form, read in one
+    pass over its entries: the dimensions at n and n - 1 balance, the block
+    from sub slots to quotient slots is zero, and the diagonal blocks are
+    d_sub and d_quot.  Each failure is an ExactnessError naming the degree."""
+    A, B, C = tw
+    for m in (n, n - 1):
+        if B.dim(m) != A.dim(m) + C.dim(m):
+            raise ExactnessError("middle dimension mismatch at degree %d" % m)
+    a, a1 = A.dim(n), A.dim(n - 1)
+    want = dict(A.d(n).entries)
+    want.update(((a1 + r, a + c), v) for (r, c), v in C.d(n).entries.items())
+    diagonal = {}
+    for (r, c), v in B.d(n).entries.items():
+        if c < a and r >= a1:
+            raise ExactnessError("the boundary maps a sub slot to a quotient "
+                                 "slot at degree %d" % n)
+        if c < a or r >= a1:
+            diagonal[(r, c)] = v
+    if diagonal != want:
+        raise ExactnessError("the diagonal blocks of the boundary are not d_sub "
+                             "and d_quot at degree %d" % n)
+
+
+def les_of_ses(tw: TwistedComplex, degrees, hA=None, hB=None) -> LongExactSequence:
+    """Long exact homology sequence of the split sequence sub -> total ->
+    quotient of a twisted product.
+
+    Checks the block form of the total boundary (_check_split) at every
+    degree it reads, reads the induced maps off the slots, lifts each
+    quotient cycle z to (0, z) for the connecting map, and checks exactness
+    at every slot before returning.  The connecting map at n lands in
+    H_{n-1}(A), so for a gap degree n - 1 (missing from degrees, with n
+    above the lowest degree) H_{n-1}(B) and i_{n-1} are built as well, to
+    check the slot at H_{n-1}(A).  hA and hB may hold homology reports of
+    sub and total already taken, by degree; the others are taken here.
     """
+    A, B, C = tw
     degrees = sorted(degrees)
     gaps = sorted({n - 1 for n in degrees[1:]} - set(degrees))
     both = sorted(degrees + gaps)
-    probe = both + [degrees[-1] + 1]
-    incl.validate(probe)
-    proj.validate(probe)
-    _check_ses(A, B, C, incl, proj, sorted(set(probe + [degrees[0] - 1])))
+    for n in both + [degrees[-1] + 1]:
+        _check_split(tw, n)
 
     hA = homology_reports(A, sorted(set(both) | {degrees[0] - 1}), hA)
     hB = homology_reports(B, both, hB)
@@ -585,27 +586,22 @@ def les_of_ses(A, B, C, incl: ChainMap, proj: ChainMap, degrees,
 
     maps_i, maps_p, conn = {}, {}, {}
     for n in both:
+        # the sub slots come first, so a cycle of A is one of B as it is
         maps_i[n] = SparseMat.from_columns(hB[n].dimension, [
-            hB[n].classes.coords(incl.block(n).apply(z)) for z in hA[n].cycle_reps])
+            hB[n].classes.coords(z) for z in hA[n].cycle_reps])
     for n in degrees:
+        a, a1 = A.dim(n), A.dim(n - 1)
         maps_p[n] = SparseMat.from_columns(hC[n].dimension, [
-            hC[n].classes.coords(proj.block(n).apply(z)) for z in hB[n].cycle_reps])
-        # zig-zag: lift through proj (free variables zero), push through d,
-        # pull back through the injective incl
-        lift = FactoredBasis(proj.block(n).columns(), C.dim(n))
-        pull = FactoredBasis(incl.block(n - 1).columns(), B.dim(n - 1))
+            hC[n].classes.coords(_vec({i - a: v for i, v in z.entries.items()
+                                       if i >= a}))
+            for z in hB[n].cycle_reps])
         cols = []
         for z in hC[n].cycle_reps:
-            try:
-                b = lift.coords(z)
-            except NotInSpanError:
-                raise ExactnessError("cannot lift cycle at degree %d" % n) from None
-            try:
-                a = pull.coords(B.d(n).apply(b))
-            except NotInSpanError:
+            dz = B.d(n).apply(_vec({a + i: c for i, c in z.entries.items()}))
+            if any(r >= a1 for r in dz.entries):
                 raise ExactnessError("boundary of lift not in subcomplex at "
-                                     "degree %d" % n) from None
-            cols.append(hA[n - 1].classes.coords(a))
+                                     "degree %d" % n)
+            cols.append(hA[n - 1].classes.coords(dz))
         conn[n] = SparseMat.from_columns(hA[n - 1].dimension, cols)
 
     for n in degrees:

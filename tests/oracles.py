@@ -11,15 +11,18 @@ only those a table can reach; the bracket compatibility of gamma compares
 both sides on every pair of unit tables and every coproduct row, where the
 engine visits only the pairs that a row reaches.  w_classifying takes the
 classifying nilpotency index on dense word derivations, where the engine
-reads unit slots and sparse spans.  The last section holds test helpers
+reads unit slots and sparse spans.  The last sections hold test helpers
 that build engine values (left-normed brackets, the Dynkin map, connected
-covers, components, the Fraction gauge series, the action on morphisms,
-model file text, the derivation complex built element by element with
-its unit tables and its element-by-element complex builder, the operator
-BCH of derivations and the Hom (x~) Der product) and
-assert_exact, the check of the engine's scalar normal form; no oracle uses
-them.  argparse_argv reads a command line with argparse, the reference for
-the CLI's own argv reader.
+covers, the perturbed presentation, components, the Fraction gauge series,
+the action on morphisms, model file text, the derivation complex built
+element by element with its unit tables and its element-by-element complex
+builder, the operator BCH of derivations and the Hom (x~) Der product),
+assert_exact, the check of the engine's scalar normal form, and the long
+exact sequence of any short exact sequence of chain maps (generic_les,
+through the engine's homology reports and one FactoredBasis per lift and
+pull-back, the reference for les_of_ses on a twisted product's blocks); no
+oracle uses them.  argparse_argv reads a command line with argparse, the
+reference for the CLI's own argv reader.
 """
 
 import argparse
@@ -27,13 +30,14 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from cdgl.coalgebra import HomElement
-from cdgl.derivations import (DerSpace, Derivation, _twisted_product,
-                              derivation_differential)
-from cdgl.dgl import (MCViolationError, _max_iterations, ad_values, apply_operator,
-                      exp_ad, exp_derivation_values, log_morphism,
-                      nilpotent_series, perturbed)
-from cdgl.exactlin import (FactoredBasis, GradedChainComplex, IllFormedComplexError,
-                           NotInSpanError, SparseMat, SparseVec, kernel_basis)
+from cdgl.derivations import DerSpace, Derivation, derivation_differential
+from cdgl.dgl import (DGLPresentation, MCElement, MCViolationError, _max_iterations,
+                      ad_values, apply_operator, check_mc, exp_ad,
+                      exp_derivation_values, log_morphism, nilpotent_series)
+from cdgl.exactlin import (ExactnessError, FactoredBasis, GradedChainComplex,
+                           IllFormedComplexError, LongExactSequence, NotInSpanError,
+                           SparseMat, SparseVec, homology_reports, kernel_basis,
+                           twisted_product)
 from cdgl.freelie import LieElement, _dynkin_terms, _exp_coefficient, bracket
 from cdgl.workbench.tasks import pretty_element
 
@@ -779,6 +783,18 @@ def connected_cover(C: GradedChainComplex, n: int) -> GradedChainComplex:
     return GradedChainComplex(basis, boundary)
 
 
+def perturbed(L: DGLPresentation, a) -> DGLPresentation:
+    """(L, d_a) with d_a = d + ad_a for an MC element a (an MCElement or its
+    value)."""
+    value = a.value if isinstance(a, MCElement) else a
+    ok, res = check_mc(L, value)
+    if not ok:
+        raise MCViolationError("cannot perturb at non-MC element, residue %r" % res)
+    d_new = {g: L.d_on_gens[g] + bracket(value, L.gen(g)) for g in L.gens}
+    return DGLPresentation(L.gens, d_new, L.trunc,
+                           name=(L.name or "L") + "^perturbed").validate()
+
+
 def component_complex(L, a, degrees):
     """Complex of the connected cover (at degree 0) of (L, d_a)."""
     La = perturbed(L, a) if a is not None else L
@@ -900,10 +916,133 @@ def bch_der(a, b):
 
 def twisted_hom_der(H, dercx, degrees):
     """Hom(C, L) (x~) Der L with [theta, f] = theta . f."""
-    return _twisted_product(H.complex(sorted(degrees)), dercx.complex(), degrees)
+    return twisted_product(H.complex(sorted(degrees)), dercx.complex(), degrees)
 
 
 def hom_der_bracket(H, theta, f):
     """[theta, f] = theta . f in the Hom (x~) Der twisted dgl."""
     return HomElement(H, theta.degree + f.degree,
                       {i: theta.apply(v) for i, v in f.values.items()})
+
+
+# -- the long exact sequence of a short exact sequence of chain maps ---------
+
+class ChainMap:
+    """Degree-preserving chain map given by per-degree matrices."""
+
+    def __init__(self, source: GradedChainComplex, target: GradedChainComplex, blocks):
+        self.source = source
+        self.target = target
+        self.blocks = {n: m for n, m in blocks.items() if m is not None}
+
+    def block(self, n) -> SparseMat:
+        mat = self.blocks.get(n)
+        if mat is None:
+            return SparseMat(self.target.dim(n), self.source.dim(n))
+        return mat
+
+    def validate(self, degrees):
+        for n in degrees:
+            left = self.target.d(n).compose(self.block(n))
+            right = self.block(n - 1).compose(self.source.d(n))
+            if left != right:
+                raise IllFormedComplexError("not a chain map at degree %d" % n)
+        return self
+
+
+def split_maps(tw):
+    """The inclusion and projection of a twisted product, as ChainMaps: the
+    sub slots come first in each degree of tw.total, then the quotient's."""
+    A, B, C = tw
+    incl = ChainMap(A, B, {n: SparseMat(B.dim(n), A.dim(n),
+                                        {(i, i): 1 for i in range(A.dim(n))})
+                           for n in B.degrees()})
+    proj = ChainMap(B, C, {n: SparseMat(C.dim(n), B.dim(n),
+                                        {(j, A.dim(n) + j): 1 for j in range(C.dim(n))})
+                           for n in B.degrees()})
+    return incl, proj
+
+
+def _mat_rank(m):
+    return dense_rank(dense(m.entries, m.n_rows, m.n_cols)) if m.entries else 0
+
+
+def check_ses(A, B, C, incl, proj, degrees):
+    """0 -> A -> B -> C -> 0 is short exact at each degree, by dense ranks."""
+    for n in degrees:
+        i_n, p_n = incl.block(n), proj.block(n)
+        if not p_n.compose(i_n).is_zero():
+            raise ExactnessError("composite A->C nonzero at degree %d" % n)
+        if _mat_rank(i_n) != A.dim(n):
+            raise ExactnessError("inclusion not injective at degree %d" % n)
+        if _mat_rank(p_n) != C.dim(n):
+            raise ExactnessError("projection not surjective at degree %d" % n)
+        if B.dim(n) != A.dim(n) + C.dim(n):
+            raise ExactnessError("middle dimension mismatch at degree %d" % n)
+
+
+def generic_les(A, B, C, incl, proj, degrees, hA=None, hB=None):
+    """The long exact sequence of any degreewise short exact sequence of
+    chain maps, the reference for exactlin.les_of_ses on a twisted product:
+    the chain maps and the sequence are checked on the degrees read, the
+    induced maps push cycles through incl and proj, and the connecting map
+    lifts through proj (free variables zero), pushes through d and pulls
+    back through incl, each by its own FactoredBasis; exactness is checked
+    at every slot by dense ranks."""
+    degrees = sorted(degrees)
+    gaps = sorted({n - 1 for n in degrees[1:]} - set(degrees))
+    both = sorted(degrees + gaps)
+    probe = both + [degrees[-1] + 1]
+    incl.validate(probe)
+    proj.validate(probe)
+    check_ses(A, B, C, incl, proj, sorted(set(probe + [degrees[0] - 1])))
+
+    hA = homology_reports(A, sorted(set(both) | {degrees[0] - 1}), hA)
+    hB = homology_reports(B, both, hB)
+    hC = homology_reports(C, degrees)
+
+    maps_i, maps_p, conn = {}, {}, {}
+    for n in both:
+        maps_i[n] = SparseMat.from_columns(hB[n].dimension, [
+            hB[n].classes.coords(incl.block(n).apply(z)) for z in hA[n].cycle_reps])
+    for n in degrees:
+        maps_p[n] = SparseMat.from_columns(hC[n].dimension, [
+            hC[n].classes.coords(proj.block(n).apply(z)) for z in hB[n].cycle_reps])
+        lift = FactoredBasis(proj.block(n).columns(), C.dim(n))
+        pull = FactoredBasis(incl.block(n - 1).columns(), B.dim(n - 1))
+        cols = []
+        for z in hC[n].cycle_reps:
+            try:
+                b = lift.coords(z)
+            except NotInSpanError:
+                raise ExactnessError("cannot lift cycle at degree %d" % n) from None
+            try:
+                a = pull.coords(B.d(n).apply(b))
+            except NotInSpanError:
+                raise ExactnessError("boundary of lift not in subcomplex at "
+                                     "degree %d" % n) from None
+            cols.append(hA[n - 1].classes.coords(a))
+        conn[n] = SparseMat.from_columns(hA[n - 1].dimension, cols)
+
+    def exact(fin, fout, slot):
+        if not fout.compose(fin).is_zero() or \
+                _mat_rank(fin) + _mat_rank(fout) != fin.n_rows:
+            raise ExactnessError("not exact at %s" % slot)
+
+    for n in degrees:
+        exact(maps_i[n], maps_p[n], "H_%d(B)" % n)
+        exact(maps_p[n], conn[n], "H_%d(C)" % n)
+        if n - 1 in maps_i:
+            exact(conn[n], maps_i[n - 1], "H_%d(A)" % (n - 1))
+    return LongExactSequence(degrees=degrees, hA=hA, hB=hB, hC=hC,
+                             maps_i=maps_i, maps_p=maps_p, connecting=conn)
+
+
+def assert_same_les(les, ref):
+    """les and ref hold the same homology dimensions and the same maps."""
+    for name in ("hA", "hB", "hC"):
+        got, want = getattr(les, name), getattr(ref, name)
+        assert ({n: h.dimension for n, h in got.items()}
+                == {n: h.dimension for n, h in want.items()}), name
+    for name in ("maps_i", "maps_p", "connecting"):
+        assert getattr(les, name) == getattr(ref, name), name

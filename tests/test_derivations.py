@@ -23,9 +23,11 @@ from cdgl.freelie import Truncation, bracket
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import workspace_from_text
 
-from oracles import (bch_der, connected_cover, dense_nilpotency_class,
-                     eager_h0_table, element_der_complex, hom_der_bracket,
-                     left_normed, twisted_hom_der, unit_derivations, w_classifying,
+from oracles import (assert_same_les, bch_der, connected_cover,
+                     dense_nilpotency_class, eager_h0_table, element_der_complex,
+                     generic_les,
+                     hom_der_bracket, left_normed, split_maps, twisted_hom_der,
+                     unit_derivations, w_classifying,
                      w_convolution_differential, w_derivation_differential,
                      w_gamma_bracket_failures)
 
@@ -165,7 +167,8 @@ def test_hom_der_odd_sphere_reproduces_paper_brackets():
 
 def test_twisted_ses_les_exact():
     # the three twisted products share one assembler; each must be a short
-    # exact sequence sub -> total -> quotient
+    # exact sequence sub -> total -> quotient, and its sequence read off the
+    # blocks is the generic one through the inclusion and projection
     for n in (2, 3):
         L = sphere_model(n, T(4))
         dc = DerComplex(L, L, None, range(-1, 8))
@@ -173,8 +176,9 @@ def test_twisted_ses_les_exact():
         for k, tw in enumerate((twisted_der_sl(dc, L, range(0, 8)),
                                 twisted_l_der(L, dc, range(0, 8)),
                                 twisted_hom_der(H, dc, range(-1, 8)))):
-            les = les_of_ses(*tw.ses(), degrees=range(0, 7))
+            les = les_of_ses(tw, range(0, 7))
             assert les.degrees == list(range(0, 7)), "product %d" % k
+            assert_same_les(les, generic_les(*tw, *split_maps(tw), range(0, 7)))
 
 
 @pytest.mark.parametrize("make", [lambda: wedge_model((2, 3), T(4)),

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cdgl.dgl
+from cdgl.derivations import DerComplex, twisted_der_sl
 from cdgl.dgl import (ClassTable, DGLMorphism, DGLPresentation,
                       DivergenceError, GeneratorFiltration, H0Group,
                       IllFormedDifferentialError, MCElement, apply_operator,
                       bch, bch_series, build_dgl, check_mc, exp_ad,
                       exp_derivation_values, gauge_act, gauge_equivalent,
-                      h0_group, log_morphism, nilpotency, perturbed)
+                      h0_group, log_morphism, nilpotency)
 from cdgl.exactlin import (HomologyReport, InternalError, NotInSpanError,
-                           SparseVec, homology_at)
+                           SparseMat, SparseVec, homology_at)
 from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
@@ -21,7 +23,8 @@ from cdgl.workbench.tasks import pretty_element
 
 from oracles import (act_on_morphism, assert_exact, component_complex,
                      dense_nilpotency_class, dense_solve, eager_h0_table,
-                     fraction_gauge_series, left_normed, w_apply_operator, w_bch)
+                     fraction_gauge_series, left_normed, perturbed, w_apply_operator,
+                     w_bch)
 
 
 def T(n):
@@ -899,3 +902,96 @@ def test_generator_filtration_is_a_read_only_value():
         del f.levels
     with pytest.raises(ValueError, match="strictly descend"):
         GeneratorFiltration((frozenset({x}), frozenset({x}), frozenset()))
+
+
+# -- ad columns ----------------------------------------------------------------
+
+AD_MODELS = {
+    "wedge223-cap5": lambda: wedge_model((2, 2, 3), T(5)),
+    "wedge11-cap5": lambda: wedge_model((1, 1), T(5)),
+    "sphere2-cap4": lambda: sphere_model(2, T(4)),    # odd generator, [x, x] != 0
+    "L1-cap4": lambda: interval_model(T(4)),
+    "wedge23-degree-cap": lambda: wedge_model((2, 3), Truncation(5, max_degree=9)),
+}
+
+
+@pytest.mark.parametrize("make", AD_MODELS.values(), ids=AD_MODELS.keys())
+def test_ad_columns_are_the_coordinates_of_the_brackets(make):
+    L = make()
+    lo, hi = L.degree_bounds()
+    seen = 0
+    for g in L.gens:
+        for m in range(lo, hi + 1):
+            cols = L.ad_columns(g, m)
+            assert len(cols) == len(L.basis(m))
+            for e, col in zip(L.basis(m), cols):
+                assert col == L.coords(bracket(L.gen(g), e), m + g.degree), (g, e.label)
+                seen += bool(col.entries)
+            assert L.ad_columns(g, m) is cols      # built once
+    assert seen
+
+
+def test_ad_columns_build_a_bracket_only_for_a_refused_candidate(monkeypatch):
+    # a column at a pick named [g,label(e)] is a unit column, and a column
+    # of a basis element at the cap's length is zero: neither builds [g, e]
+    L = wedge_model((2, 2), T(6))
+    calls = []
+    monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: calls.append(b) or bracket(a, b))
+    units = capped = refused = 0
+    for g in L.gens:
+        for m in range(2, 13):
+            picks = [e.label for e in L.basis(m + g.degree)]
+            for e, col in zip(L.basis(m), L.ad_columns(g, m)):
+                label = "[%s,%s]" % (g.name, e.label)
+                if label in picks:
+                    units += 1
+                    assert col == SparseVec.unit(picks.index(label))
+                elif len(next(iter(e.terms))) == 6 or not picks:
+                    capped += 1
+                    assert not col.entries
+                else:
+                    refused += 1
+    assert units and capped and refused
+    assert len(calls) == refused
+
+
+def _element_cross_block(dercx, L, images, n):
+    # ad_x . phi for each x in L_{n-1}, one bracket and one solve per block
+    sp = dercx.space(n - 1)
+    return SparseMat.from_columns(len(sp), [
+        sp.in_elements(sp.flatten({g: bracket(x, images[g]) for g in sp.source.gens}))
+        for x in L.basis(n - 1)])
+
+
+def _cross_block(tw, n):
+    a, a1 = tw.sub.dim(n), tw.sub.dim(n - 1)
+    return SparseMat(a1, tw.quotient.dim(n), {
+        (r, c - a): v for (r, c), v in tw.total.d(n).entries.items()
+        if c >= a and r < a1})
+
+
+@pytest.mark.parametrize("name", ["id", "zero", "shear", "f"])
+def test_twisted_der_sl_cross_block_matches_the_element_path(name):
+    # id and zero on wedge_spheres' W3, shear (a generator image and a sum
+    # image) and f (S1 -> W, into degree-0 generators)
+    path = "wedge_homotopy.cdgl" if name == "f" else "wedge_spheres.cdgl"
+    with open(os.path.join(os.path.dirname(__file__), "data", path)) as fh:
+        ws, _ = workspace_from_text(fh.read())
+    if name in ("id", "zero"):
+        L = ws.models["W3"].presentation
+        phi = (DGLMorphism.identity(L) if name == "id"
+               else DGLMorphism.zero_morphism(L, L))
+    else:
+        phi = ws.morphisms[name]
+    src, L = phi.source, phi.target
+    lo, hi = L.degree_bounds()
+    window = range(0, max(hi, 3) + 2)
+    base = None if name == "id" else phi
+    dercx = DerComplex(src, L, base, window)
+    tw = twisted_der_sl(dercx, L, window, phi=base)
+    blocks = 0
+    for n in window:
+        want = _element_cross_block(dercx, L, phi.images, n)
+        assert _cross_block(tw, n) == want, n
+        blocks += bool(want.entries)
+    assert blocks or name == "zero"

@@ -5,14 +5,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgl.exactlin import (ChainMap, ExactnessError, FactoredBasis,
-                           GradedChainComplex, IllFormedComplexError,
-                           IncrementalSpan, NotInSpanError, SparseMat,
-                           SparseVec, homology_at, kernel_basis, les_of_ses,
-                           postnikov_truncate, rank)
+from cdgl.exactlin import (ExactnessError, FactoredBasis, GradedChainComplex,
+                           IllFormedComplexError, IncrementalSpan, NotInSpanError,
+                           SparseMat, SparseVec, TwistedComplex, homology_at,
+                           kernel_basis, les_of_ses, postnikov_truncate, rank,
+                           twisted_product)
 
-from oracles import (assert_exact, connected_cover, dense, dense_kernel, dense_rank,
-                     dense_rref, dense_solve)
+from oracles import (ChainMap, assert_exact, assert_same_les, connected_cover, dense,
+                     dense_kernel, dense_rank, dense_rref, dense_solve, generic_les,
+                     split_maps)
 
 
 def mat(rows):
@@ -436,9 +437,10 @@ def test_ill_formed_complex_rejected():
         C.validate()
 
 
-def _random_ses(rng, degs=(0, 1, 2), max_dim=4):
+def _random_ses(rng, degs=(0, 1, 2), max_dim=4, essential=False):
     """Random SES 0 -> A -> B -> C -> 0 with B = A (+) C as graded spaces and
-    a triangular twisted differential on B."""
+    a triangular twisted differential on B, as a twisted product; with
+    essential, the twist need not be null-homotopic."""
     dimsA = {n: rng.randint(0, max_dim) for n in degs}
     dimsC = {n: rng.randint(0, max_dim) for n in degs}
     # boundaries dA, dC with d^2 = 0: build as "d then project to kernel"
@@ -478,37 +480,26 @@ def _random_ses(rng, degs=(0, 1, 2), max_dim=4):
     for n in degs:
         if n - 1 in degs:
             h[n] = A.d(n).compose(g[n]) - g[n - 1].compose(C.d(n))
-    # assemble B
-    basisB = {n: (["a%d_%d" % (n, i) for i in range(dimsA[n])]
-                  + ["c%d_%d" % (n, i) for i in range(dimsC[n])]) for n in degs}
-    bB = {}
-    for n in degs:
-        if n - 1 not in degs:
-            continue
-        entries = {}
-        for (r, c), v in A.d(n).entries.items():
-            entries[(r, c)] = v
-        for (r, c), v in C.d(n).entries.items():
-            entries[(dimsA[n - 1] + r, dimsA[n] + c)] = v
-        for (r, c), v in h.get(n, SparseMat(0, 0)).entries.items():
-            entries[(r, dimsA[n] + c)] = v
-        bB[n] = SparseMat(dimsA[n - 1] + dimsC[n - 1], dimsA[n] + dimsC[n], entries)
-    B = GradedChainComplex(basisB, bB).validate()
-    incl = ChainMap(A, B, {n: SparseMat(B.dim(n), A.dim(n),
-                                        {(i, i): 1 for i in range(dimsA[n])})
-                           for n in degs})
-    proj = ChainMap(B, C, {n: SparseMat(C.dim(n), B.dim(n),
-                                        {(i, dimsA[n] + i): 1 for i in range(dimsC[n])})
-                           for n in degs})
-    return A, B, C, incl, proj
+    if essential:
+        # that twist is null-homotopic, so every connecting map is zero; add
+        # to h_1: C_1 -> A_0 maps a (x) y, y a functional that kills the
+        # boundaries of C_1, which keeps dA h + h dC = 0 (A_0 is the bottom)
+        dC = C.d(2)
+        killers = kernel_basis(SparseMat(dC.n_cols, dC.n_rows,
+                                         {(c, r): v for (r, c), v in dC.entries.items()}))
+        for y in killers:
+            a = [rng.randint(-1, 1) for _ in range(dimsA[0])]
+            h[1] = h[1] + SparseMat(dimsA[0], dimsC[1], {
+                (r, c): a[r] * v for r in range(dimsA[0]) for c, v in y.items()})
+    return twisted_product(A, C, [n for n in degs if n - 1 in degs], h.get)
 
 
 def test_les_exactness_randomized_vs_bruteforce():
     rng = random.Random(17)
     count = 0
     for _ in range(25):
-        A, B, C, incl, proj = _random_ses(rng)
-        les = les_of_ses(A, B, C, incl, proj, degrees=[1, 2])
+        tw = _random_ses(rng)
+        les = les_of_ses(tw, [1, 2])
         count += 1
         # brute-force dimension check of exactness at H_n(B):
         for n in [1, 2]:
@@ -520,14 +511,28 @@ def test_les_exactness_randomized_vs_bruteforce():
     assert count == 25
 
 
+def test_split_les_matches_generic_les_on_random_sequences():
+    # the LES read off the blocks equals the generic zig-zag through the
+    # inclusion and projection chain maps, map for map, on the sequences
+    # above and on as many whose twist is not null-homotopic, so that
+    # connecting maps are nonzero
+    rng = random.Random(17)
+    connecting = []
+    for essential in (False, True):
+        for _ in range(25):
+            tw = _random_ses(rng, essential=essential)
+            les = les_of_ses(tw, [1, 2])
+            assert_same_les(les, generic_les(*tw, *split_maps(tw), [1, 2]))
+            connecting.append(sum(len(m.entries) for m in les.connecting.values()))
+    assert not any(connecting[:25]) and any(connecting[25:])
+
+
 def test_les_acyclic_middle_connecting_iso():
-    # 0 -> A -> B -> C -> 0 with B acyclic forces H_n(C) = H_{n-1}(A)
+    # 0 -> A -> B -> C -> 0 with B acyclic (d c = a, through the cross
+    # block) forces H_n(C) = H_{n-1}(A)
     A = GradedChainComplex({0: ["a"]}, {})
-    B = GradedChainComplex({0: ["a"], 1: ["c"]}, {1: mat([[1]])})
     C = GradedChainComplex({1: ["c"]}, {})
-    incl = ChainMap(A, B, {0: SparseMat(1, 1, {(0, 0): 1})})
-    proj = ChainMap(B, C, {1: SparseMat(1, 1, {(0, 0): 1})})
-    les = les_of_ses(A, B, C, incl, proj, degrees=[1])
+    les = les_of_ses(twisted_product(A, C, [1], lambda n: mat([[1]])), degrees=[1])
     delta = les.connecting[1]
     assert les.hC[1].dimension == 1 and les.hA[0].dimension == 1
     assert rank(delta) == 1
@@ -536,25 +541,54 @@ def test_les_acyclic_middle_connecting_iso():
 def test_les_example_span_sequence_all_connecting_zero():
     # Span{x,z} -> Span{x,z,theta} -> Span{theta}, all differentials zero
     A = GradedChainComplex({2: ["x"], -1: ["z"]}, {})
-    B = GradedChainComplex({2: ["x"], -1: ["z"], 0: ["theta"]}, {})
     C = GradedChainComplex({0: ["theta"]}, {})
-    incl = ChainMap(A, B, {2: SparseMat(1, 1, {(0, 0): 1}),
-                           -1: SparseMat(1, 1, {(0, 0): 1})})
-    proj = ChainMap(B, C, {0: SparseMat(1, 1, {(0, 0): 1})})
-    les = les_of_ses(A, B, C, incl, proj, degrees=[-1, 0, 1, 2])
+    tw = twisted_product(A, C, [-1, 0, 1, 2, 3])
+    assert tw.total.basis == {-1: ["z"], 0: ["theta"], 2: ["x"]}
+    les = les_of_ses(tw, degrees=[-1, 0, 1, 2])
     for n, m in les.connecting.items():
         assert m.is_zero()
 
 
+def _hand_built(sub, quot, basis, boundary):
+    return TwistedComplex(sub, GradedChainComplex(basis, boundary), quot)
+
+
 def test_non_ses_rejected_names_degree():
+    # a middle term that is not sub + quotient in some degree
     A = GradedChainComplex({0: ["a"]}, {})
-    B = GradedChainComplex({0: ["b"]}, {})
     C = GradedChainComplex({0: ["c"]}, {})
+    tw = _hand_built(A, C, {0: ["b"]}, {})
+    with pytest.raises(ExactnessError, match="degree 0"):
+        les_of_ses(tw, degrees=[0])
+    # the generic sequence rejects the same shape of sequence given by maps
+    B = GradedChainComplex({0: ["b"]}, {})
     incl = ChainMap(A, B, {0: SparseMat(1, 1, {(0, 0): 1})})
     proj = ChainMap(B, C, {0: SparseMat(1, 1, {(0, 0): 1})})
     with pytest.raises(ExactnessError) as ei:
-        les_of_ses(A, B, C, incl, proj, degrees=[0])
+        generic_les(A, B, C, incl, proj, degrees=[0])
     assert "degree" in str(ei.value)
+
+
+def test_twisted_product_with_a_nonzero_lower_left_block_is_refused():
+    # d sends the sub slot a (degree 1) to the quotient slot c (degree 0)
+    A = GradedChainComplex({1: ["a"]}, {})
+    C = GradedChainComplex({0: ["c"]}, {})
+    tw = _hand_built(A, C, {1: ["a"], 0: ["c"]}, {1: mat([[1]])})
+    with pytest.raises(ExactnessError, match="sub slot to a quotient slot at degree 1"):
+        les_of_ses(tw, degrees=[0, 1])
+
+
+@pytest.mark.parametrize("boundary", [{1: mat([[2, 0], [0, 0]])},
+                                      {1: mat([[0, 0], [0, 0]])},
+                                      {1: mat([[1, 0], [0, 1]])}],
+                         ids=["wrong-entry", "missing-entry", "extra-quotient-entry"])
+def test_twisted_product_whose_diagonal_is_not_d_is_refused(boundary):
+    # sub: a1 -> a0 with d = 1; quotient: c1, c0 with d = 0
+    A = GradedChainComplex({0: ["a0"], 1: ["a1"]}, {1: mat([[1]])})
+    C = GradedChainComplex({0: ["c0"], 1: ["c1"]}, {})
+    tw = _hand_built(A, C, {0: ["a0", "c0"], 1: ["a1", "c1"]}, boundary)
+    with pytest.raises(ExactnessError, match="not d_sub and d_quot at degree 1"):
+        les_of_ses(tw, degrees=[0, 1])
 
 
 def test_connected_cover_kills_low_homology():
