@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
-from .exactlin import GradedChainComplex, SparseMat, _vec, accumulate, exact
+from .exactlin import GradedChainComplex, _vec, accumulate, exact
 from .freelie import (Generator, LieElement, LieTable, Truncation, bracket,
                       check_resource_limit)
 
@@ -147,27 +147,6 @@ class CDGC:
             if lhs != rhs:
                 raise CoalgebraError("d is not a coderivation on %s" % self.labels[i])
         return self
-
-    def complex(self) -> GradedChainComplex:
-        by_deg = {}
-        for i in range(self.dim()):
-            by_deg.setdefault(self.degrees[i], []).append(i)
-        order = {}
-        basis = {}
-        for n, idxs in by_deg.items():
-            basis[n] = [self.labels[i] for i in idxs]
-            for pos, i in enumerate(idxs):
-                order[i] = pos
-        boundary = {}
-        for n, idxs in by_deg.items():
-            if n - 1 not in by_deg:
-                continue
-            entries = {}
-            for col, i in enumerate(idxs):
-                for j, c in self.d_of(i):
-                    entries[(order[j], col)] = c
-            boundary[n] = SparseMat(len(by_deg[n - 1]), len(idxs), entries)
-        return GradedChainComplex(basis, boundary)
 
 
 class LBasisInfo:

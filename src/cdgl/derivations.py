@@ -20,7 +20,7 @@ from . import exactlin
 from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
                         chains_functor, comul_by_left, lie_functor)
 from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
-                  GeneratorFiltration, H0Group, ad_values, apply_operator,
+                  GeneratorFiltration, H0Group, apply_operator,
                   exp_derivation_values, nilpotency)
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
                        LongExactSequence, SparseMat, SparseVec, TwistedComplex,
@@ -76,18 +76,6 @@ class Derivation(LieTable):
         return "Der[%d]{%s}" % (self.degree, "; ".join(bits[:4]))
 
 
-def derivation_differential(theta: Derivation) -> Derivation:
-    """D theta = d . theta - (-1)^{|theta|} theta . d, taken only on the
-    generators where theta or a letter of their d has a value."""
-    src, tgt = theta.source, theta.target
-    sgn = -1 if theta.degree % 2 else 1
-    users = src.d_users
-    support = set(theta.values).union(*(users.get(h, ()) for h in theta.values))
-    out = {g: tgt.d(theta.value(g)) - theta.apply(src.d_on_gens[g]).scale(sgn)
-           for g in support}
-    return Derivation(src, tgt, theta.degree - 1, out, theta.base)
-
-
 def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
     """[a, b] = a b - (-1)^{|a||b|} b a, for ordinary derivations of one L."""
     if a.base is not None or b.base is not None:
@@ -98,28 +86,24 @@ def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
     return Derivation(L, L, a.degree + b.degree, out)
 
 
-def ad_derivation(L: DGLPresentation, x: LieElement) -> Derivation:
-    deg = x.degree()
-    return Derivation(L, L, 0 if deg is None else deg, ad_values(L, x),
-                      label="ad")
-
-
 class DerSpace:
     """One degree n of a derivation complex.
 
     A derivation of degree n is flattened over the slots (g, e), one block
     per source generator g, e running over the target basis of degree
-    |g| + n.  A unit space (elements None) has the slots as its basis and
-    holds no derivation; a subspace lists its elements, and coordinates in
-    them go through a FactoredBasis.
+    |g| + n.  A unit space (elements None) has the slots as its basis; a
+    subspace lists its elements as slot vectors, named by labels (None for
+    an unnamed element), and coordinates in them go through a FactoredBasis.
+    Neither holds a derivation.
     """
 
-    def __init__(self, source, target, degree, elements=None):
+    def __init__(self, source, target, degree, elements=None, labels=None):
         self.source = source
         self.target = target
         self.degree = degree
         self.units = elements is None
         self.elements = None if self.units else list(elements)
+        self.names = None if self.units else labels or [None] * len(self.elements)
         self.blocks = []        # (generator, offset, target basis)
         off = 0
         for g in source.gens:
@@ -155,8 +139,7 @@ class DerSpace:
         if self.units or not vec.entries:
             return vec
         if self._factored is None:
-            self._factored = FactoredBasis(
-                [self.flatten(e.values) for e in self.elements], self.total_slots)
+            self._factored = FactoredBasis(self.elements, self.total_slots)
         try:
             return self._factored.coords(vec)
         except exactlin.NotInSpanError:
@@ -170,8 +153,8 @@ class DerSpace:
         if self.units:
             return ["%s->%s" % (g.name, e.label or "?")
                     for g, _, basis in self.blocks for e in basis]
-        return [th.label or ("th%d_%d" % (self.degree, i))
-                for i, th in enumerate(self.elements)]
+        return [name or ("th%d_%d" % (self.degree, i))
+                for i, name in enumerate(self.names)]
 
     def __len__(self):
         return self.total_slots if self.units else len(self.elements)
@@ -208,7 +191,8 @@ def _is_identity(phi: DGLMorphism) -> bool:
 
 class DerComplex:
     """Chain complex of (f-)derivations on a degree window: unit spaces in
-    each degree n of the window and n - 1, or deg0_subspace in degree 0."""
+    each degree n of the window and n - 1, or in degree 0 the subspace
+    deg0_subspace = (slot vectors, their labels)."""
 
     def __init__(self, source, target, phi: DGLMorphism | None, degrees,
                  deg0_subspace=None):
@@ -216,8 +200,9 @@ class DerComplex:
         self.target = target
         self.phi = None if (phi is None or _is_identity(phi)) else phi
         self.degrees = sorted(degrees)
+        elements, labels = deg0_subspace or (None, None)
         self.spaces = {n: DerSpace(source, target, n,
-                                   deg0_subspace if n == 0 else None)
+                                   elements if n == 0 else None, labels)
                        for n in sorted({m for n in self.degrees for m in (n - 1, n)})}
         self._complex = None
 
@@ -228,12 +213,9 @@ class DerComplex:
     def element(self, n, vec: SparseVec) -> Derivation:
         """The degree-n derivation with coordinates vec in the stored basis."""
         sp = self.space(n)
-        if sp.units:
-            return sp.unflatten(vec, self.phi)
-        out = Derivation(self.source, self.target, n, {}, self.phi)
-        for i, c in vec.entries.items():
-            out = out + sp.elements[i].scale(c)
-        return out
+        if not sp.units:
+            vec = SparseMat.from_columns(sp.total_slots, sp.elements).apply(vec)
+        return sp.unflatten(vec, self.phi)
 
     def complex(self) -> GradedChainComplex:
         """The chain complex, built on the first call and kept."""
@@ -243,10 +225,12 @@ class DerComplex:
         return self._complex
 
     def _columns(self, n):
+        # a subspace's columns are its elements through D on the unit slots
         sp, below = self.spaces[n], self.spaces[n - 1]
-        cols = (unit_columns(sp, below, self.phi) if sp.units else
-                [below.flatten(derivation_differential(th).values)
-                 for th in sp.elements])
+        cols = unit_columns(sp, below, self.phi)
+        if not sp.units:
+            D = SparseMat.from_columns(below.total_slots, cols)
+            cols = [D.apply(v) for v in sp.elements]
         return [below.in_elements(c) for c in cols]
 
 
@@ -298,13 +282,6 @@ def twisted_der_sl(dercx: DerComplex, L: DGLPresentation, degrees,
                            degrees, cross)
 
 
-def twisted_l_der(L: DGLPresentation, dercx: DerComplex, degrees) -> TwistedComplex:
-    """L (x~) Der with block-diagonal differential; [theta, x] = theta(x)."""
-    lo, hi = min(degrees), max(degrees)
-    return twisted_product(L.complex(range(lo - 1, hi + 1)),
-                           dercx.complex(), degrees)
-
-
 # -- distinguished degree-0 subalgebras ---------------------------------------
 
 class GSpec:
@@ -339,34 +316,31 @@ def require_connected_minimal(L: DGLPresentation):
                           "is not minimal" % g.name)
 
 
-def r0_basis(L: DGLPresentation, space0: DerSpace | None = None):
-    """R_0 = D(Der_1 L) + ad L_0 inside Der_0, as an independent list;
-    space0 is the degree-0 flattening to use, made here when not given.  A
-    column of D on the Der_1 unit slots becomes a derivation when picked."""
-    if space0 is None:
-        space0 = DerSpace(L, L, 0, [])
+def r0_basis(L: DGLPresentation):
+    """R_0 = D(Der_1 L) + ad L_0 inside Der_0, as independent slot vectors
+    of DerSpace(L, L, 0) and their labels, picked from the columns of D on
+    the Der_1 unit slots, then from those of ad on L_0."""
+    space0, units = DerSpace(L, L, 0), DerSpace(L, L, 1)
+    cols = unit_columns(units, space0) + ad_cross_columns(
+        space0, {g: L.gen(g) for g in L.gens})
+    labels = (["D(%s)" % label for label in units.labels()]
+              + ["ad(%s)" % (e.label or "?") for e in L.basis(0)])
     span = IncrementalSpan()
-    picked = []
-    units = DerSpace(L, L, 1)
-    for label, col in zip(units.labels(), unit_columns(units, space0)):
-        if span.add(col):
-            D = space0.unflatten(col)
-            D.label = "D(%s)" % label
-            picked.append(D)
-    for e in L.basis(0):
-        theta = ad_derivation(L, e)
-        if theta.is_zero():
-            continue
-        if span.add(space0.flatten(theta.values)):
-            theta.label = "ad(%s)" % (e.label or "?")
-            picked.append(theta)
-    return picked
+    picked = [(col, label) for col, label in zip(cols, labels) if span.add(col)]
+    return [col for col, _ in picked], [label for _, label in picked]
+
+
+def _d_on_der0(L: DGLPresentation):
+    """(the Der_0 unit space, the columns of D on its slots)."""
+    units = DerSpace(L, L, 0)
+    return units, unit_columns(units, DerSpace(L, L, -1))
 
 
 def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
-    """Degree-0 D-cycles theta with theta(V^i) in V^{i+1} + brackets: the
-    kernel of D on the admissible unit slots of Der_0."""
-    units = DerSpace(L, L, 0)
+    """Degree-0 D-cycles theta with theta(V^i) in V^{i+1} + brackets, as
+    slot vectors and their labels: the kernel of D on the admissible unit
+    slots of Der_0."""
+    units, cols = _d_on_der0(L)
     # admissible slots: a length-1 value must raise the filtration level
     admissible = []
     for g, off, basis in units.blocks:
@@ -377,69 +351,92 @@ def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
                     continue
             admissible.append(off + j)
     if not admissible:
-        return []
-    below = DerSpace(L, L, -1)
-    cols = unit_columns(units, below)
-    kernel = exactlin.kernel_basis(
-        SparseMat.from_columns(len(below), [cols[i] for i in admissible]))
-    out = []
-    for k, vec in enumerate(kernel):
-        th = units.unflatten(_vec({admissible[i]: c for i, c in vec.entries.items()}))
-        th.label = "k%d" % k
-        out.append(th)
-    return out
+        return [], []
+    kernel = exactlin.kernel_basis(SparseMat.from_columns(
+        len(DerSpace(L, L, -1)), [cols[i] for i in admissible]))
+    return ([_vec({admissible[i]: c for i, c in vec.entries.items()})
+             for vec in kernel], ["k%d" % k for k in range(len(kernel))])
 
 
-# saturation_flag: the basis is saturated under exp(R0) conjugation
-DerGZeroReport = namedtuple("DerGZeroReport", "basis saturation_flag notes")
+def _require_nilpotent_action(space0: DerSpace, basis):
+    """The linear parts of the slot vectors basis on the generators V act
+    nilpotently: the flag W_0 = V, W_{k+1} = sum theta(W_k) reaches 0.  The
+    flag descends, so it is stuck once a step keeps the dimension."""
+    index = space0.target.gen_index
+    linear = {}     # the slot of generator h in block g -> (h, g)
+    for g, off, targets in space0.blocks:
+        for j, e in enumerate(targets):
+            if e.min_length() == 1:
+                ((word, _),) = e.terms.items()
+                linear[off + j] = (index[word[0]], index[g])
+    n = len(index)
+    maps = [SparseMat(n, n, {linear[i]: c for i, c in v.entries.items()
+                             if i in linear}) for v in basis]
+    layer = [SparseVec.unit(i) for i in range(n)]
+    while layer:
+        span = IncrementalSpan()
+        image = [w for w in (m.apply(u) for m in maps for u in layer) if span.add(w)]
+        if len(image) == len(layer):
+            raise InvalidSubgroupError(
+                "span + R0 does not act nilpotently on the generators (the "
+                "group must act nilpotently)")
+        layer = image
 
 
-def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
-    """Degree-0 part of Der^G (or Der^Pi) for the three decidable spec kinds;
-    space0 is the degree-0 flattening to use, made here when not given."""
+# basis: slot vectors of DerSpace(L, L, 0), named by labels; saturation_flag:
+# the basis is saturated under exp(R0) conjugation
+DerGZeroReport = namedtuple("DerGZeroReport", "basis labels saturation_flag notes")
+
+
+def der_g_zero(spec: GSpec) -> DerGZeroReport:
+    """Degree-0 part of Der^G (or Der^Pi) for the three decidable spec kinds.
+    A derivation is built only for the span's tensor-word checks: bracket
+    closure and conjugation by exp(R0)."""
     L = spec.target
     require_connected_minimal(L)
-    if space0 is None:
-        space0 = DerSpace(L, L, 0, [])
-    r0 = r0_basis(L, space0)
+    r0, r0_labels = r0_basis(L)
     notes = []
 
     if spec.kind == "identity":
-        return DerGZeroReport(list(r0), True, notes)
+        return DerGZeroReport(r0, r0_labels, True, notes)
 
     if spec.kind == "stabilizer":
-        basis = stabilizer_der0(L, spec.filtration)
+        basis, labels = stabilizer_der0(L, spec.filtration)
         span = IncrementalSpan()
-        for th in basis:
-            span.add(space0.flatten(th.values))
-        contains = all(not span.add(space0.flatten(th.values)) for th in r0)
-        if not contains:
+        for v in basis:
+            span.add(v)
+        if any(span.add(v) for v in r0):
             raise InvalidSubgroupError("stabilizer subspace does not contain R0 "
                                        "(is the differential decomposable?)")
-        return DerGZeroReport(basis, True, notes)
+        return DerGZeroReport(basis, labels, True, notes)
 
     # SPAN: user span closed under bracket together with R0, D-cycles
-    span_list = list(spec.span)
-    for th in span_list:
+    space0, cols = _d_on_der0(L)
+    D = SparseMat.from_columns(len(DerSpace(L, L, -1)), cols)
+    vecs = []
+    for th in spec.span:
         if th.degree != 0:
             raise InvalidSubgroupError("span elements must be degree-0 derivations")
-        if not derivation_differential(th).is_zero():
+        vecs.append(space0.flatten(th.values))
+        if not D.apply(vecs[-1]).is_zero():
             raise InvalidSubgroupError("span elements must be D-cycles")
     full = IncrementalSpan()
-    basis = []
-    for th in span_list + r0:
-        if full.add(space0.flatten(th.values)):
-            basis.append(th)
+    picked = [(v, label) for v, label in zip(
+        vecs + r0, [th.label for th in spec.span] + r0_labels) if full.add(v)]
+    basis, labels = [v for v, _ in picked], [label for _, label in picked]
+    _require_nilpotent_action(space0, basis)
+    ders = [space0.unflatten(v) for v in basis]
     # bracket closure obligation (Theorem on complete subgroups, shadow)
-    for a in basis:
-        for b in basis:
+    for a in ders:
+        for b in ders:
             if not full.contains(space0.flatten(derivation_bracket(a, b).values)):
                 raise InvalidSubgroupError(
                     "span + R0 is not closed under the bracket (closure "
                     "obligation from the complete-subgroup theorem)")
     # saturation under conjugation by exp(R0): flagged, not rejected
     saturated = True
-    for r in r0:
+    for v, label in zip(r0, r0_labels):
+        r = space0.unflatten(v)
         try:
             er = exp_derivation_values(L, r.values, check_cycle=False)
             er_inv = exp_derivation_values(L, r.scale(-1).values, check_cycle=False)
@@ -447,33 +444,17 @@ def der_g_zero(spec: GSpec, space0: DerSpace | None = None) -> DerGZeroReport:
             # the conjugation cannot be checked, so saturation is not certified
             saturated = False
             notes.append("exp(%s) diverges at this truncation; saturation "
-                         "not checked" % (r.label or "r0"))
+                         "not checked" % label)
             break
-        for th in basis:
+        for th in ders:
             conj = {g: er.apply(th.apply(er_inv.apply(L.gen(g)))) for g in L.gens}
             if not full.contains(space0.flatten(conj)):
                 saturated = False
-                notes.append("conjugation by exp(%s) leaves the span" % (r.label or "r0"))
+                notes.append("conjugation by exp(%s) leaves the span" % label)
                 break
         if not saturated:
             break
-    return DerGZeroReport(basis, saturated, notes)
-
-
-def pointed_stability_check(L: DGLPresentation, basis, space0: DerSpace):
-    """Pointed pipelines need the span preserved by bracketing with ad L_0."""
-    full = IncrementalSpan()
-    for th in basis:
-        full.add(space0.flatten(th.values))
-    for e in L.basis(0):
-        adx = ad_derivation(L, e)
-        for th in basis:
-            br = derivation_bracket(adx, th)
-            if not br.is_zero() and not full.contains(space0.flatten(br.values)):
-                raise InvalidSubgroupError(
-                    "span is not preserved by the degree-0 adjoint action "
-                    "(pointed pipelines need an action-stable span)")
-    return True
+    return DerGZeroReport(basis, labels, saturated, notes)
 
 
 # -- suspension comparison (Gamma) ---------------------------------------------
@@ -751,20 +732,24 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     FREE: homology of Der^G x~ sL (degrees >= 1 are the homotopy groups of
     the classifying space, shifted by one) and the BCH group
     H_0(Der^G)/Im H_0(ad).  POINTED: H_0(Der^Pi) as the rationalized group
-    and the homology of L x~ Der^Pi.  Both modes report the homotopy
+    and the homology of L x~ Der^Pi, whose boundary is block-diagonal, so
+    that H_n = H_n(L) + H_n(Der^Pi).  Both modes report the homotopy
     nilpotency index and a first Postnikov-stage model.
+
+    Der^Pi_0 is stable under the adjoint action of L_0, as the pointed
+    fibration needs, with no check: for x in L_0 and a degree-0 derivation
+    theta, [ad_x, theta] = -ad_{theta(x)}, also at the truncation, since
+    theta keeps degree and lowers no bracket length; ad_{theta(x)} lies in
+    ad L_0, inside R_0, and every spec's basis spans R_0 (identity is R_0,
+    a stabilizer is refused unless it holds R_0, and a span adds R_0).
     """
     if mode not in ("FREE", "POINTED"):
         raise ValueError("mode must be FREE or POINTED")
     require_connected_minimal(L)
     degrees = sorted(set(d for d in degrees if d >= 0) | {0, 1})
     window = range(0, max(degrees) + 2)
-    space0 = DerSpace(L, L, 0, [])
-    report_g0 = der_g_zero(spec, space0)
-    g0 = report_g0.basis
-    if mode == "POINTED":
-        pointed_stability_check(L, g0, space0)
-    dercx = DerComplex(L, L, None, window, deg0_subspace=g0)
+    report_g0 = der_g_zero(spec)
+    dercx = DerComplex(L, L, None, window, report_g0[:2])
     # H0(Der^G)/Im H0(ad) (FREE) or H0(Der^Pi) as a BCH group
     ads = (ad_cross_columns(dercx.space(0), {g: L.gen(g) for g in L.gens})
            if mode == "FREE" else [])
@@ -779,8 +764,7 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     quotient = H0Group(h0, dercx.element, der_coords, derivation_bracket)
 
     if mode == "FREE":
-        tw = twisted_der_sl(dercx, L, window)
-        cx = tw.total
+        cx = twisted_der_sl(dercx, L, window).total
         known = homology_reports(cx, [n for n in degrees if n >= 1])
         pi = {n: h.dimension for n, h in known.items()}
         total_h = {}
@@ -789,10 +773,10 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
                                         der_sl_full_bracket)
     else:
         cx = dercx.complex()
-        tw = twisted_l_der(L, dercx, window)
+        known = homology_reports(cx, degrees, {0: h0})
+        hL = homology_reports(L.complex(window), degrees)
         pi = {}
-        total_h = {n: homology_at(tw.total, n).dimension for n in degrees}
-        known = {0: h0}
+        total_h = {n: hL[n].dimension + known[n].dimension for n in degrees}
         element, coords, lie_bracket = (dercx.element, der_coords,
                                         derivation_bracket)
 
@@ -802,7 +786,8 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
                                      element, coords, lie_bracket))
 
     return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
-                             ad_image_rank=adspan.rank, der0_dimension=len(g0),
+                             ad_image_rank=adspan.rank,
+                             der0_dimension=len(report_g0.basis),
                              build_nilpotency=build_nilpotency,
                              postnikov=exactlin.postnikov_truncate(cx, 1),
                              total_homology=total_h,

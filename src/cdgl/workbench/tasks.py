@@ -396,6 +396,10 @@ def _resolve_gspec(task, ws, L) -> GSpec:
         for n in names:
             if n not in ws.derivations:
                 raise ElaborationError("unknown derivation %r" % n)
+            if ws.derivations[n].source is not L:
+                raise ElaborationError("derivation %r is declared on model %s" % (
+                    n, next(name for name, m in ws.models.items()
+                            if m.presentation is ws.derivations[n].source)))
             ders.append(ws.derivations[n])
         return GSpec("span", L, span=ders)
     raise ValueError("bad --gspec %r" % spec)

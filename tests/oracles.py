@@ -15,8 +15,10 @@ reads unit slots and sparse spans.  The last sections hold test helpers
 that build engine values (left-normed brackets, the Dynkin map, connected
 covers, the perturbed presentation, components, the Fraction gauge series,
 the action on morphisms, model file text, the derivation complex built
-element by element with its unit tables and its element-by-element complex
-builder, the operator BCH of derivations and the Hom (x~) Der product),
+element by element with its unit tables, its element-by-element complex
+builder and the element paths of D and ad on derivation tables
+(derivation_differential, ad_derivation), the operator BCH of derivations
+and the Hom (x~) Der product),
 assert_exact, the check of the engine's scalar normal form, and the long
 exact sequence of any short exact sequence of chain maps (generic_les,
 through the engine's homology reports and one FactoredBasis per lift and
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from cdgl.coalgebra import HomElement
-from cdgl.derivations import DerSpace, Derivation, derivation_differential
+from cdgl.derivations import DerSpace, Derivation
 from cdgl.dgl import (DGLPresentation, MCElement, MCViolationError, _max_iterations,
                       ad_values, apply_operator, check_mc, exp_ad,
                       exp_derivation_values, log_morphism, nilpotent_series)
@@ -874,21 +876,55 @@ def build_complex(degrees, basis, differential, coords, label) -> GradedChainCom
     return GradedChainComplex(labels, boundary)
 
 
+def derivation_differential(theta: Derivation) -> Derivation:
+    """D theta = d . theta - (-1)^{|theta|} theta . d on the generator
+    values, taken only on the generators where theta or a letter of their d
+    has a value: the element path that the engine's unit columns of D are
+    checked against."""
+    src, tgt = theta.source, theta.target
+    sgn = -1 if theta.degree % 2 else 1
+    users = src.d_users
+    support = set(theta.values).union(*(users.get(h, ()) for h in theta.values))
+    out = {g: tgt.d(theta.value(g)) - theta.apply(src.d_on_gens[g]).scale(sgn)
+           for g in support}
+    return Derivation(src, tgt, theta.degree - 1, out, theta.base)
+
+
+def ad_derivation(L, x) -> Derivation:
+    """ad_x = [x, -] as a derivation: the element path of the engine's ad
+    columns."""
+    deg = x.degree()
+    return Derivation(L, L, 0 if deg is None else deg, ad_values(L, x),
+                      label="ad")
+
+
 def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
     """(complex, element(n, vec)): the derivation complex built element by
     element, as DerComplex was before its block builder: one unit table per
-    slot (unit_derivations), or deg0_subspace in degree 0 when given, D of
-    each by derivation_differential and its coordinates by DerSpace.coords,
+    slot (unit_derivations), or in degree 0, when deg0_subspace = (slot
+    vectors, labels) is given, the derivations of its vectors; D of each
+    by derivation_differential and its coordinates by DerSpace.coords,
     through build_complex one degree at a time, so that a window
     with a gap holds every degree n - 1 as well; element sums the tables."""
     window = sorted({m for n in degrees for m in (n - 1, n)})
+    vecs, names = deg0_subspace or (None, None)
 
     def sub(n):
-        return deg0_subspace if n == 0 and deg0_subspace is not None else None
+        return vecs if n == 0 else None
 
-    elements = {n: sub(n) if sub(n) is not None else
-                unit_derivations(source, target, n, phi) for n in window}
-    spaces = {n: DerSpace(source, target, n, sub(n)) for n in window}
+    def tables(n):
+        if sub(n) is None:
+            return unit_derivations(source, target, n, phi)
+        space = DerSpace(source, target, 0)
+        out = []
+        for v, name in zip(vecs, names or [None] * len(vecs)):
+            th = space.unflatten(v, phi)
+            th.label = name
+            out.append(th)
+        return out
+
+    elements = {n: tables(n) for n in window}
+    spaces = {n: DerSpace(source, target, n, sub(n), names) for n in window}
     parts = {n: build_complex([n], elements.__getitem__, derivation_differential,
                               lambda th, m: spaces[m].coords(th),
                               lambda m, i, th: th.label or ("th%d_%d" % (m, i)))

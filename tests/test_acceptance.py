@@ -14,9 +14,7 @@ from fractions import Fraction
 from cdgl.coalgebra import ConvolutionDGL, chains_functor, lie_functor
 from cdgl.cylinder import Cylinder, Witness, check_homotopy
 from cdgl.derivations import (DerComplex, GSpec, classifying_invariants,
-                              gamma_check, twisted_der_sl,
-                              derivation_differential, derivation_bracket,
-                              ad_derivation)
+                              gamma_check, twisted_der_sl, derivation_bracket)
 from cdgl.dgl import (DGLMorphism, GeneratorFiltration, MCElement, bch,
                       build_dgl, check_mc, exp_ad, exp_derivation_values,
                       gauge_act, h0_group, log_morphism)
@@ -26,8 +24,9 @@ from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import parse_document, workspace_from_text
 from cdgl.workbench.ast import print_document
 
-from oracles import (bch_der, connected_cover, export_source,
-                     hom_der_bracket, left_normed, perturbed, twisted_hom_der, w_bch)
+from oracles import (ad_derivation, bch_der, connected_cover,
+                     derivation_differential, export_source, hom_der_bracket,
+                     left_normed, perturbed, twisted_hom_der, w_bch)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

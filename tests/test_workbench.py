@@ -618,6 +618,9 @@ def test_gamma_refuses_a_word_cap_below_one(word_cap, capsys):
 def test_no_diagnostic_message_starts_with_a_quote():
     homotopy = read("wedge_homotopy.cdgl").replace("b -> -1 * dt * u",
                                                    "z -> -1 * dt * u")
+    # slide is declared on W3: a second model of the file, or a builtin
+    # model with the same generators, must not take it
+    two_models = read("wedge_spheres.cdgl") + "model V {\n  gen u : 2\n  gen v : 2\n}\n"
     tasks = [
         Task("check", model_ref="nope"),
         Task("check", file_text=read("s1.cdgl"), model_ref="nope"),
@@ -632,6 +635,10 @@ def test_no_diagnostic_message_starts_with_a_quote():
              gspec="stabilizer:G"),
         Task("baut", file_text=read("wedge_spheres.cdgl"), degree_range=(1, 2),
              gspec="span:nope"),
+        Task("baut", file_text=two_models, model_ref="V", degree_range=(1, 3),
+             gspec="span:slide"),
+        Task("bautstar", file_text=read("wedge_spheres.cdgl"),
+             model_ref="wedge(3,3)", degree_range=(1, 3), gspec="span:slide"),
         Task("witness", file_text=read("wedge_homotopy.cdgl"),
              names={"homotopy": "nope", "from": "f", "to": "g"}),
         Task("witness", file_text=read("wedge_homotopy.cdgl"),
@@ -639,12 +646,31 @@ def test_no_diagnostic_message_starts_with_a_quote():
         Task("witness", file_text=homotopy,
              names={"homotopy": "Psi", "from": "f", "to": "g"}),
     ]
+    messages = []
     for task in tasks:
         rep = run_task(task)
         assert rep.status == "diagnostics", task
         (diag,) = rep.diagnostics
         assert diag.message[:1] not in ("'", '"'), diag.message
+        messages.append(diag.message)
+    assert messages.count("derivation 'slide' is declared on model W3") == 2
     assert diag.message == "unknown generator z"
+
+
+def test_span_that_does_not_act_nilpotently_is_a_diagnostic():
+    # scale (x -> x) is a bracket-closed D-cycle, but the group it spans
+    # does not act nilpotently on the generators
+    text = read("wedge_spheres.cdgl") + "derivation scale : W3 {\n  x -> x\n}\n"
+    for command in ("baut", "bautstar"):
+        rep = run_task(Task(command, file_text=text, degree_range=(1, 4),
+                            gspec="span:scale"))
+        assert rep.status == "diagnostics" and rep.exit_code() == 1
+        assert [d.message for d in rep.diagnostics] == [
+            "span + R0 does not act nilpotently on the generators (the group "
+            "must act nilpotently)"]
+    rep = run_task(Task("bautstar", file_text=text, degree_range=(1, 4),
+                        gspec="span:slide"))
+    assert rep.status == "ok" and rep.tables["invariants"]["der0_dimension"] == 1
 
 
 def test_file_with_several_models_and_no_model_choice_is_a_diagnostic(capsys):
