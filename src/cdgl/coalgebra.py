@@ -1,5 +1,6 @@
 """Cocommutative differential graded coalgebras, the chains/Lie functor
-pair at word-capped scale, the adjunction maps, and convolution dgl's.
+pair at word-capped scale, the adjunction alpha, and the complexes of
+convolution dgl's.
 
 The chains coalgebra of a truncated presentation is built on the graded
 wedge words in the suspension of a full basis of L; the word cap keeps the
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
 from .exactlin import GradedChainComplex, _vec, accumulate, exact
-from .freelie import (Generator, LieElement, LieTable, Truncation, bracket,
+from .freelie import (Generator, LieElement, Truncation, bracket,
                       check_resource_limit)
 
 
@@ -330,135 +331,6 @@ def adjunction_alpha(L: DGLPresentation, C: CDGC, LC: DGLPresentation) -> DGLMor
     return DGLMorphism(LC, L, images, name="alpha").validate()
 
 
-class CoalgebraMap:
-    """Map of cdgc's given by a matrix on basis labels: values maps a source
-    index to a list of (target index, coeff)."""
-
-    def __init__(self, source: CDGC, target: CDGC, values: dict):
-        self.source = source
-        self.target = target
-        self.values = values
-
-    def apply_index(self, i):
-        return self.values.get(i, [])
-
-    def validate(self):
-        S, T = self.source, self.target
-        # counit compatibility: eps(beta(c)) = eps(c)
-        for i in range(S.dim()):
-            acc = sum(c for j, c in self.apply_index(i) if j == T.counit)
-            if acc != (1 if i == S.counit else 0):
-                raise CoalgebraError("counit not preserved on %s" % S.labels[i])
-        # chain map: d_T beta = beta d_S
-        for i in range(S.dim()):
-            lhs = accumulate({}, ((k, c * c2) for j, c in self.apply_index(i)
-                                  for k, c2 in T.d_of(j)))
-            rhs = accumulate({}, ((k, c * c2) for j, c in S.d_of(i)
-                                  for k, c2 in self.apply_index(j)))
-            if lhs != rhs:
-                raise CoalgebraError("not a chain map on %s" % S.labels[i])
-        # coalgebra map: Delta_T beta = (beta (x) beta) Delta_S
-        for i in range(S.dim()):
-            lhs = accumulate({}, (((l, r), c * c2) for j, c in self.apply_index(i)
-                                  for l, r, c2 in T.comul[j]))
-            rhs = accumulate({}, (((l2, r2), c * c2 * c3) for l, r, c in S.comul[i]
-                                  for l2, c2 in self.apply_index(l)
-                                  for r2, c3 in self.apply_index(r)))
-            if lhs != rhs:
-                raise CoalgebraError("not a coalgebra map on %s" % S.labels[i])
-        return self
-
-
-def adjunction_beta(C: CDGC, trunc: Truncation, word_cap: int) -> CoalgebraMap:
-    """beta: C -> Chains(Lie(C)), the coalgebra map lifting the inclusion.
-
-    Determined by its corestriction c -> s(s^{-1}c); assembled with the
-    cofree formula beta = sum_k (1/k!) wedge^k (f (x) ... (x) f) Delta-bar^(k-1).
-    """
-    LC = lie_functor(C, trunc)
-    CLC = chains_functor(LC, word_cap)
-    info = CLC._l_info
-    # generator of LC for each reduced label of C, then its sL index in CLC
-    gen_of = {i: g for i, g in zip(C.reduced_indices(), LC.gens)}
-    s_index = {}
-    for k, e in enumerate(info.elements):
-        if len(e.terms) == 1:
-            ((w, c),) = e.terms.items()
-            if len(w) == 1 and c == 1:
-                s_index[w[0]] = k
-    # iterated reduced coproducts: lists of (tuple of source indices, coeff)
-    values = {C.counit: [(CLC.counit, 1)]}
-    for i in C.reduced_indices():
-        layers = [[((i,), 1)]]
-        while True:
-            prev = layers[-1]
-            nxt = {}
-            for tup, c in prev:
-                # expand the last slot by Delta-bar
-                for l, r, c2 in C.reduced_comul(tup[-1]):
-                    key = tup[:-1] + (l, r)
-                    nxt[key] = nxt.get(key, 0) + c * c2
-            nxt = [(k, v) for k, v in nxt.items() if v]
-            if not nxt:
-                break
-            layers.append(nxt)
-            if len(layers) > word_cap:
-                break
-        table = {}
-        fact = 1
-        for k, layer in enumerate(layers, start=1):
-            if k > 1:
-                fact *= k
-            for tup, c in layer:
-                idxs = []
-                ok = True
-                for srci in tup:
-                    si = s_index.get(gen_of[srci])
-                    if si is None:
-                        ok = False
-                        break
-                    idxs.append(si)
-                if not ok:
-                    continue
-                norm = wedge_normalize(idxs, [d + 1 for d in info.degrees])
-                if norm is None:
-                    continue
-                nw, sgn = norm
-                j = CLC._word_index.get(nw)
-                if j is None:
-                    continue
-                table[j] = table.get(j, 0) + Fraction(c * sgn, fact)
-        values[i] = [(j, exact(c)) for j, c in table.items() if c]
-    beta = CoalgebraMap(C, CLC, values)
-    beta.lie_image = LC
-    return beta.validate()
-
-
-class HomElement(LieTable):
-    """Element of the convolution dgl: a value table on the coalgebra basis."""
-
-    __slots__ = ("owner", "degree")
-
-    def __init__(self, owner, degree, values):
-        LieTable.__init__(self, values.items())
-        self.owner = owner
-        self.degree = degree
-
-    def _zero(self):
-        return self.owner.L.zero()
-
-    def _like(self, values):
-        return HomElement(self.owner, self.degree, values)
-
-    def __eq__(self, other):
-        return LieTable.__eq__(self, other) and self.degree == other.degree
-
-    def __repr__(self):
-        bits = ["%s -> %r" % (self.owner.C.labels[i], v)
-                for i, v in sorted(self.values.items())]
-        return "Hom{%s}" % "; ".join(bits[:6])
-
-
 def comul_by_left(rows):
     """Coproduct rows (index, [(left, right, coeff), ...]) indexed by left
     factor: left -> [(index, position in the row, right, coeff)]."""
@@ -470,80 +342,16 @@ def comul_by_left(rows):
 
 
 class ConvolutionDGL:
-    """Hom(C, L) with the convolution bracket and D f = d f - (-1)^{|f|} f d."""
+    """Hom(C, L) with D f = d f - (-1)^{|f|} f d, as a complex on unit
+    slots, perturbed by the convolution bracket with a Maurer-Cartan
+    element, which is a table {coalgebra label: value in L}."""
 
     def __init__(self, C: CDGC, L: DGLPresentation):
         self.C = C
         self.L = L
-        self._basis_cache = {}
         self._comul_by_left = comul_by_left(C.comul.items())
-        # label j -> the labels i whose d_of(i) holds j
-        self._d_users = {}
-        for i, row in C.diff.items():
-            for j, _ in row:
-                self._d_users.setdefault(j, set()).add(i)
 
-    def element(self, degree, values) -> HomElement:
-        return HomElement(self, degree, values)
-
-    def zero(self, degree=0) -> HomElement:
-        return HomElement(self, degree, {})
-
-    def basis(self, degree):
-        """Ordered basis: one table per (coalgebra label, L basis element)."""
-        cached = self._basis_cache.get(degree)
-        if cached is None:
-            cached = []
-            for i in range(self.C.dim()):
-                tgt_deg = self.C.degrees[i] + degree
-                for e in self.L.basis(tgt_deg):
-                    cached.append(HomElement(self, degree, {i: e}))
-            self._basis_cache[degree] = cached
-        return cached
-
-    def differential(self, f: HomElement) -> HomElement:
-        """D f, taken only on the labels where f or a term of their d has a
-        value."""
-        out = {}
-        sgn = -1 if f.degree % 2 else 1
-        users = self._d_users
-        labels = set(f.values).union(*(users.get(j, ()) for j in f.values))
-        for i in sorted(labels):
-            total = self.L.d(f.value(i)) if i in f.values else self.L.zero()
-            acc = self.L.zero()
-            for j, c in self.C.d_of(i):
-                v = f.values.get(j)
-                if v is not None:
-                    acc = acc + v.scale(c)
-            out[i] = total - acc.scale(sgn)
-        return HomElement(self, f.degree - 1, out)
-
-    def bracket(self, f: HomElement, g: HomElement) -> HomElement:
-        # only the coproduct terms whose left factor f takes a value, summed
-        # per row in the row's own order
-        rows = {}
-        for l, fv in f.values.items():
-            odd = (g.degree * self.C.degrees[l]) % 2
-            for i, pos, r, c in self._comul_by_left.get(l, ()):
-                gv = g.values.get(r)
-                if gv is not None:
-                    rows.setdefault(i, []).append((pos, fv, gv, -c if odd else c))
-        out = {}
-        for i in sorted(rows):
-            acc = {}
-            for _, fv, gv, c in sorted(rows[i], key=lambda t: t[0]):
-                accumulate(acc, ((w, c * t) for w, t in bracket(fv, gv).terms.items()))
-            if acc:
-                out[i] = LieElement(acc, self.L.trunc)
-        return HomElement(self, f.degree + g.degree, out)
-
-    def check_mc(self, f: HomElement):
-        if f.degree != -1:
-            raise CoalgebraError("MC candidates must be degree -1")
-        res = self.differential(f) + self.bracket(f, f).scale(Fraction(1, 2))
-        return res.is_zero(), res
-
-    def universal_mc(self) -> HomElement:
+    def universal_mc(self) -> dict:
         """The universal MC element: s x -> -x on word-length-1 labels, 0 on
         1 and on longer words.
 
@@ -555,79 +363,27 @@ class ConvolutionDGL:
         if not hasattr(self.C, "_words"):
             raise CoalgebraError("universal MC needs a chains coalgebra")
         info = self.C._l_info
-        values = {}
-        for i, w in enumerate(self.C._words):
-            if len(w) == 1:
-                values[i] = LieElement(info.elements[w[0]].terms,
-                                       self.L.trunc).scale(-1)
-        return HomElement(self, -1, values)
+        return {i: LieElement(info.elements[w[0]].terms, self.L.trunc).scale(-1)
+                for i, w in enumerate(self.C._words) if len(w) == 1}
 
-    def mc_of_morphism(self, phi: DGLMorphism) -> HomElement:
-        """phi-bar = phi . q; vanishes on 1 and on words of length >= 2."""
-        q = self.universal_mc()
-        return HomElement(self, -1, {i: phi.apply(v) for i, v in q.values.items()})
+    def mc_of_morphism(self, phi: DGLMorphism) -> dict:
+        """phi-bar = phi . q; vanishes on 1, on words of length >= 2 and on
+        the labels whose value phi kills."""
+        images = ((i, phi.apply(v)) for i, v in self.universal_mc().items())
+        return {i: v for i, v in images if not v.is_zero()}
 
-    def restriction_reduced(self, f: HomElement) -> HomElement:
-        out = {i: v for i, v in f.values.items() if i != self.C.counit}
-        return HomElement(self, f.degree, out)
-
-    def from_l_element(self, x: LieElement) -> HomElement:
-        """The sub-dgl copy of L: 1 -> x, reduced part -> 0."""
-        deg = x.degree()
-        return HomElement(self, 0 if deg is None else deg, {self.C.counit: x})
-
-    def split(self, f: HomElement):
-        """Hom(C, L) = Hom(C-bar, L) x~ L: (reduced part, value at 1)."""
-        return self.restriction_reduced(f), f.value(self.C.counit)
-
-    def verify_splitting(self, degrees):
-        """Hom(C, L) = Hom(C-bar, L) x~ L is a dgl isomorphism: both factors
-        are sub-dgl's and the cross bracket is [x, f] = ad_x . f.  Verified
-        exhaustively on basis tables of the given degrees."""
-        u = self.C.counit
-        for n in degrees:
-            reduced = [f for f in self.basis(n) if u not in f.values]
-            tops = [f for f in self.basis(n) if u in f.values]
-            for f in reduced:
-                if u in self.differential(f).values:
-                    raise CoalgebraError("splitting: Hom(C-bar, L) not d-closed")
-            for f in tops:
-                Df = self.differential(f)
-                want = self.from_l_element(self.L.d(f.value(u)))
-                if {i: v for i, v in Df.values.items()} != want.values:
-                    raise CoalgebraError("splitting: L is not a sub-dgl")
-            for f in tops:
-                for g in tops:
-                    br = self.bracket(f, g)
-                    want = self.from_l_element(bracket(f.value(u), g.value(u)))
-                    if br.values != want.values:
-                        raise CoalgebraError("splitting: L bracket mismatch")
-            for f in tops:
-                x = f.value(u)
-                for g in reduced:
-                    got = self.bracket(f, g)
-                    want = {i: bracket(x, v) for i, v in g.values.items()}
-                    want = {i: v for i, v in want.items() if not v.is_zero()}
-                    if got.values != want:
-                        raise CoalgebraError("splitting: [x, f] != ad_x . f")
-            for g in reduced:
-                for h in reduced:
-                    if u in self.bracket(g, h).values:
-                        raise CoalgebraError("splitting: reduced part not "
-                                             "bracket-closed")
-        return True
-
-    def complex(self, degrees, perturb_by: HomElement | None = None,
+    def complex(self, degrees, perturb_by: dict | None = None,
                 reduced=False) -> GradedChainComplex:
         """Chain complex of Hom(C, L) (or Hom(C-bar, L)) on the degrees,
-        optionally with the differential perturbed by an MC element p, on
-        the unit slots (i, e_j), one block per label i over L_{|i|+n}.  The
-        column of (c, e_j) is L's boundary column j in block c, -(-1)^n k at
-        slot j of block i for each term k c of d i, and k (-1)^{n|l|}
-        [p(l), e_j] in block i for each coproduct term k (l, c) of i."""
+        optionally with the differential perturbed by an MC element p (a
+        table {label: value}), on the unit slots (i, e_j), one block per
+        label i over L_{|i|+n}.  The column of (c, e_j) is L's boundary
+        column j in block c, -(-1)^n k at slot j of block i for each term
+        k c of d i, and k (-1)^{n|l|} [p(l), e_j] in block i for each
+        coproduct term k (l, c) of i."""
         C, L = self.C, self.L
         indices = C.reduced_indices() if reduced else range(C.dim())
-        p = {} if perturb_by is None else perturb_by.values
+        p = perturb_by or {}
         d_terms, by_right = {}, {}
         for i, row in C.diff.items():
             for c, k in row:

@@ -17,8 +17,8 @@ from collections import namedtuple
 from functools import cached_property, partial
 
 from . import exactlin
-from .coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
-                        chains_functor, comul_by_left, lie_functor)
+from .coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
+                        comul_by_left, lie_functor)
 from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
                   GeneratorFiltration, H0Group, apply_operator,
                   exp_derivation_values, nilpotency)
@@ -477,14 +477,18 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     which cancels on both sides of the chain-map identity: it holds on a
     slot when the two complexes' boundary columns there are equal.
 
-    Bracket compatibility is computed only on the pairs whose generator
-    labels (l, r) meet a coproduct row.  Each side of a pair takes terms
-    only from the rows of its own table that hold (l, r): the reduced
-    coproduct for the derivation side, the full one for the convolution
-    side.  A pair that no row of either table holds is therefore the empty
-    table on both sides, and is counted as checked.  The rows met are those
-    of both tables, since a term present in only one of them makes the two
-    sides differ.
+    Bracket compatibility is checked once per pair of generator labels
+    (l, r) and degree n.  For unit slots (l, e) and (r, e') of Der_n, each
+    side of the check holds in each coproduct row i the one Lie bracket
+    [e, e'] times a coefficient: the derivation side reads the reduced rows
+    with the desuspension sign, -(-1)^{(n-1)|l|} c per term (l, r, c), then
+    Gamma's (-1)^{2n-1}; the convolution side reads the full rows with the
+    convolution sign (-1)^{(n-1)|l|} c and the images' ((-1)^n)^2, and drops
+    the counit row.  So the pair of slots fails exactly when [e, e'] != 0
+    and the two row-coefficient tables of (l, r) differ, and the brackets
+    are taken only for the label pairs whose tables differ.  Every ordered
+    pair of slots is counted as checked: a pair of labels that no row of
+    either table holds has the empty table on both sides.
 
     The chains of a source with a generator of negative degree would hold
     generators of degree < -1, so such a source is refused with a
@@ -503,11 +507,6 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     alpha = adjunction_alpha(Lsrc, C, LC)
     phi_tilde = phi.compose(alpha)
     H = ConvolutionDGL(C, Ltgt)
-    phibar = H.mc_of_morphism(phi)
-
-    # generator of LC for each reduced label, and back
-    gen_of_label = dict(zip(C.reduced_indices(), LC.gens))
-    label_of_gen = {g: i for i, g in gen_of_label.items()}
 
     if degrees is None:
         lo, hi = Ltgt.degree_bounds()
@@ -517,88 +516,69 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     degrees = sorted(degrees)
     dercx = DerComplex(LC, Ltgt, phi_tilde, degrees)
     der_cx = dercx.complex()
-    hom_cx = H.complex([n - 1 for n in degrees], perturb_by=phibar, reduced=True)
+    hom_cx = H.complex([n - 1 for n in degrees], perturb_by=H.mc_of_morphism(phi),
+                       reduced=True)
     failures = []
     basis_checked = 0
     pairs = 0
 
-    def gamma(theta):
-        # Gamma(s^{-1} theta)(c) = (-1)^{|theta|} theta(s^{-1} c), reduced c
-        sgn = -1 if theta.degree % 2 else 1
-        return HomElement(H, theta.degree - 1, {label_of_gen[g]: v.scale(sgn)
-                                                for g, v in theta.values.items()})
+    # label of each generator of LC; label order is slot-block order
+    label_of_gen = {g: i for i, g in zip(C.reduced_indices(), LC.gens)}
+    reduced_by_left = comul_by_left((i, C.reduced_comul(i)) for i in C.reduced_indices())
 
-    def conv_bracket_reduced(f, g):
-        out = H.bracket(f, g)
-        out.values.pop(C.counit, None)
-        return out
+    def sign(k):
+        return -1 if k % 2 else 1
 
-    reduced_by_left = comul_by_left((i, C.reduced_comul(i)) for i in gen_of_label)
-    # left label -> the sorted right labels it meets in a row of either table
-    partners = {}
-    for by_left in (reduced_by_left, H._comul_by_left):
+    def row_tables(by_left, sign_of):
+        # (l, r) -> {row i: coefficient of [e, e'] in row i}, zeros and the
+        # counit row (which only the full rows hold) dropped
+        tables = {}
         for l, terms in by_left.items():
-            partners.setdefault(l, set()).update(r for _, _, r, _ in terms)
-    partners = {l: sorted(rs) for l, rs in partners.items()}
-
-    def der_bracket_desusp(gam, eta):
-        # [s^{-1}gamma, s^{-1}eta] = s^{-1}theta with
-        # theta(s^{-1}c) = -sum (-1)^{(|eta|-1)|c_i|}[gamma(s^{-1}c_i), eta(s^{-1}c_i')]
-        # over the rows where gamma and eta both take a value, summed per row
-        # in the row's own order
-        rows = {}
-        for g, gv in gam.values.items():
-            l = label_of_gen[g]
-            odd = ((eta.degree - 1) * C.degrees[l]) % 2
-            for i, pos, r, c in reduced_by_left.get(l, ()):
-                ev = eta.values.get(gen_of_label[r])
-                if ev is not None:
-                    rows.setdefault(i, []).append((pos, gv, ev, -c if odd else c))
-        values = {}
-        for i in sorted(rows):
-            acc = {}
-            for _, gv, ev, c in sorted(rows[i], key=lambda t: t[0]):
-                exactlin.accumulate(acc, ((w, -c * t)
-                                          for w, t in bracket(gv, ev).terms.items()))
-            if acc:
-                values[gen_of_label[i]] = LieElement(acc, Ltgt.trunc)
-        return Derivation(LC, Ltgt, gam.degree + eta.degree - 1, values,
-                          base=phi_tilde)
+            s = sign_of(l)
+            for i, _, r, c in terms:
+                if i != C.counit:
+                    row = tables.setdefault((l, r), {})
+                    row[i] = row.get(i, 0) + s * c
+        return {lr: {i: c for i, c in row.items() if c} for lr, row in tables.items()}
 
     for n in degrees:
         space = dercx.space(n)
-        units = [(g, e) for g, _, b in space.blocks for e in b]
-        basis = [Derivation(LC, Ltgt, n, {g: e}, phi_tilde, label)
-                 for (g, e), label in zip(units, space.labels())]
-        images = [gamma(th) for th in basis]
+        labels = space.labels()
         # bijectivity: the k-th slot (g, e) of Der_n is the k-th slot (label
         # of g, e) of the reduced Hom_{n-1}; chain map: Gamma(-s^{-1} D
         # theta) = D_phibar Gamma(theta), so the two boundary columns agree
         hom = hom_cx.basis.get(n - 1, [])
         d, dhom = der_cx.d(n), hom_cx.d(n - 1)
         differ = {k for (_, k), _ in d.entries.items() ^ dhom.entries.items()}
-        basis_checked += len(basis)
-        for k, (g, e) in enumerate(units):
-            want = "%s->%s" % (C.labels[label_of_gen[g]], e.label or repr(e))
-            if hom[k:k + 1] != [want]:
-                failures.append(("bijectivity", basis[k].label))
-            if k in differ:
-                failures.append(("chain", basis[k].label))
-        # bracket compatibility on the pairs whose labels meet a row; label
-        # order is basis order, since LC.gens follows the reduced labels
-        by_label = {}
-        for th, img in zip(basis, images):
-            (g,) = th.values
-            by_label.setdefault(label_of_gen[g], []).append((th, img))
-        pairs += len(basis) ** 2
-        for l, left in by_label.items():
-            right = [p for r in partners.get(l, ()) for p in by_label.get(r, ())]
-            for th, img in left:
-                for et, img2 in right:
-                    lhs = gamma(der_bracket_desusp(th, et))
-                    rhs = conv_bracket_reduced(img, img2)
-                    if lhs != rhs:
-                        failures.append(("bracket", th.label, et.label))
+        slots = {}          # label -> [(slot name, e)], in slot order
+        k = 0
+        for g, _, basis in space.blocks:
+            for e in basis:
+                want = "%s->%s" % (C.labels[label_of_gen[g]], e.label or repr(e))
+                if hom[k:k + 1] != [want]:
+                    failures.append(("bijectivity", labels[k]))
+                if k in differ:
+                    failures.append(("chain", labels[k]))
+                slots.setdefault(label_of_gen[g], []).append((labels[k], e))
+                k += 1
+        basis_checked += k
+        pairs += k ** 2
+        # bracket compatibility: each side's row tables with its own signs,
+        # then the brackets of the slots of the label pairs where they differ
+        der_rows = row_tables(reduced_by_left, lambda l: (
+            sign(2 * n - 1) * -sign((n - 1) * C.degrees[l])))
+        conv_rows = row_tables(H._comul_by_left, lambda l: (
+            sign((n - 1) * C.degrees[l]) * sign(n) ** 2))
+        unequal = {}        # left label -> the sorted right labels
+        for l, r in sorted(der_rows.keys() | conv_rows.keys()):
+            if der_rows.get((l, r), {}) != conv_rows.get((l, r), {}):
+                unequal.setdefault(l, []).append(r)
+        for l, left in slots.items():
+            right = [p for r in unequal.get(l, ()) for p in slots.get(r, ())]
+            for name, e in left:
+                for name2, e2 in right:
+                    if not bracket(e, e2).is_zero():
+                        failures.append(("bracket", name, name2))
     return GammaReport(ok=not failures, basis_checked=basis_checked,
                        pairs_checked=pairs, failures=failures,
                        caps={"word_cap": word_cap,

@@ -293,6 +293,9 @@ def cmd_exp(task: Task) -> Report:
     if ws is None or name not in ws.derivations:
         raise ElaborationError("exp needs a file-declared derivation (--derivation)")
     theta = ws.derivations[name]
+    if theta.degree != 0:
+        raise ElaborationError("exp needs a degree-0 derivation; %r has degree %d"
+                               % (name, theta.degree))
     phi = exp_derivation_values(theta.source, theta.values)
     report = Report(command=task.echo())
     report.caps["truncation"] = _cap_of(theta.source)
@@ -387,6 +390,10 @@ def _resolve_gspec(task, ws, L) -> GSpec:
         for m in ws.models.values():
             if m.presentation is L and name in m.filtrations:
                 return GSpec("stabilizer", L, filtration=m.filtrations[name])
+        for model_name, m in ws.models.items():
+            if name in m.filtrations:
+                raise ElaborationError("filtration %r is declared on model %s"
+                                       % (name, model_name))
         raise ElaborationError("unknown filtration %r" % name)
     if spec.startswith("span:"):
         names = [n for n in spec.split(":", 1)[1].split(",") if n]

@@ -9,16 +9,20 @@ the engine's output.  The differentials of derivations and of convolution
 elements visit every generator or label of a table, where the engine visits
 only those a table can reach; the bracket compatibility of gamma compares
 both sides on every pair of unit tables and every coproduct row, where the
-engine visits only the pairs that a row reaches.  w_classifying takes the
-classifying nilpotency index on dense word derivations, where the engine
-reads unit slots and sparse spans.  The last sections hold test helpers
-that build engine values (left-normed brackets, the Dynkin map, connected
-covers, the perturbed presentation, components, the Fraction gauge series,
-the action on morphisms, model file text, the derivation complex built
+engine compares one table of row coefficients per pair of labels and
+brackets only the slots of the pairs whose tables differ.  w_classifying
+takes the classifying nilpotency index on dense word derivations, where
+the engine reads unit slots and sparse spans.  The last sections hold test
+helpers that build engine values (left-normed brackets, the Dynkin map,
+connected covers, the perturbed presentation, components, the Fraction
+gauge series, the action on morphisms, model file text, the derivation complex built
 element by element with its unit tables, its element-by-element complex
 builder and the element paths of D and ad on derivation tables
 (derivation_differential, ad_derivation), the operator BCH of derivations
-and the Hom (x~) Der product),
+and the Hom (x~) Der product, the element path of Hom(C, L) (HomElement
+tables and ConvolutionElements: D, the convolution bracket, the MC check
+and the splitting Hom(C, L) = Hom(C-bar, L) x~ L), and the adjunction beta
+with its CoalgebraMap),
 assert_exact, the check of the engine's scalar normal form, and the long
 exact sequence of any short exact sequence of chain maps (generic_les,
 through the engine's homology reports and one FactoredBasis per lift and
@@ -31,16 +35,18 @@ import argparse
 from fractions import Fraction
 from math import factorial, gcd
 
-from cdgl.coalgebra import HomElement
+from cdgl.coalgebra import (CDGC, CoalgebraError, ConvolutionDGL, chains_functor,
+                            lie_functor, wedge_normalize)
 from cdgl.derivations import DerSpace, Derivation
 from cdgl.dgl import (DGLPresentation, MCElement, MCViolationError, _max_iterations,
                       ad_values, apply_operator, check_mc, exp_ad,
                       exp_derivation_values, log_morphism, nilpotent_series)
 from cdgl.exactlin import (ExactnessError, FactoredBasis, GradedChainComplex,
                            IllFormedComplexError, LongExactSequence, NotInSpanError,
-                           SparseMat, SparseVec, homology_reports, kernel_basis,
-                           twisted_product)
-from cdgl.freelie import LieElement, _dynkin_terms, _exp_coefficient, bracket
+                           SparseMat, SparseVec, accumulate, exact,
+                           homology_reports, kernel_basis, twisted_product)
+from cdgl.freelie import (LieElement, LieTable, _dynkin_terms, _exp_coefficient,
+                          bracket)
 from cdgl.workbench.tasks import pretty_element
 
 
@@ -959,6 +965,263 @@ def hom_der_bracket(H, theta, f):
     """[theta, f] = theta . f in the Hom (x~) Der twisted dgl."""
     return HomElement(H, theta.degree + f.degree,
                       {i: theta.apply(v) for i, v in f.values.items()})
+
+
+# -- Hom(C, L) elements and the adjunction beta ------------------------------
+
+class HomElement(LieTable):
+    """Element of the convolution dgl: a value table on the coalgebra basis."""
+
+    __slots__ = ("owner", "degree")
+
+    def __init__(self, owner, degree, values):
+        LieTable.__init__(self, values.items())
+        self.owner = owner
+        self.degree = degree
+
+    def _zero(self):
+        return self.owner.L.zero()
+
+    def _like(self, values):
+        return HomElement(self.owner, self.degree, values)
+
+    def __eq__(self, other):
+        return LieTable.__eq__(self, other) and self.degree == other.degree
+
+    def __repr__(self):
+        bits = ["%s -> %r" % (self.owner.C.labels[i], v)
+                for i, v in sorted(self.values.items())]
+        return "Hom{%s}" % "; ".join(bits[:6])
+
+
+class ConvolutionElements(ConvolutionDGL):
+    """Hom(C, L) with its elements: HomElement tables, their differential
+    and convolution bracket, the MC equation and the splitting Hom(C, L) =
+    Hom(C-bar, L) x~ L; the element path that the engine's unit-slot
+    complexes are checked against."""
+
+    def __init__(self, C, L):
+        ConvolutionDGL.__init__(self, C, L)
+        self._basis_cache = {}
+        # label j -> the labels i whose d_of(i) holds j
+        self._d_users = {}
+        for i, row in C.diff.items():
+            for j, _ in row:
+                self._d_users.setdefault(j, set()).add(i)
+
+    def element(self, degree, values) -> HomElement:
+        return HomElement(self, degree, values)
+
+    def zero(self, degree=0) -> HomElement:
+        return HomElement(self, degree, {})
+
+    def basis(self, degree):
+        """Ordered basis: one table per (coalgebra label, L basis element)."""
+        cached = self._basis_cache.get(degree)
+        if cached is None:
+            cached = []
+            for i in range(self.C.dim()):
+                tgt_deg = self.C.degrees[i] + degree
+                for e in self.L.basis(tgt_deg):
+                    cached.append(HomElement(self, degree, {i: e}))
+            self._basis_cache[degree] = cached
+        return cached
+
+    def differential(self, f: HomElement) -> HomElement:
+        """D f, taken only on the labels where f or a term of their d has a
+        value."""
+        out = {}
+        sgn = -1 if f.degree % 2 else 1
+        users = self._d_users
+        labels = set(f.values).union(*(users.get(j, ()) for j in f.values))
+        for i in sorted(labels):
+            total = self.L.d(f.value(i)) if i in f.values else self.L.zero()
+            acc = self.L.zero()
+            for j, c in self.C.d_of(i):
+                v = f.values.get(j)
+                if v is not None:
+                    acc = acc + v.scale(c)
+            out[i] = total - acc.scale(sgn)
+        return HomElement(self, f.degree - 1, out)
+
+    def bracket(self, f: HomElement, g: HomElement) -> HomElement:
+        # only the coproduct terms whose left factor f takes a value, summed
+        # per row in the row's own order
+        rows = {}
+        for l, fv in f.values.items():
+            odd = (g.degree * self.C.degrees[l]) % 2
+            for i, pos, r, c in self._comul_by_left.get(l, ()):
+                gv = g.values.get(r)
+                if gv is not None:
+                    rows.setdefault(i, []).append((pos, fv, gv, -c if odd else c))
+        out = {}
+        for i in sorted(rows):
+            acc = {}
+            for _, fv, gv, c in sorted(rows[i], key=lambda t: t[0]):
+                accumulate(acc, ((w, c * t) for w, t in bracket(fv, gv).terms.items()))
+            if acc:
+                out[i] = LieElement(acc, self.L.trunc)
+        return HomElement(self, f.degree + g.degree, out)
+
+    def check_mc(self, f: HomElement):
+        if f.degree != -1:
+            raise CoalgebraError("MC candidates must be degree -1")
+        res = self.differential(f) + self.bracket(f, f).scale(Fraction(1, 2))
+        return res.is_zero(), res
+
+    def restriction_reduced(self, f: HomElement) -> HomElement:
+        out = {i: v for i, v in f.values.items() if i != self.C.counit}
+        return HomElement(self, f.degree, out)
+
+    def from_l_element(self, x: LieElement) -> HomElement:
+        """The sub-dgl copy of L: 1 -> x, reduced part -> 0."""
+        deg = x.degree()
+        return HomElement(self, 0 if deg is None else deg, {self.C.counit: x})
+
+    def split(self, f: HomElement):
+        """Hom(C, L) = Hom(C-bar, L) x~ L: (reduced part, value at 1)."""
+        return self.restriction_reduced(f), f.value(self.C.counit)
+
+    def verify_splitting(self, degrees):
+        """Hom(C, L) = Hom(C-bar, L) x~ L is a dgl isomorphism: both factors
+        are sub-dgl's and the cross bracket is [x, f] = ad_x . f.  Verified
+        exhaustively on basis tables of the given degrees."""
+        u = self.C.counit
+        for n in degrees:
+            reduced = [f for f in self.basis(n) if u not in f.values]
+            tops = [f for f in self.basis(n) if u in f.values]
+            for f in reduced:
+                if u in self.differential(f).values:
+                    raise CoalgebraError("splitting: Hom(C-bar, L) not d-closed")
+            for f in tops:
+                Df = self.differential(f)
+                want = self.from_l_element(self.L.d(f.value(u)))
+                if {i: v for i, v in Df.values.items()} != want.values:
+                    raise CoalgebraError("splitting: L is not a sub-dgl")
+            for f in tops:
+                for g in tops:
+                    br = self.bracket(f, g)
+                    want = self.from_l_element(bracket(f.value(u), g.value(u)))
+                    if br.values != want.values:
+                        raise CoalgebraError("splitting: L bracket mismatch")
+            for f in tops:
+                x = f.value(u)
+                for g in reduced:
+                    got = self.bracket(f, g)
+                    want = {i: bracket(x, v) for i, v in g.values.items()}
+                    want = {i: v for i, v in want.items() if not v.is_zero()}
+                    if got.values != want:
+                        raise CoalgebraError("splitting: [x, f] != ad_x . f")
+            for g in reduced:
+                for h in reduced:
+                    if u in self.bracket(g, h).values:
+                        raise CoalgebraError("splitting: reduced part not "
+                                             "bracket-closed")
+        return True
+
+
+class CoalgebraMap:
+    """Map of cdgc's given by a matrix on basis labels: values maps a source
+    index to a list of (target index, coeff)."""
+
+    def __init__(self, source: CDGC, target: CDGC, values: dict):
+        self.source = source
+        self.target = target
+        self.values = values
+
+    def apply_index(self, i):
+        return self.values.get(i, [])
+
+    def validate(self):
+        S, T = self.source, self.target
+        # counit compatibility: eps(beta(c)) = eps(c)
+        for i in range(S.dim()):
+            acc = sum(c for j, c in self.apply_index(i) if j == T.counit)
+            if acc != (1 if i == S.counit else 0):
+                raise CoalgebraError("counit not preserved on %s" % S.labels[i])
+        # chain map: d_T beta = beta d_S
+        for i in range(S.dim()):
+            lhs = accumulate({}, ((k, c * c2) for j, c in self.apply_index(i)
+                                  for k, c2 in T.d_of(j)))
+            rhs = accumulate({}, ((k, c * c2) for j, c in S.d_of(i)
+                                  for k, c2 in self.apply_index(j)))
+            if lhs != rhs:
+                raise CoalgebraError("not a chain map on %s" % S.labels[i])
+        # coalgebra map: Delta_T beta = (beta (x) beta) Delta_S
+        for i in range(S.dim()):
+            lhs = accumulate({}, (((l, r), c * c2) for j, c in self.apply_index(i)
+                                  for l, r, c2 in T.comul[j]))
+            rhs = accumulate({}, (((l2, r2), c * c2 * c3) for l, r, c in S.comul[i]
+                                  for l2, c2 in self.apply_index(l)
+                                  for r2, c3 in self.apply_index(r)))
+            if lhs != rhs:
+                raise CoalgebraError("not a coalgebra map on %s" % S.labels[i])
+        return self
+
+
+def adjunction_beta(C: CDGC, trunc, word_cap: int) -> CoalgebraMap:
+    """beta: C -> Chains(Lie(C)), the coalgebra map lifting the inclusion.
+
+    Determined by its corestriction c -> s(s^{-1}c); assembled with the
+    cofree formula beta = sum_k (1/k!) wedge^k (f (x) ... (x) f) Delta-bar^(k-1).
+    """
+    LC = lie_functor(C, trunc)
+    CLC = chains_functor(LC, word_cap)
+    info = CLC._l_info
+    # generator of LC for each reduced label of C, then its sL index in CLC
+    gen_of = {i: g for i, g in zip(C.reduced_indices(), LC.gens)}
+    s_index = {}
+    for k, e in enumerate(info.elements):
+        if len(e.terms) == 1:
+            ((w, c),) = e.terms.items()
+            if len(w) == 1 and c == 1:
+                s_index[w[0]] = k
+    # iterated reduced coproducts: lists of (tuple of source indices, coeff)
+    values = {C.counit: [(CLC.counit, 1)]}
+    for i in C.reduced_indices():
+        layers = [[((i,), 1)]]
+        while True:
+            prev = layers[-1]
+            nxt = {}
+            for tup, c in prev:
+                # expand the last slot by Delta-bar
+                for l, r, c2 in C.reduced_comul(tup[-1]):
+                    key = tup[:-1] + (l, r)
+                    nxt[key] = nxt.get(key, 0) + c * c2
+            nxt = [(k, v) for k, v in nxt.items() if v]
+            if not nxt:
+                break
+            layers.append(nxt)
+            if len(layers) > word_cap:
+                break
+        table = {}
+        fact = 1
+        for k, layer in enumerate(layers, start=1):
+            if k > 1:
+                fact *= k
+            for tup, c in layer:
+                idxs = []
+                ok = True
+                for srci in tup:
+                    si = s_index.get(gen_of[srci])
+                    if si is None:
+                        ok = False
+                        break
+                    idxs.append(si)
+                if not ok:
+                    continue
+                norm = wedge_normalize(idxs, [d + 1 for d in info.degrees])
+                if norm is None:
+                    continue
+                nw, sgn = norm
+                j = CLC._word_index.get(nw)
+                if j is None:
+                    continue
+                table[j] = table.get(j, 0) + Fraction(c * sgn, fact)
+        values[i] = [(j, exact(c)) for j, c in table.items() if c]
+    beta = CoalgebraMap(C, CLC, values)
+    beta.lie_image = LC
+    return beta.validate()
 
 
 # -- the long exact sequence of a short exact sequence of chain maps ---------

@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from cdgl.coalgebra import ConvolutionDGL, chains_functor, lie_functor
+from cdgl.coalgebra import chains_functor, lie_functor
 from cdgl.cylinder import Cylinder, Witness, check_homotopy
 from cdgl.derivations import (DerComplex, GSpec, classifying_invariants,
                               gamma_check, twisted_der_sl, derivation_bracket)
@@ -24,7 +24,7 @@ from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import parse_document, workspace_from_text
 from cdgl.workbench.ast import print_document
 
-from oracles import (ad_derivation, bch_der, connected_cover,
+from oracles import (ConvolutionElements, ad_derivation, bch_der, connected_cover,
                      derivation_differential, export_source, hom_der_bracket,
                      left_normed, perturbed, twisted_hom_der, w_bch)
 
@@ -139,7 +139,7 @@ def test_criterion_04_exp_log_roundtrips():
 def test_criterion_05_convolution_hom_der_example():
     L = sphere_model(3, Truncation(3))
     C = chains_functor(L, word_cap=3)
-    H = ConvolutionDGL(C, L)
+    H = ConvolutionElements(C, L)
     dc = DerComplex(L, L, None, range(-1, 4))
     tw = twisted_hom_der(H, dc, range(-1, 4))
     hom_m1 = H.basis(-1)

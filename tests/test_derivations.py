@@ -6,8 +6,9 @@ from functools import partial
 import pytest
 
 import cdgl.derivations as derivations
-from cdgl.coalgebra import (ConvolutionDGL, HomElement, adjunction_alpha,
-                            chains_functor, comul_by_left, lie_functor)
+import cdgl.coalgebra as coalgebra
+from cdgl.coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
+                            comul_by_left, lie_functor)
 from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
                               classifying_invariants, der_g_zero,
@@ -21,7 +22,8 @@ from cdgl.freelie import Truncation, bracket
 from cdgl.models import circle_model, interval_model, sphere_model, wedge_model
 from cdgl.workbench import workspace_from_text
 
-from oracles import (ad_derivation, assert_same_les, bch_der, connected_cover,
+from oracles import (ConvolutionElements, HomElement, ad_derivation,
+                     assert_same_les, bch_der, connected_cover,
                      dense_nilpotency_class, derivation_differential,
                      eager_h0_table, element_der_complex, generic_les,
                      hom_der_bracket, left_normed, split_maps, twisted_hom_der,
@@ -149,7 +151,7 @@ def test_der_sl_even_sphere_hand_computation():
 def test_hom_der_odd_sphere_reproduces_paper_brackets():
     L = sphere_model(3, T(3))
     C = chains_functor(L, word_cap=3)
-    H = ConvolutionDGL(C, L)
+    H = ConvolutionElements(C, L)
     dc = DerComplex(L, L, None, range(-1, 4))
     tw = twisted_hom_der(H, dc, range(-1, 4))
     tw.total.validate()
@@ -691,7 +693,7 @@ def _complex_and_differential(kind, L):
         return (derivations._shifted_l_complex(L, range(1, 6)), range(1, 6),
                 lambda n: L.basis(n - 1), lambda e: L.d(e).scale(-1),
                 lambda n, z: L.from_coords(z, n - 1))
-    H = ConvolutionDGL(chains_functor(L, word_cap=2), L)
+    H = ConvolutionElements(chains_functor(L, word_cap=2), L)
     reduced = kind == "Hom-reduced"
     q = H.universal_mc() if kind == "Hom-perturbed" else None
 
@@ -701,7 +703,7 @@ def _complex_and_differential(kind, L):
 
     def d(f):
         return H.differential(f) if q is None else (H.differential(f)
-                                                    + H.bracket(q, f))
+                                                    + H.bracket(H.element(-1, q), f))
 
     def element(n, z):
         out = H.zero(n)
@@ -840,7 +842,7 @@ def test_sparse_convolution_differential_matches_dense_oracle():
     S1 = circle_model(T(3))
     L, C, _, _ = _gamma_chains()
     checked = nonzero = 0
-    for H in (ConvolutionDGL(C, L), ConvolutionDGL(chains_functor(S1, 2), S1)):
+    for H in (ConvolutionElements(C, L), ConvolutionElements(chains_functor(S1, 2), S1)):
         cap = H.L.trunc.max_bracket_length
         lo, hi = H.L.degree_bounds()
         for n in range(lo - max(H.C.degrees), hi - min(H.C.degrees) + 1):
@@ -1022,10 +1024,12 @@ def _row_pairs(rows):
     return {(l, r) for row in rows for l, r, _ in row}
 
 
-def _mutated_rows(rows, drop=None, add=None):
+def _mutated_rows(rows, drop=None, add=None, negate=None):
     """Coproduct rows (index, terms) without the term drop = (index, term),
-    or with the term add = (index, term) put at the end of its row."""
-    return {i: [t for t in row if (i, t) != drop]
+    with the term add = (index, term) put at the end of its row, or with the
+    coefficient of the term negate = (index, term) negated in place."""
+    return {i: [(l, r, -c) if (i, (l, r, c)) == negate else (l, r, c)
+                for l, r, c in row if (i, (l, r, c)) != drop]
             + ([add[1]] if add is not None and add[0] == i else [])
             for i, row in rows}
 
@@ -1036,6 +1040,72 @@ def test_gamma_bracket_pairs_match_the_all_pairs_reference():
     rep = gamma_check(DGLMorphism.identity(L), word_cap=2)
     assert rep.ok and rep.failures == [] == _gamma_reference(L, C, reduced)
     assert rep.pairs_checked == 1483
+
+
+def _gamma_case(case):
+    """(morphism, word cap, pairs checked) of the gamma of the shear of
+    wedge_spheres.cdgl, or of the identity of wedge(1,1), whose generators
+    have degree 0, at cap 3."""
+    if case == "shear":
+        ws, _ = workspace_from_text(read_data("wedge_spheres.cdgl"))
+        return ws.morphisms["shear"], 2, 635
+    return DGLMorphism.identity(wedge_model((1, 1), T(3))), 2, 3125
+
+
+@pytest.mark.parametrize("case", ["shear", "wedge11"])
+def test_gamma_bracket_rows_match_the_all_pairs_reference(case):
+    phi, word_cap, pairs = _gamma_case(case)
+    C = chains_functor(phi.source, word_cap)
+    reduced = {i: C.reduced_comul(i) for i in C.reduced_indices()}
+    rep = gamma_check(phi, word_cap)
+    assert rep.ok and rep.failures == [] == _gamma_reference(phi.target, C, reduced)
+    assert rep.pairs_checked == pairs
+
+
+def _gamma_mutant(monkeypatch, change):
+    """gamma_check on the identity of wedge(2,2) at cap 2, word cap 2, with
+    the change made in the reduced coproduct rows that it indexes for the
+    derivation side, and the all-pairs reference's failures on them."""
+    L, C, _, _ = _gamma_chains()
+    mutated = _mutated_rows(((i, C.reduced_comul(i)) for i in C.reduced_indices()),
+                            **change)
+    monkeypatch.setattr(derivations, "comul_by_left", lambda rows: comul_by_left(
+        _mutated_rows(rows, **change).items()))
+    return gamma_check(DGLMorphism.identity(L), word_cap=2), _gamma_reference(
+        L, C, mutated)
+
+
+def test_gamma_bracket_check_sees_a_negated_coefficient(monkeypatch):
+    # one reduced-row coefficient negated: its label pair's two row tables
+    # differ, and the pairs of slots whose bracket is not zero fail
+    _, C, _, _ = _gamma_chains()
+    i, term = next((i, t) for i in C.reduced_indices()
+                   for t in C.reduced_comul(i) if C.degrees[t[0]] == C.degrees[t[1]])
+    rep, want = _gamma_mutant(monkeypatch, {"negate": (i, term)})
+    assert want and not rep.ok and rep.failures == want
+
+
+def test_gamma_bracket_check_skips_pairs_that_bracket_to_zero(monkeypatch):
+    # a term added on labels (l, r) of degrees 2 and 3 to a row that does
+    # not hold them: the row tables of (l, r) differ, but the slots of l and
+    # r meet only in degree 0, where at cap 2 a slot of l holds x or y and
+    # one of r a bracket of length 2, so every pair of their slots brackets
+    # to zero and none fails, as the all-pairs reference finds
+    L, C, _, _ = _gamma_chains()
+    l, r = next((l, r) for l in C.reduced_indices() for r in C.reduced_indices()
+                if C.degrees[r] == C.degrees[l] + 1)
+    i = next(i for i in C.reduced_indices()
+             if C.degrees[i] == C.degrees[l] + C.degrees[r]
+             and (l, r) not in _row_pairs([C.comul[i]]))
+    LC = lie_functor(C, L.trunc)
+    gen = dict(zip(C.reduced_indices(), LC.gens))
+    meets = [n for n in range(-8, 8) if L.basis(gen[l].degree + n)
+             and L.basis(gen[r].degree + n)]
+    assert meets == [0]
+    assert all(bracket(e, f).is_zero() for e in L.basis(gen[l].degree)
+               for f in L.basis(gen[r].degree))
+    rep, want = _gamma_mutant(monkeypatch, {"add": (i, (l, r, 1))})
+    assert want == [] and rep.ok and rep.failures == []
 
 
 @pytest.mark.parametrize("mutant", ["drop", "add"])
@@ -1080,8 +1150,8 @@ def _gamma_chain_reference(phi, word_cap):
     C = chains_functor(phi.source, word_cap)
     LC = lie_functor(C, phi.target.trunc)
     phi_tilde = phi.compose(adjunction_alpha(phi.source, C, LC))
-    H = ConvolutionDGL(C, phi.target)
-    phibar = H.mc_of_morphism(phi)
+    H = ConvolutionElements(C, phi.target)
+    phibar = H.element(-1, H.mc_of_morphism(phi))
     label_of_gen = dict(zip(LC.gens, C.reduced_indices()))
     lo, hi = phi.target.degree_bounds()
     gdegs = [g.degree for g in LC.gens]
@@ -1112,8 +1182,8 @@ def test_gamma_chain_check_sees_a_flipped_sign(monkeypatch, term):
     assert _gamma_chain_reference(phi, 2) == []
     if term == "bracket":
         mc = ConvolutionDGL.mc_of_morphism
-        monkeypatch.setattr(ConvolutionDGL, "mc_of_morphism",
-                            lambda H, f: mc(H, f).scale(-1))
+        monkeypatch.setattr(ConvolutionDGL, "mc_of_morphism", lambda H, f: {
+            i: v.scale(-1) for i, v in mc(H, f).items()})
     else:
         op = derivations.apply_operator
         monkeypatch.setattr(derivations, "apply_operator",
@@ -1129,10 +1199,12 @@ def test_gamma_chain_check_sees_a_flipped_sign(monkeypatch, term):
 
 @pytest.mark.parametrize("case", ["wedge22", "shear"])
 def test_gamma_check_takes_no_element_differential(monkeypatch, case):
-    # the chain-map check reads the boundary columns of both complexes:
-    # neither the per-table D of derivations nor that of Hom is called
+    # the chain-map check reads the boundary columns of both complexes and
+    # the bracket check the coproduct rows: the engine holds no per-table D
+    # of derivations or of Hom, no Hom element, and gamma_check builds no
+    # derivation
     def unreachable(*args, **kwargs):
-        raise AssertionError("element differential in gamma_check")
+        raise AssertionError("derivation built in gamma_check")
 
     if case == "wedge22":
         phi, counts = DGLMorphism.identity(wedge_model((2, 2), T(2))), (None, 1483)
@@ -1140,7 +1212,12 @@ def test_gamma_check_takes_no_element_differential(monkeypatch, case):
         ws, _ = workspace_from_text(read_data("wedge_spheres.cdgl"))
         phi, counts = ws.morphisms["shear"], (75, 635)
     assert not hasattr(derivations, "derivation_differential")
-    monkeypatch.setattr(ConvolutionDGL, "differential", unreachable)
+    for name in ("element", "zero", "basis", "differential", "bracket", "check_mc",
+                 "restriction_reduced", "from_l_element", "split", "verify_splitting"):
+        assert not hasattr(ConvolutionDGL, name), name
+    for name in ("HomElement", "CoalgebraMap", "adjunction_beta"):
+        assert not hasattr(coalgebra, name), name
+    monkeypatch.setattr(Derivation, "__init__", unreachable)
     rep = gamma_check(phi, word_cap=2)
     assert rep.ok and rep.failures == []
     assert counts[0] in (None, rep.basis_checked) and rep.pairs_checked == counts[1]

@@ -328,6 +328,17 @@ def test_exp_log_tasks():
     assert rep2.tables["log"]["x"] == "y"
 
 
+def test_exp_refuses_a_derivation_of_nonzero_degree():
+    # x -> y raises degree by 1: its exponential is no morphism, so exp
+    # refuses it before summing the series
+    text = ("model A {\n  truncate 3\n  gen x : 2\n  gen y : 3\n}\n\n"
+            "derivation up : A {\n  x -> y\n}\n")
+    rep = run_task(Task("exp", file_text=text, names={"derivation": "up"}))
+    assert rep.status == "diagnostics" and rep.exit_code() == 1
+    (diag,) = rep.diagnostics
+    assert diag.message == "exp needs a degree-0 derivation; 'up' has degree 1"
+
+
 def test_h0_task_wedge():
     rep = run_task(Task("h0", model_ref="wedge(1,1)", trunc=2,
                         check_stability=False))
@@ -639,6 +650,8 @@ def test_no_diagnostic_message_starts_with_a_quote():
              gspec="span:slide"),
         Task("bautstar", file_text=read("wedge_spheres.cdgl"),
              model_ref="wedge(3,3)", degree_range=(1, 3), gspec="span:slide"),
+        Task("baut", file_text=read("wedge_spheres.cdgl"),
+             model_ref="wedge(3,3)", degree_range=(1, 3), gspec="stabilizer:F"),
         Task("witness", file_text=read("wedge_homotopy.cdgl"),
              names={"homotopy": "nope", "from": "f", "to": "g"}),
         Task("witness", file_text=read("wedge_homotopy.cdgl"),
@@ -654,6 +667,7 @@ def test_no_diagnostic_message_starts_with_a_quote():
         assert diag.message[:1] not in ("'", '"'), diag.message
         messages.append(diag.message)
     assert messages.count("derivation 'slide' is declared on model W3") == 2
+    assert "filtration 'F' is declared on model W3" in messages
     assert diag.message == "unknown generator z"
 
 
