@@ -24,8 +24,7 @@ from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
                   exp_derivation_values, nilpotency)
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
                        LongExactSequence, SparseMat, SparseVec, TwistedComplex,
-                       _vec, homology_at, homology_reports, les_of_ses,
-                       twisted_product)
+                       _vec, homology_reports, les_of_ses, twisted_product)
 from .freelie import DegreeError, LieElement, LieTable, bracket
 
 
@@ -336,20 +335,28 @@ def _d_on_der0(L: DGLPresentation):
     return units, unit_columns(units, DerSpace(L, L, -1))
 
 
+def _linear_slots(space0: DerSpace):
+    """slot -> (g, h) for the slots of space0 whose target is one
+    generator h, g the generator of the slot's block."""
+    linear = {}
+    for g, off, targets in space0.blocks:
+        for j, e in enumerate(targets):
+            if e.min_length() == 1:
+                ((word, _),) = e.terms.items()
+                linear[off + j] = (g, word[0])
+    return linear
+
+
 def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
     """Degree-0 D-cycles theta with theta(V^i) in V^{i+1} + brackets, as
     slot vectors and their labels: the kernel of D on the admissible unit
     slots of Der_0."""
     units, cols = _d_on_der0(L)
+    linear = _linear_slots(units)
     # admissible slots: a length-1 value must raise the filtration level
-    admissible = []
-    for g, off, basis in units.blocks:
-        for j, e in enumerate(basis):
-            if e.min_length() == 1:
-                ((word, _),) = e.terms.items()
-                if word[0] not in filtration.next_level(filtration.level_of(g)):
-                    continue
-            admissible.append(off + j)
+    admissible = [i for i in range(len(units)) if i not in linear
+                  or linear[i][1] in filtration.next_level(
+                      filtration.level_of(linear[i][0]))]
     if not admissible:
         return [], []
     kernel = exactlin.kernel_basis(SparseMat.from_columns(
@@ -363,12 +370,8 @@ def _require_nilpotent_action(space0: DerSpace, basis):
     nilpotently: the flag W_0 = V, W_{k+1} = sum theta(W_k) reaches 0.  The
     flag descends, so it is stuck once a step keeps the dimension."""
     index = space0.target.gen_index
-    linear = {}     # the slot of generator h in block g -> (h, g)
-    for g, off, targets in space0.blocks:
-        for j, e in enumerate(targets):
-            if e.min_length() == 1:
-                ((word, _),) = e.terms.items()
-                linear[off + j] = (index[word[0]], index[g])
+    # the slot of generator h in block g -> (h, g)
+    linear = {i: (index[h], index[g]) for i, (g, h) in _linear_slots(space0).items()}
     n = len(index)
     maps = [SparseMat(n, n, {linear[i]: c for i, c in v.entries.items()
                              if i in linear}) for v in basis]
@@ -478,13 +481,14 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     slot when the two complexes' boundary columns there are equal.
 
     Bracket compatibility is checked once per pair of generator labels
-    (l, r) and degree n.  For unit slots (l, e) and (r, e') of Der_n, each
-    side of the check holds in each coproduct row i the one Lie bracket
-    [e, e'] times a coefficient: the derivation side reads the reduced rows
-    with the desuspension sign, -(-1)^{(n-1)|l|} c per term (l, r, c), then
-    Gamma's (-1)^{2n-1}; the convolution side reads the full rows with the
-    convolution sign (-1)^{(n-1)|l|} c and the images' ((-1)^n)^2, and drops
-    the counit row.  So the pair of slots fails exactly when [e, e'] != 0
+    (l, r) and parity of n.  For unit slots (l, e) and (r, e') of Der_n,
+    each side of the check holds in each coproduct row i the one Lie
+    bracket [e, e'] times a coefficient: the derivation side reads the
+    reduced rows with the desuspension sign, -(-1)^{(n-1)|l|} c per term
+    (l, r, c), then Gamma's (-1)^{2n-1}; the convolution side reads the
+    full rows with the convolution sign (-1)^{(n-1)|l|} c and the images'
+    ((-1)^n)^2, and drops the counit row.  Both signs depend on n only
+    through n % 2.  So the pair of slots fails exactly when [e, e'] != 0
     and the two row-coefficient tables of (l, r) differ, and the brackets
     are taken only for the label pairs whose tables differ.  Every ordered
     pair of slots is counted as checked: a pair of labels that no row of
@@ -541,6 +545,19 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
                     row[i] = row.get(i, 0) + s * c
         return {lr: {i: c for i, c in row.items() if c} for lr, row in tables.items()}
 
+    # parity of n -> left label -> the sorted right labels whose two row
+    # tables differ, each side's tables with its own signs
+    unequal_of = {}
+    for n in {n % 2 for n in degrees}:
+        der_rows = row_tables(reduced_by_left, lambda l: (
+            sign(2 * n - 1) * -sign((n - 1) * C.degrees[l])))
+        conv_rows = row_tables(H._comul_by_left, lambda l: (
+            sign((n - 1) * C.degrees[l]) * sign(n) ** 2))
+        unequal = unequal_of[n] = {}
+        for l, r in sorted(der_rows.keys() | conv_rows.keys()):
+            if der_rows.get((l, r), {}) != conv_rows.get((l, r), {}):
+                unequal.setdefault(l, []).append(r)
+
     for n in degrees:
         space = dercx.space(n)
         labels = space.labels()
@@ -563,16 +580,9 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
                 k += 1
         basis_checked += k
         pairs += k ** 2
-        # bracket compatibility: each side's row tables with its own signs,
-        # then the brackets of the slots of the label pairs where they differ
-        der_rows = row_tables(reduced_by_left, lambda l: (
-            sign(2 * n - 1) * -sign((n - 1) * C.degrees[l])))
-        conv_rows = row_tables(H._comul_by_left, lambda l: (
-            sign((n - 1) * C.degrees[l]) * sign(n) ** 2))
-        unequal = {}        # left label -> the sorted right labels
-        for l, r in sorted(der_rows.keys() | conv_rows.keys()):
-            if der_rows.get((l, r), {}) != conv_rows.get((l, r), {}):
-                unequal.setdefault(l, []).append(r)
+        # bracket compatibility: the brackets of the slots of the label
+        # pairs whose row tables differ
+        unequal = unequal_of[n % 2]
         for l, left in slots.items():
             right = [p for r in unequal.get(l, ()) for p in slots.get(r, ())]
             for name, e in left:
@@ -637,7 +647,8 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
 
 class ClassifyingReport:
     """nilpotency is built by build_nilpotency on first read; the builder,
-    which holds the complexes, is dropped then."""
+    which holds the complex's homology reports, the same ones h0_quotient
+    reads at degree 0, is dropped then."""
 
     def __init__(self, mode: str, pi_base: dict, h0_quotient: H0Group,
                  ad_image_rank: int, der0_dimension: int, build_nilpotency,
@@ -645,7 +656,7 @@ class ClassifyingReport:
                  saturation_flag: bool):
         self.mode = mode
         self.pi_base = pi_base              # FREE: n -> dim H_n(Der^G x~ sL), n >= 1
-        self.h0_quotient = h0_quotient      # H_0(Der^G)/Im H_0(ad) or H_0(Der^Pi)
+        self.h0_quotient = h0_quotient      # H_0(Der^G x~ sL) or H_0(Der^Pi)
         self.ad_image_rank = ad_image_rank  # FREE: rank of Im H_0(ad); 0 when POINTED
         self.der0_dimension = der0_dimension
         self._build_nilpotency = build_nilpotency
@@ -709,12 +720,15 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
                            degrees) -> ClassifyingReport:
     """Invariants of the classifying fibrations for a subgroup spec.
 
-    FREE: homology of Der^G x~ sL (degrees >= 1 are the homotopy groups of
-    the classifying space, shifted by one) and the BCH group
-    H_0(Der^G)/Im H_0(ad).  POINTED: H_0(Der^Pi) as the rationalized group
-    and the homology of L x~ Der^Pi, whose boundary is block-diagonal, so
-    that H_n = H_n(L) + H_n(Der^Pi).  Both modes report the homotopy
-    nilpotency index and a first Postnikov-stage model.
+    FREE: homology of Der^G x~ sL, H_0 the BCH group and degrees >= 1 the
+    homotopy groups of the classifying space, shifted by one.  L is
+    connected, so sL_{-1} = 0 and d_1 is D on Der_1 followed by ad on L_0:
+    H_0 is H_0(Der^G)/Im H_0(ad), and the rank of Im H_0(ad) is the rank
+    of d_1 less that of D on Der_1.  POINTED: H_0(Der^Pi) as the group and
+    the homology of L x~ Der^Pi, whose boundary is block-diagonal, so that
+    H_n = H_n(L) + H_n(Der^Pi).  Each mode takes its one complex's
+    homology once, for the group and the homotopy nilpotency index, and
+    reports a first Postnikov-stage model.
 
     Der^Pi_0 is stable under the adjoint action of L_0, as the pointed
     fibration needs, with no check: for x in L_0 and a degree-0 derivation
@@ -730,43 +744,36 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     window = range(0, max(degrees) + 2)
     report_g0 = der_g_zero(spec)
     dercx = DerComplex(L, L, None, window, report_g0[:2])
-    # H0(Der^G)/Im H0(ad) (FREE) or H0(Der^Pi) as a BCH group
-    ads = (ad_cross_columns(dercx.space(0), {g: L.gen(g) for g in L.gens})
-           if mode == "FREE" else [])
-    adspan = IncrementalSpan()
-    for v in ads:
-        adspan.add(v)
-    h0 = homology_at(dercx.complex(), 0, extra=ads)
 
     def der_coords(theta, n):
         return dercx.space(n).coords(theta)
 
-    quotient = H0Group(h0, dercx.element, der_coords, derivation_bracket)
-
     if mode == "FREE":
         cx = twisted_der_sl(dercx, L, window).total
-        known = homology_reports(cx, [n for n in degrees if n >= 1])
-        pi = {n: h.dimension for n, h in known.items()}
+        known = homology_reports(cx, degrees)
+        pi = {n: known[n].dimension for n in degrees if n >= 1}
         total_h = {}
+        ad_rank = exactlin.rank(cx.d(1)) - exactlin.rank(dercx.complex().d(1))
         element, coords, lie_bracket = (partial(_der_sl_element, dercx, L),
                                         partial(_der_sl_coords, dercx, L),
                                         der_sl_full_bracket)
     else:
         cx = dercx.complex()
-        known = homology_reports(cx, degrees, {0: h0})
+        known = homology_reports(cx, degrees)
         hL = homology_reports(L.complex(window), degrees)
-        pi = {}
+        pi, ad_rank = {}, 0
         total_h = {n: hL[n].dimension + known[n].dimension for n in degrees}
         element, coords, lie_bracket = (dercx.element, der_coords,
                                         derivation_bracket)
+    # degree 0 of either complex is Der^G_0: H_0 is a group of derivations
+    quotient = H0Group(known[0], dercx.element, der_coords, derivation_bracket)
 
     def build_nilpotency():
         # the bracket table of the homology Lie algebra of the window
-        return nilpotency(ClassTable(homology_reports(cx, degrees, known),
-                                     element, coords, lie_bracket))
+        return nilpotency(ClassTable(known, element, coords, lie_bracket))
 
     return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
-                             ad_image_rank=adspan.rank,
+                             ad_image_rank=ad_rank,
                              der0_dimension=len(report_g0.basis),
                              build_nilpotency=build_nilpotency,
                              postnikov=exactlin.postnikov_truncate(cx, 1),

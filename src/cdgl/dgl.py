@@ -13,15 +13,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial
 
 from .exactlin import (FactoredBasis, GradedChainComplex, HomologyReport,
                        IncrementalSpan, InternalError, NotInSpanError, SparseVec,
-                       _vec, exact, homology_at, ratio, settled)
+                       _vec, clear_denominators, exact, homology_at, ratio, settled)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
-                      LieMembershipError, Truncation, _clear_denominators,
-                      _exp_coefficient, _mul_terms, bracket, exp_terms, is_lie,
-                      lie_basis, log_terms, word_degree)
+                      LieMembershipError, Truncation, _exp_coefficient,
+                      _mul_terms, bracket, exp_terms, is_lie, lie_basis,
+                      log_terms, word_degree)
 from .record import FrozenRecord
 
 
@@ -270,7 +270,7 @@ class DGLPresentation:
             if not is_lie(val):
                 raise LieMembershipError("d(%s) is not a Lie element" % g.name)
         # d^2 = 0 on ints: D^2 d^2(g) for D the lcm of d's denominators
-        _, *cleared = _clear_denominators(*(v.terms for v in self.d_on_gens.values()))
+        _, *cleared = clear_denominators(*(v.terms for v in self.d_on_gens.values()))
         d_ints = {g: _on_ints(t, self.trunc) for g, t in zip(self.d_on_gens, cleared)}
         for g in self.gens:
             if not apply_operator(d_ints, -1, d_ints[g]).is_zero():
@@ -470,9 +470,9 @@ def gauge_act(x: LieElement, a) -> MCElement:
     if not x.is_zero() and x.degree() != 0:
         raise DegreeError("gauge actor must be degree 0")
     trunc, N = owner.trunc, owner.trunc.max_bracket_length
-    Dx, X = _clear_denominators(x.terms)
+    Dx, X = clear_denominators(x.terms)
     X = _on_ints(X, trunc)
-    D, A, dX = _clear_denominators(a.value.terms, owner.d(x).terms)
+    D, A, dX = clear_denominators(a.value.terms, owner.d(x).terms)
     M = factorial(N) * Dx ** (N - 1)
     out = {}
     for e, sign, shift in ((A, 1, 0), (dX, -1, 1)):
@@ -564,12 +564,12 @@ def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
 class ClassTable:
     """The bracket table of a graded homology Lie algebra on a window.
 
-    reports maps each degree n of the window to its HomologyReport.  The
-    classes are numbered degree by degree, in increasing degree; class i
-    has the representative h_i = element(n, z), z its cycle coordinates,
-    built on first read.  coords(x, n) gives the coordinates of a degree-n
-    element x in the complex's degree-n basis, and bracket is the Lie
-    bracket.
+    reports maps each degree n of the window to its HomologyReport, the
+    degree-0 one shared with the complex's H0Group, if any.  The classes
+    are numbered degree by degree, in increasing degree; class i has the
+    representative h_i = element(n, z), z its cycle coordinates, built on
+    first read.  coords(x, n) gives the coordinates of a degree-n element x
+    in the complex's degree-n basis, and bracket is the Lie bracket.
 
     The pairs i <= j whose degree sum lies in the window are bracketed,
     the diagonal only for odd classes (an even class has [h, h] = 0), and
@@ -627,12 +627,11 @@ class ClassTable:
     def table(self):
         """(D, T) as in the class docstring."""
         pairs = list(self.pairs())
-        D = lcm(*(c.denominator for _, _, v in pairs for c in v.values()))
+        D, *rows = clear_denominators(*(v for _, _, v in pairs))
         table = [{} for _ in self.degrees]
-        for i, j, v in pairs:
-            if v:
-                table[i][j] = row = {k: c.numerator * (D // c.denominator)
-                                     for k, c in v.items()}
+        for (i, j, _), row in zip(pairs, rows):
+            if row:
+                table[i][j] = row
                 if i != j:
                     s = 1 if self.degrees[i] * self.degrees[j] % 2 else -1
                     table[j][i] = {k: s * c for k, c in row.items()}
@@ -712,9 +711,9 @@ class H0Group(ClassTable):
     """H_0 of a cdgl with the BCH product, as the cap-N Malcev approximation:
     the degree-0 case of ClassTable.
 
-    h is the degree-0 homology report of the cdgl's chain complex, taken
-    modulo any extra cycles, which must span an ideal together with the
-    boundaries; element, coords and bracket are as for ClassTable.
+    h is the degree-0 homology report of the cdgl's chain complex, with no
+    quotient past the boundaries (B aut's is Der^G x~ sL or Der^Pi); element,
+    coords and bracket are as for ClassTable.
 
     The nilpotency class c and the group law are read off the table alone.
     The law is the two-letter BCH series in right-nested
@@ -764,9 +763,7 @@ class H0Group(ClassTable):
     @cached_property
     def _series(self):
         """(M, word -> M times its coefficient in bch_series), on ints."""
-        series = bch_series(max(self.nilpotency_class, 1))
-        M = lcm(*(q.denominator for q in series.values()))
-        return M, {w: q.numerator * (M // q.denominator) for w, q in series.items()}
+        return clear_denominators(bch_series(max(self.nilpotency_class, 1)))
 
     def class_of(self, e) -> SparseVec:
         """Coordinates of the class of a degree-0 cycle in the rep basis."""
@@ -791,7 +788,7 @@ class H0Group(ClassTable):
         D, table = self.table
         M, series = self._series
         c = max(self.nilpotency_class, 1)
-        E, U, V = _clear_denominators(u, v)
+        E, U, V = clear_denominators(u, v)
         DE = D * E
         m1 = M * DE ** (c - 1)
         letters = (U, V)

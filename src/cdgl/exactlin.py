@@ -240,10 +240,10 @@ class IncrementalSpan:
     in increasing pivot order, as a pivot's row holds no lower column.
     rows, the reduced row echelon form (unique, as are the pivots), is
     built by back-substitution when read and kept until the next add.  The
-    API stays rational: an all-int input is taken as it is, any other has
-    its denominators cleared once, elimination runs on ints (fraction-free,
-    as in Bareiss), and a Fraction is built only for a residual entry that
-    the elimination's scale does not divide (ratio, never `/`).
+    API stays rational: an input has its denominators cleared once and is
+    copied, elimination runs in place on ints (fraction-free, as in
+    Bareiss), and a Fraction is built only for a residual entry that the
+    elimination's scale does not divide (ratio, never `/`).
     """
 
     def __init__(self):
@@ -271,8 +271,8 @@ class IncrementalSpan:
     def _residue(self, vec: SparseVec):
         """(cur, scale): cur is an integer vector and cur / scale is the
         unique vector of vec + span with zero pivot entries."""
-        cur, scale = _integral(vec)
-        rows = self.echelon
+        scale, cur = clear_denominators(vec.entries)
+        cur, rows = dict(cur), self.echelon
         piv = min((j for j in cur if j in rows), default=None)
         while piv is not None:
             scale *= _eliminate(cur, rows[piv], piv)
@@ -290,7 +290,7 @@ class IncrementalSpan:
     def add(self, vec: SparseVec) -> bool:
         if not vec.entries:
             return False
-        row, rows = _integral(vec)[0], self.echelon
+        row, rows = dict(clear_denominators(vec.entries)[1]), self.echelon
         piv = min(row)
         while piv in rows:
             _eliminate(row, rows[piv], piv)
@@ -303,15 +303,15 @@ class IncrementalSpan:
         return True
 
 
-def _integral(vec: SparseVec):
-    """(cur, scale): cur = scale * vec as a new dict of ints, scale the lcm
-    of vec's denominators."""
-    entries = vec.entries
-    if all(type(v) is int for v in entries.values()):
-        return dict(entries), 1
-    scale = lcm(*[v.denominator for v in entries.values()])
-    return {j: v.numerator * (scale // v.denominator)
-            for j, v in entries.items()}, scale
+def clear_denominators(*dicts):
+    """(D, then D * t on ints for each dict t), D the lcm of the
+    denominators of all their values (ints or Fractions).  When every value
+    is an int, D is 1 and each t comes back as it is, not copied."""
+    if all(type(c) is int for t in dicts for c in t.values()):
+        return (1, *dicts)
+    D = lcm(*(c.denominator for t in dicts for c in t.values()))
+    return (D, *({k: c.numerator * (D // c.denominator) for k, c in t.items()}
+                 for t in dicts))
 
 
 def _eliminate(cur, row, piv):
@@ -451,12 +451,12 @@ class GradedChainComplex:
 
 
 class HomologyReport:
-    """H_n of a complex modulo its boundaries and any extra cycles.
+    """H_n of a complex: its cycles modulo its boundaries.
 
-    cycle_reps are the representatives; quotient lists the vectors divided
-    out (the boundaries, then the extra cycles) in the n_cols coordinates of
-    C_n.  classes (coordinates of a cycle's class in the representatives)
-    is built on first read.
+    cycle_reps are the representatives; quotient lists the boundaries, the
+    columns of d_{n+1}, in the n_cols coordinates of C_n.  classes
+    (coordinates of a cycle's class in the representatives) is built on
+    first read.
     """
 
     def __init__(self, degree: int, dimension: int, cycle_reps: list,
@@ -473,10 +473,9 @@ class HomologyReport:
         return FactoredBasis(self.cycle_reps, self.n_cols, modulo=self.quotient)
 
 
-def homology_at(C: GradedChainComplex, n: int, extra=()) -> HomologyReport:
-    """H_n(C), modulo the extra degree-n cycles as well when given, with
-    deterministic cycle representatives, after checking dd = 0 around
-    degree n.
+def homology_at(C: GradedChainComplex, n: int) -> HomologyReport:
+    """H_n(C) with deterministic cycle representatives, after checking
+    dd = 0 around degree n.
 
     Degrees outside the stored range are treated as zero (boundaries clip).
     """
@@ -484,7 +483,7 @@ def homology_at(C: GradedChainComplex, n: int, extra=()) -> HomologyReport:
     if not C.d(n - 1).compose(dn).is_zero() or not dn.compose(C.d(n + 1)).is_zero():
         raise IllFormedComplexError("dd != 0 near degree %d" % n)
     cycles = kernel_basis(dn) if C.dim(n) else []
-    quotient = C.d(n + 1).columns() + list(extra)
+    quotient = C.d(n + 1).columns()
     span = _span(quotient)
     dim = len(cycles) - span.rank
     reps = [z for z in cycles if span.add(z)]

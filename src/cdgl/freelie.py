@@ -17,12 +17,12 @@ visible in truncation metadata upstream).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
-                       ResourceLimitError, SparseVec, accumulate, exact, ratio,
-                       settled)
+                       ResourceLimitError, SparseVec, accumulate,
+                       clear_denominators, exact, ratio, settled)
 from .record import FrozenRecord
 
 
@@ -291,14 +291,6 @@ def mul(a: LieElement, b: LieElement) -> LieElement:
     return res
 
 
-def _clear_denominators(*dicts):
-    """(D, then D * t on ints for each word dictionary t), D the lcm of the
-    denominators of all their coefficients (ints or Fractions)."""
-    D = lcm(*(c.denominator for t in dicts for c in t.values()))
-    return (D, *({w: c.numerator * (D // c.denominator) for w, c in t.items()}
-                 for t in dicts))
-
-
 def _power_series(v, coefficient, trunc):
     """sum_{k >= 1} coefficient(k) v^k, with Fraction coefficients; v has no
     empty word, so its powers vanish past the cap N.  The powers are taken
@@ -307,16 +299,16 @@ def _power_series(v, coefficient, trunc):
     Each partial sum is Q times the sum on Fractions, so words cancel, leave
     and re-enter the sum at the same points."""
     cap = trunc.max_bracket_length
-    D, v = _clear_denominators(v)
-    coefficients = [coefficient(k) for k in range(1, cap + 1)]
-    M = lcm(*(c.denominator for c in coefficients))
+    D, v = clear_denominators(v)
+    M, coefficients = clear_denominators({k: coefficient(k)
+                                          for k in range(1, cap + 1)})
     out = {}
     power = {(): 1}
-    for k, c in enumerate(coefficients, 1):
+    for k, c in coefficients.items():
         power = _mul_terms(power, v, trunc)
         if not power:
             break
-        m = c.numerator * (M // c.denominator) * D ** (cap - k)
+        m = c * D ** (cap - k)
         for w, t in power.items():
             s = out.get(w, 0) + m * t
             if s:
@@ -371,7 +363,7 @@ def is_lie(e: LieElement) -> bool:
     in one pass: D(e) must equal the sum of len(w) * c_w * w.  D is linear
     over Z, so the test runs on the ints of e with its denominators cleared.
     """
-    _, terms = _clear_denominators(e.terms)
+    _, terms = clear_denominators(e.terms)
     return _dynkin_terms(terms) == {w: len(w) * c for w, c in terms.items()}
 
 

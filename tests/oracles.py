@@ -593,9 +593,11 @@ def w_homology_algebra(gens, d, cap, window):
 # --- the classifying nilpotency index over tensor words -------------------
 
 def w_classifying(gens, d, cap, mode, window, kind, raises=None, span=()):
-    """(nilpotency index, {n: dim H_n}, dim Der^G_0) of the classifying
-    pipeline on dense tensor-word derivations of the free Lie algebra on
-    gens cut at length cap, with d the word dict of d(g) for each letter.
+    """(nilpotency index, {n: dim H_n}, dim Der^G_0, {mode: dim H_0}) of
+    the classifying pipeline on dense tensor-word derivations of the free
+    Lie algebra on gens cut at length cap, with d the word dict of d(g) for
+    each letter.  The last holds dim H_0 of both modes' complexes, whatever
+    mode the rest is taken in.
 
     Der_n is spanned by the unit tables {g: e}, e in the w_lie_basis of
     degree |g| + n, and D by w_derivation_differential.  Der^G_0 is spanned
@@ -668,13 +670,16 @@ def w_classifying(gens, d, cap, mode, window, kind, raises=None, span=()):
                for x in dense_kernel(M, len(admissible))] if words else admissible)
     der0 = dense_rank(_w_matrix([flat(t) for t in g0])[1]) if g0 else 0
 
-    def space(n):
+    def space(n, free=free):
         out = [flat(t) for t in (g0 if n == 0 else units(n))]
         return out + [flat({}, e) for e in chains(n - 1)] if free else out
 
-    def homology(n):
-        basis = space(n)
-        boundaries = [b for b in (dee(c, n + 1) for c in space(n + 1)) if b]
+    def homology(n, free=free):
+        # dee adds ad_x and -s dx only for an sL part, which space(n, False)
+        # leaves out
+        basis = space(n, free)
+        boundaries = [b for b in (dee(c, n + 1) for c in space(n + 1, free))
+                      if b]
         words, M = _w_matrix([dee(c, n) for c in basis])
         cycles = ([w_combination(basis, x) for x in dense_kernel(M, len(basis))]
                   if words else basis)
@@ -713,7 +718,9 @@ def w_classifying(gens, d, cap, mode, window, kind, raises=None, span=()):
                 (coords,) = w_solve_modulo(hr, hb, [br])
                 table[i][j] = {first[n + m] + q: c for q, c in coords.items()}
     dims = {n: len(found[n][0]) for n in window}
-    return (dense_nilpotency_class(table) if reps else 0), dims, der0
+    h0 = {mode: dims[0],
+          ("POINTED" if free else "FREE"): len(homology(0, not free)[0])}
+    return (dense_nilpotency_class(table) if reps else 0), dims, der0, h0
 
 def argparse_argv(argv):
     """vars() of the namespace that argparse gives argv, on the parser the

@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 import cdgl.derivations as derivations
 import cdgl.coalgebra as coalgebra
+import cdgl.exactlin as exactlin
 from cdgl.coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
                             comul_by_left, lie_functor)
 from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
@@ -543,6 +545,14 @@ def _commutator_model(cap):
     return build_dgl((x, y, z), {z: left_normed((x, y), T(cap))}, T(cap))
 
 
+def _ad_boundary_model():
+    """a, b of degree 0 and c of degree 1 with d c = [a, b], cap 3: each
+    ad x for x in L_0 is D of a degree-1 derivation, so H_0(Der^G) = 0 and
+    Im H_0(ad) has rank 0, though ad L_0 has dimension 3."""
+    ws, _ = workspace_from_text(read_data("ad_boundary.cdgl"))
+    return ws.models["AB"].presentation
+
+
 def _classifying_cases():
     """(L, spec, kind, raises, span tables, lo, hi) for the Step 0 oracle."""
     ws, _ = workspace_from_text(read_data("wedge_spheres.cdgl"))
@@ -554,7 +564,7 @@ def _classifying_cases():
              (wedge_model((2, 3), T(3)), 1, 3), (wedge_model((2, 3), T(4)), 1, 3),
              (wedge_model((2, 3), T(3)), 3, 4), (wedge_model((2, 2, 3), T(3)), 1, 3),
              (wedge_model((2, 2, 3), T(4)), 1, 2), (_commutator_model(4), 1, 3),
-             (L, 1, 4)]
+             (L, 1, 4), (_ad_boundary_model(), 1, 3)]
     out = [(M, GSpec("identity", M), "identity", None, (), lo, hi)
            for M, lo, hi in cases]
     out.append((L, GSpec("stabilizer", L, filtration=filt), "stabilizer",
@@ -571,22 +581,26 @@ def test_classifying_nilpotency_matches_dense_word_oracle(mode):
     # the homotopy nilpotency index of baut (FREE) and bautstar (POINTED)
     # against w_classifying, which builds Der^G_0, the homology and its
     # bracket table from dense tensor-word derivations; also the homotopy
-    # groups (FREE), H_0 (POINTED) and dim Der^G_0, gap windows included
+    # groups (FREE), the group H_0, the rank of Im H_0(ad) (FREE; it is
+    # dim H_0(Der^G) - dim H_0(Der^G x~ sL)) and dim Der^G_0, gap windows
+    # included
     indices = set()
     for L, spec, kind, raises, span, lo, hi in _classifying_cases():
         rep = classifying_invariants(L, spec, mode, range(lo, hi + 1))
         window = sorted({n for n in range(lo, hi + 1) if n >= 0} | {0, 1})
         d = {(g.name, g.degree): _words(v) for g, v in L.d_on_gens.items()
              if not v.is_zero()}
-        nil, dims, der0 = w_classifying(L.gens, d, L.trunc.max_bracket_length,
-                                        mode, window, kind, raises, span)
+        nil, dims, der0, h0 = w_classifying(L.gens, d, L.trunc.max_bracket_length,
+                                            mode, window, kind, raises, span)
         case = "%s %s %d..%d" % (L.name, kind, lo, hi)
         assert rep.nilpotency == nil, case
         assert rep.der0_dimension == der0, case
+        assert rep.h0_quotient.dimension == dims[0] == h0[mode], case
         if mode == "FREE":
             assert rep.pi_base == {n: dims[n] for n in window if n >= 1}, case
+            assert rep.ad_image_rank == h0["POINTED"] - h0["FREE"], case
         else:
-            assert rep.h0_quotient.dimension == dims[0], case
+            assert rep.ad_image_rank == 0, case
         indices.add(nil)
     assert indices >= {0, 1, 2, 3} if mode == "POINTED" else indices >= {1, 2, 3}
 
@@ -635,6 +649,43 @@ def test_der_h0_group_of_wedge_of_circles(cap, dim, nilpotency):
     free = classifying_invariants(L, spec, "FREE", range(1, 3))
     assert free.h0_quotient.dimension == 0
     assert free.ad_image_rank == dim
+
+
+def test_free_h0_is_read_off_the_twisted_product(monkeypatch):
+    # FREE takes H_0(Der^G x~ sL) and no quotient of H_0(Der^G): ad on L_0
+    # is read once for R_0 and once per degree of the twisted product's
+    # window 0..4 (a separate list of ad columns for H_0 made 7 calls), and
+    # the one degree-0 homology taken, for the group and the nilpotency
+    # table alike, is the twisted product's
+    real_ad, real_homology, real_twisted = (derivations.ad_cross_columns,
+                                            exactlin.homology_at,
+                                            derivations.twisted_der_sl)
+    ads, h0s, totals = [], [], []
+
+    def ad_cross_columns(space, images):
+        ads.append(space.degree)
+        return real_ad(space, images)
+
+    def homology_at(C, n):
+        if n == 0:
+            h0s.append(C)
+        return real_homology(C, n)
+
+    def twisted_der_sl(*args):
+        tw = real_twisted(*args)
+        totals.append(tw.total)
+        return tw
+
+    monkeypatch.setattr(derivations, "ad_cross_columns", ad_cross_columns)
+    monkeypatch.setattr(exactlin, "homology_at", homology_at)
+    monkeypatch.setattr(derivations, "twisted_der_sl", twisted_der_sl)
+    L = wedge_model((1, 1), T(4))
+    rep = classifying_invariants(L, GSpec("identity", L), "FREE", range(1, 4))
+    assert (rep.h0_quotient.dimension, rep.ad_image_rank, rep.nilpotency) == (0, 5, 1)
+    assert sorted(ads) == [-1, 0, 0, 1, 2, 3]
+    assert len(totals) == 1 and len(h0s) == 1 and h0s[0] is totals[0]
+    assert "extra" not in inspect.signature(real_homology).parameters
+    assert not hasattr(derivations, "homology_at")
 
 
 def _criterion9():

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from cdgl.exactlin import (ExactnessError, FactoredBasis, GradedChainComplex,
                            IllFormedComplexError, IncrementalSpan, NotInSpanError,
-                           SparseMat, SparseVec, TwistedComplex, homology_at,
-                           kernel_basis, les_of_ses, postnikov_truncate, rank,
-                           twisted_product)
+                           SparseMat, SparseVec, TwistedComplex,
+                           clear_denominators, homology_at, kernel_basis,
+                           les_of_ses, postnikov_truncate, rank, twisted_product)
 
 from oracles import (ChainMap, assert_exact, assert_same_les, connected_cover, dense,
                      dense_kernel, dense_rank, dense_rref, dense_solve, generic_les,
@@ -385,9 +385,10 @@ def test_homology_rank_nullity_consistency():
 
 @st.composite
 def complex_with_extra(draw):
-    """(C, extra, cycle): a random integer complex on degrees 0..2, extra
-    degree-1 cycles and one more degree-1 cycle, all built from a kernel
-    basis of d_1 taken by the dense oracle."""
+    """(C, cycle): a random integer complex on degrees 0..2, whose d_2
+    columns are degree-1 cycles followed by up to two extra cycles, and one
+    more degree-1 cycle, all built from a kernel basis of d_1 taken by the
+    dense oracle."""
     small = st.integers(-2, 2)
     dims = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
     d1 = [draw(st.lists(small, min_size=dims[1], max_size=dims[1]))
@@ -400,34 +401,52 @@ def complex_with_extra(draw):
                     for i in range(dims[1])])
 
     d2 = [cycle() for _ in range(dims[2])]
-    extra = [cycle() for _ in range(draw(st.integers(0, 2)))]
+    d2 += [cycle() for _ in range(draw(st.integers(0, 2)))]
+    dims[2] = len(d2)
     C = GradedChainComplex({n: ["e%d_%d" % (n, i) for i in range(dims[n])]
                             for n in range(3)},
                            {1: mat(d1) if dims[0] else None,
                             2: SparseMat.from_columns(dims[1], d2)})
-    return C, extra, cycle()
+    return C, cycle()
 
 
 @settings(max_examples=150, deadline=None)
 @given(complex_with_extra())
 def test_homology_modulo_extra_matches_dense_rank(case):
-    # dim H = dim Z_1 - rank(B_1 + extra), and a cycle minus its class
-    # coordinates times the representatives lies in the quotient
-    C, extra, z = case
+    # extra cycles divided out as further d_2 columns: dim H = dim Z_1 -
+    # rank(B_1 + extra), and a cycle minus its class coordinates times the
+    # representatives lies in the quotient
+    C, z = case
     n_cols = C.dim(1)
 
     def dense_vecs(vs):
         return [[v.get(i) for i in range(n_cols)] for v in vs]
 
-    quotient = dense_vecs(C.d(2).columns() + extra)
+    quotient = dense_vecs(C.d(2).columns())
     q_rank = dense_rank(quotient)
     z_dim = len(dense_kernel(dense(C.d(1).entries, C.dim(0), n_cols), n_cols))
-    h = homology_at(C, 1, extra)
+    h = homology_at(C, 1)
     assert h.dimension == z_dim - q_rank
     x = h.classes.coords(z)
     rest = z - sum((r.scale(x.get(k)) for k, r in enumerate(h.cycle_reps)),
                    SparseVec())
     assert dense_rank(quotient + dense_vecs([rest])) == q_rank
+
+
+def test_clear_denominators_returns_int_dicts_as_they_are():
+    # all ints: D = 1 and the dicts themselves; otherwise one D for all
+    ints, other = {0: 2, 3: -4}, {1: 5}
+    D, a, b = clear_denominators(ints, other)
+    assert D == 1 and a is ints and b is other
+    assert clear_denominators({0: Fraction(1, 2)}, {1: Fraction(2, 3), 2: 1}) == (
+        6, {0: 3}, {1: 4, 2: 6})
+    assert clear_denominators({0: Fraction(3)}) == (1, {0: 3})
+    assert clear_denominators() == (1,)
+    # the span eliminates in place on its own copies, never on its input
+    span, v, w = IncrementalSpan(), SparseVec({0: 2, 1: 4}), SparseVec({0: 3, 1: 5})
+    assert span.add(v) and span.add(w) and not span.add(v)
+    assert span.contains(w) and span.reduce(SparseVec({0: 1, 2: 1})).entries == {2: 1}
+    assert v.entries == {0: 2, 1: 4} and w.entries == {0: 3, 1: 5}
 
 
 def test_ill_formed_complex_rejected():
