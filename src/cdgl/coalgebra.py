@@ -165,18 +165,13 @@ class LBasisInfo:
     @classmethod
     def of(cls, L: DGLPresentation):
         lo, hi = L.degree_bounds()
-        elements = []
-        degrees = []
-        index_by_degree = {}
+        elements, degrees, index_by_degree = [], [], {}
         for n in range(lo, hi + 1):
             b = L.basis(n)
-            if not b:
-                continue
-            index_by_degree[n] = []
-            for e in b:
-                index_by_degree[n].append(len(elements))
-                elements.append(e)
-                degrees.append(n)
+            if b:
+                index_by_degree[n] = list(range(len(elements), len(elements) + len(b)))
+                elements += b
+                degrees += [n] * len(b)
         return cls(elements, degrees, index_by_degree)
 
 
@@ -215,12 +210,13 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
         labels.append(lbl)
         degrees.append(sum(sdeg[i] for i in w))
 
-    # s(v) -> the terms of s(dv), on the global indices
-    dcols = {}
+    # s(v) -> the terms of s(dv) on the global indices, and v's key in T
+    dcols, keys, T = {}, {}, L.brackets
     for deg, idxs in info.index_by_degree.items():
         below = info.index_by_degree.get(deg - 1, ())
-        for k, col in zip(idxs, L.boundary(deg)):
+        for j, (k, col) in enumerate(zip(idxs, L.boundary(deg))):
             dcols[k] = [(below[i], c) for i, c in col.entries.items()]
+            keys[k] = deg, j
 
     comul = {}
     diff = {}
@@ -239,44 +235,27 @@ def chains_functor(L: DGLPresentation, word_cap: int) -> CDGC:
             table[key] = table.get(key, 0) + sgn
         comul[i] = [(l, r, c) for (l, r), c in table.items() if c]
 
-        # d1: replace one factor by s(dv), with sign -(-1)^{n_i}
-        dtable = {}
+        # d1: replace one factor by s(dv), with sign -(-1)^{n_i}; d2:
+        # contract a pair to s[v_i, v_j], with the Koszul sign of moving
+        # the pair to the front
+        terms = []
         for pos in range(len(w)):
-            n_i = sum(wd[:pos])
-            base_sign = -1 if n_i % 2 == 0 else 1
-            for (tgt, coeff) in dcols[w[pos]]:
-                new = w[:pos] + (tgt,) + w[pos + 1:]
-                norm = wedge_normalize(new, sdeg)
-                if norm is None:
-                    continue
-                nw, s2 = norm
-                key = label_of_word.get(nw)
-                if key is None:
-                    continue
-                dtable[key] = dtable.get(key, 0) + base_sign * coeff * s2
-        # d2: contract a pair to s[v_i, v_j]
+            sign = -1 if sum(wd[:pos]) % 2 == 0 else 1
+            terms += [(w[:pos] + (t,) + w[pos + 1:], sign * c) for t, c in dcols[w[pos]]]
         for pi in range(len(w)):
             for pj in range(pi + 1, len(w)):
-                vi, vj = info.elements[w[pi]], info.elements[w[pj]]
-                br = bracket(vi, vj)
-                if br.is_zero():
-                    continue
-                # Koszul sign of moving positions (pi, pj) to the front
-                rho = _unshuffle_sign(wd, {pi, pj})
-                lead = -1 if wd[pi] % 2 else 1
-                deg_br = info.degrees[w[pi]] + info.degrees[w[pj]]
-                rest = tuple(w[k] for k in range(len(w)) if k not in (pi, pj))
-                idxs = info.index_by_degree[deg_br]
-                for b, coeff in L.coords(br, deg_br).entries.items():
-                    new = (idxs[b],) + rest
-                    norm = wedge_normalize(new, sdeg)
-                    if norm is None:
-                        continue
-                    nw, s2 = norm
-                    key = label_of_word.get(nw)
-                    if key is None:
-                        continue
-                    dtable[key] = dtable.get(key, 0) + lead * rho * coeff * s2
+                br = T[keys[w[pi]], keys[w[pj]]].entries
+                if br:
+                    sign = _unshuffle_sign(wd, {pi, pj}) * (-1 if wd[pi] % 2 else 1)
+                    rest = tuple(w[k] for k in range(len(w)) if k not in (pi, pj))
+                    idxs = info.index_by_degree[keys[w[pi]][0] + keys[w[pj]][0]]
+                    terms += [((idxs[b],) + rest, sign * c) for b, c in br.items()]
+        dtable = {}
+        for new, c in terms:
+            norm = wedge_normalize(new, sdeg)
+            key = None if norm is None else label_of_word.get(norm[0])
+            if key is not None:
+                dtable[key] = dtable.get(key, 0) + c * norm[1]
         diff[i] = [(j, c) for j, c in dtable.items() if c]
 
     C = CDGC(labels, degrees, label_of_word[()], comul, diff,
@@ -380,10 +359,12 @@ class ConvolutionDGL:
         label i over L_{|i|+n}.  The column of (c, e_j) is L's boundary
         column j in block c, -(-1)^n k at slot j of block i for each term
         k c of d i, and k (-1)^{n|l|} [p(l), e_j] in block i for each
-        coproduct term k (l, c) of i."""
-        C, L = self.C, self.L
+        coproduct term k (l, c) of i, read off L's bracket table."""
+        C, L, T = self.C, self.L, self.L.brackets
         indices = C.reduced_indices() if reduced else range(C.dim())
-        p = perturb_by or {}
+        # l -> (degree, coordinates) of p(l)
+        p = {l: (v.degree(), L.coords(v, v.degree()).entries)
+             for l, v in (perturb_by or {}).items() if not v.is_zero()}
         d_terms, by_right = {}, {}
         for i, row in C.diff.items():
             for c, k in row:
@@ -396,26 +377,20 @@ class ConvolutionDGL:
         def blocks(n):
             return [(i, L.basis(C.degrees[i] + n)) for i in indices]
 
-        brackets = {}   # (l, |c| + n, j) -> the coordinates of [p(l), e_j]
-
         def columns(n):
             below, off, sgn, cols = {}, 0, 1 if n % 2 else -1, []
             for i, basis in blocks(n - 1):
                 below[i], off = off, off + len(basis)
-            for c, basis in blocks(n):
+            for c, _ in blocks(n):
                 for j, dcol in enumerate(L.boundary(C.degrees[c] + n)):
                     col = {below[c] + r: v for r, v in dcol.entries.items()}
                     accumulate(col, ((below[i] + j, sgn * k)
                                      for i, k in d_terms.get(c, ())))
                     for i, l, k in by_right.get(c, ()):
-                        key = (l, C.degrees[c] + n, j)
-                        if key not in brackets:
-                            brackets[key] = L.coords(bracket(p[l], basis[j]),
-                                                     C.degrees[i] + n - 1)
-                        br = brackets[key]
+                        m, u = p[l]
                         sk = -k if (n * C.degrees[l]) % 2 else k
-                        accumulate(col, ((below[i] + r, sk * v)
-                                         for r, v in br.entries.items()))
+                        accumulate(col, ((below[i] + r, sk * v) for r, v in
+                                         T.product(m, u, C.degrees[c] + n, {j: 1}).items()))
                     cols.append(_vec(col))
             return cols
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
+from fractions import Fraction
 from functools import cached_property, partial
 
 from . import exactlin
@@ -25,7 +26,7 @@ from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
                        LongExactSequence, SparseMat, SparseVec, TwistedComplex,
                        _vec, homology_reports, les_of_ses, twisted_product)
-from .freelie import DegreeError, LieElement, LieTable, bracket
+from .freelie import DegreeError, LieElement, LieTable, word_degree
 
 
 class InvalidSubgroupError(ValueError):
@@ -37,15 +38,14 @@ class NotConnectedError(ValueError):
 
 
 class Derivation(LieTable):
-    """(f-)derivation given by its values on source generators; keys that
-    are not source generators are dropped, and the table is kept in the
-    order of source.gens."""
+    """Derivation given by its values on source generators; keys that are
+    not source generators are dropped, and the table is kept in the order
+    of source.gens."""
 
-    __slots__ = ("source", "target", "degree", "base", "label")
+    __slots__ = ("source", "target", "degree", "label")
 
     def __init__(self, source: DGLPresentation, target: DGLPresentation,
-                 degree: int, values, base: DGLMorphism | None = None,
-                 label=None):
+                 degree: int, values, label=None):
         index = source.gen_index
         LieTable.__init__(self, sorted(
             ((g, v) for g, v in values.items() if g in index),
@@ -53,18 +53,16 @@ class Derivation(LieTable):
         self.source = source
         self.target = target
         self.degree = degree
-        self.base = base
         self.label = label
 
     def _zero(self):
         return self.target.zero()
 
     def _like(self, values):
-        return Derivation(self.source, self.target, self.degree, values, self.base)
+        return Derivation(self.source, self.target, self.degree, values)
 
     def apply(self, e: LieElement) -> LieElement:
-        phi = None if self.base is None else self.base.images
-        return apply_operator(self.values, self.degree, e, phi=phi)
+        return apply_operator(self.values, self.degree, e)
 
     def __eq__(self, other):
         return LieTable.__eq__(self, other) and self.degree == other.degree
@@ -76,9 +74,7 @@ class Derivation(LieTable):
 
 
 def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
-    """[a, b] = a b - (-1)^{|a||b|} b a, for ordinary derivations of one L."""
-    if a.base is not None or b.base is not None:
-        raise ValueError("bracket is defined for Der L only")
+    """[a, b] = a b - (-1)^{|a||b|} b a, for derivations of one L."""
     L = a.source
     sgn = -1 if (a.degree * b.degree) % 2 == 0 else 1
     out = {g: a.apply(b.value(g)) + b.apply(a.value(g)).scale(sgn) for g in L.gens}
@@ -122,7 +118,7 @@ class DerSpace:
                 out[off + i] = c
         return _vec(out)
 
-    def unflatten(self, vec: SparseVec, base=None) -> Derivation:
+    def unflatten(self, vec: SparseVec) -> Derivation:
         """The derivation with slot coordinates vec, block by block."""
         values = {}
         for g, off, basis in self.blocks:
@@ -130,7 +126,7 @@ class DerSpace:
                      if off <= i < off + len(basis)}
             if block:
                 values[g] = self.target.from_coords(_vec(block), g.degree + self.degree)
-        return Derivation(self.source, self.target, self.degree, values, base)
+        return Derivation(self.source, self.target, self.degree, values)
 
     def in_elements(self, vec: SparseVec) -> SparseVec:
         """Slot coordinates vec in the elements (the free-variables-zero
@@ -159,46 +155,97 @@ class DerSpace:
         return self.total_slots if self.units else len(self.elements)
 
 
-def unit_columns(space: DerSpace, below: DerSpace, phi=None):
+class LeibnizTerms:
+    """theta(d h) in target coordinates for the unit f-derivations
+    theta = {g: e} of degree n, f = phi (None: the identity), read off the
+    target's bracket table.  A length-k part of d h is written in
+    right-nested (Dynkin-Specht-Wever) form (1/k) sum_w c_w [w_1,[...,w_k]],
+    as freelie.is_lie certifies, and theta[a, R] = [theta a, f R] +
+    (-1)^{n|a|} [f a, theta R] is applied from the right: each i with
+    w_i = g gives (-1)^{n|w_1...w_{i-1}|} (c_w/k) [f w_1, [..., [f w_{i-1},
+    [e, f([w_{i+1},[...,w_k]])]]]], e itself at i = k.  This one path serves
+    every source.  The parts of d at g and the images f([w_i,[...,w_k]])
+    depend on neither e nor n, and are kept."""
+
+    def __init__(self, source: DGLPresentation, target: DGLPresentation,
+                 phi: DGLMorphism | None = None):
+        self.source, self.target = source, target
+        self.images = {g: target.gen(g) for g in source.gens} if phi is None else phi.images
+        self._parts, self._images = {}, {}
+
+    def image(self, w):
+        """(degree, coordinates) of f([w_1,[w_2,...,w_k]]) in the target."""
+        got = self._images.get(w)
+        if got is None:
+            g, tgt = w[0], self.target
+            if len(w) == 1:
+                got = g.degree, tgt.coords(self.images[g], g.degree).entries
+            else:
+                m, tail = self.image(w[1:])
+                got = g.degree + m, tgt.brackets.product(g.degree, self.image(w[:1])[1], m, tail)
+            self._images[w] = got
+        return got
+
+    def parts(self, g):
+        """(D, {(h, |w_1...w_{i-1}|, w_1...w_{i-1}, w_{i+1}...w_k): D c_w/k})
+        over the users h of g and the positions i of g in the words w of d h,
+        D clearing the denominators."""
+        if g not in self._parts:
+            src, acc = self.source, {}
+            for h in sorted(src.d_users.get(g, ()), key=src.gen_index.__getitem__):
+                for w, c in src.d_on_gens[h].terms.items():
+                    for i in (i for i, a in enumerate(w) if a == g):
+                        key = (h, word_degree(w[:i]), w[:i], w[i + 1:])
+                        acc[key] = acc.get(key, 0) + Fraction(c, len(w))
+            self._parts[g] = exactlin.clear_denominators({k: c for k, c in acc.items() if c})
+        return self._parts[g]
+
+    def column(self, g, n, j) -> dict:
+        """h -> the coordinates of theta(d h), theta = {g: e_j} and e_j the
+        j-th element of the target's basis(|g| + n)."""
+        T, (D, parts), out = self.target.brackets, self.parts(g), {}
+        for (h, pdeg, prefix, suffix), c in parts.items():
+            u, deg = {j: 1}, g.degree + n
+            if suffix:
+                m, F = self.image(suffix)
+                u, deg = T.product(deg, u, m, F), deg + m
+            for a in reversed(prefix):
+                u, deg = T.product(a.degree, self.image((a,))[1], deg, u), deg + a.degree
+            sc = -c if n * pdeg % 2 else c
+            exactlin.accumulate(out.setdefault(h, {}), ((k, sc * v) for k, v in u.items()))
+        return {h: {k: exactlin.exact(Fraction(t, D)) for k, t in acc.items()}
+                for h, acc in out.items()}
+
+
+def unit_columns(space: DerSpace, below: DerSpace, leibniz: LeibnizTerms):
     """The columns of D: Der_n -> Der_{n-1} on the unit slots of space, in
     the slot coordinates of below.  The slot (g, e_j) gives the target's
-    boundary column j at degree |g| + n in block g, minus (-1)^n
-    theta(d h) for theta = {g: e_j} in block h, for each h whose d holds
-    g; phi is the base morphism of f-derivations (None: the identity)."""
-    src, tgt, n = space.source, space.target, space.degree
-    images = None if phi is None else phi.images
-    sgn = 1 if n % 2 else -1
+    boundary column j at degree |g| + n in block g, and minus (-1)^n
+    theta(d h), theta = {g: e_j}, in block h for each h whose d holds g."""
+    sgn = 1 if space.degree % 2 else -1
     cols = []
-    for g, _, basis in space.blocks:
+    for g, _, _ in space.blocks:
         at = below._offsets[g]
-        users = sorted(src.d_users.get(g, ()), key=src.gen_index.__getitem__)
-        for e, dcol in zip(basis, tgt.boundary(g.degree + n)):
+        for j, dcol in enumerate(space.target.boundary(g.degree + space.degree)):
             col = {at + i: c for i, c in dcol.entries.items()}
-            for h in users:
-                v = apply_operator({g: e}, n, src.d_on_gens[h], phi=images)
-                off = below._offsets[h]
-                exactlin.accumulate(col, ((off + i, sgn * c) for i, c in
-                                          tgt.coords(v, h.degree + n - 1).entries.items()))
+            exactlin.accumulate(col, ((below._offsets[h] + i, sgn * c) for h, v in
+                                      leibniz.column(g, space.degree, j).items()
+                                      for i, c in v.items()))
             cols.append(_vec(col))
     return cols
 
 
-def _is_identity(phi: DGLMorphism) -> bool:
-    return (phi.source is phi.target
-            and all(phi.images[g] == phi.source.gen(g) for g in phi.source.gens))
-
-
 class DerComplex:
-    """Chain complex of (f-)derivations on a degree window: unit spaces in
-    each degree n of the window and n - 1, or in degree 0 the subspace
-    deg0_subspace = (slot vectors, their labels)."""
+    """Chain complex of f-derivations, f = phi (None: the identity), on a
+    degree window: unit spaces in each degree n of the window and n - 1, or
+    in degree 0 the subspace deg0_subspace = (slot vectors, their labels)."""
 
     def __init__(self, source, target, phi: DGLMorphism | None, degrees,
                  deg0_subspace=None):
         self.source = source
         self.target = target
-        self.phi = None if (phi is None or _is_identity(phi)) else phi
         self.degrees = sorted(degrees)
+        self.leibniz = LeibnizTerms(source, target, phi)
         elements, labels = deg0_subspace or (None, None)
         self.spaces = {n: DerSpace(source, target, n,
                                    elements if n == 0 else None, labels)
@@ -214,7 +261,7 @@ class DerComplex:
         sp = self.space(n)
         if not sp.units:
             vec = SparseMat.from_columns(sp.total_slots, sp.elements).apply(vec)
-        return sp.unflatten(vec, self.phi)
+        return sp.unflatten(vec)
 
     def complex(self) -> GradedChainComplex:
         """The chain complex, built on the first call and kept."""
@@ -226,7 +273,7 @@ class DerComplex:
     def _columns(self, n):
         # a subspace's columns are its elements through D on the unit slots
         sp, below = self.spaces[n], self.spaces[n - 1]
-        cols = unit_columns(sp, below, self.phi)
+        cols = unit_columns(sp, below, self.leibniz)
         if not sp.units:
             D = SparseMat.from_columns(below.total_slots, cols)
             cols = [D.apply(v) for v in sp.elements]
@@ -245,24 +292,16 @@ def _shifted_l_complex(L: DGLPresentation, degrees) -> GradedChainComplex:
 def ad_cross_columns(space: DerSpace, images) -> list:
     """The columns of x -> ad_x . phi = [x, phi(-)] for x in L_m, m the
     degree of space and L its target, in space's stored basis: block g holds
-    [x, phi(g)], images being phi's generator images.  Where phi(g) is a
-    generator h of L, [x, h] = -(-1)^{m|h|} ad_h(x) is read off
-    L.ad_columns(h, m); any other image is bracketed with x and
-    coordinatized."""
-    L, m = space.target, space.degree
-    basis = L.basis(m)
-    cols = [{} for _ in basis]
+    [x, phi(g)] = -(-1)^{m|g|} [phi(g), x], images being phi's generator
+    images, read off the rows of L's bracket table at the basis elements
+    that phi(g) holds (a generator's row builds no bracket)."""
+    L, m, T = space.target, space.degree, space.target.brackets
+    cols = [{} for _ in L.basis(m)]
     for g, off, _ in space.blocks:
-        terms = images[g].terms
-        word = next(iter(terms)) if len(terms) == 1 else ()
-        if len(word) == 1 and terms[word] == 1:
-            sgn = -1 if m * word[0].degree % 2 == 0 else 1
-            for col, ad in zip(cols, L.ad_columns(word[0], m)):
-                col.update((off + i, sgn * c) for i, c in ad.entries.items())
-        elif terms:
-            for col, x in zip(cols, basis):
-                col.update((off + i, c) for i, c in L.coords(
-                    bracket(x, images[g]), g.degree + m).entries.items())
+        u = L.coords(images[g], g.degree).entries
+        sgn = -1 if m * g.degree % 2 == 0 else 1
+        for i, col in enumerate(cols if u else ()):
+            col.update((off + k, sgn * c) for k, c in T.product(g.degree, u, m, {i: 1}).items())
     return [space.in_elements(_vec(col)) for col in cols]
 
 
@@ -320,7 +359,7 @@ def r0_basis(L: DGLPresentation):
     of DerSpace(L, L, 0) and their labels, picked from the columns of D on
     the Der_1 unit slots, then from those of ad on L_0."""
     space0, units = DerSpace(L, L, 0), DerSpace(L, L, 1)
-    cols = unit_columns(units, space0) + ad_cross_columns(
+    cols = unit_columns(units, space0, LeibnizTerms(L, L)) + ad_cross_columns(
         space0, {g: L.gen(g) for g in L.gens})
     labels = (["D(%s)" % label for label in units.labels()]
               + ["ad(%s)" % (e.label or "?") for e in L.basis(0)])
@@ -332,7 +371,7 @@ def r0_basis(L: DGLPresentation):
 def _d_on_der0(L: DGLPresentation):
     """(the Der_0 unit space, the columns of D on its slots)."""
     units = DerSpace(L, L, 0)
-    return units, unit_columns(units, DerSpace(L, L, -1))
+    return units, unit_columns(units, DerSpace(L, L, -1), LeibnizTerms(L, L))
 
 
 def _linear_slots(space0: DerSpace):
@@ -490,9 +529,10 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
     ((-1)^n)^2, and drops the counit row.  Both signs depend on n only
     through n % 2.  So the pair of slots fails exactly when [e, e'] != 0
     and the two row-coefficient tables of (l, r) differ, and the brackets
-    are taken only for the label pairs whose tables differ.  Every ordered
-    pair of slots is counted as checked: a pair of labels that no row of
-    either table holds has the empty table on both sides.
+    are read off the target's bracket table only for the label pairs whose
+    tables differ.  Every ordered pair of slots is counted as checked: a
+    pair of labels that no row of either table holds has the empty table
+    on both sides.
 
     The chains of a source with a generator of negative degree would hold
     generators of degree < -1, so such a source is refused with a
@@ -567,16 +607,16 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
         hom = hom_cx.basis.get(n - 1, [])
         d, dhom = der_cx.d(n), hom_cx.d(n - 1)
         differ = {k for (_, k), _ in d.entries.items() ^ dhom.entries.items()}
-        slots = {}          # label -> [(slot name, e)], in slot order
+        slots = {}          # label -> [(slot name, key of e in T)], in slot order
         k = 0
         for g, _, basis in space.blocks:
-            for e in basis:
+            for j, e in enumerate(basis):
                 want = "%s->%s" % (C.labels[label_of_gen[g]], e.label or repr(e))
                 if hom[k:k + 1] != [want]:
                     failures.append(("bijectivity", labels[k]))
                 if k in differ:
                     failures.append(("chain", labels[k]))
-                slots.setdefault(label_of_gen[g], []).append((labels[k], e))
+                slots.setdefault(label_of_gen[g], []).append((labels[k], (g.degree + n, j)))
                 k += 1
         basis_checked += k
         pairs += k ** 2
@@ -587,7 +627,7 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
             right = [p for r in unequal.get(l, ()) for p in slots.get(r, ())]
             for name, e in left:
                 for name2, e2 in right:
-                    if not bracket(e, e2).is_zero():
+                    if Ltgt.brackets[e, e2].entries:
                         failures.append(("bracket", name, name2))
     return GammaReport(ok=not failures, basis_checked=basis_checked,
                        pairs_checked=pairs, failures=failures,
@@ -630,9 +670,8 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
                       "the mapping space is only guaranteed for minimal sources")
     degrees = sorted(set(degrees) | {0, 1})
     window = range(min(degrees) - 1, max(degrees) + 2)
-    base = None if _is_identity(phi) else phi
-    dercx = DerComplex(Lsrc, Ltgt, base, window)
-    tw = twisted_der_sl(dercx, Ltgt, window, phi=base)
+    dercx = DerComplex(Lsrc, Ltgt, phi, window)
+    tw = twisted_der_sl(dercx, Ltgt, window, phi=phi)
     # pointed (sub) and free (total) homology, reused by the sequence
     les_degrees = [n for n in degrees if n >= 0]
     hA = homology_reports(tw.sub, [n for n in degrees if n >= 1])
@@ -698,12 +737,8 @@ def _der_sl_element(dercx: DerComplex, L: DGLPresentation, n, z: SparseVec):
     """The element of Der (x~) sL with coordinates z in twisted_der_sl's
     degree-n basis: the stored Der_n elements, then s of L_{n-1}."""
     nd = len(dercx.space(n))
-    x = L.zero()
-    for i, c in z.entries.items():
-        if i >= nd:
-            x = x + L.basis(n - 1)[i - nd].scale(c)
-    theta = dercx.element(n, SparseVec({i: c for i, c in z.entries.items()
-                                        if i < nd}))
+    x = L.from_coords(SparseVec({i - nd: c for i, c in z.entries.items() if i >= nd}), n - 1)
+    theta = dercx.element(n, SparseVec({i: c for i, c in z.entries.items() if i < nd}))
     return DerSLElement(theta, x, n)
 
 

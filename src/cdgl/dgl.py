@@ -44,78 +44,47 @@ class DivergenceError(ValueError):
     """A series (exp/log) does not terminate at the current truncation."""
 
 
-def apply_operator(values, op_degree, e: LieElement, phi=None) -> LieElement:
-    """Extend generator values to a (phi-)derivation and apply it.
-
-    values: Generator -> LieElement in the TARGET algebra.
-    phi: optional morphism images (Generator -> LieElement) used on both
-    sides of the derivation slot; the identity by default, giving an
-    ordinary derivation.  With phi = f this is an f-derivation:
-    theta(ab) = theta(a) f(b) + (-1)^{|theta||a|} f(a) theta(b).
-
-    Each word's products of phi images of its prefixes and of its suffixes
-    are built once, the prefixes by _mul_terms and the suffixes as lists of
-    terms; identity images are one-letter words, so those products are
-    concatenations.  A term is kept when every partial product, taken from
-    the left one factor at a time, is admitted by the truncation, as
-    _mul_terms tests it.  Under a degree cap with generators of negative
-    degree that is stricter than admitting the final word, so each suffix
-    term carries the highest degree of its partial products.
-    """
+def apply_operator(values, op_degree, e: LieElement) -> LieElement:
+    """Extend generator values (Generator -> LieElement) to a derivation and
+    apply it: each letter with a value is replaced by it, with the sign
+    (-1)^{op_degree |prefix|}.  A term is kept when every partial product,
+    taken from the left one factor at a time (a letter, or the value), is
+    admitted by the truncation.  Under a degree cap with generators of
+    negative degree that is stricter than admitting the final word: the
+    walk stops at the first prefix over the cap, and each position carries
+    the highest degree of a partial product of the letters after it."""
     trunc = e.trunc
     cap, max_deg = trunc.max_bracket_length, trunc.max_degree
-
-    def image(g):
-        return {(g,): 1} if phi is None else phi[g].terms
-
     # the generators with a nonzero value; with none the operator is zero
     active = {g for g, v in values.items() if not v.is_zero()}
     out = {}
     for w, c in e.terms.items() if active else ():
-        slots = [i for i, g in enumerate(w) if g in active]
-        if not slots:
+        if active.isdisjoint(w):
             continue
-        # prefixes[i]: the terms of the product of the phi images of w[:i]
-        prefixes = [{(): 1}]
-        for g in w[:slots[-1]]:
-            prefixes.append(_mul_terms(prefixes[-1], image(g), trunc))
-        # suffixes[i]: the terms (word, coefficient, highest degree of a
-        # partial product from its left end) of the phi images of w[i+1:],
-        # shorter than the cap so that a value word still fits
-        suffixes = {}
-        suffix = [((), 1, 0)]
-        for i in range(len(w) - 1, slots[0] - 1, -1):
-            suffixes[i] = suffix
-            if i > slots[0]:
-                suffix = [(gw + s, cg * cs,
-                           max(0, word_degree(gw) + top) if max_deg is not None else 0)
-                          for gw, cg in image(w[i]).items() for s, cs, top in suffix
-                          if len(gw) + len(s) < cap]
-        for i in slots:
-            if not prefixes[i]:
-                break
-            sc = -c if op_degree * word_degree(w[:i]) % 2 else c
-            for vw, cv in values[w[i]].terms.items():
-                scv = None
-                for p, cp in prefixes[i].items():
-                    x = p + vw
-                    dx = word_degree(x) if max_deg is not None else 0
-                    if len(x) > cap or (max_deg is not None and dx > max_deg):
+        room = cap - len(w) + 1
+        tops = [0] * len(w)
+        for i in range(len(w) - 1, 0, -1) if max_deg is not None else ():
+            tops[i - 1] = max(0, w[i].degree + tops[i])
+        deg = 0
+        for i, g in enumerate(w):
+            if g in active:
+                sc = -c if op_degree * deg % 2 else c
+                for vw, cv in values[g].terms.items():
+                    if len(vw) > room:
                         continue
-                    for s, cs, top in suffixes[i]:
-                        if len(x) + len(s) > cap or (max_deg is not None
-                                                     and dx + top > max_deg):
+                    if max_deg is not None:
+                        dx = deg + word_degree(vw)
+                        if dx > max_deg or dx + tops[i] > max_deg:
                             continue
-                        if scv is None:
-                            scv = sc * cv
-                        # identity images keep unit coefficients as ints
-                        k = cp * cs
-                        ww = x + s
-                        t = out.get(ww, 0) + (scv if k == 1 else k * scv)
-                        if t:
-                            out[ww] = t
-                        else:
-                            out.pop(ww, None)
+                    x = w[:i] + vw + w[i + 1:]
+                    t = out.get(x, 0) + sc * cv
+                    if t:
+                        out[x] = t
+                    else:
+                        out.pop(x, None)
+            deg += g.degree
+            if max_deg is not None and deg > max_deg:
+                break
     return _on_ints(settled(out), trunc)
 
 
@@ -124,6 +93,51 @@ def _on_ints(terms, trunc) -> LieElement:
     res = LieElement.zero(trunc)
     res.terms = terms
     return res
+
+
+class BracketTable(dict):
+    """The bracket of a presentation L in basis coordinates, filled on read
+    and kept on L: T[(m, i), (m2, j)] is the SparseVec coords([e_i, e_j]),
+    e_i the i-th element of basis(m).  A generator's row is read off the
+    basis picks with no bracket built: _left_normed_basis names each pick
+    after its candidate [g, b] and keeps the candidate's terms, so [g, e_j]
+    is the pick labelled [g,label(e_j)], or zero when e_j has the cap's
+    length or basis(m + m2) is empty (as above a degree cap).  Any other
+    entry, in a generator's row a candidate that the pick refused, is the
+    coordinates of the bracket."""
+
+    def __init__(self, L):
+        self.L = L
+        self._picks = {}    # degree n -> {label: index in basis(n)}
+
+    def __missing__(self, key):
+        (m, i), (m2, j) = key
+        L, n, col = self.L, m + m2, None
+        a, b = L.basis(m)[i], L.basis(m2)[j]
+        if len(next(iter(a.terms))) == 1:
+            if n not in self._picks:
+                self._picks[n] = {e.label: k for k, e in enumerate(L.basis(n))}
+            k = self._picks[n].get("[%s,%s]" % (a.label, b.label))
+            cap = L.trunc.max_bracket_length
+            if k is not None or not self._picks[n] or len(next(iter(b.terms))) == cap:
+                col = SparseVec() if k is None else SparseVec.unit(k)
+        self[key] = col = L.coords(bracket(a, b), n) if col is None else col
+        return col
+
+    def product(self, m, u: dict, m2, v: dict) -> dict:
+        """[x, y] in coordinates for x, y of degrees m, m2 with coordinate
+        dicts u, v: sum_{a, b} u_a v_b T[(m, a), (m2, b)], in the normal form."""
+        out = {}
+        for a, x in u.items():
+            for b, y in v.items():
+                xy = x * y
+                for k, z in self[(m, a), (m2, b)].entries.items():
+                    s = out.get(k, 0) + xy * z
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
+        return settled(out)
 
 
 class DGLPresentation:
@@ -139,7 +153,7 @@ class DGLPresentation:
         self._basis_cache = {}
         self._coordizer_cache = {}
         self._boundary_cache = {}
-        self._ad_cache = {}
+        self.brackets = BracketTable(self)
         self._gen_elements = {g: LieElement.gen(g, trunc) for g in self.gens}
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
 
@@ -151,10 +165,7 @@ class DGLPresentation:
     def gen(self, name_or_gen) -> LieElement:
         if isinstance(name_or_gen, Generator):
             return self._gen_elements[name_or_gen]
-        for g in self.gens:
-            if g.name == name_or_gen:
-                return self._gen_elements[g]
-        raise KeyError("unknown generator %r" % name_or_gen)
+        return self._gen_elements[self.generator(name_or_gen)]
 
     def generator(self, name) -> Generator:
         for g in self.gens:
@@ -220,31 +231,6 @@ class DGLPresentation:
         if cols is None:
             cols = [self.coords(self.d(e), n - 1) for e in self.basis(n)]
             self._boundary_cache[n] = cols
-        return cols
-
-    def ad_columns(self, g: Generator, m):
-        """The columns of ad_g = [g, -]: L_m -> L_{m+|g|} for a generator g,
-        in basis coordinates, built once.  Column e is the unit column of the
-        pick labelled [g,label(e)] when basis(m + |g|) holds one, since
-        _left_normed_basis names each pick after its candidate [g, b] and
-        keeps the candidate's terms.  It is zero, with no bracket built,
-        when e has the cap's length or basis(m + |g|) is empty (as above a
-        degree cap), and the coordinates of [g, e] otherwise: a candidate
-        that the pick refused."""
-        cols = self._ad_cache.get((g, m))
-        if cols is None:
-            n, cap = m + g.degree, self.trunc.max_bracket_length
-            picks = {e.label: i for i, e in enumerate(self.basis(n))}
-            cols = []
-            for e in self.basis(m):
-                i = picks.get("[%s,%s]" % (g.name, e.label))
-                if i is not None:
-                    cols.append(SparseVec.unit(i))
-                elif not picks or len(next(iter(e.terms))) == cap:
-                    cols.append(SparseVec())
-                else:
-                    cols.append(self.coords(bracket(self.gen(g), e), n))
-            self._ad_cache[(g, m)] = cols
         return cols
 
     def complex(self, degrees) -> GradedChainComplex:

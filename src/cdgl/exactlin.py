@@ -236,7 +236,7 @@ class IncrementalSpan:
     each its primitive integer multiple with a positive pivot entry.  add
     eliminates only while the vector's least column is a pivot (so one
     with a column below every pivot goes in as it is) and returns True when
-    the span grew; reduce, contains and FactoredBasis.coords reduce fully,
+    the span grew; contains and FactoredBasis.coords reduce fully,
     in increasing pivot order, as a pivot's row holds no lower column.
     rows, the reduced row echelon form (unique, as are the pivots), is
     built by back-substitution when read and kept until the next add.  The
@@ -278,11 +278,6 @@ class IncrementalSpan:
             scale *= _eliminate(cur, rows[piv], piv)
             piv = min((j for j in cur if j > piv and j in rows), default=None)
         return cur, scale
-
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        cur, scale = self._residue(vec)
-        return _vec(cur if scale == 1 else
-                    {j: ratio(v, scale) for j, v in cur.items()})
 
     def contains(self, vec: SparseVec) -> bool:
         return not self._residue(vec)[0]

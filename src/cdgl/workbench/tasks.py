@@ -102,7 +102,7 @@ def _load(task: Task, trunc_override=None, need_model=True,
     errors = [d.message for d in (ws.diags if ws else ()) if d.severity == "error"]
     if L is None and need_model:
         if errors:
-            raise ValueError(errors[0])
+            raise ElaborationError(errors[0])
         if from_workspace:
             return ws, L
         if ws is not None and ws.models:
@@ -164,10 +164,17 @@ def _stability(task: Task, report: Report, L, run, key, answer) -> Report:
     builds what no key reads (long exact sequences, nilpotency, structure
     constants) on first read, so each re-run computes only its key: the
     homology dimensions (homology, pi-map, baut, bautstar), the group's
-    dimension and, for h0, abelian up to the first nonzero bracket."""
+    dimension and, for h0, abelian up to the first nonzero bracket.  A model
+    ill-formed at cap N + 1, as a d that is a series cut at N, keeps the
+    cap-N answer: the re-run's ElaborationError turns the flag red, with a
+    note naming the cap and the error; an engine error is not caught."""
     if task.check_stability:
-        again = run(_cap_of(L) + 1)[1]
-        report.stability = "green" if key(answer) == key(again) else "red"
+        try:
+            again = key(run(_cap_of(L) + 1)[1])
+        except ElaborationError as exc:
+            again = None
+            report.notes.append("stability re-run at cap %d failed: %s" % (_cap_of(L) + 1, exc))
+        report.stability = "green" if key(answer) == again else "red"
     return report
 
 

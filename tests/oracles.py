@@ -859,9 +859,9 @@ def export_source(L, name=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def unit_derivations(source, target, degree, base=None):
+def unit_derivations(source, target, degree):
     """The full Der_n basis: one unit table per (generator, target element)."""
-    return [Derivation(source, target, degree, {g: e}, base,
+    return [Derivation(source, target, degree, {g: e},
                        label="%s->%s" % (g.name, e.label or "?"))
             for g in source.gens for e in target.basis(g.degree + degree)]
 
@@ -889,18 +889,27 @@ def build_complex(degrees, basis, differential, coords, label) -> GradedChainCom
     return GradedChainComplex(labels, boundary)
 
 
-def derivation_differential(theta: Derivation) -> Derivation:
+def derivation_differential(theta: Derivation, phi=None) -> Derivation:
     """D theta = d . theta - (-1)^{|theta|} theta . d on the generator
-    values, taken only on the generators where theta or a letter of their d
-    has a value: the element path that the engine's unit columns of D are
-    checked against."""
+    values, theta an f-derivation for f the morphism phi (None: the
+    identity), taken only on the generators where theta or a letter of
+    their d has a value: the element path that the engine's unit columns of
+    D are checked against.  Both terms go through w_apply_operator on the
+    word dicts of the values, the differentials and phi's images."""
     src, tgt = theta.source, theta.target
     sgn = -1 if theta.degree % 2 else 1
+    admits = tgt.trunc.admits
+    values = {g: v.terms for g, v in theta.values.items()}
+    target_d = {g: v.terms for g, v in tgt.d_on_gens.items()}
+    images = None if phi is None else {g: v.terms for g, v in phi.images.items()}
     users = src.d_users
     support = set(theta.values).union(*(users.get(h, ()) for h in theta.values))
-    out = {g: tgt.d(theta.value(g)) - theta.apply(src.d_on_gens[g]).scale(sgn)
-           for g in support}
-    return Derivation(src, tgt, theta.degree - 1, out, theta.base)
+    out = {g: LieElement(w_add(
+        w_apply_operator(target_d, -1, values.get(g, {}), admits),
+        w_scale(w_apply_operator(values, theta.degree, src.d_on_gens[g].terms,
+                                 admits, images), -sgn)), tgt.trunc)
+        for g in support}
+    return Derivation(src, tgt, theta.degree - 1, out)
 
 
 def ad_derivation(L, x) -> Derivation:
@@ -916,7 +925,7 @@ def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
     element, as DerComplex was before its block builder: one unit table per
     slot (unit_derivations), or in degree 0, when deg0_subspace = (slot
     vectors, labels) is given, the derivations of its vectors; D of each
-    by derivation_differential and its coordinates by DerSpace.coords,
+    by derivation_differential with phi and its coordinates by DerSpace.coords,
     through build_complex one degree at a time, so that a window
     with a gap holds every degree n - 1 as well; element sums the tables."""
     window = sorted({m for n in degrees for m in (n - 1, n)})
@@ -927,18 +936,19 @@ def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
 
     def tables(n):
         if sub(n) is None:
-            return unit_derivations(source, target, n, phi)
+            return unit_derivations(source, target, n)
         space = DerSpace(source, target, 0)
         out = []
         for v, name in zip(vecs, names or [None] * len(vecs)):
-            th = space.unflatten(v, phi)
+            th = space.unflatten(v)
             th.label = name
             out.append(th)
         return out
 
     elements = {n: tables(n) for n in window}
     spaces = {n: DerSpace(source, target, n, sub(n), names) for n in window}
-    parts = {n: build_complex([n], elements.__getitem__, derivation_differential,
+    parts = {n: build_complex([n], elements.__getitem__,
+                              lambda th: derivation_differential(th, phi),
                               lambda th, m: spaces[m].coords(th),
                               lambda m, i, th: th.label or ("th%d_%d" % (m, i)))
              for n in degrees}
@@ -947,7 +957,7 @@ def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
         {n: part.d(n) for n, part in parts.items()})
 
     def element(n, vec):
-        out = Derivation(source, target, n, {}, phi)
+        out = Derivation(source, target, n, {})
         for i, c in vec.entries.items():
             out = out + elements[n][i].scale(c)
         return out

@@ -835,7 +835,6 @@ _GENS = (Generator("a", 0), Generator("b", 1), Generator("c", -1), Generator("e"
 _word = st.lists(st.sampled_from(_GENS), min_size=1, max_size=4).map(tuple)
 _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 _terms = st.dictionaries(_word, _coeff, max_size=3)
-_images = st.one_of(st.none(), st.fixed_dictionaries({g: _terms for g in _GENS}))
 
 
 def _names(terms):
@@ -844,35 +843,25 @@ def _names(terms):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 5), st.sampled_from((None, 0, 1, 2)), st.integers(-1, 2),
-       _terms, st.dictionaries(st.sampled_from(_GENS), _terms, min_size=1),
-       _images)
+       _terms, st.dictionaries(st.sampled_from(_GENS), _terms, min_size=1))
 # under degree cap 1 the words e.c and a.e.c are admitted, but their partial
 # products e and a.e are not: the terms at c and at a are dropped
 @example(3, 1, 0, {(_GENS[3], _GENS[2]): Fraction(1)},
-         {_GENS[2]: {(_GENS[2],): Fraction(1)}}, None)
+         {_GENS[2]: {(_GENS[2],): Fraction(1)}})
 @example(3, 1, 0, {(_GENS[0], _GENS[3], _GENS[2]): Fraction(1)},
-         {_GENS[0]: {(_GENS[0],): Fraction(1)}}, None)
+         {_GENS[0]: {(_GENS[0],): Fraction(1)}})
 def test_apply_operator_agrees_with_per_position_oracle(cap, max_degree, op_degree,
-                                                        terms, values, phi):
+                                                        terms, values):
     trunc = Truncation(cap, max_degree)
 
     def admits(w):
         return len(w) <= cap and (max_degree is None or sum(d for _, d in w) <= max_degree)
 
-    def elements(images):
-        return None if images is None else {
-            g: LieElement(t, trunc) for g, t in images.items()}
-
     e = LieElement(terms, trunc)
-    vals, phi_images = elements(values), elements(phi)
-    got = apply_operator(vals, op_degree, e, phi=phi_images)
-
-    def word_images(images):
-        return None if images is None else {
-            (g.name, g.degree): _names(v.terms) for g, v in images.items()}
-
-    want = w_apply_operator(word_images(vals), op_degree, _names(e.terms), admits,
-                            phi=word_images(phi_images))
+    vals = {g: LieElement(t, trunc) for g, t in values.items()}
+    got = apply_operator(vals, op_degree, e)
+    want = w_apply_operator({(g.name, g.degree): _names(v.terms) for g, v in vals.items()},
+                            op_degree, _names(e.terms), admits)
     assert _names(got.terms) == want
 
 
@@ -904,7 +893,7 @@ def test_generator_filtration_is_a_read_only_value():
         GeneratorFiltration((frozenset({x}), frozenset({x}), frozenset()))
 
 
-# -- ad columns ----------------------------------------------------------------
+# -- the bracket table ---------------------------------------------------------
 
 AD_MODELS = {
     "wedge223-cap5": lambda: wedge_model((2, 2, 3), T(5)),
@@ -915,6 +904,13 @@ AD_MODELS = {
 }
 
 
+def _ad_columns(L, g, m):
+    """The columns of ad_g = [g, -] on basis(m): the row of the generator g
+    in L's bracket table."""
+    row = (g.degree, [e.label for e in L.basis(g.degree)].index(g.name))
+    return [L.brackets[row, (m, j)] for j in range(len(L.basis(m)))]
+
+
 @pytest.mark.parametrize("make", AD_MODELS.values(), ids=AD_MODELS.keys())
 def test_ad_columns_are_the_coordinates_of_the_brackets(make):
     L = make()
@@ -922,18 +918,19 @@ def test_ad_columns_are_the_coordinates_of_the_brackets(make):
     seen = 0
     for g in L.gens:
         for m in range(lo, hi + 1):
-            cols = L.ad_columns(g, m)
-            assert len(cols) == len(L.basis(m))
+            cols = _ad_columns(L, g, m)
             for e, col in zip(L.basis(m), cols):
                 assert col == L.coords(bracket(L.gen(g), e), m + g.degree), (g, e.label)
                 seen += bool(col.entries)
-            assert L.ad_columns(g, m) is cols      # built once
+            # built once: a second read hands out the same columns
+            assert all(a is b for a, b in zip(_ad_columns(L, g, m), cols))
     assert seen
 
 
 def test_ad_columns_build_a_bracket_only_for_a_refused_candidate(monkeypatch):
     # a column at a pick named [g,label(e)] is a unit column, and a column
-    # of a basis element at the cap's length is zero: neither builds [g, e]
+    # of a basis element at the cap's length is zero: neither builds [g, e];
+    # the table is kept on L, so a second read builds no bracket at all
     L = wedge_model((2, 2), T(6))
     calls = []
     monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: calls.append(b) or bracket(a, b))
@@ -941,7 +938,7 @@ def test_ad_columns_build_a_bracket_only_for_a_refused_candidate(monkeypatch):
     for g in L.gens:
         for m in range(2, 13):
             picks = [e.label for e in L.basis(m + g.degree)]
-            for e, col in zip(L.basis(m), L.ad_columns(g, m)):
+            for e, col in zip(L.basis(m), _ad_columns(L, g, m)):
                 label = "[%s,%s]" % (g.name, e.label)
                 if label in picks:
                     units += 1
@@ -953,6 +950,47 @@ def test_ad_columns_build_a_bracket_only_for_a_refused_candidate(monkeypatch):
                     refused += 1
     assert units and capped and refused
     assert len(calls) == refused
+    table = dict(L.brackets)
+    for g in L.gens:
+        for m in range(2, 13):
+            _ad_columns(L, g, m)
+    assert len(calls) == refused and L.brackets == table
+
+
+@st.composite
+def _free_presentations(draw):
+    """A presentation with d = 0 on one to three generators of degrees 0
+    to 3, odd and even, under a bracket-length cap and maybe a degree cap."""
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    gens = [Generator("g%d" % i, d) for i, d in enumerate(degrees)]
+    trunc = Truncation(draw(st.integers(2, 3)), draw(st.one_of(st.none(), st.integers(2, 5))))
+    return DGLPresentation(gens, {}, trunc)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_free_presentations(), st.randoms(use_true_random=False))
+def test_bracket_table_is_the_bracket_in_coordinates(L, rng):
+    # every entry T[(m, i), (m2, j)] is coords([e_i, e_j]), filled on read
+    # and kept on L; product is the bracket of two coordinate vectors
+    lo, hi = L.degree_bounds()
+    keys = [(m, i) for m in range(lo, hi + 1) for i in range(len(L.basis(m)))]
+    T = L.brackets
+    for a in keys:
+        for b in keys:
+            x, y = L.basis(a[0])[a[1]], L.basis(b[0])[b[1]]
+            assert T[a, b] == L.coords(bracket(x, y), a[0] + b[0]), (x, y)
+    assert len(T) == len(keys) ** 2 and L.brackets is T
+    degrees = sorted({m for m, _ in keys})
+    for _ in range(5):
+        m, m2 = rng.choice(degrees), rng.choice(degrees)
+        u, v = ({i: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for i in range(len(L.basis(k)))} for k in (m, m2))
+        u, v = ({i: c for i, c in w.items() if c} for w in (u, v))
+        want = L.coords(bracket(L.from_coords(SparseVec(u), m),
+                                L.from_coords(SparseVec(v), m2)), m + m2)
+        got = T.product(m, u, m2, v)
+        assert got == want.entries
+        assert_exact(got.values())
 
 
 def _element_cross_block(dercx, L, images, n):

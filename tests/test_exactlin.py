@@ -117,7 +117,8 @@ def test_integer_span_matches_fraction_rref(system):
         res = list(t)
         for p, orow in zip(pivots, R):
             res = [a - res[p] * b for a, b in zip(res, orow)]
-        assert span.reduce(vec(t)) == vec(res)
+        # the residue: t less it lies in the span, and it holds no pivot
+        assert span.contains(vec(t) - vec(res)) and not any(res[p] for p in pivots)
         assert span.contains(vec(t)) == (not any(res))
 
     A = SparseMat(len(rows), n_cols, {(i, j): v for i, r in enumerate(rows)
@@ -204,12 +205,12 @@ def test_span_with_placed_pivots_matches_fraction_rref(rows):
 @st.composite
 def span_sessions(draw):
     """(columns, operations): a few column labels in a random order, and
-    add, reduce, contains and rows interleaved, on rows over those
+    add, coords, contains and rows interleaved, on rows over those
     columns with int or Fraction entries; a row may be a combination of
     the rows added before it, with one entry changed or not."""
     cols = draw(st.permutations(range(-3, 5)))[:draw(st.integers(1, 8))]
     entry = st.one_of(st.integers(-4, 4), rationals)
-    kinds = st.sampled_from(("add", "add", "add", "reduce", "contains", "rows"))
+    kinds = st.sampled_from(("add", "add", "add", "coords", "contains", "rows"))
     ops, added = [], []
     for kind in draw(st.lists(kinds, min_size=1, max_size=14)):
         if kind == "rows":
@@ -252,15 +253,27 @@ def test_span_session_matches_dense_rref(session):
             added.append(row)
             grew = dense_rank([dense_row(r) for r in added]) > len(pivots)
             assert span.add(SparseVec(row)) == grew
-        elif kind in ("reduce", "contains"):
+        elif kind in ("coords", "contains"):
             res = dense_row(row)
             for p, orow in zip(pivots, R):
                 res = [a - res[p] * b for a, b in zip(res, orow)]
             res = SparseVec({j: v for j, v in zip(cols, res) if v})
-            if kind == "reduce":
-                got = span.reduce(SparseVec(row))
-                assert got == res
-                assert_exact(v for _, v in got.items())
+            if kind == "coords":
+                # the row less its residue lies in the span; the row's
+                # coordinates in the rows added, on columns shifted to 0..7,
+                # are exact and give the row back, or there are none
+                assert span.contains(SparseVec(row) - res)
+                rows = [SparseVec({j + 3: v for j, v in r.items()}) for r in added]
+                try:
+                    got = FactoredBasis(rows, 8).coords(
+                        SparseVec({j + 3: v for j, v in row.items()}))
+                except NotInSpanError:
+                    assert not res.is_zero()
+                else:
+                    assert res.is_zero()
+                    assert_exact(got.entries.values())
+                    assert sum((rows[k].scale(c) for k, c in got.items()), SparseVec()) == (
+                        SparseVec({j + 3: v for j, v in row.items()}))
             else:
                 assert span.contains(SparseVec(row)) == res.is_zero()
         else:
@@ -445,7 +458,8 @@ def test_clear_denominators_returns_int_dicts_as_they_are():
     # the span eliminates in place on its own copies, never on its input
     span, v, w = IncrementalSpan(), SparseVec({0: 2, 1: 4}), SparseVec({0: 3, 1: 5})
     assert span.add(v) and span.add(w) and not span.add(v)
-    assert span.contains(w) and span.reduce(SparseVec({0: 1, 2: 1})).entries == {2: 1}
+    assert span.contains(w) and span.contains(SparseVec({0: 1, 1: 7}))
+    assert not span.contains(SparseVec({0: 1, 2: 1}))
     assert v.entries == {0: 2, 1: 4} and w.entries == {0: 3, 1: 5}
 
 

@@ -405,6 +405,37 @@ def test_pi_map_takes_model_and_cap_from_a_file_morphism():
     assert capped.status == "ok" and capped.caps["truncation"] == 3
 
 
+@pytest.mark.parametrize("command, degree_range", [
+    ("homology", (-1, 1)), ("h0", None), ("pi-map", (1, 2))])
+def test_a_model_ill_formed_at_cap_plus_one_keeps_the_answer(monkeypatch, command,
+                                                             degree_range):
+    # the d of two_intervals.cdgl is a series cut at its cap 4, so W is
+    # ill-formed at cap 5: the cap-4 answer stands as --no-stability gives
+    # it, with the flag red and a note naming cap 5 and the model's error
+    import cdgl.workbench.tasks as tasks
+    text = read("two_intervals.cdgl")
+    rep = run_task(Task(command, file_text=text, degree_range=degree_range))
+    plain = run_task(Task(command, file_text=text, degree_range=degree_range,
+                          check_stability=False))
+    assert rep.status == plain.status == "ok" and rep.stability == "red"
+    assert rep.tables == plain.tables
+    assert rep.notes[-1] == (
+        "stability re-run at cap 5 failed: model W is ill-formed: d^2 != 0 on "
+        "generator x (first nonzero bracket length 5)")
+    # an engine error in the re-run is not caught
+    if command == "h0":
+        h0_group = tasks.h0_group
+
+        def broken(L):
+            if L.trunc.max_bracket_length == 3:
+                raise KeyError("engine bug")
+            return h0_group(L)
+
+        monkeypatch.setattr(tasks, "h0_group", broken)
+        with pytest.raises(KeyError):
+            run_task(Task("h0", model_ref="wedge(1,1)", trunc=2))
+
+
 @pytest.mark.parametrize("command, degree_range, built", [
     ("pi-map", (1, 4), {"les_of_ses": 1, "nilpotency": 0}),
     ("baut", (1, 4), {"les_of_ses": 0, "nilpotency": 1}),
