@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .dgl import DGLMorphism, DGLPresentation, build_dgl
 from .exactlin import GradedChainComplex, _vec, accumulate, exact
-from .freelie import (Generator, LieElement, Truncation, bracket,
-                      check_resource_limit)
+from .freelie import Generator, LieElement, Truncation, check_resource_limit
 
 
 class CoalgebraError(ValueError):
@@ -278,18 +277,18 @@ def lie_functor(C: CDGC, trunc: Truncation, name=None) -> DGLPresentation:
         order.append(i)
     d_on = {}
     for i in order:
-        g = gens[i]
-        total = LieElement.zero(trunc)
-        for j, c in C.d_of(i):
-            if j == C.counit:
-                continue
-            total = total + LieElement.gen(gens[j], trunc).scale(-c)
+        # -s^-1 d c, then (1/2) (-1)^{|c'|} [s^-1 c', s^-1 c''] per coproduct
+        # term, summed into one word dict in that order; the element keeps
+        # the words that the truncation admits
+        pairs = [((gens[j],), -c) for j, c in C.d_of(i) if j != C.counit]
         for l, r, c in C.reduced_comul(i):
-            sgn = -1 if C.degrees[l] % 2 else 1
-            term = bracket(LieElement.gen(gens[l], trunc),
-                           LieElement.gen(gens[r], trunc))
-            total = total + term.scale(sgn * c * Fraction(1, 2))
-        d_on[g] = total
+            a, b = gens[l], gens[r]
+            h = exact(Fraction(-c if C.degrees[l] % 2 else c, 2))
+            if a != b:
+                pairs += [((a, b), h), ((b, a), h if a.degree * b.degree % 2 else -h)]
+            elif a.degree % 2:
+                pairs.append(((a, a), 2 * h))
+        d_on[gens[i]] = LieElement(accumulate({}, pairs), trunc)
     try:
         return build_dgl(tuple(gens[i] for i in order), d_on, trunc,
                          name=name or ("L(%s)" % C.meta.get("chains_of", "C")))

@@ -2,10 +2,12 @@
 derivations, the suspension-comparison isomorphism, and the pipelines that
 compute mapping-space and classifying-space invariants.
 
-Derivations are stored by their values on source generators and extended by
-the (twisted) Leibniz rule; a derivation complex is then a finite chain
-complex per degree window at the ambient truncation.  The classifying
-pipelines assume a connected minimal presentation (degree >= 0 generators,
+A derivation of degree n is held in slot coordinates, one block per source
+generator g indexed by the target basis of degree |g| + n (DerSpace).  D,
+the action on the target and the bracket of derivations read the target's
+bracket table through one Leibniz rule (LeibnizTerms); a tensor-word
+Derivation is built only to exponentiate one.  The classifying pipelines
+assume a connected minimal presentation (degree >= 0 generators,
 decomposable differential), which is exactly the setting where degree-0
 adjoint derivations are cycles.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import exactlin
 from .coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
@@ -24,9 +26,10 @@ from .dgl import (ClassTable, DGLMorphism, DGLPresentation, DivergenceError,
                   GeneratorFiltration, H0Group, apply_operator,
                   exp_derivation_values, nilpotency)
 from .exactlin import (FactoredBasis, GradedChainComplex, IncrementalSpan,
-                       LongExactSequence, SparseMat, SparseVec, TwistedComplex,
-                       _vec, homology_reports, les_of_ses, twisted_product)
-from .freelie import DegreeError, LieElement, LieTable, word_degree
+                       InternalError, LongExactSequence, SparseMat, SparseVec,
+                       TwistedComplex, _vec, homology_reports, les_of_ses,
+                       twisted_product)
+from .freelie import DegreeError, LieElement, LieTable
 
 
 class InvalidSubgroupError(ValueError):
@@ -73,14 +76,6 @@ class Derivation(LieTable):
         return "Der[%d]{%s}" % (self.degree, "; ".join(bits[:4]))
 
 
-def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
-    """[a, b] = a b - (-1)^{|a||b|} b a, for derivations of one L."""
-    L = a.source
-    sgn = -1 if (a.degree * b.degree) % 2 == 0 else 1
-    out = {g: a.apply(b.value(g)) + b.apply(a.value(g)).scale(sgn) for g in L.gens}
-    return Derivation(L, L, a.degree + b.degree, out)
-
-
 class DerSpace:
     """One degree n of a derivation complex.
 
@@ -120,13 +115,9 @@ class DerSpace:
 
     def unflatten(self, vec: SparseVec) -> Derivation:
         """The derivation with slot coordinates vec, block by block."""
-        values = {}
-        for g, off, basis in self.blocks:
-            block = {i - off: c for i, c in vec.entries.items()
-                     if off <= i < off + len(basis)}
-            if block:
-                values[g] = self.target.from_coords(_vec(block), g.degree + self.degree)
-        return Derivation(self.source, self.target, self.degree, values)
+        return Derivation(self.source, self.target, self.degree, {
+            g: self.target.from_coords(_vec(block), g.degree + self.degree)
+            for g, block in self.values(vec.entries).items()})
 
     def in_elements(self, vec: SparseVec) -> SparseVec:
         """Slot coordinates vec in the elements (the free-variables-zero
@@ -141,8 +132,17 @@ class DerSpace:
             raise exactlin.NotInSpanError(
                 "derivation outside the stored degree-%d space" % self.degree) from None
 
-    def coords(self, theta: Derivation) -> SparseVec:
-        return self.in_elements(self.flatten(theta.values))
+    def slots(self, u: dict) -> dict:
+        """The slot coordinates of the element with stored coordinates u."""
+        return u if self.units else SparseMat.from_columns(
+            self.total_slots, self.elements).apply(_vec(u)).entries
+
+    def values(self, slots: dict) -> dict:
+        """Generator -> the target coordinates of its value (a nonzero
+        block), for the derivation with these slot coordinates."""
+        blocks = ((g, {i - off: c for i, c in slots.items() if off <= i < off + len(basis)})
+                  for g, off, basis in self.blocks)
+        return {g: block for g, block in blocks if block}
 
     def labels(self):
         if self.units:
@@ -156,22 +156,25 @@ class DerSpace:
 
 
 class LeibnizTerms:
-    """theta(d h) in target coordinates for the unit f-derivations
-    theta = {g: e} of degree n, f = phi (None: the identity), read off the
-    target's bracket table.  A length-k part of d h is written in
-    right-nested (Dynkin-Specht-Wever) form (1/k) sum_w c_w [w_1,[...,w_k]],
-    as freelie.is_lie certifies, and theta[a, R] = [theta a, f R] +
-    (-1)^{n|a|} [f a, theta R] is applied from the right: each i with
-    w_i = g gives (-1)^{n|w_1...w_{i-1}|} (c_w/k) [f w_1, [..., [f w_{i-1},
-    [e, f([w_{i+1},[...,w_k]])]]]], e itself at i = k.  This one path serves
-    every source.  The parts of d at g and the images f([w_i,[...,w_k]])
-    depend on neither e nor n, and are kept."""
+    """The Leibniz rule of the f-derivations from source to target, f = phi
+    (None: the identity), read off the target's bracket table: derive
+    applies a degree-n f-derivation theta to a right-nested word
+    [w_1,[w_2,...,w_k]] by theta[a, R] = [theta a, f R] + (-1)^{n|a|}
+    [f a, theta R], from the right.  This one rule gives D's Leibniz term
+    theta(d h) for the unit f-derivations theta = {g: e} (column), a
+    length-k part of d h written in right-nested (Dynkin-Specht-Wever) form
+    (1/k) sum_w c_w [w_1,[...,w_k]], as freelie.is_lie certifies; and, for
+    f the identity of L = source = target, the action of a derivation on L
+    (act), a basis pick of L being the bracket of its BracketTable.word, and
+    so the bracket of two derivations (DerComplex.product).  The words of
+    d h and the images f([w_i,[...,w_k]]) depend on no derivation, and are
+    kept."""
 
     def __init__(self, source: DGLPresentation, target: DGLPresentation,
                  phi: DGLMorphism | None = None):
         self.source, self.target = source, target
         self.images = {g: target.gen(g) for g in source.gens} if phi is None else phi.images
-        self._parts, self._images = {}, {}
+        self._words, self._images = {}, {}
 
     def image(self, w):
         """(degree, coordinates) of f([w_1,[w_2,...,w_k]]) in the target."""
@@ -186,35 +189,58 @@ class LeibnizTerms:
             self._images[w] = got
         return got
 
-    def parts(self, g):
-        """(D, {(h, |w_1...w_{i-1}|, w_1...w_{i-1}, w_{i+1}...w_k): D c_w/k})
-        over the users h of g and the positions i of g in the words w of d h,
-        D clearing the denominators."""
-        if g not in self._parts:
-            src, acc = self.source, {}
-            for h in sorted(src.d_users.get(g, ()), key=src.gen_index.__getitem__):
-                for w, c in src.d_on_gens[h].terms.items():
-                    for i in (i for i, a in enumerate(w) if a == g):
-                        key = (h, word_degree(w[:i]), w[:i], w[i + 1:])
-                        acc[key] = acc.get(key, 0) + Fraction(c, len(w))
-            self._parts[g] = exactlin.clear_denominators({k: c for k, c in acc.items() if c})
-        return self._parts[g]
+    def derive(self, n, values, w, memo) -> dict:
+        """theta([w_1,[w_2,...,w_k]]) in target coordinates, for the degree-n
+        f-derivation theta with values (generator -> target coordinates);
+        memo keeps theta of each word met, for this theta."""
+        got = memo.get(w)
+        if got is None:
+            a = w[0]
+            if len(w) == 1:
+                got = values.get(a, {})
+            else:
+                T, (m, F) = self.target.brackets, self.image(w[1:])
+                got = T.product(a.degree + n, values[a], m, F) if a in values else {}
+                tail = self.derive(n, values, w[1:], memo)
+                if tail:
+                    s = -1 if n * a.degree % 2 else 1
+                    exactlin.accumulate(got, ((k, s * c) for k, c in T.product(
+                        a.degree, self.image(w[:1])[1], m + n, tail).items()))
+            memo[w] = got
+        return got
+
+    def words(self, g):
+        """(D, [(h, w, D c_w / k)]) over the users h of g and the words w of
+        d h that hold g, k the length of w and D clearing the denominators."""
+        if g not in self._words:
+            src = self.source
+            parts = {(h, w): Fraction(c, len(w))
+                     for h in sorted(src.d_users.get(g, ()), key=src.gen_index.__getitem__)
+                     for w, c in src.d_on_gens[h].terms.items() if g in w}
+            D, cleared = exactlin.clear_denominators(parts)
+            self._words[g] = D, [(h, w, c) for (h, w), c in cleared.items()]
+        return self._words[g]
 
     def column(self, g, n, j) -> dict:
         """h -> the coordinates of theta(d h), theta = {g: e_j} and e_j the
         j-th element of the target's basis(|g| + n)."""
-        T, (D, parts), out = self.target.brackets, self.parts(g), {}
-        for (h, pdeg, prefix, suffix), c in parts.items():
-            u, deg = {j: 1}, g.degree + n
-            if suffix:
-                m, F = self.image(suffix)
-                u, deg = T.product(deg, u, m, F), deg + m
-            for a in reversed(prefix):
-                u, deg = T.product(a.degree, self.image((a,))[1], deg, u), deg + a.degree
-            sc = -c if n * pdeg % 2 else c
-            exactlin.accumulate(out.setdefault(h, {}), ((k, sc * v) for k, v in u.items()))
-        return {h: {k: exactlin.exact(Fraction(t, D)) for k, t in acc.items()}
+        (D, words), values, memo, out = self.words(g), {g: {j: 1}}, {}, {}
+        for h, w, c in words:
+            acc = out.setdefault(h, {})
+            for k, v in self.derive(n, values, w, memo).items():
+                acc[k] = acc.get(k, 0) + c * v
+        return {h: {k: exactlin.exact(Fraction(t, D)) for k, t in acc.items() if t}
                 for h, acc in out.items()}
+
+    def act(self, n, values, deg, x: dict, memo) -> dict:
+        """theta(x) in L's coordinates, for f the identity of L = source =
+        target, theta and memo as in derive, and x the degree-deg element
+        of L with coordinates x."""
+        word, out = self.target.brackets.word, {}
+        for b, c in x.items():
+            for k, v in self.derive(n, values, word(deg, b), memo).items():
+                out[k] = out.get(k, 0) + c * v
+        return exactlin.settled({k: t for k, t in out.items() if t})
 
 
 def unit_columns(space: DerSpace, below: DerSpace, leibniz: LeibnizTerms):
@@ -256,12 +282,40 @@ class DerComplex:
         return (self.spaces[n] if n in self.spaces
                 else DerSpace(self.source, self.target, n, []))
 
-    def element(self, n, vec: SparseVec) -> Derivation:
-        """The degree-n derivation with coordinates vec in the stored basis."""
-        sp = self.space(n)
-        if not sp.units:
-            vec = SparseMat.from_columns(sp.total_slots, sp.elements).apply(vec)
-        return sp.unflatten(vec)
+    def product(self, m, u: dict, m2, v: dict) -> dict:
+        """[theta, eta] = theta eta - (-1)^{|theta||eta|} eta theta in the
+        stored basis of degree m + m2 (ClassTable's product), f the identity,
+        for theta, eta of degrees m, m2 with stored coordinates u, v: block g
+        holds theta(eta g) - (-1)^{|theta||eta|} eta(theta g)."""
+        a, b, out = self.space(m), self.space(m2), self.space(m + m2)
+        tu, tv, res = a.values(a.slots(u)), b.values(b.slots(v)), {}
+        for k, vals, k2, inner, s in ((m, tu, m2, tv, 1),
+                                      (m2, tv, m, tu, 1 if m * m2 % 2 else -1)):
+            memo = {}
+            for g, x in inner.items():
+                off = out._offsets[g]
+                for i, c in self.leibniz.act(k, vals, g.degree + k2, x, memo).items():
+                    res[off + i] = res.get(off + i, 0) + s * c
+        return out.in_elements(_vec(exactlin.settled({i: c for i, c in res.items() if c}))).entries
+
+    def product_sl(self, m, u: dict, m2, v: dict) -> dict:
+        """The bracket of Der (x~) sL in twisted_der_sl's stored basis of
+        degree n, the stored Der_n basis and then s of L_{n-1}'s:
+        [(theta, sx), (eta, sy)] = ([theta, eta],
+        (-1)^{|theta|} s theta(y) - (-1)^{|x||eta|} s eta(x)), sL abelian."""
+        (theta, x), (eta, y) = (
+            ({i: c for i, c in w.items() if i < nd}, {i - nd: c for i, c in w.items() if i >= nd})
+            for w, nd in ((u, len(self.space(m))), (v, len(self.space(m2)))))
+        out, sl = self.product(m, theta, m2, eta), {}
+        for k, der, k2, z, s in ((m, theta, m2, y, -1 if m % 2 else 1),
+                                 (m2, eta, m, x, 1 if (m - 1) * m2 % 2 else -1)):
+            if der and z:
+                sp = self.space(k)
+                exactlin.accumulate(sl, ((i, s * c) for i, c in self.leibniz.act(
+                    k, sp.values(sp.slots(der)), k2 - 1, z, {}).items()))
+        nd = len(self.space(m + m2))
+        out.update((nd + i, c) for i, c in sl.items())
+        return out
 
     def complex(self) -> GradedChainComplex:
         """The chain complex, built on the first call and kept."""
@@ -331,10 +385,11 @@ class GSpec:
     def __init__(self, kind: str, target: DGLPresentation,
                  filtration: GeneratorFiltration | None = None,
                  span: list | None = None, name: str = ""):
+        # the CLI builds only these kinds, a stabilizer with its filtration
         if kind not in ("identity", "stabilizer", "span"):
-            raise ValueError("unknown GSpec kind %r" % kind)
+            raise InternalError("unknown GSpec kind %r (internal error)" % kind)
         if kind == "stabilizer" and filtration is None:
-            raise ValueError("stabilizer spec needs a filtration")
+            raise InternalError("stabilizer spec needs a filtration (internal error)")
         self.kind = kind
         self.target = target
         self.filtration = filtration
@@ -368,12 +423,6 @@ def r0_basis(L: DGLPresentation):
     return [col for col, _ in picked], [label for _, label in picked]
 
 
-def _d_on_der0(L: DGLPresentation):
-    """(the Der_0 unit space, the columns of D on its slots)."""
-    units = DerSpace(L, L, 0)
-    return units, unit_columns(units, DerSpace(L, L, -1), LeibnizTerms(L, L))
-
-
 def _linear_slots(space0: DerSpace):
     """slot -> (g, h) for the slots of space0 whose target is one
     generator h, g the generator of the slot's block."""
@@ -390,8 +439,8 @@ def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
     """Degree-0 D-cycles theta with theta(V^i) in V^{i+1} + brackets, as
     slot vectors and their labels: the kernel of D on the admissible unit
     slots of Der_0."""
-    units, cols = _d_on_der0(L)
-    linear = _linear_slots(units)
+    units, below = DerSpace(L, L, 0), DerSpace(L, L, -1)
+    cols, linear = unit_columns(units, below, LeibnizTerms(L, L)), _linear_slots(units)
     # admissible slots: a length-1 value must raise the filtration level
     admissible = [i for i in range(len(units)) if i not in linear
                   or linear[i][1] in filtration.next_level(
@@ -399,7 +448,7 @@ def stabilizer_der0(L: DGLPresentation, filtration: GeneratorFiltration):
     if not admissible:
         return [], []
     kernel = exactlin.kernel_basis(SparseMat.from_columns(
-        len(DerSpace(L, L, -1)), [cols[i] for i in admissible]))
+        len(below), [cols[i] for i in admissible]))
     return ([_vec({admissible[i]: c for i, c in vec.entries.items()})
              for vec in kernel], ["k%d" % k for k in range(len(kernel))])
 
@@ -432,8 +481,8 @@ DerGZeroReport = namedtuple("DerGZeroReport", "basis labels saturation_flag note
 
 def der_g_zero(spec: GSpec) -> DerGZeroReport:
     """Degree-0 part of Der^G (or Der^Pi) for the three decidable spec kinds.
-    A derivation is built only for the span's tensor-word checks: bracket
-    closure and conjugation by exp(R0)."""
+    A span's bracket closure is tested on slot coordinates; a derivation is
+    built only for its conjugation by exp(R0)."""
     L = spec.target
     require_connected_minimal(L)
     r0, r0_labels = r0_basis(L)
@@ -453,8 +502,8 @@ def der_g_zero(spec: GSpec) -> DerGZeroReport:
         return DerGZeroReport(basis, labels, True, notes)
 
     # SPAN: user span closed under bracket together with R0, D-cycles
-    space0, cols = _d_on_der0(L)
-    D = SparseMat.from_columns(len(DerSpace(L, L, -1)), cols)
+    units = DerComplex(L, L, None, [0])
+    space0, D = units.spaces[0], units.complex().d(0)
     vecs = []
     for th in spec.span:
         if th.degree != 0:
@@ -467,16 +516,15 @@ def der_g_zero(spec: GSpec) -> DerGZeroReport:
         vecs + r0, [th.label for th in spec.span] + r0_labels) if full.add(v)]
     basis, labels = [v for v, _ in picked], [label for _, label in picked]
     _require_nilpotent_action(space0, basis)
-    ders = [space0.unflatten(v) for v in basis]
     # bracket closure obligation (Theorem on complete subgroups, shadow)
-    for a in ders:
-        for b in ders:
-            if not full.contains(space0.flatten(derivation_bracket(a, b).values)):
+    for a in basis:
+        for b in basis:
+            if not full.contains(_vec(units.product(0, a.entries, 0, b.entries))):
                 raise InvalidSubgroupError(
                     "span + R0 is not closed under the bracket (closure "
                     "obligation from the complete-subgroup theorem)")
     # saturation under conjugation by exp(R0): flagged, not rejected
-    saturated = True
+    saturated, ders = True, [space0.unflatten(v) for v in basis]
     for v, label in zip(r0, r0_labels):
         r = space0.unflatten(v)
         try:
@@ -709,48 +757,6 @@ class ClassifyingReport:
         return nil
 
 
-class DerSLElement:
-    """Element of Der (x~) sL: a derivation part and a desuspended sL part."""
-
-    def __init__(self, theta: Derivation, x: LieElement, degree: int):
-        self.theta = theta
-        self.x = x          # the element with s(x) in the twisted product
-        self.degree = degree
-
-    def is_zero(self):
-        return self.theta.is_zero() and self.x.is_zero()
-
-
-def der_sl_full_bracket(a: DerSLElement, b: DerSLElement) -> DerSLElement:
-    """[(theta, sx), (eta, sy)] = ([theta, eta],
-    (-1)^{|theta|} s theta(y) - (-1)^{|x||eta|} s eta(x)); sL is abelian."""
-    theta, eta = a.theta, b.theta
-    der = derivation_bracket(theta, eta)
-    sl = theta.apply(b.x).scale(-1 if theta.degree % 2 else 1)
-    if not a.x.is_zero():
-        sgn = -1 if (a.x.degree() * eta.degree) % 2 == 0 else 1
-        sl = sl + eta.apply(a.x).scale(sgn)
-    return DerSLElement(der, sl, a.degree + b.degree)
-
-
-def _der_sl_element(dercx: DerComplex, L: DGLPresentation, n, z: SparseVec):
-    """The element of Der (x~) sL with coordinates z in twisted_der_sl's
-    degree-n basis: the stored Der_n elements, then s of L_{n-1}."""
-    nd = len(dercx.space(n))
-    x = L.from_coords(SparseVec({i - nd: c for i, c in z.entries.items() if i >= nd}), n - 1)
-    theta = dercx.element(n, SparseVec({i: c for i, c in z.entries.items() if i < nd}))
-    return DerSLElement(theta, x, n)
-
-
-def _der_sl_coords(dercx: DerComplex, L: DGLPresentation,
-                   el: DerSLElement, n) -> SparseVec:
-    out = dict(dercx.space(n).coords(el.theta).entries)
-    nd = len(dercx.space(n))
-    for i, c in L.coords(el.x, n - 1).entries.items():
-        out[nd + i] = c
-    return SparseVec(out)
-
-
 def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
                            degrees) -> ClassifyingReport:
     """Invariants of the classifying fibrations for a subgroup spec.
@@ -772,40 +778,33 @@ def classifying_invariants(L: DGLPresentation, spec: GSpec, mode: str,
     ad L_0, inside R_0, and every spec's basis spans R_0 (identity is R_0,
     a stabilizer is refused unless it holds R_0, and a span adds R_0).
     """
-    if mode not in ("FREE", "POINTED"):
-        raise ValueError("mode must be FREE or POINTED")
+    if mode not in ("FREE", "POINTED"):   # the CLI builds only these modes
+        raise InternalError("mode must be FREE or POINTED (internal error)")
     require_connected_minimal(L)
     degrees = sorted(set(d for d in degrees if d >= 0) | {0, 1})
     window = range(0, max(degrees) + 2)
     report_g0 = der_g_zero(spec)
     dercx = DerComplex(L, L, None, window, report_g0[:2])
-
-    def der_coords(theta, n):
-        return dercx.space(n).coords(theta)
-
     if mode == "FREE":
         cx = twisted_der_sl(dercx, L, window).total
         known = homology_reports(cx, degrees)
         pi = {n: known[n].dimension for n in degrees if n >= 1}
         total_h = {}
         ad_rank = exactlin.rank(cx.d(1)) - exactlin.rank(dercx.complex().d(1))
-        element, coords, lie_bracket = (partial(_der_sl_element, dercx, L),
-                                        partial(_der_sl_coords, dercx, L),
-                                        der_sl_full_bracket)
+        product = dercx.product_sl
     else:
         cx = dercx.complex()
         known = homology_reports(cx, degrees)
         hL = homology_reports(L.complex(window), degrees)
         pi, ad_rank = {}, 0
         total_h = {n: hL[n].dimension + known[n].dimension for n in degrees}
-        element, coords, lie_bracket = (dercx.element, der_coords,
-                                        derivation_bracket)
+        product = dercx.product
     # degree 0 of either complex is Der^G_0: H_0 is a group of derivations
-    quotient = H0Group(known[0], dercx.element, der_coords, derivation_bracket)
+    quotient = H0Group(known[0], dercx.product)
 
     def build_nilpotency():
         # the bracket table of the homology Lie algebra of the window
-        return nilpotency(ClassTable(known, element, coords, lie_bracket))
+        return nilpotency(ClassTable(known, product))
 
     return ClassifyingReport(mode=mode, pi_base=pi, h0_quotient=quotient,
                              ad_image_rank=ad_rank,

@@ -109,20 +109,41 @@ class BracketTable(dict):
     def __init__(self, L):
         self.L = L
         self._picks = {}    # degree n -> {label: index in basis(n)}
+        self._words = {}    # (n, k) -> the letters of the k-th pick of basis(n)
+
+    def _labels(self, n):
+        if n not in self._picks:
+            self._picks[n] = {e.label: k for k, e in enumerate(self.L.basis(n))}
+        return self._picks[n]
 
     def __missing__(self, key):
         (m, i), (m2, j) = key
         L, n, col = self.L, m + m2, None
         a, b = L.basis(m)[i], L.basis(m2)[j]
         if len(next(iter(a.terms))) == 1:
-            if n not in self._picks:
-                self._picks[n] = {e.label: k for k, e in enumerate(L.basis(n))}
-            k = self._picks[n].get("[%s,%s]" % (a.label, b.label))
+            picks = self._labels(n)
+            k = picks.get("[%s,%s]" % (a.label, b.label))
             cap = L.trunc.max_bracket_length
-            if k is not None or not self._picks[n] or len(next(iter(b.terms))) == cap:
+            if k is not None or not picks or len(next(iter(b.terms))) == cap:
                 col = SparseVec() if k is None else SparseVec.unit(k)
         self[key] = col = L.coords(bracket(a, b), n) if col is None else col
         return col
+
+    def word(self, n, k):
+        """The letters w of the k-th pick of basis(n), which is the
+        right-nested bracket [w_1,[w_2,...,w_l]]: the pick labelled
+        [g,label] is [g, e_j] for e_j the pick of basis(n - |g|) with that
+        label (see BracketTable)."""
+        if (n, k) not in self._words:
+            label = self.L.basis(n)[k].label
+            for g in self.L.gens:
+                head = "[%s," % g.name
+                j = (self._labels(n - g.degree).get(label[len(head):-1])
+                     if label.startswith(head) else None)
+                if j is not None or label == g.name:
+                    self._words[n, k] = (g,) + (() if j is None else self.word(n - g.degree, j))
+                    break
+        return self._words[n, k]
 
     def product(self, m, u: dict, m2, v: dict) -> dict:
         """[x, y] in coordinates for x, y of degrees m, m2 with coordinate
@@ -552,15 +573,18 @@ class ClassTable:
 
     reports maps each degree n of the window to its HomologyReport, the
     degree-0 one shared with the complex's H0Group, if any.  The classes
-    are numbered degree by degree, in increasing degree; class i has the
-    representative h_i = element(n, z), z its cycle coordinates, built on
-    first read.  coords(x, n) gives the coordinates of a degree-n element x
-    in the complex's degree-n basis, and bracket is the Lie bracket.
+    are numbered degree by degree, in increasing degree; class i is h_i,
+    the cycle whose coordinates z_i in the complex's stored basis are its
+    report's representative.  product(m, u, m2, v) is the complex's Lie
+    bracket on coordinates, with the signature of BracketTable.product:
+    the coordinates, in the stored basis of degree m + m2, of the bracket
+    of the elements of degrees m and m2 with coordinate dicts u and v.
 
-    The pairs i <= j whose degree sum lies in the window are bracketed,
-    the diagonal only for odd classes (an even class has [h, h] = 0), and
-    each bracket is put through classes.coords once.  table holds them on
-    ints over one denominator D, the lcm of their denominators:
+    The pairs i <= j whose degree sum lies in the window are bracketed
+    as product(z_i, z_j), the diagonal only for odd classes (an even class
+    has [h, h] = 0), and each bracket is put through classes.coords once.
+    table holds them on ints over one denominator D, the lcm of their
+    denominators:
     [h_i, h_j] = (1/D) sum_k T[i][j][k] h_k, with
     [h_j, h_i] = -(-1)^{|i||j|} [h_i, h_j] and T[i] holding only nonzero
     brackets.  A bracket outside the window, or in a degree of it with no
@@ -571,39 +595,30 @@ class ClassTable:
     [x, sum_i c_i h_i] is sum_i c_i [x, h_i].
     """
 
-    def __init__(self, reports: dict, element, coords, bracket):
+    def __init__(self, reports: dict, product):
         self.reports = reports
         self.degrees = [n for n in sorted(reports) for _ in reports[n].cycle_reps]
         self._first = {n: self.degrees.index(n) for n in reports
                        if reports[n].cycle_reps}
-        self._element = element
-        self._coords = coords
-        self._bracket = bracket
-        self._reps = [None] * len(self.degrees)
-
-    def rep(self, i):
-        """The cycle h_i, built on first read."""
-        if self._reps[i] is None:
-            n = self.degrees[i]
-            self._reps[i] = self._element(
-                n, self.reports[n].cycle_reps[i - self._first[n]])
-        return self._reps[i]
+        self._product = product
 
     def pairs(self):
         """(i, j, class of [h_i, h_j] as index -> coefficient) for the pairs
-        of the class docstring, in order, each bracket (and representative)
-        taken when it is reached."""
+        of the class docstring, in order, each bracket taken when it is
+        reached."""
+        z = [rep.entries for n in sorted(self._first)
+             for rep in self.reports[n].cycle_reps]
         for i, n in enumerate(self.degrees):
             for j in range(i + 1 - n % 2, len(self.degrees)):
                 k = n + self.degrees[j]
                 if k not in self._first:
                     continue
-                br = self._bracket(self.rep(i), self.rep(j))
-                if br.is_zero():
+                br = self._product(n, z[i], self.degrees[j], z[j])
+                if not br:
                     yield i, j, {}
                     continue
                 try:
-                    v = self.reports[k].classes.coords(self._coords(br, k))
+                    v = self.reports[k].classes.coords(_vec(br))
                 except NotInSpanError:
                     raise InternalError("a bracket of cycles has no class in "
                                         "degree %d (internal error)" % k) from None
@@ -643,9 +658,9 @@ def nilpotency(classes: ClassTable) -> int:
     the bracket cut to the window to be a Lie bracket, that is, the dropped
     degrees to form an ideal.  That holds when every degree of the window
     is >= 0 and the window has no gap, since a bracket then never lowers a
-    degree.  A window with a negative degree is refused with a ValueError
-    (no caller builds one: H0Group works in degree 0 and
-    classifying_invariants in degrees >= 0).  A window with a gap, as
+    degree.  A window with a negative degree is an InternalError, since no
+    input reaches one: H0Group works in degree 0 and classifying_invariants
+    in degrees >= 0.  A window with a gap, as
     classifying_invariants builds from --range 3..5, keeps X = all
     classes, the definition itself.
 
@@ -654,8 +669,8 @@ def nilpotency(classes: ClassTable) -> int:
     """
     window = sorted(classes.reports)
     if window and window[0] < 0:
-        raise ValueError("nilpotency needs a window of degrees >= 0, not %d"
-                         % window[0])
+        raise InternalError("nilpotency needs a window of degrees >= 0, not %d "
+                            "(internal error)" % window[0])
     table = classes.table[1]
 
     def basis(vecs):
@@ -698,8 +713,8 @@ class H0Group(ClassTable):
     the degree-0 case of ClassTable.
 
     h is the degree-0 homology report of the cdgl's chain complex, with no
-    quotient past the boundaries (B aut's is Der^G x~ sL or Der^Pi); element,
-    coords and bracket are as for ClassTable.
+    quotient past the boundaries (B aut's is Der^G x~ sL or Der^Pi), and
+    product is the bracket on its coordinates, as for ClassTable.
 
     The nilpotency class c and the group law are read off the table alone.
     The law is the two-letter BCH series in right-nested
@@ -709,22 +724,17 @@ class H0Group(ClassTable):
     of length l in u and v is T_w(U, V) / (E^l D^(l-1)), T_w its bracket on
     ints; the series is summed on ints over Q = M (D E)^(c-1) E, M the lcm
     of the series' denominators, and each coordinate is divided by Q once,
-    at the end.  The representatives, the table, c and the structure
-    constants are built on first read; abelian reads the table when it is
-    built, and otherwise stops at the first nonzero bracket.
+    at the end.  The table, c and the structure constants are built on
+    first read; abelian reads the table when it is built, and otherwise
+    stops at the first nonzero bracket.
     """
 
-    def __init__(self, h: HomologyReport, element, coords, bracket):
-        ClassTable.__init__(self, {0: h}, element, coords, bracket)
+    def __init__(self, h: HomologyReport, product):
+        ClassTable.__init__(self, {0: h}, product)
 
     @property
     def dimension(self):
         return len(self.degrees)
-
-    @property
-    def reps(self):
-        """The cycle elements representing the basis."""
-        return [self.rep(i) for i in range(self.dimension)]
 
     @property
     def abelian(self):
@@ -750,20 +760,6 @@ class H0Group(ClassTable):
     def _series(self):
         """(M, word -> M times its coefficient in bch_series), on ints."""
         return clear_denominators(bch_series(max(self.nilpotency_class, 1)))
-
-    def class_of(self, e) -> SparseVec:
-        """Coordinates of the class of a degree-0 cycle in the rep basis."""
-        return self.reports[0].classes.coords(self._coords(e, 0))
-
-    def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        """The Lie bracket of two classes, read off the table."""
-        D, table = self.table
-        return SparseVec(_table_bracket(table, u.entries, v.entries)).scale(
-            Fraction(1, D))
-
-    def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        """The BCH product of two classes."""
-        return self._bch(u.entries, v.entries)[0]
 
     def _bch(self, u, v):
         """(u * v, v * u) for class coordinates u, v (index -> coefficient):
@@ -805,13 +801,6 @@ class H0Group(ClassTable):
         return tuple(_vec({k: ratio(s, Q) for k, s in total.items() if s})
                      for total in (uv, vu))
 
-    def power(self, u: SparseVec, lam) -> SparseVec:
-        """Exact Q-power: lambda . [x] = [lambda x]."""
-        return u.scale(lam)
-
-    def inverse(self, u: SparseVec) -> SparseVec:
-        return u.scale(-1)
-
 
 def bch_series(c):
     """The two-letter BCH series log(e^X e^Y) up to length c, in right-nested
@@ -829,8 +818,7 @@ def bch_series(c):
 
 def h0_group(L: DGLPresentation) -> H0Group:
     """H_0(L) with its BCH group law at the truncation."""
-    return H0Group(homology_at(L.complex([0, 1]), 0),
-                   lambda n, z: L.from_coords(z, n), L.coords, bracket)
+    return H0Group(homology_at(L.complex([0, 1]), 0), L.brackets.product)
 
 
 class GeneratorFiltration(FrozenRecord):

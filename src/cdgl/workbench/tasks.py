@@ -347,7 +347,8 @@ def cmd_h0(task: Task) -> Report:
         consts["h%d*h%d" % (i, j)] = val or "0"
     report.tables["structure_constants"] = consts
     report.tables["representatives"] = {
-        "h%d" % i: pretty_element(L, r) for i, r in enumerate(G.reps)}
+        "h%d" % i: pretty_element(L, L.from_coords(z, 0))
+        for i, z in enumerate(G.reports[0].cycle_reps)}
     if task.check_stability:
         report.notes.append("structure constants are the stage-%d Malcev "
                             "approximation" % _cap_of(L))

@@ -17,8 +17,10 @@ helpers that build engine values (left-normed brackets, the Dynkin map,
 connected covers, the perturbed presentation, components, the Fraction
 gauge series, the action on morphisms, model file text, the derivation complex built
 element by element with its unit tables, its element-by-element complex
-builder and the element paths of D and ad on derivation tables
-(derivation_differential, ad_derivation), the operator BCH of derivations
+builder and the element paths of D, ad and the brackets of Der and
+Der (x~) sL on derivation tables (derivation_differential, ad_derivation,
+derivation_bracket, der_sl_bracket), the representatives, classes and law
+of an H_0 group read through elements, the operator BCH of derivations
 and the Hom (x~) Der product, the element path of Hom(C, L) (HomElement
 tables and ConvolutionElements: D, the convolution bracket, the MC check
 and the splitting Hom(C, L) = Hom(C-bar, L) x~ L), and the adjunction beta
@@ -37,7 +39,7 @@ from math import factorial, gcd
 
 from cdgl.coalgebra import (CDGC, CoalgebraError, ConvolutionDGL, chains_functor,
                             lie_functor, wedge_normalize)
-from cdgl.derivations import DerSpace, Derivation
+from cdgl.derivations import DerSpace, Derivation, der_g_zero
 from cdgl.dgl import (DGLPresentation, MCElement, MCViolationError, _max_iterations,
                       ad_values, apply_operator, check_mc, exp_ad,
                       exp_derivation_values, log_morphism, nilpotent_series)
@@ -756,12 +758,53 @@ def left_normed(seq, trunc) -> LieElement:
     return cur
 
 
-def eager_h0_table(G, bracket):
+def eager_h0_table(reps, class_of, bracket):
     """table[i][j]: the class (index -> Fraction) of the bracket of the
-    representatives h_i and h_j of the H_0 group G, put through class_of
-    for every pair, as H0Group took its table before building it on read."""
-    reps = G.reps
-    return [[G.class_of(bracket(a, b)).entries for b in reps] for a in reps]
+    representatives h_i and h_j of an H_0 group (see h0_elements), put
+    through class_of for every pair, as H0Group took its table before
+    building it on read."""
+    return [[class_of(bracket(a, b)).entries for b in reps] for a in reps]
+
+
+def h0_elements(G, element, coords):
+    """(representatives, class_of) of the H_0 group G, which holds only
+    coordinates: element(z) is the degree-0 element with stored
+    coordinates z, coords(e) the stored coordinates of a degree-0 element
+    e, and class_of(e) the class of a cycle e in the representatives."""
+    classes = G.reports[0].classes
+    return ([element(z) for z in G.reports[0].cycle_reps],
+            lambda e: classes.coords(coords(e)))
+
+
+def l_h0_elements(L, G):
+    """h0_elements for G = h0_group(L), on Lie elements of L."""
+    return h0_elements(G, lambda z: L.from_coords(z, 0), lambda e: L.coords(e, 0))
+
+
+def der_h0_elements(L, spec, G):
+    """h0_elements for the H_0 group G of the classifying pipelines of L
+    and spec, on derivations, through the slot vectors of Der^G_0."""
+    basis = der_g_zero(spec).basis
+    space = DerSpace(L, L, 0, basis)
+    return h0_elements(
+        G, lambda z: space.unflatten(SparseMat.from_columns(space.total_slots, basis).apply(z)),
+        lambda th: space.in_elements(space.flatten(th.values)))
+
+
+def h0_mul(G, u, v):
+    """The BCH product of two classes of the H_0 group G, read off its table."""
+    return G._bch(u.entries, v.entries)[0]
+
+
+def h0_bracket(G, u, v):
+    """The Lie bracket of two classes of the H_0 group G, read off its table."""
+    D, table = G.table
+    out = {}
+    for i, a in u.entries.items():
+        for j, b in v.entries.items():
+            for k, t in table[i].get(j, {}).items():
+                out[k] = out.get(k, 0) + Fraction(a * b * t, D)
+    return SparseVec({k: c for k, c in out.items() if c})
 
 
 def dynkin(e: LieElement) -> LieElement:
@@ -912,6 +955,35 @@ def derivation_differential(theta: Derivation, phi=None) -> Derivation:
     return Derivation(src, tgt, theta.degree - 1, out)
 
 
+def derivation_bracket(a: Derivation, b: Derivation) -> Derivation:
+    """[a, b] = a b - (-1)^{|a||b|} b a, for derivations of one L, on the
+    word dicts of their values through w_apply_operator: the reference for
+    the engine's bracket on slot coordinates."""
+    L, admits = a.source, a.source.trunc.admits
+    va, vb = ({g: v.terms for g, v in d.values.items()} for d in (a, b))
+    sgn = -1 if a.degree * b.degree % 2 == 0 else 1
+    return Derivation(L, L, a.degree + b.degree, {g: LieElement(w_add(
+        w_apply_operator(va, a.degree, vb.get(g, {}), admits),
+        w_scale(w_apply_operator(vb, b.degree, va.get(g, {}), admits), sgn)), L.trunc)
+        for g in L.gens})
+
+
+def der_sl_bracket(theta, x, eta, y):
+    """[(theta, sx), (eta, sy)] = ([theta, eta], (-1)^{|theta|} s theta(y)
+    - (-1)^{|x||eta|} s eta(x)) in Der (x~) sL, sL abelian, for derivations
+    theta, eta of L and Lie elements x, y of degrees |theta| - 1 and
+    |eta| - 1, on word dicts: (the derivation, the element of L under s)."""
+    admits = theta.source.trunc.admits
+
+    def act(d, e):
+        return w_apply_operator({g: v.terms for g, v in d.values.items()},
+                                d.degree, e.terms, admits)
+
+    sl = w_add(w_scale(act(theta, y), (-1) ** theta.degree),
+               w_scale(act(eta, x), -(-1) ** ((theta.degree - 1) * eta.degree)))
+    return derivation_bracket(theta, eta), LieElement(sl, theta.source.trunc)
+
+
 def ad_derivation(L, x) -> Derivation:
     """ad_x = [x, -] as a derivation: the element path of the engine's ad
     columns."""
@@ -925,7 +997,8 @@ def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
     element, as DerComplex was before its block builder: one unit table per
     slot (unit_derivations), or in degree 0, when deg0_subspace = (slot
     vectors, labels) is given, the derivations of its vectors; D of each
-    by derivation_differential with phi and its coordinates by DerSpace.coords,
+    by derivation_differential with phi and its coordinates through
+    DerSpace.flatten and in_elements,
     through build_complex one degree at a time, so that a window
     with a gap holds every degree n - 1 as well; element sums the tables."""
     window = sorted({m for n in degrees for m in (n - 1, n)})
@@ -949,7 +1022,8 @@ def element_der_complex(source, target, phi, degrees, deg0_subspace=None):
     spaces = {n: DerSpace(source, target, n, sub(n), names) for n in window}
     parts = {n: build_complex([n], elements.__getitem__,
                               lambda th: derivation_differential(th, phi),
-                              lambda th, m: spaces[m].coords(th),
+                              lambda th, m: spaces[m].in_elements(
+                                  spaces[m].flatten(th.values)),
                               lambda m, i, th: th.label or ("th%d_%d" % (m, i)))
              for n in degrees}
     cx = GradedChainComplex(

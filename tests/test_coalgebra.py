@@ -111,6 +111,33 @@ def test_lie_functor_odd_sphere_roundtrip():
     assert LC.d(LC.gen(LC.gens[0])).is_zero()
 
 
+@pytest.mark.parametrize("make, word_cap, cap", [
+    (lambda: wedge_model((2, 2), T(3)), 3, 3), (lambda: wedge_model((1, 1), T(3)), 2, 3),
+    (lambda: sphere_model(2, T(4)), 4, 4), (lambda: wedge_model((2, 3), T(4)), 2, 2),
+    (lambda: wedge_model((2, 2), T(3)), 3, 1)],
+    ids=["wedge22", "wedge11", "sphere2", "wedge23-cap2", "wedge22-cap1"])
+def test_lie_functor_sums_each_differential_once(make, word_cap, cap):
+    # d(s^-1 c) summed into one word dict is the sum of LieElements it
+    # replaced, term by term and in the same word order: -s^-1 d c, then
+    # (1/2) (-1)^{|c'|} [s^-1 c', s^-1 c''] per coproduct term
+    C = chains_functor(make(), word_cap=word_cap)
+    LC = lie_functor(C, T(cap))
+    gens = dict(zip(C.reduced_indices(), LC.gens))
+    nonzero = 0
+    for i, g in gens.items():
+        want = LC.zero()
+        for j, c in C.d_of(i):
+            if j != C.counit:
+                want = want + LC.gen(gens[j]).scale(-c)
+        for l, r, c in C.reduced_comul(i):
+            sgn = -1 if C.degrees[l] % 2 else 1
+            want = want + bracket(LC.gen(gens[l]), LC.gen(gens[r])).scale(
+                sgn * c * Fraction(1, 2))
+        assert list(LC.d_on_gens[g].terms.items()) == list(want.terms.items()), g
+        nonzero += not want.is_zero()
+    assert nonzero or cap == 1
+
+
 def test_lie_functor_handmade_primitive_pair():
     # C with primitive c and Delta-bar(c') = c (x) c gives
     # d2(s^-1 c') = +-1/2 [s^-1 c, s^-1 c]

@@ -2,7 +2,6 @@ import inspect
 import os
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -13,8 +12,7 @@ from cdgl.coalgebra import (ConvolutionDGL, adjunction_alpha, chains_functor,
                             comul_by_left, lie_functor)
 from cdgl.derivations import (DerComplex, DerSpace, Derivation, GSpec,
                               InvalidSubgroupError, NotConnectedError,
-                              classifying_invariants, der_g_zero,
-                              derivation_bracket, gamma_check,
+                              classifying_invariants, der_g_zero, gamma_check,
                               mapping_space_pi, r0_basis, twisted_der_sl)
 from cdgl.dgl import (DGLMorphism, DivergenceError, GeneratorFiltration,
                       h0_group)
@@ -27,6 +25,7 @@ from cdgl.workbench import workspace_from_text
 from oracles import (ConvolutionElements, HomElement, ad_derivation,
                      assert_same_les, bch_der, connected_cover,
                      dense_nilpotency_class, derivation_differential,
+                     der_h0_elements, der_sl_bracket, derivation_bracket,
                      eager_h0_table, element_der_complex, generic_les,
                      hom_der_bracket, left_normed, split_maps, twisted_hom_der,
                      unit_derivations, w_classifying,
@@ -157,7 +156,7 @@ def test_hom_der_odd_sphere_reproduces_paper_brackets():
     dc = DerComplex(L, L, None, range(-1, 4))
     tw = twisted_hom_der(H, dc, range(-1, 4))
     tw.total.validate()
-    theta = dc.element(0, SparseVec.unit(0))   # id_L
+    theta = dc.space(0).unflatten(SparseVec.unit(0))   # id_L
     x_elt = H.basis(2)[0]                   # 1 -> x
     z_elt = H.basis(-1)[0]                  # sx -> x
     assert hom_der_bracket(H, theta, x_elt) == x_elt
@@ -190,39 +189,44 @@ def test_twisted_ses_les_exact():
 @pytest.mark.parametrize("twisted", [True, False], ids=["der-sl", "der"])
 def test_twisted_differential_is_a_derivation_of_the_bracket(make, twisted):
     # D[a, b] = [Da, b] + (-1)^{|a|} [a, Db] on random coordinate vectors,
-    # for der_sl_full_bracket on Der (x~) sL and derivation_bracket on Der;
-    # on Der (x~) sL this pins the sign of the (-1)^{|theta|} s theta(y)
-    # term.  It is also why a bracket of classes is well defined.
+    # for the coordinate products DerComplex.product_sl on Der (x~) sL and
+    # DerComplex.product on Der; on Der (x~) sL this pins the sign of the
+    # (-1)^{|theta|} s theta(y) term.  It is also why a bracket of classes
+    # is well defined.
     L, window = make(), range(0, 5)
     dercx = DerComplex(L, L, None, window)
     if twisted:
-        cx = twisted_der_sl(dercx, L, window).total
-        element = partial(derivations._der_sl_element, dercx, L)
-        coords = partial(derivations._der_sl_coords, dercx, L)
-        br = derivations.der_sl_full_bracket
+        cx, product = twisted_der_sl(dercx, L, window).total, dercx.product_sl
     else:
-        cx, element, br = dercx.complex(), dercx.element, derivation_bracket
-
-        def coords(th, n):
-            return dercx.space(n).coords(th)
-
+        cx, product = dercx.complex(), dercx.product
     rng = random.Random(5)
 
     def draw(n):
         return SparseVec({i: rng.randint(-2, 2) for i in range(cx.dim(n))})
 
+    def br(n, u, m, v):
+        return SparseVec(product(n, u.entries, m, v.entries))
+
     for _ in range(40):
         n = rng.randint(0, 4)
         m = rng.randint(0, 4 - n)
         u, v = draw(n), draw(m)
-        a, b = element(n, u), element(m, v)
-        da, db = element(n - 1, cx.d(n).apply(u)), element(m - 1, cx.d(m).apply(v))
+        du, dv = cx.d(n).apply(u), cx.d(m).apply(v)
         k = n + m
-        assert cx.d(k).apply(coords(br(a, b), k)) == (
-            coords(br(da, b), k - 1) + coords(br(a, db), k - 1).scale((-1) ** n)), (n, m)
+        assert cx.d(k).apply(br(n, u, m, v)) == (
+            br(n - 1, du, m, v) + br(n, u, m - 1, dv).scale((-1) ** n)), (n, m)
 
 
 # -- GSpec ----------------------------------------------------------------------
+
+def test_gspec_checks_are_internal_errors():
+    # the CLI builds only the three kinds, a stabilizer with its filtration
+    L = sphere_model(3, T(3))
+    with pytest.raises(InternalError, match="unknown GSpec kind"):
+        GSpec("bogus", L)
+    with pytest.raises(InternalError, match="needs a filtration"):
+        GSpec("stabilizer", L)
+
 
 def test_r0_odd_sphere_zero():
     L = sphere_model(3, T(3))
@@ -500,16 +504,16 @@ def test_classifying_matches_connected_cover():
 def test_classifying_wedge_stabilizer():
     L = wedge_model((3, 3), T(3))
     filt = GeneratorFiltration.from_chain([set(L.gens), {L.generator("y")}])
-    rep = classifying_invariants(L, GSpec("stabilizer", L, filtration=filt),
-                                 "FREE", range(1, 6))
+    spec = GSpec("stabilizer", L, filtration=filt)
+    rep = classifying_invariants(L, spec, "FREE", range(1, 6))
     G = rep.h0_quotient
     assert G.dimension == 1
     assert rep.ad_image_rank == 0
     assert G.abelian
     # exact Q-powers: mu a * nu a = (mu+nu) a on the single class
-    a = G.reps[0]
-    prod = bch_der(a.scale(Fraction(2, 3)), a.scale(Fraction(1, 3)))
-    assert G.class_of(prod) == G.class_of(a)
+    reps, class_of = der_h0_elements(L, spec, G)
+    prod = bch_der(reps[0].scale(Fraction(2, 3)), reps[0].scale(Fraction(1, 3)))
+    assert class_of(prod) == class_of(reps[0])
 
 
 def test_classifying_pointed_mode_runs():
@@ -576,6 +580,81 @@ def _classifying_cases():
     return out
 
 
+def _random_coords(rng, n):
+    return {i: rng.choice([-2, -1, 1, 2, Fraction(1, 2)])
+            for i in rng.sample(range(n), min(n, rng.randint(1, 3)))}
+
+
+@pytest.mark.parametrize("mode", ["FREE", "POINTED"])
+def test_coordinate_products_match_the_word_brackets(mode):
+    # the class tables' products on random stored coordinates, Der^G_0 in
+    # degree 0 and unit slots above, against the word-dict brackets of the
+    # oracles: DerComplex.product against derivation_bracket (POINTED) and
+    # product_sl against der_sl_bracket on Der (x~) sL (FREE), on every
+    # classifying case; pairs of odd degrees, where the slot bracket's sign
+    # (-1)^{|theta||eta|} is -1, and pairs in the degree-0 subspace included
+    rng = random.Random(32 if mode == "FREE" else 33)
+    seen = set()
+    for L, spec, _, _, _, lo, hi in _classifying_cases():
+        top = max(hi, 2)
+        dercx = DerComplex(L, L, None, range(0, top + 1), der_g_zero(spec)[:2])
+        free = mode == "FREE"
+
+        def dims(n):
+            return len(dercx.space(n)), len(L.basis(n - 1)) if free else 0
+
+        def element(n, z):
+            nd, _ = dims(n)
+            sp = dercx.space(n)
+            theta = sp.unflatten(SparseVec(sp.slots(
+                {i: c for i, c in z.items() if i < nd})))
+            return theta, L.from_coords(SparseVec(
+                {i - nd: c for i, c in z.items() if i >= nd}), n - 1)
+
+        def coords(n, theta, x):
+            sp, (nd, _) = dercx.space(n), dims(n)
+            out = dict(sp.in_elements(sp.flatten(theta.values)).entries)
+            out.update((nd + i, c) for i, c in L.coords(x, n - 1).entries.items())
+            return out
+
+        for _ in range(8):
+            m = rng.randint(0, top)
+            m2 = rng.randint(0, top - m)
+            if not sum(dims(m)) or not sum(dims(m2)):
+                continue
+            u, v = _random_coords(rng, sum(dims(m))), _random_coords(rng, sum(dims(m2)))
+            (theta, x), (eta, y) = element(m, u), element(m2, v)
+            if free:
+                got = dercx.product_sl(m, u, m2, v)
+                want = coords(m + m2, *der_sl_bracket(theta, x, eta, y))
+            else:
+                got = dercx.product(m, u, m2, v)
+                want = coords(m + m2, derivation_bracket(theta, eta), L.zero())
+            assert got == want, (L.name, m, m2)
+            seen.add((m % 2, m2 % 2, m * m2 == 0, bool(want)))
+    assert {(1, 1, False, True), (0, 0, True, True)} <= seen, seen
+
+
+@pytest.mark.parametrize("mode", ["FREE", "POINTED"])
+def test_classifying_reads_no_derivation(mode, monkeypatch):
+    # an identity spec's H_0 group, its law and the homotopy nilpotency
+    # index are read off slot coordinates: no Derivation is built
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a Derivation was built")
+
+    monkeypatch.setattr(Derivation, "__init__", refused)
+    # (dim H_0, abelian, its class, homotopy nilpotency) on wedge(1,1) and
+    # wedge(1,1,2) at cap 4; baut's H_0 is 0 on both
+    want = {"FREE": [(0, True, 0, 1), (0, True, 0, 3)],
+            "POINTED": [(5, False, 3, 3), (5, False, 3, 5)]}[mode]
+    for dims, expected in zip(((1, 1), (1, 1, 2)), want):
+        L = wedge_model(dims, T(4))
+        rep = classifying_invariants(L, GSpec("identity", L), mode, range(1, 5))
+        G = rep.h0_quotient
+        assert len(G.structure) == G.dimension ** 2
+        assert (G.dimension, G.abelian, G.nilpotency_class, rep.nilpotency) == expected
+
+
 @pytest.mark.parametrize("mode", ["FREE", "POINTED"])
 def test_classifying_nilpotency_matches_dense_word_oracle(mode):
     # the homotopy nilpotency index of baut (FREE) and bautstar (POINTED)
@@ -612,12 +691,13 @@ def test_nilpotency_layers_are_kept_as_spans(monkeypatch):
     # re-bracketed modulo the boundaries, 4,427 carrying every nonzero
     # bracket)
     calls = []
+    real = DerComplex.product
 
-    def counting(a, b):
+    def counting(self, m, u, m2, v):
         calls.append(1)
-        return derivation_bracket(a, b)
+        return real(self, m, u, m2, v)
 
-    monkeypatch.setattr(derivations, "derivation_bracket", counting)
+    monkeypatch.setattr(DerComplex, "product", counting)
     L = wedge_model((2, 3), T(5))
     rep = classifying_invariants(L, GSpec("identity", L), "POINTED", range(1, 6))
     assert rep.nilpotency == 5
@@ -628,7 +708,7 @@ def test_nilpotency_descent_is_checked(monkeypatch):
     # a broken bracket ([a, b] = a) lands in the wrong degree, where it has
     # no class; the table must fail loudly, when the index is read, instead
     # of returning an index
-    monkeypatch.setattr(derivations, "derivation_bracket", lambda a, b: a)
+    monkeypatch.setattr(DerComplex, "product", lambda self, m, u, m2, v: u)
     L = wedge_model((2, 2), T(4))
     with pytest.raises(InternalError, match="internal error"):
         classifying_invariants(L, GSpec("identity", L), "POINTED",
@@ -704,7 +784,8 @@ def test_der_h0_class_and_abelian_on_read_match_the_eager_table(case):
         spec, mode = GSpec("identity", L), "POINTED"
     G = classifying_invariants(L, spec, mode, range(1, 3)).h0_quotient
     assert not {"table", "nilpotency_class"} & set(vars(G))
-    eager = dense_nilpotency_class(eager_h0_table(G, derivation_bracket))
+    eager = dense_nilpotency_class(eager_h0_table(*der_h0_elements(L, spec, G),
+                                                  derivation_bracket))
     assert G.abelian == (eager <= 1)
     assert "nilpotency_class" not in vars(G)
     assert G.nilpotency_class == eager
@@ -721,8 +802,9 @@ def test_der_h0_table_law_matches_bch_der(case):
         spec, mode = GSpec("identity", L), "POINTED"
     G = classifying_invariants(L, spec, mode, range(1, 3)).h0_quotient
     assert G.dimension == (1 if case == "criterion9" else 5)
+    reps, class_of = der_h0_elements(L, spec, G)
     for (i, j), prod in G.structure.items():
-        assert prod == G.class_of(bch_der(G.reps[i], G.reps[j]))
+        assert prod == class_of(bch_der(reps[i], reps[j]))
 
 
 def _complex_and_differential(kind, L):
@@ -737,9 +819,9 @@ def _complex_and_differential(kind, L):
     if kind == "Der":
         dc = DerComplex(L, L, None, range(-1, 4))
         return (dc.complex(), range(-1, 4),
-                lambda n: [dc.element(n, SparseVec.unit(i))
+                lambda n: [dc.space(n).unflatten(SparseVec.unit(i))
                            for i in range(len(dc.space(n)))],
-                derivation_differential, dc.element)
+                derivation_differential, lambda n, z: dc.space(n).unflatten(z))
     if kind == "sL":
         return (derivations._shifted_l_complex(L, range(1, 6)), range(1, 6),
                 lambda n: L.basis(n - 1), lambda e: L.d(e).scale(-1),
@@ -931,7 +1013,9 @@ def test_unit_table_coords_are_the_factored_coords():
             for i, th in enumerate(tables):
                 assert units.unflatten(SparseVec.unit(i)) == th
             for th in _with_random_sums(rng, tables):
-                assert units.coords(th) == factored.coords(th)
+                got = factored.in_elements(factored.flatten(th.values))
+                assert got == units.in_elements(units.flatten(th.values))
+                assert factored.slots(got.entries) == units.flatten(th.values).entries
             assert units._factored is None
 
 
@@ -990,7 +1074,8 @@ def test_der_complex_blocks_match_element_path():
                                 for i in rng.sample(range(len(sp)), min(3, len(sp)))})
                      for _ in range(3)]
             for vec in vecs:
-                got, want = dc.element(n, vec), element(n, vec)
+                got = sp.unflatten(SparseVec(sp.slots(vec.entries)))
+                want = element(n, vec)
                 assert got == want and got.degree == n
     assert leibniz and subspace and from_subspace
     M = _commutator_model(4)
@@ -1028,9 +1113,9 @@ def test_pipelines_build_no_table_per_slot(monkeypatch):
     rep = mapping_space_pi(f, range(1, 4))
     assert rep.pointed[1] == 7 and rep.free[1] == 21
     assert built == []
-    # R_0 and Der^G_0 are slot vectors, so the pipeline builds a derivation
-    # only for a class representative that the bracket table reads: none on
-    # M, whose H_0 has no class, a few on two circles
+    # R_0, Der^G_0 and the class representatives are slot vectors, and the
+    # bracket table brackets their coordinates, so the pipeline builds no
+    # derivation: on M, whose H_0 has no class, nor on two circles
     M = _commutator_model(4)
     for mode in ("FREE", "POINTED"):
         built.clear()
@@ -1038,11 +1123,10 @@ def test_pipelines_build_no_table_per_slot(monkeypatch):
         assert rep.der0_dimension == 2 and rep.nilpotency == 1
         assert built == []
     W = wedge_model((1, 1), T(3))
-    slots = len(DerSpace(W, W, 0)) + len(DerSpace(W, W, 1))
     built.clear()
     rep = classifying_invariants(W, GSpec("identity", W), "POINTED", range(1, 3))
-    assert built == [] and rep.nilpotency == 2
-    assert 0 < len(built) < slots
+    assert rep.nilpotency == 2 and rep.h0_quotient.nilpotency_class == 2
+    assert built == []
 
 
 def test_derivation_table_follows_source_gens():

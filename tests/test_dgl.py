@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import cdgl.dgl
 from cdgl.derivations import DerComplex, twisted_der_sl
 from cdgl.dgl import (ClassTable, DGLMorphism, DGLPresentation,
-                      DivergenceError, GeneratorFiltration, H0Group,
+                      DivergenceError, GeneratorFiltration,
                       IllFormedDifferentialError, MCElement, apply_operator,
                       bch, bch_series, build_dgl, check_mc, exp_ad,
                       exp_derivation_values, gauge_act, gauge_equivalent,
@@ -23,8 +23,8 @@ from cdgl.workbench.tasks import pretty_element
 
 from oracles import (act_on_morphism, assert_exact, component_complex,
                      dense_nilpotency_class, dense_solve, eager_h0_table,
-                     fraction_gauge_series, left_normed, perturbed, w_apply_operator,
-                     w_bch)
+                     fraction_gauge_series, h0_mul, l_h0_elements, left_normed,
+                     perturbed, w_apply_operator, w_bch)
 
 
 def T(n):
@@ -601,9 +601,10 @@ def test_h0_class_and_abelian_on_read_match_the_eager_table(make):
     # abelian reads the brackets pair by pair and builds no table, the class
     # builds the table when it is read, and abelian then reads the table;
     # all agree with the class of the eagerly taken table
-    G = h0_group(make())
+    L = make()
+    G = h0_group(L)
     assert not {"table", "nilpotency_class"} & set(vars(G))
-    eager = dense_nilpotency_class(eager_h0_table(G, bracket))
+    eager = dense_nilpotency_class(eager_h0_table(*l_h0_elements(L, G), bracket))
     abelian = G.abelian
     assert not {"table", "nilpotency_class"} & set(vars(G))
     assert abelian == (eager <= 1)
@@ -611,21 +612,25 @@ def test_h0_class_and_abelian_on_read_match_the_eager_table(make):
     assert "table" in vars(G) and G.abelian == abelian
 
 
-def test_h0_representatives_are_built_on_read():
-    # the dimension builds none, an unbuilt abelian stops at the first
-    # nonzero bracket [h_0, h_1], and each representative is built once
+def test_h0_group_builds_no_representative(monkeypatch):
+    # the group brackets the cycles' coordinates through L's bracket table:
+    # its dimension, table, class and law build no element of L, and an
+    # unbuilt abelian stops at the first nonzero bracket [h_0, h_1]
     L = wedge_model((1, 1), T(5))
-    built = []
+    calls = []
+    product = L.brackets.product
 
-    def element(n, z):
-        built.append(z)
-        return L.from_coords(z, n)
+    def counting(m, u, m2, v):
+        calls.append((m, m2))
+        return product(m, u, m2, v)
 
-    G = H0Group(homology_at(L.complex([0, 1]), 0), element, L.coords, bracket)
-    assert G.dimension == 14 and not built
-    assert G.abelian is False and len(built) == 2
-    assert G.reps == G.reps and len(built) == 14
-    assert G.reps == h0_group(L).reps
+    monkeypatch.setattr(L, "from_coords", None)
+    monkeypatch.setattr(L.brackets, "product", counting)
+    G = h0_group(L)
+    assert G.dimension == 14 and not calls
+    assert G.abelian is False and calls == [(0, 0)]
+    assert G.nilpotency_class == 5 and len(G.structure) == 14 ** 2
+    assert len(calls) == 1 + 14 * 13 // 2    # abelian, then each pair i < j
 
 
 def _boundary_model(cap):
@@ -637,16 +642,16 @@ def _boundary_model(cap):
                                                LieElement.gen(v, trunc))}, trunc)
 
 
-def _oracle_class(G, boundaries, e):
+def _oracle_class(reps, boundaries, e):
     """Rep part of any solution of e = sum a_k rep_k + sum b_j bnd_j, solved
     densely over tensor words."""
-    cols = list(G.reps) + boundaries
+    cols = list(reps) + boundaries
     words = sorted({w for c in cols + [e] for w in c.terms},
                    key=lambda w: (len(w), [g.name for g in w]))
     A = [[c.terms.get(w, Fraction(0)) for c in cols] for w in words]
     x = dense_solve(A, [e.terms.get(w, Fraction(0)) for w in words])
     assert x is not None
-    return {k: x[k] for k in range(len(G.reps)) if x[k]}
+    return {k: x[k] for k in range(len(reps)) if x[k]}
 
 
 @pytest.mark.parametrize("model,cap", [("wedge", 2), ("wedge", 3), ("wedge", 4),
@@ -655,6 +660,7 @@ def test_h0_class_of_matches_dense_oracle(model, cap):
     rng = random.Random(cap)
     L = wedge_model((1, 1), T(cap)) if model == "wedge" else _boundary_model(cap)
     G = h0_group(L)
+    reps, class_of = l_h0_elements(L, G)
     boundaries = [L.d(e) for e in L.basis(1) if not L.d(e).is_zero()]
     assert G.dimension
     assert bool(boundaries) == (model == "boundary")
@@ -663,11 +669,11 @@ def test_h0_class_of_matches_dense_oracle(model, cap):
                   for k in range(G.dimension)}
         e = L.zero()
         for k, c in coeffs.items():
-            e = e + G.reps[k].scale(c)
+            e = e + reps[k].scale(c)
         for bnd in boundaries:
             e = e + bnd.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        got = G.class_of(e)
-        assert got.entries == _oracle_class(G, boundaries, e)
+        got = class_of(e)
+        assert got.entries == _oracle_class(reps, boundaries, e)
         assert got.entries == {k: c for k, c in coeffs.items() if c}
 
 
@@ -678,31 +684,30 @@ def test_h0_table_law_matches_tensor_bch(model, cap):
     # the class of the tensor-algebra BCH product of the representatives
     L = wedge_model((1, 1), T(cap)) if model == "wedge" else _boundary_model(cap)
     G = h0_group(L)
+    reps, class_of = l_h0_elements(L, G)
     n = G.dimension
     assert sorted(G.structure) == [(i, j) for i in range(n) for j in range(n)]
     for (i, j), prod in G.structure.items():
-        assert prod == G.class_of(bch(G.reps[i], G.reps[j]))
+        assert prod == class_of(bch(reps[i], reps[j]))
     # every degree-0 element of these models is a cycle
     rng = random.Random(cap)
     for _ in range(3):
         a, b = rand_deg0(rng, L, 3), rand_deg0(rng, L, 3)
-        assert G.mul(G.class_of(a), G.class_of(b)) == G.class_of(bch(a, b))
+        assert h0_mul(G, class_of(a), class_of(b)) == class_of(bch(a, b))
 
 
 def test_h0_class_of_outside_span_raises():
     # x is not a cycle of the unperturbed circle model, whose H0 is 0
     L = circle_model(T(4))
-    G = h0_group(L)
+    _, class_of = l_h0_elements(L, h0_group(L))
     with pytest.raises(NotInSpanError):
-        G.class_of(L.gen("x"))
+        class_of(L.gen("x"))
 
 
-def _unit_classes(reports, bracket):
-    """A ClassTable on degree -> (columns, representatives, quotient), whose
-    elements are their coordinate vectors."""
+def _unit_classes(reports, product):
+    """A ClassTable on degree -> (columns, representatives, quotient)."""
     return ClassTable({n: HomologyReport(n, len(r), r, q, cols)
-                       for n, (cols, r, q) in reports.items()},
-                      lambda n, z: z, lambda x, n: x, bracket)
+                       for n, (cols, r, q) in reports.items()}, product)
 
 
 def test_nilpotency_skips_degrees_outside_modulo():
@@ -711,9 +716,10 @@ def test_nilpotency_skips_degrees_outside_modulo():
     # of the window is taken once, the odd squares included, and no other
     calls = []
 
-    def br(u, v):
+    def br(m, u, m2, v):
         calls.append(1)
-        return SparseVec({0: u.get(0) * v.get(1) + u.get(1) * v.get(0)})
+        c = u.get(0, 0) * v.get(1, 0) + u.get(1, 0) * v.get(0, 0)
+        return {0: c} if c else {}
 
     e, f = [SparseVec.unit(0), SparseVec.unit(1)], SparseVec.unit(0)
     classes = _unit_classes({1: (2, e, []), 2: (1, [f], [])}, br)
@@ -735,7 +741,7 @@ def test_nilpotency_of_a_table_that_does_not_descend_is_internal_error():
     # gamma_2 = gamma_3 = span e0; the table is read as it is, and the
     # series that does not shrink fails loudly
     classes = _unit_classes({0: (2, [SparseVec.unit(0), SparseVec.unit(1)], [])},
-                            lambda a, b: a)
+                            lambda m, u, m2, v: u)
     with pytest.raises(InternalError, match="does not descend"):
         nilpotency(classes)
 
@@ -743,8 +749,7 @@ def test_nilpotency_of_a_table_that_does_not_descend_is_internal_error():
 def test_h0_non_descending_series_is_internal_error(monkeypatch):
     # a broken bracket ([a, b] = a) makes [H, H] = H; the nilpotency loop must
     # fail loudly, when the class is read, instead of returning a class
-    import cdgl.dgl
-    monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: a)
+    monkeypatch.setattr(cdgl.dgl.BracketTable, "product", lambda self, m, u, m2, v: u)
     with pytest.raises(InternalError, match="internal error"):
         h0_group(wedge_model((1, 1), T(2))).nilpotency_class
 
@@ -752,14 +757,13 @@ def test_h0_non_descending_series_is_internal_error(monkeypatch):
 def test_h0_divisibility_law():
     rng = random.Random(39)
     L = wedge_model((1, 1), T(5))
-    G = h0_group(L)
+    _, class_of = l_h0_elements(L, h0_group(L))
     for _ in range(8):
         a = rand_deg0(rng, L, 2)
-        u = G.class_of(a)
         mu = Fraction(rng.randint(-2, 3), rng.randint(1, 2))
         nu = Fraction(rng.randint(-2, 3), rng.randint(1, 2))
-        lhs = G.class_of(bch(a.scale(mu), a.scale(nu)))
-        rhs = G.class_of(a.scale(mu + nu))
+        lhs = class_of(bch(a.scale(mu), a.scale(nu)))
+        rhs = class_of(a.scale(mu + nu))
         assert lhs == rhs
 
 
@@ -782,20 +786,22 @@ def test_h0_structure_constants_representative_independent():
     ev = LieElement.gen(v, trunc)
     L2 = build_dgl((u, v, s), {s: ev}, trunc)
     G2 = h0_group(L2)
+    _, class_of = l_h0_elements(L2, G2)
     assert G2.dimension == 1  # v is a boundary, u survives
     x = L2.gen("u")
     shifted = x + L2.d(L2.gen("s")).scale(Fraction(5, 3))
     for other in (L2.gen("u"), bch(x, x)):
-        assert G2.class_of(bch(x, other)) == G2.class_of(bch(shifted, other))
+        assert class_of(bch(x, other)) == class_of(bch(shifted, other))
 
 
 def test_h0_identity_and_inverse():
     L = wedge_model((1, 1), T(3))
     G = h0_group(L)
-    u = G.class_of(L.gen("x"))
-    zero = G.class_of(L.zero())
-    assert G.mul(u, G.inverse(u)) == zero
-    assert G.mul(zero, u) == u
+    _, class_of = l_h0_elements(L, G)
+    u = class_of(L.gen("x"))
+    zero = class_of(L.zero())
+    assert h0_mul(G, u, u.scale(-1)) == zero
+    assert h0_mul(G, zero, u) == u
 
 
 # -- action on morphisms ----------------------------------------------------------

@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import cdgl.dgl
 from cdgl.dgl import ClassTable, build_dgl, h0_group, nilpotency
-from cdgl.exactlin import HomologyReport, SparseVec, homology_reports
-from cdgl.freelie import Generator, LieElement, Truncation, bracket
+from cdgl.exactlin import HomologyReport, InternalError, SparseVec, homology_reports
+from cdgl.freelie import Generator, LieElement, Truncation
 from cdgl.models import wedge_model
 
-from oracles import (dense_nilpotency_class, left_normed, w_bch, w_bracket,
-                     w_homology, w_homology_algebra, w_solve_modulo)
+from oracles import (dense_nilpotency_class, h0_bracket, h0_mul, l_h0_elements,
+                     left_normed, w_bch, w_bracket, w_homology, w_homology_algebra,
+                     w_solve_modulo)
 
 
 def _words(e):
@@ -106,9 +106,9 @@ def test_graded_nilpotency_matches_dense_oracle(L, window):
     reps, table = w_homology_algebra(gens, d, cap, window)
     classes = ClassTable(
         homology_reports(L.complex(range(0, max(window) + 2)), window),
-        lambda n, z: L.from_coords(z, n), L.coords, bracket)
-    assert [(n, _words(classes.rep(i)))
-            for i, n in enumerate(classes.degrees)] == reps
+        L.brackets.product)
+    assert [(n, _words(L.from_coords(z, n))) for n in window
+            for z in classes.reports[n].cycle_reps] == reps
     D, got = classes.table
     assert [[{k: Fraction(c, D) for k, c in row.get(j, {}).items()}
              for j in range(len(reps))] for row in got] == table
@@ -120,10 +120,10 @@ def _random_class(rng, n):
                       for k in range(n)})
 
 
-def _element(G, u):
+def _element(reps, u):
     out = {}
     for k, c in u.entries.items():
-        for w, t in _words(G.reps[k]).items():
+        for w, t in _words(reps[k]).items():
             out[w] = out.get(w, 0) + c * t
     return {w: c for w, c in out.items() if c}
 
@@ -143,7 +143,8 @@ def test_h0_group_law_matches_word_bch(make):
     gens, d = _oracle_inputs(L)
     cap = L.trunc.max_bracket_length
     boundaries = w_homology(gens, d, cap, 0)[1]
-    reps = [_words(r) for r in G.reps]
+    elements = l_h0_elements(L, G)[0]
+    reps = [_words(r) for r in elements]
     n = G.dimension
     pairs = sorted(G.structure)
     want = w_solve_modulo(reps, boundaries,
@@ -151,18 +152,18 @@ def test_h0_group_law_matches_word_bch(make):
     assert [G.structure[p].entries for p in pairs] == want
     want = w_solve_modulo(reps, boundaries,
                           [w_bracket(reps[i], reps[j], cap) for i, j in pairs])
-    assert [G.bracket(SparseVec.unit(i), SparseVec.unit(j)).entries
+    assert [h0_bracket(G, SparseVec.unit(i), SparseVec.unit(j)).entries
             for i, j in pairs] == want
     rng = random.Random(n)
     zero = SparseVec()
     for _ in range(4):
         u, v, w = (_random_class(rng, n) for _ in range(3))
-        uv = G.mul(u, v)
+        uv = h0_mul(G, u, v)
         assert [uv.entries] == w_solve_modulo(
-            reps, boundaries, [w_bch(_element(G, u), _element(G, v), cap)])
-        assert G.mul(uv, w) == G.mul(u, G.mul(v, w))
-        assert G.mul(u, G.inverse(u)) == zero == G.mul(G.inverse(u), u)
-        assert G.mul(u, zero) == u == G.mul(zero, u)
+            reps, boundaries, [w_bch(_element(elements, u), _element(elements, v), cap)])
+        assert h0_mul(G, uv, w) == h0_mul(G, u, h0_mul(G, v, w))
+        assert h0_mul(G, u, u.scale(-1)) == zero == h0_mul(G, u.scale(-1), u)
+        assert h0_mul(G, u, zero) == u == h0_mul(G, zero, u)
 
 
 def test_h0_denominator_model_has_fractional_brackets():
@@ -175,13 +176,15 @@ def test_unbuilt_abelian_takes_one_bracket(monkeypatch):
     # on wedge(1,1) cap 5 the first pair [x, y] is nonzero: the stability
     # re-run's abelian takes that one bracket and builds no table
     calls = []
+    L = wedge_model((1, 1), Truncation(5))
+    product = L.brackets.product
 
-    def counting(a, b):
+    def counting(m, u, m2, v):
         calls.append(1)
-        return bracket(a, b)
+        return product(m, u, m2, v)
 
-    monkeypatch.setattr(cdgl.dgl, "bracket", counting)
-    G = h0_group(wedge_model((1, 1), Truncation(5)))
+    monkeypatch.setattr(L.brackets, "product", counting)
+    G = h0_group(L)
     assert G.dimension == 14
     assert G.abelian is False
     assert len(calls) == 1 and "table" not in vars(G)
@@ -190,12 +193,12 @@ def test_unbuilt_abelian_takes_one_bracket(monkeypatch):
 def test_nilpotency_refuses_a_window_of_negative_degree():
     # the generators X of the lower central series are enough only when the
     # dropped degrees form an ideal; a negative degree is refused up front,
-    # before any bracket is taken
+    # before any bracket is taken, as an internal error: no input reaches it
     reports = {n: HomologyReport(n, 1, [SparseVec.unit(0)], [], 1)
                for n in (-1, 0)}
 
-    def refused(a, b):
+    def refused(m, u, m2, v):
         raise AssertionError("bracket taken")
 
-    with pytest.raises(ValueError, match="degrees >= 0"):
-        nilpotency(ClassTable(reports, lambda n, z: z, lambda x, n: x, refused))
+    with pytest.raises(InternalError, match="degrees >= 0"):
+        nilpotency(ClassTable(reports, refused))

@@ -982,13 +982,30 @@ def test_internal_error_is_not_a_diagnostic(monkeypatch, capsys):
     # run reports an internal error with exit code 3, not a user diagnostic
     import cdgl.dgl
     from cdgl.workbench.cli import main
-    monkeypatch.setattr(cdgl.dgl, "bracket", lambda a, b: a)
+    monkeypatch.setattr(cdgl.dgl.BracketTable, "product", lambda self, m, u, m2, v: u)
     code = main(["h0", "--model", "wedge(1,1)", "--truncate", "2",
                  "--format", "canonical"])
     out = capsys.readouterr().out
     assert code == 3
     assert "status = internal-error" in out
     assert "lower central series does not descend (internal error)" in out
+    assert "diagnostic" not in out
+
+
+def test_classifying_mode_check_is_an_internal_error(monkeypatch, capsys):
+    # the CLI builds only the FREE and POINTED modes, so a mode outside
+    # them is an engine fault: exit code 3, not a user diagnostic
+    from cdgl.workbench import tasks
+    from cdgl.workbench.cli import main
+    real = tasks.classifying_invariants
+    monkeypatch.setattr(tasks, "classifying_invariants",
+                        lambda L, spec, mode, degrees: real(L, spec, "BOTH", degrees))
+    code = main(["baut", "--model", "wedge(2,2)", "--range", "1..2", "--truncate", "2",
+                 "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "status = internal-error" in out
+    assert "mode must be FREE or POINTED (internal error)" in out
     assert "diagnostic" not in out
 
 
