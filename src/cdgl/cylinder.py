@@ -62,6 +62,8 @@ class Cylinder:
     """Operations on L (x) poly(t, dt) at a fixed polynomial cap."""
 
     def __init__(self, L: DGLPresentation, poly_cap: int):
+        if poly_cap < 0:
+            raise ValueError("polynomial cap must be >= 0")
         self.L = L
         self.poly_cap = poly_cap
 

@@ -14,10 +14,12 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, GradedChainComplex, HomologyReport,
                        IncrementalSpan, InternalError, NotInSpanError, SparseVec,
-                       _vec, clear_denominators, exact, homology_at, ratio, settled)
+                       _vec, accumulate, clear_denominators, exact, homology_at,
+                       ratio, settled)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _exp_coefficient,
                       _mul_terms, bracket, exp_terms, is_lie, lie_basis,
@@ -240,10 +242,8 @@ class DGLPresentation:
 
     def from_coords(self, vec: SparseVec, degree) -> LieElement:
         basis = self.basis(degree)
-        out = self.zero()
-        for i, c in vec.entries.items():
-            out = out + basis[i].scale(c)
-        return out
+        return _on_ints(accumulate({}, ((w, c * t) for i, c in vec.entries.items()
+                                        for w, t in basis[i].terms.items())), self.trunc)
 
     def boundary(self, n):
         """The columns of d: L_n -> L_{n-1} in basis coordinates, built once;
@@ -253,6 +253,12 @@ class DGLPresentation:
             cols = [self.coords(self.d(e), n - 1) for e in self.basis(n)]
             self._boundary_cache[n] = cols
         return cols
+
+    def bch_law(self):
+        """L_0's BCH law on basis(0) coordinates, cut at the cap N: a bracket
+        of more than N elements of L_0 has length > N."""
+        product = self.brackets.product
+        return BCHLaw(lambda U, V: product(0, U, 0, V), self.trunc.max_bracket_length)
 
     def complex(self, degrees) -> GradedChainComplex:
         """Underlying chain complex on the given degrees."""
@@ -380,16 +386,62 @@ def check_mc(L: DGLPresentation, a: LieElement):
 
 # -- BCH, exp/log, gauge --------------------------------------------------
 
-def bch(x: LieElement, y: LieElement) -> LieElement:
-    """log(exp x exp y) in the truncated tensor algebra, certified Lie."""
-    for e in (x, y):
-        if not e.is_zero() and e.degree() != 0:
-            raise DegreeError("BCH arguments must be degree 0")
-    prod = _mul_terms(exp_terms(x), exp_terms(y), x.trunc)
-    out = log_terms(prod, x.trunc)
-    if not is_lie(out):
-        raise InternalError("BCH result fails Lie membership (internal error)")
-    return out
+class BCHLaw:
+    """The BCH law of a Lie algebra nilpotent of class <= c, on coordinate
+    dicts (index -> coefficient): bracket(U, V) is D times the bracket, and
+    series, (M, word -> M times its coefficient in bch_series(c)) on ints,
+    is built on first read."""
+
+    def __init__(self, bracket, c, D=1):
+        self.bracket, self.c, self.D = bracket, c, D
+
+    @cached_property
+    def series(self):
+        return clear_denominators(bch_series(self.c))
+
+
+def bch(law: BCHLaw, u, v):
+    """(u * v, v * u) under law, as SparseVecs, for coordinate dicts u, v:
+    u + v plus the series' words of length 2 to c, each right-nested
+    bracket built from its suffix, a zero one ending its branch.  With
+    u, v = U/E, V/E a word of length l is T_w(U, V) / (E^l D^(l-1)), T_w
+    its bracket through law.bracket, and the sum is divided by
+    Q = M (D E)^(c-1) E once, at the end.  v * u = -log(e^-u e^-v) takes
+    the same words, the word of length l with sign (-1)^(l+1).  With u or v
+    zero both products are the other, and the series is not read."""
+    if not u or not v:
+        w = _vec(dict(u or v))
+        return w, w
+    M, series = law.series
+    c, D, bracket = law.c, law.D, law.bracket
+    E, U, V = clear_denominators(u, v)
+    DE = D * E
+    m1 = M * DE ** (c - 1)
+    letters = (U, V)
+    uv = accumulate({k: m1 * t for k, t in U.items()}, ((k, m1 * t) for k, t in V.items()))
+    vu = dict(uv)
+    frontier = [((0,), U), ((1,), V)] if c > 1 else []
+    while frontier:
+        nxt = []
+        for word, val in frontier:
+            for a in (0, 1):
+                longer = (a,) + word
+                br = bracket(letters[a], val)
+                if not br:
+                    continue
+                m = series.get(longer)
+                if m:
+                    m *= DE ** (c - len(longer))
+                    sm = m if len(longer) % 2 else -m
+                    for k, t in br.items():
+                        uv[k] = uv.get(k, 0) + m * t
+                        vu[k] = vu.get(k, 0) + sm * t
+                if len(longer) < c:
+                    nxt.append((longer, br))
+        frontier = nxt
+    Q = m1 * E
+    return tuple(_vec({k: ratio(s, Q) for k, s in total.items() if s})
+                 for total in (uv, vu))
 
 
 def nilpotent_series(op, x, coefficient, bound, what):
@@ -466,46 +518,43 @@ def exp_ad(L: DGLPresentation, x: LieElement) -> DGLMorphism:
     return exp_derivation_values(L, ad_values(L, x), check_cycle=False)
 
 
-def gauge_act(x: LieElement, a) -> MCElement:
-    """Gauge action of a degree-0 element on an MC element:
-    sum_i ad_x^i(a)/i! - sum_i ad_x^i(dx)/(i+1)!, summed on ints.  With
-    X = Dx x, ad_x^i = ad_X^i / Dx^i, and ad_X = bracket(X, .) is the
-    telescoped derivation (a degree cap comes only with generators of
-    degree >= 0, see validate).  a and dx are cleared by one D, and the sum
-    is over D M, M = N! Dx^(N-1) for the cap N: ad_X^i vanishes for i >= N."""
-    owner = a.owner
-    if not x.is_zero() and x.degree() != 0:
-        raise DegreeError("gauge actor must be degree 0")
-    trunc, N = owner.trunc, owner.trunc.max_bracket_length
-    Dx, X = clear_denominators(x.terms)
-    X = _on_ints(X, trunc)
-    D, A, dX = clear_denominators(a.value.terms, owner.d(x).terms)
+def gauge_act(x: dict, a: MCElement) -> SparseVec:
+    """x gauge a = sum_i ad_x^i(a)/i! - sum_i ad_x^i(dx)/(i+1)! for x a
+    coordinate dict on basis(0) of a's presentation L, on basis(-1), checked
+    as an MCElement.  With X = Dx x, ad_x^i = ad_X^i / Dx^i, ad_X read off
+    L's bracket table and dx off L.boundary(0).  a and dx are cleared by one
+    D, and the sum is over D M, M = N! Dx^(N-1) for the cap N: ad_X^i
+    vanishes for i >= N."""
+    L = a.owner
+    N = L.trunc.max_bracket_length
+    product, cols = L.brackets.product, L.boundary(0)
+    Dx, X = clear_denominators(x)
+    dx = accumulate({}, ((k, c * t) for j, c in x.items()
+                         for k, t in cols[j].entries.items()))
+    D, A, dX = clear_denominators(L.coords(a.value, -1).entries, dx)
     M = factorial(N) * Dx ** (N - 1)
     out = {}
     for e, sign, shift in ((A, 1, 0), (dX, -1, 1)):
-        iterates = nilpotent_series(lambda t: bracket(X, t), _on_ints(e, trunc), None,
-                                    _max_iterations(owner),
+        iterates = nilpotent_series(lambda t: _vec(product(0, X, -1, t.entries)),
+                                    _vec(e), None, _max_iterations(L),
                                     "gauge series did not terminate")
         for k, t in enumerate(iterates):
             m = sign * M // (factorial(k + shift) * Dx ** k)
-            for w, c in t.terms.items():
-                out[w] = out.get(w, 0) + m * c
-    total = _on_ints({w: ratio(s, D * M) for w, s in out.items() if s}, trunc)
+            for i, c in t.entries.items():
+                out[i] = out.get(i, 0) + m * c
+    total = _vec({i: ratio(s, D * M) for i, s in out.items() if s})
     try:
-        return MCElement(owner, total)
+        MCElement(L, L.from_coords(total, -1))
     except MCViolationError as exc:
         raise MCViolationError("gauge output violates MC (truncation inconsistency): %s"
                                % exc) from exc
+    return total
 
 
-class GaugeResult:
-    __slots__ = ("witness", "level", "failed_stage")
-
-    def __init__(self, witness: LieElement | None, level: int,
-                 failed_stage: int | None = None):
-        self.witness = witness
-        self.level = level
-        self.failed_stage = failed_stage
+class GaugeResult(NamedTuple):
+    witness: SparseVec | None
+    level: int
+    failed_stage: int | None = None
 
     @property
     def equivalent(self):
@@ -513,56 +562,51 @@ class GaugeResult:
 
 
 def gauge_equivalent(a: MCElement, b: MCElement) -> GaugeResult:
-    """Decide x gauge a = b by lifting x through bracket-length stages.
+    """Decide x gauge a = b by lifting x, in L_0's coordinates, through
+    bracket-length stages.
 
     Stage n is linear: with residue R = (x gauge a) - b supported in lengths
     >= n, progress requires z in L_0 with [d_b z]_{<n} = 0 and
     [d_b z]_n = R_n, using the exact displacement identity
-    z gauge b - b = -((e^{ad_z}-1)/ad_z)(d_b z).  Unsolvable stage = certified
-    NO at this truncation level.
+    z gauge b - b = -((e^{ad_z}-1)/ad_z)(d_b z), and x becomes z * x under
+    L_0's BCH law (one series per call).  Unsolvable stage = certified NO
+    at this truncation level.
 
     d_b = d + ad_b is applied as it is: d_b^2 = 0 follows from d^2 = 0 and
-    the MC equation of b, so there is no presentation to validate.  The
-    degree -1 basis runs by bracket length, so the rows of stage n (lengths
-    <= n) are a prefix of it, and FactoredBasis on that prefix gives the
-    stage's free-variables-zero solution.
+    the MC equation of b.  Its columns are L.boundary(0) plus b's row of
+    the bracket table.  The degree -1 basis runs by bracket length, so R_n
+    is R's coordinates of length n, the rows of stage n (lengths <= n) are a
+    prefix of the basis, and FactoredBasis on that prefix gives the stage's
+    free-variables-zero solution.
     """
     L = a.owner
     N = L.trunc.max_bracket_length
-    basis_m1 = L.basis(-1)
-    if not basis_m1:
-        # no degree -1 at all: only a = b possible
-        same = (a.value == b.value)
-        return GaugeResult(L.zero() if same else None, N, None if same else 1)
+    B = L.coords(b.value, -1)
+    cols = [col + _vec(L.brackets.product(-1, B.entries, 0, {j: 1}))
+            for j, col in enumerate(L.boundary(0))]
+    lengths = [e.min_length() for e in L.basis(-1)]
+    law = L.bch_law()
 
-    # columns: d_b of each degree-0 basis element, in degree -1 coordinates
-    cols = [L.coords(L.d(e) + bracket(b.value, e), -1) for e in L.basis(0)]
-    lengths = [e.min_length() for e in basis_m1]
-
-    witness = L.zero()
-    res = gauge_act(witness, a).value - b.value
+    witness = SparseVec()
+    res = gauge_act({}, a) - B
     for stage in range(1, N + 1):
         if res.is_zero():
             break
-        rn = res.component(length=stage)
-        if rn.is_zero():
+        target = {i: c for i, c in res.entries.items() if lengths[i] == stage}
+        if not target:
             continue
         rows = bisect_right(lengths, stage)
-        target = L.coords(rn, -1)
-        if max(target.entries) >= rows:
-            raise InternalError("gauge stage %d target outside its rows "
-                                "(internal error)" % stage)
         # [d_b z]_k = 0 for k < stage, = R_n at k = stage
         prefix = [_vec({i: v for i, v in col.entries.items() if i < rows})
                   for col in cols]
         try:
-            z = FactoredBasis(prefix, rows).coords(target)
+            z = FactoredBasis(prefix, rows).coords(_vec(target))
         except NotInSpanError:
             return GaugeResult(None, N, stage)
-        witness = bch(L.from_coords(z, 0), witness)
-        res = gauge_act(witness, a).value - b.value
+        witness = bch(law, z.entries, witness.entries)[0]
+        res = gauge_act(witness.entries, a) - B
     if not res.is_zero():
-        return GaugeResult(None, N, res.min_length())
+        return GaugeResult(None, N, lengths[min(res.entries)])
     return GaugeResult(witness, N)
 
 
@@ -717,16 +761,11 @@ class H0Group(ClassTable):
     product is the bracket on its coordinates, as for ClassTable.
 
     The nilpotency class c and the group law are read off the table alone.
-    The law is the two-letter BCH series in right-nested
-    (Dynkin-Specht-Wever) form cut at length c.  The cut is exact: the
-    class map is a Lie morphism on degree-0 cycles, and every bracket of
-    more than c classes is zero.  With u, v = U/E, V/E, a right-nested word
-    of length l in u and v is T_w(U, V) / (E^l D^(l-1)), T_w its bracket on
-    ints; the series is summed on ints over Q = M (D E)^(c-1) E, M the lcm
-    of the series' denominators, and each coordinate is divided by Q once,
-    at the end.  The table, c and the structure constants are built on
-    first read; abelian reads the table when it is built, and otherwise
-    stops at the first nonzero bracket.
+    The law is bch on the table's bracket, cut at length c.  The cut is
+    exact: the class map is a Lie morphism on degree-0 cycles, and every
+    bracket of more than c classes is zero.  The table, c, the law and the
+    structure constants are built on first read; abelian reads the table
+    when it is built, and otherwise stops at the first nonzero bracket.
     """
 
     def __init__(self, h: HomologyReport, product):
@@ -753,53 +792,15 @@ class H0Group(ClassTable):
         prods = {}
         for i in range(n):
             for j in range(i, n):
-                prods[i, j], prods[j, i] = self._bch({i: 1}, {j: 1})
+                prods[i, j], prods[j, i] = bch(self.law, {i: 1}, {j: 1})
         return {(i, j): prods[i, j] for i in range(n) for j in range(n)}
 
     @cached_property
-    def _series(self):
-        """(M, word -> M times its coefficient in bch_series), on ints."""
-        return clear_denominators(bch_series(max(self.nilpotency_class, 1)))
-
-    def _bch(self, u, v):
-        """(u * v, v * u) for class coordinates u, v (index -> coefficient):
-        u + v plus the series' words of length 2 to c, each right-nested
-        bracket built on ints from its suffix, summed over Q as in the class
-        docstring.  v * u = log(e^v e^u) = -log(e^-u e^-v) takes the same
-        words, the word of length l with sign (-1)^(l+1)."""
+    def law(self):
+        """The BCH law on class coordinates: the table's bracket, cut at c."""
         D, table = self.table
-        M, series = self._series
-        c = max(self.nilpotency_class, 1)
-        E, U, V = clear_denominators(u, v)
-        DE = D * E
-        m1 = M * DE ** (c - 1)
-        letters = (U, V)
-        uv = {k: m1 * t for k, t in U.items()}
-        for k, t in V.items():
-            uv[k] = uv.get(k, 0) + m1 * t
-        vu = dict(uv)
-        frontier = [((0,), U), ((1,), V)] if c > 1 else []
-        while frontier:
-            nxt = []
-            for word, val in frontier:
-                for a in (0, 1):
-                    longer = (a,) + word
-                    br = _table_bracket(table, letters[a], val)
-                    if not br:
-                        continue
-                    m = series.get(longer)
-                    if m:
-                        m *= DE ** (c - len(longer))
-                        sm = m if len(longer) % 2 else -m
-                        for k, t in br.items():
-                            uv[k] = uv.get(k, 0) + m * t
-                            vu[k] = vu.get(k, 0) + sm * t
-                    if len(longer) < c:
-                        nxt.append((longer, br))
-            frontier = nxt
-        Q = m1 * E
-        return tuple(_vec({k: ratio(s, Q) for k, s in total.items() if s})
-                     for total in (uv, vu))
+        return BCHLaw(lambda U, V: _table_bracket(table, U, V),
+                      max(self.nilpotency_class, 1), D)
 
 
 def bch_series(c):

@@ -123,16 +123,6 @@ class LieElement:
     def min_length(self):
         return min((len(w) for w in self.terms), default=None)
 
-    def component(self, length=None, degree=None) -> "LieElement":
-        out = {}
-        for w, c in self.terms.items():
-            if length is not None and len(w) != length:
-                continue
-            if degree is not None and word_degree(w) != degree:
-                continue
-            out[w] = c
-        return LieElement(out, self.trunc)
-
     def truncated(self, trunc: Truncation) -> "LieElement":
         return LieElement(self.terms, trunc)
 

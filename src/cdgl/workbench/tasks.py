@@ -18,7 +18,7 @@ from ..derivations import (GSpec, classifying_invariants, gamma_check,
 from ..dgl import (DGLMorphism, MCElement, bch, gauge_act, gauge_equivalent,
                    h0_group, log_morphism, exp_derivation_values)
 from ..exactlin import InternalError, ResourceLimitError, homology_at
-from ..freelie import set_resource_limit
+from ..freelie import DegreeError, set_resource_limit
 from .ast import print_rational
 from .elaborate import (ElaborationError, eval_expr, load_model,
                         workspace_from_text)
@@ -122,19 +122,22 @@ def _parse_expr_str(text, L):
     return eval_expr(expr, L)
 
 
-def pretty_element(L, e):
-    """Canonical bracket-expression string for a Lie element."""
-    if e.is_zero():
-        return "0"
-    deg = e.degree()
-    coords = L.coords(e, deg)
-    basis = L.basis(deg)
+def _coords(L, e, degree, what):
+    """e's coordinates on L.basis(degree); DegreeError(what) if e has another degree."""
+    if not e.is_zero() and e.degree() != degree:
+        raise DegreeError(what)
+    return L.coords(e, degree)
+
+
+def pretty_element(L, vec, degree):
+    """Canonical bracket-expression string for the element of L with
+    coordinates vec on basis(degree)."""
+    basis = L.basis(degree)
     bits = []
-    for i in sorted(coords.entries):
-        c = coords.entries[i]
-        label = basis[i].label or ("e%d_%d" % (deg, i))
+    for i, c in sorted(vec.entries.items()):
+        label = basis[i].label or ("e%d_%d" % (degree, i))
         bits.append(label if c == 1 else "%s * %s" % (print_rational(c), label))
-    return " + ".join(bits)
+    return " + ".join(bits) or "0"
 
 
 def _cap_of(L):
@@ -257,21 +260,22 @@ def cmd_bch(task: Task) -> Report:
     ws, L = _load(task)
     x = _parse_expr_str(task.exprs["x"], L)
     y = _parse_expr_str(task.exprs["y"], L)
-    out = bch(x, y)
+    u, v = (_coords(L, e, 0, "BCH arguments must be degree 0") for e in (x, y))
+    out = bch(L.bch_law(), u.entries, v.entries)[0]
     report = Report(command=task.echo())
     report.caps["truncation"] = _cap_of(L)
-    report.tables["bch"] = {"result": pretty_element(L, out)}
+    report.tables["bch"] = {"result": pretty_element(L, out, 0)}
     return report
 
 
 def cmd_gauge(task: Task) -> Report:
     ws, L = _load(task)
     x = _parse_expr_str(task.exprs["x"], L)
-    a = _parse_expr_str(task.exprs["a"], L)
-    res = gauge_act(x, MCElement(L, a))
+    a = MCElement(L, _parse_expr_str(task.exprs["a"], L))
+    res = gauge_act(_coords(L, x, 0, "gauge actor must be degree 0").entries, a)
     report = Report(command=task.echo())
     report.caps["truncation"] = _cap_of(L)
-    report.tables["gauge"] = {"result": pretty_element(L, res.value),
+    report.tables["gauge"] = {"result": pretty_element(L, res, -1),
                               "mc_check": "pass"}
     return report
 
@@ -285,7 +289,7 @@ def cmd_gauge_equiv(task: Task) -> Report:
     report.caps["truncation"] = _cap_of(L)
     if res.equivalent:
         report.tables["gauge_equiv"] = {
-            "equivalent": True, "witness": pretty_element(L, res.witness),
+            "equivalent": True, "witness": pretty_element(L, res.witness, 0),
             "level": res.level}
     else:
         report.tables["gauge_equiv"] = {
@@ -306,8 +310,9 @@ def cmd_exp(task: Task) -> Report:
     phi = exp_derivation_values(theta.source, theta.values)
     report = Report(command=task.echo())
     report.caps["truncation"] = _cap_of(theta.source)
-    report.tables["exp"] = {g.name: pretty_element(theta.source, img)
-                            for g, img in phi.images.items()}
+    report.tables["exp"] = {g.name: pretty_element(
+        theta.source, theta.source.coords(img, g.degree), g.degree)
+        for g, img in phi.images.items()}
     return report
 
 
@@ -320,8 +325,9 @@ def cmd_log(task: Task) -> Report:
     values = log_morphism(phi)
     report = Report(command=task.echo())
     report.caps["truncation"] = _cap_of(phi.source)
-    report.tables["log"] = {g.name: pretty_element(phi.source, v)
-                            for g, v in values.items() if not v.is_zero()}
+    report.tables["log"] = {g.name: pretty_element(
+        phi.source, phi.source.coords(v, g.degree), g.degree)
+        for g, v in values.items() if not v.is_zero()}
     return report
 
 
@@ -347,7 +353,7 @@ def cmd_h0(task: Task) -> Report:
         consts["h%d*h%d" % (i, j)] = val or "0"
     report.tables["structure_constants"] = consts
     report.tables["representatives"] = {
-        "h%d" % i: pretty_element(L, L.from_coords(z, 0))
+        "h%d" % i: pretty_element(L, z, 0)
         for i, z in enumerate(G.reports[0].cycle_reps)}
     if task.check_stability:
         report.notes.append("structure constants are the stage-%d Malcev "

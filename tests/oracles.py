@@ -20,8 +20,11 @@ element by element with its unit tables, its element-by-element complex
 builder and the element paths of D, ad and the brackets of Der and
 Der (x~) sL on derivation tables (derivation_differential, ad_derivation,
 derivation_bracket, der_sl_bracket), the representatives, classes and law
-of an H_0 group read through elements, the operator BCH of derivations
-and the Hom (x~) Der product, the element path of Hom(C, L) (HomElement
+of an H_0 group read through elements, the engine's BCH of L_0 and its
+gauge action and gauge-equivalence witness on Lie elements (l_bch,
+l_gauge_act, l_gauge_equivalent: coordinates in and elements out), the
+word BCH of Lie elements (tensor_bch, by w_bch), the operator BCH of
+derivations and the Hom (x~) Der product, the element path of Hom(C, L) (HomElement
 tables and ConvolutionElements: D, the convolution bracket, the MC check
 and the splitting Hom(C, L) = Hom(C-bar, L) x~ L), and the adjunction beta
 with its CoalgebraMap),
@@ -40,9 +43,10 @@ from math import factorial, gcd
 from cdgl.coalgebra import (CDGC, CoalgebraError, ConvolutionDGL, chains_functor,
                             lie_functor, wedge_normalize)
 from cdgl.derivations import DerSpace, Derivation, der_g_zero
-from cdgl.dgl import (DGLPresentation, MCElement, MCViolationError, _max_iterations,
-                      ad_values, apply_operator, check_mc, exp_ad,
-                      exp_derivation_values, log_morphism, nilpotent_series)
+from cdgl.dgl import (DGLPresentation, GaugeResult, MCElement, MCViolationError,
+                      _max_iterations, ad_values, apply_operator, bch, check_mc,
+                      exp_ad, exp_derivation_values, gauge_act, gauge_equivalent,
+                      log_morphism, nilpotent_series)
 from cdgl.exactlin import (ExactnessError, FactoredBasis, GradedChainComplex,
                            IllFormedComplexError, LongExactSequence, NotInSpanError,
                            SparseMat, SparseVec, accumulate, exact,
@@ -793,7 +797,34 @@ def der_h0_elements(L, spec, G):
 
 def h0_mul(G, u, v):
     """The BCH product of two classes of the H_0 group G, read off its table."""
-    return G._bch(u.entries, v.entries)[0]
+    return bch(G.law, u.entries, v.entries)[0]
+
+
+def l_bch(L, x, y):
+    """x * y for degree-0 Lie elements of L under the engine's BCH law of
+    L_0 (dgl.bch on L's bracket table), as a Lie element."""
+    return L.from_coords(bch(L.bch_law(), L.coords(x, 0).entries,
+                             L.coords(y, 0).entries)[0], 0)
+
+
+def tensor_bch(x, y):
+    """log(exp x exp y) of Lie elements in their truncated tensor algebra,
+    by the word oracle w_bch."""
+    return LieElement(w_bch(x.terms, y.terms, x.trunc.max_bracket_length), x.trunc)
+
+
+def l_gauge_act(x, a) -> MCElement:
+    """x gauge a for a degree-0 Lie element x of a's presentation, by the
+    engine's dgl.gauge_act on coordinates, as an MC element."""
+    L = a.owner
+    return MCElement(L, L.from_coords(gauge_act(L.coords(x, 0).entries, a), -1))
+
+
+def l_gauge_equivalent(a, b) -> GaugeResult:
+    """The engine's gauge_equivalent, with the witness as a Lie element."""
+    res = gauge_equivalent(a, b)
+    witness = None if res.witness is None else a.owner.from_coords(res.witness, 0)
+    return GaugeResult(witness, res.level, res.failed_stage)
 
 
 def h0_bracket(G, u, v):
@@ -863,7 +894,8 @@ def component_complex(L, a, degrees):
 def fraction_gauge_series(x, a) -> LieElement:
     """x gauge a = sum_i ad_x^i(a)/i! - sum_i ad_x^i(dx)/(i+1)! on Fractions,
     with ad_x the derivation extension of its generator values, summed
-    power by power as the engine's gauge_act did before it moved to ints."""
+    power by power on tensor words, as the engine's gauge_act did before it
+    moved to ints and then to basis coordinates."""
     owner = a.owner
     adx = ad_values(owner, x)
 
@@ -894,7 +926,8 @@ def export_source(L, name=None) -> str:
     for g in L.gens:
         val = L.d_on_gens[g]
         if not val.is_zero():
-            lines.append("  d %s = %s" % (g.name, pretty_element(L, val)))
+            lines.append("  d %s = %s" % (g.name, pretty_element(
+                L, L.coords(val, g.degree - 1), g.degree - 1)))
     for g in L.mc_gens:
         gname = g.name if hasattr(g, "name") else str(g)
         lines.append("  mc %s" % gname)

@@ -14,7 +14,7 @@ from cdgl.dgl import (ClassTable, DGLMorphism, DGLPresentation,
                       exp_derivation_values, gauge_act, gauge_equivalent,
                       h0_group, log_morphism, nilpotency)
 from cdgl.exactlin import (HomologyReport, InternalError, NotInSpanError,
-                           SparseMat, SparseVec, homology_at)
+                           SparseMat, SparseVec, _vec, homology_at)
 from cdgl.freelie import Generator, LieElement, Truncation, bracket, lie_basis
 from cdgl.models import (bernoulli, circle_model, interval_model,
                          mc_point_model, sphere_model, wedge_model)
@@ -23,8 +23,9 @@ from cdgl.workbench.tasks import pretty_element
 
 from oracles import (act_on_morphism, assert_exact, component_complex,
                      dense_nilpotency_class, dense_solve, eager_h0_table,
-                     fraction_gauge_series, h0_mul, l_h0_elements, left_normed,
-                     perturbed, w_apply_operator, w_bch)
+                     fraction_gauge_series, h0_mul, l_bch, l_gauge_act,
+                     l_gauge_equivalent, l_h0_elements, left_normed, perturbed,
+                     tensor_bch, w_apply_operator, w_bch)
 
 
 def T(n):
@@ -187,10 +188,10 @@ def test_perturbation_mc_bijection_randomized():
     Lb = perturbed(L, b)
     for _ in range(20):
         x = rand_deg0(rng, L)
-        z = gauge_act(x, MCElement(L, b)).value  # MC in L
+        z = l_gauge_act(x, MCElement(L, b)).value  # MC in L
         ok, _ = check_mc(Lb, z - b)
         assert ok
-        w = gauge_act(x, MCElement(Lb, L.zero())).value  # MC in (L, d_b)
+        w = l_gauge_act(x, MCElement(Lb, L.zero())).value  # MC in (L, d_b)
         ok2, _ = check_mc(L, w + b)
         assert ok2
 
@@ -200,8 +201,8 @@ def test_perturbation_mc_bijection_randomized():
 def test_bch_with_zero():
     L = wedge_model((1, 1), T(4))
     x = L.gen("x")
-    assert bch(x, L.zero()) == x
-    assert bch(L.zero(), x) == x
+    assert l_bch(L, x, L.zero()) == x
+    assert l_bch(L, L.zero(), x) == x
 
 
 def test_bch_collinear_divisibility():
@@ -211,13 +212,13 @@ def test_bch_collinear_divisibility():
         a = rand_deg0(rng, L)
         mu = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         nu = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        assert bch(a.scale(mu), a.scale(nu)) == a.scale(mu + nu)
+        assert l_bch(L, a.scale(mu), a.scale(nu)) == a.scale(mu + nu)
 
 
 def test_bch_low_order_formula():
     L = wedge_model((1, 1), T(2))
     u, v = L.gen("x"), L.gen("y")
-    assert bch(u, v) == u + v + bracket(u, v).scale(Fraction(1, 2))
+    assert l_bch(L, u, v) == u + v + bracket(u, v).scale(Fraction(1, 2))
 
 
 def test_bch_against_independent_oracle_cap6():
@@ -230,7 +231,7 @@ def test_bch_against_independent_oracle_cap6():
     for _ in range(6):
         x = rand_deg0(rng, L, n_terms=2)
         y = rand_deg0(rng, L, n_terms=2)
-        got = bch(x, y)
+        got = l_bch(L, x, y)
         want = w_bch(to_words(x), to_words(y), 6)
         assert to_words(got) == want
 
@@ -240,7 +241,35 @@ def test_bch_associative_at_truncation():
     L = wedge_model((1, 1), T(4))
     for _ in range(10):
         x, y, z = (rand_deg0(rng, L, n_terms=2) for _ in range(3))
-        assert bch(bch(x, y), z) == bch(x, bch(y, z))
+        assert l_bch(L, l_bch(L, x, y), z) == l_bch(L, x, l_bch(L, y, z))
+
+
+@pytest.mark.parametrize("spheres, cap", [
+    pytest.param(spheres, cap, id="wedge(%s)-cap%d" % (",".join(map(str, spheres)), cap))
+    for spheres in ((1, 1), (1, 1, 1)) for cap in range(2, 7)]
+    + [pytest.param(None, 4, id="W")])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_table_bch_matches_word_oracle(spheres, cap, data):
+    # dgl.bch on L's bracket table against log(exp x exp y) on tensor words,
+    # both orders, on L_0 of a wedge of circles or of W (two_intervals.cdgl,
+    # cap 4), each argument holding a basis element of length >= 2
+    L = _two_intervals() if spheres is None else wedge_model(spheres, T(cap))
+    basis = L.basis(0)
+    first = min(k for k, e in enumerate(basis) if e.min_length() > 1)
+
+    def coords():
+        u = data.draw(st.dictionaries(st.integers(0, len(basis) - 1),
+                                      _frac6.filter(bool), max_size=3))
+        u[data.draw(st.integers(first, len(basis) - 1))] = data.draw(_frac6.filter(bool))
+        return u
+
+    u, v = coords(), coords()
+    x, y = L.from_coords(_vec(u), 0), L.from_coords(_vec(v), 0)
+    uv, vu = bch(L.bch_law(), u, v)
+    assert L.from_coords(uv, 0).terms == w_bch(x.terms, y.terms, cap)
+    assert L.from_coords(vu, 0).terms == w_bch(y.terms, x.terms, cap)
+    assert_exact(list(uv.entries.values()) + list(vu.entries.values()))
 
 
 # -- exp/log -------------------------------------------------------------------
@@ -329,7 +358,7 @@ def test_exp_is_group_morphism_via_bch():
     for _ in range(8):
         y = rand_deg0(rng, L, 2)
         z = rand_deg0(rng, L, 2)
-        lhs = exp_ad(L, bch(y, z))
+        lhs = exp_ad(L, l_bch(L, y, z))
         rhs = exp_ad(L, y).compose(exp_ad(L, z))
         assert lhs == rhs
 
@@ -339,7 +368,7 @@ def test_exp_is_group_morphism_via_bch():
 def test_gauge_identity_law():
     L = circle_model(T(5))
     a = MCElement(L, L.gen("b"))
-    assert gauge_act(L.zero(), a).value == a.value
+    assert l_gauge_act(L.zero(), a).value == a.value
 
 
 def test_gauge_abelian_case():
@@ -350,7 +379,7 @@ def test_gauge_abelian_case():
     eu = LieElement.gen(u, trunc)
     L = build_dgl((u, r), {u: LieElement.gen(r, trunc)}, trunc)
     a = MCElement(L, L.zero())
-    res = gauge_act(L.gen("u"), a)
+    res = l_gauge_act(L.gen("u"), a)
     assert res.value == -L.d(L.gen("u"))
 
 
@@ -361,8 +390,8 @@ def test_gauge_composition_law_randomized():
     for _ in range(12):
         x = rand_deg0(rng, L, 2)
         y = rand_deg0(rng, L, 2)
-        lhs = gauge_act(bch(x, y), b)
-        rhs = gauge_act(x, gauge_act(y, b))
+        lhs = l_gauge_act(l_bch(L, x, y), b)
+        rhs = l_gauge_act(x, l_gauge_act(y, b))
         assert lhs.value == rhs.value
 
 
@@ -374,10 +403,10 @@ def test_gauge_composition_law_on_interval(cap, mc, s, t):
     L = interval_model(T(cap))
     a = MCElement(L, L.gen(mc))
     x, y = L.gen("x").scale(s), L.gen("x").scale(t)
-    assert gauge_act(L.zero(), a).value == a.value
-    assert gauge_act(bch(x, y), a).value == gauge_act(x, gauge_act(y, a)).value
-    res = gauge_equivalent(a, gauge_act(x, a))
-    assert res.equivalent and gauge_act(res.witness, a).value == gauge_act(x, a).value
+    assert l_gauge_act(L.zero(), a).value == a.value
+    assert l_gauge_act(l_bch(L, x, y), a).value == l_gauge_act(x, l_gauge_act(y, a)).value
+    res = l_gauge_equivalent(a, l_gauge_act(x, a))
+    assert res.equivalent and l_gauge_act(res.witness, a).value == l_gauge_act(x, a).value
 
 
 _frac6 = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -417,9 +446,30 @@ def _gauge_case(draw):
 @given(_gauge_case())
 def test_gauge_act_matches_fraction_series(case):
     x, a = case
-    got = gauge_act(x, a).value
+    got = l_gauge_act(x, a).value
     assert got.terms == fraction_gauge_series(x, a).terms
     assert_exact(got.terms.values())
+
+
+@pytest.mark.parametrize("model, mcs", [(interval_model, ("a", "b")),
+                                        (circle_model, ("b",)), (None, ("a", "b", "c"))],
+                         ids=["L1", "S1", "W"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_coordinate_gauge_matches_fraction_series(model, mcs, data):
+    # dgl.gauge_act on L's coordinates against the Fraction series on tensor
+    # words, for x anywhere in L_0 and a an MC generator or 0; W is
+    # two_intervals.cdgl at its cap 4
+    L = _two_intervals() if model is None else model(T(data.draw(st.integers(2, 7))))
+    n = len(L.basis(0))
+    u = data.draw(st.dictionaries(st.integers(0, n - 1), _frac6.filter(bool),
+                                  max_size=3))
+    name = data.draw(st.sampled_from(mcs + ("0",)))
+    a = MCElement(L, L.zero() if name == "0" else L.gen(name))
+    got = gauge_act(u, a)
+    assert L.from_coords(got, -1).terms == fraction_gauge_series(
+        L.from_coords(_vec(u), 0), a).terms
+    assert_exact(got.entries.values())
 
 
 def test_interval_gauge_transport_mirrored_and_paper():
@@ -427,7 +477,7 @@ def test_interval_gauge_transport_mirrored_and_paper():
     a = MCElement(L, L.gen("a"))
     b = MCElement(L, L.gen("b"))
     x = L.gen("x")
-    assert gauge_act(x, a).value == b.value        # builtin orientation
+    assert l_gauge_act(x, a).value == b.value        # builtin orientation
     # the printed orientation dx = ad_x b + sum B_n/n! ad_x^n (b - a) is the
     # same interval with the endpoints swapped: there, x transports b to a
     trunc = T(6)
@@ -446,13 +496,13 @@ def test_interval_gauge_transport_mirrored_and_paper():
     P = build_dgl((ga, gb, gx), {ga: bracket(ea, ea).scale(Fraction(-1, 2)),
                                  gb: bracket(eb, eb).scale(Fraction(-1, 2)),
                                  gx: dx}, trunc, mc_gens=(ga, gb))
-    assert gauge_act(P.gen("x"), MCElement(P, P.gen("b"))).value == P.gen("a")
+    assert l_gauge_act(P.gen("x"), MCElement(P, P.gen("b"))).value == P.gen("a")
 
 
 def test_gauge_equivalent_reflexive():
     L = circle_model(T(5))
     b = MCElement(L, L.gen("b"))
-    res = gauge_equivalent(b, b)
+    res = l_gauge_equivalent(b, b)
     assert res.equivalent and res.witness.is_zero()
 
 
@@ -460,9 +510,9 @@ def test_gauge_equivalent_interval():
     L = interval_model(T(6))
     a = MCElement(L, L.gen("a"))
     b = MCElement(L, L.gen("b"))
-    res = gauge_equivalent(a, b)
+    res = l_gauge_equivalent(a, b)
     assert res.equivalent
-    assert gauge_act(res.witness, a).value == b.value
+    assert l_gauge_act(res.witness, a).value == b.value
 
 
 def test_gauge_equivalent_negative_circle():
@@ -471,7 +521,7 @@ def test_gauge_equivalent_negative_circle():
     L = circle_model(T(5))
     b = MCElement(L, L.gen("b"))
     zero = MCElement(L, L.zero())
-    res = gauge_equivalent(zero, b)
+    res = l_gauge_equivalent(zero, b)
     assert not res.equivalent
     assert res.failed_stage == 1
 
@@ -485,9 +535,9 @@ def test_gauge_perturbation_equivariance():
     La = perturbed(L, a)
     for _ in range(8):
         x = rand_deg0(rng, L, 2)
-        z = gauge_act(x, MCElement(L, L.gen("b"))).value
-        lhs = gauge_act(x, MCElement(La, z - a)).value
-        rhs = gauge_act(x, MCElement(L, z)).value - a
+        z = l_gauge_act(x, MCElement(L, L.gen("b"))).value
+        lhs = l_gauge_act(x, MCElement(La, z - a)).value
+        rhs = l_gauge_act(x, MCElement(L, z)).value - a
         assert lhs == rhs
 
 
@@ -497,10 +547,10 @@ def test_gauge_equivalent_randomized_orbit():
     a = MCElement(L, L.gen("a"))
     for _ in range(6):
         x = rand_deg0(rng, L, 2)
-        target = gauge_act(x, a)
-        res = gauge_equivalent(a, target)
+        target = l_gauge_act(x, a)
+        res = l_gauge_equivalent(a, target)
         assert res.equivalent
-        assert gauge_act(res.witness, a).value == target.value
+        assert l_gauge_act(res.witness, a).value == target.value
 
 
 
@@ -533,38 +583,33 @@ _ACTORS = {"x + y": lambda x, y: x + y,
                     "+ 1/12 * [y,[x,y]] + -1/8 * [x,[x,[x,y]]] + 1/24 * [x,[y,[x,y]]]"),
 ])
 def test_gauge_equivalent_with_free_columns(source, target, witness):
-    # the target is an MC generator or gauge_act(z, a) for the named z; the
+    # the target is an MC generator or l_gauge_act(z, a) for the named z; the
     # witnesses are the free-variables-zero stage solutions, pinned
     L = _two_intervals()
     a = MCElement(L, L.gen(source))
     if target in _ACTORS:
         z = _ACTORS[target](L.gen("x"), L.gen("y"))
-        t = gauge_act(z, MCElement(L, L.gen("a")))
+        t = l_gauge_act(z, MCElement(L, L.gen("a")))
     else:
         t = MCElement(L, L.gen(target))
     res = gauge_equivalent(a, t)
-    assert res.equivalent and pretty_element(L, res.witness) == witness
-    assert gauge_act(res.witness, a).value == t.value
+    assert res.equivalent and pretty_element(L, res.witness, 0) == witness
+    assert l_gauge_act(L.from_coords(res.witness, 0), a).value == t.value
     # d_t^2 = 0 holds, as gauge_equivalent assumes of d + ad_t
     perturbed(L, t).validate()
 
 
-
-def test_gauge_stage_target_outside_its_rows_is_internal(monkeypatch):
-    # a stage's target has coordinates only on the rows of its length; one
-    # elsewhere means a broken basis order, and it is not dropped
-    L = interval_model(T(3))
-    a, b = MCElement(L, L.gen("a")), MCElement(L, L.gen("b"))
-    coords, last = L.coords, len(L.basis(-1)) - 1
-
-    def shifted(e, degree):
-        if e == a.value - b.value:
-            return SparseVec({last: Fraction(1)})
-        return coords(e, degree)
-
-    monkeypatch.setattr(L, "coords", shifted)
-    with pytest.raises(InternalError, match="gauge stage 1 target outside its rows"):
-        gauge_equivalent(a, b)
+def test_gauge_equivalent_builds_the_bch_series_once(monkeypatch):
+    # every stage's witness is a BCH product under one law of L_0, whose
+    # series is built on the first product that needs it
+    built, products = [], []
+    series, product = cdgl.dgl.bch_series, cdgl.dgl.bch
+    monkeypatch.setattr(cdgl.dgl, "bch_series", lambda c: built.append(c) or series(c))
+    monkeypatch.setattr(cdgl.dgl, "bch", lambda *args: products.append(1) or product(*args))
+    L = _two_intervals()
+    res = gauge_equivalent(MCElement(L, L.gen("b")), MCElement(L, L.gen("c")))
+    assert res.equivalent and len(products) > 2
+    assert built == [L.trunc.max_bracket_length]
 
 
 # -- H0 group -------------------------------------------------------------------
@@ -688,12 +733,12 @@ def test_h0_table_law_matches_tensor_bch(model, cap):
     n = G.dimension
     assert sorted(G.structure) == [(i, j) for i in range(n) for j in range(n)]
     for (i, j), prod in G.structure.items():
-        assert prod == class_of(bch(reps[i], reps[j]))
+        assert prod == class_of(tensor_bch(reps[i], reps[j]))
     # every degree-0 element of these models is a cycle
     rng = random.Random(cap)
     for _ in range(3):
         a, b = rand_deg0(rng, L, 3), rand_deg0(rng, L, 3)
-        assert h0_mul(G, class_of(a), class_of(b)) == class_of(bch(a, b))
+        assert h0_mul(G, class_of(a), class_of(b)) == class_of(tensor_bch(a, b))
 
 
 def test_h0_class_of_outside_span_raises():
@@ -762,7 +807,7 @@ def test_h0_divisibility_law():
         a = rand_deg0(rng, L, 2)
         mu = Fraction(rng.randint(-2, 3), rng.randint(1, 2))
         nu = Fraction(rng.randint(-2, 3), rng.randint(1, 2))
-        lhs = class_of(bch(a.scale(mu), a.scale(nu)))
+        lhs = class_of(l_bch(L, a.scale(mu), a.scale(nu)))
         rhs = class_of(a.scale(mu + nu))
         assert lhs == rhs
 
@@ -790,8 +835,8 @@ def test_h0_structure_constants_representative_independent():
     assert G2.dimension == 1  # v is a boundary, u survives
     x = L2.gen("u")
     shifted = x + L2.d(L2.gen("s")).scale(Fraction(5, 3))
-    for other in (L2.gen("u"), bch(x, x)):
-        assert class_of(bch(x, other)) == class_of(bch(shifted, other))
+    for other in (L2.gen("u"), l_bch(L2, x, x)):
+        assert class_of(l_bch(L2, x, other)) == class_of(l_bch(L2, shifted, other))
 
 
 def test_h0_identity_and_inverse():
@@ -830,7 +875,7 @@ def test_action_compatible_with_bch():
     for _ in range(6):
         y = rand_deg0(rng, L, 2)
         z = rand_deg0(rng, L, 2)
-        lhs = act_on_morphism(bch(y, z), phi)
+        lhs = act_on_morphism(l_bch(L, y, z), phi)
         rhs = act_on_morphism(y, act_on_morphism(z, phi))
         assert lhs == rhs
 

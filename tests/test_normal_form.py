@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdgl.dgl import apply_operator, bch, h0_group
+from cdgl.dgl import apply_operator, h0_group
 from cdgl.exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
                            SparseMat, SparseVec, exact, kernel_basis, ratio)
 from cdgl.freelie import Generator, LieElement, Truncation, bracket, mul
 from cdgl.models import interval_model, sphere_model, wedge_model
 
-from oracles import (assert_exact, dense_kernel, dense_solve, w_apply_operator,
-                     w_bch, w_bracket)
+from oracles import (assert_exact, dense_kernel, dense_solve, l_bch,
+                     w_apply_operator, w_bch, w_bracket)
 
 _mixed = st.one_of(st.integers(-4, 4),
                    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3])))
@@ -87,7 +87,7 @@ def test_bch_matches_word_oracle_in_normal_form(cx, cy):
     trunc = Truncation(5)
     x, y = _lie_combination(cx, trunc), _lie_combination(cy, trunc)
     assert_exact(list(x.terms.values()) + list(y.terms.values()))
-    got = bch(x, y).terms
+    got = l_bch(wedge_model((1, 1), trunc), x, y).terms
     assert got == w_bch(_fractions(x.terms), _fractions(y.terms), 5)
     assert_exact(got.values())
 

@@ -42,9 +42,9 @@ def broad_handlers(src=SRC):
     return found
 
 
-def raises_of(exc_name, src=SRC):
-    """file:function of every raise of exc_name under src, by the innermost
-    function that holds it."""
+def _sites(hit, src):
+    """file:function of every node under src for which hit is true, by the
+    innermost function that holds it."""
     found = []
 
     def visit(node, path, func):
@@ -52,15 +52,29 @@ def raises_of(exc_name, src=SRC):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path, child.name)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if exc_name in _caught(exc):
-                    found.append("%s:%s" % (path, func))
+            if hit(child):
+                found.append("%s:%s" % (path, func))
             visit(child, path, func)
 
     for path, tree in _trees(src):
         visit(tree, path, None)
     return found
+
+
+def raises_of(exc_name, src=SRC):
+    """file:function of every raise of exc_name under src."""
+    def hit(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc_name in _caught(exc)
+    return _sites(hit, src)
+
+
+def calls_of(name, src=SRC):
+    """file:function of every call of name, or of an attribute name, under src."""
+    return _sites(lambda node: isinstance(node, ast.Call) and name in _caught(node.func),
+                  src)
 
 
 def imports_of(module, src=SRC):
@@ -117,3 +131,17 @@ def test_no_true_division(tmp_path):
     assert true_divisions() == []
     (tmp_path / "m.py").write_text("x = a // b\ny = a / b\nz = 1\nz /= 2\n")
     assert sorted(true_divisions(str(tmp_path))) == ["m.py:2", "m.py:4"]
+
+
+def test_tensor_exp_and_log_run_only_under_the_bch_series(tmp_path):
+    # BCH is evaluated on bracket tables (dgl.bch); the tensor-algebra exp
+    # and log build only its two-letter series, so a second BCH on tensor
+    # words cannot come back
+    for name in ("exp_terms", "log_terms"):
+        sites = calls_of(name)
+        assert sites and set(sites) == {"dgl.py:bch_series"}, sites
+    (tmp_path / "m.py").write_text(
+        "def f():\n    return freelie.exp_terms(x)\n"
+        "def g():\n    def h():\n        exp_terms(y)\n    return h\n"
+        "exp_terms(z)\n")
+    assert calls_of("exp_terms", str(tmp_path)) == ["m.py:f", "m.py:h", "m.py:None"]

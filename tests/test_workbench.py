@@ -622,6 +622,19 @@ def test_truncate_zero_is_a_diagnostic(capsys):
     assert [d.message for d in rep.diagnostics] == ["truncation cap must be >= 1"]
 
 
+def test_negative_poly_cap_is_a_diagnostic(capsys):
+    # a negative polynomial cap is refused as an argument, as a truncation
+    # cap of 0 is, not reported as a polynomial cap that a form exceeds
+    from cdgl.workbench.cli import main
+    code = main(["witness", os.path.join(DATA, "wedge_homotopy.cdgl"), "--homotopy", "Psi",
+                 "--from", "f", "--to", "g", "--poly-cap", "-1", "--format", "canonical"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status = diagnostics" in out
+    assert "diagnostic = 0:0 error polynomial cap must be >= 0" in out
+    assert "resource-limit" not in out and "exceeds cap" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["--model", "S1", "--word-cap", "2", "--truncate", "3"],
     ["--model", "S1", "--word-cap", "1", "--truncate", "3"],
