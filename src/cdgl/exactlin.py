@@ -608,6 +608,29 @@ def les_of_ses(tw: TwistedComplex, degrees, hA=None, hB=None) -> LongExactSequen
                              maps_i=maps_i, maps_p=maps_p, connecting=conn)
 
 
+def extension_dimensions(hQ, dims, boundary, cross) -> dict:
+    """dim H_n, n in the degree window of hQ, of a split extension
+    sub -> total -> quotient, read off its long exact sequence with no
+    total complex built:
+
+        dim H_n = dim H_n(Q) - r_n + dim H_n(A) - r_{n+1},
+
+    A the sub, Q the quotient and r_n the rank of the connecting map
+    H_n(Q) -> H_{n-1}(A).  hQ holds Q's homology reports on the window;
+    dims[n] is dim A_n; boundary[n] lists the columns of d_A at n, and
+    cross[n] the cross block on hQ[n].cycle_reps, each a cycle of A_{n-1};
+    a degree missing from boundary or cross is zero there.  As in a
+    window's complex (GradedChainComplex.from_columns), nothing bounds into
+    the window's top degree, so r and d_A stop at it."""
+    rank_d, conn = {}, {}
+    for n in hQ:
+        span = _span(boundary.get(n, ()))
+        rank_d[n] = span.rank
+        conn[n] = sum(1 for v in cross.get(n, ()) if span.add(v))
+    return {n: h.dimension - conn[n] + dims[n] - rank_d[n] - rank_d.get(n + 1, 0)
+            - conn.get(n + 1, 0) for n, h in hQ.items()}
+
+
 def _exact(fin: SparseMat, fout: SparseMat, slot):
     """Exactness of a sequence at one slot, fin into it and fout out of it:
     image = kernel, by rank arithmetic plus containment."""

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .exactlin import (FactoredBasis, IncrementalSpan, NotInSpanError,
-                       ResourceLimitError, SparseVec, accumulate,
+from .exactlin import (FactoredBasis, IncrementalSpan, InternalError,
+                       NotInSpanError, ResourceLimitError, SparseVec, accumulate,
                        clear_denominators, exact, ratio, settled)
 from .record import FrozenRecord
 
@@ -391,6 +391,58 @@ def lie_basis(gens, degree, length, trunc: Truncation):
         f.label = label
         out.append(f)
     return out
+
+
+def lie_dimension(gens, degree, length, trunc: Truncation) -> int:
+    """The size of lie_basis(gens, degree, length, trunc), with no basis
+    built: 0 above trunc's degree cap, else the super-Witt formula in the
+    (degree, length) grading, parity the degree mod 2,
+
+        dim = (-1)^n / k * sum_{r | gcd(k, n)} mu(r) (-1)^(n/r) w(n/r, k/r),
+
+    n the degree, k the length and w(m, j) the number of words of length j
+    and degree m.  It is the Moebius inversion of the super-PBW theorem:
+    T(V) = U(L) is S(L_even) x Lambda(L_odd) as a bigraded space, so with x
+    counting degree and t length, 1 / (1 - sum_g (-x)^|g| t) is the product
+    of (1 - x^m t^j)^(-(-1)^m dim L_(m, j))."""
+    if length > trunc.max_bracket_length:
+        raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
+    if trunc.max_degree is not None and degree > trunc.max_degree:
+        return 0
+    total = 0
+    for r in range(1, length + 1):
+        if length % r == 0 and degree % r == 0:
+            m = degree // r
+            total += _mobius(r) * (-1) ** (m % 2) * _word_count(gens, m, length // r)
+    if total % length:
+        raise InternalError("the super-Witt sum at degree %d, length %d is not "
+                            "divisible by the length" % (degree, length))
+    return (-1) ** (degree % 2) * total // length
+
+
+def _mobius(r):
+    """The Moebius function of r >= 1, by trial division."""
+    sign, p = 1, 2
+    while r > 1:
+        if r % p == 0:
+            r //= p
+            if r % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def _word_count(gens, degree, length):
+    """The number of words of the given length and degree in gens."""
+    counts = {0: 1}
+    for _ in range(length):
+        step = {}
+        for m, c in counts.items():
+            for g in gens:
+                step[m + g.degree] = step.get(m + g.degree, 0) + c
+        counts = step
+    return counts.get(degree, 0)
 
 
 def _bracket_with_generator(g, terms, even):

@@ -1,7 +1,11 @@
 """Task orchestration: validated parameters in, deterministic reports out.
 
-Homology-bearing tasks recompute at cap + 1 only what their stability key
-compares (see _stability), which is what the stability flag certifies.
+Homology-bearing tasks compute at cap + 1 only what their stability key
+compares (see _stability), which is what the stability flag certifies:
+homology reads it off the length filtration, from the cap-N answer and the
+layer of words of length N + 1 (_homology_again); h0, pi-map, baut and
+bautstar re-run their command at cap + 1.
+
 Resource-limit overruns downgrade the report instead of crashing, and a
 failed engine invariant is reported as an internal error, apart from the
 diagnostics for a user's mistakes.
@@ -17,8 +21,10 @@ from ..derivations import (GSpec, classifying_invariants, gamma_check,
                            mapping_space_pi)
 from ..dgl import (DGLMorphism, MCElement, bch, gauge_act, gauge_equivalent,
                    h0_group, log_morphism, exp_derivation_values)
-from ..exactlin import InternalError, ResourceLimitError, homology_at
-from ..freelie import DegreeError, set_resource_limit
+from ..exactlin import (InternalError, ResourceLimitError, SparseVec,
+                        extension_dimensions, homology_at)
+from ..freelie import (DegreeError, check_resource_limit, lie_basis, lie_dimension,
+                       set_resource_limit)
 from .ast import print_rational
 from .elaborate import (ElaborationError, eval_expr, load_model,
                         workspace_from_text)
@@ -161,24 +167,89 @@ def _degree_range(task: Task, least=None):
     return lo, hi
 
 
-def _stability(task: Task, report: Report, L, run, key, answer) -> Report:
-    """The cap + 1 re-run: run(cap) returns (L, result), and the report is
-    green when key(result) is the same at cap N as at cap N + 1.  The engine
-    builds what no key reads (long exact sequences, nilpotency, structure
-    constants) on first read, so each re-run computes only its key: the
-    homology dimensions (homology, pi-map, baut, bautstar), the group's
-    dimension and, for h0, abelian up to the first nonzero bracket.  A model
-    ill-formed at cap N + 1, as a d that is a series cut at N, keeps the
-    cap-N answer: the re-run's ElaborationError turns the flag red, with a
-    note naming the cap and the error; an engine error is not caught."""
+def _stability(task: Task, report: Report, L, again, now) -> Report:
+    """The cap + 1 re-run: now is the stability key at cap N, again(cap)
+    computes it at cap N + 1, and the report is green when the two agree.
+    The engine builds what no key reads (long exact sequences, nilpotency,
+    structure constants) on first read, so each re-run computes only its
+    key: the homology dimensions (homology, pi-map, baut, bautstar), the
+    group's dimension and, for h0, abelian up to the first nonzero bracket.
+    pi-map, h0, baut and bautstar re-run their command in full at cap
+    N + 1; homology reads its key off the length filtration
+    (_homology_again).  A model ill-formed at cap N + 1, as a d that is a
+    series cut at N, keeps the cap-N answer: the re-run's ElaborationError
+    turns the flag red, with a note naming the cap and the error; an engine
+    error is not caught."""
     if task.check_stability:
         try:
-            again = key(run(_cap_of(L) + 1)[1])
+            later = again(_cap_of(L) + 1)
         except ElaborationError as exc:
-            again = None
+            later = None
             report.notes.append("stability re-run at cap %d failed: %s" % (_cap_of(L) + 1, exc))
-        report.stability = "green" if key(answer) == again else "red"
+        report.stability = "green" if now == later else "red"
     return report
+
+
+def _homology_again(task: Task, L, hs, cap):
+    """The homology dimensions of hs's window at cap N + 1 = cap, read off
+    the length filtration instead of rebuilding the cap-(N + 1) complex.
+
+    The model is loaded and validated at cap N + 1 as the full re-run would,
+    and it must be the cap-N model with d cut at N (else InternalError).  d
+    raises length or keeps it, so at cap N + 1 the words of length N + 1
+    form a subcomplex, the layer, whose differential is the linear part d_1
+    of d; the quotient by the layer is the cap-N complex, with the answer
+    run's reports hs; and the cross block takes a cap-N cycle to the
+    length-(N + 1) part of its d.  exactlin.extension_dimensions reads the
+    dimensions off the long exact sequence.  The layer's dimensions come
+    from freelie.lie_dimension, which is first held to the answer run's own
+    picks at length N, degree by degree (a miscount is an InternalError,
+    never a quiet flag), and held to the run's resource limit as the
+    layer's basis would be.  Only a model with d != 0 puts anything into
+    coordinates: the cross block on the representatives hs holds, and, for
+    d_1 != 0, d on the layer's basis, each as a vector on the words of its
+    degree, where ranks are the same as on the layer's basis."""
+    _, L1 = _load(task, cap)
+    N, gens, trunc = cap - 1, L.gens, L1.trunc
+    if (L1.gens != gens or trunc.max_degree != L.trunc.max_degree or any(
+            L1.d_on_gens[g].truncated(L.trunc) != L.d_on_gens[g] for g in gens)):
+        raise InternalError("the cap-%d model cut at cap %d is not the cap-%d "
+                            "model" % (cap, N, N))
+    degrees = sorted(hs)
+    for n in degrees:
+        picks = sum(len(next(iter(e.terms))) == N for e in L.basis(n))
+        if picks != lie_dimension(gens, n, N, L.trunc):
+            raise InternalError("lie_dimension miscounts degree %d, length %d: "
+                                "the basis holds %d picks" % (n, N, picks))
+    dims = {n: lie_dimension(gens, n, cap, trunc) for n in [degrees[0] - 1] + degrees}
+    for size in dims.values():
+        check_resource_limit(size, "basis size")
+    boundary, cross = {}, {}
+    if any(not v.is_zero() for v in L1.d_on_gens.values()):
+        words = {}
+
+        def column(e, n):
+            """d e as a vector on the words of degree n - 1, all of length N + 1."""
+            index = words.setdefault(n - 1, {})
+            terms = L1.d(e).terms
+            if any(len(w) <= N for w in terms):
+                raise InternalError("d at degree %d has words below the layer of "
+                                    "length %d" % (n, cap))
+            return SparseVec({index.setdefault(w, len(index)): c
+                              for w, c in terms.items()})
+
+        linear = any(len(w) == 1 for v in L1.d_on_gens.values() for w in v.terms)
+        for n in degrees:
+            if linear:
+                layer = lie_basis(gens, n, cap, trunc)
+                if len(layer) != dims[n]:
+                    raise InternalError("lie_dimension miscounts degree %d, length "
+                                        "%d: the basis holds %d picks"
+                                        % (n, cap, len(layer)))
+                boundary[n] = [v for v in (column(e, n) for e in layer) if v.entries]
+            cross[n] = [v for v in (column(L.from_coords(z, n).truncated(trunc), n)
+                                    for z in hs[n].cycle_reps) if v.entries]
+    return extension_dimensions(hs, dims, boundary, cross)
 
 
 def run_task(task: Task) -> Report:
@@ -238,22 +309,18 @@ def cmd_check(task: Task) -> Report:
 def cmd_homology(task: Task) -> Report:
     lo, hi = _degree_range(task)
     report = Report(command=task.echo())
-
-    def homology_of(trunc_override):
-        _, L = _load(task, trunc_override)
-        C = L.complex(range(lo, hi + 1)).validate()
-        return L, (C.basis, {n: homology_at(C, n) for n in range(lo, hi + 1)})
-
-    L, (labels, hs) = homology_of(None)
+    _, L = _load(task)
+    C = L.complex(range(lo, hi + 1)).validate()
+    hs = {n: homology_at(C, n) for n in range(lo, hi + 1)}
     report.caps["truncation"] = _cap_of(L)
     report.tables["homology"] = {("H_%d" % n): h.dimension for n, h in hs.items()}
     report.tables["representatives"] = {
-        ("H_%d" % n): [" + ".join("%s*%s" % (c, labels[n][i])
+        ("H_%d" % n): [" + ".join("%s*%s" % (c, C.basis[n][i])
                                   for i, c in sorted(z.entries.items()))
                        for z in h.cycle_reps]
         for n, h in hs.items() if h.cycle_reps}
-    return _stability(task, report, L, homology_of, lambda r: {
-        n: h.dimension for n, h in r[1].items()}, (labels, hs))
+    return _stability(task, report, L, lambda cap: _homology_again(task, L, hs, cap),
+                      {n: h.dimension for n, h in hs.items()})
 
 
 def cmd_bch(task: Task) -> Report:
@@ -358,7 +425,8 @@ def cmd_h0(task: Task) -> Report:
     if task.check_stability:
         report.notes.append("structure constants are the stage-%d Malcev "
                             "approximation" % _cap_of(L))
-    return _stability(task, report, L, group_at, lambda g: (g.dimension, g.abelian), G)
+    key = lambda g: (g.dimension, g.abelian)
+    return _stability(task, report, L, lambda cap: key(group_at(cap)[1]), key(G))
 
 
 def _resolve_morphism(task, ws, L):
@@ -389,7 +457,8 @@ def cmd_pi_map(task: Task) -> Report:
     report.tables["fiber_components_h0"] = {"dimension": rep.fiber_components_h0}
     report.notes.append("LES exactness verified at degrees %s"
                         % (rep.les.degrees,))
-    return _stability(task, report, L, run, lambda r: (r.pointed, r.free), rep)
+    key = lambda r: (r.pointed, r.free)
+    return _stability(task, report, L, lambda cap: key(run(cap)[1]), key(rep))
 
 
 def _resolve_gspec(task, ws, L) -> GSpec:
@@ -455,8 +524,8 @@ def _classifying(task: Task, mode) -> Report:
         "homotopy_nilpotency": rep.nilpotency,
         "saturation": rep.saturation_flag,
     }
-    return _stability(task, report, L, run, lambda r: (
-        r.pi_base, r.h0_quotient.dimension, r.total_homology), rep)
+    key = lambda r: (r.pi_base, r.h0_quotient.dimension, r.total_homology)
+    return _stability(task, report, L, lambda cap: key(run(cap)[1]), key(rep))
 
 
 def cmd_baut(task: Task) -> Report:

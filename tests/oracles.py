@@ -13,7 +13,8 @@ engine compares one table of row coefficients per pair of labels and
 brackets only the slots of the pairs whose tables differ.  w_classifying
 takes the classifying nilpotency index on dense word derivations, where
 the engine reads unit slots and sparse spans.  The last sections hold test
-helpers that build engine values (left-normed brackets, the Dynkin map,
+helpers that build engine values (left-normed brackets, the full cap + 1
+homology re-run that rebuilds the whole complex, the Dynkin map,
 connected covers, the perturbed presentation, components, the Fraction
 gauge series, the action on morphisms, model file text, the derivation complex built
 element by element with its unit tables, its element-by-element complex
@@ -49,11 +50,11 @@ from cdgl.dgl import (DGLPresentation, GaugeResult, MCElement, MCViolationError,
                       log_morphism, nilpotent_series)
 from cdgl.exactlin import (ExactnessError, FactoredBasis, GradedChainComplex,
                            IllFormedComplexError, LongExactSequence, NotInSpanError,
-                           SparseMat, SparseVec, accumulate, exact,
+                           SparseMat, SparseVec, accumulate, exact, homology_at,
                            homology_reports, kernel_basis, twisted_product)
 from cdgl.freelie import (LieElement, LieTable, _dynkin_terms, _exp_coefficient,
                           bracket)
-from cdgl.workbench.tasks import pretty_element
+from cdgl.workbench.tasks import _degree_range, _load, pretty_element
 
 
 def dense(mat_entries, n_rows, n_cols):
@@ -836,6 +837,18 @@ def h0_bracket(G, u, v):
             for k, t in table[i].get(j, {}).items():
                 out[k] = out.get(k, 0) + Fraction(a * b * t, D)
     return SparseVec({k: c for k, c in out.items() if c})
+
+
+def full_homology_again(task, cap):
+    """The homology dimensions of a homology task's window at cap, by
+    loading the model at cap and reducing its whole complex: the full cap
+    + 1 re-run, the reference for the one read off the length filtration
+    (tasks._homology_again).  An ill-formed model raises the loader's
+    ElaborationError."""
+    lo, hi = _degree_range(task)
+    _, L = _load(task, cap)
+    C = L.complex(range(lo, hi + 1)).validate()
+    return {n: homology_at(C, n).dimension for n in range(lo, hi + 1)}
 
 
 def dynkin(e: LieElement) -> LieElement:

@@ -10,7 +10,7 @@ from cdgl import freelie
 from cdgl.exactlin import NotInSpanError
 from cdgl.freelie import (Coordinatizer, Generator, LieElement, Truncation,
                           _mul_terms, bracket, exp_terms, is_lie, lie_basis,
-                          log_terms, mul)
+                          lie_dimension, log_terms, mul)
 
 from oracles import (assert_exact, dense_solve, dynkin, gen_sequences, left_normed,
                      mobius, super_witt, w_add, w_bracket, w_dynkin, w_exp,
@@ -357,6 +357,8 @@ def test_lie_basis_matches_all_sequences_oracle(degrees):
         for deg in range(ln * min(degrees), ln * max(degrees) + 1):
             got = [(e.label, to_word_dict(e)) for e in lie_basis(gens, deg, ln, T(5))]
             assert got == w_lie_basis(gens, deg, ln)
+            dim = lie_dimension(gens, deg, ln, T(5))
+            assert type(dim) is int and dim == len(got)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -378,6 +380,23 @@ def test_lie_basis_sizes_match_super_witt(degrees):
             assert set(counts) <= set(alphas)
             for a in alphas:
                 assert counts[a] == super_witt(degrees, a)
+            # the engine's own count, summed over the multidegrees
+            assert lie_dimension(gens, deg, ln, T(6)) == sum(
+                super_witt(degrees, a) for a in alphas)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=8))
+def test_lie_dimension_under_a_degree_cap(degrees, max_degree):
+    # zero above the cap, the uncapped count at or below it, as lie_basis
+    n = next(_fresh)
+    gens = tuple(Generator("c%d_%d" % (n, i), d) for i, d in enumerate(degrees))
+    for ln in range(1, 6):
+        for deg in range(ln * min(degrees), ln * max(degrees) + 1):
+            dim = lie_dimension(gens, deg, ln, T(5, max_degree))
+            assert dim == len(lie_basis(gens, deg, ln, T(5, max_degree)))
+            assert dim == (0 if deg > max_degree else lie_dimension(gens, deg, ln, T(5)))
 
 
 def test_lie_basis_tries_one_candidate_per_sub_basis_element(monkeypatch):

@@ -303,6 +303,13 @@ def test_bch_task():
     rep = run_task(Task("bch", model_ref="wedge(1,1)", trunc=2,
                         exprs={"x": "x", "y": "y"}, check_stability=False))
     assert rep.tables["bch"]["result"] == "x + y + 1/2 * [x,y]"
+    # a word outside the basis of the degree asked for is refused
+    from cdgl.exactlin import NotInSpanError
+    L = builtin_model("wedge", (1, 2, 1), Truncation(4))
+    x, y = L.gen("x"), L.gen("y")
+    for e, degree in ((x, 1), (x + y, 0), (y, 0)):
+        with pytest.raises(NotInSpanError):
+            L.coords(e, degree)
 
 
 def test_gauge_task_and_equiv():
@@ -1109,3 +1116,189 @@ def test_readme_cli_examples_run(monkeypatch, capsys):
     for argv in examples:
         assert main(argv[1:]) == 0, " ".join(argv)
         capsys.readouterr()
+
+
+# -- the homology re-run off the length filtration --------------------------------
+
+def _homology_against_full_rerun(monkeypatch, task):
+    """Run a homology task, and hold the dimensions that its cap + 1 re-run
+    read off the length filtration, and the flag, to the full re-run."""
+    import cdgl.workbench.tasks as tasks
+    from oracles import full_homology_again
+    seen = []
+    again = tasks._homology_again
+    monkeypatch.setattr(tasks, "_homology_again",
+                        lambda *args: seen.append(again(*args)) or seen[-1])
+    rep = run_task(task)
+    assert rep.status == "ok", rep.notes
+    (got,) = seen
+    cap = rep.caps["truncation"] + 1
+    assert got == full_homology_again(task, cap)
+    now = {int(k[2:]): v for k, v in rep.tables["homology"].items()}
+    assert rep.stability == ("green" if got == now else "red")
+    return rep
+
+
+_RERUN_CASES = [
+    # the benchmark's homology commands, full and quick
+    ("wedge(2,2,3)", None, 5, (0, 10)), ("wedge(2,2,3)", None, 3, (0, 10)),
+    ("wedge(2,2,3)", None, 4, (0, 10)), ("wedge(2,3)", None, 7, (0, 14)),
+    ("wedge(2,3)", None, 8, (0, 14)), ("wedge(2,3)", None, 4, (0, 14)),
+    # the CI smoke script's (its models with d != 0: see the test below)
+    ("sphere(2)", None, None, (0, 4)), ("wedge(2,3)", None, 9, (0, 20)),
+    ("wedge(2,3)", None, 11, (0, 20)),
+    # models with d != 0, windows reaching degree -1, and the data files
+    ("S1", None, 3, (-1, 2)), ("L1", None, 3, (-1, 1)), ("L1", None, 5, (-1, 0)),
+    ("L0", None, 4, (-1, 1)), ("sphere(2)", None, 6, (0, 8)),
+    ("wedge(1,1)", None, 4, (-1, 3)), ("wedge(1,1)", None, 5, (0, 0)),
+    (None, "ad_boundary.cdgl", 3, (-1, 6)), (None, "ad_boundary.cdgl", 5, (0, 3)),
+    (None, "ad_boundary.cdgl", None, (0, 0)), (None, "wedge_spheres.cdgl", None, (0, 8)),
+    (None, "s1.cdgl", None, (-1, 1)), (None, "s1.cdgl", 2, (-2, 0)),
+    (None, "sphere2.cdgl", None, (0, 6)), (None, "two_intervals.cdgl", 3, (-1, 1)),
+]
+
+
+@pytest.mark.parametrize("model, data, trunc, window", _RERUN_CASES)
+def test_homology_rerun_matches_the_full_rerun(monkeypatch, model, data, trunc,
+                                               window):
+    _homology_against_full_rerun(monkeypatch, Task(
+        "homology", model_ref=model, file_text=data and read(data), trunc=trunc,
+        degree_range=window))
+
+
+def test_homology_rerun_flags_of_the_ci_models(monkeypatch):
+    # red where the layer of length N + 1 adds homology (d != 0 and minimal),
+    # green on the circle and the interval
+    flags = {}
+    for model, data in (("S1", None), ("L1", None), (None, "ad_boundary.cdgl")):
+        rep = _homology_against_full_rerun(monkeypatch, Task(
+            "homology", model_ref=model, file_text=data and read(data), trunc=4,
+            degree_range=(-1, 6)))
+        flags[model or data] = rep.stability
+        monkeypatch.undo()
+    assert flags == {"S1": "green", "L1": "green", "ad_boundary.cdgl": "red"}
+
+
+def test_homology_rerun_under_a_degree_cap(monkeypatch):
+    # the layer holds only the words of length N + 1 under the degree cap
+    text = ("model M {\n  truncate 3 degree 6\n  gen x : 1\n  gen y : 3\n"
+            "  gen z : 2\n  d y = [x, x]\n}\n")
+    for trunc, window in ((3, (0, 8)), (4, (2, 6)), (2, (0, 7))):
+        _homology_against_full_rerun(monkeypatch, Task(
+            "homology", file_text=text, trunc=trunc, degree_range=window))
+
+
+def _random_model(rng, kind):
+    """Model file text: generators a* with d = 0 and generators w* whose d
+    is a random sum of brackets of the a*, so that d^2 = 0.  kind "zero"
+    has no w*; "minimal" gives each w* brackets of length 2 and 3, and
+    "linear" also an a* alone, so that d has a linear part."""
+    degrees = [rng.randint(-1, 2) for _ in range(rng.randint(2, 3))]
+    words = [("a%d" % i, d) for i, d in enumerate(degrees)]
+    pairs = [("[%s, %s]" % (u, v), du + dv) for u, du in words for v, dv in words]
+    words += pairs + [("[%s, %s]" % (u, v), du + dv) for u, du in words for v, dv in pairs]
+    lines = ["  gen %s : %d" % w for w in words[:len(degrees)]]
+    for i in range(0 if kind == "zero" else rng.randint(1, 2)):
+        lead, degree = words[rng.randrange(len(degrees)) if kind == "linear"
+                             else rng.randrange(len(degrees), len(words))]
+        terms = [(rng.randint(1, 2), lead)] + [
+            (rng.randint(-2, 2), t) for t, dt in words[len(degrees):]
+            if dt == degree and rng.random() < 0.3]
+        lines.append("  gen w%d : %d" % (i, degree + 1))
+        lines.append("  d w%d = %s" % (i, " + ".join("%d * %s" % ct for ct in terms if ct[0])))
+    return "model R {\n  truncate 2\n%s\n}\n" % "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", ["zero", "minimal", "linear"])
+def test_homology_rerun_matches_the_full_rerun_on_random_models(monkeypatch, kind):
+    import random
+    rng = random.Random(kind)
+    flags = set()
+    for _ in range(12):
+        lo = rng.randint(-2, 2)
+        rep = _homology_against_full_rerun(monkeypatch, Task(
+            "homology", file_text=_random_model(rng, kind), trunc=rng.randint(2, 4),
+            degree_range=(lo, lo + rng.randint(0, 4))))
+        flags.add(rep.stability)
+        monkeypatch.undo()
+    assert flags == {"green", "red"}
+
+
+def test_homology_rerun_keeps_the_ill_formed_note():
+    # two_intervals.cdgl is ill-formed at cap 5: the full re-run fails on the
+    # same error, and the note is the one the full re-run gave
+    from cdgl.workbench.elaborate import ElaborationError
+    from oracles import full_homology_again
+    task = Task("homology", file_text=read("two_intervals.cdgl"), degree_range=(-1, 1))
+    with pytest.raises(ElaborationError) as exc:
+        full_homology_again(task, 5)
+    rep = run_task(task)
+    assert rep.stability == "red"
+    assert rep.notes == ["stability re-run at cap 5 failed: %s" % exc.value]
+
+
+def test_homology_rerun_on_d_zero_builds_no_layer(monkeypatch):
+    # on a d = 0 model the layer's dimensions come from the formula: no
+    # basis pick of length N + 1, and no elimination, in the re-run
+    import cdgl.freelie as freelie
+    import cdgl.workbench.tasks as tasks
+    from cdgl.exactlin import IncrementalSpan
+    lengths, adds, in_rerun = [], [], []
+    picks, add, again = freelie._left_normed_basis, IncrementalSpan.add, tasks._homology_again
+
+    def counted_picks(gens, degree, length):
+        lengths.append(length)
+        return picks(gens, degree, length)
+
+    def counted_add(self, vec):
+        adds.extend(in_rerun)
+        return add(self, vec)
+
+    def rerun(*args):
+        in_rerun.append(None)
+        try:
+            return again(*args)
+        finally:
+            in_rerun.pop()
+
+    monkeypatch.setattr(freelie, "_left_normed_basis", counted_picks)
+    monkeypatch.setattr(IncrementalSpan, "add", counted_add)
+    monkeypatch.setattr(tasks, "_homology_again", rerun)
+    rep = run_task(Task("homology", model_ref="wedge(2,3)", trunc=6,
+                        degree_range=(0, 14)))
+    assert rep.status == "ok" and rep.stability == "red"
+    assert lengths and max(lengths) == 6 and not adds
+
+
+def test_a_miscounting_dimension_formula_is_an_internal_error(monkeypatch):
+    # one more at every (degree, length): the re-run holds the formula to the
+    # answer run's picks at length N and refuses, never flagging green
+    import cdgl.workbench.tasks as tasks
+    real = tasks.lie_dimension
+    monkeypatch.setattr(tasks, "lie_dimension", lambda *args: real(*args) + 1)
+    for model in ("wedge(2,3)", "S1"):
+        rep = run_task(Task("homology", model_ref=model, trunc=3, degree_range=(0, 6)))
+        assert rep.status == "internal-error" and rep.exit_code() == 3
+        assert "lie_dimension miscounts degree 0, length 3" in rep.notes[0]
+    plain = run_task(Task("homology", model_ref="wedge(2,3)", trunc=3,
+                          degree_range=(0, 6), check_stability=False))
+    assert plain.status == "ok"
+
+
+def test_homology_rerun_refuses_a_model_that_changes_below_the_cap(monkeypatch):
+    # cap-N d must be cap-(N + 1) d cut at N, generator by generator
+    import cdgl.workbench.tasks as tasks
+    from cdgl.freelie import LieElement
+    load = tasks._load
+
+    def changed(task, trunc_override=None, **kwargs):
+        ws, L = load(task, trunc_override, **kwargs)
+        if trunc_override is not None:
+            x = L.gens[0]
+            L.d_on_gens[x] = LieElement({(L.gens[1],): 1}, L.trunc)
+        return ws, L
+
+    monkeypatch.setattr(tasks, "_load", changed)
+    rep = run_task(Task("homology", model_ref="S1", trunc=3, degree_range=(-1, 1)))
+    assert rep.status == "internal-error"
+    assert rep.notes == ["the cap-4 model cut at cap 3 is not the cap-3 model"]
