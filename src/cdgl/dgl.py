@@ -13,17 +13,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, GradedChainComplex, HomologyReport,
                        IncrementalSpan, InternalError, NotInSpanError, SparseVec,
-                       _vec, accumulate, clear_denominators, exact, homology_at,
-                       ratio, settled)
+                       _vec, accumulate, clear_denominators, homology_at, ratio,
+                       settled)
 from .freelie import (Coordinatizer, DegreeError, Generator, LieElement,
                       LieMembershipError, Truncation, _exp_coefficient,
-                      _mul_terms, bracket, exp_terms, is_lie, lie_basis,
-                      log_terms, word_degree)
+                      _mul_terms, bracket, is_lie, lie_basis, word_degree)
 from .record import FrozenRecord
 
 
@@ -389,15 +388,14 @@ def check_mc(L: DGLPresentation, a: LieElement):
 class BCHLaw:
     """The BCH law of a Lie algebra nilpotent of class <= c, on coordinate
     dicts (index -> coefficient): bracket(U, V) is D times the bracket, and
-    series, (M, word -> M times its coefficient in bch_series(c)) on ints,
-    is built on first read."""
+    series, bch_series(c) on its one denominator M, is built on first read."""
 
     def __init__(self, bracket, c, D=1):
         self.bracket, self.c, self.D = bracket, c, D
 
     @cached_property
     def series(self):
-        return clear_denominators(bch_series(self.c))
+        return bch_series(self.c)
 
 
 def bch(law: BCHLaw, u, v):
@@ -805,16 +803,52 @@ class H0Group(ClassTable):
 
 def bch_series(c):
     """The two-letter BCH series log(e^X e^Y) up to length c, in right-nested
-    form: word w over the letters 0 = X, 1 = Y -> c_w / len(w), where c_w is
-    the coefficient of w in the tensor algebra, so that the length-n part is
-    (1/n) sum_w c_w [w1,[w2,[...,wn]]] (Dynkin-Specht-Wever), in normal form."""
-    trunc = Truncation(c)
-    X, Y = Generator("X", 0), Generator("Y", 0)
-    letter = {X: 0, Y: 1}
-    prod = _mul_terms(exp_terms(LieElement.gen(X, trunc)),
-                      exp_terms(LieElement.gen(Y, trunc)), trunc)
-    return {tuple(letter[g] for g in w): exact(Fraction(coef, len(w)))
-            for w, coef in log_terms(prod, trunc).terms.items()}
+    form, on one denominator: (M, word w over the letters 0 = X, 1 = Y ->
+    the int M c_w / len(w)), c_w the coefficient of w in the tensor algebra,
+    so that the length-n part is (1/n) sum_w c_w [w1,[w2,[...,wn]]]
+    (Dynkin-Specht-Wever); a word with c_w = 0 is left out.
+
+    e^X e^Y = 1 + Z with Z the sum of X^a Y^b / (a! b!) over a + b >= 1, so
+    c_w = sum_k (-1)^(k+1)/k times the sum over the cuts of w into k factors
+    X^a Y^b of prod 1/(a! b!) (Goldberg); a cut falls at every Y followed by
+    X.  The prefixes are walked depth first, each prefix p of length n with
+    the ints g_k(p) = n! times that sum over the cuts of p into k factors,
+    read off the prefixes q of length j that end inside p's last block:
+    g_k(p) = sum_q n! / (j! a! b!) g_(k-1)(q), p = q X^a Y^b.  M is
+    lcm_(n <= c) lcm(1..n) n! n, not always the least denominator."""
+    fact = [factorial(n) for n in range(c + 1)]
+    M = 1
+    for n in range(1, c + 1):
+        M = lcm(M, lcm(*range(1, n + 1)) * fact[n] * n)
+    # weight[n][k] = (-1)^(k+1) M / (k n! n), so that M c_w / n = weight . g(w)
+    weight = [[(-1) ** (k + 1) * M // (k * fact[n] * n) if k else 0
+               for k in range(n + 1)] for n in range(c + 1)]
+    series = {}
+    g = [[1]]      # g[j][k] = g_k of the current word's prefix of length j
+
+    def walk(word, s, t):
+        # word's last block X^a Y^b starts at s, and its Ys at t
+        n = len(word) + 1
+        for letter in (0, 1):
+            s1, t1 = (s, t) if letter else ((s if t == n - 1 else n - 1), n)
+            gp = [0] * (n + 1)
+            for j in range(s1, n):
+                a = t1 - j if j < t1 else 0
+                multinomial = fact[n] // (fact[j] * fact[a] * fact[n - j - a])
+                for k, x in enumerate(g[j], 1):
+                    gp[k] += multinomial * x
+            longer = word + (letter,)
+            value = sum(map(int.__mul__, weight[n], gp))
+            if value:
+                series[longer] = value
+            if n < c:
+                g.append(gp)
+                walk(longer, s1, t1)
+                g.pop()
+
+    if c:
+        walk((), 0, 0)
+    return M, series
 
 
 def h0_group(L: DGLPresentation) -> H0Group:

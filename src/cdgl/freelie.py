@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .exactlin import (FactoredBasis, IncrementalSpan, InternalError,
                        NotInSpanError, ResourceLimitError, SparseVec, accumulate,
-                       clear_denominators, exact, ratio, settled)
+                       clear_denominators, exact, settled)
 from .record import FrozenRecord
 
 
@@ -281,51 +281,8 @@ def mul(a: LieElement, b: LieElement) -> LieElement:
     return res
 
 
-def _power_series(v, coefficient, trunc):
-    """sum_{k >= 1} coefficient(k) v^k, with Fraction coefficients; v has no
-    empty word, so its powers vanish past the cap N.  The powers are taken
-    on the ints D v, D the lcm of v's denominators, and summed over one
-    denominator Q = D^N M, M the lcm of the denominators of coefficient(1..N).
-    Each partial sum is Q times the sum on Fractions, so words cancel, leave
-    and re-enter the sum at the same points."""
-    cap = trunc.max_bracket_length
-    D, v = clear_denominators(v)
-    M, coefficients = clear_denominators({k: coefficient(k)
-                                          for k in range(1, cap + 1)})
-    out = {}
-    power = {(): 1}
-    for k, c in coefficients.items():
-        power = _mul_terms(power, v, trunc)
-        if not power:
-            break
-        m = c * D ** (cap - k)
-        for w, t in power.items():
-            s = out.get(w, 0) + m * t
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    Q = D ** cap * M
-    return {w: ratio(s, Q) for w, s in out.items()}
-
-
 def _exp_coefficient(k):
     return Fraction(1, factorial(k))
-
-
-def exp_terms(x: LieElement):
-    """exp(x) in the truncated tensor algebra; includes the empty word."""
-    return {(): 1, **_power_series(x.terms, _exp_coefficient, x.trunc)}
-
-
-def log_terms(u, trunc) -> LieElement:
-    """log(u) for u = 1 + (higher words) in the truncated tensor algebra."""
-    if u.get((), 0) != 1:
-        raise LieMembershipError("log argument must have unit constant term")
-    v = {w: c for w, c in u.items() if w}
-    res = LieElement.zero(trunc)
-    res.terms = _power_series(v, lambda k: Fraction((-1) ** (k + 1), k), trunc)
-    return res
 
 
 def _dynkin_terms(terms):
@@ -381,7 +338,8 @@ def lie_basis(gens, degree, length, trunc: Truncation):
     elements of trunc with int coefficients, carrying bracket-expression
     labels (see _left_normed_basis); empty above trunc's degree cap."""
     if length > trunc.max_bracket_length:
-        raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
+        raise InternalError("length %d exceeds truncation %d"
+                            % (length, trunc.max_bracket_length))
     if trunc.max_degree is not None and degree > trunc.max_degree:
         return []
     out = []
@@ -406,7 +364,8 @@ def lie_dimension(gens, degree, length, trunc: Truncation) -> int:
     counting degree and t length, 1 / (1 - sum_g (-x)^|g| t) is the product
     of (1 - x^m t^j)^(-(-1)^m dim L_(m, j))."""
     if length > trunc.max_bracket_length:
-        raise ValueError("length %d exceeds truncation %d" % (length, trunc.max_bracket_length))
+        raise InternalError("length %d exceeds truncation %d"
+                            % (length, trunc.max_bracket_length))
     if trunc.max_degree is not None and degree > trunc.max_degree:
         return 0
     total = 0

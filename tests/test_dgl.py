@@ -917,14 +917,25 @@ def test_apply_operator_agrees_with_per_position_oracle(cap, max_degree, op_degr
 
 
 def test_bch_series_hands_out_exact_scalars():
-    # c_w / len(w) from the word oracle's log(e^X e^Y), in normal form
+    # M c_w / len(w) for the word oracle's log(e^X e^Y), each an int
     X, Y = ("X", 0), ("Y", 0)
-    for c in range(1, 7):
-        series = bch_series(c)
+    for c in range(1, 9):
+        M, series = bch_series(c)
+        assert type(M) is int and M > 0
+        assert all(type(t) is int and t for t in series.values())
         want = w_bch({(X,): Fraction(1)}, {(Y,): Fraction(1)}, c)
-        assert series == {tuple(int(g == Y) for g in w): v / len(w)
-                          for w, v in want.items()}
-        assert_exact(series.values())
+        assert {w: Fraction(t, M) for w, t in series.items()} == {
+            tuple(int(g == Y) for g in w): v / len(w) for w, v in want.items()}
+
+
+def test_bch_series_letter_swap():
+    # log(e^Y e^X) = -log(e^-X e^-Y): swapping X and Y in a word of length n
+    # multiplies its coefficient by (-1)^(n+1), which bch's one pass for
+    # v * u reads off the words of u * v
+    for c in range(1, 13):
+        M, series = bch_series(c)
+        assert {tuple(1 - a for a in w): t * (-1) ** (len(w) + 1)
+                for w, t in series.items()} == series
 
 
 def test_generator_filtration_is_a_read_only_value():

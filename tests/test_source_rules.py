@@ -71,10 +71,23 @@ def raises_of(exc_name, src=SRC):
     return _sites(hit, src)
 
 
-def calls_of(name, src=SRC):
-    """file:function of every call of name, or of an attribute name, under src."""
-    return _sites(lambda node: isinstance(node, ast.Call) and name in _caught(node.func),
-                  src)
+def mentions_of(name, src=SRC):
+    """file:line of every definition, import, call or other reference of
+    name, or of an attribute name, under src."""
+    found = []
+    for path, tree in _trees(src):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = _caught(node)
+            else:
+                continue
+            if name in names:
+                found.append("%s:%d" % (path, node.lineno))
+    return found
 
 
 def imports_of(module, src=SRC):
@@ -134,14 +147,14 @@ def test_no_true_division(tmp_path):
 
 
 def test_tensor_exp_and_log_run_only_under_the_bch_series(tmp_path):
-    # BCH is evaluated on bracket tables (dgl.bch); the tensor-algebra exp
-    # and log build only its two-letter series, so a second BCH on tensor
-    # words cannot come back
-    for name in ("exp_terms", "log_terms"):
-        sites = calls_of(name)
-        assert sites and set(sites) == {"dgl.py:bch_series"}, sites
+    # BCH is evaluated on bracket tables (dgl.bch), and its two-letter series
+    # is summed over the cuts of each word (dgl.bch_series), so the
+    # tensor-algebra exp and log are neither defined nor called in the engine
+    for name in ("exp_terms", "log_terms", "_power_series"):
+        assert mentions_of(name) == [], name
     (tmp_path / "m.py").write_text(
-        "def f():\n    return freelie.exp_terms(x)\n"
-        "def g():\n    def h():\n        exp_terms(y)\n    return h\n"
-        "exp_terms(z)\n")
-    assert calls_of("exp_terms", str(tmp_path)) == ["m.py:f", "m.py:h", "m.py:None"]
+        "from cdgl.freelie import exp_terms as e\n"
+        "def log_terms():\n    return freelie.exp_terms(x)\n"
+        "y = [log_terms, exp_terms_of]\n")
+    assert mentions_of("exp_terms", str(tmp_path)) == ["m.py:1", "m.py:3"]
+    assert mentions_of("log_terms", str(tmp_path)) == ["m.py:2", "m.py:4"]

@@ -1285,6 +1285,36 @@ def test_a_miscounting_dimension_formula_is_an_internal_error(monkeypatch):
     assert plain.status == "ok"
 
 
+def test_lie_basis_above_the_cap_is_an_internal_error(monkeypatch):
+    # every caller asks for lengths up to the cap, so a longer one is a fault
+    # of the engine (exit 3), never a diagnostic about the input (exit 1)
+    import cdgl.dgl
+    from cdgl.exactlin import InternalError
+    from cdgl.freelie import Generator, lie_basis
+    with pytest.raises(InternalError, match="length 4 exceeds truncation 3"):
+        lie_basis((Generator("x", 2),), 8, 4, Truncation(3))
+    real = cdgl.dgl.lie_basis
+    monkeypatch.setattr(cdgl.dgl, "lie_basis",
+                        lambda gens, n, ln, trunc: real(gens, n, ln + 1, trunc))
+    rep = run_task(Task("homology", model_ref="wedge(2,3)", trunc=3, degree_range=(0, 6)))
+    assert rep.status == "internal-error" and rep.exit_code() == 3
+    assert "length 4 exceeds truncation 3" in rep.notes[0]
+
+
+def test_lie_dimension_above_the_cap_is_an_internal_error(monkeypatch):
+    import cdgl.workbench.tasks as tasks
+    from cdgl.exactlin import InternalError
+    from cdgl.freelie import Generator, lie_dimension
+    with pytest.raises(InternalError, match="length 4 exceeds truncation 3"):
+        lie_dimension((Generator("x", 2),), 8, 4, Truncation(3))
+    real = tasks.lie_dimension
+    monkeypatch.setattr(tasks, "lie_dimension",
+                        lambda gens, n, ln, trunc: real(gens, n, ln + 1, trunc))
+    rep = run_task(Task("homology", model_ref="wedge(2,3)", trunc=3, degree_range=(0, 6)))
+    assert rep.status == "internal-error" and rep.exit_code() == 3
+    assert "exceeds truncation" in rep.notes[0]
+
+
 def test_homology_rerun_refuses_a_model_that_changes_below_the_cap(monkeypatch):
     # cap-N d must be cap-(N + 1) d cut at N, generator by generator
     import cdgl.workbench.tasks as tasks
