@@ -686,21 +686,23 @@ def gamma_check(phi: DGLMorphism, word_cap: int, degrees=None) -> GammaReport:
 # -- pipelines -------------------------------------------------------------------
 
 class MappingSpaceReport:
-    """les is built (and checked exact) by build_les on first read; the
-    builder, which holds the complexes, is dropped then."""
+    """pointed and free: n -> dim H_n, n >= 1, of the f-derivation complex
+    twisted.sub (spaces in dercx) and of its twisted product with sL, off
+    their homology reports hA and hB, which the cap + 1 re-run reads
+    (workbench.tasks._pi_again).  les is built on first read."""
 
-    def __init__(self, pointed: dict, free: dict, fiber_components_h0: int,
-                 build_les, minimal_warning: bool = False):
-        self.pointed = pointed     # n -> dimension of H_n(Der_phi), n >= 1
-        self.free = free           # n -> dimension of H_n(Der_phi x~ sL), n >= 1
-        self.fiber_components_h0 = fiber_components_h0
-        self._build_les = build_les
+    def __init__(self, dercx: DerComplex, twisted: TwistedComplex, hA: dict,
+                 hB: dict, les_degrees, minimal_warning: bool = False):
+        self.dercx, self.twisted, self.hA, self.hB = dercx, twisted, hA, hB
+        self.pointed = {n: h.dimension for n, h in hA.items()}
+        self.free = {n: hB[n].dimension for n in hA}
+        self.fiber_components_h0 = hB[0].dimension
+        self._les_degrees = les_degrees
         self.minimal_warning = minimal_warning
 
     @cached_property
     def les(self) -> LongExactSequence:
-        les, self._build_les = self._build_les(), None
-        return les
+        return les_of_ses(self.twisted, self._les_degrees, hA=self.hA, hB=self.hB)
 
 
 def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
@@ -724,12 +726,7 @@ def mapping_space_pi(phi: DGLMorphism, degrees) -> MappingSpaceReport:
     les_degrees = [n for n in degrees if n >= 0]
     hA = homology_reports(tw.sub, [n for n in degrees if n >= 1])
     hB = homology_reports(tw.total, les_degrees)
-    return MappingSpaceReport(
-        pointed={n: h.dimension for n, h in hA.items()},
-        free={n: hB[n].dimension for n in degrees if n >= 1},
-        fiber_components_h0=hB[0].dimension,
-        build_les=lambda: les_of_ses(tw, les_degrees, hA=hA, hB=hB),
-        minimal_warning=minimal_warning)
+    return MappingSpaceReport(dercx, tw, hA, hB, les_degrees, minimal_warning)
 
 
 class ClassifyingReport:

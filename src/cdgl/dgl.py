@@ -340,6 +340,21 @@ class DGLMorphism:
         settled(out.terms)
         return out
 
+    def derive(self, values, degree, e: LieElement) -> LieElement:
+        """theta(e) for the degree-`degree` f-derivation theta with generator
+        values (Generator -> LieElement of the target), f this morphism: a
+        word w of e gives, for each letter w_i with a value,
+        (-1)^{degree |w_1...w_{i-1}|} f(w_1...w_{i-1}) theta(w_i) f(w_{i+1}...w_k)."""
+        trunc, out = self.target.trunc, {}
+        for w, c in e.terms.items():
+            for i in (i for i, g in enumerate(w) if g in values):
+                terms = {(): -c if degree * word_degree(w[:i]) % 2 else c}
+                for k, a in enumerate(w):
+                    terms = _mul_terms(terms, (values[a] if k == i else self.images[a]).terms,
+                                       trunc)
+                accumulate(out, terms.items())
+        return _on_ints(out, trunc)
+
     def compose(self, other: "DGLMorphism") -> "DGLMorphism":
         """self after other."""
         images = {g: self.apply(img) for g, img in other.images.items()}

@@ -619,11 +619,13 @@ def extension_dimensions(hQ, dims, boundary, cross) -> dict:
     H_n(Q) -> H_{n-1}(A).  hQ holds Q's homology reports on the window;
     dims[n] is dim A_n; boundary[n] lists the columns of d_A at n, and
     cross[n] the cross block on hQ[n].cycle_reps, each a cycle of A_{n-1};
-    a degree missing from boundary or cross is zero there.  As in a
-    window's complex (GradedChainComplex.from_columns), nothing bounds into
-    the window's top degree, so r and d_A stop at it."""
+    a degree missing from boundary or cross is zero there.  For a degree n
+    whose n + 1 hQ lacks, boundary and cross may hold n + 1, cross on all
+    of Q's cycles there (the connecting map kills boundaries); else, as in
+    a window's complex (GradedChainComplex.from_columns), nothing bounds
+    into n, and r and d_A stop at it."""
     rank_d, conn = {}, {}
-    for n in hQ:
+    for n in hQ.keys() | boundary.keys() | cross.keys():
         span = _span(boundary.get(n, ()))
         rank_d[n] = span.rank
         conn[n] = sum(1 for v in cross.get(n, ()) if span.add(v))

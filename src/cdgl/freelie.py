@@ -368,6 +368,9 @@ def lie_dimension(gens, degree, length, trunc: Truncation) -> int:
                             % (length, trunc.max_bracket_length))
     if trunc.max_degree is not None and degree > trunc.max_degree:
         return 0
+    degrees = [g.degree for g in gens]
+    if not degrees or not min(degrees) * length <= degree <= max(degrees) * length:
+        return 0    # no word of this length has this degree
     total = 0
     for r in range(1, length + 1):
         if length % r == 0 and degree % r == 0:

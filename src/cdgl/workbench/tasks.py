@@ -2,9 +2,9 @@
 
 Homology-bearing tasks compute at cap + 1 only what their stability key
 compares (see _stability), which is what the stability flag certifies:
-homology reads it off the length filtration, from the cap-N answer and the
-layer of words of length N + 1 (_homology_again); h0, pi-map, baut and
-bautstar re-run their command at cap + 1.
+homology and pi-map read it off the length filtration, from the cap-N
+answer and the layer of words of length N + 1 (_homology_again,
+_pi_again); h0, baut and bautstar re-run their command at cap + 1.
 
 Resource-limit overruns downgrade the report instead of crashing, and a
 failed engine invariant is reported as an internal error, apart from the
@@ -21,10 +21,11 @@ from ..derivations import (GSpec, classifying_invariants, gamma_check,
                            mapping_space_pi)
 from ..dgl import (DGLMorphism, MCElement, bch, gauge_act, gauge_equivalent,
                    h0_group, log_morphism, exp_derivation_values)
-from ..exactlin import (InternalError, ResourceLimitError, SparseVec,
-                        extension_dimensions, homology_at)
-from ..freelie import (DegreeError, check_resource_limit, lie_basis, lie_dimension,
-                       set_resource_limit)
+from ..exactlin import (IllFormedComplexError, InternalError, ResourceLimitError,
+                        SparseVec, _vec, extension_dimensions, homology_at,
+                        kernel_basis)
+from ..freelie import (DegreeError, bracket, check_resource_limit, lie_basis,
+                       lie_dimension, set_resource_limit)
 from .ast import print_rational
 from .elaborate import (ElaborationError, eval_expr, load_model,
                         workspace_from_text)
@@ -174,12 +175,12 @@ def _stability(task: Task, report: Report, L, again, now) -> Report:
     structure constants) on first read, so each re-run computes only its
     key: the homology dimensions (homology, pi-map, baut, bautstar), the
     group's dimension and, for h0, abelian up to the first nonzero bracket.
-    pi-map, h0, baut and bautstar re-run their command in full at cap
-    N + 1; homology reads its key off the length filtration
-    (_homology_again).  A model ill-formed at cap N + 1, as a d that is a
-    series cut at N, keeps the cap-N answer: the re-run's ElaborationError
-    turns the flag red, with a note naming the cap and the error; an engine
-    error is not caught."""
+    h0, baut and bautstar re-run their command in full at cap N + 1;
+    homology and pi-map read their keys off the length filtration
+    (_homology_again, _pi_again).  A model ill-formed at cap N + 1, as a
+    d that is a series cut at N, keeps the cap-N answer: the re-run's
+    ElaborationError turns the flag red, with a note naming the cap and the
+    error; an engine error is not caught."""
     if task.check_stability:
         try:
             later = again(_cap_of(L) + 1)
@@ -190,66 +191,190 @@ def _stability(task: Task, report: Report, L, again, now) -> Report:
     return report
 
 
+def _layer_setup(load, phi, answered, guarded, cap):
+    """The set-up of the re-runs off the length filtration (_homology_again,
+    _pi_again): load(cap), the morphism at cap N + 1 = cap, loaded as the
+    full re-run loads it (an ill-formed model raises its ElaborationError);
+    its source, target and images cut at N must be those of the answer
+    run's phi (else InternalError).  Returns it with the target's layer
+    dimensions at length N + 1 in the degrees guarded, from
+    freelie.lie_dimension, first held to the answer run's own picks at
+    length N in the degrees answered (a miscount is an InternalError, never
+    a quiet flag), and held to the resource limit as the layer's bases
+    would be."""
+    phi1, N, T = load(cap), cap - 1, phi.target
+    for now, again in ((phi.source, phi1.source), (T, phi1.target)):
+        if (again.gens != now.gens or again.trunc.max_degree != now.trunc.max_degree
+                or any(again.d_on_gens[g].truncated(now.trunc) != v
+                       for g, v in now.d_on_gens.items())):
+            raise InternalError("the cap-%d model cut at cap %d is not the cap-%d "
+                                "model" % (cap, N, N))
+    if any(phi1.images[g].truncated(T.trunc) != v for g, v in phi.images.items()):
+        raise InternalError("the cap-%d morphism cut at cap %d is not the cap-%d "
+                            "morphism" % (cap, N, N))
+    for n in answered:
+        _check_picks(n, N, sum(len(next(iter(e.terms))) == N for e in T.basis(n)),
+                  lie_dimension(T.gens, n, N, T.trunc))
+    dims = {n: lie_dimension(T.gens, n, cap, phi1.target.trunc) for n in guarded}
+    for size in dims.values():
+        check_resource_limit(size, "basis size")
+    return phi1, dims
+
+
+def _check_picks(n, length, picks, dim):
+    if picks != dim:
+        raise InternalError("lie_dimension miscounts degree %d, length %d: the "
+                            "basis holds %d picks" % (n, length, picks))
+
+
+def _layer_basis(T1, dims, n, cap):
+    """lie_basis of T1 at degree n and length cap, with dims[n] picks."""
+    layer = lie_basis(T1.gens, n, cap, T1.trunc)
+    _check_picks(n, cap, len(layer), dims[n])
+    return layer
+
+
+def _layer_vector(index, parts, n, cap):
+    """The (key, LieElement) pairs parts, of length N + 1 = cap, as one
+    vector on the (key, word)s of the growing dict index."""
+    vec = SparseVec()
+    for key, e in parts:
+        if any(len(w) < cap for w in e.terms):
+            raise InternalError("d at degree %d has words below the layer of "
+                                "length %d" % (n, cap))
+        vec.entries.update((index.setdefault((key, w), len(index)), c)
+                           for w, c in e.terms.items())
+    return vec
+
+
 def _homology_again(task: Task, L, hs, cap):
     """The homology dimensions of hs's window at cap N + 1 = cap, read off
     the length filtration instead of rebuilding the cap-(N + 1) complex.
 
-    The model is loaded and validated at cap N + 1 as the full re-run would,
-    and it must be the cap-N model with d cut at N (else InternalError).  d
-    raises length or keeps it, so at cap N + 1 the words of length N + 1
-    form a subcomplex, the layer, whose differential is the linear part d_1
-    of d; the quotient by the layer is the cap-N complex, with the answer
-    run's reports hs; and the cross block takes a cap-N cycle to the
+    The model is loaded at cap N + 1 and checked by _layer_setup.  d raises
+    length or keeps it, so at cap N + 1 the words of length N + 1 form a
+    subcomplex, the layer, whose differential is the linear part d_1 of d;
+    the quotient by the layer is the cap-N complex, with the answer run's
+    reports hs; and the cross block takes a cap-N cycle to the
     length-(N + 1) part of its d.  exactlin.extension_dimensions reads the
-    dimensions off the long exact sequence.  The layer's dimensions come
-    from freelie.lie_dimension, which is first held to the answer run's own
-    picks at length N, degree by degree (a miscount is an InternalError,
-    never a quiet flag), and held to the run's resource limit as the
-    layer's basis would be.  Only a model with d != 0 puts anything into
-    coordinates: the cross block on the representatives hs holds, and, for
-    d_1 != 0, d on the layer's basis, each as a vector on the words of its
-    degree, where ranks are the same as on the layer's basis."""
-    _, L1 = _load(task, cap)
-    N, gens, trunc = cap - 1, L.gens, L1.trunc
-    if (L1.gens != gens or trunc.max_degree != L.trunc.max_degree or any(
-            L1.d_on_gens[g].truncated(L.trunc) != L.d_on_gens[g] for g in gens)):
-        raise InternalError("the cap-%d model cut at cap %d is not the cap-%d "
-                            "model" % (cap, N, N))
+    dimensions off the long exact sequence.  Only a model with d != 0 puts
+    anything into coordinates: the cross block on the representatives hs
+    holds, and, for d_1 != 0, d on the layer's basis, each as a vector on
+    the words of its degree, where ranks are the same as on the layer's
+    basis."""
     degrees = sorted(hs)
-    for n in degrees:
-        picks = sum(len(next(iter(e.terms))) == N for e in L.basis(n))
-        if picks != lie_dimension(gens, n, N, L.trunc):
-            raise InternalError("lie_dimension miscounts degree %d, length %d: "
-                                "the basis holds %d picks" % (n, N, picks))
-    dims = {n: lie_dimension(gens, n, cap, trunc) for n in [degrees[0] - 1] + degrees}
-    for size in dims.values():
-        check_resource_limit(size, "basis size")
+    phi1, dims = _layer_setup(lambda cap: DGLMorphism.identity(_load(task, cap)[1]),
+                              DGLMorphism.identity(L), degrees,
+                              [degrees[0] - 1] + degrees, cap)
+    L1 = phi1.source
     boundary, cross = {}, {}
     if any(not v.is_zero() for v in L1.d_on_gens.values()):
         words = {}
 
         def column(e, n):
-            """d e as a vector on the words of degree n - 1, all of length N + 1."""
-            index = words.setdefault(n - 1, {})
-            terms = L1.d(e).terms
-            if any(len(w) <= N for w in terms):
-                raise InternalError("d at degree %d has words below the layer of "
-                                    "length %d" % (n, cap))
-            return SparseVec({index.setdefault(w, len(index)): c
-                              for w, c in terms.items()})
+            """d e as a vector on the words of degree n - 1."""
+            return _layer_vector(words.setdefault(n - 1, {}), [(None, L1.d(e))], n, cap)
 
         linear = any(len(w) == 1 for v in L1.d_on_gens.values() for w in v.terms)
         for n in degrees:
             if linear:
-                layer = lie_basis(gens, n, cap, trunc)
-                if len(layer) != dims[n]:
-                    raise InternalError("lie_dimension miscounts degree %d, length "
-                                        "%d: the basis holds %d picks"
-                                        % (n, cap, len(layer)))
-                boundary[n] = [v for v in (column(e, n) for e in layer) if v.entries]
-            cross[n] = [v for v in (column(L.from_coords(z, n).truncated(trunc), n)
+                boundary[n] = [v for v in (column(e, n) for e in _layer_basis(
+                    L1, dims, n, cap)) if v.entries]
+            cross[n] = [v for v in (column(L.from_coords(z, n).truncated(L1.trunc), n)
                                     for z in hs[n].cycle_reps) if v.entries]
     return extension_dimensions(hs, dims, boundary, cross)
+
+
+def _pi_again(task: Task, phi, rep, cap):
+    """(pointed, free) at cap N + 1 = cap off the length filtration, as
+    _homology_again reads homology, from phi and rep of the answer run.
+
+    D, -s d and ad_x . phi never lower the length of the target's words, so
+    in T = Der(L, L'; phi) ~x sL' at cap N + 1 the slots of length N + 1
+    form a subcomplex, the layer, in degree n the sum over source generators
+    g of L'_{|g| + n}, plus sL'_{n - 1}; Der's slots in it are one of Der.
+    The quotients are the cap-N complexes, with the reports rep.hA, rep.hB.
+    The cross block takes a cap-N cycle (theta, sx) to the length-(N + 1)
+    part of D theta + ad_x . phi and of -s dx, on the (g, word)s and
+    (s, word)s.  At a degree n + 1 outside the key, n in it, it is taken on
+    all the cap-N cycles (the connecting map kills boundaries).  A degree
+    cap keeps d from being a derivation of the capped algebra, so for a
+    capped L' with d != 0, d^2 = 0 is held on the lifts of the cap-N basis
+    and the layer's, as the full re-run did.  Only that check and a linear
+    part of d build the layer's basis."""
+    keys, spaces = sorted(rep.pointed), sorted(rep.dercx.spaces)
+    gens, tw = phi.source.gens, rep.twisted
+    # the target degrees of the Der and sL' spaces, as the full re-run builds
+    guarded = sorted({g.degree + m for g in gens for m in spaces} | {m - 1 for m in spaces})
+    phi1, dims = _layer_setup(lambda cap: _morphism(task, cap), phi, guarded, guarded, cap)
+    S1, T1 = phi1.source, phi1.target
+    words, columns = {}, {}
+    d_words = [w for L1 in (S1, T1) for v in L1.d_on_gens.values() for w in v.terms]
+    dzero, linear = not d_words, any(len(w) == 1 for w in d_words)
+
+    def d(n, theta, x):
+        """d (theta, sx) at cap N + 1 as (key, element) pairs, theta a
+        degree-n phi-derivation's values and x in L'_{n - 1} (None in Der);
+        the key of a Der block is its generator, that of sL' None."""
+        parts = []
+        for h in gens:
+            v = T1.zero() if x is None else bracket(x, phi1.images[h])
+            if h in theta:
+                v = v + T1.d(theta[h])
+            if theta and S1.d_on_gens[h].terms:
+                v = v - phi1.derive(theta, n, S1.d_on_gens[h]).scale((-1) ** (n % 2))
+            parts.append((h, v))
+        return parts if x is None else parts + [(None, -T1.d(x))]
+
+    def column(n, theta, x):
+        return _layer_vector(words.setdefault(n - 1, {}), d(n, theta, x), n, cap)
+
+    def element(vec, degree):
+        e = phi.target.from_coords(vec, degree)
+        e.trunc = T1.trunc      # a word of cap N is one of cap N + 1
+        return e
+
+    def lift(n, z, free):
+        """z of T_n (free) or Der_n at cap N as (theta, x), theta left out
+        when d = 0, where D theta = 0."""
+        nd = tw.sub.dim(n)
+        theta = {} if dzero else {g: element(_vec(u), g.degree + n) for g, u in
+                                  rep.dercx.space(n).values(z.entries).items()}
+        x = _vec({i - nd: c for i, c in z.entries.items() if i >= nd})
+        return theta, element(x, n - 1) if free else None
+
+    def layer(n):
+        """The layer's basis in degree n as (theta, x): Der's, then sL''s."""
+        return ([({g: e}, None) for g in gens
+                 for e in _layer_basis(T1, dims, g.degree + n, cap)],
+                [({}, x) for x in _layer_basis(T1, dims, n - 1, cap)])
+
+    if T1.trunc.max_degree is not None and any(v.terms for v in T1.d_on_gens.values()):
+        for n in rep.dercx.degrees[1:]:
+            for theta, x in [lift(n, SparseVec.unit(i), True)
+                             for i in range(tw.total.dim(n))] + sum(layer(n), []):
+                image = dict(d(n, theta, x))
+                sx = image.pop(None, None)
+                if any(v.terms for _, v in d(n - 1, {h: v for h, v in image.items()
+                                                     if v.terms}, sx)):
+                    raise IllFormedComplexError("dd != 0 from degree %d" % n)
+    out = []
+    for free, hQ, cx in ((False, rep.hA, tw.sub), (True, rep.hB, tw.total)):
+        boundary, cross = {}, {}
+        for n in keys + sorted({n + 1 for n in keys} - set(keys)):
+            # with d = 0 the cross block of Der is 0
+            cycles = ([] if dzero and not free else hQ[n].cycle_reps if n in keys
+                      else kernel_basis(cx.d(n)) if cx.dim(n) else [])
+            cross[n] = [v for v in (column(n, *lift(n, z, free)) for z in cycles) if v.entries]
+            if linear:
+                if n not in columns:
+                    columns[n] = [[column(n, *e) for e in part] for part in layer(n)]
+                der, sl = columns[n]
+                boundary[n] = [v for v in der + (sl if free else []) if v.entries]
+        size = {n: sum(dims[g.degree + n] for g in gens) + (dims[n - 1] if free else 0)
+                for n in keys}
+        out.append(extension_dimensions({n: hQ[n] for n in keys}, size, boundary, cross))
+    return tuple(out)
 
 
 def run_task(task: Task) -> Report:
@@ -429,8 +554,11 @@ def cmd_h0(task: Task) -> Report:
     return _stability(task, report, L, lambda cap: key(group_at(cap)[1]), key(G))
 
 
-def _resolve_morphism(task, ws, L):
+def _morphism(task, trunc_override=None):
+    """The task's --morphism, id, zero or one of the file's, which names its
+    own models, with its models loaded (_load) at the cap."""
     name = task.names.get("morphism", "id")
+    ws, L = _load(task, trunc_override, from_workspace=name not in ("id", "zero"))
     if name == "id":
         return DGLMorphism.identity(L)
     if name == "zero":
@@ -443,22 +571,16 @@ def _resolve_morphism(task, ws, L):
 def cmd_pi_map(task: Task) -> Report:
     lo, hi = _degree_range(task, 1)
     report = Report(command=task.echo())
-
-    def run(trunc_override):
-        ws, L = _load(task, trunc_override, from_workspace=task.names.get(
-            "morphism", "id") not in ("id", "zero"))
-        phi = _resolve_morphism(task, ws, L)
-        return phi.source, mapping_space_pi(phi, range(lo, hi + 1))
-
-    L, rep = run(None)
-    report.caps["truncation"] = _cap_of(L)
+    phi = _morphism(task)
+    rep = mapping_space_pi(phi, range(lo, hi + 1))
+    report.caps["truncation"] = _cap_of(phi.source)
     report.tables["pi_pointed"] = {("pi_%d" % n): d for n, d in rep.pointed.items()}
     report.tables["pi_free"] = {("pi_%d" % n): d for n, d in rep.free.items()}
     report.tables["fiber_components_h0"] = {"dimension": rep.fiber_components_h0}
     report.notes.append("LES exactness verified at degrees %s"
                         % (rep.les.degrees,))
-    key = lambda r: (r.pointed, r.free)
-    return _stability(task, report, L, lambda cap: key(run(cap)[1]), key(rep))
+    return _stability(task, report, phi.source, lambda cap: _pi_again(task, phi, rep, cap),
+                      (rep.pointed, rep.free))
 
 
 def _resolve_gspec(task, ws, L) -> GSpec:
@@ -560,9 +682,7 @@ def cmd_witness(task: Task) -> Report:
 
 
 def cmd_gamma(task: Task) -> Report:
-    ws, L = _load(task, from_workspace=task.names.get("morphism", "id")
-                  not in ("id", "zero"))
-    phi = _resolve_morphism(task, ws, L)
+    phi = _morphism(task)
     rep = gamma_check(phi, task.word_cap)
     report = Report(command=task.echo())
     report.caps.update(rep.caps)

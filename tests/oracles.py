@@ -43,7 +43,7 @@ from math import factorial, gcd
 
 from cdgl.coalgebra import (CDGC, CoalgebraError, ConvolutionDGL, chains_functor,
                             lie_functor, wedge_normalize)
-from cdgl.derivations import DerSpace, Derivation, der_g_zero
+from cdgl.derivations import DerSpace, Derivation, der_g_zero, mapping_space_pi
 from cdgl.dgl import (DGLPresentation, GaugeResult, MCElement, MCViolationError,
                       _max_iterations, ad_values, apply_operator, bch, check_mc,
                       exp_ad, exp_derivation_values, gauge_act, gauge_equivalent,
@@ -54,7 +54,7 @@ from cdgl.exactlin import (ExactnessError, FactoredBasis, GradedChainComplex,
                            homology_reports, kernel_basis, twisted_product)
 from cdgl.freelie import (LieElement, LieTable, _dynkin_terms, _exp_coefficient,
                           bracket)
-from cdgl.workbench.tasks import _degree_range, _load, pretty_element
+from cdgl.workbench.tasks import _degree_range, _load, _morphism, pretty_element
 
 
 def dense(mat_entries, n_rows, n_cols):
@@ -849,6 +849,17 @@ def full_homology_again(task, cap):
     _, L = _load(task, cap)
     C = L.complex(range(lo, hi + 1)).validate()
     return {n: homology_at(C, n).dimension for n in range(lo, hi + 1)}
+
+
+def full_pi_again(task, cap):
+    """(pointed, free) of a pi-map task at cap, by loading the model and the
+    morphism at cap and reducing both whole complexes: the full cap + 1
+    re-run, the reference for the one read off the length filtration
+    (tasks._pi_again).  An ill-formed model raises the loader's
+    ElaborationError."""
+    lo, hi = _degree_range(task, 1)
+    rep = mapping_space_pi(_morphism(task, cap), range(lo, hi + 1))
+    return rep.pointed, rep.free
 
 
 def dynkin(e: LieElement) -> LieElement:

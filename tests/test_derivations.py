@@ -1365,3 +1365,26 @@ def test_gamma_check_takes_no_element_differential(monkeypatch, case):
     rep = gamma_check(phi, word_cap=2)
     assert rep.ok and rep.failures == []
     assert counts[0] in (None, rep.basis_checked) and rep.pairs_checked == counts[1]
+
+
+def test_morphism_derive_matches_the_leibniz_kernel():
+    # theta(d h) on tensor words, theta an f-derivation along a morphism f,
+    # is the Leibniz kernel's column on the target's bracket table
+    from cdgl.derivations import LeibnizTerms
+    ws, _ = workspace_from_text(read_data("wedge_homotopy.cdgl"))
+    ab, _ = workspace_from_text(read_data("ad_boundary.cdgl"))
+    T = Truncation(4)
+    for phi in (ws.morphisms["f"], ws.morphisms["g"], DGLMorphism.identity(
+            circle_model(T)), DGLMorphism.identity(interval_model(T)),
+                DGLMorphism.identity(ab.models["AB"].presentation)):
+        src, tgt, seen = phi.source, phi.target, 0
+        leibniz = LeibnizTerms(src, tgt, phi)
+        for n in range(-1, 3):
+            for g in src.gens:
+                for j, e in enumerate(tgt.basis(g.degree + n)):
+                    column = leibniz.column(g, n, j)
+                    for h in src.gens:
+                        got = phi.derive({g: e}, n, src.d_on_gens[h])
+                        assert tgt.coords(got, h.degree - 1 + n).entries == column.get(h, {})
+                        seen += bool(got.terms)
+        assert seen

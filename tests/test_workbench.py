@@ -1332,3 +1332,202 @@ def test_homology_rerun_refuses_a_model_that_changes_below_the_cap(monkeypatch):
     rep = run_task(Task("homology", model_ref="S1", trunc=3, degree_range=(-1, 1)))
     assert rep.status == "internal-error"
     assert rep.notes == ["the cap-4 model cut at cap 3 is not the cap-3 model"]
+
+
+# -- the pi-map re-run off the length filtration ----------------------------------
+
+def _pi_against_full_rerun(monkeypatch, task):
+    """Run a pi-map task, and hold the (pointed, free) dimensions that its
+    cap + 1 re-run read off the length filtration, and the flag, to the full
+    re-run."""
+    import cdgl.workbench.tasks as tasks
+    from oracles import full_pi_again
+    seen = []
+    again = tasks._pi_again
+    monkeypatch.setattr(tasks, "_pi_again",
+                        lambda *args: seen.append(again(*args)) or seen[-1])
+    rep = run_task(task)
+    assert rep.status == "ok", rep.notes
+    (got,) = seen
+    assert got == full_pi_again(task, rep.caps["truncation"] + 1)
+    now = tuple({int(k[3:]): v for k, v in rep.tables[t].items()}
+                for t in ("pi_pointed", "pi_free"))
+    assert rep.stability == ("green" if got == now else "red")
+    return rep
+
+
+_CAPPED = ("model M {\n  truncate 3 degree 6\n  gen x : 1\n  gen y : 3\n"
+           "  gen z : 2\n%s}\n")
+
+_PI_RERUN_CASES = [
+    # the benchmark's pi-map commands, full and quick
+    ("wedge(2,2)", None, None, 6, (1, 8)), ("wedge(2,3)", None, None, 7, (1, 8)),
+    ("wedge(2,2)", None, None, 4, (1, 6)), ("wedge(2,3)", None, None, 4, (1, 6)),
+    # the CI smoke script's, the gap 3..4 among them
+    ("S1", None, None, 4, (1, 3)), ("L1", None, None, 4, (1, 3)),
+    (None, "wedge_homotopy.cdgl", "f", None, (1, 2)),
+    (None, "wedge_homotopy.cdgl", "f", 4, (1, 3)),
+    (None, "wedge_spheres.cdgl", "shear", 4, (1, 4)),
+    ("wedge(2,3)", None, None, 3, (3, 4)), ("wedge(2,2)", None, None, 4, (1, 4)),
+    (None, "ad_boundary.cdgl", None, 3, (1, 3)),
+    # the zero morphism, another file morphism, and d = 0 under a degree cap
+    ("wedge(2,3)", None, "zero", 3, (3, 4)), ("S1", None, "zero", 4, (1, 3)),
+    (None, "wedge_homotopy.cdgl", "g", 4, (1, 3)), ("L0", None, None, 4, (1, 3)),
+    (None, _CAPPED % "", None, 3, (1, 6)), (None, _CAPPED % "  d y = [x, x]\n", None, 4, (1, 2)),
+]
+
+
+@pytest.mark.parametrize("model, data, morphism, trunc, window", _PI_RERUN_CASES)
+def test_pi_rerun_matches_the_full_rerun(monkeypatch, model, data, morphism, trunc,
+                                         window):
+    text = data if data is None or "\n" in data else read(data)
+    _pi_against_full_rerun(monkeypatch, Task(
+        "pi-map", model_ref=model, file_text=text, trunc=trunc, degree_range=window,
+        names={"morphism": morphism} if morphism else {}))
+
+
+def test_pi_rerun_flags_of_the_ci_models(monkeypatch):
+    # green on the circle, the interval and the shear; red where the layer
+    # adds homology, as on ad_boundary.cdgl
+    flags = {}
+    for model, data, morphism, trunc, window in _PI_RERUN_CASES[4:12]:
+        rep = _pi_against_full_rerun(monkeypatch, Task(
+            "pi-map", model_ref=model, file_text=data and read(data), trunc=trunc,
+            degree_range=window, names={"morphism": morphism} if morphism else {}))
+        flags[model or morphism or data] = rep.stability
+        monkeypatch.undo()
+    assert flags == {"S1": "green", "L1": "green", "f": "red", "shear": "green",
+                     "wedge(2,3)": "red", "wedge(2,2)": "red", "ad_boundary.cdgl": "red"}
+
+
+@pytest.mark.parametrize("kind", ["zero", "minimal", "linear"])
+def test_pi_rerun_matches_the_full_rerun_on_random_models(monkeypatch, kind):
+    import random
+    rng = random.Random(kind)
+    flags = set()
+    for _ in range(12):
+        lo = rng.randint(1, 3)
+        rep = _pi_against_full_rerun(monkeypatch, Task(
+            "pi-map", file_text=_random_model(rng, kind), trunc=rng.randint(2, 4),
+            degree_range=(lo, lo + rng.randint(0, 3))))
+        flags.add(rep.stability)
+        monkeypatch.undo()
+    assert flags == {"green", "red"}
+
+
+def test_pi_rerun_holds_d_squared_under_a_degree_cap():
+    # under a degree cap d is no derivation of the capped algebra, and the
+    # cap-(N + 1) complex of derivations can fail d^2 = 0 where the cap-N one
+    # holds it: the re-run gives the full re-run's diagnostic
+    from cdgl.exactlin import IllFormedComplexError
+    from oracles import full_pi_again
+    text = _CAPPED % "  d y = [x, x]\n"
+    task = Task("pi-map", file_text=text, trunc=3, degree_range=(1, 6))
+    with pytest.raises(IllFormedComplexError) as exc:
+        full_pi_again(task, 4)
+    rep = run_task(task)
+    assert rep.status == "diagnostics" and [d.message for d in rep.diagnostics] == [
+        str(exc.value)] == ["dd != 0 from degree 5"]
+    plain = run_task(Task("pi-map", file_text=text, trunc=3, degree_range=(1, 6),
+                          check_stability=False))
+    assert plain.status == "ok"
+
+
+def test_pi_rerun_keeps_the_ill_formed_note():
+    from cdgl.workbench.elaborate import ElaborationError
+    from oracles import full_pi_again
+    task = Task("pi-map", file_text=read("two_intervals.cdgl"), degree_range=(1, 2))
+    with pytest.raises(ElaborationError) as exc:
+        full_pi_again(task, 5)
+    rep = run_task(task)
+    assert rep.stability == "red"
+    assert rep.notes[-1] == "stability re-run at cap 5 failed: %s" % exc.value
+    assert str(exc.value).startswith("model W is ill-formed: d^2 != 0 on generator x")
+
+
+def test_pi_rerun_keeps_the_resource_limit(monkeypatch):
+    # the layer's (degree, N + 1) components are held to the limit as the
+    # full re-run's bases were: wedge(2,2) has 6 Lie words of degree 5 at
+    # length 5 and none over 3 below
+    monkeypatch.setenv("CDGL_RESOURCE_LIMIT", "3")
+    for stability, status in ((True, "resource-limit"), (False, "ok")):
+        rep = run_task(Task("pi-map", model_ref="wedge(2,2)", trunc=4,
+                            degree_range=(1, 4), check_stability=stability))
+        assert rep.status == status and rep.exit_code() == (2 if stability else 0)
+
+
+def test_pi_rerun_on_d_zero_builds_no_layer(monkeypatch):
+    # on a d = 0 model the re-run picks no basis element of length N + 1 and
+    # builds no derivation complex, unit column or twisted product; it takes
+    # no homology, so a certified run takes the 16 homology reports of the
+    # answer run alone, as many as --no-stability took with the full re-run
+    import cdgl.derivations as derivations
+    import cdgl.exactlin as exactlin
+    import cdgl.freelie as freelie
+    import cdgl.workbench.tasks as tasks
+    lengths, built, in_rerun, homologies = [], [], [], []
+    again = tasks._pi_again
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if in_rerun:
+                built.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def rerun(*args):
+        in_rerun.append(None)
+        try:
+            return again(*args)
+        finally:
+            in_rerun.pop()
+
+    picks, homology_at = freelie._left_normed_basis, exactlin.homology_at
+    monkeypatch.setattr(freelie, "_left_normed_basis", lambda gens, degree, length: (
+        lengths.extend([length] if in_rerun else []) or picks(gens, degree, length)))
+    monkeypatch.setattr(exactlin, "homology_at",
+                        lambda *args: homologies.append(None) or homology_at(*args))
+    for name in ("DerComplex", "unit_columns", "twisted_product"):
+        monkeypatch.setattr(derivations, name, counted(name, getattr(derivations, name)))
+    monkeypatch.setattr(tasks, "_pi_again", rerun)
+    counts = []
+    for stability in (True, False):
+        homologies.clear()
+        rep = run_task(Task("pi-map", model_ref="wedge(2,3)", trunc=4,
+                            degree_range=(1, 4), check_stability=stability))
+        assert rep.status == "ok"
+        counts.append(len(homologies))
+    assert rep.stability is None and counts == [16, 16]
+    assert max(lengths, default=0) <= 4 and not built
+
+
+def test_a_miscounting_dimension_formula_fails_the_pi_rerun(monkeypatch):
+    import cdgl.workbench.tasks as tasks
+    real = tasks.lie_dimension
+    monkeypatch.setattr(tasks, "lie_dimension", lambda *args: real(*args) + 1)
+    for model in ("wedge(2,3)", "S1"):
+        rep = run_task(Task("pi-map", model_ref=model, trunc=3, degree_range=(1, 4)))
+        assert rep.status == "internal-error" and rep.exit_code() == 3
+        assert "lie_dimension miscounts degree" in rep.notes[0]
+        plain = run_task(Task("pi-map", model_ref=model, trunc=3, degree_range=(1, 4),
+                              check_stability=False))
+        assert plain.status == "ok"
+
+
+def test_pi_rerun_refuses_a_morphism_that_changes_below_the_cap(monkeypatch):
+    # the cap-(N + 1) images cut at N must be the cap-N images
+    import cdgl.workbench.tasks as tasks
+    from cdgl.freelie import LieElement
+    morphism = tasks._morphism
+
+    def changed(task, trunc_override=None):
+        phi = morphism(task, trunc_override)
+        if trunc_override is not None:
+            x, y = phi.source.gens
+            phi.images[x] = LieElement({(y,): 1}, phi.target.trunc)
+        return phi
+
+    monkeypatch.setattr(tasks, "_morphism", changed)
+    rep = run_task(Task("pi-map", model_ref="wedge(2,2)", trunc=4, degree_range=(1, 4)))
+    assert rep.status == "internal-error" and rep.exit_code() == 3
+    assert rep.notes == ["the cap-5 morphism cut at cap 4 is not the cap-4 morphism"]
